@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GaussRational, ZERO, ONE, as_scalar
+from .scalars import GaussRational, ZERO, ONE, as_scalar, sum_of_products
 
 # ---------------------------------------------------------------------
 # vector helpers
@@ -18,7 +18,7 @@ from .scalars import GaussRational, ZERO, ONE, as_scalar
 def vec(entries):
     out = []
     for e in entries:
-        s = as_scalar(e)
+        s = e if type(e) is GaussRational else as_scalar(e)
         if s is None:
             raise TypeError(f"bad vector entry {e!r}")
         out.append(s)
@@ -44,17 +44,11 @@ def vec_conj(u):
 
 def dot_bilinear(u, v):
     "sum u_k v_k with no conjugation (the isotropy pairing)."
-    total = ZERO
-    for a, b in zip(u, v):
-        total = total + a * b
-    return total
+    return sum_of_products(u, v)
 
 def dot_hermitian(u, v):
     "sum conj(u_k) v_k."
-    total = ZERO
-    for a, b in zip(u, v):
-        total = total + a.conjugate() * b
-    return total
+    return sum_of_products(u, v, conjugate_first=True)
 
 def vec_re(u):
     return tuple(a.re for a in u)
@@ -157,12 +151,19 @@ class Matrix:
 
     # -- arithmetic ----------------------------------------------------
 
+    def _check_same_shape(self, other, op):
+        if not isinstance(other, Matrix):
+            raise TypeError(f"cannot {op} a Matrix and {type(other).__name__}")
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} {op} "
+                             f"{other.nrows}x{other.ncols}")
+
     def __add__(self, other):
-        assert isinstance(other, Matrix) and self.nrows == other.nrows and self.ncols == other.ncols
+        self._check_same_shape(other, "+")
         return Matrix([vec_add(a, b) for a, b in zip(self.rows, other.rows)], ncols=self.ncols)
 
     def __sub__(self, other):
-        assert isinstance(other, Matrix) and self.nrows == other.nrows and self.ncols == other.ncols
+        self._check_same_shape(other, "-")
         return Matrix([vec_sub(a, b) for a, b in zip(self.rows, other.rows)], ncols=self.ncols)
 
     def __neg__(self):
@@ -178,7 +179,7 @@ class Matrix:
                 raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
             cols = [other.col(j) for j in range(other.ncols)]
             return Matrix(
-                [[dot_bilinear(r, c) for c in cols] for r in self.rows],
+                [[sum_of_products(r, c) for c in cols] for r in self.rows],
                 ncols=other.ncols,
             )
         c = as_scalar(other)
@@ -188,8 +189,9 @@ class Matrix:
 
     def apply(self, u):
         "Matrix times column vector (tuple)."
-        assert len(u) == self.ncols
-        return tuple(dot_bilinear(r, u) for r in self.rows)
+        if len(u) != self.ncols:
+            raise ValueError(f"vector of length {len(u)} for a matrix with {self.ncols} columns")
+        return tuple(sum_of_products(r, u) for r in self.rows)
 
     def transpose(self):
         return Matrix([self.col(j) for j in range(self.ncols)], ncols=self.nrows)
@@ -252,8 +254,12 @@ class Matrix:
             basis.append(tuple(u))
         return basis
 
+    def _check_square(self, op):
+        if self.nrows != self.ncols:
+            raise ValueError(f"{op} needs a square matrix, got {self.nrows}x{self.ncols}")
+
     def det(self):
-        assert self.nrows == self.ncols
+        self._check_square("det")
         n = self.nrows
         rows = [list(r) for r in self.rows]
         out = ONE
@@ -277,7 +283,7 @@ class Matrix:
         return out
 
     def inverse(self):
-        assert self.nrows == self.ncols
+        self._check_square("inverse")
         n = self.nrows
         aug = Matrix([list(r) + list(e) for r, e in zip(self.rows, Matrix.identity(n).rows)], ncols=2 * n)
         R, pivots = aug.rref()

@@ -16,6 +16,7 @@ general).  No normalization or floating point happens here.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .frames import VariableFrame
 from .scalars import GaussRational, ZERO, ONE, I, as_scalar
@@ -23,9 +24,6 @@ from .scalars import GaussRational, ZERO, ONE, I, as_scalar
 # ---------------------------------------------------------------------
 # monomials = dense exponent tuples
 
-
-def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 def mono_degree(a):
     return sum(a)
@@ -57,6 +55,15 @@ class Poly:
                     clean[tuple(mono)] = clean.get(tuple(mono), ZERO) + c
             clean = {m: c for m, c in clean.items() if c}
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, frame, terms):
+        """A Poly over a dict that is already clean: full-width tuple
+        monomials, GaussRational coefficients, none of them zero."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "frame", frame)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -96,6 +103,8 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
+        if self.is_constant():
+            return hash(self.constant_value())  # equal to that scalar, so hash like it
         return hash((self.frame, frozenset(self.terms.items())))
 
     def __bool__(self):
@@ -127,17 +136,21 @@ class Poly:
             return NotImplemented
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
-            acc = terms.get(mono, ZERO) + coeff
-            if acc:
-                terms[mono] = acc
+            prev = terms.get(mono)
+            if prev is None:
+                terms[mono] = coeff
             else:
-                terms.pop(mono, None)
-        return Poly(self.frame, terms)
+                acc = prev + coeff
+                if acc:
+                    terms[mono] = acc
+                else:
+                    del terms[mono]
+        return Poly._trusted(self.frame, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.frame, {m: -c for m, c in self.terms.items()})
+        return Poly._trusted(self.frame, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -153,15 +166,15 @@ class Poly:
         if other is None:
             return NotImplemented
         terms = {}
+        get = terms.get
+        right = list(other.terms.items())
         for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = mono_mul(ma, mb)
-                acc = terms.get(m, ZERO) + ca * cb
-                if acc:
-                    terms[m] = acc
-                else:
-                    terms.pop(m, None)
-        return Poly(self.frame, terms)
+            for mb, cb in right:
+                m = tuple(map(add, ma, mb))
+                prev = get(m)
+                # a product of nonzero scalars is nonzero; only sums can cancel
+                terms[m] = ca * cb if prev is None else prev + ca * cb
+        return Poly._trusted(self.frame, {m: c for m, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -223,7 +236,7 @@ class Poly:
             for j in range(0, n2, 2):
                 flipped[j], flipped[j + 1] = flipped[j + 1], flipped[j]
             terms[tuple(flipped)] = coeff.conjugate()
-        return Poly(self.frame, terms)
+        return Poly._trusted(self.frame, terms)
 
     def is_real_valued(self) -> bool:
         return self == self.conjugate()
@@ -242,20 +255,14 @@ class Poly:
     # -- calculus ------------------------------------------------------
 
     def _slot_derivative(self, slot: int) -> "Poly":
+        # distinct monomials stay distinct after lowering one slot, and a
+        # nonzero coefficient times a positive exponent is nonzero
         terms = {}
         for mono, coeff in self.terms.items():
             e = mono[slot]
-            if e == 0:
-                continue
-            lowered = list(mono)
-            lowered[slot] = e - 1
-            key = tuple(lowered)
-            acc = terms.get(key, ZERO) + coeff * e
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
-        return Poly(self.frame, terms)
+            if e:
+                terms[mono[:slot] + (e - 1,) + mono[slot + 1:]] = coeff * e
+        return Poly._trusted(self.frame, terms)
 
     def wirtinger(self, name: str, conjugate: bool = False) -> "Poly":
         "d/dz_name, or d/dconj(z_name) when conjugate is set."
@@ -331,15 +338,19 @@ class Poly:
         and conjugate slots are substituted independently: the caller is
         responsible for keeping images conjugate-consistent."""
         out = Poly.zero(target_frame)
+        powers = {}  # (slot, e) -> images[slot] ** e
         for mono, coeff in self.terms.items():
             term = Poly.constant(target_frame, coeff)
             for slot, e in enumerate(mono):
                 if not e:
                     continue
-                img = images.get(slot)
-                if img is None:
-                    raise KeyError(f"no image for slot {self.frame.slot_label(slot)}")
-                term = term * img ** e
+                power = powers.get((slot, e))
+                if power is None:
+                    img = images.get(slot)
+                    if img is None:
+                        raise KeyError(f"no image for slot {self.frame.slot_label(slot)}")
+                    power = powers[slot, e] = img ** e
+                term = term * power
             out = out + term
         return out
 

@@ -1,4 +1,10 @@
-"""Exact complex rational scalars: the field Q(i), built on Fraction pairs.
+"""Exact complex rational scalars: the field Q(i) over Python integers.
+
+A scalar is stored as (a + b*i)/d with integers a, b, d, where d > 0 and
+gcd(a, b, d) = 1.  That form is canonical, so two scalars are equal
+exactly when their triples are equal, and each operation costs a few
+integer multiplications and at most one gcd.  The real and imaginary
+parts are exposed as Fractions for code that reads them.
 
 Everything downstream (polynomials, matrices, subspaces) stores its
 coefficients as GaussRational values, so equality tests are exact and no
@@ -9,6 +15,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+_gcd = math.gcd
 
 
 def _frac(x) -> Fraction:
@@ -22,18 +30,35 @@ def _frac(x) -> Fraction:
 
 
 class GaussRational:
-    """A number a + b*i with a, b exact rationals."""
+    """A number a + b*i with a, b exact rationals.
 
-    __slots__ = ("re", "im")
+    Immutable: the integer triple lives in private slots and `re`/`im`
+    are read-only.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussRational is immutable")
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = _frac(re), _frac(im)
+        rd, id_ = re.denominator, im.denominator
+        # over the lcm of two reduced denominators the triple is already canonical
+        d = rd * id_ // _gcd(rd, id_)
+        self._a = re.numerator * (d // rd)
+        self._b = im.numerator * (d // id_)
+        self._d = d
 
     # -- basic protocol ------------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __repr__(self):
         return f"GaussRational({self.re!r}, {self.im!r})"
@@ -42,35 +67,57 @@ class GaussRational:
         return format_scalar(self)
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        # a real scalar hashes like the equal int / Fraction
+        return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
 
     def __eq__(self, other):
-        other = as_scalar(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not GaussRational:
+            other = as_scalar(other)
+            if other is None:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        other = as_scalar(other)
-        if other is None:
-            return NotImplemented
-        return GaussRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussRational:
+            other = as_scalar(other)
+            if other is None:
+                return NotImplemented
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            if d1 == 1:
+                return _make(self._a + other._a, self._b + other._b, 1)
+            return _reduce(self._a + other._a, self._b + other._b, d1)
+        g = _gcd(d1, d2)
+        if g == 1:
+            # coprime denominators: the sum is canonical as it stands
+            return _make(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
+        # only primes of g can divide the sum's content (as in Fraction.__add__)
+        s, t = d1 // g, d2 // g
+        a = self._a * t + other._a * s
+        b = self._b * t + other._b * s
+        g = _gcd(g, a, b)
+        if g == 1:
+            return _make(a, b, s * d2)
+        return _make(a // g, b // g, s * (d2 // g))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        other = as_scalar(other)
-        if other is None:
-            return NotImplemented
-        return GaussRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussRational:
+            other = as_scalar(other)
+            if other is None:
+                return NotImplemented
+        return self + _make(-other._a, -other._b, other._d)
 
     def __rsub__(self, other):
         other = as_scalar(other)
@@ -79,27 +126,30 @@ class GaussRational:
         return other - self
 
     def __mul__(self, other):
-        other = as_scalar(other)
-        if other is None:
-            return NotImplemented
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussRational:
+            other = as_scalar(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        d = self._d * other._d
+        if d == 1:
+            return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, 1)
+        return _reduce(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = as_scalar(other)
-        if other is None:
-            return NotImplemented
-        n = other.re * other.re + other.im * other.im
+        if type(other) is not GaussRational:
+            other = as_scalar(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        n = a2 * a2 + b2 * b2
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        # x / y = x * conj(y) * d_y / (d_x * |d_y y|^2)
+        k = other._d
+        return _reduce((a1 * a2 + b1 * b2) * k, (b1 * a2 - a1 * b2) * k, self._d * n)
 
     def __rtruediv__(self, other):
         other = as_scalar(other)
@@ -110,32 +160,51 @@ class GaussRational:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        a, b = 1, 0
+        base_a, base_b = self._a, self._b
+        k = n
+        while k:
+            if k & 1:
+                a, b = a * base_a - b * base_b, a * base_b + b * base_a
+            base_a, base_b = base_a * base_a - base_b * base_b, 2 * base_a * base_b
+            k >>= 1
+        return _reduce(a, b, self._d ** n)
 
     # -- structure -----------------------------------------------------
 
     def conjugate(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     def norm2(self) -> Fraction:
         "Squared modulus, an exact nonnegative rational."
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def is_real(self) -> bool:
-        return self.im == 0
-
-    def is_rational_real(self) -> bool:
-        return self.im == 0
+        return not self._b
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._d, self._b / self._d)
+
+
+_new = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> GaussRational:
+    "A scalar from a triple that is already canonical (d > 0, gcd(a, b, d) = 1)."
+    r = _new(GaussRational)
+    r._a, r._b, r._d = a, b, d
+    return r
+
+
+def _reduce(a: int, b: int, d: int) -> GaussRational:
+    "A scalar from any triple with d > 0: one gcd brings it to canonical form."
+    g = _gcd(d, a, b)  # d first: gcd stops early once it reaches 1
+    r = _new(GaussRational)
+    if g == 1:
+        r._a, r._b, r._d = a, b, d
+    else:
+        r._a, r._b, r._d = a // g, b // g, d // g
+    return r
 
 
 ZERO = GaussRational(0)
@@ -147,8 +216,10 @@ def as_scalar(x):
     "Coerce ints, Fractions and GaussRationals; return None when impossible."
     if isinstance(x, GaussRational):
         return x
-    if isinstance(x, (int, Fraction)):
-        return GaussRational(x)
+    if isinstance(x, int):
+        return _make(int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return _make(x.numerator, 0, x.denominator)
     return None
 
 
@@ -159,6 +230,44 @@ def scalar(x, im=0) -> GaussRational:
     if im:
         s = s + GaussRational(0, im)
     return s
+
+
+# -- fused sums ----------------------------------------------------------
+#
+# A sum of products accumulates integer numerators over a running lcm of
+# the term denominators and reduces once at the end, instead of building
+# (and reducing) one scalar per product and per partial sum.
+
+
+def sum_of_products(u, v, conjugate_first=False) -> GaussRational:
+    """sum_k u_k v_k (or sum_k conj(u_k) v_k) over two sequences of
+    GaussRational; pairs beyond the shorter sequence are ignored."""
+    a = b = 0
+    d = 1
+    for x, y in zip(u, v):
+        xa, xb, ya, yb = x._a, x._b, y._a, y._b
+        if conjugate_first:
+            pa = xa * ya + xb * yb
+            pb = xa * yb - xb * ya
+        else:
+            pa = xa * ya - xb * yb
+            pb = xa * yb + xb * ya
+        if not (pa or pb):
+            continue
+        pd = x._d * y._d
+        if pd != d:
+            g = _gcd(d, pd)
+            if g != pd:  # widen the running denominator to lcm(d, pd)
+                k = pd // g
+                a *= k
+                b *= k
+                d *= k
+            k = d // pd
+            pa *= k
+            pb *= k
+        a += pa
+        b += pb
+    return _reduce(a, b, d)
 
 
 # -- exact square roots ------------------------------------------------

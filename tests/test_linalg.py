@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import numpy
+import pytest
 
 from eigenforge.scalars import GaussRational, I, ONE, ZERO, scalar
 from eigenforge.linalg import (
@@ -166,3 +167,21 @@ def test_real_subspace_complement():
     assert C.dim == 2
     assert C.contains((1, -1, 0))
     assert C.contains((0, 0, 1))
+
+
+def test_shape_errors_raise_value_error():
+    # real exceptions, not asserts: they must also fire under python -O
+    A = Matrix([[1, 2], [3, 4]])
+    wide = Matrix([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError):
+        A + wide
+    with pytest.raises(ValueError):
+        A - wide
+    with pytest.raises(ValueError):
+        A.apply(vec([1, 2, 3]))
+    with pytest.raises(ValueError):
+        wide.det()
+    with pytest.raises(ValueError):
+        wide.inverse()
+    with pytest.raises(TypeError):
+        A + 1

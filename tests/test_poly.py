@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from eigenforge.scalars import GaussRational, I, ONE, scalar
 from eigenforge.frames import VariableFrame
@@ -236,3 +237,62 @@ def test_rename_onto_enlarges_frame():
     assert q == Poly.variable(big, "z") ** 2
     with pytest.raises(FrameMismatch):
         rename_onto(p, VariableFrame(("w",), ()))
+
+
+# -- clean-dict invariant of the ring operations ---------------------------
+#
+# Sums, products, powers, derivatives and substitutions build their term
+# dicts directly instead of passing them through Poly.__init__.  The
+# result must be exactly what __init__ would make of it: full-width tuple
+# monomials and nonzero GaussRational coefficients.
+
+# coefficients from a small set, so sums cancel often
+coeffs = st.sampled_from([scalar(1), scalar(-1), I, -I, scalar(Fraction(1, 2)),
+                          scalar(Fraction(-1, 2), 3), scalar(0)])
+monos = st.tuples(*[st.integers(0, 2)] * F2.num_slots)
+polys = st.dictionaries(monos, coeffs, max_size=5).map(lambda t: Poly(F2, t))
+
+
+def assert_clean(p):
+    assert Poly(p.frame, p.terms).terms == p.terms
+    for mono, c in p.terms.items():
+        assert type(mono) is tuple and len(mono) == p.frame.num_slots
+        assert isinstance(c, GaussRational) and c
+
+
+@given(polys, polys, st.integers(0, 3))
+def test_ring_results_are_clean(p, q, k):
+    for r in (p + q, p - q, p * q, p - p, p + (-p), p * (q - q), p ** k, -p, p.conjugate()):
+        assert_clean(r)
+
+
+@given(polys)
+def test_derivatives_are_clean(p):
+    for name in F2.complex_names:
+        assert_clean(p.wirtinger(name))
+        assert_clean(p.wirtinger(name, conjugate=True))
+    assert_clean(p.real_partial("t"))
+    for comp in real_gradient(p).components:
+        assert_clean(comp)
+
+
+@given(polys, st.lists(polys, min_size=F2.num_slots, max_size=F2.num_slots))
+def test_substitute_is_clean_and_matches_expansion(p, imgs):
+    images = dict(enumerate(imgs))
+    sub = p.substitute(F2, images)
+    assert_clean(sub)
+    expected = Poly.zero(F2)
+    for mono, c in p.terms.items():
+        term = Poly.constant(F2, c)
+        for slot, e in enumerate(mono):
+            for _ in range(e):
+                term = term * images[slot]
+        expected = expected + term
+    assert sub == expected
+
+
+def test_poly_hash_agrees_with_scalars():
+    assert len({Poly.constant(F2, 2), 2}) == 1
+    assert len({Poly.zero(F2), 0, scalar(0)}) == 1
+    assert len({Poly.constant(F2, scalar(1, 2)), scalar(1, 2)}) == 1
+    assert hash(zvar("z") * 2) == hash(zvar("z") + zvar("z"))

@@ -1,9 +1,17 @@
-"""Field arithmetic in Q(i), exact square roots, canonical printing."""
+"""Field arithmetic in Q(i), exact square roots, canonical printing.
 
+The integer kernel is checked against the Fraction-pair reference
+scalar in tests/oracles.py, including coefficients far above machine
+word size and negative denominators given as input.
+"""
+
+import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
+from eigenforge.linalg import dot_bilinear, dot_hermitian
 from eigenforge.scalars import (
     GaussRational,
     I,
@@ -16,6 +24,7 @@ from eigenforge.scalars import (
     scalar,
     sqrt_in_qi,
 )
+from oracles import RefGauss, ref_format, ref_sum_of_products
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 scalars = st.builds(GaussRational, rationals, rationals)
@@ -106,3 +115,102 @@ def test_format_scalar():
     assert format_scalar(scalar(0, Fraction(3, 2))) == "3/2*i"
     assert format_scalar(scalar(Fraction(1, 2), Fraction(-3, 2))) == "1/2-3/2*i"
     assert format_scalar(scalar(-2, 1)) == "-2+i"
+
+
+# -- integer kernel vs the Fraction-pair reference -----------------------
+
+BIG = 2 ** 90
+nonzero_ints = st.integers(-BIG, BIG).filter(bool)
+wide_rationals = st.one_of(
+    st.integers(-BIG, BIG),
+    st.builds(Fraction, st.integers(-BIG, BIG), nonzero_ints),  # either sign of denominator
+    st.builds(Fraction, st.integers(-5, 5), st.integers(-4, 4).filter(bool)),
+)
+pairs = st.tuples(wide_rationals, wide_rationals)
+
+
+def both(pair):
+    "The same value as (kernel scalar, reference scalar)."
+    return GaussRational(*pair), RefGauss(*pair)
+
+
+def agrees(x, ref):
+    "x is canonical and equals the reference value part by part."
+    assert isinstance(x, GaussRational)
+    assert x._d > 0 and math.gcd(x._a, x._b, x._d) == 1
+    assert (x.re, x.im) == (ref.re, ref.im)
+    assert format_scalar(x) == ref_format(ref)
+    assert x.norm2() == ref.norm2()
+    assert complex(x) == complex(float(ref.re), float(ref.im))
+
+
+@given(pairs, pairs)
+def test_kernel_matches_reference(p, q):
+    (x, rx), (y, ry) = both(p), both(q)
+    agrees(x, rx)
+    agrees(x + y, rx + ry)
+    agrees(x - y, rx - ry)
+    agrees(x * y, rx * ry)
+    agrees(-x, -rx)
+    agrees(x.conjugate(), rx.conjugate())
+    if ry.norm2():
+        agrees(x / y, rx / ry)
+    assert (x == y) == (rx == ry)
+    assert x == GaussRational(*p) and hash(x) == hash(GaussRational(*p))
+
+
+@given(pairs, st.one_of(st.integers(-BIG, BIG), wide_rationals))
+def test_kernel_mixed_operands_match_reference(p, c):
+    x, rx = both(p)
+    agrees(x + c, rx + c)
+    agrees(c + x, rx + c)
+    agrees(x - c, rx - c)
+    agrees(c - x, RefGauss(c) - rx)
+    agrees(x * c, rx * c)
+    agrees(c * x, rx * c)
+    if c:
+        agrees(x / c, rx / c)
+    if rx.norm2():
+        agrees(c / x, RefGauss(c) / rx)
+    assert (x == c) == (rx == c)
+
+
+@given(pairs, st.integers(0, 6))
+def test_kernel_power_matches_reference(p, n):
+    x, rx = both(p)
+    agrees(x ** n, rx ** n)
+
+
+@given(pairs)
+def test_hash_of_real_scalar_matches_fraction(p):
+    x = GaussRational(p[0])
+    assert x == Fraction(p[0]) and hash(x) == hash(Fraction(p[0]))
+
+
+def test_scalar_hash_agrees_with_int_and_fraction():
+    assert len({GaussRational(1), 1, Fraction(1)}) == 1
+    assert len({GaussRational(Fraction(-3, 4)), Fraction(-3, 4)}) == 1
+    assert len({ZERO, 0, Fraction(0), GaussRational(0, 0)}) == 1
+    assert len({GaussRational(1, 1), GaussRational(1)}) == 2
+
+
+def test_kernel_input_forms():
+    assert GaussRational(Fraction(1, -2), "3/4") == GaussRational("-1/2", Fraction(-3, -4))
+    assert GaussRational(True) == ONE
+    assert GaussRational(2 ** 100, -(2 ** 100)) * GaussRational(Fraction(1, 2 ** 100)) == 1 - I
+    assert GaussRational(Fraction(2, 4), Fraction(1, 6)).im == Fraction(1, 6)
+    for bad in (1.5, 1j, None):
+        with pytest.raises(TypeError):
+            GaussRational(bad)
+
+
+vectors = st.lists(pairs, max_size=7)
+
+
+@given(vectors, vectors)
+def test_fused_dots_match_termwise_reference(u, v):
+    n = min(len(u), len(v))
+    ku, kv = [GaussRational(*p) for p in u[:n]], [GaussRational(*p) for p in v[:n]]
+    ru, rv = [RefGauss(*p) for p in u[:n]], [RefGauss(*p) for p in v[:n]]
+    agrees(dot_bilinear(ku, kv), ref_sum_of_products(ru, rv))
+    agrees(dot_hermitian(ku, kv), ref_sum_of_products(ru, rv, conjugate_first=True))
