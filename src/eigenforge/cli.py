@@ -26,9 +26,9 @@ from .frames import VariableFrame
 from .poly import FrameMismatch
 from .parser import (FamilySource, ParseError, format_family, format_poly,
                      format_scalar, load_family, parse_poly)
-from .conformality import (EigenData, power_family, sphere_eigen_data,
+from .conformality import (EigenData, power_family, sphere_data, sphere_eigen_data,
                            verify_flat_family, verify_general_family)
-from .holomorphy import gradient_span, is_uniformly_complex_type, maximal_axis
+from .holomorphy import maximal_axis, span_complex_type
 from .reduction import reduce_along, reduction_equivalence_check
 from .degree2 import (construct_eigenpair, data_from_json_dict,
                       data_to_json_dict, decompose_eigenpair, _matrix_json)
@@ -90,17 +90,13 @@ def _family_json(source: FamilySource):
     }
 
 
-def _member_names(source: FamilySource):
-    return list(source.definitions)
-
-
 # -- verify -----------------------------------------------------------
 
 
 def cmd_verify(args) -> int:
     source = load_family(args.path)
     fs = source.polys
-    names = _member_names(source)
+    names = list(source.definitions)
     if args.lam is not None or args.mu is not None:
         data = EigenData(_parse_constant(args.lam if args.lam is not None else "0"),
                          _parse_constant(args.mu if args.mu is not None else "0"))
@@ -109,20 +105,20 @@ def cmd_verify(args) -> int:
         report = verify_flat_family(fs)
     payload = report.to_json_dict(name=source.name)
     payload["command"] = "verify"
-    ok = report.verdict
     sphere = None
     if args.sphere:
-        data, sreport = sphere_eigen_data(fs)
+        # the report alone decides: with a nonzero member it can verify
+        # only for (lambda, mu) = (0, 0), where it is the flat report
+        data = sphere_data(fs)
         sphere = {
             "sphere_dim": source.frame.m - 1,
             "lambda": format_scalar(data.lam),
             "mu": format_scalar(data.mu),
         }
         payload["sphere"] = sphere
-        ok = ok and sreport.verdict
     if args.json:
         _emit(payload, args)
-        return 0 if ok else 1
+        return 0 if report.verdict else 1
     degree = report.degree if report.degree is not None else "mixed"
     plural = "s" if len(fs) != 1 else ""
     print(f"family {source.name} on {_frame_label(source.frame)} "
@@ -140,7 +136,7 @@ def cmd_verify(args) -> int:
     if sphere is not None:
         print(f"restricted to S^{sphere['sphere_dim']}: "
               f"lambda = {sphere['lambda']}, mu = {sphere['mu']}")
-    return 0 if ok else 1
+    return 0 if report.verdict else 1
 
 
 # -- analyze ----------------------------------------------------------
@@ -149,9 +145,9 @@ def cmd_verify(args) -> int:
 def cmd_analyze(args) -> int:
     source = load_family(args.path)
     fs = source.polys
-    uniform, witness = is_uniformly_complex_type(fs)
     axis = maximal_axis(fs, tolerance=args.tolerance)
-    W = gradient_span(fs)
+    W = axis.W
+    uniform, witness = span_complex_type(W)
     payload = {
         "command": "analyze",
         "name": source.name,
@@ -371,8 +367,8 @@ def cmd_construct_power(args) -> int:
     products, new_data = power_family(fs, args.d, data)
     extra = {"lambda": format_scalar(new_data.lam), "mu": format_scalar(new_data.mu)}
     if derived:
-        check, _ = sphere_eigen_data(products)
-        extra["sphere_data_consistent"] = (check == new_data)
+        # the closed form only; _finish_constructed verifies the products
+        extra["sphere_data_consistent"] = (sphere_data(products) == new_data)
         if not extra["sphere_data_consistent"]:
             print("transformed eigen data disagrees with the power family's "
                   "own sphere data", file=sys.stderr)
@@ -439,10 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="eigenforge",
         description="Exact verification and construction of eigenfamilies "
                     "of polynomial harmonic morphisms.")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed for randomized subroutines (the shipped "
-                         "commands are deterministic; accepted for "
-                         "reproducibility of future extensions)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="check the eigenfamily identities")

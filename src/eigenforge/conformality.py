@@ -9,6 +9,10 @@ the complex-bilinear pairing of real gradients, and
 
     laplacian(f) = 4 sum_j dz_j dzbar_j f + sum_k dt_k^2 f.
 
+Given a real symmetric m x m matrix P, kappa(f, g, P) is the pairing
+sum_ab P_ab d_a f d_b g over the real axes and laplacian(f, P) is
+trace(P Hess f); P = identity gives the plain operators.
+
 A family is a (lam, mu)-eigenfamily when laplacian(f) = lam f and
 kappa(f, g) = mu f g for all members f, g.  On flat space polynomial
 eigenfamilies force (lam, mu) = (0, 0); restricting a homogeneous
@@ -20,9 +24,11 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .scalars import GaussRational, ZERO, as_scalar, format_scalar, scalar
+from .scalars import GaussRational, ONE, ZERO, as_scalar, format_scalar, scalar
 from .frames import VariableFrame
-from .poly import Poly
+from .poly import FrameMismatch, Poly, slot_axes
+
+TWO = scalar(2)
 
 
 class EigenData(NamedTuple):
@@ -37,28 +43,62 @@ class EigenData(NamedTuple):
 FLAT_DATA = EigenData(ZERO, ZERO)
 
 
-def kappa(f: Poly, g: Poly) -> Poly:
+def _slot_form(frame, P):
+    """{(s, u): c} over slot pairs s <= u: the form sum_su c d_s . d_u,
+    read as symmetric, behind kappa and laplacian.  The Wirtinger form
+    when P is None; D^T P D for the slot <-> axis table D of slot_axes."""
+    if P is None:
+        form = {(2 * j, 2 * j + 1): TWO for j in range(frame.n)}
+        form.update({(s, s): ONE for s in range(2 * frame.n, frame.m)})
+        return form
+    if P.nrows != frame.m or P.ncols != frame.m:
+        raise ValueError(f"P must be {frame.m}x{frame.m} for this frame")
+    table = slot_axes(frame)
+    form = {}
+    for s in range(frame.m):
+        for u in range(s, frame.m):
+            c = sum((ca * P[a, b] * cb for a, ca in table[s] for b, cb in table[u]), ZERO)
+            if c:
+                form[s, u] = c
+    return form
+
+
+def _weighted_sum(frame, terms):
+    "sum c p over the (c, p) terms, scaling once per distinct c."
+    sums = {}
+    for c, p in terms:
+        sums[c] = sums[c] + p if c in sums else p
+    return sum((p if c == ONE else c * p for c, p in sums.items()), Poly.zero(frame))
+
+
+def kappa(f: Poly, g: Poly, P=None) -> Poly:
+    """The bracket; with a real symmetric m x m matrix P, the gradient
+    pairing sum_ab P_ab d_a f d_b g over the real axes instead."""
     if f.frame != g.frame:
-        from .poly import FrameMismatch
         raise FrameMismatch("kappa needs a shared frame")
-    frame = f.frame
-    out = Poly.zero(frame)
-    for name in frame.complex_names:
-        out = out + 2 * (f.wirtinger(name) * g.wirtinger(name, conjugate=True)
-                         + g.wirtinger(name) * f.wirtinger(name, conjugate=True))
-    for name in frame.real_names:
-        out = out + f.real_partial(name) * g.real_partial(name)
-    return out
+    form = _slot_form(f.frame, P)
+    slots = {s for pair in form for s in pair}
+    df = {s: f._slot_derivative(s) for s in slots}
+    dg = df if g is f else {s: g._slot_derivative(s) for s in slots}
+
+    def terms():
+        for (s, u), c in form.items():
+            if s == u:
+                yield c, df[s] * dg[s]
+            elif g is f:
+                yield TWO * c, df[s] * df[u]
+            else:
+                yield c, df[s] * dg[u] + df[u] * dg[s]
+    return _weighted_sum(f.frame, terms())
 
 
-def laplacian(f: Poly) -> Poly:
-    frame = f.frame
-    out = Poly.zero(frame)
-    for name in frame.complex_names:
-        out = out + 4 * f.wirtinger(name).wirtinger(name, conjugate=True)
-    for name in frame.real_names:
-        out = out + f.real_partial(name).real_partial(name)
-    return out
+def laplacian(f: Poly, P=None) -> Poly:
+    """The Laplacian; with a real symmetric m x m matrix P, the trace
+    of P times the real Hessian instead."""
+    form = _slot_form(f.frame, P)
+    first = {s: f._slot_derivative(s) for s, _ in form}
+    return _weighted_sum(f.frame, ((c if s == u else TWO * c, first[s]._slot_derivative(u))
+                                   for (s, u), c in form.items()))
 
 
 def norm_squared(frame: VariableFrame) -> Poly:
@@ -126,7 +166,6 @@ class FamilyReport:
 def _common_frame(fs):
     frames = {f.frame for f in fs}
     if len(frames) != 1:
-        from .poly import FrameMismatch
         raise FrameMismatch("family members live on different frames")
     return fs[0].frame
 
@@ -162,14 +201,11 @@ def verify_flat_family(fs) -> FamilyReport:
     return verify_general_family(fs, FLAT_DATA)
 
 
-def sphere_eigen_data(fs):
-    """Eigen data of a homogeneous flat eigenfamily restricted to the
-    unit sphere of its frame.
-
-    Returns (EigenData, FamilyReport).  Raises ValueError on mixed or
-    missing degrees; the report carries any flat verification failure.
-    """
-    fs = [f for f in fs]
+def sphere_data(fs) -> EigenData:
+    """Eigen data (-d(d+m-1), -d^2) on the unit sphere S^m of the frame,
+    for a homogeneous degree-d family; the closed form, with no
+    verification.  Raises ValueError on mixed or missing degrees."""
+    fs = list(fs)
     if not fs:
         raise ValueError("empty family has no sphere data")
     frame = _common_frame(fs)
@@ -182,20 +218,15 @@ def sphere_eigen_data(fs):
     for f in fs:
         if not f.is_homogeneous():
             raise ValueError("sphere restriction needs homogeneous members")
-    report = verify_flat_family(fs)
     m = frame.m - 1  # sphere dimension
-    data = EigenData(scalar(-d * (d + m - 1)), scalar(-d * d))
-    if report.verdict:
-        # |x|^2 kappa(f_i, f_j) = (mu + d^2) f_i f_j; both sides vanish here
-        r2 = norm_squared(frame)
-        factor = data.mu + scalar(d * d)
-        for i in range(len(fs)):
-            for j in range(i, len(fs)):
-                lhs = r2 * kappa(fs[i], fs[j])
-                rhs = factor * fs[i] * fs[j]
-                if lhs != rhs:
-                    raise AssertionError("sphere restriction identity failed")
-    return data, report
+    return EigenData(scalar(-d * (d + m - 1)), scalar(-d * d))
+
+
+def sphere_eigen_data(fs):
+    """(sphere_data(fs), verify_flat_family(fs)): the data holds on the
+    sphere exactly when the flat report's verdict is true."""
+    fs = list(fs)
+    return sphere_data(fs), verify_flat_family(fs)
 
 
 def power_family(fs, d: int, data: EigenData):

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .scalars import GaussRational, ZERO, ONE, as_scalar, rational_sqrt, scalar
 from .frames import VariableFrame
-from .poly import Poly, axis_polynomials, real_gradient
+from .poly import Poly, axis_polynomials, slot_axes
 from .linalg import (
     Matrix,
     RealSubspace,
@@ -53,20 +53,22 @@ class Deg2Form(NamedTuple):
 
 
 def to_form(p: Poly) -> Deg2Form:
-    "Half the constant Hessian; p must be homogeneous of degree 2 (or 0)."
+    """Half the constant Hessian; p must be homogeneous of degree 2 (or 0).
+    A term c slot_s slot_u adds the symmetric part of c D_s D_u^T, for
+    the slot <-> axis table D of poly.slot_axes."""
     if p != 0 and (not p.is_homogeneous() or p.degree() != 2):
         raise ValueError("quadratic form needs a homogeneous degree-2 polynomial")
     m = p.frame.m
-    grad = real_gradient(p).components
-    rows = []
-    for a in range(m):
-        row = real_gradient(grad[a]).components
-        entries = []
-        for b in range(m):
-            c = row[b].constant_value()
-            entries.append(c / 2)
-        rows.append(entries)
-    return Deg2Form(p.frame, Matrix(rows, ncols=m))
+    table = slot_axes(p.frame)
+    A = [[ZERO] * m for _ in range(m)]
+    for mono, c in p.terms.items():
+        s, u = [slot for slot, e in enumerate(mono) for _ in range(e)]
+        for a, ca in table[s]:
+            for b, cb in table[u]:
+                x = c * ca * cb / 2
+                A[a][b] = A[a][b] + x
+                A[b][a] = A[b][a] + x
+    return Deg2Form(p.frame, Matrix(A, ncols=m))
 
 
 def from_form(f: Deg2Form) -> Poly:

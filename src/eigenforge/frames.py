@@ -119,12 +119,6 @@ class VariableFrame:
             return name if slot % 2 == 0 else f"conj({name})"
         return self.real_names[slot - 2 * self.n]
 
-    def conj_slot(self, slot: int) -> int:
-        "Slot of the conjugate variable; real slots are their own conjugate."
-        if slot < 2 * self.n:
-            return slot ^ 1
-        return slot
-
     # -- real axes -----------------------------------------------------
 
     def axis_label(self, axis: int) -> str:

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GaussRational, ZERO, sqrt_in_qi, scalar
+from .scalars import GaussRational, ZERO, sqrt_in_qi
 from .frames import VariableFrame
-from .poly import Poly, real_gradient
+from .poly import FrameMismatch, Poly, axis_polynomials, real_gradient, slot_axes
+from .conformality import kappa, laplacian
 from .linalg import (
     ComplexSubspace,
     Matrix,
@@ -51,7 +52,6 @@ def gradient_span(fs) -> ComplexSubspace:
     vectors = []
     for f in fs:
         if f.frame != frame:
-            from .poly import FrameMismatch
             raise FrameMismatch("family members live on different frames")
         per_mono = {}
         for axis, comp in enumerate(real_gradient(f).components):
@@ -94,22 +94,30 @@ class ComplexTypeWitness:
         self.kernel = self.plane_span.orthogonal_complement()
 
     def check(self):
-        "Exact structural invariants; raises AssertionError on violation."
+        """Exact structural invariants; raises AssertionError on violation
+        (an explicit raise, so python -O keeps the check)."""
         for x, y in self.pairs:
             xs = vec([GaussRational(q) for q in x])
             ys = vec([GaussRational(q) for q in y])
-            assert dot_bilinear(xs, xs) == dot_bilinear(ys, ys)
-            assert dot_bilinear(xs, ys) == ZERO
-        assert self.J.is_antisymmetric()
-        p_ker = self.kernel.projector()
-        assert self.J * self.J == p_ker - Matrix.identity(self.ambient)
+            if dot_bilinear(xs, xs) != dot_bilinear(ys, ys):
+                raise AssertionError("witness pair has unequal norms")
+            if dot_bilinear(xs, ys) != ZERO:
+                raise AssertionError("witness pair is not orthogonal")
+        if not self.J.is_antisymmetric():
+            raise AssertionError("witness J is not antisymmetric")
+        if self.J * self.J != self.kernel.projector() - Matrix.identity(self.ambient):
+            raise AssertionError("witness J^2 is not -Id + P_ker")
         return True
 
 
 def is_uniformly_complex_type(fs):
     """(verdict, witness).  True exactly when the gradient span is
     bilinearly isotropic; the witness is None on false."""
-    W = gradient_span(fs)
+    return span_complex_type(gradient_span(fs))
+
+
+def span_complex_type(W: ComplexSubspace):
+    "is_uniformly_complex_type for a family with gradient span W."
     basis = list(W.basis)
     for i in range(len(basis)):
         for j in range(i, len(basis)):
@@ -151,33 +159,31 @@ def apply_real_isometry(p: Poly, Q: Matrix, target: VariableFrame) -> Poly:
         for b in range(Q.ncols):
             if Q[a, b].im != 0:
                 raise ValueError("isometry entries must be real")
-    from .poly import axis_polynomials
     axes = axis_polynomials(target)
-    iunit = scalar(0, 1)
-
-    def back(a):
-        # x_a = sum_b Q_ba x'_b
+    back = []  # x_a = sum_b Q_ba x'_b
+    for a in range(frame.m):
         out = Poly.zero(target)
         for b in range(frame.m):
             c = Q[b, a]
             if c:
                 out = out + c * axes[b]
-        return out
-
+        back.append(out)
     images = {}
-    for name in frame.complex_names:
-        re_part = back(2 * frame.kind_of(name)[1])
-        im_part = back(2 * frame.kind_of(name)[1] + 1)
-        images[frame.z_slot(name)] = re_part + iunit * im_part
-        images[frame.zbar_slot(name)] = re_part - iunit * im_part
-    for name in frame.real_names:
-        images[frame.real_slot(name)] = back(frame.real_slot(name))
+    for s, entries in enumerate(slot_axes(frame)):
+        out = Poly.zero(target)
+        for a, c in entries:
+            out = out + c * back[a]
+        images[s] = out
     return p.substitute(target, images)
 
 
 def is_axis(fs, V) -> bool:
     "g^T P_V h = 0 for all gradient-span basis pairs; V exact real."
-    W = gradient_span(fs)
+    return span_is_axis(gradient_span(fs), V)
+
+
+def span_is_axis(W: ComplexSubspace, V) -> bool:
+    "is_axis for a family with gradient span W."
     sub = _as_real_subspace(W.ambient, V)
     if sub.dim == 0:
         return True
@@ -191,44 +197,14 @@ def is_axis(fs, V) -> bool:
     return True
 
 
-def projected_kappa(f: Poly, g: Poly, P: Matrix) -> Poly:
-    "Gradient pairing through a real symmetric matrix P."
-    gf = real_gradient(f).components
-    gg = real_gradient(g).components
-    out = Poly.zero(f.frame)
-    for a in range(P.nrows):
-        for b in range(P.ncols):
-            c = P[a, b]
-            if c:
-                out = out + c * gf[a] * gg[b]
-    return out
-
-
-def projected_laplacian(f: Poly, P: Matrix) -> Poly:
-    "trace(P . Hessian(f)) for real symmetric P."
-    grad = real_gradient(f).components
-    out = Poly.zero(f.frame)
-    for a in range(P.nrows):
-        row = real_gradient(grad[a]).components
-        for b in range(P.ncols):
-            c = P[a, b]
-            if c:
-                out = out + c * row[b]
-    return out
-
-
 def separable_check(f: Poly, V) -> bool:
     """Both partial maps along V and its orthogonal complement satisfy
     kappa = 0 and the Laplacian = 0 identically (complementary block
-    held as parameters)."""
+    held as parameters): kappa and laplacian through the projectors."""
     m = f.frame.m
-    sub = _as_real_subspace(m, V)
-    P = sub.projector()
-    Q = Matrix.identity(m) - P
-    for proj in (P, Q):
-        if projected_kappa(f, f, proj) != 0:
-            return False
-        if projected_laplacian(f, proj) != 0:
+    P = _as_real_subspace(m, V).projector()
+    for proj in (P, Matrix.identity(m) - P):
+        if kappa(f, f, proj) != 0 or laplacian(f, proj) != 0:
             return False
     return True
 
@@ -239,11 +215,13 @@ def separable_check(f: Poly, V) -> bool:
 
 class AxisReport:
     """Certified axis (exact, always verified by is_axis), an optional
-    numeric extension (float plane generators with their residual), and
-    the theoretical upper bound for this search."""
+    numeric extension (float plane generators with their residual), the
+    theoretical upper bound for this search, and the family's gradient
+    span W that the search ran on."""
 
     def __init__(self, certified_axis, numeric_vectors, numeric_residual,
-                 theoretical_upper_bound):
+                 theoretical_upper_bound, W):
+        self.W = W
         self.certified_axis = certified_axis
         self.numeric_vectors = list(numeric_vectors)
         self.numeric_residual = numeric_residual
@@ -392,10 +370,11 @@ def maximal_axis(fs, tolerance=1e-9):
         axis_vectors.append(vec([GaussRational(q) for q in vec_re(w)]))
         axis_vectors.append(vec([GaussRational(q) for q in vec_im(w)]))
     certified = RealSubspace(m, axis_vectors)
-    assert is_axis(fs, certified)
+    if not span_is_axis(W, certified):
+        raise AssertionError("certified axis fails the axis condition")
 
     numeric_vectors, residual = _numeric_extension(W, isotropics, leftovers, tolerance)
-    return AxisReport(certified, numeric_vectors, residual, bound)
+    return AxisReport(certified, numeric_vectors, residual, bound, W)
 
 
 def _numeric_extension(W, isotropics, leftovers, tolerance):

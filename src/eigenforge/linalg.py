@@ -56,9 +56,6 @@ def vec_re(u):
 def vec_im(u):
     return tuple(a.im for a in u)
 
-def vec_is_real(u):
-    return all(a.im == 0 for a in u)
-
 
 def gram_schmidt_hermitian(vectors):
     """Hermitian-orthogonalize without normalizing (keeps entries in Q(i)).

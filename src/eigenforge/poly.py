@@ -415,6 +415,19 @@ class PolyVector:
         return total
 
 
+def slot_axes(frame: VariableFrame) -> list:
+    """The slot <-> axis table of z = x + iy: entry s lists the pairs
+    (a, c) with slot_s = sum c x_a.  Read the other way it is the chain
+    rule d/dx_a = sum c d/dslot_s over the entries naming axis a."""
+    out = []
+    for j in range(frame.n):
+        out.append(((2 * j, ONE), (2 * j + 1, I)))
+        out.append(((2 * j, ONE), (2 * j + 1, -I)))
+    for k in range(frame.r):
+        out.append(((2 * frame.n + k, ONE),))
+    return out
+
+
 def real_gradient(p: Poly) -> PolyVector:
     """Gradient with respect to the m real coordinates, as polynomials.
 
@@ -422,14 +435,11 @@ def real_gradient(p: Poly) -> PolyVector:
     pairs first, then the real coordinates.
     """
     frame = p.frame
-    comps = []
-    for name in frame.complex_names:
-        dz = p.wirtinger(name)
-        dzb = p.wirtinger(name, conjugate=True)
-        comps.append(dz + dzb)
-        comps.append((dz - dzb) * I)
-    for name in frame.real_names:
-        comps.append(p.real_partial(name))
+    comps = [Poly.zero(frame)] * frame.m
+    for s, entries in enumerate(slot_axes(frame)):
+        d = p._slot_derivative(s)
+        for a, c in entries:
+            comps[a] = comps[a] + (d if c == ONE else c * d)
     return PolyVector(frame, comps)
 
 
@@ -446,15 +456,3 @@ def axis_polynomials(frame) -> list:
     for name in frame.real_names:
         out.append(Poly.variable(frame, name))
     return out
-
-
-def wirtinger(p: Poly, name: str, conjugate: bool = False) -> Poly:
-    return p.wirtinger(name, conjugate)
-
-
-def homogeneous_parts(p: Poly):
-    return p.homogeneous_parts()
-
-
-def evaluate(p: Poly, point):
-    return p.evaluate(point)

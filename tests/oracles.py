@@ -1,10 +1,13 @@
 """Shared oracles, independent of the code paths they check:
-finite-difference derivatives on float evaluations, and a reference
-Q(i) scalar built on Fraction pairs."""
+finite-difference derivatives on float evaluations, a reference Q(i)
+scalar built on Fraction pairs, and the real-gradient forms of the
+projected bracket, projected Laplacian and degree-2 matrix."""
 
 from fractions import Fraction
 
-from eigenforge.scalars import scalar
+from eigenforge.linalg import Matrix
+from eigenforge.poly import Poly
+from eigenforge.scalars import I, scalar
 
 
 def axis_shift(point, frame, axis, delta):
@@ -142,3 +145,53 @@ def ref_format(c):
     if re == 0:
         return imtxt
     return f"{frac(re)}{'' if imtxt.startswith('-') else '+'}{imtxt}"
+
+
+# -- real-gradient references ----------------------------------------------
+#
+# The formulas the slot-form kappa(f, g, P), laplacian(f, P) and
+# degree2.to_form replaced: explicit real gradients from the Wirtinger
+# derivatives, d/dx = d/dz + d/dconj(z), d/dy = i (d/dz - d/dconj(z)).
+
+
+def ref_real_gradient(p):
+    "The real gradient as a list of m polynomials, (Re z, Im z) pairs first."
+    comps = []
+    for name in p.frame.complex_names:
+        dz = p.wirtinger(name)
+        dzb = p.wirtinger(name, conjugate=True)
+        comps.append(dz + dzb)
+        comps.append((dz - dzb) * I)
+    for name in p.frame.real_names:
+        comps.append(p.real_partial(name))
+    return comps
+
+
+def ref_projected_kappa(f, g, P):
+    "sum_ab P_ab d_a f d_b g over the real axes."
+    gf, gg = ref_real_gradient(f), ref_real_gradient(g)
+    out = Poly.zero(f.frame)
+    for a in range(P.nrows):
+        for b in range(P.ncols):
+            out = out + P[a, b] * gf[a] * gg[b]
+    return out
+
+
+def ref_projected_laplacian(f, P):
+    "trace(P . Hessian(f))."
+    grad = ref_real_gradient(f)
+    out = Poly.zero(f.frame)
+    for a in range(P.nrows):
+        row = ref_real_gradient(grad[a])
+        for b in range(P.ncols):
+            out = out + P[a, b] * row[b]
+    return out
+
+
+def ref_to_form(p):
+    "Half the Hessian of a homogeneous quadratic, from two gradient passes."
+    m = p.frame.m
+    rows = []
+    for comp in ref_real_gradient(p):
+        rows.append([c.constant_value() / 2 for c in ref_real_gradient(comp)])
+    return Matrix(rows, ncols=m)

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import sys
 
 import jsonschema
 import pytest
@@ -33,6 +34,21 @@ def run(argv):
 def schema(name):
     with open(os.path.join(SCHEMA_DIR, name + ".json")) as fh:
         return json.load(fh)
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name in every eigenforge namespace that holds it and
+    return the list that collects each call's positional arguments."""
+    original = getattr(module, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("eigenforge") and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, wrapper)
+    return calls
 
 
 def run_json(argv, schema_name):
@@ -88,6 +104,24 @@ def test_verify_nonzero_lambda_fails_on_flat_space():
     assert not payload["verdict"]
 
 
+@pytest.mark.parametrize("entry, data, code", [
+    ("pair-c4", ["--lambda", "0", "--mu", "0"], 0),
+    ("pair-c4", ["--lambda", "-16", "--mu", "-4"], 1),
+    ("pair-c4", ["--mu", "-4"], 1),
+    ("pair-c4-variant", ["--lambda", "0", "--mu", "0"], 1),
+])
+def test_verify_sphere_with_explicit_data(entry, data, code):
+    # the exit code follows the (lambda, mu) report; the sphere section
+    # is the closed form (-d(d+m-1), -d^2) for d = 2 on S^7 either way
+    argv = ["verify", entry_path(entry), "--sphere"] + data
+    got, payload = run_json(argv, "verify")
+    assert got == code
+    assert payload["sphere"] == {"sphere_dim": 7, "lambda": "-16", "mu": "-4"}
+    got, out, err = run(argv)
+    assert got == code
+    assert "restricted to S^7: lambda = -16, mu = -4" in out
+
+
 def test_verify_missing_file_exit_two():
     code, out, err = run(["verify", "/no/such/file.efam"])
     assert code == 2
@@ -134,12 +168,18 @@ def test_analyze_text_mentions_axis():
     assert "uniformly complex type: false" in out
 
 
+def test_analyze_builds_the_gradient_span_once(monkeypatch):
+    from eigenforge import holomorphy
+    calls = count_calls(monkeypatch, holomorphy, "gradient_span")
+    code, payload = run_json(["analyze", entry_path("glued-pairs-c6")], "analyze")
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_analyze_deterministic():
     a = run(["analyze", entry_path("glued-pairs-c6"), "--json"])
     b = run(["analyze", entry_path("glued-pairs-c6"), "--json"])
     assert a == b
-    c = run(["--seed", "9", "analyze", entry_path("glued-pairs-c6"), "--json"])
-    assert c[1] == a[1]
 
 
 # -- reduce -----------------------------------------------------------
@@ -355,6 +395,17 @@ def test_construct_power_derives_sphere_data():
     assert payload["mu"] == "-36"
     assert payload["sphere_data_consistent"] is True
     assert payload["family"]["members"]["F1"] == "z1^3*z2^3"
+
+
+def test_construct_power_computes_each_kappa_once(monkeypatch):
+    from eigenforge import conformality
+    calls = count_calls(monkeypatch, conformality, "kappa")
+    code, payload = run_json(
+        ["construct", "power", entry_path("pair-c4"), "--d", "2"], "construct")
+    assert code == 0 and payload["sphere_data_consistent"] is True
+    assert len(payload["family"]["members"]) == 3
+    # 3 input pairs and 6 product pairs, each computed once
+    assert len(calls) == len({args[:2] for args in calls}) == 9
 
 
 def test_construct_power_with_explicit_data():

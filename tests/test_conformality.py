@@ -5,11 +5,13 @@ code path and a finite-difference oracle.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from eigenforge.scalars import I, ZERO, scalar
 from eigenforge.frames import VariableFrame
+from eigenforge.linalg import Matrix, RealSubspace
 from eigenforge.poly import Poly, real_gradient
 from eigenforge.conformality import (
     EigenData,
@@ -29,7 +31,8 @@ from eigenforge.conformality import (
     verify_general_family,
 )
 
-from oracles import fd_kappa, fd_laplacian, rational_point
+from oracles import (fd_kappa, fd_laplacian, rational_point, ref_projected_kappa,
+                     ref_projected_laplacian)
 from test_poly import rand_poly, rand_point
 
 C1 = VariableFrame(("z",), ())
@@ -121,6 +124,31 @@ def test_laplacian_against_finite_differences():
         exact = laplacian(f).evaluate_float(pt)
         approx = fd_laplacian(f, pt)
         assert abs(exact - approx) <= 1e-5 * max(1.0, abs(exact))
+
+
+def rand_projector(rng, m):
+    "Orthogonal projector onto the span of random rational vectors."
+    vectors = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)]
+               for _ in range(rng.randint(1, m))]
+    return RealSubspace(m, vectors).projector()
+
+
+def test_kappa_and_laplacian_through_P_match_real_gradient_reference():
+    rng = random.Random(9)
+    for frame in (C2T, VariableFrame(("z",), ("s", "t")), VariableFrame((), ("s", "t"))):
+        m = frame.m
+        eye = Matrix.identity(m)
+        Ps = [eye, Matrix.zero(m, m)] + [rand_projector(rng, m) for _ in range(3)]
+        for _ in range(4):
+            f, g = rand_poly(rng, frame), rand_poly(rng, frame)
+            assert kappa(f, g, eye) == kappa(f, g)
+            assert laplacian(f, eye) == laplacian(f)
+            for P in Ps:
+                assert kappa(f, g, P) == ref_projected_kappa(f, g, P)
+                assert kappa(f, f, P) == ref_projected_kappa(f, f, P)
+                assert laplacian(f, P) == ref_projected_laplacian(f, P)
+        with pytest.raises(ValueError):
+            kappa(f, g, Matrix.identity(m + 1))
 
 
 # ---------------------------------------------------------------------

@@ -31,6 +31,8 @@ from eigenforge.degree2 import (
     twist_x_matrix,
 )
 
+from oracles import ref_to_form
+
 C1 = VariableFrame(("z",), ())
 R2 = VariableFrame((), ("x", "t"))
 
@@ -83,6 +85,18 @@ def test_form_round_trip():
         p = from_form(f)
         assert to_form(p).A == A
         assert to_form(from_form(to_form(p))) == to_form(p)
+
+
+def test_to_form_matches_double_hessian_reference():
+    rng = random.Random(6)
+    for frame in (C1, R2, VariableFrame(("z", "u"), ("t",))):
+        slots = ([Poly.variable(frame, n) for n in frame.complex_names + frame.real_names]
+                 + [Poly.conj_variable(frame, n) for n in frame.complex_names])
+        for _ in range(15):
+            p = Poly.zero(frame)
+            for _ in range(rng.randint(1, 5)):
+                p = p + rand_gauss(rng) * rng.choice(slots) * rng.choice(slots)
+            assert to_form(p).A == ref_to_form(p)
 
 
 def test_anticommutation_matches_verification():

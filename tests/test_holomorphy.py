@@ -1,10 +1,15 @@
 """Gradient spans, complex type witnesses, axes of holomorphy, and the
 maximal axis search."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+
+import eigenforge
 
 from eigenforge.frames import VariableFrame
 from eigenforge.poly import Poly, real_gradient
@@ -24,8 +29,6 @@ from eigenforge.holomorphy import (
     is_axis,
     is_uniformly_complex_type,
     maximal_axis,
-    projected_kappa,
-    projected_laplacian,
     separable_check,
     symmetric_diagonalize,
 )
@@ -166,8 +169,8 @@ def test_projected_operators_match_full_ones():
     t = Poly.variable(frame, "t")
     f = z * z * t + t * t * z
     eye = Matrix.identity(3)
-    assert projected_kappa(f, f, eye) == kappa(f, f)
-    assert projected_laplacian(f, eye) == laplacian(f)
+    assert kappa(f, f, eye) == kappa(f, f)
+    assert laplacian(f, eye) == laplacian(f)
 
 
 def test_symmetric_diagonalize_properties():
@@ -306,3 +309,67 @@ def test_apply_real_isometry_rejects_non_orthogonal():
     bad = Matrix([[ONE, ONE], [ZERO, ONE]], ncols=2)
     with pytest.raises(ValueError):
         apply_real_isometry(z, bad, C1)
+
+
+# Each case breaks one invariant that guards a printed result; the
+# checks must fire even under python -O, which strips assert statements.
+_BROKEN_INVARIANTS = r"""
+import sys
+from eigenforge import holomorphy
+from eigenforge.frames import VariableFrame
+from eigenforge.linalg import Matrix, vec
+from eigenforge.poly import Poly
+from eigenforge.scalars import I, ONE
+
+C1, C2 = VariableFrame(("z",), ()), VariableFrame(("z", "u"), ())
+z = Poly.variable(C1, "z")
+
+
+def valid_witness():
+    return holomorphy.is_uniformly_complex_type(
+        [Poly.variable(C2, "z") * Poly.variable(C2, "u")])[1]
+
+
+def bad_j(J):
+    w = valid_witness()
+    w.J = J
+    return w
+
+
+def non_axis_seed():
+    # (1, i) is isotropic but does not annihilate the span of |z|^2
+    holomorphy._deg2_seeds = lambda fs: [vec([ONE, I])]
+    holomorphy.maximal_axis([z * z.conjugate()])
+
+
+print("optimize", sys.flags.optimize)
+cases = [
+    lambda: holomorphy.ComplexTypeWitness(2, [((1, 0), (0, 2))]).check(),
+    lambda: holomorphy.ComplexTypeWitness(2, [((1, 0), (1, 0))]).check(),
+    lambda: bad_j(Matrix.identity(4)).check(),
+    lambda: bad_j(Matrix.zero(4, 4)).check(),
+    non_axis_seed,
+]
+for case in cases:
+    try:
+        case()
+        print("silent")
+    except AssertionError as exc:
+        print("fired:", exc)
+"""
+
+
+def test_result_checks_fire_under_python_O():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eigenforge.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_INVARIANTS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "optimize 1",
+        "fired: witness pair has unequal norms",
+        "fired: witness pair is not orthogonal",
+        "fired: witness J is not antisymmetric",
+        "fired: witness J^2 is not -Id + P_ker",
+        "fired: certified axis fails the axis condition",
+    ]

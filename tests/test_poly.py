@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 
 from eigenforge.scalars import GaussRational, I, ONE, scalar
 from eigenforge.frames import VariableFrame
-from eigenforge.poly import FrameMismatch, Poly, homogeneous_parts, real_gradient, rename_onto
+from eigenforge.poly import FrameMismatch, Poly, real_gradient, rename_onto
 
 F2 = VariableFrame(("z", "u"), ("t",))
 
@@ -111,7 +111,7 @@ def test_degree_and_homogeneity():
     assert (z * u * t).degree() == 3
     assert (z * zbar("z")).is_homogeneous()
     assert not (z + z * u).is_homogeneous()
-    parts = homogeneous_parts(z + z * u + 3)
+    parts = (z + z * u + 3).homogeneous_parts()
     assert set(parts) == {0, 1, 2}
     total = Poly.zero(F2)
     for q in parts.values():
