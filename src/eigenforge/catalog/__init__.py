@@ -9,12 +9,13 @@ EIGENFORGE_CATALOG environment variable.
 
 from __future__ import annotations
 
+import functools
 import os
 from fractions import Fraction
 from typing import NamedTuple
 
 from ..scalars import GaussRational, scalar
-from ..conformality import sphere_eigen_data, verify_flat_family
+from ..conformality import sphere_data, verify_flat_family
 from ..holomorphy import is_uniformly_complex_type, maximal_axis
 from ..parser import FamilySource, load_family
 
@@ -60,34 +61,39 @@ def _as_integer(value) -> Fraction:
     return value.re
 
 
-def _check_eigenfamily(fs, expected):
-    got = verify_flat_family(fs).verdict
+# Each check takes the family, the expected value and a zero-argument
+# callable returning the family's flat verification report, so that an
+# entry verifies at most once however many keys read the verdict.
+
+
+def _check_eigenfamily(fs, expected, flat):
+    got = flat().verdict
     return got, got is expected
 
 
-def _check_uniform_type(fs, expected):
+def _check_uniform_type(fs, expected, flat):
     got, _ = is_uniformly_complex_type(fs)
     return got, got is expected
 
 
-def _check_degree(fs, expected):
+def _check_degree(fs, expected, flat):
     degs = sorted({f.degree() for f in fs if f != 0})
     if len(degs) != 1:
         return degs, False
     return degs[0], scalar(degs[0]) == expected
 
 
-def _check_sphere_lambda(fs, expected):
-    data, report = sphere_eigen_data(fs)
-    return data.lam, report.verdict and data.lam == expected
+def _check_sphere_lambda(fs, expected, flat):
+    data = sphere_data(fs)
+    return data.lam, flat().verdict and data.lam == expected
 
 
-def _check_sphere_mu(fs, expected):
-    data, report = sphere_eigen_data(fs)
-    return data.mu, report.verdict and data.mu == expected
+def _check_sphere_mu(fs, expected, flat):
+    data = sphere_data(fs)
+    return data.mu, flat().verdict and data.mu == expected
 
 
-def _check_axis_floor(fs, expected):
+def _check_axis_floor(fs, expected, flat):
     dim = maximal_axis(fs).certified_dim
     return dim, Fraction(dim) >= _as_integer(expected)
 
@@ -105,6 +111,7 @@ CHECKS = {
 def run_entry(source: FamilySource):
     "Evaluate every expectation of a parsed family, in file order."
     fs = source.polys
+    flat = functools.cache(lambda: verify_flat_family(fs))
     out = []
     for key, expected in source.expects.items():
         check = CHECKS.get(key)
@@ -112,7 +119,7 @@ def run_entry(source: FamilySource):
             out.append(ExpectationOutcome(key, expected, "unknown expectation", False))
             continue
         try:
-            actual, ok = check(fs, expected)
+            actual, ok = check(fs, expected, flat)
         except (ValueError, AssertionError) as exc:
             actual, ok = f"error: {exc}", False
         out.append(ExpectationOutcome(key, expected, actual, ok))

@@ -17,6 +17,7 @@ point numbers appear only in sections labelled numeric.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -430,7 +431,10 @@ def cmd_catalog_run(args) -> int:
 # -- wiring -----------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The eigenforge argument parser, built once per process (every
+    main() call shares it; parse_args leaves it unchanged)."""
     ap = argparse.ArgumentParser(
         prog="eigenforge",
         description="Exact verification and construction of eigenfamilies "

@@ -165,7 +165,8 @@ def find_axis_deg2(forms):
     if not mats:
         return RealSubspace(m, Matrix.identity(m).rows), True
     P = _annihilating_product(mats)
-    assert P is not None  # the last nonzero layer always qualifies
+    if P is None:  # the last nonzero layer always qualifies
+        raise AssertionError("no annihilating product")
     cols = gram_schmidt_hermitian([P.col(j) for j in range(P.ncols)
                                    if not vec_is_zero(P.col(j))])
     vectors = []
@@ -353,7 +354,8 @@ def _maximal_axis_radical(F1, F2):
     diag = symmetric_diagonalize(list(A.basis))
     radical = [v for v, d in diag if d == ZERO]
     aniso = [(v, d) for v, d in diag if d != ZERO]
-    assert len(aniso) <= 1  # delta-Lemma: at most one anisotropic direction
+    if len(aniso) > 1:  # delta-Lemma: at most one anisotropic direction
+        raise AssertionError("more than one anisotropic direction")
     return gram_schmidt_hermitian(radical), aniso
 
 
@@ -447,7 +449,8 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
         e_coeffs.append([inv * x for x in c])
 
     delta = m - 2 * n - 2 * k
-    assert delta == len(aniso) and delta in (0, 1)
+    if delta != len(aniso) or delta not in (0, 1):
+        raise AssertionError("dimension count disagrees with the anisotropic part")
     d_vec = None
     if delta:
         plane_vectors = list(axis.basis)
@@ -455,7 +458,8 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
             plane_vectors.append(vec_re(e))
             plane_vectors.append(vec_im(e))
         comp = RealSubspace(m, plane_vectors).orthogonal_complement()
-        assert comp.dim == 1
+        if comp.dim != 1:
+            raise AssertionError("anisotropic complement is not a line")
         d_raw = vec([GaussRational(q) for q in comp.basis[0]])
         norm = rational_sqrt(dot_bilinear(d_raw, d_raw).re)
         if norm is None:
@@ -474,7 +478,8 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
         for j in range(k):
             coeff = dot_hermitian(e_basis[j], xi[i]) / 2
             expect = vec_add(expect, vec_scale(coeff, phi[j]))
-        assert expect == eta[i], "coupling map is not well defined"
+        if expect != eta[i]:
+            raise AssertionError("coupling map is not well defined")
 
     A_mat = Matrix([[dot_hermitian(e_basis[j], xi[i]) / 2 for j in range(k)]
                     for i in range(n)], ncols=k)
@@ -487,13 +492,16 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
     # phi antisymmetry in the bilinear pairing
     for a in range(k):
         for b in range(k):
-            assert dot_bilinear(e_basis[a], phi[b]) == -dot_bilinear(phi[a], e_basis[b])
-    assert not Y.is_zero() or k == 0
+            if dot_bilinear(e_basis[a], phi[b]) != -dot_bilinear(phi[a], e_basis[b]):
+                raise AssertionError("coupling map is not antisymmetric")
+    if k and Y.is_zero():
+        raise AssertionError("twisting matrix is zero")
     if k and Y.det() == ZERO:
         raise AssertionError("twisting matrix is singular")
     vmat = Matrix([[v[a] * v[b] for b in range(k)] for a in range(k)], ncols=k) if k else Matrix([], ncols=0)
     C = X * Y + vmat.scale(scalar(Fraction(1, 4)))
-    assert C.is_antisymmetric()
+    if not C.is_antisymmetric():
+        raise AssertionError("twisting matrix C is not antisymmetric")
 
     zframe = VariableFrame(tuple(f"z{i+1}" for i in range(n)), ())
     P1 = _z_part(zframe, selectors, M1)
@@ -563,7 +571,8 @@ def _decompose_float(frame, M1, M2, radical, aniso):
             basis.append(w)
             coeffs.append(c)
     k = len(basis)
-    assert k % 2 == 0 and n >= k
+    if k % 2 != 0 or n < k:
+        raise AssertionError("inconsistent subspace type")
     e_basis = []
     e_coeffs = []
     for h, c in zip(basis, coeffs):
@@ -572,7 +581,8 @@ def _decompose_float(frame, M1, M2, radical, aniso):
         e_coeffs.append(c * inv)
 
     delta = m - 2 * n - 2 * k
-    assert delta == len(aniso) and delta in (0, 1)
+    if delta != len(aniso) or delta not in (0, 1):
+        raise AssertionError("dimension count disagrees with the anisotropic part")
     d_vec = None
     if delta:
         used = axis_rows + [e.real for e in e_basis] + [e.imag for e in e_basis]

@@ -17,10 +17,11 @@ roots outside Q(i) are only reported numerically.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
-from .scalars import GaussRational, ZERO, sqrt_in_qi
+from .scalars import GaussRational, ZERO, common_numerators, from_triple, sqrt_in_qi, triple
 from .frames import VariableFrame
-from .poly import FrameMismatch, Poly, axis_polynomials, real_gradient, slot_axes
+from .poly import FrameMismatch, Poly, axis_slots, real_gradient, slot_axes
 from .conformality import kappa, laplacian
 from .linalg import (
     ComplexSubspace,
@@ -151,29 +152,41 @@ def apply_real_isometry(p: Poly, Q: Matrix, target: VariableFrame) -> Poly:
     a polynomial on target with p'(Qx) = p(x).  Orthogonality keeps
     kappa, the Laplacian and eigenfamily data unchanged."""
     frame = p.frame
-    if Q.nrows != frame.m or Q.ncols != frame.m or target.m != frame.m:
+    m = frame.m
+    if Q.nrows != m or Q.ncols != m or target.m != m:
         raise ValueError("isometry shape does not match the frames")
-    if Q * Q.transpose() != Matrix.identity(frame.m):
-        raise ValueError("matrix rows are not orthonormal")
-    for a in range(Q.nrows):
-        for b in range(Q.ncols):
-            if Q[a, b].im != 0:
-                raise ValueError("isometry entries must be real")
-    axes = axis_polynomials(target)
-    back = []  # x_a = sum_b Q_ba x'_b
-    for a in range(frame.m):
-        out = Poly.zero(target)
-        for b in range(frame.m):
-            c = Q[b, a]
-            if c:
-                out = out + c * axes[b]
-        back.append(out)
+    # N = D Q over the integers, realness checked on the way; then
+    # Q Q^T = I as N N^T = D^2 I
+    D, nums = common_numerators(c for row in Q.rows for c in row)
+    if any(b for _, b in nums):
+        raise ValueError("isometry entries must be real")
+    N = [[a for a, _ in nums[r:r + m]] for r in range(0, m * m, m)]
+    D2 = D * D
+    for a in range(m):
+        for b in range(a, m):
+            if sum(map(mul, N[a], N[b])) != (D2 if a == b else 0):
+                raise ValueError("matrix rows are not orthonormal")
+    # slot_s = sum c x_a (slot_axes), x_a = sum_b Q_ba x'_b and
+    # x'_b = sum c' slot'_t (axis_slots).  c and 2c' are Gaussian
+    # integers, so each image is Gaussian-integer numerators over 2D.
+    fwd = slot_axes(frame)
+    back = [[(t, *triple(2 * c)[:2]) for t, c in entries] for entries in axis_slots(target)]
+    cols = list(zip(*N))
+    zero = (0,) * m
     images = {}
-    for s, entries in enumerate(slot_axes(frame)):
-        out = Poly.zero(target)
-        for a, c in entries:
-            out = out + c * back[a]
-        images[s] = out
+    for s, used in enumerate(map(any, zip(*p.terms))):
+        if not used:
+            continue
+        re, im = [0] * m, [0] * m
+        for a, c in fwd[s]:
+            ca, cb, _ = triple(c)
+            for b, q in enumerate(cols[a]):
+                for t, ea, eb in back[b]:
+                    re[t] += q * (ca * ea - cb * eb)
+                    im[t] += q * (ca * eb + cb * ea)
+        terms = {zero[:t] + (1,) + zero[t + 1:]: from_triple(re[t], im[t], 2 * D)
+                 for t in range(m) if re[t] or im[t]}
+        images[s] = Poly._trusted(target, terms)  # canonical nonzero scalars: clean
     return p.substitute(target, images)
 
 

@@ -306,12 +306,18 @@ class Matrix:
 
 def matrix_from_cols(cols, nrows=None):
     if not cols:
-        assert nrows is not None
+        if nrows is None:
+            raise ValueError("no columns: pass nrows for the empty matrix")
         return Matrix([[] for _ in range(nrows)], ncols=0) if nrows else Matrix([], ncols=0)
     return Matrix(cols, ncols=len(cols[0])).transpose()
 
 
 # ---------------------------------------------------------------------
+
+
+def _check_ambient(u, v):
+    if u.ambient != v.ambient:
+        raise ValueError(f"ambient dimensions {u.ambient} and {v.ambient} differ")
 
 
 class ComplexSubspace:
@@ -361,11 +367,11 @@ class ComplexSubspace:
         return all(self.contains(b) for b in other.basis)
 
     def sum(self, other):
-        assert self.ambient == other.ambient
+        _check_ambient(self, other)
         return ComplexSubspace(self.ambient, list(self.basis) + list(other.basis))
 
     def intersect(self, other):
-        assert self.ambient == other.ambient
+        _check_ambient(self, other)
         if self.dim == 0 or other.dim == 0:
             return ComplexSubspace(self.ambient)
         # x = sum a_i u_i = sum b_j v_j; kernel of [U^T | -V^T]
@@ -472,7 +478,7 @@ class RealSubspace:
         return all(self.contains(b) for b in other.basis)
 
     def sum(self, other):
-        assert self.ambient == other.ambient
+        _check_ambient(self, other)
         return RealSubspace(self.ambient, list(self.basis) + list(other.basis))
 
     def projector(self) -> Matrix:

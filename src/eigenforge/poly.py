@@ -16,10 +16,12 @@ general).  No normalization or floating point happens here.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from math import lcm
+from operator import add, lshift
 
 from .frames import VariableFrame
-from .scalars import GaussRational, ZERO, ONE, I, as_scalar
+from .scalars import (GaussRational, ZERO, ONE, I, as_scalar, common_numerators,
+                      from_triple, triple)
 
 # ---------------------------------------------------------------------
 # monomials = dense exponent tuples
@@ -336,23 +338,79 @@ class Poly:
         """Map into target_frame sending slot s of this frame to the
         polynomial images[s].  Every slot used by self must have an image
         and conjugate slots are substituted independently: the caller is
-        responsible for keeping images conjugate-consistent."""
-        out = Poly.zero(target_frame)
-        powers = {}  # (slot, e) -> images[slot] ** e
-        for mono, coeff in self.terms.items():
-            term = Poly.constant(target_frame, coeff)
-            for slot, e in enumerate(mono):
-                if not e:
-                    continue
-                power = powers.get((slot, e))
-                if power is None:
-                    img = images.get(slot)
-                    if img is None:
-                        raise KeyError(f"no image for slot {self.frame.slot_label(slot)}")
-                    power = powers[slot, e] = img ** e
-                term = term * power
-            out = out + term
-        return out
+        responsible for keeping images conjugate-consistent.
+
+        The expansion runs on Gaussian-integer numerators: image s over
+        its own denominator D_s, each term over one common denominator
+        (the lcm of d_alpha prod D_s^alpha_s), monomials packed into
+        integers so that a monomial product is one addition, and one
+        reduction per output term."""
+        top = [max(col) for col in zip(*self.terms)]  # highest exponent of each slot
+        used = {}
+        for s, e in enumerate(top):
+            if e:
+                img = images.get(s)
+                if img is None:
+                    raise KeyError(f"no image for slot {self.frame.slot_label(s)}")
+                if img.frame != target_frame:
+                    raise FrameMismatch("image lives on another frame")
+                used[s] = img
+        # an output exponent never exceeds the output degree, so packed
+        # exponents of this many bits add without carries
+        bound = self.degree() * max([img.degree() for img in used.values()] + [0])
+        bits = max(bound, 1).bit_length()
+        shifts = range(0, bits * target_frame.num_slots, bits)
+        dens, powers = {}, {}  # powers[s, e]: numerators of images[s] ** e over dens[s] ** e
+        for s, img in used.items():
+            dens[s], nums = common_numerators(img.terms.values())
+            powers[s, 1] = {sum(map(lshift, mono, shifts)): [a, b]
+                            for mono, (a, b) in zip(img.terms, nums)}
+            for e in range(2, top[s] + 1):
+                powers[s, e] = _gauss_mul(powers[s, e - 1], powers[s, 1], {})
+        scaled = []
+        D = 1
+        for mono, c in self.terms.items():
+            a, b, d = triple(c)
+            factors = []
+            for s, e in enumerate(mono):
+                if e:
+                    d *= dens[s] ** e
+                    factors.append(powers[s, e])
+            scaled.append((a, b, d, factors))
+            D = lcm(D, d)
+        acc = {}
+        for a, b, d, factors in scaled:
+            k = D // d
+            part = {0: [a * k, b * k]}
+            last = factors.pop() if factors else {0: [1, 0]}
+            for f in factors:
+                part = _gauss_mul(part, f, {})
+            _gauss_mul(part, last, acc)
+        mask = (1 << bits) - 1
+        terms = {}
+        for key, (a, b) in acc.items():
+            if a or b:
+                terms[tuple([key >> sh & mask for sh in shifts])] = from_triple(a, b, D)
+        return Poly._trusted(target_frame, terms)
+
+
+def _gauss_mul(p, q, out):
+    """Add the product of two {packed monomial: [a, b]} Gaussian-integer
+    polynomials into out, and return out."""
+    right = list(q.items())
+    get = out.get
+    for k1, (a1, b1) in p.items():
+        for k2, (a2, b2) in right:
+            re = a1 * a2 - b1 * b2
+            im = a1 * b2 + b1 * a2
+            k = k1 + k2
+            prev = get(k)
+            if prev is None:
+                out[k] = [re, im]
+            else:
+                prev[0] += re
+                prev[1] += im
+    return out
 
 
 # ---------------------------------------------------------------------
@@ -428,6 +486,23 @@ def slot_axes(frame: VariableFrame) -> list:
     return out
 
 
+_HALF = GaussRational(Fraction(1, 2))
+_HALF_I = GaussRational(0, Fraction(1, 2))
+
+
+def axis_slots(frame: VariableFrame) -> list:
+    """The inverse of slot_axes: entry a lists the pairs (s, c) with
+    x_a = sum c slot_s, from Re z = (z + conj(z))/2 and
+    Im z = (z - conj(z))/(2i)."""
+    out = []
+    for j in range(frame.n):
+        out.append(((2 * j, _HALF), (2 * j + 1, _HALF)))
+        out.append(((2 * j, -_HALF_I), (2 * j + 1, _HALF_I)))
+    for k in range(frame.r):
+        out.append(((2 * frame.n + k, ONE),))
+    return out
+
+
 def real_gradient(p: Poly) -> PolyVector:
     """Gradient with respect to the m real coordinates, as polynomials.
 
@@ -445,14 +520,6 @@ def real_gradient(p: Poly) -> PolyVector:
 
 def axis_polynomials(frame) -> list:
     "The real coordinate functions (Re z, Im z, ..., t) as polynomials."
-    half = GaussRational(Fraction(1, 2))
-    neg_half_i = GaussRational(0, Fraction(-1, 2))
-    out = []
-    for name in frame.complex_names:
-        z = Poly.variable(frame, name)
-        zb = Poly.conj_variable(frame, name)
-        out.append(half * (z + zb))
-        out.append(neg_half_i * (z - zb))
-    for name in frame.real_names:
-        out.append(Poly.variable(frame, name))
-    return out
+    width = frame.num_slots
+    return [Poly(frame, {tuple(int(t == s) for t in range(width)): c for s, c in entries})
+            for entries in axis_slots(frame)]

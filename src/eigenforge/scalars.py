@@ -207,6 +207,28 @@ def _reduce(a: int, b: int, d: int) -> GaussRational:
     return r
 
 
+# -- integer views -------------------------------------------------------
+#
+# For integer kernels outside this module (polynomial substitution, the
+# isometry pull-back): scalars as integer triples and numerators.
+
+
+def triple(c: GaussRational):
+    "The canonical integers (a, b, d) of c = (a + b*i)/d."
+    return c._a, c._b, c._d
+
+
+from_triple = _reduce
+
+
+def common_numerators(cs):
+    """(D, [(a, b), ...]): the scalars cs as Gaussian-integer numerators
+    a + b*i over D, the lcm of their denominators."""
+    cs = list(cs)
+    D = math.lcm(*[c._d for c in cs])
+    return D, [(c._a * (D // c._d), c._b * (D // c._d)) for c in cs]
+
+
 ZERO = GaussRational(0)
 ONE = GaussRational(1)
 I = GaussRational(0, 1)

@@ -1,12 +1,13 @@
 """Shared oracles, independent of the code paths they check:
 finite-difference derivatives on float evaluations, a reference Q(i)
-scalar built on Fraction pairs, and the real-gradient forms of the
-projected bracket, projected Laplacian and degree-2 matrix."""
+scalar built on Fraction pairs, the real-gradient forms of the
+projected bracket, projected Laplacian and degree-2 matrix, and the
+Poly-arithmetic substitution and isometry pull-back."""
 
 from fractions import Fraction
 
 from eigenforge.linalg import Matrix
-from eigenforge.poly import Poly
+from eigenforge.poly import Poly, slot_axes
 from eigenforge.scalars import I, scalar
 
 
@@ -195,3 +196,60 @@ def ref_to_form(p):
     for comp in ref_real_gradient(p):
         rows.append([c.constant_value() / 2 for c in ref_real_gradient(comp)])
     return Matrix(rows, ncols=m)
+
+
+# -- Poly-arithmetic substitution ------------------------------------------
+#
+# Substitution and the isometry pull-back as plain Poly sums and products
+# of GaussRational scalars: the formulas the Gaussian-integer kernel of
+# Poly.substitute and the linear image table of apply_real_isometry
+# replaced.
+
+
+def ref_substitute(p, target_frame, images):
+    "sum_alpha c_alpha prod_s images[s] ** alpha_s in Poly arithmetic."
+    out = Poly.zero(target_frame)
+    for mono, coeff in p.terms.items():
+        term = Poly.constant(target_frame, coeff)
+        for slot, e in enumerate(mono):
+            if e:
+                img = images.get(slot)
+                if img is None:
+                    raise KeyError(f"no image for slot {p.frame.slot_label(slot)}")
+                term = term * img ** e
+        out = out + term
+    return out
+
+
+def ref_apply_real_isometry(p, Q, target):
+    "Images x_a = sum_b Q_ba x'_b built from the axis polynomials, then ref_substitute."
+    frame = p.frame
+    if Q.nrows != frame.m or Q.ncols != frame.m or target.m != frame.m:
+        raise ValueError("isometry shape does not match the frames")
+    if Q * Q.transpose() != Matrix.identity(frame.m):
+        raise ValueError("matrix rows are not orthonormal")
+    for a in range(Q.nrows):
+        for b in range(Q.ncols):
+            if Q[a, b].im != 0:
+                raise ValueError("isometry entries must be real")
+    half, neg_half_i = scalar(Fraction(1, 2)), scalar(0, Fraction(-1, 2))
+    axes = []  # Re z = (z + conj(z))/2, Im z = -i/2 (z - conj(z)), t
+    for name in target.complex_names:
+        z, zb = Poly.variable(target, name), Poly.conj_variable(target, name)
+        axes += [half * (z + zb), neg_half_i * (z - zb)]
+    axes += [Poly.variable(target, name) for name in target.real_names]
+    back = []
+    for a in range(frame.m):
+        out = Poly.zero(target)
+        for b in range(frame.m):
+            c = Q[b, a]
+            if c:
+                out = out + c * axes[b]
+        back.append(out)
+    images = {}
+    for s, entries in enumerate(slot_axes(frame)):
+        out = Poly.zero(target)
+        for a, c in entries:
+            out = out + c * back[a]
+        images[s] = out
+    return ref_substitute(p, target, images)

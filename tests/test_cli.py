@@ -436,6 +436,16 @@ def test_catalog_run_all_pass():
     assert all(o["ok"] for outs in payload["entries"].values() for o in outs)
 
 
+def test_catalog_run_verifies_each_entry_once(monkeypatch):
+    # eigenfamily, sphere_lambda and sphere_mu share one flat report
+    from eigenforge import conformality
+    calls = count_calls(monkeypatch, conformality, "verify_flat_family")
+    code, payload = run_json(["catalog", "run"], "catalog-run")
+    assert code == 0 and payload["ok"] is True
+    families = [tuple(args[0]) for args in calls]
+    assert len(families) == len(set(families)) <= len(payload["entries"])
+
+
 def test_catalog_run_text_lines():
     code, out, err = run(["catalog", "run"])
     assert code == 0
@@ -460,6 +470,30 @@ def test_catalog_env_override_list(tmp_path, monkeypatch):
     code, payload = run_json(["catalog", "list"], "catalog-list")
     assert code == 0
     assert [e["name"] for e in payload["entries"]] == ["only"]
+
+
+# -- one process, many commands ---------------------------------------
+
+
+def test_commands_in_sequence_share_one_parser():
+    # main() builds the parser once; no option of one call leaks into the next
+    from eigenforge.cli import build_parser
+    assert build_parser() is build_parser()
+    z1z2 = entry_path("z1z2")
+    code, payload = run_json(["verify", z1z2, "--sphere"], "verify")
+    assert code == 0 and payload["sphere"] == {"lambda": "-8", "mu": "-4", "sphere_dim": 3}
+    code, out, err = run(["reduce", z1z2])
+    assert code == 2 and "required: --coord" in err and out == ""
+    code, payload = run_json(["verify", z1z2], "verify")
+    assert code == 0 and payload["verdict"] is True and "sphere" not in payload
+    code, out, err = run(["verify", entry_path("pair-c4-variant")])
+    assert code == 1
+    code, payload = run_json(["analyze", z1z2], "analyze")
+    assert code == 0 and payload["command"] == "analyze"
+    code, payload = run_json(["catalog", "list"], "catalog-list")
+    assert code == 0 and "z1z2" in [e["name"] for e in payload["entries"]]
+    code, out, err = run(["verify", z1z2])
+    assert code == 0 and not out.lstrip().startswith("{")
 
 
 # -- output hygiene ---------------------------------------------------

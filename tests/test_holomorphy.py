@@ -8,12 +8,13 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import eigenforge
 
 from eigenforge.frames import VariableFrame
 from eigenforge.poly import Poly, real_gradient
-from eigenforge.scalars import GaussRational, ZERO, ONE
+from eigenforge.scalars import GaussRational, ZERO, ONE, scalar
 from eigenforge.linalg import (
     Matrix,
     RealSubspace,
@@ -33,7 +34,7 @@ from eigenforge.holomorphy import (
     symmetric_diagonalize,
 )
 
-from oracles import rational_point
+from oracles import rational_point, ref_apply_real_isometry
 
 C1 = VariableFrame(("z",), ())
 C2 = VariableFrame(("z", "u"), ())
@@ -311,15 +312,83 @@ def test_apply_real_isometry_rejects_non_orthogonal():
         apply_real_isometry(z, bad, C1)
 
 
-# Each case breaks one invariant that guards a printed result; the
-# checks must fire even under python -O, which strips assert statements.
+# -- the integer pull-back against the Poly-arithmetic reference -------
+
+# (complex names, real names): r = 0, n = 0 and mixed frames
+ISO_FRAMES = [(("z",), ()), (("z", "u"), ()), ((), ("s", "t", "v")), ((), ("s",)),
+              (("z",), ("t",)), (("z", "u"), ("t",))]
+
+iso_coeff = st.builds(lambda a, b, d, e: scalar(Fraction(a, d), Fraction(b, e)),
+                      st.integers(-5, 5), st.integers(-5, 5),
+                      st.sampled_from([1, 2, 3, 10]), st.sampled_from([1, 4, 7]))
+
+
+@st.composite
+def isometry_cases(draw):
+    names, real = draw(st.sampled_from(ISO_FRAMES))
+    frame = VariableFrame(names, real)
+    target = VariableFrame(tuple(f"x{j}" for j in range(frame.n)),
+                           tuple(f"y{k}" for k in range(frame.r)))
+    m = frame.m
+    entry = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
+                             Fraction(-1, 3), Fraction(2)])
+    S = [[ZERO] * m for _ in range(m)]
+    for a in range(m):
+        for b in range(a + 1, m):
+            q = draw(entry)
+            S[a][b], S[b][a] = scalar(q), scalar(-q)
+    Q = cayley_orthogonal(Matrix(S, ncols=m))
+    # inhomogeneous, degree up to 3, mixed denominators
+    monos = st.tuples(*[st.integers(0, 2)] * frame.num_slots).filter(lambda t: sum(t) <= 3)
+    p = Poly(frame, draw(st.dictionaries(monos, iso_coeff, max_size=4)))
+    return p, Q, target
+
+
+@settings(max_examples=60, deadline=None)
+@given(isometry_cases())
+def test_apply_real_isometry_matches_poly_reference(case):
+    p, Q, target = case
+    assert apply_real_isometry(p, Q, target).terms == ref_apply_real_isometry(p, Q, target).terms
+
+
+@settings(max_examples=30, deadline=None)
+@given(isometry_cases(), st.data())
+def test_apply_real_isometry_rejects_what_the_reference_rejects(case, data):
+    p, Q, target = case
+    m = Q.nrows
+    a, b = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+    rows = [list(r) for r in Q.rows]
+    rows[a][b] = rows[a][b] + data.draw(st.sampled_from([scalar(1), scalar(Fraction(-1, 3))]))
+    for bad in (Matrix(rows, ncols=m), Q.scale(scalar(0, 1))):
+        with pytest.raises(ValueError):
+            apply_real_isometry(p, bad, target)
+        with pytest.raises(ValueError):
+            ref_apply_real_isometry(p, bad, target)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        apply_real_isometry(p, Matrix(rows, ncols=m), target)
+
+
+def test_apply_real_isometry_rejects_complex_orthogonal():
+    # Q Q^T = I holds bilinearly, the entries are not real
+    Q = Matrix([[scalar(Fraction(5, 4)), scalar(0, Fraction(3, 4))],
+                [scalar(0, Fraction(-3, 4)), scalar(Fraction(5, 4))]])
+    z = Poly.variable(C1, "z")
+    for pull_back in (apply_real_isometry, ref_apply_real_isometry):
+        with pytest.raises(ValueError, match="must be real"):
+            pull_back(z, Q, C1)
+
+
+# Each case breaks one invariant that guards a printed result, or hands
+# apply_real_isometry a matrix it must reject; the checks must fire even
+# under python -O, which strips assert statements.
 _BROKEN_INVARIANTS = r"""
 import sys
-from eigenforge import holomorphy
+from fractions import Fraction
+from eigenforge import catalog, degree2, holomorphy
 from eigenforge.frames import VariableFrame
 from eigenforge.linalg import Matrix, vec
 from eigenforge.poly import Poly
-from eigenforge.scalars import I, ONE
+from eigenforge.scalars import I, ONE, ZERO, scalar
 
 C1, C2 = VariableFrame(("z",), ()), VariableFrame(("z", "u"), ())
 z = Poly.variable(C1, "z")
@@ -342,6 +411,17 @@ def non_axis_seed():
     holomorphy.maximal_axis([z * z.conjugate()])
 
 
+def decompose_with_extra_aniso(decompose):
+    # one anisotropic direction too many for the dimension count
+    F1, F2 = catalog.load_entry("pair-c4").polys
+    radical, aniso = degree2._maximal_axis_radical(F1, F2)
+    decompose(F1.frame, degree2.to_form(F1).A, degree2.to_form(F2).A,
+              radical, aniso + [None])
+
+
+# Q Q^T = I in the bilinear sense, but the entries are not real
+complex_orthogonal = Matrix([[scalar(Fraction(5, 4)), scalar(0, Fraction(3, 4))],
+                             [scalar(0, Fraction(-3, 4)), scalar(Fraction(5, 4))]])
 print("optimize", sys.flags.optimize)
 cases = [
     lambda: holomorphy.ComplexTypeWitness(2, [((1, 0), (0, 2))]).check(),
@@ -349,13 +429,17 @@ cases = [
     lambda: bad_j(Matrix.identity(4)).check(),
     lambda: bad_j(Matrix.zero(4, 4)).check(),
     non_axis_seed,
+    lambda: decompose_with_extra_aniso(degree2._decompose_exact),
+    lambda: decompose_with_extra_aniso(degree2._decompose_float),
+    lambda: holomorphy.apply_real_isometry(z, Matrix([[ONE, ONE], [ZERO, ONE]]), C1),
+    lambda: holomorphy.apply_real_isometry(z, complex_orthogonal, C1),
 ]
 for case in cases:
     try:
         case()
         print("silent")
-    except AssertionError as exc:
-        print("fired:", exc)
+    except (AssertionError, ValueError) as exc:
+        print(f"fired {type(exc).__name__}:", exc)
 """
 
 
@@ -367,9 +451,13 @@ def test_result_checks_fire_under_python_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "optimize 1",
-        "fired: witness pair has unequal norms",
-        "fired: witness pair is not orthogonal",
-        "fired: witness J is not antisymmetric",
-        "fired: witness J^2 is not -Id + P_ker",
-        "fired: certified axis fails the axis condition",
+        "fired AssertionError: witness pair has unequal norms",
+        "fired AssertionError: witness pair is not orthogonal",
+        "fired AssertionError: witness J is not antisymmetric",
+        "fired AssertionError: witness J^2 is not -Id + P_ker",
+        "fired AssertionError: certified axis fails the axis condition",
+        "fired AssertionError: dimension count disagrees with the anisotropic part",
+        "fired AssertionError: dimension count disagrees with the anisotropic part",
+        "fired ValueError: matrix rows are not orthonormal",
+        "fired ValueError: isometry entries must be real",
     ]

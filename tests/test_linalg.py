@@ -185,3 +185,28 @@ def test_shape_errors_raise_value_error():
         wide.inverse()
     with pytest.raises(TypeError):
         A + 1
+
+
+# One test per shape check that used to be an assert: each raises
+# ValueError, so it also fires under python -O.  An empty subspace of
+# another ambient dimension is the case no later check would catch.
+
+
+def test_matrix_from_cols_needs_nrows_without_columns():
+    with pytest.raises(ValueError):
+        matrix_from_cols([])
+
+
+def test_complex_subspace_sum_rejects_other_ambient():
+    with pytest.raises(ValueError):
+        ComplexSubspace(2, [vec([1, 0])]).sum(ComplexSubspace(3))
+
+
+def test_complex_subspace_intersect_rejects_other_ambient():
+    with pytest.raises(ValueError):
+        ComplexSubspace(3).intersect(ComplexSubspace(2, [vec([1, 0])]))
+
+
+def test_real_subspace_sum_rejects_other_ambient():
+    with pytest.raises(ValueError):
+        RealSubspace(2, [(1, 0)]).sum(RealSubspace(3))

@@ -15,6 +15,8 @@ from eigenforge.scalars import GaussRational, I, ONE, scalar
 from eigenforge.frames import VariableFrame
 from eigenforge.poly import FrameMismatch, Poly, real_gradient, rename_onto
 
+from oracles import ref_substitute
+
 F2 = VariableFrame(("z", "u"), ("t",))
 
 
@@ -296,3 +298,53 @@ def test_poly_hash_agrees_with_scalars():
     assert len({Poly.zero(F2), 0, scalar(0)}) == 1
     assert len({Poly.constant(F2, scalar(1, 2)), scalar(1, 2)}) == 1
     assert hash(zvar("z") * 2) == hash(zvar("z") + zvar("z"))
+
+
+# -- Gaussian-integer substitution against the Poly-arithmetic reference --
+#
+# Substitution expands over integer numerators with packed monomials; the
+# result must be term for term what plain Poly arithmetic gives.
+
+DST = VariableFrame(("w",), ("s", "r"))
+
+# real and imaginary parts over distinct denominators, so terms and
+# images mix denominators
+mixed = st.builds(lambda a, b, d, e: scalar(Fraction(a, d), Fraction(b, e)),
+                  st.integers(-9, 9), st.integers(-9, 9),
+                  st.sampled_from([1, 2, 3, 5, 12]), st.sampled_from([1, 2, 7]))
+
+
+def mixed_polys(frame, max_exp, max_size=5):
+    monos = st.tuples(*[st.integers(0, max_exp)] * frame.num_slots)
+    return st.dictionaries(monos, mixed, max_size=max_size).map(lambda t: Poly(frame, t))
+
+
+# constant (and zero) images next to inhomogeneous ones
+images_st = st.lists(st.one_of(mixed_polys(DST, 0, 1), mixed_polys(DST, 2, 4)),
+                     min_size=F2.num_slots, max_size=F2.num_slots)
+
+
+@given(mixed_polys(F2, 3), images_st)
+def test_substitute_matches_poly_reference(p, imgs):
+    images = dict(enumerate(imgs))
+    assert p.substitute(DST, images).terms == ref_substitute(p, DST, images).terms
+
+
+@given(mixed_polys(F2, 2), images_st, st.integers(0, F2.num_slots - 1))
+def test_substitute_missing_image(p, imgs, slot):
+    images = dict(enumerate(imgs))
+    del images[slot]
+    if p.uses_slot(slot):
+        with pytest.raises(KeyError):
+            p.substitute(DST, images)
+        with pytest.raises(KeyError):
+            ref_substitute(p, DST, images)
+    else:
+        assert p.substitute(DST, images).terms == ref_substitute(p, DST, images).terms
+
+
+def test_substitute_rejects_image_on_another_frame():
+    images = {s: Poly.constant(DST, 1) for s in range(F2.num_slots)}
+    images[0] = Poly.variable(F2, "z")
+    with pytest.raises(FrameMismatch):
+        zvar("z").substitute(DST, images)
