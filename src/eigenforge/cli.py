@@ -10,8 +10,10 @@ Subcommands:
 
 Exit codes: 0 success (and verdict true where there is one), 1 a
 verification or decomposition came back negative, 2 usage, parse or
-input errors.  Exact values print as rationals p/q + r/s*i; floating
-point numbers appear only in sections labelled numeric.
+input errors, 3 an internal check on a computed result failed (a bug,
+reported as "internal check failed: ..." with no traceback).  Exact
+values print as rationals p/q + r/s*i; floating point numbers appear
+only in sections labelled numeric.
 """
 
 from __future__ import annotations
@@ -536,6 +538,9 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"error: missing field {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional
 
 from .scalars import GaussRational, ONE, ZERO, as_scalar, format_scalar, scalar
 from .frames import VariableFrame
-from .poly import FrameMismatch, Poly, slot_axes
+from .poly import FrameMismatch, Poly, common_frame, slot_axes
 
 TWO = scalar(2)
 
@@ -163,13 +163,6 @@ class FamilyReport:
         return d
 
 
-def _common_frame(fs):
-    frames = {f.frame for f in fs}
-    if len(frames) != 1:
-        raise FrameMismatch("family members live on different frames")
-    return fs[0].frame
-
-
 def _family_degree(fs):
     degs = {f.degree() for f in fs if f != 0}
     if len(degs) == 1:
@@ -187,7 +180,7 @@ def verify_general_family(fs, data: EigenData) -> FamilyReport:
     if not fs:
         return FamilyReport(None, [], {}, EigenData(lam, mu), None,
                             warning="empty family verifies vacuously")
-    frame = _common_frame(fs)
+    frame = common_frame(fs)
     harm = [laplacian(f) - lam * f for f in fs]
     pairs = {}
     for i in range(len(fs)):
@@ -208,7 +201,7 @@ def sphere_data(fs) -> EigenData:
     fs = list(fs)
     if not fs:
         raise ValueError("empty family has no sphere data")
-    frame = _common_frame(fs)
+    frame = common_frame(fs)
     degs = {f.degree() for f in fs if f != 0}
     if len(degs) != 1:
         raise ValueError(f"mixed degrees {sorted(degs)} have no single eigen data")
@@ -237,7 +230,7 @@ def power_family(fs, d: int, data: EigenData):
     fs = list(fs)
     if not fs:
         raise ValueError("empty family has no powers")
-    _common_frame(fs)
+    common_frame(fs)
     products = []
     seen = set()
 

@@ -18,20 +18,13 @@ from fractions import Fraction
 
 from .scalars import GaussRational, ZERO, I
 from .frames import VariableFrame
-from .poly import Poly, FrameMismatch, real_gradient, rename_onto, mono_order_key
+from .poly import Poly, FrameMismatch, common_frame, real_gradient, rename_onto, mono_order_key
 from .conformality import kappa, laplacian, verify_flat_family
 from .linalg import ComplexSubspace, Matrix, vec
 from .holomorphy import apply_real_isometry
 
 HALF = GaussRational(Fraction(1, 2))
 NEG_HALF_I = GaussRational(0, Fraction(-1, 2))
-
-
-def _family_frame(fs, what="family"):
-    frames = {f.frame for f in fs}
-    if len(frames) != 1:
-        raise FrameMismatch(f"{what} members live on different frames")
-    return fs[0].frame
 
 
 class RealMap:
@@ -70,7 +63,7 @@ class RealMap:
         fs = list(fs)
         if not fs:
             raise ValueError("need at least one complex component")
-        frame = _family_frame(fs, "component")
+        frame = common_frame(fs, "component")
         comps = []
         for f in fs:
             fb = f.conjugate()
@@ -154,8 +147,8 @@ def glue(fs, gs):
     gs = list(gs)
     if not fs or not gs:
         raise ValueError("glue needs two nonempty families")
-    fa = _family_frame(fs, "left family")
-    ga = _family_frame(gs, "right family")
+    fa = common_frame(fs, "left family")
+    ga = common_frame(gs, "right family")
     shared = [name for name in fa.complex_names if name in ga.complex_names]
     for name in fa.complex_names:
         if name in ga.real_names:
@@ -208,7 +201,7 @@ def augment(fs, gs):
     gs = list(gs)
     if not fs:
         raise ValueError("need a nonempty base family")
-    frame = _family_frame(fs, "base family")
+    frame = common_frame(fs, "base family")
     if not verify_flat_family(fs).verdict:
         raise ValueError("base family is not a flat eigenfamily")
     out = list(fs)
@@ -249,7 +242,7 @@ def span_equal(fs, gs) -> bool:
     gs = list(gs)
     both = fs + gs
     if both:
-        _family_frame(both, "compared families")
+        common_frame(both, "compared families")
     monos = sorted({mu for p in both for mu in p.terms}, key=mono_order_key)
     return coefficient_span(fs, monos) == coefficient_span(gs, monos)
 
@@ -261,8 +254,8 @@ def congruent_under(fs, gs, phi: Matrix) -> bool:
     gs = list(gs)
     if not fs or not gs:
         raise ValueError("congruence needs two nonempty families")
-    frame = _family_frame(fs, "left family")
-    _family_frame(gs, "right family")
+    frame = common_frame(fs, "left family")
+    common_frame(gs, "right family")
     moved = [apply_real_isometry(g, phi.transpose(), frame) for g in gs]
     return span_equal(fs, moved)
 

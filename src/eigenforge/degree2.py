@@ -29,6 +29,7 @@ from .scalars import GaussRational, ZERO, ONE, as_scalar, rational_sqrt, scalar
 from .frames import VariableFrame
 from .poly import Poly, axis_polynomials, slot_axes
 from .linalg import (
+    ComplexSubspace,
     Matrix,
     RealSubspace,
     dot_bilinear,
@@ -137,6 +138,14 @@ def _annihilating_product(mats):
     return best
 
 
+def _annihilator_columns(mats):
+    "Nonzero columns of an annihilating product of mats (none without one)."
+    P = _annihilating_product(mats)
+    if P is None:
+        return []
+    return [c for j in range(P.ncols) if not vec_is_zero(c := P.col(j))]
+
+
 def isotropic_annihilator_seeds(fs):
     """Exact isotropic vectors annihilating the gradient span of a
     quadratic eigenfamily (empty when the family is not one)."""
@@ -144,10 +153,7 @@ def isotropic_annihilator_seeds(fs):
     mats = [f.A for f in forms if not f.A.is_zero()]
     if not mats or not is_eigenfamily_deg2(forms):
         return []
-    P = _annihilating_product(mats)
-    if P is None:
-        return []
-    return [c for j in range(P.ncols) if not vec_is_zero(c := P.col(j))]
+    return _annihilator_columns(mats)
 
 
 def find_axis_deg2(forms):
@@ -164,15 +170,13 @@ def find_axis_deg2(forms):
     mats = [f.A for f in forms if not f.A.is_zero()]
     if not mats:
         return RealSubspace(m, Matrix.identity(m).rows), True
-    P = _annihilating_product(mats)
-    if P is None:  # the last nonzero layer always qualifies
+    cols = _annihilator_columns(mats)
+    if not cols:  # the last nonzero layer always qualifies
         raise AssertionError("no annihilating product")
-    cols = gram_schmidt_hermitian([P.col(j) for j in range(P.ncols)
-                                   if not vec_is_zero(P.col(j))])
     vectors = []
-    for w in cols:
-        vectors.append(vec([GaussRational(q) for q in vec_re(w)]))
-        vectors.append(vec([GaussRational(q) for q in vec_im(w)]))
+    for w in gram_schmidt_hermitian(cols):
+        vectors.append(vec_re(w))
+        vectors.append(vec_im(w))
     return RealSubspace(m, vectors), False
 
 
@@ -341,13 +345,14 @@ class _NeedsFloat(Exception):
     pass
 
 
-def _maximal_axis_radical(F1, F2):
+def _maximal_axis_radical(M1, M2):
     """Hermitian-orthogonal isotropic vectors spanning the maximal axis
-    of a full eigenpair: the radical of the bilinear form on the
-    annihilator of the gradient span (exact), plus the anisotropic
-    leftover dimension (0 or 1)."""
-    from .holomorphy import gradient_span, symmetric_diagonalize
-    W = gradient_span([F1, F2])
+    of a full eigenpair with forms M1, M2: the radical of the bilinear
+    form on the annihilator of the gradient span (exact), plus the
+    anisotropic leftover dimension (0 or 1).  The gradient of x^T M x
+    is 2 M x, so the rows of M1 and M2 span the gradient span."""
+    from .holomorphy import symmetric_diagonalize
+    W = ComplexSubspace(M1.nrows, M1.rows + M2.rows)
     A = W.bilinear_annihilator()
     if A.real_points().dim != 0:
         raise ValueError("not full")
@@ -370,7 +375,7 @@ def decompose_eigenpair(F1: Poly, F2: Poly) -> Deg2Decomposition:
     M2 = to_form(F2).A
     if not is_eigenfamily_deg2([Deg2Form(F1.frame, M1), Deg2Form(F1.frame, M2)]):
         raise ValueError("not a quadratic eigenfamily")
-    radical, aniso = _maximal_axis_radical(F1, F2)  # raises "not full"
+    radical, aniso = _maximal_axis_radical(M1, M2)  # raises "not full"
     try:
         return _decompose_exact(F1.frame, M1, M2, radical, aniso)
     except _NeedsFloat:
@@ -402,8 +407,8 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
     selectors = []
     axis_rows = []
     for r in radical:
-        u = vec([GaussRational(q) for q in vec_re(r)])
-        v = vec([GaussRational(q) for q in vec_im(r)])
+        u = vec_re(r)
+        v = vec_im(r)
         norm = rational_sqrt(dot_bilinear(u, u).re)
         if norm is None:
             raise _NeedsFloat
@@ -413,7 +418,7 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
         selectors.append(vec_scale(half * inv, vec_sub(u, vec_scale(iunit, v))))
         axis_rows.append(vec_scale(inv, u))
         axis_rows.append(vec_scale(inv, v))
-    axis = RealSubspace(m, [vec_re(row) for row in axis_rows])
+    axis = RealSubspace(m, axis_rows)
     Q = Matrix.identity(m) - axis.projector()
 
     # every conj selector must annihilate both forms (holomorphy)
@@ -460,7 +465,7 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
         comp = RealSubspace(m, plane_vectors).orthogonal_complement()
         if comp.dim != 1:
             raise AssertionError("anisotropic complement is not a line")
-        d_raw = vec([GaussRational(q) for q in comp.basis[0]])
+        d_raw = comp.basis[0]
         norm = rational_sqrt(dot_bilinear(d_raw, d_raw).re)
         if norm is None:
             raise _NeedsFloat
@@ -512,8 +517,8 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
     td = TwistingData(Y, C, v).validate(st)
     isometry_rows = list(axis_rows)
     for e in e_basis:
-        isometry_rows.append(vec([GaussRational(q) for q in vec_re(e)]))
-        isometry_rows.append(vec([GaussRational(q) for q in vec_im(e)]))
+        isometry_rows.append(vec_re(e))
+        isometry_rows.append(vec_im(e))
     if delta:
         isometry_rows.append(d_vec)
     isometry = Matrix(isometry_rows, ncols=m)

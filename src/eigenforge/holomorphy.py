@@ -16,12 +16,11 @@ roots outside Q(i) are only reported numerically.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 
-from .scalars import GaussRational, ZERO, common_numerators, from_triple, sqrt_in_qi, triple
+from .scalars import ZERO, common_numerators, from_triple, sqrt_in_qi, triple
 from .frames import VariableFrame
-from .poly import FrameMismatch, Poly, axis_slots, real_gradient, slot_axes
+from .poly import Poly, axis_slots, common_frame, real_gradient, slot_axes
 from .conformality import kappa, laplacian
 from .linalg import (
     ComplexSubspace,
@@ -48,12 +47,9 @@ def gradient_span(fs) -> ComplexSubspace:
     fs = list(fs)
     if not fs:
         raise ValueError("empty family has no gradient span")
-    frame = fs[0].frame
-    m = frame.m
+    m = common_frame(fs).m
     vectors = []
     for f in fs:
-        if f.frame != frame:
-            raise FrameMismatch("family members live on different frames")
         per_mono = {}
         for axis, comp in enumerate(real_gradient(f).components):
             for mono, c in comp.terms.items():
@@ -78,13 +74,11 @@ class ComplexTypeWitness:
 
     def __init__(self, ambient, pairs):
         self.ambient = ambient
-        self.pairs = list(pairs)
+        self.pairs = [(vec(x), vec(y)) for x, y in pairs]
         span_vectors = []
         J = Matrix.zero(ambient, ambient)
-        for x, y in self.pairs:
-            span_vectors.extend([x, y])
-            xs = vec([GaussRational(q) for q in x])
-            ys = vec([GaussRational(q) for q in y])
+        for xs, ys in self.pairs:
+            span_vectors.extend([xs, ys])
             n2 = dot_bilinear(xs, xs)
             outer = Matrix([[(ys[a] * xs[b] - xs[a] * ys[b]) / n2
                              for b in range(ambient)] for a in range(ambient)],
@@ -97,9 +91,7 @@ class ComplexTypeWitness:
     def check(self):
         """Exact structural invariants; raises AssertionError on violation
         (an explicit raise, so python -O keeps the check)."""
-        for x, y in self.pairs:
-            xs = vec([GaussRational(q) for q in x])
-            ys = vec([GaussRational(q) for q in y])
+        for xs, ys in self.pairs:
             if dot_bilinear(xs, xs) != dot_bilinear(ys, ys):
                 raise AssertionError("witness pair has unequal norms")
             if dot_bilinear(xs, ys) != ZERO:
@@ -139,11 +131,11 @@ def _as_real_subspace(frame_dim, V):
         if V.ambient != frame_dim:
             raise ValueError("subspace ambient dimension mismatch")
         return V
-    vectors = [vec([GaussRational(Fraction(q)) for q in v]) for v in V]
-    if vectors:
-        if Matrix(vectors, ncols=frame_dim).rank() != len(vectors):
-            raise ValueError("dependent basis")
-    return RealSubspace(frame_dim, vectors)
+    vectors = list(V)
+    sub = RealSubspace(frame_dim, vectors)
+    if sub.dim != len(vectors):
+        raise ValueError("dependent basis")
+    return sub
 
 
 def apply_real_isometry(p: Poly, Q: Matrix, target: VariableFrame) -> Poly:
@@ -263,24 +255,24 @@ class AxisReport:
         }
 
 
-def symmetric_diagonalize(vectors, form=dot_bilinear):
-    """Orthogonalize for a symmetric bilinear form (char 0); returns a
-    list of (vector, form(vector, vector)) spanning the same space.
-    Zero diagonal values mark radical directions."""
+def symmetric_diagonalize(vectors):
+    """Orthogonalize for the bilinear form u . v (char 0); returns a
+    list of (vector, v . v) spanning the same space.  Zero diagonal
+    values mark radical directions."""
     pending = [v for v in vectors]
     out = []
     while pending:
         # prefer an anisotropic vector; build one if only cross terms exist
         pick = None
         for idx, v in enumerate(pending):
-            if form(v, v) != ZERO:
+            if dot_bilinear(v, v) != ZERO:
                 pick = idx
                 break
         if pick is None:
             cross = None
             for a in range(len(pending)):
                 for b in range(a + 1, len(pending)):
-                    if form(pending[a], pending[b]) != ZERO:
+                    if dot_bilinear(pending[a], pending[b]) != ZERO:
                         cross = (a, b)
                         break
                 if cross:
@@ -292,9 +284,9 @@ def symmetric_diagonalize(vectors, form=dot_bilinear):
             pending[a] = vec_add(pending[a], pending[b])
             pick = a
         v = pending.pop(pick)
-        d = form(v, v)
+        d = dot_bilinear(v, v)
         out.append((v, d))
-        pending = [vec_sub(u, vec_scale(form(u, v) / d, v)) for u in pending]
+        pending = [vec_sub(u, vec_scale(dot_bilinear(u, v) / d, v)) for u in pending]
         pending = [u for u in pending if not vec_is_zero(u)]
     return out
 
@@ -345,8 +337,7 @@ def maximal_axis(fs, tolerance=1e-9):
     m = W.ambient
     A = W.bilinear_annihilator()
     K = A.real_points()
-    K_c = ComplexSubspace(m, [vec([GaussRational(q) for q in b]) for b in K.basis])
-    A_prime = K_c.hermitian_complement_within(A)
+    A_prime = K.hermitian_complement_within(A)
 
     diag = symmetric_diagonalize(list(A_prime.basis))
     radical = [v for v, d in diag if d == ZERO]
@@ -378,10 +369,10 @@ def maximal_axis(fs, tolerance=1e-9):
         used[i] = used[j] = True
         isotropics = _grow_isotropic([vec_add(vi, vec_scale(s, aniso[j][0]))], isotropics)
 
-    axis_vectors = [vec([GaussRational(q) for q in b]) for b in K.basis]
+    axis_vectors = list(K.basis)
     for w in isotropics:
-        axis_vectors.append(vec([GaussRational(q) for q in vec_re(w)]))
-        axis_vectors.append(vec([GaussRational(q) for q in vec_im(w)]))
+        axis_vectors.append(vec_re(w))
+        axis_vectors.append(vec_im(w))
     certified = RealSubspace(m, axis_vectors)
     if not span_is_axis(W, certified):
         raise AssertionError("certified axis fails the axis condition")

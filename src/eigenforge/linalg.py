@@ -1,15 +1,18 @@
 """Exact linear algebra over Q(i): matrices, row reduction, subspaces.
 
-Vectors are plain tuples of GaussRational.  Subspaces keep a reduced
-row echelon basis, so two subspaces are equal exactly when their basis
-matrices are equal; that is what makes span comparisons decidable.
+Vectors are plain tuples of GaussRational; a real vector is one whose
+entries have zero imaginary part, and vec_re/vec_im return such tuples.
+Subspaces keep a reduced row echelon basis, so two subspaces are equal
+exactly when their basis matrices are equal; that is what makes span
+comparisons decidable.  A RealSubspace is a ComplexSubspace with a real
+basis (the RREF of real vectors is real); it adds the orthogonal
+projector and complement, and never equals a ComplexSubspace.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .scalars import GaussRational, ZERO, ONE, as_scalar, sum_of_products
+from .scalars import (GaussRational, ZERO, ONE, as_exact, as_scalar, imag_part, real_part,
+                      sum_of_products)
 
 # ---------------------------------------------------------------------
 # vector helpers
@@ -51,10 +54,10 @@ def dot_hermitian(u, v):
     return sum_of_products(u, v, conjugate_first=True)
 
 def vec_re(u):
-    return tuple(a.re for a in u)
+    return tuple(map(real_part, u))
 
 def vec_im(u):
-    return tuple(a.im for a in u)
+    return tuple(map(imag_part, u))
 
 
 def gram_schmidt_hermitian(vectors):
@@ -338,14 +341,14 @@ class ComplexSubspace:
         object.__setattr__(self, "basis", tuple(R.rows[: len(pivots)]))
 
     def __setattr__(self, name, value):
-        raise AttributeError("ComplexSubspace is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def dim(self):
         return len(self.basis)
 
     def __eq__(self, other):
-        if not isinstance(other, ComplexSubspace):
+        if type(other) is not type(self):  # a RealSubspace never equals a ComplexSubspace
             return NotImplemented
         return self.ambient == other.ambient and self.basis == other.basis
 
@@ -368,7 +371,7 @@ class ComplexSubspace:
 
     def sum(self, other):
         _check_ambient(self, other)
-        return ComplexSubspace(self.ambient, list(self.basis) + list(other.basis))
+        return type(self)(self.ambient, self.basis + other.basis)
 
     def intersect(self, other):
         _check_ambient(self, other)
@@ -426,70 +429,30 @@ class ComplexSubspace:
         return RealSubspace(self.ambient, reals)
 
 
-class RealSubspace:
-    """A subspace of R^ambient with a canonical (RREF) rational basis."""
+class RealSubspace(ComplexSubspace):
+    """A subspace of R^ambient with a canonical (RREF) real basis."""
 
-    __slots__ = ("ambient", "basis")
+    __slots__ = ()
 
     def __init__(self, ambient: int, vectors=()):
         rows = []
         for v in vectors:
-            row = []
-            for x in v:
-                if isinstance(x, GaussRational):
-                    if x.im != 0:
-                        raise ValueError("real subspace needs real entries")
-                    row.append(x.re)
-                else:
-                    row.append(Fraction(x))
-            if len(row) != ambient:
-                raise ValueError("vector length does not match ambient dimension")
-            rows.append([GaussRational(q) for q in row])
-        R, pivots = Matrix(rows, ncols=ambient).rref()
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", tuple(vec_re(r) for r in R.rows[: len(pivots)]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RealSubspace is immutable")
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    def __eq__(self, other):
-        if not isinstance(other, RealSubspace):
-            return NotImplemented
-        return self.ambient == other.ambient and self.basis == other.basis
-
-    def __hash__(self):
-        return hash((self.ambient, self.basis))
+            row = tuple(map(as_exact, v))
+            if not all(x.is_real() for x in row):
+                raise ValueError("real subspace needs real entries")
+            rows.append(row)
+        super().__init__(ambient, rows)
 
     def __repr__(self):
         return f"RealSubspace(dim {self.dim} in R^{self.ambient})"
-
-    def matrix(self):
-        return Matrix([[GaussRational(q) for q in b] for b in self.basis], ncols=self.ambient)
-
-    def contains(self, u) -> bool:
-        row = [GaussRational(q) if not isinstance(q, GaussRational) else q for q in u]
-        return ComplexSubspace(self.ambient, [vec(b) for b in self.matrix().rows]).contains(row) if self.dim else vec_is_zero(vec(row))
-
-    def contains_subspace(self, other) -> bool:
-        return all(self.contains(b) for b in other.basis)
-
-    def sum(self, other):
-        _check_ambient(self, other)
-        return RealSubspace(self.ambient, list(self.basis) + list(other.basis))
 
     def projector(self) -> Matrix:
         "Exact orthogonal projector onto self (normal equations, no roots)."
         if self.dim == 0:
             return Matrix.zero(self.ambient, self.ambient)
-        B = self.matrix()
+        B = Matrix(self.basis, ncols=self.ambient)
         gram = B * B.transpose()
         return B.transpose() * gram.inverse() * B
 
     def orthogonal_complement(self):
-        if self.dim == 0:
-            return RealSubspace(self.ambient, Matrix.identity(self.ambient).rows)
-        return RealSubspace(self.ambient, [vec_re(u) for u in self.matrix().nullspace()])
+        return RealSubspace(self.ambient, Matrix(self.basis, ncols=self.ambient).nullspace())

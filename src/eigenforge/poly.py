@@ -39,6 +39,14 @@ class FrameMismatch(ValueError):
     pass
 
 
+def common_frame(fs, what="family"):
+    "The one frame of a nonempty family; FrameMismatch when members differ."
+    frames = {f.frame for f in fs}
+    if len(frames) != 1:
+        raise FrameMismatch(f"{what} members live on different frames")
+    return fs[0].frame
+
+
 class Poly:
     __slots__ = ("frame", "terms")
 
@@ -54,7 +62,9 @@ class Poly:
                 if c is None:
                     raise TypeError(f"bad coefficient {coeff!r}")
                 if c:
-                    clean[tuple(mono)] = clean.get(tuple(mono), ZERO) + c
+                    mono = tuple(mono)
+                    prev = clean.get(mono)
+                    clean[mono] = c if prev is None else prev + c
             clean = {m: c for m, c in clean.items() if c}
         object.__setattr__(self, "terms", clean)
 

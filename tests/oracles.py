@@ -1,14 +1,15 @@
 """Shared oracles, independent of the code paths they check:
 finite-difference derivatives on float evaluations, a reference Q(i)
 scalar built on Fraction pairs, the real-gradient forms of the
-projected bracket, projected Laplacian and degree-2 matrix, and the
-Poly-arithmetic substitution and isometry pull-back."""
+projected bracket, projected Laplacian and degree-2 matrix, the
+Poly-arithmetic substitution and isometry pull-back, and a real
+subspace that stores its basis as Fraction tuples."""
 
 from fractions import Fraction
 
-from eigenforge.linalg import Matrix
+from eigenforge.linalg import ComplexSubspace, Matrix, vec, vec_is_zero
 from eigenforge.poly import Poly, slot_axes
-from eigenforge.scalars import I, scalar
+from eigenforge.scalars import GaussRational, I, scalar
 
 
 def axis_shift(point, frame, axis, delta):
@@ -253,3 +254,71 @@ def ref_apply_real_isometry(p, Q, target):
             out = out + c * back[a]
         images[s] = out
     return ref_substitute(p, target, images)
+
+
+# -- Fraction-based real subspace ----------------------------------------
+#
+# A real subspace as it was before real vectors became real GaussRational
+# tuples: Fraction entries, converted to GaussRational for every row
+# reduction and converted back.
+
+
+def _frac_re(u):
+    return tuple(a.re for a in u)
+
+
+class RefRealSubspace:
+    """A subspace of R^ambient with a canonical (RREF) Fraction basis."""
+
+    __slots__ = ("ambient", "basis")
+
+    def __init__(self, ambient, vectors=()):
+        rows = []
+        for v in vectors:
+            row = []
+            for x in v:
+                if isinstance(x, GaussRational):
+                    if x.im != 0:
+                        raise ValueError("real subspace needs real entries")
+                    row.append(x.re)
+                else:
+                    row.append(Fraction(x))
+            if len(row) != ambient:
+                raise ValueError("vector length does not match ambient dimension")
+            rows.append([GaussRational(q) for q in row])
+        R, pivots = Matrix(rows, ncols=ambient).rref()
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "basis", tuple(_frac_re(r) for r in R.rows[: len(pivots)]))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RefRealSubspace is immutable")
+
+    @property
+    def dim(self):
+        return len(self.basis)
+
+    def matrix(self):
+        return Matrix([[GaussRational(q) for q in b] for b in self.basis], ncols=self.ambient)
+
+    def contains(self, u):
+        row = [GaussRational(q) if not isinstance(q, GaussRational) else q for q in u]
+        if not self.dim:
+            return vec_is_zero(vec(row))
+        return ComplexSubspace(self.ambient, [vec(b) for b in self.matrix().rows]).contains(row)
+
+    def sum(self, other):
+        if self.ambient != other.ambient:
+            raise ValueError(f"ambient dimensions {self.ambient} and {other.ambient} differ")
+        return RefRealSubspace(self.ambient, list(self.basis) + list(other.basis))
+
+    def projector(self):
+        if self.dim == 0:
+            return Matrix.zero(self.ambient, self.ambient)
+        B = self.matrix()
+        gram = B * B.transpose()
+        return B.transpose() * gram.inverse() * B
+
+    def orthogonal_complement(self):
+        if self.dim == 0:
+            return RefRealSubspace(self.ambient, Matrix.identity(self.ambient).rows)
+        return RefRealSubspace(self.ambient, [_frac_re(u) for u in self.matrix().nullspace()])

@@ -176,6 +176,22 @@ def test_analyze_builds_the_gradient_span_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_failed_internal_check_exits_three(monkeypatch, tmp_path):
+    # a seed that is isotropic but does not annihilate the gradient span
+    # makes the certified axis fail its own check
+    from eigenforge import holomorphy
+    from eigenforge.linalg import vec
+    from eigenforge.scalars import I, ONE
+    monkeypatch.setattr(holomorphy, "_deg2_seeds", lambda fs: [vec([ONE, I])])
+    p = tmp_path / "f1.efam"
+    p.write_text("family f1\nframe complex z\nF1 = z*conj(z)\n")
+    for extra in ([], ["--json"]):
+        code, out, err = run(["analyze", p] + extra)
+        assert code == 3
+        assert err == "internal check failed: certified axis fails the axis condition\n"
+        assert "Traceback" not in out + err
+
+
 def test_analyze_deterministic():
     a = run(["analyze", entry_path("glued-pairs-c6"), "--json"])
     b = run(["analyze", entry_path("glued-pairs-c6"), "--json"])

@@ -99,6 +99,25 @@ def test_to_form_matches_double_hessian_reference():
             assert to_form(p).A == ref_to_form(p)
 
 
+def test_gradient_span_is_the_span_of_the_form_rows():
+    # grad(x^T A x) = 2 A x: the rows of the forms span the gradient span
+    from eigenforge.holomorphy import gradient_span
+    from eigenforge.linalg import ComplexSubspace
+    rng = random.Random(7)
+    for frame in (C1, R2, VariableFrame(("z", "u"), ("t",)), VariableFrame(("z", "u", "v"), ())):
+        slots = ([Poly.variable(frame, n) for n in frame.complex_names + frame.real_names]
+                 + [Poly.conj_variable(frame, n) for n in frame.complex_names])
+        for _ in range(12):
+            fs = []
+            for _ in range(rng.randint(1, 3)):
+                p = Poly.zero(frame)
+                for _ in range(rng.randint(1, 4)):
+                    p = p + rand_gauss(rng) * rng.choice(slots) * rng.choice(slots)
+                fs.append(p)
+            rows = [row for p in fs for row in to_form(p).A.rows]
+            assert gradient_span(fs) == ComplexSubspace(frame.m, rows)
+
+
 def test_anticommutation_matches_verification():
     # the matrix criterion and the differential one agree on random
     # quadratic families, eigen or not

@@ -132,6 +132,10 @@ def test_is_axis_examples():
     # zero-dimensional and full-space checks on a mixed singleton
     z = Poly.variable(C1, "z")
     assert not is_axis([z * z.conjugate()], RealSubspace(2, [e(0)[:2]]))
+    # a plain list of vectors is taken as a basis: it must be independent
+    assert is_axis([F1, F2], [e(0), [Fraction(1, 2)] + e(1)[1:]])
+    with pytest.raises(ValueError, match="dependent basis"):
+        is_axis([F1, F2], [e(0), e(1), [2, 3] + [0] * (m - 2)])
 
 
 def test_axis_additivity_orthogonal_sum():
@@ -414,9 +418,9 @@ def non_axis_seed():
 def decompose_with_extra_aniso(decompose):
     # one anisotropic direction too many for the dimension count
     F1, F2 = catalog.load_entry("pair-c4").polys
-    radical, aniso = degree2._maximal_axis_radical(F1, F2)
-    decompose(F1.frame, degree2.to_form(F1).A, degree2.to_form(F2).A,
-              radical, aniso + [None])
+    M1, M2 = degree2.to_form(F1).A, degree2.to_form(F2).A
+    radical, aniso = degree2._maximal_axis_radical(M1, M2)
+    decompose(F1.frame, M1, M2, radical, aniso + [None])
 
 
 # Q Q^T = I in the bilinear sense, but the entries are not real

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eigenforge.scalars import GaussRational, I, ONE, ZERO, scalar
 from eigenforge.linalg import (
@@ -22,6 +23,8 @@ from eigenforge.linalg import (
     vec,
     vec_is_zero,
 )
+
+from oracles import RefRealSubspace
 
 
 def rand_scalar(rng):
@@ -210,3 +213,81 @@ def test_complex_subspace_intersect_rejects_other_ambient():
 def test_real_subspace_sum_rejects_other_ambient():
     with pytest.raises(ValueError):
         RealSubspace(2, [(1, 0)]).sum(RealSubspace(3))
+
+
+# -- RealSubspace against the Fraction-based reference ----------------
+#
+# Real vectors are real GaussRational tuples; the reference keeps the
+# former Fraction basis.  A real GaussRational equals (and hashes like)
+# the equal Fraction, so bases and projectors compare directly.
+
+_q = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _entry(q, kind):
+    "q as one of the entry types a RealSubspace accepts."
+    return (q, GaussRational(q), str(q), q.numerator if q.denominator == 1 else q)[kind]
+
+
+@st.composite
+def real_vectors(draw, m, max_count=5):
+    "Rational vectors in Q^m, some of them combinations of earlier ones."
+    out = []
+    for _ in range(draw(st.integers(0, max_count))):
+        if out and draw(st.booleans()):
+            a, b = draw(st.sampled_from(out)), draw(st.sampled_from(out))
+            c = draw(_q)
+            v = [x + c * y for x, y in zip(a, b)]
+        else:
+            v = draw(st.lists(st.one_of(st.just(Fraction(0)), _q), min_size=m, max_size=m))
+        out.append(v)
+    return out
+
+
+@st.composite
+def real_subspace_cases(draw):
+    m = draw(st.integers(0, 5))
+    kind = draw(st.integers(0, 3))
+    vs = [[_entry(q, kind) for q in v] for v in draw(real_vectors(m))]
+    others = draw(real_vectors(m, max_count=3))
+    probes = draw(real_vectors(m, max_count=4))
+    return m, vs, others, probes
+
+
+@settings(max_examples=150, deadline=None)
+@given(real_subspace_cases())
+def test_real_subspace_matches_fraction_reference(case):
+    m, vs, others, probes = case
+    V, R = RealSubspace(m, vs), RefRealSubspace(m, vs)
+    assert V.basis == R.basis
+    assert all(type(x) is GaussRational and x.is_real() for b in V.basis for x in b)
+    assert V.dim == R.dim
+    for u in probes + list(R.basis) + [[x + y for x, y in zip(a, b)]
+                                       for a in R.basis for b in R.basis]:
+        assert V.contains(u) == R.contains(u)
+    S = V.sum(RealSubspace(m, others))
+    assert type(S) is RealSubspace
+    assert S.basis == R.sum(RefRealSubspace(m, others)).basis
+    assert V.projector() == R.projector()
+    C, RC = V.orthogonal_complement(), R.orthogonal_complement()
+    assert type(C) is RealSubspace
+    assert C.basis == RC.basis
+
+
+def test_real_subspace_rejects_complex_entries():
+    with pytest.raises(ValueError, match="real entries"):
+        RealSubspace(2, [[ONE, I]])
+    with pytest.raises(ValueError, match="real entries"):
+        RealSubspace(2, [(1, 0)]).sum(ComplexSubspace(2, [vec([1, I])]))
+
+
+def test_real_subspace_never_equals_complex_subspace():
+    rows = [vec([1, 0, 0]), vec([0, Fraction(1, 2), 1])]
+    V, W = RealSubspace(3, rows), ComplexSubspace(3, rows)
+    assert V.basis == W.basis
+    assert V != W and W != V
+    assert V == RealSubspace(3, rows) and W == ComplexSubspace(3, rows)
+    assert len({V, W}) == 2
+    assert type(W.sum(V)) is ComplexSubspace
+    with pytest.raises(AttributeError, match="RealSubspace is immutable"):
+        V.basis = ()

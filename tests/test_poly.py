@@ -293,6 +293,15 @@ def test_substitute_is_clean_and_matches_expansion(p, imgs):
     assert sub == expected
 
 
+def test_constructor_stores_coefficients_as_given():
+    # no scalar arithmetic on monomials that occur once; zeros dropped
+    c = scalar(Fraction(3, 4), 1)
+    mono, zero = (1, 0, 2, 0, 0), (0,) * F2.num_slots
+    p = Poly(F2, {mono: c, zero: 0, (0, 1, 0, 0, 0): Fraction(1, 2)})
+    assert p.terms == {mono: c, (0, 1, 0, 0, 0): scalar(Fraction(1, 2))}
+    assert p.terms[mono] is c
+
+
 def test_poly_hash_agrees_with_scalars():
     assert len({Poly.constant(F2, 2), 2}) == 1
     assert len({Poly.zero(F2), 0, scalar(0)}) == 1
