@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 success (and verdict true where there is one), 1 a
 verification or decomposition came back negative, 2 usage, parse or
-input errors, 3 an internal check on a computed result failed (a bug,
+input errors (and a bracket over conformality.BRACKET_LIMIT term
+products), 3 an internal check on a computed result failed (a bug,
 reported as "internal check failed: ..." with no traceback).  Exact
 values print as rationals p/q + r/s*i; floating point numbers appear
 only in sections labelled numeric.

@@ -18,17 +18,38 @@ kappa(f, g) = mu f g for all members f, g.  On flat space polynomial
 eigenfamilies force (lam, mu) = (0, 0); restricting a homogeneous
 degree-d flat eigenfamily on R^(m+1) to the unit sphere S^m gives
 lam = -d(d+m-1), mu = -d^2.
+
+One integer kernel computes both residuals, kappa(f, g) - mu f g and
+laplacian(f) - lam f.  The form's coefficients C_su over the slots,
+lam and mu go to one common denominator once.  Each member f is
+prepared once: its Gaussian-integer numerators over one denominator
+D_f, monomials packed into integers (poly.Packing), its slot
+derivatives d_s f taken on the packed form, and the C-weighted
+gradients h_s = sum_u C_su d_u f.  A pair's residual is then
+sum_s d_s f h_s(g) - mu f g, accumulated into one integer dict over
+D_f D_g times the common denominator, with one reduction per output
+term; the Laplacian residual is sum_s d_s h_s(f) - lam f.  kappa and
+laplacian are one-pair calls of the same kernel.  A bracket whose term
+products would exceed BRACKET_LIMIT raises ValueError before it
+multiplies anything.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .scalars import GaussRational, ONE, ZERO, as_scalar, format_scalar, scalar
+from .scalars import (GaussRational, ONE, ZERO, as_scalar, common_numerators, format_scalar,
+                      scalar)
 from .frames import VariableFrame
-from .poly import FrameMismatch, Poly, common_frame, slot_axes
+from .poly import FrameMismatch, Packing, Poly, _gauss_mul, common_frame, slot_axes
 
 TWO = scalar(2)
+
+# Term products one bracket may take.  The catalog, the test suite and
+# the benchmark workloads need at most about 10^4 per bracket; at the
+# limit, sparse members with 30-bit coefficients take seconds and
+# hundreds of MB (one accumulator entry per distinct output monomial).
+BRACKET_LIMIT = 1_000_000
 
 
 class EigenData(NamedTuple):
@@ -63,12 +84,87 @@ def _slot_form(frame, P):
     return form
 
 
-def _weighted_sum(frame, terms):
-    "sum c p over the (c, p) terms, scaling once per distinct c."
-    sums = {}
-    for c, p in terms:
-        sums[c] = sums[c] + p if c in sums else p
-    return sum((p if c == ONE else c * p for c, p in sums.items()), Poly.zero(frame))
+def _combination(parts):
+    "sum w p over (w, p) pairs of Gaussian-integer weights (a, b) and numerators, zeros dropped."
+    out = {}
+    get = out.get
+    for (a, b), p in parts:
+        if not (a or b):
+            continue
+        for k, (x, y) in p.items():
+            prev = get(k)
+            if prev is None:
+                out[k] = [a * x - b * y, a * y + b * x]
+            else:
+                prev[0] += a * x - b * y
+                prev[1] += a * y + b * x
+    return {k: v for k, v in out.items() if v[0] or v[1]}
+
+
+class _Member(NamedTuple):
+    """One member prepared for the kernel: numerators over den, slot
+    derivatives d[s], and the weighted gradients full[s] (pairing with
+    another member) and upper[s] (pairing with itself), over den times
+    the kernel's denominator; neg_mu is -mu times the numerators."""
+    poly: Poly
+    den: int
+    nums: dict
+    d: dict
+    full: dict
+    upper: dict
+    neg_mu: dict
+
+
+class _Kernel:
+    """The residuals kappa(f, g) - mu f g and laplacian(f) - lam f of one
+    form on one frame, for members of degree at most `degree`."""
+
+    def __init__(self, frame, P, lam, mu, degree):
+        form = _slot_form(frame, P)
+        self.den, nums = common_numerators([*form.values(), lam, mu])
+        *weights, self.lam, self.mu = nums
+        # rows of the symmetric matrix C: full[s] lists (u, w) with
+        # w = C_su; upper[s] keeps u >= s with off-diagonal weights
+        # doubled, so that sum_s d_s f upper[s](f) = kappa(f, f)
+        self.full, self.upper = {}, {}
+        for ((s, u), _), (a, b) in zip(form.items(), weights):
+            self.full.setdefault(s, []).append((u, (a, b)))
+            if s != u:
+                self.full.setdefault(u, []).append((s, (a, b)))
+                a, b = 2 * a, 2 * b
+            self.upper.setdefault(s, []).append((u, (a, b)))
+        # mu f g has twice the members' degree
+        self.packing = Packing(frame, 2 * max(degree, 0))
+
+    def prepare(self, f: Poly) -> _Member:
+        "Everything the residuals need of f, computed once per member."
+        den, nums = self.packing.pack(f)
+        d = {s: self.packing.derivative(nums, s) for s in self.full}
+        full = {s: _combination((w, d[u]) for u, w in row) for s, row in self.full.items()}
+        upper = {s: _combination((w, d[u]) for u, w in row) for s, row in self.upper.items()}
+        a, b = self.mu
+        return _Member(f, den, nums, d, full, upper, _combination([((-a, -b), nums)]))
+
+    def bracket(self, f: _Member, g: _Member) -> Poly:
+        "kappa(f, g) - mu f g, from one integer dict."
+        h = f.upper if f is g else g.full
+        pairs = [(p, q) for p, q in [(f.d[s], h[s]) for s in h] + [(f.nums, g.neg_mu)]
+                 if p and q]
+        count = sum(len(p) * len(q) for p, q in pairs)
+        if count > BRACKET_LIMIT:
+            raise ValueError(f"bracket needs {count} term products, "
+                             f"over the limit of {BRACKET_LIMIT}")
+        acc = {}
+        for p, q in pairs:
+            _gauss_mul(p, q, acc)
+        return self.packing.unpack(acc, f.den * g.den * self.den)
+
+    def harmonic(self, f: _Member) -> Poly:
+        "laplacian(f) - lam f."
+        a, b = self.lam
+        parts = [((1, 0), self.packing.derivative(h, s)) for s, h in f.upper.items()]
+        acc = _combination(parts + [((-a, -b), f.nums)])
+        return self.packing.unpack(acc, f.den * self.den)
 
 
 def kappa(f: Poly, g: Poly, P=None) -> Poly:
@@ -76,29 +172,16 @@ def kappa(f: Poly, g: Poly, P=None) -> Poly:
     pairing sum_ab P_ab d_a f d_b g over the real axes instead."""
     if f.frame != g.frame:
         raise FrameMismatch("kappa needs a shared frame")
-    form = _slot_form(f.frame, P)
-    slots = {s for pair in form for s in pair}
-    df = {s: f._slot_derivative(s) for s in slots}
-    dg = df if g is f else {s: g._slot_derivative(s) for s in slots}
-
-    def terms():
-        for (s, u), c in form.items():
-            if s == u:
-                yield c, df[s] * dg[s]
-            elif g is f:
-                yield TWO * c, df[s] * df[u]
-            else:
-                yield c, df[s] * dg[u] + df[u] * dg[s]
-    return _weighted_sum(f.frame, terms())
+    kernel = _Kernel(f.frame, P, ZERO, ZERO, max(f.degree(), g.degree()))
+    a = kernel.prepare(f)
+    return kernel.bracket(a, a if g is f else kernel.prepare(g))
 
 
 def laplacian(f: Poly, P=None) -> Poly:
     """The Laplacian; with a real symmetric m x m matrix P, the trace
     of P times the real Hessian instead."""
-    form = _slot_form(f.frame, P)
-    first = {s: f._slot_derivative(s) for s, _ in form}
-    return _weighted_sum(f.frame, ((c if s == u else TWO * c, first[s]._slot_derivative(u))
-                                   for (s, u), c in form.items()))
+    kernel = _Kernel(f.frame, P, ZERO, ZERO, f.degree())
+    return kernel.harmonic(kernel.prepare(f))
 
 
 def norm_squared(frame: VariableFrame) -> Poly:
@@ -181,11 +264,11 @@ def verify_general_family(fs, data: EigenData) -> FamilyReport:
         return FamilyReport(None, [], {}, EigenData(lam, mu), None,
                             warning="empty family verifies vacuously")
     frame = common_frame(fs)
-    harm = [laplacian(f) - lam * f for f in fs]
-    pairs = {}
-    for i in range(len(fs)):
-        for j in range(i, len(fs)):
-            pairs[(i, j)] = kappa(fs[i], fs[j]) - mu * fs[i] * fs[j]
+    kernel = _Kernel(frame, None, lam, mu, max(f.degree() for f in fs))
+    members = [kernel.prepare(f) for f in fs]
+    harm = [kernel.harmonic(a) for a in members]
+    pairs = {(i, j): kernel.bracket(members[i], members[j])
+             for i in range(len(fs)) for j in range(i, len(fs))}
     return FamilyReport(frame, harm, pairs, EigenData(lam, mu), _family_degree(fs))
 
 

@@ -365,16 +365,12 @@ class Poly:
                 if img.frame != target_frame:
                     raise FrameMismatch("image lives on another frame")
                 used[s] = img
-        # an output exponent never exceeds the output degree, so packed
-        # exponents of this many bits add without carries
-        bound = self.degree() * max([img.degree() for img in used.values()] + [0])
-        bits = max(bound, 1).bit_length()
-        shifts = range(0, bits * target_frame.num_slots, bits)
+        # an output exponent never exceeds the output degree
+        packing = Packing(target_frame,
+                          self.degree() * max([img.degree() for img in used.values()] + [0]))
         dens, powers = {}, {}  # powers[s, e]: numerators of images[s] ** e over dens[s] ** e
         for s, img in used.items():
-            dens[s], nums = common_numerators(img.terms.values())
-            powers[s, 1] = {sum(map(lshift, mono, shifts)): [a, b]
-                            for mono, (a, b) in zip(img.terms, nums)}
+            dens[s], powers[s, 1] = packing.pack(img)
             for e in range(2, top[s] + 1):
                 powers[s, e] = _gauss_mul(powers[s, e - 1], powers[s, 1], {})
         scaled = []
@@ -396,12 +392,51 @@ class Poly:
             for f in factors:
                 part = _gauss_mul(part, f, {})
             _gauss_mul(part, last, acc)
-        mask = (1 << bits) - 1
+        return packing.unpack(acc, D)
+
+
+class Packing:
+    """Monomials of one frame packed into integers, for the integer
+    kernels (substitute, the conformality bracket).  Slot s's exponent is
+    the bit field at shifts[s], wide enough that exponents up to `bound`
+    add without carries, so a monomial product is one integer addition.
+    Numerators are {packed monomial: [a, b]} dicts of Gaussian integers
+    a + b*i over one denominator."""
+
+    __slots__ = ("frame", "shifts", "mask")
+
+    def __init__(self, frame: VariableFrame, bound: int):
+        bits = max(bound, 1).bit_length()
+        self.frame = frame
+        self.shifts = range(0, bits * frame.num_slots, bits)
+        self.mask = (1 << bits) - 1
+
+    def pack(self, p: Poly):
+        "(D, numerators): p's terms as numerators over D, the lcm of their denominators."
+        D, nums = common_numerators(p.terms.values())
+        shifts = self.shifts
+        return D, {sum(map(lshift, mono, shifts)): [a, b]
+                   for mono, (a, b) in zip(p.terms, nums)}
+
+    def unpack(self, nums, D: int) -> Poly:
+        "The Poly nums / D: one reduction per nonzero term."
+        shifts, mask = self.shifts, self.mask
         terms = {}
-        for key, (a, b) in acc.items():
+        for key, (a, b) in nums.items():
             if a or b:
                 terms[tuple([key >> sh & mask for sh in shifts])] = from_triple(a, b, D)
-        return Poly._trusted(target_frame, terms)
+        return Poly._trusted(self.frame, terms)
+
+    def derivative(self, nums, slot: int):
+        "d/dslot of numerators, over the same denominator."
+        shift, mask = self.shifts[slot], self.mask
+        one = 1 << shift
+        out = {}
+        for key, (a, b) in nums.items():
+            e = key >> shift & mask
+            if e:
+                out[key - one] = [a * e, b * e]
+        return out
 
 
 def _gauss_mul(p, q, out):

@@ -2,14 +2,16 @@
 finite-difference derivatives on float evaluations, a reference Q(i)
 scalar built on Fraction pairs, the real-gradient forms of the
 projected bracket, projected Laplacian and degree-2 matrix, the
+Poly-arithmetic bracket, Laplacian and family verification, the
 Poly-arithmetic substitution and isometry pull-back, and a real
 subspace that stores its basis as Fraction tuples."""
 
 from fractions import Fraction
 
+from eigenforge.conformality import EigenData, FamilyReport, _family_degree, _slot_form
 from eigenforge.linalg import ComplexSubspace, Matrix, vec, vec_is_zero
-from eigenforge.poly import Poly, slot_axes
-from eigenforge.scalars import GaussRational, I, scalar
+from eigenforge.poly import FrameMismatch, Poly, common_frame, slot_axes
+from eigenforge.scalars import ONE, GaussRational, I, as_scalar, scalar
 
 
 def axis_shift(point, frame, axis, delta):
@@ -197,6 +199,70 @@ def ref_to_form(p):
     for comp in ref_real_gradient(p):
         rows.append([c.constant_value() / 2 for c in ref_real_gradient(comp)])
     return Matrix(rows, ncols=m)
+
+
+# -- Poly-arithmetic bracket and Laplacian -----------------------------------
+#
+# kappa, laplacian and the family verification as Poly sums and products
+# of GaussRational scalars, one kappa call (both members re-derived) per
+# pair: the formulas the packed Gaussian-integer kernel of
+# eigenforge.conformality replaced.
+
+_TWO = scalar(2)
+
+
+def ref_weighted_sum(frame, terms):
+    "sum c p over the (c, p) terms, scaling once per distinct c."
+    sums = {}
+    for c, p in terms:
+        sums[c] = sums[c] + p if c in sums else p
+    return sum((p if c == ONE else c * p for c, p in sums.items()), Poly.zero(frame))
+
+
+def ref_kappa(f, g, P=None):
+    "The bracket, or the gradient pairing through P, in Poly arithmetic."
+    if f.frame != g.frame:
+        raise FrameMismatch("kappa needs a shared frame")
+    form = _slot_form(f.frame, P)
+    slots = {s for pair in form for s in pair}
+    df = {s: f._slot_derivative(s) for s in slots}
+    dg = df if g is f else {s: g._slot_derivative(s) for s in slots}
+
+    def terms():
+        for (s, u), c in form.items():
+            if s == u:
+                yield c, df[s] * dg[s]
+            elif g is f:
+                yield _TWO * c, df[s] * df[u]
+            else:
+                yield c, df[s] * dg[u] + df[u] * dg[s]
+    return ref_weighted_sum(f.frame, terms())
+
+
+def ref_laplacian(f, P=None):
+    "The Laplacian, or trace(P Hess f), in Poly arithmetic."
+    form = _slot_form(f.frame, P)
+    first = {s: f._slot_derivative(s) for s, _ in form}
+    return ref_weighted_sum(f.frame, ((c if s == u else _TWO * c, first[s]._slot_derivative(u))
+                                      for (s, u), c in form.items()))
+
+
+def ref_verify_general_family(fs, data):
+    "The family report from one ref_kappa and one ref_laplacian call per pair and member."
+    lam, mu = as_scalar(data.lam), as_scalar(data.mu)
+    if lam is None or mu is None:
+        raise TypeError("lambda and mu must be exact constants")
+    fs = list(fs)
+    if not fs:
+        return FamilyReport(None, [], {}, EigenData(lam, mu), None,
+                            warning="empty family verifies vacuously")
+    frame = common_frame(fs)
+    harm = [ref_laplacian(f) - lam * f for f in fs]
+    pairs = {}
+    for i in range(len(fs)):
+        for j in range(i, len(fs)):
+            pairs[(i, j)] = ref_kappa(fs[i], fs[j]) - mu * fs[i] * fs[j]
+    return FamilyReport(frame, harm, pairs, EigenData(lam, mu), _family_degree(fs))
 
 
 # -- Poly-arithmetic substitution ------------------------------------------

@@ -7,6 +7,7 @@ import json
 import os
 import random
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -415,13 +416,31 @@ def test_construct_power_derives_sphere_data():
 
 def test_construct_power_computes_each_kappa_once(monkeypatch):
     from eigenforge import conformality
-    calls = count_calls(monkeypatch, conformality, "kappa")
+    calls = []
+    bracket = conformality._Kernel.bracket
+
+    def counting(kernel, f, g):
+        calls.append((f.poly, g.poly))
+        return bracket(kernel, f, g)
+    monkeypatch.setattr(conformality._Kernel, "bracket", counting)
     code, payload = run_json(
         ["construct", "power", entry_path("pair-c4"), "--d", "2"], "construct")
     assert code == 0 and payload["sphere_data_consistent"] is True
     assert len(payload["family"]["members"]) == 3
     # 3 input pairs and 6 product pairs, each computed once
-    assert len(calls) == len({args[:2] for args in calls}) == 9
+    assert len(calls) == len(set(calls)) == 9
+
+
+def test_verify_over_the_bracket_limit_exits_two(monkeypatch):
+    from eigenforge import conformality
+    monkeypatch.setattr(conformality, "BRACKET_LIMIT", 3)
+    start = time.perf_counter()
+    # the first pair, (G1, G1): mu G1 G1 takes 2 x 2 products
+    code, out, err = run(["verify", "--lambda", "-27", "--mu", "-9",
+                          entry_path("cubic-quartet-c4")])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == "error: bracket needs 4 term products, over the limit of 3\n"
 
 
 def test_construct_power_with_explicit_data():

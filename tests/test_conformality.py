@@ -1,14 +1,17 @@
 """Bracket, Laplacian, eigen verification, sphere data, invariance.
 
-Two independent checks back the bracket: the real-gradient dot product
-code path and a finite-difference oracle.
+Independent checks back the bracket: the real-gradient dot product
+code path, a finite-difference oracle, and the Poly-arithmetic
+references that the packed integer kernel replaced.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from eigenforge import conformality
 from eigenforge.scalars import I, ZERO, scalar
 from eigenforge.frames import VariableFrame
 from eigenforge.linalg import Matrix, RealSubspace
@@ -25,14 +28,15 @@ from eigenforge.conformality import (
     laplacian,
     norm_squared,
     power_family,
+    sphere_data,
     sphere_eigen_data,
     su2_derivative,
     verify_flat_family,
     verify_general_family,
 )
 
-from oracles import (fd_kappa, fd_laplacian, rational_point, ref_projected_kappa,
-                     ref_projected_laplacian)
+from oracles import (fd_kappa, fd_laplacian, rational_point, ref_kappa, ref_laplacian,
+                     ref_projected_kappa, ref_projected_laplacian, ref_verify_general_family)
 from test_poly import rand_poly, rand_point
 
 C1 = VariableFrame(("z",), ())
@@ -149,6 +153,147 @@ def test_kappa_and_laplacian_through_P_match_real_gradient_reference():
                 assert laplacian(f, P) == ref_projected_laplacian(f, P)
         with pytest.raises(ValueError):
             kappa(f, g, Matrix.identity(m + 1))
+
+
+# -- the packed integer kernel against the Poly-arithmetic references -----
+#
+# kappa, laplacian and verify_general_family run on Gaussian-integer
+# numerators with packed monomials; every residual must be term for term
+# what Poly arithmetic gives.
+
+# n = 0, r = 0, both, and mixed frames
+KERNEL_FRAMES = [VariableFrame((), ()), VariableFrame(("z",), ()), C2,
+                 VariableFrame((), ("s", "t")), C2T]
+
+# real and imaginary parts over distinct denominators
+mixed = st.builds(lambda a, b, d, e: scalar(Fraction(a, d), Fraction(b, e)),
+                  st.integers(-9, 9), st.integers(-9, 9),
+                  st.sampled_from([1, 2, 3, 5, 12]), st.sampled_from([1, 2, 7]))
+
+
+def kernel_polys(frame, max_size=5):
+    "Inhomogeneous, degree up to 4, zero included."
+    monos = st.tuples(*[st.integers(0, 2)] * frame.num_slots).filter(lambda t: sum(t) <= 4)
+    return st.dictionaries(monos, mixed, max_size=max_size).map(lambda t: Poly(frame, t))
+
+
+@st.composite
+def symmetric_forms(draw, m):
+    "None, identity, zero, a projector, or a symmetric rational matrix with non-unit denominators."
+    kind = draw(st.sampled_from(["none", "identity", "zero", "projector", "symmetric"]))
+    if kind == "none":
+        return None
+    if kind == "identity":
+        return Matrix.identity(m)
+    if kind == "zero":
+        return Matrix.zero(m, m)
+    if kind == "projector":
+        if m == 0:
+            return Matrix.zero(0, 0)
+        entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+        vectors = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=1,
+                                max_size=m))
+        return RealSubspace(m, vectors).projector()
+    rows = [[ZERO] * m for _ in range(m)]
+    for a in range(m):
+        for b in range(a, m):
+            q = scalar(Fraction(draw(st.integers(-5, 5)), draw(st.sampled_from([1, 2, 3, 6]))))
+            rows[a][b] = rows[b][a] = q
+    return Matrix(rows, ncols=m)
+
+
+@st.composite
+def bracket_cases(draw):
+    frame = draw(st.sampled_from(KERNEL_FRAMES))
+    return (draw(kernel_polys(frame)), draw(kernel_polys(frame)),
+            draw(symmetric_forms(frame.m)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bracket_cases())
+def test_kernel_matches_poly_reference(case):
+    f, g, P = case
+    assert kappa(f, g, P).terms == ref_kappa(f, g, P).terms
+    assert kappa(f, f, P).terms == ref_kappa(f, f, P).terms
+    assert laplacian(f, P).terms == ref_laplacian(f, P).terms
+    if P is None:
+        assert kappa(f, g).terms == ref_kappa(f, g).terms
+        assert laplacian(g).terms == ref_laplacian(g).terms
+
+
+@settings(max_examples=30, deadline=None)
+@given(bracket_cases(), st.integers(1, 2))
+def test_kernel_rejects_a_wrong_shape_P(case, extra):
+    f, g, _ = case
+    m = f.frame.m
+    for bad in (Matrix.identity(m + extra), Matrix.zero(m, m + extra)):
+        for call in (lambda: kappa(f, g, bad), lambda: laplacian(f, bad),
+                     lambda: ref_kappa(f, g, bad), lambda: ref_laplacian(f, bad)):
+            with pytest.raises(ValueError):
+                call()
+
+
+gaussian = st.one_of(st.just(ZERO), mixed)
+
+
+@st.composite
+def family_cases(draw):
+    frame = draw(st.sampled_from(KERNEL_FRAMES))
+    fs = draw(st.lists(kernel_polys(frame), max_size=4))
+    if fs and draw(st.booleans()):
+        fs.append(fs[0])  # the same member twice
+    return fs, EigenData(draw(gaussian), draw(gaussian))
+
+
+@settings(max_examples=120, deadline=None)
+@given(family_cases())
+def test_verify_general_family_matches_poly_reference(case):
+    fs, data = case
+    got, want = verify_general_family(fs, data), ref_verify_general_family(fs, data)
+    assert [r.terms for r in got.harmonic_residuals] == [r.terms for r in want.harmonic_residuals]
+    assert ({ij: r.terms for ij, r in got.conformal_pairs.items()}
+            == {ij: r.terms for ij, r in want.conformal_pairs.items()})
+    assert (got.verdict, got.data, got.degree, got.warning) == (
+        want.verdict, want.data, want.degree, want.warning)
+
+
+def test_verify_sphere_families_match_poly_reference():
+    # powers of a flat pair: zero residuals for the flat data, dense ones
+    # for their sphere data and for Gaussian data
+    for d in (1, 2, 3):
+        fs, _ = power_family(degree2_pair(), d, FLAT_DATA)
+        for data in (FLAT_DATA, sphere_data(fs),
+                     EigenData(scalar(-3, 1), scalar(Fraction(2, 7), Fraction(-5, 7)))):
+            got, want = verify_general_family(fs, data), ref_verify_general_family(fs, data)
+            assert got.harmonic_residuals == want.harmonic_residuals
+            assert got.conformal_pairs == want.conformal_pairs
+            assert got.verdict == (data == FLAT_DATA)
+
+
+def test_verify_prepares_each_member_once(monkeypatch):
+    prepared = []
+    original = conformality._Kernel.prepare
+
+    def counting(kernel, f):
+        prepared.append(f)
+        return original(kernel, f)
+    monkeypatch.setattr(conformality._Kernel, "prepare", counting)
+    fs, _ = power_family(degree2_pair(), 3, FLAT_DATA)
+    assert len(fs) == 4
+    assert verify_flat_family(fs).verdict
+    assert prepared == fs
+
+
+def test_bracket_over_the_limit_raises_before_multiplying(monkeypatch):
+    f1, f2 = degree2_pair()
+    monkeypatch.setattr(conformality, "_gauss_mul", None)  # any product would fail
+    monkeypatch.setattr(conformality, "BRACKET_LIMIT", 1)
+    # kappa(f1, f2) pairs d_v f1 = z with 2 d_vbar f2 = -2u and d_w f1 = u
+    # with 2 d_wbar f2 = 2z; every other slot pairing has an empty side
+    with pytest.raises(ValueError, match="bracket needs 2 term products, over the limit of 1"):
+        kappa(f1, f2)
+    with pytest.raises(ValueError, match="over the limit of 1"):
+        verify_flat_family([f1, f2])
 
 
 # ---------------------------------------------------------------------
