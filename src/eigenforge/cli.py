@@ -10,11 +10,11 @@ Subcommands:
 
 Exit codes: 0 success (and verdict true where there is one), 1 a
 verification or decomposition came back negative, 2 usage, parse or
-input errors (and a bracket over conformality.BRACKET_LIMIT term
-products), 3 an internal check on a computed result failed (a bug,
-reported as "internal check failed: ..." with no traceback).  Exact
-values print as rationals p/q + r/s*i; floating point numbers appear
-only in sections labelled numeric.
+input errors (and a degree over poly.MAX_DEGREE or a product over
+poly.PRODUCT_LIMIT term products), 3 an internal check on a computed
+result failed (a bug, reported as "internal check failed: ..." with no
+traceback).  Exact values print as rationals p/q + r/s*i; floating
+point numbers appear only in sections labelled numeric.
 """
 
 from __future__ import annotations

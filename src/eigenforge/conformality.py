@@ -20,18 +20,18 @@ degree-d flat eigenfamily on R^(m+1) to the unit sphere S^m gives
 lam = -d(d+m-1), mu = -d^2.
 
 One integer kernel computes both residuals, kappa(f, g) - mu f g and
-laplacian(f) - lam f.  The form's coefficients C_su over the slots,
-lam and mu go to one common denominator once.  Each member f is
-prepared once: its Gaussian-integer numerators over one denominator
-D_f, monomials packed into integers (poly.Packing), its slot
-derivatives d_s f taken on the packed form, and the C-weighted
-gradients h_s = sum_u C_su d_u f.  A pair's residual is then
+laplacian(f) - lam f, on the packed form that Poly stores (Gaussian-
+integer numerators over one denominator D_f, monomials packed into
+integers).  The form's coefficients C_su over the slots, lam and mu go
+to one common denominator once.  Each member f is prepared once: its
+slot derivatives d_s f and the C-weighted gradients h_s = sum_u C_su
+d_u f, taken on the numerators.  A pair's residual is then
 sum_s d_s f h_s(g) - mu f g, accumulated into one integer dict over
-D_f D_g times the common denominator, with one reduction per output
-term; the Laplacian residual is sum_s d_s h_s(f) - lam f.  kappa and
-laplacian are one-pair calls of the same kernel.  A bracket whose term
-products would exceed BRACKET_LIMIT raises ValueError before it
-multiplies anything.
+D_f D_g times the common denominator and reduced once; the Laplacian
+residual is sum_s d_s h_s(f) - lam f.  kappa and laplacian are
+one-pair calls of the same kernel.  A bracket whose term products
+would exceed BRACKET_LIMIT raises ValueError before it multiplies
+anything.
 """
 
 from __future__ import annotations
@@ -41,15 +41,14 @@ from typing import NamedTuple, Optional
 from .scalars import (GaussRational, ONE, ZERO, as_scalar, common_numerators, format_scalar,
                       scalar)
 from .frames import VariableFrame
-from .poly import FrameMismatch, Packing, Poly, _gauss_mul, common_frame, slot_axes
+from .poly import (PRODUCT_LIMIT, FrameMismatch, Poly, _derivative, _gauss_mul, _gauss_sum,
+                   _nonzero, _reduced, check_degree, check_products, common_frame, slot_axes)
 
 TWO = scalar(2)
 
-# Term products one bracket may take.  The catalog, the test suite and
-# the benchmark workloads need at most about 10^4 per bracket; at the
-# limit, sparse members with 30-bit coefficients take seconds and
-# hundreds of MB (one accumulator entry per distinct output monomial).
-BRACKET_LIMIT = 1_000_000
+# Term products one bracket may take: the ring's budget, over all the
+# products of one residual.
+BRACKET_LIMIT = PRODUCT_LIMIT
 
 
 class EigenData(NamedTuple):
@@ -84,31 +83,12 @@ def _slot_form(frame, P):
     return form
 
 
-def _combination(parts):
-    "sum w p over (w, p) pairs of Gaussian-integer weights (a, b) and numerators, zeros dropped."
-    out = {}
-    get = out.get
-    for (a, b), p in parts:
-        if not (a or b):
-            continue
-        for k, (x, y) in p.items():
-            prev = get(k)
-            if prev is None:
-                out[k] = [a * x - b * y, a * y + b * x]
-            else:
-                prev[0] += a * x - b * y
-                prev[1] += a * y + b * x
-    return {k: v for k, v in out.items() if v[0] or v[1]}
-
-
 class _Member(NamedTuple):
-    """One member prepared for the kernel: numerators over den, slot
-    derivatives d[s], and the weighted gradients full[s] (pairing with
-    another member) and upper[s] (pairing with itself), over den times
-    the kernel's denominator; neg_mu is -mu times the numerators."""
+    """One member prepared for the kernel: its slot derivatives d[s] over
+    poly.den, and the weighted gradients full[s] (pairing with another
+    member) and upper[s] (pairing with itself), over poly.den times the
+    kernel's denominator; neg_mu is -mu times poly's numerators."""
     poly: Poly
-    den: int
-    nums: dict
     d: dict
     full: dict
     upper: dict
@@ -134,37 +114,34 @@ class _Kernel:
                 a, b = 2 * a, 2 * b
             self.upper.setdefault(s, []).append((u, (a, b)))
         # mu f g has twice the members' degree
-        self.packing = Packing(frame, 2 * max(degree, 0))
+        check_degree(2 * degree, "bracket")
 
     def prepare(self, f: Poly) -> _Member:
         "Everything the residuals need of f, computed once per member."
-        den, nums = self.packing.pack(f)
-        d = {s: self.packing.derivative(nums, s) for s in self.full}
-        full = {s: _combination((w, d[u]) for u, w in row) for s, row in self.full.items()}
-        upper = {s: _combination((w, d[u]) for u, w in row) for s, row in self.upper.items()}
+        nums = f.nums
+        d = {s: _derivative(nums, s) for s in self.full}
+        full = {s: _gauss_sum((w, d[u]) for u, w in row) for s, row in self.full.items()}
+        upper = {s: _gauss_sum((w, d[u]) for u, w in row) for s, row in self.upper.items()}
         a, b = self.mu
-        return _Member(f, den, nums, d, full, upper, _combination([((-a, -b), nums)]))
+        return _Member(f, d, full, upper, _gauss_sum([((-a, -b), nums)]))
 
     def bracket(self, f: _Member, g: _Member) -> Poly:
         "kappa(f, g) - mu f g, from one integer dict."
         h = f.upper if f is g else g.full
-        pairs = [(p, q) for p, q in [(f.d[s], h[s]) for s in h] + [(f.nums, g.neg_mu)]
+        pairs = [(p, q) for p, q in [(f.d[s], h[s]) for s in h] + [(f.poly.nums, g.neg_mu)]
                  if p and q]
-        count = sum(len(p) * len(q) for p, q in pairs)
-        if count > BRACKET_LIMIT:
-            raise ValueError(f"bracket needs {count} term products, "
-                             f"over the limit of {BRACKET_LIMIT}")
+        check_products(sum(len(p) * len(q) for p, q in pairs), "bracket", BRACKET_LIMIT)
         acc = {}
         for p, q in pairs:
             _gauss_mul(p, q, acc)
-        return self.packing.unpack(acc, f.den * g.den * self.den)
+        return _reduced(f.poly.frame, _nonzero(acc), f.poly.den * g.poly.den * self.den)
 
     def harmonic(self, f: _Member) -> Poly:
         "laplacian(f) - lam f."
         a, b = self.lam
-        parts = [((1, 0), self.packing.derivative(h, s)) for s, h in f.upper.items()]
-        acc = _combination(parts + [((-a, -b), f.nums)])
-        return self.packing.unpack(acc, f.den * self.den)
+        parts = [((1, 0), _derivative(h, s)) for s, h in f.upper.items()]
+        return _reduced(f.poly.frame, _gauss_sum(parts + [((-a, -b), f.poly.nums)]),
+                        f.poly.den * self.den)
 
 
 def kappa(f: Poly, g: Poly, P=None) -> Poly:
@@ -338,19 +315,13 @@ def power_family(fs, d: int, data: EigenData):
 
 def is_even_degree(f: Poly) -> bool:
     "Every monomial has even total degree."
-    from .poly import mono_degree
-    return all(mono_degree(m) % 2 == 0 for m in f.terms)
+    return all(sum(m) % 2 == 0 for m in f.terms)
 
 
 def is_biinvariant(f: Poly) -> bool:
     "Every monomial has equal total z-degree and total conj(z)-degree."
-    n = f.frame.n
-    for mono in f.terms:
-        zdeg = sum(mono[2 * j] for j in range(n))
-        wdeg = sum(mono[2 * j + 1] for j in range(n))
-        if zdeg != wdeg:
-            return False
-    return True
+    n2 = 2 * f.frame.n
+    return all(sum(m[0:n2:2]) == sum(m[1:n2:2]) for m in f.terms)
 
 
 # Derivations of the right sp(1)-action on quaternionic coordinates
@@ -368,16 +339,9 @@ SU2_DERIVATION_TABLE = {
 _TABLE_COEFF = {"1": scalar(1), "-1": scalar(-1), "i": scalar(0, 1), "-i": scalar(0, -1)}
 
 
-def _pair_poly(frame, pair, label):
-    name = frame.complex_names[2 * pair + int(label[0])]
-    if label.endswith("b"):
-        return Poly.conj_variable(frame, name)
-    return Poly.variable(frame, name)
-
-
-def _pair_derivative(f, pair, label):
-    name = f.frame.complex_names[2 * pair + int(label[0])]
-    return f.wirtinger(name, conjugate=label.endswith("b"))
+def _pair_variable(frame, pair, label):
+    "(name, conjugated) of the variable a table label names in one pair."
+    return frame.complex_names[2 * pair + int(label[0])], label.endswith("b")
 
 
 def su2_derivative(f: Poly, which: str) -> Poly:
@@ -390,7 +354,10 @@ def su2_derivative(f: Poly, which: str) -> Poly:
     out = Poly.zero(frame)
     for pair in range(frame.n // 2):
         for coeff, src, tgt in SU2_DERIVATION_TABLE[which]:
-            out = out + _TABLE_COEFF[coeff] * _pair_poly(frame, pair, src) * _pair_derivative(f, pair, tgt)
+            name, conj = _pair_variable(frame, pair, src)
+            x = Poly.conj_variable(frame, name) if conj else Poly.variable(frame, name)
+            dx = f.wirtinger(*_pair_variable(frame, pair, tgt))
+            out = out + _TABLE_COEFF[coeff] * x * dx
     return out
 
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from operator import mul
 
-from .scalars import ZERO, common_numerators, from_triple, sqrt_in_qi, triple
+from .scalars import ZERO, common_numerators, sqrt_in_qi, triple
 from .frames import VariableFrame
-from .poly import Poly, axis_slots, common_frame, real_gradient, slot_axes
+from .poly import Poly, axis_slots, common_frame, linear_form, real_gradient, slot_axes
 from .conformality import kappa, laplacian
 from .linalg import (
     ComplexSubspace,
@@ -164,10 +164,9 @@ def apply_real_isometry(p: Poly, Q: Matrix, target: VariableFrame) -> Poly:
     fwd = slot_axes(frame)
     back = [[(t, *triple(2 * c)[:2]) for t, c in entries] for entries in axis_slots(target)]
     cols = list(zip(*N))
-    zero = (0,) * m
     images = {}
-    for s, used in enumerate(map(any, zip(*p.terms))):
-        if not used:
+    for s in range(m):
+        if not p.uses_slot(s):
             continue
         re, im = [0] * m, [0] * m
         for a, c in fwd[s]:
@@ -176,9 +175,7 @@ def apply_real_isometry(p: Poly, Q: Matrix, target: VariableFrame) -> Poly:
                 for t, ea, eb in back[b]:
                     re[t] += q * (ca * ea - cb * eb)
                     im[t] += q * (ca * eb + cb * ea)
-        terms = {zero[:t] + (1,) + zero[t + 1:]: from_triple(re[t], im[t], 2 * D)
-                 for t in range(m) if re[t] or im[t]}
-        images[s] = Poly._trusted(target, terms)  # canonical nonzero scalars: clean
+        images[s] = linear_form(target, zip(re, im), 2 * D)
     return p.substitute(target, images)
 
 

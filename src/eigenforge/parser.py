@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .scalars import GaussRational, ONE, as_scalar, format_scalar, scalar
 from .frames import RESERVED, VariableFrame
-from .poly import Poly
+from .poly import Poly, mono_order_key
 
 
 class ParseError(ValueError):
@@ -195,12 +195,8 @@ class _ExprParser:
             if value is None:
                 self.fail(f"parameter {name!r} has no value", tok)
             return Poly.constant(self.frame, value)
-        try:
-            kind, _ = self.frame.kind_of(name)
-        except KeyError:
+        if name not in self.frame:
             self.fail(f"undeclared identifier {name!r}", tok)
-        if kind == "r":
-            return Poly.variable(self.frame, name)
         return Poly.variable(self.frame, name)
 
     def conjugated(self, p: Poly, tok) -> Poly:
@@ -383,12 +379,9 @@ def _parse_frame(stmt, line_no):
         raise ParseError(str(e), line_no) from None
 
 
-def _constant_expr(tokens, line_no, context):
-    parser = _ExprParser(tokens, VariableFrame((), ()), {})
-    value = parser.parse().constant_value()
-    if value is None:
-        raise ParseError(f"{context} must be a constant", line_no)
-    return value
+def _constant_expr(tokens):
+    "A constant expression: on the empty frame every name but i is undeclared."
+    return _ExprParser(tokens, VariableFrame((), ()), {}).parse().constant_value()
 
 
 def _parse_param(stmt, line_no, frame):
@@ -402,7 +395,7 @@ def _parse_param(stmt, line_no, frame):
         return pname, None
     if not (tokens[2].kind == "op" and tokens[2].value == "="):
         raise ParseError("expected '=' in param", line_no, tokens[2].col)
-    return pname, _constant_expr(tokens[3:], line_no, f"default of parameter {pname!r}")
+    return pname, _constant_expr(tokens[3:])
 
 
 def _parse_expect(stmt, line_no):
@@ -412,7 +405,7 @@ def _parse_expect(stmt, line_no):
     key = tokens[1].value
     if tokens[3].kind == "ident" and tokens[3].value in ("true", "false") and tokens[4].kind == "end":
         return key, tokens[3].value == "true"
-    return key, _constant_expr(tokens[3:], line_no, f"expectation {key!r}")
+    return key, _constant_expr(tokens[3:])
 
 
 def load_family(path, bindings=None) -> FamilySource:
@@ -443,7 +436,7 @@ def format_poly(p: Poly) -> str:
         return "0"
     frame = p.frame
     parts = []
-    for mono, coeff in p.sorted_terms():
+    for mono, coeff in sorted(p.terms.items(), key=lambda kv: mono_order_key(kv[0])):
         factors = []
         for slot, e in enumerate(mono):
             if not e:

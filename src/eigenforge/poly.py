@@ -1,38 +1,84 @@
 """Sparse polynomials over Q(i) in the variables (z_j, conj(z_j), t_k).
 
-A polynomial keeps its frame and a dict mapping dense exponent tuples
-(one entry per slot) to nonzero GaussRational coefficients.  Conjugate
-variables are ordinary slots, so p is holomorphic in z exactly when no
-term touches the conj(z) slot.
+A polynomial stores its frame and a dict {packed monomial: (a, b)} of
+Gaussian-integer numerators a + b*i over one positive denominator.
+Slot s's exponent is the EXP_BITS-wide field at bit s * EXP_BITS, so a
+monomial product is one integer addition (packed exponent vectors,
+Monagan and Pearce, CASC 2007).  The form is canonical: no zero
+numerators, gcd 1 across all numerators and the denominator, and total
+degree at most MAX_DEGREE, so no field carries into the next and equal
+polynomials have equal storage.  Ring operations, slot derivatives,
+conjugation (a swap of the z and conj(z) fields), substitution and the
+conformality bracket all run on this form; `terms` is a read-only view
+{exponent tuple: GaussRational}, built on first use.  A product whose
+degree would pass MAX_DEGREE, or whose term products would pass
+PRODUCT_LIMIT, raises ValueError before it multiplies.
 
-The real gradient follows the convention z = x + iy, so
-
-    d/dx = d/dz + d/dconj(z)        d/dy = i (d/dz - d/dconj(z))
-
-and gradient components are polynomials again (complex valued in
-general).  No normalization or floating point happens here.
+Conjugate variables are ordinary slots, so p is holomorphic in z
+exactly when no term touches the conj(z) slot.  The real gradient
+follows z = x + iy, so d/dx = d/dz + d/dconj(z) and
+d/dy = i (d/dz - d/dconj(z)); its components are polynomials again.
+No normalization or floating point happens here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import add, lshift
+from functools import lru_cache
+from itertools import chain
+from math import gcd, lcm, prod
+from struct import Struct, error as StructError
+from types import MappingProxyType
 
 from .frames import VariableFrame
-from .scalars import (GaussRational, ZERO, ONE, I, as_scalar, common_numerators,
-                      from_triple, triple)
+from .scalars import GaussRational, ZERO, ONE, I, as_scalar, common_numerators, from_triple, triple
+
+# Bits per slot exponent (one unsigned short, so that struct converts
+# packed monomials to exponent tuples), and the largest total degree.
+EXP_BITS = 16
+MAX_DEGREE = (1 << EXP_BITS) - 1
+
+# Term products one `*` (so one step of a power), one substitution or one
+# conformality bracket may take: seconds and hundreds of MB at the limit.
+PRODUCT_LIMIT = 1_000_000
+
+
+def check_degree(degree: int, what: str):
+    if degree > MAX_DEGREE:
+        raise ValueError(f"{what} would have degree {degree}, over the limit of {MAX_DEGREE}")
+
+
+def check_products(count: int, what: str, limit=None):
+    limit = PRODUCT_LIMIT if limit is None else limit
+    if count > limit:
+        raise ValueError(f"{what} needs {count} term products, over the limit of {limit}")
+
 
 # ---------------------------------------------------------------------
-# monomials = dense exponent tuples
+# monomials: dense exponent tuples in the API, packed integers inside
 
-
-def mono_degree(a):
-    return sum(a)
 
 def mono_order_key(a):
     # graded lex, used descending: higher degree first, then lex-larger tuple
-    return (-mono_degree(a), tuple(-e for e in a))
+    return (-sum(a), tuple(-e for e in a))
+
+
+@lru_cache(maxsize=None)
+def _fields(width: int) -> Struct:
+    "The bytes of a packed monomial of `width` slots, read as exponents."
+    return Struct(f"<{width}H")
+
+
+@lru_cache(maxsize=None)
+def _unpacker(width: int):
+    "The function from a packed monomial to its exponent tuple."
+    unpack, size = _fields(width).unpack, 2 * width
+    return lambda key: unpack(key.to_bytes(size, "little"))
+
+
+def _degrees(p):
+    "The total degree of each term of p, in storage order."
+    return list(map(sum, map(_unpacker(p.frame.num_slots), p.nums)))
 
 
 class FrameMismatch(ValueError):
@@ -47,35 +93,36 @@ def common_frame(fs, what="family"):
     return fs[0].frame
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
 class Poly:
-    __slots__ = ("frame", "terms")
+    __slots__ = ("frame", "nums", "den", "_terms")
 
     def __init__(self, frame: VariableFrame, terms=None):
-        object.__setattr__(self, "frame", frame)
         clean = {}
         if terms:
-            width = frame.num_slots
             for mono, coeff in terms.items():
-                if len(mono) != width:
-                    raise ValueError("monomial width does not match frame")
+                mono = tuple(mono)
                 c = as_scalar(coeff)
                 if c is None:
                     raise TypeError(f"bad coefficient {coeff!r}")
                 if c:
-                    mono = tuple(mono)
                     prev = clean.get(mono)
                     clean[mono] = c if prev is None else prev + c
             clean = {m: c for m, c in clean.items() if c}
-        object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def _trusted(cls, frame, terms):
-        """A Poly over a dict that is already clean: full-width tuple
-        monomials, GaussRational coefficients, none of them zero."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "frame", frame)
-        object.__setattr__(p, "terms", terms)
-        return p
+        if clean:
+            check_degree(max(map(sum, clean)), "monomial")
+        pack = _fields(frame.num_slots).pack
+        try:
+            keys = [int.from_bytes(pack(*mono), "little") for mono in clean]
+        except StructError:
+            raise ValueError(f"monomials need {frame.num_slots} nonnegative integer "
+                             "exponents") from None
+        # numerators over the lcm of canonical denominators have content 1
+        den, nums = common_numerators(clean.values()) if clean else (1, [])
+        _init(self, frame, dict(zip(keys, nums)), den, MappingProxyType(clean))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -84,47 +131,59 @@ class Poly:
 
     @classmethod
     def zero(cls, frame):
-        return cls(frame, {})
+        return _poly(frame, {}, 1)
 
     @classmethod
     def constant(cls, frame, c):
-        return cls(frame, {(0,) * frame.num_slots: c})
+        s = as_scalar(c)
+        if s is None:
+            raise TypeError(f"bad coefficient {c!r}")
+        a, b, d = triple(s)
+        return _poly(frame, {0: (a, b)}, d) if s else Poly.zero(frame)
 
     @classmethod
     def variable(cls, frame, name):
         kind, _ = frame.kind_of(name)
         slot = frame.z_slot(name) if kind == "c" else frame.real_slot(name)
-        mono = [0] * frame.num_slots
-        mono[slot] = 1
-        return cls(frame, {tuple(mono): ONE})
+        return _poly(frame, {1 << slot * EXP_BITS: (1, 0)}, 1)
 
     @classmethod
     def conj_variable(cls, frame, name):
-        mono = [0] * frame.num_slots
-        mono[frame.zbar_slot(name)] = 1
-        return cls(frame, {tuple(mono): ONE})
+        return _poly(frame, {1 << frame.zbar_slot(name) * EXP_BITS: (1, 0)}, 1)
+
+    @property
+    def terms(self):
+        "Read-only {dense exponent tuple: GaussRational} view of the terms."
+        view = self._terms
+        if view is None:
+            unpack, den = _unpacker(self.frame.num_slots), self.den
+            view = MappingProxyType({unpack(key): from_triple(a, b, den)
+                                     for key, (a, b) in self.nums.items()})
+            _set(self, "_terms", view)
+        return view
 
     # -- protocol ------------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.frame == other.frame and self.terms == other.terms
+            return (self.frame == other.frame and self.den == other.den
+                    and self.nums == other.nums)
         c = as_scalar(other)
-        if c is not None:
-            return self == Poly.constant(self.frame, c)
-        return NotImplemented
+        if c is None:
+            return NotImplemented
+        a, b, d = triple(c)
+        return self.den == d and self.nums == ({0: (a, b)} if c else {})
 
     def __hash__(self):
         if self.is_constant():
             return hash(self.constant_value())  # equal to that scalar, so hash like it
-        return hash((self.frame, frozenset(self.terms.items())))
+        return hash((self.frame, self.den, frozenset(self.nums.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __repr__(self):
-        from .parser import format_poly
-        return f"<Poly {format_poly(self)}>"
+        return f"<Poly {self}>"
 
     def __str__(self):
         from .parser import format_poly
@@ -146,23 +205,17 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            prev = terms.get(mono)
-            if prev is None:
-                terms[mono] = coeff
-            else:
-                acc = prev + coeff
-                if acc:
-                    terms[mono] = acc
-                else:
-                    del terms[mono]
-        return Poly._trusted(self.frame, terms)
+        d1, d2 = self.den, other.den
+        den = d1 if d1 == d2 else lcm(d1, d2)
+        parts = [((den // d1, 0), self.nums), ((den // d2, 0), other.nums)]
+        if len(other.nums) > len(self.nums):
+            parts.reverse()  # copy the larger side
+        return _reduced(self.frame, _gauss_sum(parts), den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._trusted(self.frame, {m: -c for m, c in self.terms.items()})
+        return self._scaled(-1, 0, 1)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -174,107 +227,96 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
+        if not isinstance(other, Poly):
+            c = as_scalar(other)
+            if c is None:
+                return NotImplemented
+            return self._scaled(*triple(c)) if c else Poly.zero(self.frame)
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = {}
-        get = terms.get
-        right = list(other.terms.items())
-        for ma, ca in self.terms.items():
-            for mb, cb in right:
-                m = tuple(map(add, ma, mb))
-                prev = get(m)
-                # a product of nonzero scalars is nonzero; only sums can cancel
-                terms[m] = ca * cb if prev is None else prev + ca * cb
-        return Poly._trusted(self.frame, {m: c for m, c in terms.items() if c})
+        check_products(len(self.nums) * len(other.nums), "product")
+        check_degree(self.degree() + other.degree(), "product")
+        return _reduced(self.frame, _nonzero(_gauss_mul(self.nums, other.nums, {})),
+                        self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         c = as_scalar(other)
-        if c is None and isinstance(other, Poly):
-            if other.is_constant():
-                c = other.constant_value()
+        if c is None and isinstance(other, Poly) and other.is_constant():
+            c = other.constant_value()
         if c is None:
             return NotImplemented
         if not c:
             raise ZeroDivisionError("division by zero scalar")
-        inv = ONE / c
-        return Poly(self.frame, {m: k * inv for m, k in self.terms.items()})
+        # 1/c = d (a - b i) / (a^2 + b^2) for c = (a + b i)/d
+        a, b, d = triple(c)
+        return self._scaled(d * a, -d * b, a * a + b * b)
+
+    def _scaled(self, a, b, d):
+        "self (a + b i) / d for a nonzero Gaussian integer a + b i and d > 0."
+        return _reduced(self.frame, _gauss_sum([((a, b), self.nums)]), self.den * d)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        if self.nums:
+            check_degree(self.degree() * n, "power")
         out = Poly.constant(self.frame, 1)
         base = self
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     # -- structure -----------------------------------------------------
 
     def is_constant(self) -> bool:
-        return all(mono_degree(m) == 0 for m in self.terms)
+        return not self.nums or (len(self.nums) == 1 and 0 in self.nums)
 
     def constant_value(self) -> GaussRational:
-        zero_mono = (0,) * self.frame.num_slots
-        return self.terms.get(zero_mono, ZERO)
+        ab = self.nums.get(0)
+        return ZERO if ab is None else from_triple(*ab, self.den)
 
     def degree(self) -> int:
         "Total degree; -1 for the zero polynomial."
-        if not self.terms:
-            return -1
-        return max(mono_degree(m) for m in self.terms)
+        return max(_degrees(self), default=-1)
 
     def is_homogeneous(self) -> bool:
-        degs = {mono_degree(m) for m in self.terms}
-        return len(degs) <= 1
+        return len(set(_degrees(self))) <= 1
 
     def homogeneous_parts(self):
         "Dict degree -> homogeneous Poly; sums back to self."
         parts = {}
-        for mono, coeff in self.terms.items():
-            parts.setdefault(mono_degree(mono), {})[mono] = coeff
-        return {d: Poly(self.frame, t) for d, t in sorted(parts.items())}
+        for (key, ab), d in zip(self.nums.items(), _degrees(self)):
+            parts.setdefault(d, {})[key] = ab
+        return {d: _reduced(self.frame, t, self.den) for d, t in sorted(parts.items())}
 
     def conjugate(self) -> "Poly":
-        n2 = 2 * self.frame.n
-        terms = {}
-        for mono, coeff in self.terms.items():
-            flipped = list(mono)
-            for j in range(0, n2, 2):
-                flipped[j], flipped[j + 1] = flipped[j + 1], flipped[j]
-            terms[tuple(flipped)] = coeff.conjugate()
-        return Poly._trusted(self.frame, terms)
+        # swap each z field with the conj(z) field above it; real slots stay
+        low = 2 * self.frame.n * EXP_BITS
+        z = sum(MAX_DEGREE << sh for sh in range(0, low, 2 * EXP_BITS))
+        nums = {(k & z) << EXP_BITS | k >> EXP_BITS & z | k >> low << low: (a, -b)
+                for k, (a, b) in self.nums.items()}
+        return _poly(self.frame, nums, self.den)
 
     def is_real_valued(self) -> bool:
         return self == self.conjugate()
 
     def uses_slot(self, slot: int) -> bool:
-        return any(m[slot] for m in self.terms)
+        shift = slot * EXP_BITS
+        return any(k >> shift & MAX_DEGREE for k in self.nums)
 
     def is_holomorphic_in(self, name: str) -> bool:
         "No conj(name) slot appears; name must be a complex coordinate."
         return not self.uses_slot(self.frame.zbar_slot(name))
 
-    def sorted_terms(self):
-        "Terms in the canonical (graded lex, descending) order."
-        return sorted(self.terms.items(), key=lambda kv: mono_order_key(kv[0]))
-
     # -- calculus ------------------------------------------------------
 
     def _slot_derivative(self, slot: int) -> "Poly":
-        # distinct monomials stay distinct after lowering one slot, and a
-        # nonzero coefficient times a positive exponent is nonzero
-        terms = {}
-        for mono, coeff in self.terms.items():
-            e = mono[slot]
-            if e:
-                terms[mono[:slot] + (e - 1,) + mono[slot + 1:]] = coeff * e
-        return Poly._trusted(self.frame, terms)
+        return _reduced(self.frame, _derivative(self.nums, slot), self.den)
 
     def wirtinger(self, name: str, conjugate: bool = False) -> "Poly":
         "d/dz_name, or d/dconj(z_name) when conjugate is set."
@@ -287,59 +329,37 @@ class Poly:
 
     # -- evaluation ----------------------------------------------------
 
-    def _slot_values(self, point, numeric=False):
-        frame = self.frame
-        values = []
-        for name in frame.complex_names:
-            if name not in point:
-                raise KeyError(f"no value for coordinate {name!r}")
-            v = point[name]
-            if numeric:
-                v = complex(v)
-                values.extend([v, v.conjugate()])
-            else:
-                s = as_scalar(v)
-                if s is None:
-                    raise TypeError(f"value for {name!r} is not exact")
-                values.extend([s, s.conjugate()])
-        for name in frame.real_names:
-            if name not in point:
-                raise KeyError(f"no value for coordinate {name!r}")
-            v = point[name]
-            if numeric:
-                values.append(complex(v))
-            else:
-                s = as_scalar(v)
-                if s is None:
-                    raise TypeError(f"value for {name!r} is not exact")
-                if s.im != 0:
-                    raise ValueError(f"real coordinate {name!r} needs a real value")
-                values.append(s)
-        return values
-
     def evaluate(self, point) -> GaussRational:
         """Exact evaluation.  point maps coordinate names to scalars; a
         complex coordinate takes one value, its conjugate slot gets the
         conjugate automatically."""
-        values = self._slot_values(point)
-        total = ZERO
-        for mono, coeff in self.terms.items():
-            term = coeff
-            for slot, e in enumerate(mono):
-                if e:
-                    term = term * values[slot] ** e
-            total = total + term
-        return total
+        return self._evaluate(point, False)
 
     def evaluate_float(self, point) -> complex:
-        values = self._slot_values(point, numeric=True)
-        total = 0j
+        return self._evaluate(point, True)
+
+    def _evaluate(self, point, numeric):
+        frame = self.frame
+        values = []
+        for name in frame.complex_names + frame.real_names:
+            if name not in point:
+                raise KeyError(f"no value for coordinate {name!r}")
+            v = complex(point[name]) if numeric else as_scalar(point[name])
+            if v is None:
+                raise TypeError(f"value for {name!r} is not exact")
+            if frame.kind_of(name)[0] == "c":
+                values += [v, v.conjugate()]
+            elif numeric or v.is_real():
+                values.append(v)
+            else:
+                raise ValueError(f"real coordinate {name!r} needs a real value")
+        total = 0j if numeric else ZERO
         for mono, coeff in self.terms.items():
-            term = complex(coeff)
-            for slot, e in enumerate(mono):
+            term = complex(coeff) if numeric else coeff
+            for v, e in zip(values, mono):
                 if e:
-                    term *= values[slot] ** e
-            total += term
+                    term = term * v ** e
+            total = total + term
         return total
 
     # -- substitution --------------------------------------------------
@@ -350,12 +370,12 @@ class Poly:
         and conjugate slots are substituted independently: the caller is
         responsible for keeping images conjugate-consistent.
 
-        The expansion runs on Gaussian-integer numerators: image s over
-        its own denominator D_s, each term over one common denominator
-        (the lcm of d_alpha prod D_s^alpha_s), monomials packed into
-        integers so that a monomial product is one addition, and one
-        reduction per output term."""
-        top = [max(col) for col in zip(*self.terms)]  # highest exponent of each slot
+        Image s is numerators over its denominator D_s; the term with
+        numerator c_alpha expands as c_alpha prod_s (image s numerators)
+        ** alpha_s over D prod_s D_s ** alpha_s, every term is brought to
+        the lcm of those denominators, and the output is reduced once."""
+        exps = list(map(_unpacker(self.frame.num_slots), self.nums))
+        top = [max(col) for col in zip(*exps)]  # highest exponent of each slot
         used = {}
         for s, e in enumerate(top):
             if e:
@@ -365,83 +385,105 @@ class Poly:
                 if img.frame != target_frame:
                     raise FrameMismatch("image lives on another frame")
                 used[s] = img
-        # an output exponent never exceeds the output degree
-        packing = Packing(target_frame,
-                          self.degree() * max([img.degree() for img in used.values()] + [0]))
-        dens, powers = {}, {}  # powers[s, e]: numerators of images[s] ** e over dens[s] ** e
+        check_degree(self.degree() * max([img.degree() for img in used.values()] + [0]),
+                     "substitution")
+        spent = 0
+
+        def mul(p, q, out):
+            nonlocal spent
+            spent += len(p) * len(q)
+            check_products(spent, "substitution")
+            return _gauss_mul(p, q, out)
+
+        powers = {}  # powers[s, e]: numerators of images[s] ** e over D_s ** e
         for s, img in used.items():
-            dens[s], powers[s, 1] = packing.pack(img)
+            powers[s, 1] = img.nums
             for e in range(2, top[s] + 1):
-                powers[s, e] = _gauss_mul(powers[s, e - 1], powers[s, 1], {})
-        scaled = []
-        D = 1
-        for mono, c in self.terms.items():
-            a, b, d = triple(c)
-            factors = []
-            for s, e in enumerate(mono):
-                if e:
-                    d *= dens[s] ** e
-                    factors.append(powers[s, e])
-            scaled.append((a, b, d, factors))
-            D = lcm(D, d)
+                powers[s, e] = mul(powers[s, e - 1], img.nums, {})
+        dens = [prod(used[s].den ** e for s, e in enumerate(mono) if e) for mono in exps]
+        D = lcm(*dens)
         acc = {}
-        for a, b, d, factors in scaled:
+        for (a, b), mono, d in zip(self.nums.values(), exps, dens):
             k = D // d
-            part = {0: [a * k, b * k]}
-            last = factors.pop() if factors else {0: [1, 0]}
-            for f in factors:
-                part = _gauss_mul(part, f, {})
-            _gauss_mul(part, last, acc)
-        return packing.unpack(acc, D)
+            part = {0: (a * k, b * k)}
+            factors = [powers[s, e] for s, e in enumerate(mono) if e] or [{0: (1, 0)}]
+            for f in factors[:-1]:
+                part = mul(part, f, {})
+            mul(part, factors[-1], acc)
+        return _reduced(target_frame, _nonzero(acc), self.den * D)
 
 
-class Packing:
-    """Monomials of one frame packed into integers, for the integer
-    kernels (substitute, the conformality bracket).  Slot s's exponent is
-    the bit field at shifts[s], wide enough that exponents up to `bound`
-    add without carries, so a monomial product is one integer addition.
-    Numerators are {packed monomial: [a, b]} dicts of Gaussian integers
-    a + b*i over one denominator."""
+# ---------------------------------------------------------------------
+# the packed kernels: numerators are {packed monomial: (a, b)} dicts of
+# Gaussian integers over a denominator kept by the caller
 
-    __slots__ = ("frame", "shifts", "mask")
 
-    def __init__(self, frame: VariableFrame, bound: int):
-        bits = max(bound, 1).bit_length()
-        self.frame = frame
-        self.shifts = range(0, bits * frame.num_slots, bits)
-        self.mask = (1 << bits) - 1
+def _init(p, frame, nums, den, terms=None):
+    _set(p, "frame", frame)
+    _set(p, "nums", nums)
+    _set(p, "den", den)
+    _set(p, "_terms", terms)
 
-    def pack(self, p: Poly):
-        "(D, numerators): p's terms as numerators over D, the lcm of their denominators."
-        D, nums = common_numerators(p.terms.values())
-        shifts = self.shifts
-        return D, {sum(map(lshift, mono, shifts)): [a, b]
-                   for mono, (a, b) in zip(p.terms, nums)}
 
-    def unpack(self, nums, D: int) -> Poly:
-        "The Poly nums / D: one reduction per nonzero term."
-        shifts, mask = self.shifts, self.mask
-        terms = {}
-        for key, (a, b) in nums.items():
-            if a or b:
-                terms[tuple([key >> sh & mask for sh in shifts])] = from_triple(a, b, D)
-        return Poly._trusted(self.frame, terms)
+def _poly(frame, nums, den) -> Poly:
+    "A Poly over canonical numerators: no zeros, content 1 with den."
+    p = _new(Poly)
+    _init(p, frame, nums, den)
+    return p
 
-    def derivative(self, nums, slot: int):
-        "d/dslot of numerators, over the same denominator."
-        shift, mask = self.shifts[slot], self.mask
-        one = 1 << shift
-        out = {}
-        for key, (a, b) in nums.items():
-            e = key >> shift & mask
-            if e:
-                out[key - one] = [a * e, b * e]
-        return out
+
+def _nonzero(acc):
+    "The entries of an accumulator that are not zero, as (a, b) pairs."
+    return {k: (a, b) for k, (a, b) in acc.items() if a or b}
+
+
+def _reduced(frame, nums, den) -> Poly:
+    "The Poly nums / den for numerators with no zero entries: the common content divided out."
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(nums.values()))
+        if g != 1:
+            nums = {k: (a // g, b // g) for k, (a, b) in nums.items()}
+            den //= g
+    return _poly(frame, nums, den)
+
+
+def linear_form(frame, coeffs, den) -> Poly:
+    "sum_s (a_s + b_s i) slot_s / den for Gaussian-integer pairs coeffs[s]."
+    return _reduced(frame, _nonzero({1 << s * EXP_BITS: ab for s, ab in enumerate(coeffs)}), den)
+
+
+def _gauss_sum(parts):
+    """sum w p over (w, p) pairs of Gaussian-integer weights w = (a, b)
+    and numerators p with no zero entries; entries that cancel are
+    dropped.  A leading part of weight 1 is copied, not walked."""
+    out = {}
+    get = out.get
+    for (a, b), p in parts:
+        if not (a or b):
+            continue
+        if not out and a == 1 and not b:
+            out = dict(p)
+            get = out.get
+            continue
+        for k, (x, y) in p.items():
+            if b or a != 1:
+                x, y = a * x - b * y, a * y + b * x
+            prev = get(k)
+            if prev is None:
+                out[k] = (x, y)
+            else:
+                x += prev[0]
+                y += prev[1]
+                if x or y:
+                    out[k] = (x, y)
+                else:
+                    del out[k]
+    return out
 
 
 def _gauss_mul(p, q, out):
-    """Add the product of two {packed monomial: [a, b]} Gaussian-integer
-    polynomials into out, and return out."""
+    """Add the product of two numerator dicts into out, an accumulator
+    of [re, im] lists, and return out."""
     right = list(q.items())
     get = out.get
     for k1, (a1, b1) in p.items():
@@ -458,7 +500,31 @@ def _gauss_mul(p, q, out):
     return out
 
 
+def _derivative(nums, slot: int):
+    "d/dslot of numerators, over the same denominator."
+    shift = slot * EXP_BITS
+    one = 1 << shift
+    out = {}
+    for key, (a, b) in nums.items():
+        e = key >> shift & MAX_DEGREE
+        if e:
+            out[key - one] = (a * e, b * e)
+    return out
+
+
 # ---------------------------------------------------------------------
+
+
+def same_name_images(frame: VariableFrame, target: VariableFrame, skip=None) -> dict:
+    "Substitution images sending each slot of frame, but skip's, to target's slot of that name."
+    images = {}
+    for name in frame.complex_names:
+        if name != skip:
+            images[frame.z_slot(name)] = Poly.variable(target, name)
+            images[frame.zbar_slot(name)] = Poly.conj_variable(target, name)
+    for name in frame.real_names:
+        images[frame.real_slot(name)] = Poly.variable(target, name)
+    return images
 
 
 def rename_onto(p: Poly, target: VariableFrame) -> Poly:
@@ -470,13 +536,7 @@ def rename_onto(p: Poly, target: VariableFrame) -> Poly:
     for name in p.frame.real_names:
         if name not in target.real_names:
             raise FrameMismatch(f"target frame has no real coordinate {name!r}")
-    images = {}
-    for name in p.frame.complex_names:
-        images[p.frame.z_slot(name)] = Poly.variable(target, name)
-        images[p.frame.zbar_slot(name)] = Poly.conj_variable(target, name)
-    for name in p.frame.real_names:
-        images[p.frame.real_slot(name)] = Poly.variable(target, name)
-    return p.substitute(target, images)
+    return p.substitute(target, same_name_images(p.frame, target))
 
 
 class PolyVector:
@@ -496,17 +556,6 @@ class PolyVector:
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyVector is immutable")
-
-    def __getitem__(self, k):
-        return self.components[k]
-
-    def __len__(self):
-        return len(self.components)
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyVector):
-            return NotImplemented
-        return self.frame == other.frame and self.components == other.components
 
     def dot(self, other: "PolyVector") -> Poly:
         "Bilinear product sum_k a_k b_k, no conjugation."

@@ -10,7 +10,7 @@ time.
 
 from __future__ import annotations
 
-from .poly import Poly, rename_onto
+from .poly import Poly, rename_onto, same_name_images
 
 
 def reduce_along(f: Poly, coord: str) -> Poly:
@@ -24,15 +24,8 @@ def reduce_along(f: Poly, coord: str) -> Poly:
     if not f.is_holomorphic_in(coord):
         raise ValueError(f"conj({coord}) appears; reduction needs holomorphy in {coord!r}")
     target = frame.drop_complex(coord)
-    images = {}
-    for name in frame.complex_names:
-        if name == coord:
-            images[frame.z_slot(name)] = Poly.constant(target, 1)
-        else:
-            images[frame.z_slot(name)] = Poly.variable(target, name)
-            images[frame.zbar_slot(name)] = Poly.conj_variable(target, name)
-    for name in frame.real_names:
-        images[frame.real_slot(name)] = Poly.variable(target, name)
+    images = same_name_images(frame, target, skip=coord)
+    images[frame.z_slot(coord)] = Poly.constant(target, 1)
     return f.substitute(target, images)
 
 

@@ -1,17 +1,18 @@
 """Shared oracles, independent of the code paths they check:
 finite-difference derivatives on float evaluations, a reference Q(i)
-scalar built on Fraction pairs, the real-gradient forms of the
-projected bracket, projected Laplacian and degree-2 matrix, the
-Poly-arithmetic bracket, Laplacian and family verification, the
-Poly-arithmetic substitution and isometry pull-back, and a real
-subspace that stores its basis as Fraction tuples."""
+scalar built on Fraction pairs, polynomial arithmetic on the
+{exponent tuple: GaussRational} term view, and on top of it the
+real-gradient forms of the projected bracket, projected Laplacian and
+degree-2 matrix, the bracket, Laplacian and family verification, the
+substitution and isometry pull-back, and a real subspace that stores
+its basis as Fraction tuples."""
 
 from fractions import Fraction
 
 from eigenforge.conformality import EigenData, FamilyReport, _family_degree, _slot_form
 from eigenforge.linalg import ComplexSubspace, Matrix, vec, vec_is_zero
 from eigenforge.poly import FrameMismatch, Poly, common_frame, slot_axes
-from eigenforge.scalars import ONE, GaussRational, I, as_scalar, scalar
+from eigenforge.scalars import ONE, ZERO, GaussRational, I, as_scalar, scalar
 
 
 def axis_shift(point, frame, axis, delta):
@@ -151,6 +152,74 @@ def ref_format(c):
     return f"{frac(re)}{'' if imtxt.startswith('-') else '+'}{imtxt}"
 
 
+# -- tuple-dict polynomial arithmetic -----------------------------------------
+#
+# Sums, products, powers, slot derivatives and conjugation term by term
+# on the {exponent tuple: GaussRational} view, one scalar operation per
+# term: the ring loops Poly ran before it stored packed Gaussian-integer
+# numerators.  A scalar argument stands for a constant; results go back
+# through the Poly constructor.
+
+
+def _ref_terms(x, frame):
+    if isinstance(x, Poly):
+        return x.terms
+    c = as_scalar(x)
+    return {(0,) * frame.num_slots: c} if c else {}
+
+
+def ref_add(p, q):
+    terms = dict(p.terms)
+    for mono, coeff in _ref_terms(q, p.frame).items():
+        terms[mono] = terms.get(mono, ZERO) + coeff
+    return Poly(p.frame, terms)
+
+
+def ref_neg(p):
+    return Poly(p.frame, {m: -c for m, c in p.terms.items()})
+
+
+def ref_sub(p, q):
+    return ref_add(p, ref_neg(Poly(p.frame, _ref_terms(q, p.frame))))
+
+
+def ref_mul(p, q):
+    "p * q; either side may be a scalar."
+    frame = p.frame if isinstance(p, Poly) else q.frame
+    terms = {}
+    for ma, ca in _ref_terms(p, frame).items():
+        for mb, cb in _ref_terms(q, frame).items():
+            m = tuple(a + b for a, b in zip(ma, mb))
+            terms[m] = terms.get(m, ZERO) + ca * cb
+    return Poly(frame, terms)
+
+
+def ref_pow(p, n):
+    out = Poly.constant(p.frame, 1)
+    for _ in range(n):
+        out = ref_mul(out, p)
+    return out
+
+
+def ref_slot_derivative(p, slot):
+    terms = {}
+    for mono, coeff in p.terms.items():
+        e = mono[slot]
+        if e:
+            terms[mono[:slot] + (e - 1,) + mono[slot + 1:]] = coeff * e
+    return Poly(p.frame, terms)
+
+
+def ref_conjugate(p):
+    terms = {}
+    for mono, coeff in p.terms.items():
+        flipped = list(mono)
+        for j in range(0, 2 * p.frame.n, 2):
+            flipped[j], flipped[j + 1] = flipped[j + 1], flipped[j]
+        terms[tuple(flipped)] = coeff.conjugate()
+    return Poly(p.frame, terms)
+
+
 # -- real-gradient references ----------------------------------------------
 #
 # The formulas the slot-form kappa(f, g, P), laplacian(f, P) and
@@ -160,14 +229,15 @@ def ref_format(c):
 
 def ref_real_gradient(p):
     "The real gradient as a list of m polynomials, (Re z, Im z) pairs first."
+    frame = p.frame
     comps = []
-    for name in p.frame.complex_names:
-        dz = p.wirtinger(name)
-        dzb = p.wirtinger(name, conjugate=True)
-        comps.append(dz + dzb)
-        comps.append((dz - dzb) * I)
-    for name in p.frame.real_names:
-        comps.append(p.real_partial(name))
+    for name in frame.complex_names:
+        dz = ref_slot_derivative(p, frame.z_slot(name))
+        dzb = ref_slot_derivative(p, frame.zbar_slot(name))
+        comps.append(ref_add(dz, dzb))
+        comps.append(ref_mul(ref_sub(dz, dzb), I))
+    for name in frame.real_names:
+        comps.append(ref_slot_derivative(p, frame.real_slot(name)))
     return comps
 
 
@@ -177,7 +247,7 @@ def ref_projected_kappa(f, g, P):
     out = Poly.zero(f.frame)
     for a in range(P.nrows):
         for b in range(P.ncols):
-            out = out + P[a, b] * gf[a] * gg[b]
+            out = ref_add(out, ref_mul(P[a, b], ref_mul(gf[a], gg[b])))
     return out
 
 
@@ -188,7 +258,7 @@ def ref_projected_laplacian(f, P):
     for a in range(P.nrows):
         row = ref_real_gradient(grad[a])
         for b in range(P.ncols):
-            out = out + P[a, b] * row[b]
+            out = ref_add(out, ref_mul(P[a, b], row[b]))
     return out
 
 
@@ -201,12 +271,12 @@ def ref_to_form(p):
     return Matrix(rows, ncols=m)
 
 
-# -- Poly-arithmetic bracket and Laplacian -----------------------------------
+# -- term-by-term bracket and Laplacian ---------------------------------------
 #
-# kappa, laplacian and the family verification as Poly sums and products
-# of GaussRational scalars, one kappa call (both members re-derived) per
-# pair: the formulas the packed Gaussian-integer kernel of
-# eigenforge.conformality replaced.
+# kappa, laplacian and the family verification as reference sums and
+# products of GaussRational scalars, one kappa call (both members
+# re-derived) per pair: the formulas the packed Gaussian-integer kernel
+# of eigenforge.conformality replaced.
 
 _TWO = scalar(2)
 
@@ -215,35 +285,39 @@ def ref_weighted_sum(frame, terms):
     "sum c p over the (c, p) terms, scaling once per distinct c."
     sums = {}
     for c, p in terms:
-        sums[c] = sums[c] + p if c in sums else p
-    return sum((p if c == ONE else c * p for c, p in sums.items()), Poly.zero(frame))
+        sums[c] = ref_add(sums[c], p) if c in sums else p
+    out = Poly.zero(frame)
+    for c, p in sums.items():
+        out = ref_add(out, p if c == ONE else ref_mul(c, p))
+    return out
 
 
 def ref_kappa(f, g, P=None):
-    "The bracket, or the gradient pairing through P, in Poly arithmetic."
+    "The bracket, or the gradient pairing through P, in reference arithmetic."
     if f.frame != g.frame:
         raise FrameMismatch("kappa needs a shared frame")
     form = _slot_form(f.frame, P)
     slots = {s for pair in form for s in pair}
-    df = {s: f._slot_derivative(s) for s in slots}
-    dg = df if g is f else {s: g._slot_derivative(s) for s in slots}
+    df = {s: ref_slot_derivative(f, s) for s in slots}
+    dg = df if g is f else {s: ref_slot_derivative(g, s) for s in slots}
 
     def terms():
         for (s, u), c in form.items():
             if s == u:
-                yield c, df[s] * dg[s]
+                yield c, ref_mul(df[s], dg[s])
             elif g is f:
-                yield _TWO * c, df[s] * df[u]
+                yield _TWO * c, ref_mul(df[s], df[u])
             else:
-                yield c, df[s] * dg[u] + df[u] * dg[s]
+                yield c, ref_add(ref_mul(df[s], dg[u]), ref_mul(df[u], dg[s]))
     return ref_weighted_sum(f.frame, terms())
 
 
 def ref_laplacian(f, P=None):
-    "The Laplacian, or trace(P Hess f), in Poly arithmetic."
+    "The Laplacian, or trace(P Hess f), in reference arithmetic."
     form = _slot_form(f.frame, P)
-    first = {s: f._slot_derivative(s) for s, _ in form}
-    return ref_weighted_sum(f.frame, ((c if s == u else _TWO * c, first[s]._slot_derivative(u))
+    first = {s: ref_slot_derivative(f, s) for s, _ in form}
+    return ref_weighted_sum(f.frame, ((c if s == u else _TWO * c,
+                                       ref_slot_derivative(first[s], u))
                                       for (s, u), c in form.items()))
 
 
@@ -257,24 +331,24 @@ def ref_verify_general_family(fs, data):
         return FamilyReport(None, [], {}, EigenData(lam, mu), None,
                             warning="empty family verifies vacuously")
     frame = common_frame(fs)
-    harm = [ref_laplacian(f) - lam * f for f in fs]
+    harm = [ref_sub(ref_laplacian(f), ref_mul(lam, f)) for f in fs]
     pairs = {}
     for i in range(len(fs)):
         for j in range(i, len(fs)):
-            pairs[(i, j)] = ref_kappa(fs[i], fs[j]) - mu * fs[i] * fs[j]
+            pairs[(i, j)] = ref_sub(ref_kappa(fs[i], fs[j]), ref_mul(mu, ref_mul(fs[i], fs[j])))
     return FamilyReport(frame, harm, pairs, EigenData(lam, mu), _family_degree(fs))
 
 
-# -- Poly-arithmetic substitution ------------------------------------------
+# -- term-by-term substitution -----------------------------------------------
 #
-# Substitution and the isometry pull-back as plain Poly sums and products
+# Substitution and the isometry pull-back as reference sums and products
 # of GaussRational scalars: the formulas the Gaussian-integer kernel of
 # Poly.substitute and the linear image table of apply_real_isometry
 # replaced.
 
 
 def ref_substitute(p, target_frame, images):
-    "sum_alpha c_alpha prod_s images[s] ** alpha_s in Poly arithmetic."
+    "sum_alpha c_alpha prod_s images[s] ** alpha_s in reference arithmetic."
     out = Poly.zero(target_frame)
     for mono, coeff in p.terms.items():
         term = Poly.constant(target_frame, coeff)
@@ -283,8 +357,8 @@ def ref_substitute(p, target_frame, images):
                 img = images.get(slot)
                 if img is None:
                     raise KeyError(f"no image for slot {p.frame.slot_label(slot)}")
-                term = term * img ** e
-        out = out + term
+                term = ref_mul(term, ref_pow(img, e))
+        out = ref_add(out, term)
     return out
 
 
@@ -303,7 +377,7 @@ def ref_apply_real_isometry(p, Q, target):
     axes = []  # Re z = (z + conj(z))/2, Im z = -i/2 (z - conj(z)), t
     for name in target.complex_names:
         z, zb = Poly.variable(target, name), Poly.conj_variable(target, name)
-        axes += [half * (z + zb), neg_half_i * (z - zb)]
+        axes += [ref_mul(half, ref_add(z, zb)), ref_mul(neg_half_i, ref_sub(z, zb))]
     axes += [Poly.variable(target, name) for name in target.real_names]
     back = []
     for a in range(frame.m):
@@ -311,13 +385,13 @@ def ref_apply_real_isometry(p, Q, target):
         for b in range(frame.m):
             c = Q[b, a]
             if c:
-                out = out + c * axes[b]
+                out = ref_add(out, ref_mul(c, axes[b]))
         back.append(out)
     images = {}
     for s, entries in enumerate(slot_axes(frame)):
         out = Poly.zero(target)
         for a, c in entries:
-            out = out + c * back[a]
+            out = ref_add(out, ref_mul(c, back[a]))
         images[s] = out
     return ref_substitute(p, target, images)
 

@@ -443,6 +443,22 @@ def test_verify_over_the_bracket_limit_exits_two(monkeypatch):
     assert err == "error: bracket needs 4 term products, over the limit of 3\n"
 
 
+def test_power_over_the_product_budget_exits_two(tmp_path):
+    # (z + conj(z))^2000 stops inside the parser's power, at the first
+    # product over the limit; ^1000 stays under it and verifies (false)
+    path = tmp_path / "power.efam"
+    path.write_text("family power\nframe complex z\nF = (z + conj(z))^2000\n")
+    start = time.perf_counter()
+    code, out, err = run(["verify", path])
+    assert time.perf_counter() - start < 3.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: product needs ")
+    assert err.endswith("term products, over the limit of 1000000\n")
+    path.write_text("family power\nframe complex z\nF = (z + conj(z))^1000\n")
+    code, out, err = run(["verify", path])
+    assert code == 1 and err == ""
+
+
 def test_construct_power_with_explicit_data():
     code, payload = run_json(
         ["construct", "power", entry_path("z1z2"), "--d", "2",

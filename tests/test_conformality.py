@@ -1,7 +1,7 @@
 """Bracket, Laplacian, eigen verification, sphere data, invariance.
 
 Independent checks back the bracket: the real-gradient dot product
-code path, a finite-difference oracle, and the Poly-arithmetic
+code path, a finite-difference oracle, and the term-by-term
 references that the packed integer kernel replaced.
 """
 
@@ -155,11 +155,11 @@ def test_kappa_and_laplacian_through_P_match_real_gradient_reference():
             kappa(f, g, Matrix.identity(m + 1))
 
 
-# -- the packed integer kernel against the Poly-arithmetic references -----
+# -- the packed integer kernel against the term-by-term references --------
 #
 # kappa, laplacian and verify_general_family run on Gaussian-integer
 # numerators with packed monomials; every residual must be term for term
-# what Poly arithmetic gives.
+# what the reference arithmetic in oracles.py gives.
 
 # n = 0, r = 0, both, and mixed frames
 KERNEL_FRAMES = [VariableFrame((), ()), VariableFrame(("z",), ()), C2,

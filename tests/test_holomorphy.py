@@ -316,7 +316,7 @@ def test_apply_real_isometry_rejects_non_orthogonal():
         apply_real_isometry(z, bad, C1)
 
 
-# -- the integer pull-back against the Poly-arithmetic reference -------
+# -- the integer pull-back against the term-by-term reference ----------
 
 # (complex names, real names): r = 0, n = 0 and mixed frames
 ISO_FRAMES = [(("z",), ()), (("z", "u"), ()), ((), ("s", "t", "v")), ((), ("s",)),

@@ -9,13 +9,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from eigenforge import poly
 from eigenforge.scalars import GaussRational, I, ONE, scalar
 from eigenforge.frames import VariableFrame
-from eigenforge.poly import FrameMismatch, Poly, real_gradient, rename_onto
+from eigenforge.poly import MAX_DEGREE, FrameMismatch, Poly, real_gradient, rename_onto
 
-from oracles import ref_substitute
+from oracles import (ref_add, ref_conjugate, ref_mul, ref_neg, ref_pow, ref_slot_derivative,
+                     ref_sub, ref_substitute)
 
 F2 = VariableFrame(("z", "u"), ("t",))
 
@@ -243,9 +245,9 @@ def test_rename_onto_enlarges_frame():
 
 # -- clean-dict invariant of the ring operations ---------------------------
 #
-# Sums, products, powers, derivatives and substitutions build their term
-# dicts directly instead of passing them through Poly.__init__.  The
-# result must be exactly what __init__ would make of it: full-width tuple
+# Sums, products, powers, derivatives and substitutions build their packed
+# numerators directly instead of passing through Poly.__init__.  Their term
+# view must be exactly what __init__ would make of it: full-width tuple
 # monomials and nonzero GaussRational coefficients.
 
 # coefficients from a small set, so sums cancel often
@@ -278,7 +280,22 @@ def test_derivatives_are_clean(p):
         assert_clean(comp)
 
 
+_H, _W = scalar(Fraction(1, 2)), scalar(Fraction(-1, 2), 3)
+
+
+# a degree-10 p and five images with 15 562 output terms: the expansion
+# below has to finish inside hypothesis's deadline
 @given(polys, st.lists(polys, min_size=F2.num_slots, max_size=F2.num_slots))
+@example(Poly(F2, {(2, 2, 2, 2, 2): 1, (2, 0, 2, 2, 0): _W, (1, 2, 0, 2, 0): 1,
+                   (0, 2, 2, 2, 0): -I}),
+         [Poly(F2, {(1, 2, 2, 0, 1): -I}),
+          Poly(F2, {(2, 0, 2, 1, 2): -1, (2, 2, 0, 0, 1): -I, (1, 0, 2, 1, 1): -I}),
+          Poly(F2, {(1, 0, 0, 1, 1): _W, (2, 2, 0, 0, 0): _H, (1, 2, 1, 2, 1): -1,
+                    (0, 1, 0, 0, 2): 1, (1, 1, 2, 1, 0): -I}),
+          Poly(F2, {(0, 2, 1, 2, 0): -I, (1, 2, 0, 0, 0): I, (2, 2, 0, 2, 0): _W,
+                    (1, 1, 1, 1, 0): _W, (0, 0, 1, 1, 0): _H}),
+          Poly(F2, {(1, 1, 2, 2, 2): I, (2, 1, 2, 2, 0): _W, (1, 2, 2, 2, 0): -1,
+                    (2, 0, 1, 1, 2): _W, (0, 1, 1, 1, 0): -1})])
 def test_substitute_is_clean_and_matches_expansion(p, imgs):
     images = dict(enumerate(imgs))
     sub = p.substitute(F2, images)
@@ -309,10 +326,81 @@ def test_poly_hash_agrees_with_scalars():
     assert hash(zvar("z") * 2) == hash(zvar("z") + zvar("z"))
 
 
-# -- Gaussian-integer substitution against the Poly-arithmetic reference --
+# -- packed storage against the tuple-dict reference -------------------------
+#
+# Poly stores Gaussian-integer numerators over one denominator with packed
+# monomials; every ring operation must give term for term what the
+# scalar-by-scalar loops on the exponent-tuple view give.
+
+fractional = st.builds(lambda a, b, d: scalar(Fraction(a, d), Fraction(b, d)),
+                       st.integers(-6, 6), st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 9]))
+dense = st.dictionaries(monos, st.one_of(coeffs, fractional), max_size=6).map(
+    lambda t: Poly(F2, t))
+
+
+@given(dense, dense, st.integers(0, 3), st.one_of(coeffs, fractional))
+def test_ring_operations_match_reference(p, q, k, c):
+    assert (p + q).terms == ref_add(p, q).terms
+    assert (p - q).terms == ref_sub(p, q).terms
+    assert (-p).terms == ref_neg(p).terms
+    assert (p * q).terms == ref_mul(p, q).terms
+    assert (c * p).terms == (p * c).terms == ref_mul(c, p).terms
+    assert (p + c).terms == ref_add(p, c).terms
+    assert (p ** k).terms == ref_pow(p, k).terms
+    assert p.conjugate().terms == ref_conjugate(p).terms
+    for slot in range(F2.num_slots):
+        assert p._slot_derivative(slot).terms == ref_slot_derivative(p, slot).terms
+    if c:
+        assert (p / c).terms == ref_mul(p, ONE / c).terms
+
+
+@given(dense, dense)
+def test_equality_and_hash_do_not_depend_on_construction(p, q):
+    r = (p + q) - q
+    assert r == p and hash(r) == hash(p)
+    rebuilt = Poly(F2, dict(p.terms))
+    assert rebuilt == p and hash(rebuilt) == hash(p)
+    assert p * q - q * p == 0
+    c = p.constant_value()
+    const = (p - p) + c
+    assert const == c and hash(const) == hash(c)
+
+
+def test_exponent_too_wide_raises():
+    with pytest.raises(ValueError, match="over the limit"):
+        Poly(F2, {(MAX_DEGREE, 1, 0, 0, 0): 1})
+    with pytest.raises(ValueError):
+        Poly(F2, {(-1, 0, 0, 0, 0): 1})
+    top = Poly(F2, {(MAX_DEGREE, 0, 0, 0, 0): 1})
+    with pytest.raises(ValueError, match="product would have degree"):
+        top * zvar("u")
+    with pytest.raises(ValueError, match="power would have degree"):
+        zvar("z") ** (MAX_DEGREE + 1)
+    images = {s: zvar("z") ** 2 for s in range(F2.num_slots)}
+    with pytest.raises(ValueError, match="substitution would have degree"):
+        (zvar("u") ** (MAX_DEGREE // 2 + 1)).substitute(F2, images)
+    assert (top * 1).degree() == MAX_DEGREE
+
+
+def test_products_over_the_budget_raise_before_multiplying(monkeypatch):
+    p = zvar("z") + zvar("u") + 1  # three terms
+    monkeypatch.setattr(poly, "PRODUCT_LIMIT", 9)
+    q = p * p  # 3 x 3 = 9 term products: at the limit
+    assert q.terms == ref_mul(p, p).terms and len(q.terms) == 6
+    monkeypatch.setattr(poly, "_gauss_mul", None)  # any product would fail
+    with pytest.raises(ValueError, match="product needs 18 term products, over the limit of 9"):
+        p * q
+    with pytest.raises(ValueError, match="product needs 36 term products"):
+        q ** 2
+    monkeypatch.setattr(poly, "PRODUCT_LIMIT", 2)
+    with pytest.raises(ValueError, match="substitution needs 9 term products"):
+        q.substitute(F2, {s: p for s in range(F2.num_slots)})
+
+
+# -- Gaussian-integer substitution against the term-by-term reference -------
 #
 # Substitution expands over integer numerators with packed monomials; the
-# result must be term for term what plain Poly arithmetic gives.
+# result must be term for term what the reference arithmetic gives.
 
 DST = VariableFrame(("w",), ("s", "r"))
 
