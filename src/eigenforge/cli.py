@@ -27,7 +27,6 @@ from fractions import Fraction
 
 from .scalars import GaussRational
 from .frames import VariableFrame
-from .poly import FrameMismatch
 from .parser import (FamilySource, ParseError, format_family, format_poly,
                      format_scalar, load_family, parse_poly)
 from .conformality import (EigenData, power_family, sphere_data, sphere_eigen_data,
@@ -70,7 +69,7 @@ def _jsonable(v):
     return str(v)
 
 
-def _emit(payload, args):
+def _emit(payload):
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
@@ -121,7 +120,7 @@ def cmd_verify(args) -> int:
         }
         payload["sphere"] = sphere
     if args.json:
-        _emit(payload, args)
+        _emit(payload)
         return 0 if report.verdict else 1
     degree = report.degree if report.degree is not None else "mixed"
     plural = "s" if len(fs) != 1 else ""
@@ -170,7 +169,7 @@ def cmd_analyze(args) -> int:
             "kernel_dim": witness.kernel.dim,
         }
     if args.json:
-        _emit(payload, args)
+        _emit(payload)
         return 0
     plural = "s" if len(fs) != 1 else ""
     print(f"family {source.name} on {_frame_label(source.frame)} ({len(fs)} member{plural})")
@@ -209,7 +208,7 @@ def cmd_reduce(args) -> int:
             "eigenfamily_after": after,
             "family": _family_json(out),
         }
-        _emit(payload, args)
+        _emit(payload)
     else:
         print(f"eigenfamily before: {'true' if before else 'false'}, "
               f"after: {'true' if after else 'false'}")
@@ -235,7 +234,7 @@ def cmd_deg2_construct(args) -> int:
             "family": _family_json(out),
             "verdict": verdict,
         }
-        _emit(payload, args)
+        _emit(payload)
     else:
         print(f"verdict: {'true' if verdict else 'false'}")
         _write_family(out, args)
@@ -268,7 +267,7 @@ def cmd_deg2_decompose(args) -> int:
             "entries": [[float(x) for x in row] for row in dec.isometry],
         }
     if args.json:
-        _emit(payload, args)
+        _emit(payload)
         return 0
     print(f"subspace type: n = {t.n}, k = {t.k}, delta = {t.delta}")
     print(f"exact: {'true' if dec.exact else 'false (numeric tail, data re-rationalized)'}")
@@ -306,7 +305,7 @@ def _finish_constructed(name, frame, fam, args, extra=None) -> int:
         }
         if extra:
             payload.update(extra)
-        _emit(payload, args)
+        _emit(payload)
     else:
         if extra:
             for key, value in extra.items():
@@ -396,7 +395,7 @@ def cmd_catalog_list(args) -> int:
             "expects": {k: _jsonable(v) for k, v in source.expects.items()},
         })
     if args.json:
-        _emit({"command": "catalog-list", "entries": rows}, args)
+        _emit({"command": "catalog-list", "entries": rows})
         return 0
     width = max(len(r["name"]) for r in rows) if rows else 0
     for r in rows:
@@ -425,7 +424,7 @@ def cmd_catalog_run(args) -> int:
                       f"got {_jsonable(o.actual)}")
     if args.json:
         _emit({"command": "catalog-run", "entries": payload_entries,
-               "ok": all_ok}, args)
+               "ok": all_ok})
     else:
         print(f"catalog: {'all expectations hold' if all_ok else 'FAILURES'}")
     return 0 if all_ok else 1
@@ -527,14 +526,11 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (FrameMismatch, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
+    except json.JSONDecodeError as exc:  # a ValueError, so caught first
         print(f"error: bad JSON input: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as exc:  # FrameMismatch is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:
         print(f"error: missing field {exc}", file=sys.stderr)

@@ -42,7 +42,8 @@ from .scalars import (GaussRational, ONE, ZERO, as_scalar, common_numerators, fo
                       scalar)
 from .frames import VariableFrame
 from .poly import (PRODUCT_LIMIT, FrameMismatch, Poly, _derivative, _gauss_mul, _gauss_sum,
-                   _nonzero, _reduced, check_degree, check_products, common_frame, slot_axes)
+                   _nonzero, _reduced, check_degree, check_products, common_frame, quadratic,
+                   slot_axes)
 
 TWO = scalar(2)
 
@@ -163,12 +164,9 @@ def laplacian(f: Poly, P=None) -> Poly:
 
 def norm_squared(frame: VariableFrame) -> Poly:
     "|x|^2 = sum z_j conj(z_j) + sum t_k^2, the frame's radius squared."
-    out = Poly.zero(frame)
-    for name in frame.complex_names:
-        out = out + Poly.variable(frame, name) * Poly.conj_variable(frame, name)
-    for name in frame.real_names:
-        out = out + Poly.variable(frame, name) ** 2
-    return out
+    pairs = {(2 * j, 2 * j + 1): ONE for j in range(frame.n)}
+    pairs.update({(s, s): ONE for s in range(2 * frame.n, frame.m)})
+    return quadratic(frame, pairs)
 
 
 # ---------------------------------------------------------------------

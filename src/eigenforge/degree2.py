@@ -10,14 +10,16 @@ isotropic range inside every kernel, which yields axes of holomorphy.
 Full eigenpairs {F1, F2} are classified by data
 ((n, k, delta), (P1, P2, A), (Y, C, v)): on C^n + C^k + R^delta,
 
-    F1 = P1(z) + sum_ij z_i A_ij w_j
-    F2 = P2(z) + sum_ij z_i A_ij (sum_l X_jl w_l + sum_l Y_jl conj(w_l)
-                                  + i v_j t)
+    F1 = P1(z) + z^T A w
+    F2 = P2(z) + z^T A (X w + Y conj(w) + i v t)
 
-with X = (C - vv^T/4) Y^{-1}.  With that scaling (note the factor i on
-the t coupling) the construction verifies exactly on the standard
-metric and reproduces the known worked examples; kappa(F2, F2) = 0 is
-equivalent to XY = C - vv^T/4, kappa(F1, F2) = 0 to antisymmetry of Y.
+with X = (C - vv^T/4) Y^{-1}: the z_i w_l, z_i conj(w_l) and z_i t
+coefficients of F2 are row i of A X, A Y and i A v, built as matrix
+entries by the slot-pair codec poly.quadratic.  With that scaling (note
+the factor i on the t coupling) the construction verifies exactly on
+the standard metric and reproduces the known worked examples;
+kappa(F2, F2) = 0 is equivalent to XY = C - vv^T/4, kappa(F1, F2) = 0
+to antisymmetry of Y.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import NamedTuple
 
 from .scalars import GaussRational, ZERO, ONE, as_scalar, rational_sqrt, scalar
 from .frames import VariableFrame
-from .poly import Poly, axis_polynomials, slot_axes
+from .poly import Poly, axis_slots, quadratic, quadratic_pairs, slot_axes
 from .linalg import (
     ComplexSubspace,
     Matrix,
@@ -57,13 +59,10 @@ def to_form(p: Poly) -> Deg2Form:
     """Half the constant Hessian; p must be homogeneous of degree 2 (or 0).
     A term c slot_s slot_u adds the symmetric part of c D_s D_u^T, for
     the slot <-> axis table D of poly.slot_axes."""
-    if p != 0 and (not p.is_homogeneous() or p.degree() != 2):
-        raise ValueError("quadratic form needs a homogeneous degree-2 polynomial")
     m = p.frame.m
     table = slot_axes(p.frame)
     A = [[ZERO] * m for _ in range(m)]
-    for mono, c in p.terms.items():
-        s, u = [slot for slot, e in enumerate(mono) for _ in range(e)]
+    for (s, u), c in quadratic_pairs(p).items():
         for a, ca in table[s]:
             for b, cb in table[u]:
                 x = c * ca * cb / 2
@@ -73,14 +72,17 @@ def to_form(p: Poly) -> Deg2Form:
 
 
 def from_form(f: Deg2Form) -> Poly:
-    axes = axis_polynomials(f.frame)
-    out = Poly.zero(f.frame)
-    for a in range(f.A.nrows):
-        for b in range(f.A.ncols):
-            c = f.A[a, b]
+    """x^T A x in the slots: entry A_ab adds c_s c_u A_ab to the pair
+    (s, u) for x_a = sum c_s slot_s and x_b = sum c_u slot_u."""
+    table = axis_slots(f.frame)
+    pairs = {}
+    for a, row in enumerate(f.A.rows):
+        for b, c in enumerate(row):
             if c:
-                out = out + c * axes[a] * axes[b]
-    return out
+                for s, cs in table[a]:
+                    for u, cu in table[b]:
+                        pairs[s, u] = pairs.get((s, u), ZERO) + c * cs * cu
+    return quadratic(f.frame, pairs)
 
 
 def _coerce_forms(forms):
@@ -278,41 +280,30 @@ def twist_x_matrix(td: TwistingData) -> Matrix:
 
 def construct_eigenpair(t: SubspaceType, pd: PolynomialData, td: TwistingData,
                         names=None):
-    """Build the eigenpair (F1, F2) for valid data.  The output always
-    passes verify_flat_family."""
+    """Build the eigenpair (F1, F2) for valid data from coefficient
+    matrices: P1 and P2 keep their slot pairs (z_i has slot 2i in both
+    frames), F1 adds A_il on (z_i, w_l), and F2 adds row i of A X on
+    (z_i, w_l), of A Y on (z_i, conj(w_l)) and of i A v on (z_i, t).  The
+    output always passes verify_flat_family."""
     t.validate()
     pd.validate(t)
     td.validate(t)
     frame = default_frame(t, names)
     n, k = t.n, t.k
-    z = [Poly.variable(frame, frame.complex_names[i]) for i in range(n)]
-    w = [Poly.variable(frame, frame.complex_names[n + j]) for j in range(k)]
-    wb = [Poly.conj_variable(frame, frame.complex_names[n + j]) for j in range(k)]
-    t_poly = Poly.variable(frame, "t") if t.delta else Poly.zero(frame)
-    X = twist_x_matrix(td)
-
-    def lift(p):
-        images = {}
-        for i, name in enumerate(p.frame.complex_names):
-            images[p.frame.z_slot(name)] = z[i]
-            images[p.frame.zbar_slot(name)] = z[i].conjugate()
-        return p.substitute(frame, images)
-
-    F1 = lift(pd.P1)
-    F2 = lift(pd.P2)
-    iunit = scalar(0, 1)
+    AX = pd.A * twist_x_matrix(td)
+    AY = pd.A * td.Y
+    iAv = vec_scale(scalar(0, 1), pd.A.apply(vec(td.v)))
+    pairs1 = quadratic_pairs(pd.P1)
+    pairs2 = quadratic_pairs(pd.P2)
     for i in range(n):
-        for j in range(k):
-            a = pd.A[i, j]
-            if not a:
-                continue
-            F1 = F1 + a * z[i] * w[j]
-            twist = Poly.zero(frame)
-            for l in range(k):
-                twist = twist + X[j, l] * w[l] + td.Y[j, l] * wb[l]
-            twist = twist + iunit * td.v[j] * t_poly
-            F2 = F2 + a * z[i] * twist
-    return F1, F2
+        for l in range(k):
+            w = 2 * (n + l)  # slot of w_l; conj(w_l) is the next one
+            pairs1[2 * i, w] = pd.A[i, l]
+            pairs2[2 * i, w] = AX[i, l]
+            pairs2[2 * i, w + 1] = AY[i, l]
+        if t.delta:
+            pairs2[2 * i, 2 * (n + k)] = iAv[i]
+    return quadratic(frame, pairs1), quadratic(frame, pairs2)
 
 
 # ---------------------------------------------------------------------
@@ -527,18 +518,10 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
 
 
 def _z_part(zframe, selectors, M):
-    out = Poly.zero(zframe)
-    zs = [Poly.variable(zframe, name) for name in zframe.complex_names]
-    for i in range(len(selectors)):
-        Mi = M.apply(selectors[i])
-        for j in range(i, len(selectors)):
-            coeff = dot_bilinear(selectors[j], Mi)
-            if j == i:
-                term = coeff * zs[i] * zs[i]
-            else:
-                term = 2 * coeff * zs[i] * zs[j]
-            out = out + term
-    return out
+    "sum_ij (s_j^T M s_i) z_i z_j over the holomorphic selectors s."
+    images = [M.apply(c) for c in selectors]
+    return quadratic(zframe, {(2 * i, 2 * j): dot_bilinear(s, Mi)
+                              for i, Mi in enumerate(images) for j, s in enumerate(selectors)})
 
 
 def _decompose_float(frame, M1, M2, radical, aniso):
@@ -639,16 +622,10 @@ def _decompose_float(frame, M1, M2, radical, aniso):
     C = (C - C.transpose()).scale(scalar(Fraction(1, 2)))
 
     zframe = VariableFrame(tuple(f"z{i+1}" for i in range(n)), ())
-    zs = [Poly.variable(zframe, name) for name in zframe.complex_names]
+
     def z_poly(Pf):
-        out = Poly.zero(zframe)
-        for i in range(n):
-            for j in range(i, n):
-                coeff = rat(Pf[i, j])
-                if j > i:
-                    coeff = coeff + rat(Pf[j, i])
-                out = out + coeff * zs[i] * zs[j]
-        return out
+        return quadratic(zframe, {(2 * i, 2 * j): rat(Pf[i, j])
+                                  for i in range(n) for j in range(n)})
 
     st = SubspaceType(n, k, delta).validate()
     pd = PolynomialData(z_poly(P1_f), z_poly(P2_f), A_mat).validate(st)

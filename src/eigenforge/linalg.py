@@ -105,6 +105,8 @@ class Matrix:
             for r in rows:
                 if len(r) != width:
                     raise ValueError("ragged rows")
+            if ncols is not None and ncols != width:
+                raise ValueError(f"rows have {width} columns, not ncols = {ncols}")
         else:
             if ncols is None:
                 raise ValueError("empty matrix needs an explicit column count")

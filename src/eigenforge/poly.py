@@ -10,9 +10,11 @@ degree at most MAX_DEGREE, so no field carries into the next and equal
 polynomials have equal storage.  Ring operations, slot derivatives,
 conjugation (a swap of the z and conj(z) fields), substitution and the
 conformality bracket all run on this form; `terms` is a read-only view
-{exponent tuple: GaussRational}, built on first use.  A product whose
-degree would pass MAX_DEGREE, or whose term products would pass
-PRODUCT_LIMIT, raises ValueError before it multiplies.
+{exponent tuple: GaussRational}, built on first use.  The quadratic
+codec `quadratic` / `quadratic_pairs` maps {(s, u): c} slot pairs to
+sum c slot_s slot_u and back.  A product whose degree would pass
+MAX_DEGREE, or whose term products would pass PRODUCT_LIMIT, raises
+ValueError before it multiplies.
 
 Conjugate variables are ordinary slots, so p is holomorphic in z
 exactly when no term touches the conj(z) slot.  The real gradient
@@ -31,7 +33,8 @@ from struct import Struct, error as StructError
 from types import MappingProxyType
 
 from .frames import VariableFrame
-from .scalars import GaussRational, ZERO, ONE, I, as_scalar, common_numerators, from_triple, triple
+from .scalars import (GaussRational, ZERO, ONE, I, as_scalar, common_numerators, from_triple,
+                      scalar, triple)
 
 # Bits per slot exponent (one unsigned short, so that struct converts
 # packed monomials to exponent tuples), and the largest total degree.
@@ -452,6 +455,33 @@ def linear_form(frame, coeffs, den) -> Poly:
     return _reduced(frame, _nonzero({1 << s * EXP_BITS: ab for s, ab in enumerate(coeffs)}), den)
 
 
+def quadratic(frame, pairs) -> Poly:
+    """sum c slot_s slot_u over a {(s, u): c} dict of scalars, built in one
+    pass over a common denominator: (s, u) and (u, s) add up, and pairs
+    that cancel drop out."""
+    width = frame.num_slots
+    den, nums = common_numerators(map(scalar, pairs.values()))
+    acc = {}
+    for (s, u), (a, b) in zip(pairs, nums):
+        if not (0 <= s < width and 0 <= u < width):
+            raise ValueError(f"slot pair {(s, u)} is outside a frame of {width} slots")
+        ab = acc.setdefault((1 << s * EXP_BITS) + (1 << u * EXP_BITS), [0, 0])
+        ab[0] += a
+        ab[1] += b
+    return _reduced(frame, _nonzero(acc), den)
+
+
+def quadratic_pairs(p: Poly) -> dict:
+    "The {(s, u): c} dict, s <= u, of a homogeneous quadratic p = sum c slot_s slot_u."
+    unpack, out = _unpacker(p.frame.num_slots), {}
+    for key, (a, b) in p.nums.items():
+        pair = tuple(s for s, e in enumerate(unpack(key)) for _ in range(e))
+        if len(pair) != 2:
+            raise ValueError("quadratic form needs a homogeneous degree-2 polynomial")
+        out[pair] = from_triple(a, b, p.den)
+    return out
+
+
 def _gauss_sum(parts):
     """sum w p over (w, p) pairs of Gaussian-integer weights w = (a, b)
     and numerators p with no zero entries; entries that cancel are
@@ -611,9 +641,3 @@ def real_gradient(p: Poly) -> PolyVector:
             comps[a] = comps[a] + (d if c == ONE else c * d)
     return PolyVector(frame, comps)
 
-
-def axis_polynomials(frame) -> list:
-    "The real coordinate functions (Re z, Im z, ..., t) as polynomials."
-    width = frame.num_slots
-    return [Poly(frame, {tuple(int(t == s) for t in range(width)): c for s, c in entries})
-            for entries in axis_slots(frame)]

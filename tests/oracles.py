@@ -4,14 +4,16 @@ scalar built on Fraction pairs, polynomial arithmetic on the
 {exponent tuple: GaussRational} term view, and on top of it the
 real-gradient forms of the projected bracket, projected Laplacian and
 degree-2 matrix, the bracket, Laplacian and family verification, the
-substitution and isometry pull-back, and a real subspace that stores
-its basis as Fraction tuples."""
+substitution and isometry pull-back, the degree-2 builders in Poly ring
+arithmetic, and a real subspace that stores its basis as Fraction
+tuples."""
 
 from fractions import Fraction
 
 from eigenforge.conformality import EigenData, FamilyReport, _family_degree, _slot_form
+from eigenforge.degree2 import default_frame, twist_x_matrix
 from eigenforge.linalg import ComplexSubspace, Matrix, vec, vec_is_zero
-from eigenforge.poly import FrameMismatch, Poly, common_frame, slot_axes
+from eigenforge.poly import FrameMismatch, Poly, axis_slots, common_frame, slot_axes
 from eigenforge.scalars import ONE, ZERO, GaussRational, I, as_scalar, scalar
 
 
@@ -269,6 +271,68 @@ def ref_to_form(p):
     for comp in ref_real_gradient(p):
         rows.append([c.constant_value() / 2 for c in ref_real_gradient(comp)])
     return Matrix(rows, ncols=m)
+
+
+# -- degree-2 builders in ring arithmetic ---------------------------------------
+#
+# from_form and construct_eigenpair as sums and products of Poly, one
+# per matrix entry and a substitution per lifted member: the loops the
+# slot-pair codec poly.quadratic replaced.
+
+
+def axis_polynomials(frame):
+    "The real coordinate functions (Re z, Im z, ..., t) as polynomials."
+    width = frame.num_slots
+    return [Poly(frame, {tuple(int(t == s) for t in range(width)): c for s, c in entries})
+            for entries in axis_slots(frame)]
+
+
+def ref_from_form(f):
+    "x^T A x as a sum of c x_a x_b over the nonzero entries of A."
+    axes = axis_polynomials(f.frame)
+    out = Poly.zero(f.frame)
+    for a in range(f.A.nrows):
+        for b in range(f.A.ncols):
+            c = f.A[a, b]
+            if c:
+                out = out + c * axes[a] * axes[b]
+    return out
+
+
+def ref_construct_eigenpair(t, pd, td, names=None):
+    "F1 = P1 + z^T A w, F2 = P2 + z^T A (X w + Y conj(w) + i v t), term by term."
+    t.validate()
+    pd.validate(t)
+    td.validate(t)
+    frame = default_frame(t, names)
+    n, k = t.n, t.k
+    z = [Poly.variable(frame, frame.complex_names[i]) for i in range(n)]
+    w = [Poly.variable(frame, frame.complex_names[n + j]) for j in range(k)]
+    wb = [Poly.conj_variable(frame, frame.complex_names[n + j]) for j in range(k)]
+    t_poly = Poly.variable(frame, "t") if t.delta else Poly.zero(frame)
+    X = twist_x_matrix(td)
+
+    def lift(p):
+        images = {}
+        for i, name in enumerate(p.frame.complex_names):
+            images[p.frame.z_slot(name)] = z[i]
+            images[p.frame.zbar_slot(name)] = z[i].conjugate()
+        return p.substitute(frame, images)
+
+    F1 = lift(pd.P1)
+    F2 = lift(pd.P2)
+    for i in range(n):
+        for j in range(k):
+            a = pd.A[i, j]
+            if not a:
+                continue
+            F1 = F1 + a * z[i] * w[j]
+            twist = Poly.zero(frame)
+            for l in range(k):
+                twist = twist + X[j, l] * w[l] + td.Y[j, l] * wb[l]
+            twist = twist + I * td.v[j] * t_poly
+            F2 = F2 + a * z[i] * twist
+    return F1, F2
 
 
 # -- term-by-term bracket and Laplacian ---------------------------------------

@@ -316,6 +316,14 @@ def test_deg2_construct_malformed_json_exit_two(tmp_path):
     assert code == 2
 
 
+def test_deg2_construct_malformed_json_says_bad_json(tmp_path):
+    p = tmp_path / "cut.json"
+    p.write_text('{"type":\n')
+    code, out, err = run(["deg2", "construct", str(p)])
+    assert code == 2
+    assert err.startswith("error: bad JSON input: ")
+
+
 # -- construct --------------------------------------------------------
 
 

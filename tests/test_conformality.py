@@ -380,6 +380,11 @@ def test_norm_squared():
     p = norm_squared(C2T)
     pt = {"z": scalar(1, 2), "u": scalar(0, 1), "t": 2}
     assert p.evaluate(pt) == scalar(5 + 1 + 4)
+    ring = Poly.zero(C2T)
+    for name in C2T.complex_names:
+        ring = ring + Poly.variable(C2T, name) * Poly.conj_variable(C2T, name)
+    ring = ring + Poly.variable(C2T, "t") ** 2
+    assert (p.den, p.nums) == (ring.den, ring.nums)
 
 
 # ---------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from eigenforge.scalars import GaussRational, scalar
 from eigenforge.frames import VariableFrame
-from eigenforge.poly import Poly, FrameMismatch, real_gradient, axis_polynomials
+from eigenforge.poly import Poly, FrameMismatch, real_gradient
 from eigenforge.parser import parse_poly
 from eigenforge.conformality import kappa, laplacian, verify_flat_family
 from eigenforge.linalg import Matrix, RealSubspace, cayley_orthogonal
@@ -21,6 +21,8 @@ from eigenforge.constructions import (RealMap, verify_rn_hm, pair_components,
                                       quaternion_product, quaternion_norm2,
                                       quaternion_multiplication_family,
                                       quaternion_triple_family)
+
+from oracles import axis_polynomials
 
 C4 = VariableFrame(("z", "u", "v", "w"))
 

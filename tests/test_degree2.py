@@ -31,7 +31,7 @@ from eigenforge.degree2 import (
     twist_x_matrix,
 )
 
-from oracles import ref_to_form
+from oracles import ref_construct_eigenpair, ref_from_form, ref_to_form
 
 C1 = VariableFrame(("z",), ())
 R2 = VariableFrame((), ("x", "t"))
@@ -85,6 +85,26 @@ def test_form_round_trip():
         p = from_form(f)
         assert to_form(p).A == A
         assert to_form(from_form(to_form(p))) == to_form(p)
+
+
+def storage(p):
+    "The canonical packed form of p: equal polynomials have equal storage."
+    return p.frame, p.den, p.nums
+
+
+def test_from_form_matches_ring_reference_storage():
+    rng = random.Random(8)
+    frames = [C1, R2, VariableFrame(("z", "u"), ("t",)), VariableFrame((), ("s", "t", "r"))]
+    for _ in range(40):
+        frame = rng.choice(frames)
+        A = rand_form_matrix(rng, frame.m)
+        if rng.random() < 0.5:  # x^T A x for a non-symmetric A too
+            A = Matrix([[rand_gauss(rng) for _ in range(frame.m)] for _ in range(frame.m)],
+                       ncols=frame.m)
+        f = Deg2Form(frame, A)
+        assert storage(from_form(f)) == storage(ref_from_form(f))
+    zero = Deg2Form(R2, Matrix.zero(2, 2))
+    assert storage(from_form(zero)) == storage(Poly.zero(R2))
 
 
 def test_to_form_matches_double_hessian_reference():
@@ -301,6 +321,34 @@ def test_random_construction_always_verifies():
         F1, F2 = construct_eigenpair(t, pd, td)
         report = verify_flat_family([F1, F2])
         assert report.verdict, (t, report.failures())
+
+
+def test_construct_matches_ring_reference_storage():
+    rng = random.Random(30)
+    cases = [rand_data(rng) for _ in range(30)]
+    ks = {t.k for t, _, _ in cases}
+    assert ks == {0, 2} and any(t.delta for t, _, _ in cases)
+    t, pd, td = rand_data(random.Random(4))
+    cases.append((t, pd._replace(P1=Poly.zero(pd.P1.frame)), td))
+    for t, pd, td in cases:
+        for names in (None, tuple(f"q{j}" for j in range(t.n + t.k))):
+            built = construct_eigenpair(t, pd, td, names=names)
+            expect = ref_construct_eigenpair(t, pd, td, names=names)
+            assert list(map(storage, built)) == list(map(storage, expect))
+
+
+def test_decomposed_polynomials_are_canonical():
+    # P1 and P2 come out of the exact tail and the float tail in the
+    # storage that the constructor gives their terms
+    rng = random.Random(32)
+    exact = set()
+    for _ in range(12):
+        F1, F2 = construct_eigenpair(*rand_data(rng))
+        dec = decompose_eigenpair(F1, F2)
+        exact.add(dec.exact)
+        for p in (dec.poly_data.P1, dec.poly_data.P2):
+            assert storage(p) == storage(Poly(p.frame, p.terms))
+    assert exact == {True, False}
 
 
 def test_decompose_recovers_aligned_data():

@@ -46,6 +46,15 @@ def test_matrix_arithmetic():
     assert A * A.inverse() == Matrix.identity(2)
 
 
+def test_matrix_rows_must_match_a_given_ncols():
+    assert Matrix([[1, 2]], ncols=2).ncols == 2
+    assert Matrix([], ncols=3).ncols == 3
+    with pytest.raises(ValueError):
+        Matrix([[1, 2]], ncols=3)
+    with pytest.raises(ValueError):
+        Matrix([[1, 2], [3]])
+
+
 def test_conj_transpose():
     A = Matrix([[I, 1], [0, 2 * I]])
     assert A.conj_transpose() == Matrix([[-I, 0], [1, -2 * I]])

@@ -445,3 +445,84 @@ def test_substitute_rejects_image_on_another_frame():
     images[0] = Poly.variable(F2, "z")
     with pytest.raises(FrameMismatch):
         zvar("z").substitute(DST, images)
+
+
+# -- the slot-pair codec for quadratic forms ---------------------------------
+#
+# quadratic builds sum c slot_s slot_u straight into packed storage; it must
+# store exactly what the ring operations store for the same sum, and
+# quadratic_pairs must read the pairs back.
+
+def slot_polys(frame):
+    "Slot s of the frame as a polynomial, in slot order."
+    out = []
+    for name in frame.complex_names:
+        out += [Poly.variable(frame, name), Poly.conj_variable(frame, name)]
+    return out + [Poly.variable(frame, name) for name in frame.real_names]
+
+
+def ring_quadratic(frame, pairs):
+    slots = slot_polys(frame)
+    out = Poly.zero(frame)
+    for (s, u), c in pairs.items():
+        out = out + c * slots[s] * slots[u]
+    return out
+
+
+def storage(p):
+    return p.frame, p.den, p.nums
+
+
+def test_quadratic_diagonal_merged_and_real_slots():
+    z, zb, u, ub, t = slot_polys(F2)
+    c = scalar(Fraction(2, 3), -1)
+    assert storage(poly.quadratic(F2, {(0, 0): c})) == storage(c * z * z)
+    # (s, u) and (u, s) add up
+    q = poly.quadratic(F2, {(0, 2): Fraction(1, 2), (2, 0): I, (1, 1): 3})
+    assert storage(q) == storage((Fraction(1, 2) + I) * z * u + 3 * zb * zb)
+    # real slots, on their own and paired with complex ones
+    q = poly.quadratic(F2, {(4, 4): Fraction(1, 4), (3, 4): -I, (4, 0): 2})
+    assert storage(q) == storage(Fraction(1, 4) * t * t - I * ub * t + 2 * z * t)
+    real = VariableFrame((), ("x", "y"))
+    x, y = slot_polys(real)
+    assert storage(poly.quadratic(real, {(0, 1): 6, (1, 0): -4, (1, 1): 1})) == \
+        storage(2 * x * y + y * y)
+    assert poly.quadratic_pairs(2 * x * y + y * y) == {(0, 1): scalar(2), (1, 1): ONE}
+
+
+def test_quadratic_cancellation_and_empty():
+    zero = storage(Poly.zero(F2))
+    assert storage(poly.quadratic(F2, {})) == zero
+    assert storage(poly.quadratic(F2, {(0, 1): Fraction(1, 3), (1, 0): Fraction(-1, 3)})) == zero
+    assert storage(poly.quadratic(F2, {(2, 2): 0})) == zero
+    # a partial cancellation leaves the content divided out
+    q = poly.quadratic(F2, {(0, 1): Fraction(1, 6), (1, 0): Fraction(1, 3), (2, 3): Fraction(1, 2),
+                            (3, 2): Fraction(-1, 2)})
+    assert storage(q) == storage(Fraction(1, 2) * zvar("z") * zbar("z"))
+    assert poly.quadratic_pairs(Poly.zero(F2)) == {}
+
+
+def test_quadratic_rejects_bad_input():
+    with pytest.raises(ValueError):
+        poly.quadratic(F2, {(0, F2.num_slots): 1})
+    with pytest.raises(ValueError):
+        poly.quadratic(F2, {(-1, 0): 1})
+    with pytest.raises(TypeError):
+        poly.quadratic(F2, {(0, 0): 0.5})
+    for p in (zvar("z"), zvar("z") ** 3, zvar("z") ** 2 + 1, Poly.constant(F2, 2)):
+        with pytest.raises(ValueError):
+            poly.quadratic_pairs(p)
+
+
+pair_dicts = st.dictionaries(st.tuples(st.integers(0, F2.num_slots - 1),
+                                       st.integers(0, F2.num_slots - 1)),
+                             st.one_of(coeffs, fractional), max_size=8)
+
+
+@given(pair_dicts)
+def test_quadratic_matches_ring_sum_and_reads_back(pairs):
+    q = poly.quadratic(F2, pairs)
+    assert storage(q) == storage(ring_quadratic(F2, pairs))
+    back = poly.quadratic_pairs(q)
+    assert all(s <= u and c for (s, u), c in back.items())
+    assert storage(poly.quadratic(F2, back)) == storage(q)
