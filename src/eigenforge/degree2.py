@@ -27,25 +27,26 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .scalars import GaussRational, ZERO, ONE, as_scalar, rational_sqrt, scalar
+from .scalars import (GaussRational, ZERO, as_scalar, from_triple, rational_sqrt, scalar,
+                      triple)
 from .frames import VariableFrame
-from .poly import Poly, axis_slots, quadratic, quadratic_pairs, slot_axes
+from .poly import (Poly, axis_slots, quadratic, quadratic_numerators, quadratic_pairs,
+                   slot_axes)
 from .linalg import (
     ComplexSubspace,
     Matrix,
     RealSubspace,
+    anticommuting,
     dot_bilinear,
     dot_hermitian,
     gram_schmidt_hermitian,
     vec,
-    vec_add,
     vec_conj,
     vec_im,
     vec_is_zero,
     vec_re,
     vec_scale,
     vec_sub,
-    vec_zero,
 )
 
 
@@ -60,15 +61,22 @@ def to_form(p: Poly) -> Deg2Form:
     A term c slot_s slot_u adds the symmetric part of c D_s D_u^T, for
     the slot <-> axis table D of poly.slot_axes."""
     m = p.frame.m
-    table = slot_axes(p.frame)
-    A = [[ZERO] * m for _ in range(m)]
-    for (s, u), c in quadratic_pairs(p).items():
-        for a, ca in table[s]:
-            for b, cb in table[u]:
-                x = c * ca * cb / 2
-                A[a][b] = A[a][b] + x
-                A[b][a] = A[b][a] + x
-    return Deg2Form(p.frame, Matrix(A, ncols=m))
+    # the table's coefficients are units 1, i, -i: Gaussian integers
+    table = [[(a, *triple(c)[:2]) for a, c in entries] for entries in slot_axes(p.frame)]
+    den, pairs = quadratic_numerators(p)
+    re = [[0] * m for _ in range(m)]
+    im = [[0] * m for _ in range(m)]
+    for (s, u), (ca, cb) in pairs.items():
+        for a, xa, xb in table[s]:
+            for b, ya, yb in table[u]:
+                ua, ub = xa * ya - xb * yb, xa * yb + xb * ya
+                x, y = ca * ua - cb * ub, ca * ub + cb * ua
+                re[a][b] += x
+                im[a][b] += y
+                re[b][a] += x
+                im[b][a] += y
+    return Deg2Form(p.frame, Matrix([[from_triple(x, y, 2 * den) if x or y else ZERO
+                                      for x, y in zip(ra, rb)] for ra, rb in zip(re, im)], ncols=m))
 
 
 def from_form(f: Deg2Form) -> Poly:
@@ -103,13 +111,7 @@ def _coerce_forms(forms):
 
 def is_eigenfamily_deg2(forms) -> bool:
     "All anticommutators A_i A_j + A_j A_i vanish, including i = j."
-    forms = _coerce_forms(forms)
-    for i in range(len(forms)):
-        for j in range(i, len(forms)):
-            Ai, Aj = forms[i].A, forms[j].A
-            if not (Ai * Aj + Aj * Ai).is_zero():
-                return False
-    return True
+    return anticommuting([f.A for f in _coerce_forms(forms)])
 
 
 # ---------------------------------------------------------------------
@@ -373,24 +375,6 @@ def decompose_eigenpair(F1: Poly, F2: Poly) -> Deg2Decomposition:
         return _decompose_float(F1.frame, M1, M2, radical, aniso)
 
 
-def _gs_track(vectors):
-    "Hermitian Gram-Schmidt tracking coefficients over the inputs."
-    basis = []
-    coeffs = []
-    for idx, v in enumerate(vectors):
-        w = v
-        c = [ZERO] * len(vectors)
-        c[idx] = ONE
-        for b, cb in zip(basis, coeffs):
-            f = dot_hermitian(b, w) / dot_hermitian(b, b)
-            w = vec_sub(w, vec_scale(f, b))
-            c = [x - f * y for x, y in zip(c, cb)]
-        if not vec_is_zero(w):
-            basis.append(w)
-            coeffs.append(c)
-    return basis, coeffs
-
-
 def _decompose_exact(frame, M1, M2, radical, aniso):
     m = frame.m
     n = len(radical)
@@ -429,20 +413,17 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
         if not (Q * M * Q).is_zero():
             raise AssertionError("nonzero pure complement block")
 
-    h_basis, h_coeffs = _gs_track(xi)
+    h_basis = gram_schmidt_hermitian(xi)
     k = len(h_basis)
     if k % 2 != 0 or n < k:
         raise AssertionError("inconsistent subspace type")
     e_basis = []
-    e_coeffs = []
-    for h, c in zip(h_basis, h_coeffs):
+    for h in h_basis:
         norm2 = dot_hermitian(h, h).re
         root = rational_sqrt(norm2 / 2)
         if root is None:
             raise _NeedsFloat
-        inv = scalar(Fraction(1, 1) / root)
-        e_basis.append(vec_scale(inv, h))
-        e_coeffs.append([inv * x for x in c])
+        e_basis.append(vec_scale(scalar(Fraction(1, 1) / root), h))
 
     delta = m - 2 * n - 2 * k
     if delta != len(aniso) or delta not in (0, 1):
@@ -462,34 +443,24 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
             raise _NeedsFloat
         d_vec = vec_scale(scalar(Fraction(1, 1) / norm), d_raw)
 
-    phi = [None] * k
-    for j in range(k):
-        img = vec_zero(m)
-        for c, h in zip(e_coeffs[j], eta):
-            img = vec_add(img, vec_scale(c, h))
-        phi[j] = img
+    E, Xi, Eta = Matrix(e_basis, ncols=m), Matrix(xi, ncols=m), Matrix(eta, ncols=m)
+    # phi_j is e_j under the coupling map xi_i -> eta_i, read through any
+    # expansion of e_j over the xi_i (the check below fails for every one
+    # when the map is not well defined)
+    Phi = Matrix([Xi.transpose().solve(e) for e in e_basis], ncols=n) * Eta
+    phi = Phi.rows
+    half = scalar(Fraction(1, 2))
+    A_mat = (Xi * E.conj_transpose()).scale(half)
     # well-definedness: eta_i must expand through phi of the e-basis
-    for i in range(n):
-        expect = vec_zero(m)
-        for j in range(k):
-            coeff = dot_hermitian(e_basis[j], xi[i]) / 2
-            expect = vec_add(expect, vec_scale(coeff, phi[j]))
-        if expect != eta[i]:
-            raise AssertionError("coupling map is not well defined")
-
-    A_mat = Matrix([[dot_hermitian(e_basis[j], xi[i]) / 2 for j in range(k)]
-                    for i in range(n)], ncols=k)
-    X = Matrix([[dot_hermitian(e_basis[l], phi[j]) / 2 for l in range(k)]
-                for j in range(k)], ncols=k)
-    Y = Matrix([[dot_bilinear(e_basis[l], phi[j]) / 2 for l in range(k)]
-                for j in range(k)], ncols=k)
+    if A_mat * Phi != Eta:
+        raise AssertionError("coupling map is not well defined")
+    X = (Phi * E.conj_transpose()).scale(half)
+    Y = (Phi * E.transpose()).scale(half)
     v = tuple(-scalar(0, 1) * dot_bilinear(d_vec, phi[j]) if delta else ZERO
               for j in range(k))
-    # phi antisymmetry in the bilinear pairing
-    for a in range(k):
-        for b in range(k):
-            if dot_bilinear(e_basis[a], phi[b]) != -dot_bilinear(phi[a], e_basis[b]):
-                raise AssertionError("coupling map is not antisymmetric")
+    # phi antisymmetry in the bilinear pairing: e_a . phi_b = -(e_b . phi_a)
+    if not Y.is_antisymmetric():
+        raise AssertionError("coupling map is not antisymmetric")
     if k and Y.is_zero():
         raise AssertionError("twisting matrix is zero")
     if k and Y.det() == ZERO:

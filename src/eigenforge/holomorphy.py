@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from .scalars import ZERO, common_numerators, sqrt_in_qi, triple
+from .scalars import ONE, ZERO, common_numerators, sqrt_in_qi, triple
 from .frames import VariableFrame
 from .poly import Poly, axis_slots, common_frame, linear_form, real_gradient, slot_axes
 from .conformality import kappa, laplacian
@@ -75,17 +75,11 @@ class ComplexTypeWitness:
     def __init__(self, ambient, pairs):
         self.ambient = ambient
         self.pairs = [(vec(x), vec(y)) for x, y in pairs]
-        span_vectors = []
-        J = Matrix.zero(ambient, ambient)
-        for xs, ys in self.pairs:
-            span_vectors.extend([xs, ys])
-            n2 = dot_bilinear(xs, xs)
-            outer = Matrix([[(ys[a] * xs[b] - xs[a] * ys[b]) / n2
-                             for b in range(ambient)] for a in range(ambient)],
-                           ncols=ambient)
-            J = J + outer
-        self.J = J
-        self.plane_span = RealSubspace(ambient, span_vectors)
+        # J = sum (y x^T - x y^T) / |x|^2 over the pairs
+        Y = Matrix([y for _, y in self.pairs], ncols=ambient)
+        Xn = Matrix([vec_scale(ONE / dot_bilinear(x, x), x) for x, _ in self.pairs], ncols=ambient)
+        self.J = Y.transpose() * Xn - Xn.transpose() * Y
+        self.plane_span = RealSubspace(ambient, [v for pair in self.pairs for v in pair])
         self.kernel = self.plane_span.orthogonal_complement()
 
     def check(self):
@@ -186,17 +180,9 @@ def is_axis(fs, V) -> bool:
 
 def span_is_axis(W: ComplexSubspace, V) -> bool:
     "is_axis for a family with gradient span W."
-    sub = _as_real_subspace(W.ambient, V)
-    if sub.dim == 0:
-        return True
-    P = sub.projector()
-    basis = list(W.basis)
-    for i in range(len(basis)):
-        Ph = P.apply(basis[i])
-        for j in range(i + 1):
-            if dot_bilinear(basis[j], Ph) != ZERO:
-                return False
-    return True
+    P = _as_real_subspace(W.ambient, V).projector()
+    B = Matrix(W.basis, ncols=W.ambient)
+    return (B * P * B.transpose()).is_zero()
 
 
 def separable_check(f: Poly, V) -> bool:

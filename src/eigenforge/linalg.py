@@ -7,12 +7,27 @@ exactly when their basis matrices are equal; that is what makes span
 comparisons decidable.  A RealSubspace is a ComplexSubspace with a real
 basis (the RREF of real vectors is real); it adds the orthogonal
 projector and complement, and never equals a ComplexSubspace.
+
+Products and row reduction run on Gaussian integers, a format only this
+module knows.  A product converts each side once to numerators over one
+denominator and reduces each entry, two integer dot products, once;
+`anticommuting` tests A B + B A = 0 on those integers.  rref, rank,
+nullspace, solve, inverse and det share one fraction-free Gauss-Jordan
+elimination (Bareiss 1968): rows are scaled to Z[i] and updated as
+row_i <- (p row_i - f row_lead) / p_prev for pivot p, previous pivot
+p_prev and pivot-column entry f, a division that is exact in Z[i]
+because every entry is a minor (Sylvester's identity).  Each pivot row
+is divided by its pivot once at the end, and det is the sign times the
+last pivot over the product of the row denominators.
 """
 
 from __future__ import annotations
 
-from .scalars import (GaussRational, ZERO, ONE, as_exact, as_scalar, imag_part, real_part,
-                      sum_of_products)
+from itertools import chain
+from operator import mul, neg
+
+from .scalars import (GaussRational, ZERO, ONE, as_exact, as_scalar, common_numerators,
+                      from_triple, imag_part, real_part, sum_of_products)
 
 # ---------------------------------------------------------------------
 # vector helpers
@@ -91,6 +106,91 @@ def cayley_orthogonal(S: "Matrix") -> "Matrix":
 
 
 # ---------------------------------------------------------------------
+# integer kernels
+
+
+def _numerators(vectors):
+    """(D, re, im): vectors of GaussRational of one length as Gaussian integers
+    re + i im over one denominator D, as real and imaginary tuples per vector."""
+    D, nums = common_numerators(chain.from_iterable(vectors))
+    n = len(vectors[0]) if vectors else 0
+    re, im = [a for a, _ in nums], [b for _, b in nums]
+    cuts = [slice(k * n, k * n + n) for k in range(len(vectors))]
+    return D, [tuple(re[c]) for c in cuts], [tuple(im[c]) for c in cuts]
+
+
+# r . c = (re_r . re_c - im_r . im_c) + i (re_r . im_c + im_r . re_c): the
+# dot products of the left factor re_r + im_r with the right factors
+# re_c - im_c and im_c + re_c
+
+
+def _right(re, im):
+    return [(a + tuple(map(neg, b)), b + a) for a, b in zip(re, im)]
+
+
+def _products(rows, cols):
+    """Row by row, the products r . c (no conjugation) of GaussRational
+    vectors of one length: each side is converted once, and each entry is
+    two integer dot products, reduced once."""
+    D1, re1, im1 = _numerators(rows)
+    D2, re2, im2 = _numerators(cols)
+    d, right = D1 * D2, _right(re2, im2)
+    for r in map(tuple.__add__, re1, im1):
+        row = []
+        for c1, c2 in right:
+            a, b = sum(map(mul, r, c1)), sum(map(mul, r, c2))
+            row.append(from_triple(a, b, d) if a or b else ZERO)
+        yield tuple(row)
+
+
+def _eliminate(M):
+    """Fraction-free Gauss-Jordan elimination of M: (rows, pivots, sign,
+    scale), the rows as (re, im, tag) with entries re + i im in Z[i], the
+    pivot columns, the permutation sign and the product of the row
+    denominators.  A row with a zero pivot-column entry is not rescaled by
+    p / p_prev but keeps the tag t of the pivot it is current for, and its
+    next update divides by t; so each pivot row ends holding its own pivot."""
+    rows, scale = [], 1
+    for row in M.rows:
+        D, nums = common_numerators(row)
+        scale *= D
+        rows.append(([a for a, _ in nums], [b for _, b in nums], (1, 0)))
+    pivots, sign = [], 1
+    qa, qb = 1, 0  # the previous pivot
+    for col in range(M.ncols):
+        lead = sel = len(pivots)
+        while sel < M.nrows and not (rows[sel][0][col] or rows[sel][1][col]):
+            sel += 1
+        if sel >= M.nrows:
+            continue
+        if sel != lead:
+            rows[lead], rows[sel] = rows[sel], rows[lead]
+            sign = -sign
+        ya, yb, (ta, tb) = rows[lead]
+        if ta != qa or tb != qb:  # bring the lead row up to date: times q / t
+            n = ta * ta + tb * tb
+            m1, m2 = qa * ta + qb * tb, qb * ta - qa * tb
+            ya, yb = ([(a * m1 - b * m2) // n for a, b in zip(ya, yb)],
+                      [(a * m2 + b * m1) // n for a, b in zip(ya, yb)])
+        pa, pb = ya[col], yb[col]
+        rows[lead] = ya, yb, (pa, pb)
+        for i, (xa, xb, (ta, tb)) in enumerate(rows):
+            fa, fb = xa[col], xb[col]
+            if i == lead or not (fa or fb):
+                continue
+            # (p x - f y) / t = ((p conj t) x - (f conj t) y) / |t|^2, exact in Z[i]
+            n = ta * ta + tb * tb
+            p1, p2 = pa * ta + pb * tb, pb * ta - pa * tb
+            f1, f2 = fa * ta + fb * tb, fb * ta - fa * tb
+            rows[i] = ([(a * p1 - b * p2 - c * f1 + d * f2) // n for a, b, c, d in zip(xa, xb, ya, yb)],
+                       [(a * p2 + b * p1 - c * f2 - d * f1) // n for a, b, c, d in zip(xa, xb, ya, yb)],
+                       (pa, pb))
+        qa, qb = pa, pb
+        pivots.append(col)
+    return rows, pivots, sign, scale
+
+
+# ---------------------------------------------------------------------
 
 
 class Matrix:
@@ -114,6 +214,15 @@ class Matrix:
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", width)
+
+    @classmethod
+    def _of(cls, rows, ncols):
+        "A matrix from rows that are already tuples of GaussRational of width ncols."
+        M = object.__new__(cls)
+        object.__setattr__(M, "rows", tuple(rows))
+        object.__setattr__(M, "nrows", len(M.rows))
+        object.__setattr__(M, "ncols", ncols)
+        return M
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -142,9 +251,6 @@ class Matrix:
         i, j = ij
         return self.rows[i][j]
 
-    def row(self, i):
-        return self.rows[i]
-
     def col(self, j):
         return tuple(r[j] for r in self.rows)
 
@@ -162,28 +268,25 @@ class Matrix:
 
     def __add__(self, other):
         self._check_same_shape(other, "+")
-        return Matrix([vec_add(a, b) for a, b in zip(self.rows, other.rows)], ncols=self.ncols)
+        return Matrix._of([vec_add(a, b) for a, b in zip(self.rows, other.rows)], self.ncols)
 
     def __sub__(self, other):
         self._check_same_shape(other, "-")
-        return Matrix([vec_sub(a, b) for a, b in zip(self.rows, other.rows)], ncols=self.ncols)
+        return Matrix._of([vec_sub(a, b) for a, b in zip(self.rows, other.rows)], self.ncols)
 
     def __neg__(self):
-        return Matrix([vec_scale(-ONE, r) for r in self.rows], ncols=self.ncols)
+        return Matrix._of([vec_scale(-ONE, r) for r in self.rows], self.ncols)
 
     def scale(self, c):
         c = as_scalar(c)
-        return Matrix([vec_scale(c, r) for r in self.rows], ncols=self.ncols)
+        return Matrix._of([vec_scale(c, r) for r in self.rows], self.ncols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
-            cols = [other.col(j) for j in range(other.ncols)]
-            return Matrix(
-                [[sum_of_products(r, c) for c in cols] for r in self.rows],
-                ncols=other.ncols,
-            )
+            return Matrix._of(_products(self.rows, [other.col(j) for j in range(other.ncols)]),
+                              other.ncols)
         c = as_scalar(other)
         if c is not None:
             return self.scale(c)
@@ -196,10 +299,10 @@ class Matrix:
         return tuple(sum_of_products(r, u) for r in self.rows)
 
     def transpose(self):
-        return Matrix([self.col(j) for j in range(self.ncols)], ncols=self.nrows)
+        return Matrix._of([self.col(j) for j in range(self.ncols)], self.nrows)
 
     def conjugate(self):
-        return Matrix([vec_conj(r) for r in self.rows], ncols=self.ncols)
+        return Matrix._of([vec_conj(r) for r in self.rows], self.ncols)
 
     def conj_transpose(self):
         return self.transpose().conjugate()
@@ -214,30 +317,16 @@ class Matrix:
 
     def rref(self):
         "Reduced row echelon form; returns (Matrix, pivot column list)."
-        rows = [list(r) for r in self.rows]
-        nrows, ncols = self.nrows, self.ncols
-        pivots = []
-        lead = 0
-        for col in range(ncols):
-            if lead >= nrows:
-                break
-            sel = None
-            for i in range(lead, nrows):
-                if rows[i][col]:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            rows[lead], rows[sel] = rows[sel], rows[lead]
-            inv = ONE / rows[lead][col]
-            rows[lead] = [inv * x for x in rows[lead]]
-            for i in range(nrows):
-                if i != lead and rows[i][col]:
-                    f = rows[i][col]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[lead])]
-            pivots.append(col)
-            lead += 1
-        return Matrix(rows, ncols=ncols), pivots
+        elim, pivots, _, _ = _eliminate(self)
+        rows = []
+        for (ra, rb, _), col in zip(elim, pivots):
+            # divide the row by its pivot d: x / d = x conj(d) / |d|^2
+            da, db = ra[col], rb[col]
+            n = da * da + db * db
+            rows.append(tuple(from_triple(a * da + b * db, b * da - a * db, n) if a or b else ZERO
+                              for a, b in zip(ra, rb)))
+        rows += [vec_zero(self.ncols)] * (self.nrows - len(pivots))
+        return Matrix._of(rows, self.ncols), pivots
 
     def rank(self):
         _, pivots = self.rref()
@@ -261,28 +350,15 @@ class Matrix:
             raise ValueError(f"{op} needs a square matrix, got {self.nrows}x{self.ncols}")
 
     def det(self):
+        "The sign of the row swaps times the last pivot, over the product of the row denominators."
         self._check_square("det")
-        n = self.nrows
-        rows = [list(r) for r in self.rows]
-        out = ONE
-        for col in range(n):
-            sel = None
-            for i in range(col, n):
-                if rows[i][col]:
-                    sel = i
-                    break
-            if sel is None:
-                return ZERO
-            if sel != col:
-                rows[col], rows[sel] = rows[sel], rows[col]
-                out = -out
-            out = out * rows[col][col]
-            inv = ONE / rows[col][col]
-            for i in range(col + 1, n):
-                if rows[i][col]:
-                    f = rows[i][col] * inv
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
-        return out
+        rows, pivots, sign, scale = _eliminate(self)
+        if len(pivots) < self.nrows:
+            return ZERO
+        if not pivots:
+            return ONE
+        da, db, _ = rows[-1]
+        return from_triple(sign * da[-1], sign * db[-1], scale)
 
     def inverse(self):
         self._check_square("inverse")
@@ -291,10 +367,12 @@ class Matrix:
         R, pivots = aug.rref()
         if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix([r[n:] for r in R.rows], ncols=n)
+        return Matrix._of([r[n:] for r in R.rows], n)
 
     def solve(self, b):
         """One solution x of M x = b, or None if inconsistent."""
+        if len(b) != self.nrows:
+            raise ValueError(f"vector of length {len(b)} for a matrix with {self.nrows} rows")
         aug = Matrix([list(r) + [v] for r, v in zip(self.rows, b)], ncols=self.ncols + 1)
         R, pivots = aug.rref()
         if self.ncols in pivots:
@@ -315,6 +393,28 @@ def matrix_from_cols(cols, nrows=None):
             raise ValueError("no columns: pass nrows for the empty matrix")
         return Matrix([[] for _ in range(nrows)], ncols=0) if nrows else Matrix([], ncols=0)
     return Matrix(cols, ncols=len(cols[0])).transpose()
+
+
+def anticommuting(mats) -> bool:
+    """Whether A B + B A = 0 for all A, B in mats, A = B included; mats are
+    square of one size.  Each is converted once; stops at the first
+    nonzero entry."""
+    if any(not A.nrows == A.ncols == mats[0].nrows for A in mats):
+        raise ValueError("anticommuting needs square matrices of one size")
+    factors = []
+    for A in mats:
+        _, re, im = _numerators(A.rows)
+        factors.append((list(map(tuple.__add__, re, im)), _right(zip(*re), zip(*im))))
+    for i, (rows_a, cols_a) in enumerate(factors):
+        for rows_b, cols_b in factors[i:]:
+            # entry (r, c) is row_r(A) col_c(B) + row_r(B) col_c(A), over D_A D_B
+            cols = [(b1 + a1, b2 + a2) for (b1, b2), (a1, a2) in zip(cols_b, cols_a)]
+            for ra, rb in zip(rows_a, rows_b):
+                r = ra + rb
+                for c1, c2 in cols:
+                    if sum(map(mul, r, c1)) or sum(map(mul, r, c2)):
+                        return False
+    return True
 
 
 # ---------------------------------------------------------------------
@@ -378,45 +478,26 @@ class ComplexSubspace:
     def intersect(self, other):
         _check_ambient(self, other)
         if self.dim == 0 or other.dim == 0:
-            return ComplexSubspace(self.ambient)
+            return type(self)(self.ambient)
         # x = sum a_i u_i = sum b_j v_j; kernel of [U^T | -V^T]
         cols = [list(b) for b in self.basis] + [[-x for x in b] for b in other.basis]
-        M = matrix_from_cols(cols)
-        vectors = []
-        for k in M.nullspace():
-            a = k[: self.dim]
-            x = vec_zero(self.ambient)
-            for c, b in zip(a, self.basis):
-                x = vec_add(x, vec_scale(c, b))
-            vectors.append(x)
-        return ComplexSubspace(self.ambient, vectors)
+        coords = [k[: self.dim] for k in matrix_from_cols(cols).nullspace()]
+        return type(self)(self.ambient, _products(coords, list(zip(*self.basis))))
 
     def conj(self):
         return ComplexSubspace(self.ambient, [vec_conj(b) for b in self.basis])
 
     def bilinear_annihilator(self):
         "All u with b . u = 0 (no conjugation) for every basis vector b."
-        if self.dim == 0:
-            return ComplexSubspace(self.ambient, Matrix.identity(self.ambient).rows)
         return ComplexSubspace(self.ambient, Matrix(list(self.basis), ncols=self.ambient).nullspace())
 
     def hermitian_complement_within(self, inside):
         "Vectors of `inside` hermitian-orthogonal to every vector of self."
-        if self.dim == 0:
-            return inside
-        conj_rows = Matrix([vec_conj(b) for b in self.basis], ncols=self.ambient)
-        sol = []
-        if inside.dim == 0:
+        if self.dim == 0 or inside.dim == 0:
             return inside
         # coordinates relative to inside's basis
-        B = Matrix(list(inside.basis), ncols=self.ambient)
-        G = conj_rows * B.transpose()
-        for k in G.nullspace():
-            x = vec_zero(self.ambient)
-            for c, b in zip(k, inside.basis):
-                x = vec_add(x, vec_scale(c, b))
-            sol.append(x)
-        return ComplexSubspace(self.ambient, sol)
+        G = Matrix._of(_products([vec_conj(b) for b in self.basis], inside.basis), inside.dim)
+        return ComplexSubspace(self.ambient, _products(G.nullspace(), list(zip(*inside.basis))))
 
     def real_points(self):
         """Real basis of the real vectors contained in self (as a RealSubspace).
@@ -450,8 +531,6 @@ class RealSubspace(ComplexSubspace):
 
     def projector(self) -> Matrix:
         "Exact orthogonal projector onto self (normal equations, no roots)."
-        if self.dim == 0:
-            return Matrix.zero(self.ambient, self.ambient)
         B = Matrix(self.basis, ncols=self.ambient)
         gram = B * B.transpose()
         return B.transpose() * gram.inverse() * B

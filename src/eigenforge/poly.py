@@ -12,9 +12,10 @@ conjugation (a swap of the z and conj(z) fields), substitution and the
 conformality bracket all run on this form; `terms` is a read-only view
 {exponent tuple: GaussRational}, built on first use.  The quadratic
 codec `quadratic` / `quadratic_pairs` maps {(s, u): c} slot pairs to
-sum c slot_s slot_u and back.  A product whose degree would pass
-MAX_DEGREE, or whose term products would pass PRODUCT_LIMIT, raises
-ValueError before it multiplies.
+sum c slot_s slot_u and back; `quadratic_numerators` reads the pairs
+as Gaussian-integer numerators over the polynomial's denominator.  A
+product whose degree would pass MAX_DEGREE, or whose term products
+would pass PRODUCT_LIMIT, raises ValueError before it multiplies.
 
 Conjugate variables are ordinary slots, so p is holomorphic in z
 exactly when no term touches the conj(z) slot.  The real gradient
@@ -471,15 +472,22 @@ def quadratic(frame, pairs) -> Poly:
     return _reduced(frame, _nonzero(acc), den)
 
 
-def quadratic_pairs(p: Poly) -> dict:
-    "The {(s, u): c} dict, s <= u, of a homogeneous quadratic p = sum c slot_s slot_u."
+def quadratic_numerators(p: Poly):
+    """(den, {(s, u): (a, b)}), s <= u, of a homogeneous quadratic
+    p = sum (a + b i) slot_s slot_u / den."""
     unpack, out = _unpacker(p.frame.num_slots), {}
-    for key, (a, b) in p.nums.items():
+    for key, ab in p.nums.items():
         pair = tuple(s for s, e in enumerate(unpack(key)) for _ in range(e))
         if len(pair) != 2:
             raise ValueError("quadratic form needs a homogeneous degree-2 polynomial")
-        out[pair] = from_triple(a, b, p.den)
-    return out
+        out[pair] = ab
+    return p.den, out
+
+
+def quadratic_pairs(p: Poly) -> dict:
+    "The {(s, u): c} dict, s <= u, of a homogeneous quadratic p = sum c slot_s slot_u."
+    den, nums = quadratic_numerators(p)
+    return {pair: from_triple(a, b, den) for pair, (a, b) in nums.items()}
 
 
 def _gauss_sum(parts):

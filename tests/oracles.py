@@ -5,8 +5,8 @@ scalar built on Fraction pairs, polynomial arithmetic on the
 real-gradient forms of the projected bracket, projected Laplacian and
 degree-2 matrix, the bracket, Laplacian and family verification, the
 substitution and isometry pull-back, the degree-2 builders in Poly ring
-arithmetic, and a real subspace that stores its basis as Fraction
-tuples."""
+arithmetic, a real subspace that stores its basis as Fraction tuples,
+and the per-entry matrix product, row reduction and determinant."""
 
 from fractions import Fraction
 
@@ -526,3 +526,83 @@ class RefRealSubspace:
         if self.dim == 0:
             return RefRealSubspace(self.ambient, Matrix.identity(self.ambient).rows)
         return RefRealSubspace(self.ambient, [_frac_re(u) for u in self.matrix().nullspace()])
+
+
+# -- matrix products and elimination --------------------------------------
+#
+# The per-entry GaussRational loops Matrix ran before it multiplied and
+# eliminated on Gaussian-integer numerators: a product summed term by
+# term, Gauss-Jordan elimination that normalises each pivot row as it
+# goes, and Gaussian elimination whose determinant is the product of
+# the pivots.
+
+
+def ref_matmul(A, B):
+    "A B with one scalar product and sum per term."
+    if A.ncols != B.nrows:
+        raise ValueError(f"shape mismatch {A.nrows}x{A.ncols} * {B.nrows}x{B.ncols}")
+    rows = []
+    for r in A.rows:
+        row = []
+        for j in range(B.ncols):
+            total = ZERO
+            for x, y in zip(r, B.col(j)):
+                total = total + x * y
+            row.append(total)
+        rows.append(row)
+    return Matrix(rows, ncols=B.ncols)
+
+
+def ref_rref(M):
+    "Reduced row echelon form and pivot columns, normalising each pivot row at once."
+    rows = [list(r) for r in M.rows]
+    nrows, ncols = M.nrows, M.ncols
+    pivots = []
+    lead = 0
+    for col in range(ncols):
+        if lead >= nrows:
+            break
+        sel = None
+        for i in range(lead, nrows):
+            if rows[i][col]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[lead], rows[sel] = rows[sel], rows[lead]
+        inv = ONE / rows[lead][col]
+        rows[lead] = [inv * x for x in rows[lead]]
+        for i in range(nrows):
+            if i != lead and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[lead])]
+        pivots.append(col)
+        lead += 1
+    return Matrix(rows, ncols=ncols), pivots
+
+
+def ref_det(M):
+    "Determinant as the signed product of the pivots of Gaussian elimination."
+    if M.nrows != M.ncols:
+        raise ValueError(f"det needs a square matrix, got {M.nrows}x{M.ncols}")
+    n = M.nrows
+    rows = [list(r) for r in M.rows]
+    out = ONE
+    for col in range(n):
+        sel = None
+        for i in range(col, n):
+            if rows[i][col]:
+                sel = i
+                break
+        if sel is None:
+            return ZERO
+        if sel != col:
+            rows[col], rows[sel] = rows[sel], rows[col]
+            out = -out
+        out = out * rows[col][col]
+        inv = ONE / rows[col][col]
+        for i in range(col + 1, n):
+            if rows[i][col]:
+                f = rows[i][col] * inv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    return out

@@ -16,6 +16,7 @@ from eigenforge.linalg import (
     ComplexSubspace,
     Matrix,
     RealSubspace,
+    anticommuting,
     dot_bilinear,
     dot_hermitian,
     gram_schmidt_hermitian,
@@ -24,7 +25,7 @@ from eigenforge.linalg import (
     vec_is_zero,
 )
 
-from oracles import RefRealSubspace
+from oracles import RefRealSubspace, ref_det, ref_matmul, ref_rref
 
 
 def rand_scalar(rng):
@@ -300,3 +301,167 @@ def test_real_subspace_never_equals_complex_subspace():
     assert type(W.sum(V)) is ComplexSubspace
     with pytest.raises(AttributeError, match="RealSubspace is immutable"):
         V.basis = ()
+
+
+def test_solve_rejects_a_right_side_of_another_length():
+    A = Matrix([[1, 2], [3, 4]])
+    for b in (vec([1]), vec([1, 2, 3])):
+        with pytest.raises(ValueError):
+            A.solve(b)
+
+
+def test_intersection_of_real_subspaces_is_real():
+    e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    meet = RealSubspace(3, [e1, e2]).intersect(RealSubspace(3, [e2, e3]))
+    assert type(meet) is RealSubspace
+    assert meet == RealSubspace(3, [e2])
+    assert RealSubspace(3, [e1]).intersect(RealSubspace(3)) == RealSubspace(3)
+
+
+# -- integer kernels against the per-entry reference loops -------------
+#
+# Products, row reduction and determinants run fraction-free on
+# Gaussian-integer numerators; tests/oracles.py keeps the GaussRational
+# loops they replaced.  Matrices mix small and very large denominators
+# and carry duplicate, dependent and zero rows and zero columns.
+
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_large = st.fractions(min_value=-10 ** 9, max_value=10 ** 9, max_denominator=10 ** 12)
+_entries = st.one_of(st.just(ZERO), st.builds(GaussRational, _small),
+                     st.builds(GaussRational, _small, _small),
+                     st.builds(GaussRational, _large, st.one_of(_small, _large)))
+
+
+_sparse = st.sampled_from([ZERO, ZERO, ZERO, ONE, -ONE, scalar(3), scalar(-7), I, 2 * I])
+
+
+@st.composite
+def matrices(draw, nrows=None, ncols=None):
+    n = draw(st.integers(0, 5)) if nrows is None else nrows
+    m = draw(st.integers(0, 5)) if ncols is None else ncols
+    entries = draw(st.sampled_from([_entries, _sparse]))
+    rows = []
+    for i in range(n):
+        kind = draw(st.sampled_from(["free", "free", "duplicate", "combination", "zero"]))
+        if kind == "duplicate" and rows:
+            row = list(draw(st.sampled_from(rows)))
+        elif kind == "combination" and rows:
+            a, b, c = draw(st.sampled_from(rows)), draw(st.sampled_from(rows)), draw(entries)
+            row = [x + c * y for x, y in zip(a, b)]
+        elif kind == "zero":
+            row = [ZERO] * m
+        else:
+            row = [draw(entries) for _ in range(m)]
+        rows.append(row)
+    if m and draw(st.booleans()):
+        j = draw(st.integers(0, m - 1))
+        for row in rows:
+            row[j] = ZERO
+    return Matrix(rows, ncols=m)
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(0, 5))
+    return draw(matrices(n, n))
+
+
+def test_sparse_elimination_matches_reference():
+    # Sparse pivot columns make rows skip updates and pivots change between
+    # the steps that touch them, which dense random matrices rarely do.
+    rng = random.Random(17)
+    for _ in range(1500):
+        n = rng.randint(2, 4)
+        M = Matrix([[rng.choice([0, 0, 0, rng.randint(-9, 9)]) for _ in range(n)]
+                    for _ in range(n)])
+        assert M.rref() == ref_rref(M)
+        assert M.det() == ref_det(M)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_product_matches_reference(n, k, m, data):
+    A, B = data.draw(matrices(n, k)), data.draw(matrices(k, m))
+    assert A * B == ref_matmul(A, B)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_rref_rank_and_nullspace_match_reference(M):
+    R, pivots = M.rref()
+    want, want_pivots = ref_rref(M)
+    assert (R, pivots) == (want, want_pivots)
+    assert M.rank() == len(want_pivots)
+    free = [j for j in range(M.ncols) if j not in want_pivots]
+    basis = M.nullspace()
+    assert len(basis) == len(free)
+    for f, u in zip(free, basis):
+        # the canonical kernel vector of free column f, read off the reference RREF
+        assert u == tuple(ONE if j == f else -want[want_pivots.index(j), f] if j in want_pivots
+                          else ZERO for j in range(M.ncols))
+        assert ref_matmul(M, Matrix([[x] for x in u], ncols=1)).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices())
+def test_det_and_inverse_match_reference(M):
+    d = M.det()
+    assert d == ref_det(M)
+    n = M.nrows
+    if not d:
+        with pytest.raises(ValueError, match="singular"):
+            M.inverse()
+        return
+    inv = M.inverse()
+    aug, _ = ref_rref(Matrix([list(r) + list(e) for r, e in zip(M.rows, Matrix.identity(n).rows)],
+                             ncols=2 * n))
+    assert inv == Matrix([r[n:] for r in aug.rows], ncols=n)
+    assert ref_matmul(M, inv) == Matrix.identity(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(), st.data())
+def test_solve_matches_reference(M, data):
+    b = tuple(data.draw(_entries) for _ in range(M.nrows))
+    if data.draw(st.booleans()) and M.ncols:  # a consistent right side
+        x0 = [data.draw(_entries) for _ in range(M.ncols)]
+        b = tuple(ref_matmul(M, Matrix([[x] for x in x0], ncols=1)).col(0))
+    x = M.solve(b)
+    R, pivots = ref_rref(Matrix([list(r) + [v] for r, v in zip(M.rows, b)], ncols=M.ncols + 1))
+    if M.ncols in pivots:
+        assert x is None
+    else:
+        assert ref_matmul(M, Matrix([[v] for v in x], ncols=1)).col(0) == b
+
+
+@st.composite
+def anticommuting_cases(draw):
+    "Square matrices of one size, some built from isotropic vectors so that they anticommute."
+    n = draw(st.integers(0, 4))
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        if n == 4 and draw(st.booleans()):
+            # (a, ia, b, ib) . (c, ic, d, id) = 0: u u^T, v v^T and u v^T + v u^T anticommute
+            a, b, c, d = (draw(_entries) for _ in range(4))
+            u, v = vec([a, I * a, b, I * b]), vec([c, I * c, d, I * d])
+            U, V = Matrix([u], ncols=4), Matrix([v], ncols=4)
+            mats.append(draw(st.sampled_from([U.transpose() * U, V.transpose() * V,
+                                              U.transpose() * V + V.transpose() * U])))
+        else:
+            mats.append(draw(matrices(n, n)))
+    return mats
+
+
+@settings(max_examples=100, deadline=None)
+@given(anticommuting_cases())
+def test_anticommuting_matches_reference(mats):
+    want = all((ref_matmul(A, B) + ref_matmul(B, A)).is_zero()
+               for i, A in enumerate(mats) for B in mats[i:])
+    assert anticommuting(mats) == want
+
+
+def test_anticommuting_needs_square_matrices_of_one_size():
+    with pytest.raises(ValueError):
+        anticommuting([Matrix([[1, 0]])])
+    with pytest.raises(ValueError):
+        anticommuting([Matrix.identity(2), Matrix.identity(3)])

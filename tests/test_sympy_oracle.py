@@ -6,7 +6,8 @@ compared with the same quantity computed by sympy from the raw input
 data: derivatives along the real axes, sums and products of expanded
 expressions.  The sympy side calls no eigenforge arithmetic, so an error
 shared by eigenforge and its own references (tests/oracles.py) still
-shows here.  Skipped when sympy is not installed.
+shows here.  Matrix row reduction, determinants and inverses are checked
+the same way against sympy.Matrix.  Skipped when sympy is not installed.
 """
 
 from fractions import Fraction
@@ -185,3 +186,56 @@ def test_apply_real_isometry_matches_sympy(case):
                  for a in range(m)], ncols=m)
     got = apply_real_isometry(to_poly(frame, raw), QM, target)
     assert same(read_back(got, slot_exprs(target)), want)
+
+
+# -- exact linear algebra -------------------------------------------------
+#
+# rref, det and inverse of Gaussian-rational matrices against sympy.Matrix
+# built from the raw entries with sympy.I.
+
+
+@st.composite
+def raw_matrices(draw, square=False):
+    n = draw(st.integers(1, 4))
+    m = n if square else draw(st.integers(1, 4))
+    rows = [[draw(st.tuples(fracs, fracs)) for _ in range(m)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):  # a dependent row
+        c = draw(fracs)
+        rows[-1] = [(c * re, c * im) for re, im in rows[0]]
+    return rows
+
+
+def both(rows):
+    "The raw entries as an eigenforge Matrix and a sympy Matrix."
+    M = Matrix([[scalar(re, im) for re, im in row] for row in rows], ncols=len(rows[0]))
+    S = sp.Matrix([[to_sympy(re) + sp.I * to_sympy(im) for re, im in row] for row in rows])
+    return M, S
+
+
+def same_matrix(M, S):
+    return (M.nrows, M.ncols) == S.shape and all(
+        sp.simplify(to_sympy(M[a, b]) - S[a, b]) == 0
+        for a in range(M.nrows) for b in range(M.ncols))
+
+
+@settings(max_examples=30, deadline=None)
+@given(raw_matrices())
+def test_rref_matches_sympy(rows):
+    M, S = both(rows)
+    R, pivots = M.rref()
+    want, want_pivots = S.rref(simplify=True)
+    assert tuple(pivots) == tuple(want_pivots)
+    assert same_matrix(R, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(raw_matrices(square=True))
+def test_det_and_inverse_match_sympy(rows):
+    M, S = both(rows)
+    d = sp.simplify(S.det())
+    assert sp.simplify(to_sympy(M.det()) - d) == 0
+    if d == 0:
+        with pytest.raises(ValueError):
+            M.inverse()
+    else:
+        assert same_matrix(M.inverse(), S.inv())
