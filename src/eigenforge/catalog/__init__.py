@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from ..scalars import GaussRational, scalar
 from ..conformality import sphere_data, verify_flat_family
-from ..holomorphy import is_uniformly_complex_type, maximal_axis
+from ..holomorphy import gradient_span, maximal_axis, span_complex_type
 from ..parser import FamilySource, load_family
 
 
@@ -61,40 +61,40 @@ def _as_integer(value) -> Fraction:
     return value.re
 
 
-# Each check takes the family, the expected value and a zero-argument
-# callable returning the family's flat verification report, so that an
-# entry verifies at most once however many keys read the verdict.
+# Each check takes the family, the expected value and zero-argument callables
+# returning its flat verification report and its gradient span, so that an
+# entry computes each at most once however many keys read them.
 
 
-def _check_eigenfamily(fs, expected, flat):
+def _check_eigenfamily(fs, expected, flat, span):
     got = flat().verdict
     return got, got is expected
 
 
-def _check_uniform_type(fs, expected, flat):
-    got, _ = is_uniformly_complex_type(fs)
+def _check_uniform_type(fs, expected, flat, span):
+    got, _ = span_complex_type(span())
     return got, got is expected
 
 
-def _check_degree(fs, expected, flat):
+def _check_degree(fs, expected, flat, span):
     degs = sorted({f.degree() for f in fs if f != 0})
     if len(degs) != 1:
         return degs, False
     return degs[0], scalar(degs[0]) == expected
 
 
-def _check_sphere_lambda(fs, expected, flat):
+def _check_sphere_lambda(fs, expected, flat, span):
     data = sphere_data(fs)
     return data.lam, flat().verdict and data.lam == expected
 
 
-def _check_sphere_mu(fs, expected, flat):
+def _check_sphere_mu(fs, expected, flat, span):
     data = sphere_data(fs)
     return data.mu, flat().verdict and data.mu == expected
 
 
-def _check_axis_floor(fs, expected, flat):
-    dim = maximal_axis(fs).certified_dim
+def _check_axis_floor(fs, expected, flat, span):
+    dim = maximal_axis(fs, W=span()).certified_dim
     return dim, Fraction(dim) >= _as_integer(expected)
 
 
@@ -112,6 +112,7 @@ def run_entry(source: FamilySource):
     "Evaluate every expectation of a parsed family, in file order."
     fs = source.polys
     flat = functools.cache(lambda: verify_flat_family(fs))
+    span = functools.cache(lambda: gradient_span(fs))
     out = []
     for key, expected in source.expects.items():
         check = CHECKS.get(key)
@@ -119,7 +120,7 @@ def run_entry(source: FamilySource):
             out.append(ExpectationOutcome(key, expected, "unknown expectation", False))
             continue
         try:
-            actual, ok = check(fs, expected, flat)
+            actual, ok = check(fs, expected, flat, span)
         except (ValueError, AssertionError) as exc:
             actual, ok = f"error: {exc}", False
         out.append(ExpectationOutcome(key, expected, actual, ok))

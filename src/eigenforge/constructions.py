@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GaussRational, ZERO, I
+from .scalars import GaussRational, I
 from .frames import VariableFrame
 from .poly import Poly, FrameMismatch, common_frame, real_gradient, rename_onto, mono_order_key
 from .conformality import kappa, laplacian, verify_flat_family
-from .linalg import ComplexSubspace, Matrix, vec
-from .holomorphy import apply_real_isometry
+from .linalg import Matrix, _eliminate
+from .holomorphy import _pull_back
 
 HALF = GaussRational(Fraction(1, 2))
 NEG_HALF_I = GaussRational(0, Fraction(-1, 2))
@@ -220,31 +220,25 @@ def augment(fs, gs):
 # -- span comparison --------------------------------------------------
 
 
-def coefficient_span(fs, monos=None):
-    """The complex row space of coefficient vectors over a shared
-    monomial index.  Pass monos (a sorted monomial list) to fix the
-    indexing; otherwise the monomials of fs are used."""
-    if monos is None:
-        monos = sorted({mu for p in fs for mu in p.terms}, key=mono_order_key)
-    index = {mu: i for i, mu in enumerate(monos)}
-    rows = []
-    for p in fs:
-        row = [ZERO] * len(monos)
-        for mu, c in p.terms.items():
-            row[index[mu]] = c
-        rows.append(vec(row))
-    return ComplexSubspace(len(monos), rows)
-
-
 def span_equal(fs, gs) -> bool:
-    "Exact equality of complex coefficient spans on a shared frame."
+    """Exact equality of complex coefficient spans on a shared frame: rank F =
+    rank G = rank (F; G) for rows of each member's Gaussian-integer numerators,
+    over the packed monomials in first-seen order (order does not change a rank)."""
     fs = list(fs)
     gs = list(gs)
     both = fs + gs
     if both:
         common_frame(both, "compared families")
-    monos = sorted({mu for p in both for mu in p.terms}, key=mono_order_key)
-    return coefficient_span(fs, monos) == coefficient_span(gs, monos)
+    cols = {key: i for i, key in enumerate(dict.fromkeys(k for p in both for k in p.nums))}
+    n = len(cols)
+    rows = []
+    for p in both:
+        re, im = [0] * n, [0] * n
+        for key, (a, b) in p.nums.items():
+            re[cols[key]], im[cols[key]] = a, b
+        rows.append((re, im))
+    return (len(_eliminate(rows[:len(fs)], n)[1]) == len(_eliminate(rows[len(fs):], n)[1])
+            == len(_eliminate(rows, n)[1]))
 
 
 def congruent_under(fs, gs, phi: Matrix) -> bool:
@@ -256,8 +250,7 @@ def congruent_under(fs, gs, phi: Matrix) -> bool:
         raise ValueError("congruence needs two nonempty families")
     frame = common_frame(fs, "left family")
     common_frame(gs, "right family")
-    moved = [apply_real_isometry(g, phi.transpose(), frame) for g in gs]
-    return span_equal(fs, moved)
+    return span_equal(fs, _pull_back(gs, phi.transpose(), frame))
 
 
 # -- quaternions ------------------------------------------------------

@@ -20,7 +20,7 @@ from operator import mul
 
 from .scalars import ONE, ZERO, common_numerators, sqrt_in_qi, triple
 from .frames import VariableFrame
-from .poly import Poly, axis_slots, common_frame, linear_form, real_gradient, slot_axes
+from .poly import Poly, _derivative, axis_slots, common_frame, linear_form, slot_axes
 from .conformality import kappa, laplacian
 from .linalg import (
     ComplexSubspace,
@@ -43,20 +43,26 @@ def gradient_span(fs) -> ComplexSubspace:
     """span_C of all gradients of all members, over all points.
 
     Each monomial of a real gradient contributes one coefficient vector
-    in C^m; their span equals the span of the pointwise gradients."""
+    in C^m; their span equals the span of the pointwise gradients.  Rows
+    are read in Gaussian integers from the packed slot derivatives."""
     fs = list(fs)
     if not fs:
         raise ValueError("empty family has no gradient span")
-    m = common_frame(fs).m
-    vectors = []
+    frame = common_frame(fs)
+    m = frame.m
+    # d/dx_a = sum c d/dslot_s over the entries (a, c) of slot s
+    units = [[(a, *triple(c)[:2]) for a, c in entries] for entries in slot_axes(frame)]
+    rows = []
     for f in fs:
         per_mono = {}
-        for axis, comp in enumerate(real_gradient(f).components):
-            for mono, c in comp.terms.items():
-                row = per_mono.setdefault(mono, [ZERO] * m)
-                row[axis] = row[axis] + c
-        vectors.extend(tuple(row) for row in per_mono.values())
-    return ComplexSubspace(m, vectors)
+        for s, entries in enumerate(units):
+            for key, (x, y) in _derivative(f.nums, s).items():
+                re, im = per_mono.setdefault(key, ([0] * m, [0] * m))
+                for a, ca, cb in entries:
+                    re[a] += ca * x - cb * y
+                    im[a] += ca * y + cb * x
+        rows.extend(per_mono.values())
+    return ComplexSubspace._spanned(m, rows)
 
 
 # ---------------------------------------------------------------------
@@ -121,10 +127,12 @@ def span_complex_type(W: ComplexSubspace):
 
 
 def _as_real_subspace(frame_dim, V):
-    if isinstance(V, RealSubspace):
+    if isinstance(V, ComplexSubspace):
         if V.ambient != frame_dim:
             raise ValueError("subspace ambient dimension mismatch")
-        return V
+        if not all(x.is_real() for b in V.basis for x in b):
+            raise ValueError("axis must be a real subspace")
+        return V if isinstance(V, RealSubspace) else RealSubspace(V.ambient, V.basis)
     vectors = list(V)
     sub = RealSubspace(frame_dim, vectors)
     if sub.dim != len(vectors):
@@ -137,7 +145,12 @@ def apply_real_isometry(p: Poly, Q: Matrix, target: VariableFrame) -> Poly:
     x' = Q x (rows of Q are the new coordinate functionals), returning
     a polynomial on target with p'(Qx) = p(x).  Orthogonality keeps
     kappa, the Laplacian and eigenfamily data unchanged."""
-    frame = p.frame
+    return _pull_back([p], Q, target)[0]
+
+
+def _pull_back(fs, Q: Matrix, target: VariableFrame) -> list:
+    "apply_real_isometry on each member of a nonempty family on one frame, checking Q once."
+    frame = fs[0].frame
     m = frame.m
     if Q.nrows != m or Q.ncols != m or target.m != m:
         raise ValueError("isometry shape does not match the frames")
@@ -156,11 +169,12 @@ def apply_real_isometry(p: Poly, Q: Matrix, target: VariableFrame) -> Poly:
     # x'_b = sum c' slot'_t (axis_slots).  c and 2c' are Gaussian
     # integers, so each image is Gaussian-integer numerators over 2D.
     fwd = slot_axes(frame)
-    back = [[(t, *triple(2 * c)[:2]) for t, c in entries] for entries in axis_slots(target)]
+    back = [[(t, 2 * a // d, 2 * b // d) for t, c in entries for a, b, d in [triple(c)]]
+            for entries in axis_slots(target)]
     cols = list(zip(*N))
     images = {}
     for s in range(m):
-        if not p.uses_slot(s):
+        if not any(p.uses_slot(s) for p in fs):
             continue
         re, im = [0] * m, [0] * m
         for a, c in fwd[s]:
@@ -170,7 +184,7 @@ def apply_real_isometry(p: Poly, Q: Matrix, target: VariableFrame) -> Poly:
                     re[t] += q * (ca * ea - cb * eb)
                     im[t] += q * (ca * eb + cb * ea)
         images[s] = linear_form(target, zip(re, im), 2 * D)
-    return p.substitute(target, images)
+    return [p.substitute(target, images) for p in fs]
 
 
 def is_axis(fs, V) -> bool:
@@ -305,8 +319,8 @@ def _deg2_seeds(fs):
     return isotropic_annihilator_seeds(nonzero)
 
 
-def maximal_axis(fs, tolerance=1e-9):
-    """Search for a large uniform axis of holomorphy.
+def maximal_axis(fs, tolerance=1e-9, W=None):
+    """Search for a large uniform axis of holomorphy (W: the gradient span, if known).
 
     Exact pipeline: K = real directions annihilating the gradient span;
     then totally isotropic vectors in the bilinear annihilator A
@@ -316,7 +330,7 @@ def maximal_axis(fs, tolerance=1e-9):
     Unsplittable pairs are paired in floating point and reported
     separately with their residual.
     """
-    W = gradient_span(fs)
+    W = gradient_span(fs) if W is None else W
     m = W.ambient
     A = W.bilinear_annihilator()
     K = A.real_points()

@@ -18,12 +18,15 @@ row_i <- (p row_i - f row_lead) / p_prev for pivot p, previous pivot
 p_prev and pivot-column entry f, a division that is exact in Z[i]
 because every entry is a minor (Sylvester's identity).  Each pivot row
 is divided by its pivot once at the end, and det is the sign times the
-last pivot over the product of the row denominators.
+last pivot over the product of the row denominators.  The elimination
+takes Gaussian-integer (re, im) rows with no denominator shared across
+rows; span builders pass polynomial numerators straight in (_spanned).
 """
 
 from __future__ import annotations
 
 from itertools import chain
+from math import prod
 from operator import mul, neg
 
 from .scalars import (GaussRational, ZERO, ONE, as_exact, as_scalar, common_numerators,
@@ -143,25 +146,27 @@ def _products(rows, cols):
         yield tuple(row)
 
 
-def _eliminate(M):
-    """Fraction-free Gauss-Jordan elimination of M: (rows, pivots, sign,
-    scale), the rows as (re, im, tag) with entries re + i im in Z[i], the
-    pivot columns, the permutation sign and the product of the row
-    denominators.  A row with a zero pivot-column entry is not rescaled by
-    p / p_prev but keeps the tag t of the pivot it is current for, and its
-    next update divides by t; so each pivot row ends holding its own pivot."""
-    rows, scale = [], 1
-    for row in M.rows:
-        D, nums = common_numerators(row)
-        scale *= D
-        rows.append(([a for a, _ in nums], [b for _, b in nums], (1, 0)))
-    pivots, sign = [], 1
+def _integer_rows(M):
+    "(rows, scale): M's rows as Gaussian-integer (re, im) lists and the product of their denominators."
+    conv = [common_numerators(row) for row in M.rows]
+    return [([a for a, _ in nums], [b for _, b in nums]) for _, nums in conv], prod(D for D, _ in conv)
+
+
+def _eliminate(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination of Gaussian-integer rows, each
+    a pair (re, im) of integer lists of length ncols: (rows, pivots, sign),
+    the rows as (re, im, tag), the pivot columns and the permutation sign.
+    A row with a zero pivot-column entry is not rescaled by p / p_prev but
+    keeps the tag t of the pivot it is current for, and its next update
+    divides by t; so each pivot row ends holding its own pivot."""
+    rows = [(re, im, (1, 0)) for re, im in rows]
+    nrows, pivots, sign = len(rows), [], 1
     qa, qb = 1, 0  # the previous pivot
-    for col in range(M.ncols):
+    for col in range(ncols):
         lead = sel = len(pivots)
-        while sel < M.nrows and not (rows[sel][0][col] or rows[sel][1][col]):
+        while sel < nrows and not (rows[sel][0][col] or rows[sel][1][col]):
             sel += 1
-        if sel >= M.nrows:
+        if sel >= nrows:
             continue
         if sel != lead:
             rows[lead], rows[sel] = rows[sel], rows[lead]
@@ -187,7 +192,16 @@ def _eliminate(M):
                        (pa, pb))
         qa, qb = pa, pb
         pivots.append(col)
-    return rows, pivots, sign, scale
+    return rows, pivots, sign
+
+
+def _divided(rows, pivots):
+    "The RREF basis: each pivot row x of an elimination over its pivot d, as x conj(d) / |d|^2."
+    for (ra, rb, _), col in zip(rows, pivots):
+        da, db = ra[col], rb[col]
+        n = da * da + db * db
+        yield tuple(from_triple(a * da + b * db, b * da - a * db, n) if a or b else ZERO
+                    for a, b in zip(ra, rb))
 
 
 # ---------------------------------------------------------------------
@@ -317,15 +331,8 @@ class Matrix:
 
     def rref(self):
         "Reduced row echelon form; returns (Matrix, pivot column list)."
-        elim, pivots, _, _ = _eliminate(self)
-        rows = []
-        for (ra, rb, _), col in zip(elim, pivots):
-            # divide the row by its pivot d: x / d = x conj(d) / |d|^2
-            da, db = ra[col], rb[col]
-            n = da * da + db * db
-            rows.append(tuple(from_triple(a * da + b * db, b * da - a * db, n) if a or b else ZERO
-                              for a, b in zip(ra, rb)))
-        rows += [vec_zero(self.ncols)] * (self.nrows - len(pivots))
+        elim, pivots, _ = _eliminate(_integer_rows(self)[0], self.ncols)
+        rows = [*_divided(elim, pivots)] + [vec_zero(self.ncols)] * (self.nrows - len(pivots))
         return Matrix._of(rows, self.ncols), pivots
 
     def rank(self):
@@ -352,7 +359,8 @@ class Matrix:
     def det(self):
         "The sign of the row swaps times the last pivot, over the product of the row denominators."
         self._check_square("det")
-        rows, pivots, sign, scale = _eliminate(self)
+        rows, scale = _integer_rows(self)
+        rows, pivots, sign = _eliminate(rows, self.ncols)
         if len(pivots) < self.nrows:
             return ZERO
         if not pivots:
@@ -441,6 +449,14 @@ class ComplexSubspace:
         R, pivots = Matrix(rows, ncols=ambient).rref()
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", tuple(R.rows[: len(pivots)]))
+
+    @classmethod
+    def _spanned(cls, ambient, rows):
+        "The span of Gaussian-integer (re, im) rows of length ambient, each with its own scale."
+        S = object.__new__(cls)
+        object.__setattr__(S, "ambient", ambient)
+        object.__setattr__(S, "basis", tuple(_divided(*_eliminate(rows, ambient)[:2])))
+        return S
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

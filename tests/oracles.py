@@ -6,14 +6,16 @@ real-gradient forms of the projected bracket, projected Laplacian and
 degree-2 matrix, the bracket, Laplacian and family verification, the
 substitution and isometry pull-back, the degree-2 builders in Poly ring
 arithmetic, a real subspace that stores its basis as Fraction tuples,
-and the per-entry matrix product, row reduction and determinant."""
+the per-entry matrix product, row reduction and determinant, and the
+coefficient and gradient spans built from GaussRational rows."""
 
 from fractions import Fraction
 
 from eigenforge.conformality import EigenData, FamilyReport, _family_degree, _slot_form
 from eigenforge.degree2 import default_frame, twist_x_matrix
 from eigenforge.linalg import ComplexSubspace, Matrix, vec, vec_is_zero
-from eigenforge.poly import FrameMismatch, Poly, axis_slots, common_frame, slot_axes
+from eigenforge.poly import (FrameMismatch, Poly, axis_slots, common_frame, mono_order_key,
+                            real_gradient, slot_axes)
 from eigenforge.scalars import ONE, ZERO, GaussRational, I, as_scalar, scalar
 
 
@@ -606,3 +608,54 @@ def ref_det(M):
                 f = rows[i][col] * inv
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
     return out
+
+
+# -- spans from GaussRational rows ---------------------------------------
+#
+# The coefficient span and the gradient span as ComplexSubspaces of
+# GaussRational rows read from the term view, indexed by the sorted
+# monomials: the loops the Gaussian-integer rows of span_equal and
+# gradient_span replaced.
+
+
+def ref_coefficient_span(fs, monos=None):
+    """The complex row space of coefficient vectors over a shared
+    monomial index.  Pass monos (a sorted monomial list) to fix the
+    indexing; otherwise the monomials of fs are used."""
+    if monos is None:
+        monos = sorted({mu for p in fs for mu in p.terms}, key=mono_order_key)
+    index = {mu: i for i, mu in enumerate(monos)}
+    rows = []
+    for p in fs:
+        row = [ZERO] * len(monos)
+        for mu, c in p.terms.items():
+            row[index[mu]] = c
+        rows.append(vec(row))
+    return ComplexSubspace(len(monos), rows)
+
+
+def ref_span_equal(fs, gs):
+    "Equality of the RREF bases of the two coefficient spans on a shared frame."
+    fs, gs = list(fs), list(gs)
+    both = fs + gs
+    if both:
+        common_frame(both, "compared families")
+    monos = sorted({mu for p in both for mu in p.terms}, key=mono_order_key)
+    return ref_coefficient_span(fs, monos) == ref_coefficient_span(gs, monos)
+
+
+def ref_gradient_span(fs):
+    "The span of one coefficient vector per monomial of the real gradient components."
+    fs = list(fs)
+    if not fs:
+        raise ValueError("empty family has no gradient span")
+    m = common_frame(fs).m
+    vectors = []
+    for f in fs:
+        per_mono = {}
+        for axis, comp in enumerate(real_gradient(f).components):
+            for mono, c in comp.terms.items():
+                row = per_mono.setdefault(mono, [ZERO] * m)
+                row[axis] = row[axis] + c
+        vectors.extend(tuple(row) for row in per_mono.values())
+    return ComplexSubspace(m, vectors)

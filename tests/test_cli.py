@@ -505,6 +505,18 @@ def test_catalog_run_verifies_each_entry_once(monkeypatch):
     assert len(families) == len(set(families)) <= len(payload["entries"])
 
 
+def test_catalog_run_builds_each_gradient_span_once(monkeypatch, tmp_path):
+    # uniformly_complex_type and certified_axis_at_least share one span
+    for name in ("pair-c4", "cubic-quartet-c4"):
+        (tmp_path / f"{name}.efam").write_text(open(entry_path(name)).read())
+    monkeypatch.setenv("EIGENFORGE_CATALOG", str(tmp_path))
+    from eigenforge import holomorphy
+    calls = count_calls(monkeypatch, holomorphy, "gradient_span")
+    code, payload = run_json(["catalog", "run"], "catalog-run")
+    assert code == 0 and payload["ok"] is True
+    assert len(calls) == 2
+
+
 def test_catalog_run_text_lines():
     code, out, err = run(["catalog", "run"])
     assert code == 0

@@ -5,8 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eigenforge.scalars import GaussRational, scalar
+from eigenforge.scalars import GaussRational, ZERO, scalar
 from eigenforge.frames import VariableFrame
 from eigenforge.poly import Poly, FrameMismatch, real_gradient
 from eigenforge.parser import parse_poly
@@ -22,7 +23,7 @@ from eigenforge.constructions import (RealMap, verify_rn_hm, pair_components,
                                       quaternion_multiplication_family,
                                       quaternion_triple_family)
 
-from oracles import axis_polynomials
+from oracles import axis_polynomials, ref_span_equal
 
 C4 = VariableFrame(("z", "u", "v", "w"))
 
@@ -320,6 +321,51 @@ def test_span_equal_is_an_equivalence():
     assert span_equal(a, c)
 
 
+SPAN_FRAMES = [VariableFrame(("z",)), VariableFrame(("z", "u")), VariableFrame(("z",), ("t",)),
+               VariableFrame((), ("s", "t"))]
+
+small_coeff = st.builds(lambda a, b, d, e: scalar(Fraction(a, d), Fraction(b, e)),
+                        st.integers(-9, 9), st.integers(-9, 9),
+                        st.sampled_from([1, 2, 3, 12]), st.sampled_from([1, 5, 7]))
+# nonzero, with large and distinct denominators
+large_coeff = st.builds(lambda a, b, d, e: scalar(Fraction(a, d), Fraction(b, e)),
+                        st.integers(1, 10 ** 12), st.integers(-10 ** 12, 10 ** 12),
+                        st.integers(1, 10 ** 15), st.integers(1, 10 ** 15))
+
+
+@st.composite
+def span_pairs(draw):
+    """(fs, gs): gs holds scaled members and combinations of fs, zero
+    members and unrelated polys, so both equal and unequal spans occur."""
+    frame = draw(st.sampled_from(SPAN_FRAMES))
+    monos = st.tuples(*[st.integers(0, 2)] * frame.num_slots).filter(lambda t: sum(t) <= 3)
+    member = st.dictionaries(monos, small_coeff, max_size=4).map(lambda t: Poly(frame, t))
+    fs = draw(st.lists(member, max_size=4))
+    gs = [draw(large_coeff) * f for f in fs if draw(st.booleans())]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["combination", "zero", "other"]))
+        if kind == "combination":
+            gs.append(sum((draw(st.one_of(st.just(ZERO), large_coeff)) * f for f in fs),
+                          Poly.zero(frame)))
+        elif kind == "zero":
+            gs.append(Poly.zero(frame))
+        else:
+            gs.append(draw(member))
+    if fs and draw(st.booleans()):
+        fs.append(fs[-1] * draw(large_coeff) + fs[0])  # a dependent member
+    return draw(st.permutations(fs)), draw(st.permutations(gs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(span_pairs())
+def test_span_equal_matches_reference(case):
+    fs, gs = case
+    assert span_equal(fs, gs) == ref_span_equal(fs, gs)
+    assert span_equal(gs, fs) == ref_span_equal(gs, fs)
+    assert span_equal(fs, fs + gs) == ref_span_equal(fs, fs + gs)
+    assert span_equal(fs, [g for g in gs if g] + fs) == ref_span_equal(fs, [g for g in gs if g] + fs)
+
+
 def test_congruent_under_rotation():
     rng = random.Random(15)
     quartet = quartet_family()
@@ -340,6 +386,26 @@ def test_congruent_under_rejects_bad_matrices():
                 for b in range(C4.m)])
     with pytest.raises(ValueError):
         congruent_under(quartet, quartet, J)
+
+
+def test_congruent_under_rejects_what_the_pull_back_rejects():
+    # a multi-member family reports the first bad property, as one
+    # apply_real_isometry call per member did
+    quartet = quartet_family()
+    m = C4.m
+    eye = Matrix.identity(m)
+    J = Matrix([[scalar(0, 1) if a == b else scalar(0) for a in range(m)] for b in range(m)])
+    sheared = Matrix([[scalar(1) if a == b or (a, b) == (0, 1) else scalar(0) for b in range(m)]
+                      for a in range(m)])
+    for phi, message in ((J, "isometry entries must be real"),
+                         (eye.scale(scalar(2)), "matrix rows are not orthonormal"),
+                         (sheared, "matrix rows are not orthonormal"),
+                         (Matrix.identity(m - 1), "isometry shape does not match the frames"),
+                         (Matrix([[scalar(1)] * (m + 1)] * m), "isometry shape does not match")):
+        with pytest.raises(ValueError, match=message):
+            congruent_under(quartet, quartet, phi)
+        with pytest.raises(ValueError, match=message):
+            apply_real_isometry(quartet[0], phi.transpose(), C4)
 
 
 # -- quaternions ------------------------------------------------------

@@ -16,6 +16,7 @@ from eigenforge.frames import VariableFrame
 from eigenforge.poly import Poly, real_gradient
 from eigenforge.scalars import GaussRational, ZERO, ONE, scalar
 from eigenforge.linalg import (
+    ComplexSubspace,
     Matrix,
     RealSubspace,
     cayley_orthogonal,
@@ -34,7 +35,7 @@ from eigenforge.holomorphy import (
     symmetric_diagonalize,
 )
 
-from oracles import rational_point, ref_apply_real_isometry
+from oracles import rational_point, ref_apply_real_isometry, ref_gradient_span
 
 C1 = VariableFrame(("z",), ())
 C2 = VariableFrame(("z", "u"), ())
@@ -57,6 +58,34 @@ def test_gradient_span_examples():
     assert gradient_span([Poly.zero(C1)]).dim == 0
     with pytest.raises(ValueError):
         gradient_span([])
+
+
+# frames with real slots, and polys whose coefficients mix denominators
+SPAN_FRAMES = [VariableFrame(("z",), ()), C2, VariableFrame((), ("s", "t")),
+               VariableFrame(("z",), ("t",)), VariableFrame(("z", "u"), ("t",))]
+
+span_coeff = st.builds(lambda a, b, d, e: scalar(Fraction(a, d), Fraction(b, e)),
+                       st.integers(-9, 9), st.integers(-9, 9),
+                       st.sampled_from([1, 2, 3, 12, 10 ** 9 + 7]), st.sampled_from([1, 5, 7]))
+
+
+@st.composite
+def span_families(draw):
+    frame = draw(st.sampled_from(SPAN_FRAMES))
+    monos = st.tuples(*[st.integers(0, 2)] * frame.num_slots).filter(lambda t: sum(t) <= 3)
+    member = st.dictionaries(monos, span_coeff, max_size=5).map(lambda t: Poly(frame, t))
+    fs = draw(st.lists(member, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        fs.append(fs[0] * draw(span_coeff) + Poly.zero(frame))  # a dependent member
+    return fs
+
+
+@settings(max_examples=120, deadline=None)
+@given(span_families())
+def test_gradient_span_basis_is_the_references(fs):
+    W, ref = gradient_span(fs), ref_gradient_span(fs)
+    assert type(W) is ComplexSubspace
+    assert (W.ambient, W.basis) == (ref.ambient, ref.basis)
 
 
 def test_complex_type_holomorphic_true():
@@ -136,6 +165,22 @@ def test_is_axis_examples():
     assert is_axis([F1, F2], [e(0), [Fraction(1, 2)] + e(1)[1:]])
     with pytest.raises(ValueError, match="dependent basis"):
         is_axis([F1, F2], [e(0), e(1), [2, 3] + [0] * (m - 2)])
+
+
+def test_axis_checks_take_a_complex_subspace_with_a_real_basis():
+    frame = VariableFrame(("z", "u"), ())
+    z, u = Poly.variable(frame, "z"), Poly.variable(frame, "u")
+    e0 = [ONE, ZERO, ZERO, ZERO]
+    line = ComplexSubspace(4, [e0])
+    assert is_axis([z * u], line) == is_axis([z * u], RealSubspace(4, [e0]))
+    assert separable_check(z * u, line) == separable_check(z * u, RealSubspace(4, [e0]))
+    complex_line = ComplexSubspace(4, [[ONE, scalar(0, 1), ZERO, ZERO]])
+    with pytest.raises(ValueError, match="axis must be a real subspace"):
+        is_axis([z * u], complex_line)
+    with pytest.raises(ValueError, match="axis must be a real subspace"):
+        separable_check(z * u, complex_line)
+    with pytest.raises(ValueError, match="ambient dimension mismatch"):
+        is_axis([z * u], ComplexSubspace(2, [[ONE, ZERO]]))
 
 
 def test_axis_additivity_orthogonal_sum():
