@@ -27,8 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .scalars import (GaussRational, ZERO, as_scalar, from_triple, rational_sqrt, scalar,
-                      triple)
+from .scalars import GaussRational, ZERO, as_scalar, rational_sqrt, scalar, triple
 from .frames import VariableFrame
 from .poly import (Poly, axis_slots, quadratic, quadratic_numerators, quadratic_pairs,
                    slot_axes)
@@ -46,7 +45,6 @@ from .linalg import (
     vec_is_zero,
     vec_re,
     vec_scale,
-    vec_sub,
 )
 
 
@@ -75,8 +73,7 @@ def to_form(p: Poly) -> Deg2Form:
                 im[a][b] += y
                 re[b][a] += x
                 im[b][a] += y
-    return Deg2Form(p.frame, Matrix([[from_triple(x, y, 2 * den) if x or y else ZERO
-                                      for x, y in zip(ra, rb)] for ra, rb in zip(re, im)], ncols=m))
+    return Deg2Form(p.frame, Matrix.from_numerators(re, im, 2 * den, m))
 
 
 def from_form(f: Deg2Form) -> Poly:
@@ -271,13 +268,13 @@ def default_frame(t: SubspaceType, names=None) -> VariableFrame:
 
 def twist_x_matrix(td: TwistingData) -> Matrix:
     "X = (C - vv^T/4) Y^{-1}; kappa(F2, F2) = 0 is equivalent to this."
-    k = td.Y.nrows
-    if k == 0:
-        return Matrix([], ncols=0)
-    v = vec(td.v)
-    vvt = Matrix([[v[a] * v[b] for b in range(k)] for a in range(k)], ncols=k)
-    quarter = scalar(Fraction(1, 4))
-    return (td.C - vvt.scale(quarter)) * td.Y.inverse()
+    return (td.C - _outer(td.v).scale(Fraction(1, 4))) * td.Y.inverse()
+
+
+def _outer(v) -> Matrix:
+    "v v^T for a vector v."
+    V = Matrix([v], ncols=len(v))
+    return V.transpose() * V
 
 
 def construct_eigenpair(t: SubspaceType, pd: PolynomialData, td: TwistingData,
@@ -345,7 +342,7 @@ def _maximal_axis_radical(M1, M2):
     anisotropic leftover dimension (0 or 1).  The gradient of x^T M x
     is 2 M x, so the rows of M1 and M2 span the gradient span."""
     from .holomorphy import symmetric_diagonalize
-    W = ComplexSubspace(M1.nrows, M1.rows + M2.rows)
+    W = ComplexSubspace._spanned(M1.nrows, zip(M1.re + M2.re, M1.im + M2.im))
     A = W.bilinear_annihilator()
     if A.real_points().dim != 0:
         raise ValueError("not full")
@@ -378,35 +375,29 @@ def decompose_eigenpair(F1: Poly, F2: Poly) -> Deg2Decomposition:
 def _decompose_exact(frame, M1, M2, radical, aniso):
     m = frame.m
     n = len(radical)
-    # holomorphic selectors c_i = (u_i/|u_i| - i v_i/|v_i|)/2
+    # holomorphic selectors c_i = (u_i/|u_i| - i v_i/|v_i|)/2 = conj(r_i)/(2|u_i|),
+    # the rows of S, for r_i = u_i + i v_i
     selectors = []
     axis_rows = []
     for r in radical:
-        u = vec_re(r)
-        v = vec_im(r)
+        u, v = vec_re(r), vec_im(r)
         norm = rational_sqrt(dot_bilinear(u, u).re)
         if norm is None:
             raise _NeedsFloat
         inv = scalar(Fraction(1, 1) / norm)
-        half = scalar(Fraction(1, 2))
-        iunit = scalar(0, 1)
-        selectors.append(vec_scale(half * inv, vec_sub(u, vec_scale(iunit, v))))
-        axis_rows.append(vec_scale(inv, u))
-        axis_rows.append(vec_scale(inv, v))
+        selectors.append(vec_scale(inv / 2, vec_conj(r)))
+        axis_rows += [vec_scale(inv, u), vec_scale(inv, v)]
     axis = RealSubspace(m, axis_rows)
     Q = Matrix.identity(m) - axis.projector()
+    S = Matrix(selectors, ncols=m)
 
     # every conj selector must annihilate both forms (holomorphy)
-    for c in selectors:
-        for M in (M1, M2):
-            if not vec_is_zero(M.apply(vec_conj(c))):
-                raise AssertionError("axis coordinates are not holomorphic")
+    if not all((M * S.conj_transpose()).is_zero() for M in (M1, M2)):
+        raise AssertionError("axis coordinates are not holomorphic")
 
-    def couplings(M):
-        return [Q.apply(vec_scale(scalar(2), M.apply(c))) for c in selectors]
-
-    xi = couplings(M1)
-    eta = couplings(M2)
+    # the couplings xi_i = 2 Q M1 c_i and eta_i = 2 Q M2 c_i, the rows of Xi and Eta
+    Xi, Eta = ((Q * M * S.transpose()).scale(2).transpose() for M in (M1, M2))
+    xi, eta = Xi.rows, Eta.rows
 
     # pure complement blocks must vanish (no s^T B s part)
     for M in (M1, M2):
@@ -428,13 +419,10 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
     delta = m - 2 * n - 2 * k
     if delta != len(aniso) or delta not in (0, 1):
         raise AssertionError("dimension count disagrees with the anisotropic part")
+    e_parts = [p for e in e_basis for p in (vec_re(e), vec_im(e))]
     d_vec = None
     if delta:
-        plane_vectors = list(axis.basis)
-        for e in e_basis:
-            plane_vectors.append(vec_re(e))
-            plane_vectors.append(vec_im(e))
-        comp = RealSubspace(m, plane_vectors).orthogonal_complement()
+        comp = RealSubspace(m, axis_rows + e_parts).orthogonal_complement()
         if comp.dim != 1:
             raise AssertionError("anisotropic complement is not a line")
         d_raw = comp.basis[0]
@@ -443,13 +431,13 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
             raise _NeedsFloat
         d_vec = vec_scale(scalar(Fraction(1, 1) / norm), d_raw)
 
-    E, Xi, Eta = Matrix(e_basis, ncols=m), Matrix(xi, ncols=m), Matrix(eta, ncols=m)
+    E = Matrix(e_basis, ncols=m)
     # phi_j is e_j under the coupling map xi_i -> eta_i, read through any
     # expansion of e_j over the xi_i (the check below fails for every one
     # when the map is not well defined)
     Phi = Matrix([Xi.transpose().solve(e) for e in e_basis], ncols=n) * Eta
     phi = Phi.rows
-    half = scalar(Fraction(1, 2))
+    half = Fraction(1, 2)
     A_mat = (Xi * E.conj_transpose()).scale(half)
     # well-definedness: eta_i must expand through phi of the e-basis
     if A_mat * Phi != Eta:
@@ -465,34 +453,26 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
         raise AssertionError("twisting matrix is zero")
     if k and Y.det() == ZERO:
         raise AssertionError("twisting matrix is singular")
-    vmat = Matrix([[v[a] * v[b] for b in range(k)] for a in range(k)], ncols=k) if k else Matrix([], ncols=0)
-    C = X * Y + vmat.scale(scalar(Fraction(1, 4)))
+    C = X * Y + _outer(v).scale(Fraction(1, 4))
     if not C.is_antisymmetric():
         raise AssertionError("twisting matrix C is not antisymmetric")
 
     zframe = VariableFrame(tuple(f"z{i+1}" for i in range(n)), ())
-    P1 = _z_part(zframe, selectors, M1)
-    P2 = _z_part(zframe, selectors, M2)
+    P1 = _z_part(zframe, S, M1)
+    P2 = _z_part(zframe, S, M2)
 
     st = SubspaceType(n, k, delta).validate()
     pd = PolynomialData(P1, P2, A_mat).validate(st)
     td = TwistingData(Y, C, v).validate(st)
-    isometry_rows = list(axis_rows)
-    for e in e_basis:
-        isometry_rows.append(vec_re(e))
-        isometry_rows.append(vec_im(e))
-    if delta:
-        isometry_rows.append(d_vec)
-    isometry = Matrix(isometry_rows, ncols=m)
+    isometry = Matrix(axis_rows + e_parts + ([d_vec] if delta else []), ncols=m)
     witnesses = {"xi": xi, "eta": eta, "e_basis": e_basis, "d": d_vec, "X": X}
     return Deg2Decomposition(st, pd, td, isometry, True, witnesses)
 
 
-def _z_part(zframe, selectors, M):
-    "sum_ij (s_j^T M s_i) z_i z_j over the holomorphic selectors s."
-    images = [M.apply(c) for c in selectors]
-    return quadratic(zframe, {(2 * i, 2 * j): dot_bilinear(s, Mi)
-                              for i, Mi in enumerate(images) for j, s in enumerate(selectors)})
+def _z_part(zframe, S, M):
+    "sum_ij (s_j^T M s_i) z_i z_j over the holomorphic selectors s, the rows of S."
+    Z = S * M * S.transpose()
+    return quadratic(zframe, {(2 * i, 2 * j): Z[j, i] for i in range(S.nrows) for j in range(S.nrows)})
 
 
 def _decompose_float(frame, M1, M2, radical, aniso):
@@ -588,9 +568,8 @@ def _decompose_float(frame, M1, M2, radical, aniso):
     if delta and vec_is_zero(vec(v)):
         raise AssertionError("delta = 1 needs a nonzero twisting vector")
     X = rat_matrix(X_f, k, k)
-    vmat = Matrix([[v[a] * v[b] for b in range(k)] for a in range(k)], ncols=k) if k else Matrix([], ncols=0)
-    C = X * Y + vmat.scale(scalar(Fraction(1, 4)))
-    C = (C - C.transpose()).scale(scalar(Fraction(1, 2)))
+    C = X * Y + _outer(v).scale(Fraction(1, 4))
+    C = (C - C.transpose()).scale(Fraction(1, 2))
 
     zframe = VariableFrame(tuple(f"z{i+1}" for i in range(n)), ())
 

@@ -16,9 +16,7 @@ roots outside Q(i) are only reported numerically.
 
 from __future__ import annotations
 
-from operator import mul
-
-from .scalars import ONE, ZERO, common_numerators, sqrt_in_qi, triple
+from .scalars import ONE, ZERO, sqrt_in_qi, triple
 from .frames import VariableFrame
 from .poly import Poly, _derivative, axis_slots, common_frame, linear_form, slot_axes
 from .conformality import kappa, laplacian
@@ -130,7 +128,7 @@ def _as_real_subspace(frame_dim, V):
     if isinstance(V, ComplexSubspace):
         if V.ambient != frame_dim:
             raise ValueError("subspace ambient dimension mismatch")
-        if not all(x.is_real() for b in V.basis for x in b):
+        if not V.basis_matrix.is_real():
             raise ValueError("axis must be a real subspace")
         return V if isinstance(V, RealSubspace) else RealSubspace(V.ambient, V.basis)
     vectors = list(V)
@@ -149,22 +147,17 @@ def apply_real_isometry(p: Poly, Q: Matrix, target: VariableFrame) -> Poly:
 
 
 def _pull_back(fs, Q: Matrix, target: VariableFrame) -> list:
-    "apply_real_isometry on each member of a nonempty family on one frame, checking Q once."
+    """apply_real_isometry on each member of a nonempty family on one frame;
+    Q keeps a passed orthogonality check, so it is checked once."""
     frame = fs[0].frame
     m = frame.m
     if Q.nrows != m or Q.ncols != m or target.m != m:
         raise ValueError("isometry shape does not match the frames")
-    # N = D Q over the integers, realness checked on the way; then
-    # Q Q^T = I as N N^T = D^2 I
-    D, nums = common_numerators(c for row in Q.rows for c in row)
-    if any(b for _, b in nums):
+    if not Q.is_real():
         raise ValueError("isometry entries must be real")
-    N = [[a for a, _ in nums[r:r + m]] for r in range(0, m * m, m)]
-    D2 = D * D
-    for a in range(m):
-        for b in range(a, m):
-            if sum(map(mul, N[a], N[b])) != (D2 if a == b else 0):
-                raise ValueError("matrix rows are not orthonormal")
+    if not Q.is_orthogonal():
+        raise ValueError("matrix rows are not orthonormal")
+    D, N = Q.den, Q.re  # Q = N / D over the integers
     # slot_s = sum c x_a (slot_axes), x_a = sum_b Q_ba x'_b and
     # x'_b = sum c' slot'_t (axis_slots).  c and 2c' are Gaussian
     # integers, so each image is Gaussian-integer numerators over 2D.
@@ -195,7 +188,7 @@ def is_axis(fs, V) -> bool:
 def span_is_axis(W: ComplexSubspace, V) -> bool:
     "is_axis for a family with gradient span W."
     P = _as_real_subspace(W.ambient, V).projector()
-    B = Matrix(W.basis, ncols=W.ambient)
+    B = W.basis_matrix
     return (B * P * B.transpose()).is_zero()
 
 

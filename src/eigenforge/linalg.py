@@ -1,36 +1,41 @@
 """Exact linear algebra over Q(i): matrices, row reduction, subspaces.
 
+A Matrix stores Gaussian-integer rows re + i im over one positive
+denominator den, in canonical form (gcd 1 across den and every
+numerator), so equal matrices have equal storage and equal hashes.
+`rows`, `M[i, j]` and `col` are GaussRational views built on first use;
+`Matrix(rows_of_scalars, ncols=)` converts once.  All arithmetic runs on
+the stored integers: a product is two integer dot products per entry
+over D1 D2, reduced by one content gcd, and a real factor (zero `im`)
+skips its zero imaginary dot products.  rref, rank, nullspace, solve,
+inverse and det share one fraction-free Gauss-Jordan elimination
+(Bareiss 1968): row_i <- (p row_i - f row_lead) / p_prev for pivot p,
+previous pivot p_prev and pivot-column entry f, a division that is exact
+in Z[i] because every entry is a minor (Sylvester's identity).  Its rows
+need no shared denominator, so spans eliminate integer rows at their own
+scales.  Each pivot row is divided by its pivot once at the end, and det
+is the sign times the last pivot over den^n.
+
 Vectors are plain tuples of GaussRational; a real vector is one whose
 entries have zero imaginary part, and vec_re/vec_im return such tuples.
-Subspaces keep a reduced row echelon basis, so two subspaces are equal
-exactly when their basis matrices are equal; that is what makes span
-comparisons decidable.  A RealSubspace is a ComplexSubspace with a real
-basis (the RREF of real vectors is real); it adds the orthogonal
+A subspace keeps its reduced row echelon basis as a Matrix, so two
+subspaces are equal exactly when their bases are; that is what makes
+span comparisons decidable.  A RealSubspace is a ComplexSubspace with a
+real basis (the RREF of real vectors is real); it adds the orthogonal
 projector and complement, and never equals a ComplexSubspace.
-
-Products and row reduction run on Gaussian integers, a format only this
-module knows.  A product converts each side once to numerators over one
-denominator and reduces each entry, two integer dot products, once;
-`anticommuting` tests A B + B A = 0 on those integers.  rref, rank,
-nullspace, solve, inverse and det share one fraction-free Gauss-Jordan
-elimination (Bareiss 1968): rows are scaled to Z[i] and updated as
-row_i <- (p row_i - f row_lead) / p_prev for pivot p, previous pivot
-p_prev and pivot-column entry f, a division that is exact in Z[i]
-because every entry is a minor (Sylvester's identity).  Each pivot row
-is divided by its pivot once at the end, and det is the sign times the
-last pivot over the product of the row denominators.  The elimination
-takes Gaussian-integer (re, im) rows with no denominator shared across
-rows; span builders pass polynomial numerators straight in (_spanned).
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from math import prod
+from math import gcd, lcm
 from operator import mul, neg
 
 from .scalars import (GaussRational, ZERO, ONE, as_exact, as_scalar, common_numerators,
-                      from_triple, imag_part, real_part, sum_of_products)
+                      from_triple, imag_part, real_part, sum_of_products, triple)
+
+_new = object.__new__
+_set = object.__setattr__
 
 # ---------------------------------------------------------------------
 # vector helpers
@@ -44,9 +49,6 @@ def vec(entries):
             raise TypeError(f"bad vector entry {e!r}")
         out.append(s)
     return tuple(out)
-
-def vec_zero(n):
-    return (ZERO,) * n
 
 def vec_is_zero(u):
     return all(not x for x in u)
@@ -99,12 +101,9 @@ def cayley_orthogonal(S: "Matrix") -> "Matrix":
     special orthogonal matrix (I + S is always invertible)."""
     if not S.is_antisymmetric():
         raise ValueError("Cayley transform needs an antisymmetric matrix")
-    for r in S.rows:
-        for x in r:
-            if x.im != 0:
-                raise ValueError("Cayley transform needs real entries")
-    n = S.nrows
-    eye = Matrix.identity(n)
+    if not S.is_real():
+        raise ValueError("Cayley transform needs real entries")
+    eye = Matrix.identity(S.nrows)
     return (eye - S) * (eye + S).inverse()
 
 
@@ -112,52 +111,40 @@ def cayley_orthogonal(S: "Matrix") -> "Matrix":
 # integer kernels
 
 
-def _numerators(vectors):
-    """(D, re, im): vectors of GaussRational of one length as Gaussian integers
-    re + i im over one denominator D, as real and imaginary tuples per vector."""
-    D, nums = common_numerators(chain.from_iterable(vectors))
-    n = len(vectors[0]) if vectors else 0
-    re, im = [a for a, _ in nums], [b for _, b in nums]
-    cuts = [slice(k * n, k * n + n) for k in range(len(vectors))]
-    return D, [tuple(re[c]) for c in cuts], [tuple(im[c]) for c in cuts]
+def _columns(rows, ncols):
+    "The columns of a table of integer rows of width ncols."
+    return list(zip(*rows)) if rows else [()] * ncols
 
 
-# r . c = (re_r . re_c - im_r . im_c) + i (re_r . im_c + im_r . re_c): the
-# dot products of the left factor re_r + im_r with the right factors
-# re_c - im_c and im_c + re_c
+def _is_zero(rows):
+    return not any(map(any, rows))
 
 
-def _right(re, im):
-    return [(a + tuple(map(neg, b)), b + a) for a, b in zip(re, im)]
+def _table(rows, cols):
+    "All dot products of integer rows and columns; a zero row costs none."
+    return [[sum(map(mul, r, c)) for c in cols] if any(r) else [0] * len(cols) for r in rows]
 
 
-def _products(rows, cols):
-    """Row by row, the products r . c (no conjugation) of GaussRational
-    vectors of one length: each side is converted once, and each entry is
-    two integer dot products, reduced once."""
-    D1, re1, im1 = _numerators(rows)
-    D2, re2, im2 = _numerators(cols)
-    d, right = D1 * D2, _right(re2, im2)
-    for r in map(tuple.__add__, re1, im1):
-        row = []
-        for c1, c2 in right:
-            a, b = sum(map(mul, r, c1)), sum(map(mul, r, c2))
-            row.append(from_triple(a, b, d) if a or b else ZERO)
-        yield tuple(row)
-
-
-def _integer_rows(M):
-    "(rows, scale): M's rows as Gaussian-integer (re, im) lists and the product of their denominators."
-    conv = [common_numerators(row) for row in M.rows]
-    return [([a for a, _ in nums], [b for _, b in nums]) for _, nums in conv], prod(D for D, _ in conv)
+def _dots(lre, lim, cre, cim):
+    """(re, im): the products r . c (no conjugation) of the rows r = lre + i lim
+    and the columns c = cre + i cim, as tables of Gaussian integers."""
+    if _is_zero(cim):  # (a + i b) c = a c + i b c
+        return _table(lre, cre), _table(lim, cre)
+    if _is_zero(lim):  # a (c + i d) = a c + i a d
+        return _table(lre, cre), _table(lre, cim)
+    # (a + i b)(c + i d) = (a c - b d) + i (a d + b c): the rows a + b
+    # against the columns c - d and d + c
+    rows = list(map(tuple.__add__, lre, lim))
+    return (_table(rows, [c + tuple(map(neg, d)) for c, d in zip(cre, cim)]),
+            _table(rows, [d + c for c, d in zip(cre, cim)]))
 
 
 def _eliminate(rows, ncols):
     """Fraction-free Gauss-Jordan elimination of Gaussian-integer rows, each
-    a pair (re, im) of integer lists of length ncols: (rows, pivots, sign),
-    the rows as (re, im, tag), the pivot columns and the permutation sign.
-    A row with a zero pivot-column entry is not rescaled by p / p_prev but
-    keeps the tag t of the pivot it is current for, and its next update
+    a pair (re, im) of integer sequences of length ncols: (rows, pivots,
+    sign), the rows as (re, im, tag), the pivot columns and the permutation
+    sign.  A row with a zero pivot-column entry is not rescaled by p / p_prev
+    but keeps the tag t of the pivot it is current for, and its next update
     divides by t; so each pivot row ends holding its own pivot."""
     rows = [(re, im, (1, 0)) for re, im in rows]
     nrows, pivots, sign = len(rows), [], 1
@@ -195,67 +182,126 @@ def _eliminate(rows, ncols):
     return rows, pivots, sign
 
 
-def _divided(rows, pivots):
-    "The RREF basis: each pivot row x of an elimination over its pivot d, as x conj(d) / |d|^2."
+def _divided(rows, pivots, nrows, ncols):
+    """The RREF of an elimination as an nrows x ncols Matrix: each pivot row x
+    over its pivot d as x conj(d) / |d|^2 in lowest terms, then all rows over
+    the lcm of their denominators (canonical since each row is), zero rows last."""
+    out = []
     for (ra, rb, _), col in zip(rows, pivots):
         da, db = ra[col], rb[col]
-        n = da * da + db * db
-        yield tuple(from_triple(a * da + b * db, b * da - a * db, n) if a or b else ZERO
-                    for a, b in zip(ra, rb))
+        xa, xb = [a * da + b * db for a, b in zip(ra, rb)], [b * da - a * db for a, b in zip(ra, rb)]
+        g = gcd(da * da + db * db, *xa, *xb)
+        out.append((xa, xb, g, (da * da + db * db) // g))
+    den = lcm(*(d for *_, d in out))
+    zero = ((0,) * ncols,) * (nrows - len(pivots))
+    return _matrix(tuple(tuple(a // g * (den // d) for a in xa) for xa, _, g, d in out) + zero,
+                   tuple(tuple(b // g * (den // d) for b in xb) for _, xb, g, d in out) + zero,
+                   den, ncols)
+
+
+def _row_basis(rows, ncols):
+    "The RREF basis, as a Matrix, of the span of Gaussian-integer (re, im) rows of width ncols."
+    elim, pivots, _ = _eliminate(rows, ncols)
+    return _divided(elim, pivots, len(pivots), ncols)
 
 
 # ---------------------------------------------------------------------
 
 
-class Matrix:
-    """Dense matrix with GaussRational entries."""
+def _init(M, re, im, den, ncols, rows=None):
+    _set(M, "re", re)
+    _set(M, "im", im)
+    _set(M, "den", den)
+    _set(M, "nrows", len(re))
+    _set(M, "ncols", ncols)
+    _set(M, "_rows", rows)
+    _set(M, "_orthogonal", None)
+    return M
 
-    __slots__ = ("rows", "nrows", "ncols")
+
+def _matrix(re, im, den, ncols):
+    "A Matrix from storage already canonical: tuples of integer rows re, im over den."
+    return _init(_new(Matrix), re, im, den, ncols)
+
+
+def _reduced(re, im, den, ncols):
+    "A Matrix from integer rows re, im over any den > 0: one content gcd makes it canonical."
+    g = gcd(den, *chain.from_iterable(re), *chain.from_iterable(im))
+    if g == 1:
+        return _matrix(tuple(map(tuple, re)), tuple(map(tuple, im)), den, ncols)
+    return _matrix(tuple(tuple(a // g for a in r) for r in re),
+                   tuple(tuple(b // g for b in r) for r in im), den // g, ncols)
+
+
+def _joined(A, B):
+    "[A | B] for A and B with the same number of rows (canonical, as A and B are)."
+    den = lcm(A.den, B.den)
+    s, t = den // A.den, den // B.den
+    return _matrix(*(tuple(tuple(a * s for a in x) + tuple(b * t for b in y) for x, y in zip(P, Q))
+                     for P, Q in ((A.re, B.re), (A.im, B.im))), den, A.ncols + B.ncols)
+
+
+def _sliced(M, lo, hi):
+    "Columns lo to hi of M."
+    return _reduced([r[lo:hi] for r in M.re], [r[lo:hi] for r in M.im], M.den, hi - lo)
+
+
+class Matrix:
+    """Dense matrix over Q(i): Gaussian-integer rows re + i im over one
+    positive denominator den, in canonical form."""
+
+    __slots__ = ("re", "im", "den", "nrows", "ncols", "_rows", "_orthogonal")
 
     def __init__(self, rows, ncols=None):
         rows = [vec(r) for r in rows]
-        if rows:
-            width = len(rows[0])
-            for r in rows:
-                if len(r) != width:
-                    raise ValueError("ragged rows")
-            if ncols is not None and ncols != width:
-                raise ValueError(f"rows have {width} columns, not ncols = {ncols}")
-        else:
-            if ncols is None:
-                raise ValueError("empty matrix needs an explicit column count")
-            width = ncols
-        object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", width)
+        width = len(rows[0]) if rows else ncols
+        if width is None:
+            raise ValueError("empty matrix needs an explicit column count")
+        if any(len(r) != width for r in rows):
+            raise ValueError("ragged rows")
+        if ncols is not None and ncols != width:
+            raise ValueError(f"rows have {width} columns, not ncols = {ncols}")
+        # numerators over the lcm of canonical denominators have content 1
+        den, nums = common_numerators(chain.from_iterable(rows))
+        cuts = [nums[k * width:k * width + width] for k in range(len(rows))]
+        _init(self, tuple(tuple(a for a, _ in c) for c in cuts),
+              tuple(tuple(b for _, b in c) for c in cuts), den, width, tuple(rows))
 
     @classmethod
-    def _of(cls, rows, ncols):
-        "A matrix from rows that are already tuples of GaussRational of width ncols."
-        M = object.__new__(cls)
-        object.__setattr__(M, "rows", tuple(rows))
-        object.__setattr__(M, "nrows", len(M.rows))
-        object.__setattr__(M, "ncols", ncols)
-        return M
+    def from_numerators(cls, re, im, den, ncols):
+        "The matrix (re + i im) / den for integer rows re, im of width ncols and an integer den > 0."
+        return _reduced(re, im, den, ncols)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
     def identity(cls, n):
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)], ncols=n)
+        return _matrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
+                       ((0,) * n,) * n, 1, n)
 
     @classmethod
     def zero(cls, nrows, ncols):
-        return cls([vec_zero(ncols) for _ in range(nrows)], ncols=ncols)
+        return _matrix(((0,) * ncols,) * nrows, ((0,) * ncols,) * nrows, 1, ncols)
+
+    @property
+    def rows(self):
+        "The rows as tuples of GaussRational (a view, built on first use)."
+        if self._rows is None:
+            d = self.den
+            _set(self, "_rows", tuple(tuple(from_triple(a, b, d) if a or b else ZERO
+                                            for a, b in zip(ra, rb))
+                                      for ra, rb in zip(self.re, self.im)))
+        return self._rows
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.rows == other.rows and self.ncols == other.ncols
+        return (self.ncols == other.ncols and self.den == other.den
+                and self.re == other.re and self.im == other.im)
 
     def __hash__(self):
-        return hash((self.rows, self.ncols))
+        return hash((self.ncols, self.den, self.re, self.im))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
@@ -269,7 +315,10 @@ class Matrix:
         return tuple(r[j] for r in self.rows)
 
     def is_zero(self):
-        return all(vec_is_zero(r) for r in self.rows)
+        return _is_zero(self.re) and _is_zero(self.im)
+
+    def is_real(self):
+        return _is_zero(self.im)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -280,27 +329,41 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} {op} "
                              f"{other.nrows}x{other.ncols}")
 
+    def _combined(self, other, sign):
+        "self + sign * other, over the lcm of the denominators."
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, sign * (den // other.den)
+        return _reduced(*([[a * s + b * t for a, b in zip(x, y)] for x, y in zip(P, Q)]
+                          for P, Q in ((self.re, other.re), (self.im, other.im))), den, self.ncols)
+
     def __add__(self, other):
         self._check_same_shape(other, "+")
-        return Matrix._of([vec_add(a, b) for a, b in zip(self.rows, other.rows)], self.ncols)
+        return self._combined(other, 1)
 
     def __sub__(self, other):
         self._check_same_shape(other, "-")
-        return Matrix._of([vec_sub(a, b) for a, b in zip(self.rows, other.rows)], self.ncols)
+        return self._combined(other, -1)
 
     def __neg__(self):
-        return Matrix._of([vec_scale(-ONE, r) for r in self.rows], self.ncols)
+        return _matrix(*(tuple(tuple(map(neg, r)) for r in P) for P in (self.re, self.im)),
+                       self.den, self.ncols)
 
     def scale(self, c):
-        c = as_scalar(c)
-        return Matrix._of([vec_scale(c, r) for r in self.rows], self.ncols)
+        s = as_scalar(c)
+        if s is None:
+            raise TypeError(f"cannot scale a Matrix by {type(c).__name__}")
+        a, b, d = triple(s)
+        pairs = [list(zip(x, y)) for x, y in zip(self.re, self.im)]
+        return _reduced([[a * x - b * y for x, y in r] for r in pairs],
+                        [[a * y + b * x for x, y in r] for r in pairs], self.den * d, self.ncols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
-            return Matrix._of(_products(self.rows, [other.col(j) for j in range(other.ncols)]),
-                              other.ncols)
+            n = other.ncols
+            re, im = _dots(self.re, self.im, _columns(other.re, n), _columns(other.im, n))
+            return _reduced(re, im, self.den * other.den, n)
         c = as_scalar(other)
         if c is not None:
             return self.scale(c)
@@ -310,13 +373,17 @@ class Matrix:
         "Matrix times column vector (tuple)."
         if len(u) != self.ncols:
             raise ValueError(f"vector of length {len(u)} for a matrix with {self.ncols} columns")
-        return tuple(sum_of_products(r, u) for r in self.rows)
+        D, nums = common_numerators(vec(u))
+        re, im = _dots(self.re, self.im, [tuple(a for a, _ in nums)], [tuple(b for _, b in nums)])
+        d = self.den * D
+        return tuple(from_triple(a, b, d) if a or b else ZERO for (a,), (b,) in zip(re, im))
 
     def transpose(self):
-        return Matrix._of([self.col(j) for j in range(self.ncols)], self.nrows)
+        n = self.ncols
+        return _matrix(tuple(_columns(self.re, n)), tuple(_columns(self.im, n)), self.den, self.nrows)
 
     def conjugate(self):
-        return Matrix._of([vec_conj(r) for r in self.rows], self.ncols)
+        return _matrix(self.re, tuple(tuple(map(neg, r)) for r in self.im), self.den, self.ncols)
 
     def conj_transpose(self):
         return self.transpose().conjugate()
@@ -325,64 +392,72 @@ class Matrix:
         return self == self.transpose()
 
     def is_antisymmetric(self):
-        return (self + self.transpose()).is_zero()
+        return self == -self.transpose()
+
+    def is_orthogonal(self):
+        "Whether M M^T = I (for a real M: orthonormal rows); decided once per matrix."
+        if self._orthogonal is None:
+            _set(self, "_orthogonal", self.nrows == self.ncols
+                 and self * self.transpose() == Matrix.identity(self.nrows))
+        return self._orthogonal
 
     # -- elimination ---------------------------------------------------
 
     def rref(self):
         "Reduced row echelon form; returns (Matrix, pivot column list)."
-        elim, pivots, _ = _eliminate(_integer_rows(self)[0], self.ncols)
-        rows = [*_divided(elim, pivots)] + [vec_zero(self.ncols)] * (self.nrows - len(pivots))
-        return Matrix._of(rows, self.ncols), pivots
+        rows, pivots, _ = _eliminate(zip(self.re, self.im), self.ncols)
+        return _divided(rows, pivots, self.nrows, self.ncols), pivots
 
     def rank(self):
         _, pivots = self.rref()
         return len(pivots)
 
+    def _kernel(self):
+        """The rows of nullspace as a Matrix: for each free column f of the
+        RREF R, 1 at f and -R[i, f] at the i-th pivot column."""
+        R, pivots = self.rref()
+        n, re, im = self.ncols, [], []
+        for f in (j for j in range(n) if j not in pivots):
+            x, y = [0] * n, [0] * n
+            x[f] = R.den
+            for p, a, b in zip(pivots, R.re, R.im):
+                x[p], y[p] = -a[f], -b[f]
+            re.append(x)
+            im.append(y)
+        return _reduced(re, im, R.den, n)
+
     def nullspace(self):
         """Basis (list of tuples) of the right kernel {u : M u = 0}."""
-        R, pivots = self.rref()
-        free = [j for j in range(self.ncols) if j not in pivots]
-        basis = []
-        for f in free:
-            u = [ZERO] * self.ncols
-            u[f] = ONE
-            for i, p in enumerate(pivots):
-                u[p] = -R[i, f]
-            basis.append(tuple(u))
-        return basis
+        return list(self._kernel().rows)
 
     def _check_square(self, op):
         if self.nrows != self.ncols:
             raise ValueError(f"{op} needs a square matrix, got {self.nrows}x{self.ncols}")
 
     def det(self):
-        "The sign of the row swaps times the last pivot, over the product of the row denominators."
+        "The sign of the row swaps times the last pivot, over den^n."
         self._check_square("det")
-        rows, scale = _integer_rows(self)
-        rows, pivots, sign = _eliminate(rows, self.ncols)
+        rows, pivots, sign = _eliminate(zip(self.re, self.im), self.ncols)
         if len(pivots) < self.nrows:
             return ZERO
         if not pivots:
             return ONE
         da, db, _ = rows[-1]
-        return from_triple(sign * da[-1], sign * db[-1], scale)
+        return from_triple(sign * da[-1], sign * db[-1], self.den ** self.nrows)
 
     def inverse(self):
         self._check_square("inverse")
         n = self.nrows
-        aug = Matrix([list(r) + list(e) for r, e in zip(self.rows, Matrix.identity(n).rows)], ncols=2 * n)
-        R, pivots = aug.rref()
+        R, pivots = _joined(self, Matrix.identity(n)).rref()
         if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix._of([r[n:] for r in R.rows], n)
+        return _sliced(R, n, 2 * n)
 
     def solve(self, b):
         """One solution x of M x = b, or None if inconsistent."""
         if len(b) != self.nrows:
             raise ValueError(f"vector of length {len(b)} for a matrix with {self.nrows} rows")
-        aug = Matrix([list(r) + [v] for r, v in zip(self.rows, b)], ncols=self.ncols + 1)
-        R, pivots = aug.rref()
+        R, pivots = _joined(self, Matrix([b], ncols=self.nrows).transpose()).rref()
         if self.ncols in pivots:
             return None
         x = [ZERO] * self.ncols
@@ -392,36 +467,40 @@ class Matrix:
 
     def to_float(self):
         import numpy
-        return numpy.array([[complex(x) for x in r] for r in self.rows], dtype=complex)
+        d = self.den
+        return numpy.array([[complex(a / d, b / d) for a, b in zip(ra, rb)]
+                            for ra, rb in zip(self.re, self.im)], dtype=complex)
 
 
 def matrix_from_cols(cols, nrows=None):
-    if not cols:
-        if nrows is None:
-            raise ValueError("no columns: pass nrows for the empty matrix")
-        return Matrix([[] for _ in range(nrows)], ncols=0) if nrows else Matrix([], ncols=0)
-    return Matrix(cols, ncols=len(cols[0])).transpose()
+    if not cols and nrows is None:
+        raise ValueError("no columns: pass nrows for the empty matrix")
+    return Matrix(cols, ncols=len(cols[0]) if cols else nrows).transpose()
 
 
 def anticommuting(mats) -> bool:
     """Whether A B + B A = 0 for all A, B in mats, A = B included; mats are
-    square of one size.  Each is converted once; stops at the first
-    nonzero entry."""
+    square of one size.  Runs on the stored numerators and stops at the
+    first nonzero entry; A A + A A = 0 is tested as A A = 0, and when all
+    of mats are symmetric, so is each A B + B A: only its upper triangle
+    is tested."""
     if any(not A.nrows == A.ncols == mats[0].nrows for A in mats):
         raise ValueError("anticommuting needs square matrices of one size")
-    factors = []
-    for A in mats:
-        _, re, im = _numerators(A.rows)
-        factors.append((list(map(tuple.__add__, re, im)), _right(zip(*re), zip(*im))))
+    symmetric = all(map(Matrix.is_symmetric, mats))
+    # row a + i b times column c + i d: the row a + b against the columns c - d and d + c
+    factors = [(list(map(tuple.__add__, A.re, A.im)),
+                [(c + tuple(map(neg, d)), d + c)
+                 for c, d in zip(_columns(A.re, A.ncols), _columns(A.im, A.ncols))]) for A in mats]
     for i, (rows_a, cols_a) in enumerate(factors):
-        for rows_b, cols_b in factors[i:]:
-            # entry (r, c) is row_r(A) col_c(B) + row_r(B) col_c(A), over D_A D_B
-            cols = [(b1 + a1, b2 + a2) for (b1, b2), (a1, a2) in zip(cols_b, cols_a)]
-            for ra, rb in zip(rows_a, rows_b):
-                r = ra + rb
-                for c1, c2 in cols:
-                    if sum(map(mul, r, c1)) or sum(map(mul, r, c2)):
-                        return False
+        for j, (rows_b, cols_b) in enumerate(factors[i:]):
+            rows, cols = rows_a, cols_a
+            if j:  # entry (r, c) is row_r(A) col_c(B) + row_r(B) col_c(A), over D_A D_B
+                rows = map(tuple.__add__, rows_a, rows_b)
+                cols = [(b1 + a1, b2 + a2) for (b1, b2), (a1, a2) in zip(cols_b, cols_a)]
+            for k, r in enumerate(rows):
+                if any(sum(map(mul, r, c1)) or sum(map(mul, r, c2))
+                       for c1, c2 in (cols[k:] if symmetric else cols)):
+                    return False
     return True
 
 
@@ -433,45 +512,53 @@ def _check_ambient(u, v):
         raise ValueError(f"ambient dimensions {u.ambient} and {v.ambient} differ")
 
 
+def _with_basis(S, basis_matrix):
+    "S, made the subspace whose RREF basis is the rows of basis_matrix."
+    _set(S, "ambient", basis_matrix.ncols)
+    _set(S, "basis_matrix", basis_matrix)
+    return S
+
+
 class ComplexSubspace:
-    """A subspace of C^ambient with a canonical (RREF) basis.
+    """A subspace of C^ambient with a canonical (RREF) basis, the rows of
+    basis_matrix; `basis` views them as tuples of GaussRational.
 
     Equality of subspaces is equality of the canonical bases.
     """
 
-    __slots__ = ("ambient", "basis")
+    __slots__ = ("ambient", "basis_matrix")
 
     def __init__(self, ambient: int, vectors=()):
         rows = [vec(v) for v in vectors]
-        for r in rows:
-            if len(r) != ambient:
-                raise ValueError("vector length does not match ambient dimension")
-        R, pivots = Matrix(rows, ncols=ambient).rref()
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", tuple(R.rows[: len(pivots)]))
+        if any(len(r) != ambient for r in rows):
+            raise ValueError("vector length does not match ambient dimension")
+        # each row over its own denominator: scaling a row keeps its span
+        nums = [common_numerators(r)[1] for r in rows]
+        _with_basis(self, _row_basis([([a for a, _ in x], [b for _, b in x]) for x in nums], ambient))
 
     @classmethod
     def _spanned(cls, ambient, rows):
         "The span of Gaussian-integer (re, im) rows of length ambient, each with its own scale."
-        S = object.__new__(cls)
-        object.__setattr__(S, "ambient", ambient)
-        object.__setattr__(S, "basis", tuple(_divided(*_eliminate(rows, ambient)[:2])))
-        return S
+        return _with_basis(_new(cls), _row_basis(rows, ambient))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
+    def basis(self):
+        return self.basis_matrix.rows
+
+    @property
     def dim(self):
-        return len(self.basis)
+        return self.basis_matrix.nrows
 
     def __eq__(self, other):
         if type(other) is not type(self):  # a RealSubspace never equals a ComplexSubspace
             return NotImplemented
-        return self.ambient == other.ambient and self.basis == other.basis
+        return self.basis_matrix == other.basis_matrix
 
     def __hash__(self):
-        return hash((self.ambient, self.basis))
+        return hash(self.basis_matrix)
 
     def __repr__(self):
         return f"ComplexSubspace(dim {self.dim} in C^{self.ambient})"
@@ -493,39 +580,37 @@ class ComplexSubspace:
 
     def intersect(self, other):
         _check_ambient(self, other)
-        if self.dim == 0 or other.dim == 0:
-            return type(self)(self.ambient)
-        # x = sum a_i u_i = sum b_j v_j; kernel of [U^T | -V^T]
-        cols = [list(b) for b in self.basis] + [[-x for x in b] for b in other.basis]
-        coords = [k[: self.dim] for k in matrix_from_cols(cols).nullspace()]
-        return type(self)(self.ambient, _products(coords, list(zip(*self.basis))))
+        U, V = self.basis_matrix, other.basis_matrix
+        # x = a U = b V: a is the first U.nrows coordinates of the kernel of [U^T | -V^T]
+        X = _sliced(_joined(U.transpose(), -V.transpose())._kernel(), 0, U.nrows) * U
+        return type(self)._spanned(self.ambient, zip(X.re, X.im))
 
     def conj(self):
-        return ComplexSubspace(self.ambient, [vec_conj(b) for b in self.basis])
+        # conjugation keeps an RREF, whose pivots are 1
+        return _with_basis(_new(ComplexSubspace), self.basis_matrix.conjugate())
 
     def bilinear_annihilator(self):
         "All u with b . u = 0 (no conjugation) for every basis vector b."
-        return ComplexSubspace(self.ambient, Matrix(list(self.basis), ncols=self.ambient).nullspace())
+        K = self.basis_matrix._kernel()
+        return ComplexSubspace._spanned(self.ambient, zip(K.re, K.im))
 
     def hermitian_complement_within(self, inside):
         "Vectors of `inside` hermitian-orthogonal to every vector of self."
         if self.dim == 0 or inside.dim == 0:
             return inside
-        # coordinates relative to inside's basis
-        G = Matrix._of(_products([vec_conj(b) for b in self.basis], inside.basis), inside.dim)
-        return ComplexSubspace(self.ambient, _products(G.nullspace(), list(zip(*inside.basis))))
+        # coordinates c over inside's basis B with conj(b) . (c B) = 0 for self's basis b
+        B = inside.basis_matrix
+        X = (self.basis_matrix.conjugate() * B.transpose())._kernel() * B
+        return ComplexSubspace._spanned(self.ambient, zip(X.re, X.im))
 
     def real_points(self):
         """Real basis of the real vectors contained in self (as a RealSubspace).
 
         Nonempty only when self meets its conjugate.
         """
-        stable = self.intersect(self.conj())
-        reals = []
-        for b in stable.basis:
-            reals.append(vec_re(b))
-            reals.append(vec_im(b))
-        return RealSubspace(self.ambient, reals)
+        B = self.intersect(self.conj()).basis_matrix
+        zero = (0,) * self.ambient
+        return RealSubspace._spanned(self.ambient, [(x, zero) for x in B.re + B.im])
 
 
 class RealSubspace(ComplexSubspace):
@@ -542,14 +627,21 @@ class RealSubspace(ComplexSubspace):
             rows.append(row)
         super().__init__(ambient, rows)
 
+    @classmethod
+    def _spanned(cls, ambient, rows):
+        S = super()._spanned(ambient, rows)
+        if not S.basis_matrix.is_real():
+            raise ValueError("real subspace needs real entries")
+        return S
+
     def __repr__(self):
         return f"RealSubspace(dim {self.dim} in R^{self.ambient})"
 
     def projector(self) -> Matrix:
         "Exact orthogonal projector onto self (normal equations, no roots)."
-        B = Matrix(self.basis, ncols=self.ambient)
-        gram = B * B.transpose()
-        return B.transpose() * gram.inverse() * B
+        B = self.basis_matrix
+        return B.transpose() * (B * B.transpose()).inverse() * B
 
     def orthogonal_complement(self):
-        return RealSubspace(self.ambient, Matrix(self.basis, ncols=self.ambient).nullspace())
+        K = self.basis_matrix._kernel()
+        return RealSubspace._spanned(self.ambient, zip(K.re, K.im))

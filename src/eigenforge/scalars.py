@@ -6,9 +6,9 @@ exactly when their triples are equal, and each operation costs a few
 integer multiplications and at most one gcd.  The real and imaginary
 parts are exposed as Fractions for code that reads them.
 
-Everything downstream (polynomials, matrices, subspaces) stores its
-coefficients as GaussRational values, so equality tests are exact and no
-floating point enters the symbolic paths.
+Polynomials and matrices store Gaussian-integer numerators over one
+denominator in the same canonical way, and read their coefficients out
+as GaussRational values; no floating point enters the symbolic paths.
 """
 
 from __future__ import annotations

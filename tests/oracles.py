@@ -6,7 +6,8 @@ real-gradient forms of the projected bracket, projected Laplacian and
 degree-2 matrix, the bracket, Laplacian and family verification, the
 substitution and isometry pull-back, the degree-2 builders in Poly ring
 arithmetic, a real subspace that stores its basis as Fraction tuples,
-the per-entry matrix product, row reduction and determinant, and the
+the per-entry matrix product, entrywise operations, matrix-vector
+product, conjugate transpose, row reduction and determinant, and the
 coefficient and gradient spans built from GaussRational rows."""
 
 from fractions import Fraction
@@ -553,6 +554,29 @@ def ref_matmul(A, B):
             row.append(total)
         rows.append(row)
     return Matrix(rows, ncols=B.ncols)
+
+
+def ref_entrywise(op, *mats):
+    "The matrix of op applied entry by entry to matrices of one shape."
+    return Matrix([[op(*xs) for xs in zip(*rows)] for rows in zip(*(A.rows for A in mats))],
+                  ncols=mats[0].ncols)
+
+
+def ref_apply(A, u):
+    "A u with one scalar product and sum per term."
+    out = []
+    for r in A.rows:
+        total = ZERO
+        for x, y in zip(r, u):
+            total = total + x * y
+        out.append(total)
+    return tuple(out)
+
+
+def ref_conj_transpose(A):
+    "The conjugate transpose, entry by entry."
+    return Matrix([[A.rows[i][j].conjugate() for i in range(A.nrows)] for j in range(A.ncols)],
+                  ncols=A.nrows)
 
 
 def ref_rref(M):

@@ -427,6 +427,30 @@ def test_apply_real_isometry_rejects_complex_orthogonal():
             pull_back(z, Q, C1)
 
 
+def test_isometry_is_checked_once_and_bad_ones_raise_on_every_call(monkeypatch):
+    # the orthogonality check (one product Q Q^T) is kept on the immutable Q,
+    # so pulling a family back member by member checks Q once
+    Q = cayley_orthogonal(Matrix([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]]))
+    z, u = Poly.variable(C1, "z"), Poly.conj_variable(C1, "z")
+    family = [z, u, z * u]
+    want = [ref_apply_real_isometry(p, Q, C1) for p in family]
+    products = []
+    original = Matrix.__mul__
+
+    def counted(A, B):
+        products.append((A, B))
+        return original(A, B)
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    assert [apply_real_isometry(p, Q, C1) for p in family] == want
+    assert len(products) == 1
+    bad = [(Q.scale(scalar(0, 1)), "must be real"), (Q.scale(2), "not orthonormal"),
+           (Matrix([[1, 1], [0, 1]]), "not orthonormal")]
+    for M, message in bad:
+        for _ in range(3):
+            with pytest.raises(ValueError, match=message):
+                apply_real_isometry(z, M, C1)
+
+
 # Each case breaks one invariant that guards a printed result, or hands
 # apply_real_isometry a matrix it must reject; the checks must fire even
 # under python -O, which strips assert statements.

@@ -6,12 +6,14 @@ agree with the exact routines.
 
 import random
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eigenforge.scalars import GaussRational, I, ONE, ZERO, scalar
+from eigenforge.scalars import GaussRational, I, ONE, ZERO, real_part, scalar
 from eigenforge.linalg import (
     ComplexSubspace,
     Matrix,
@@ -25,7 +27,8 @@ from eigenforge.linalg import (
     vec_is_zero,
 )
 
-from oracles import RefRealSubspace, ref_det, ref_matmul, ref_rref
+from oracles import (RefRealSubspace, ref_apply, ref_conj_transpose, ref_det, ref_entrywise,
+                     ref_matmul, ref_rref)
 
 
 def rand_scalar(rng):
@@ -447,6 +450,9 @@ def anticommuting_cases(draw):
             U, V = Matrix([u], ncols=4), Matrix([v], ncols=4)
             mats.append(draw(st.sampled_from([U.transpose() * U, V.transpose() * V,
                                               U.transpose() * V + V.transpose() * U])))
+        elif draw(st.booleans()):  # symmetric, so only upper triangles are tested
+            M = draw(matrices(n, n))
+            mats.append(M + M.transpose())
         else:
             mats.append(draw(matrices(n, n)))
     return mats
@@ -465,3 +471,112 @@ def test_anticommuting_needs_square_matrices_of_one_size():
         anticommuting([Matrix([[1, 0]])])
     with pytest.raises(ValueError):
         anticommuting([Matrix.identity(2), Matrix.identity(3)])
+
+
+# -- the stored form: canonical storage and the hash/eq contract -------
+#
+# A Matrix stores Gaussian-integer rows over one denominator with gcd 1
+# across all of them, so equal entries mean equal storage and equal
+# hashes, whichever way the matrix was built.
+
+_wide = st.builds(lambda a, b, d, e: GaussRational(Fraction(a, d), Fraction(b, e)),
+                  st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6),
+                  st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
+_real_wide = st.builds(lambda a, d: GaussRational(Fraction(a, d)),
+                       st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))
+
+
+@st.composite
+def stored_cases(draw):
+    "A matrix over denominators up to 10^6: zero, real or Gaussian, with 0 to 4 rows and columns."
+    n, m = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entries = draw(st.sampled_from([st.just(ZERO), _real_wide, _wide, st.one_of(st.just(ZERO), _wide)]))
+    return Matrix([[draw(entries) for _ in range(m)] for _ in range(n)], ncols=m)
+
+
+def assert_canonical(M):
+    assert M.den > 0 and gcd(M.den, *chain(*M.re), *chain(*M.im)) == 1
+    assert len(M.re) == len(M.im) == M.nrows
+    assert all(len(r) == M.ncols for r in M.re + M.im)
+    assert M.rows == tuple(tuple(GaussRational(Fraction(a, M.den), Fraction(b, M.den))
+                                 for a, b in zip(x, y)) for x, y in zip(M.re, M.im))
+
+
+def _plain(x):
+    "x as an int or Fraction when it is real, else x itself."
+    if not x.is_real():
+        return x
+    return int(x.re) if x.re.denominator == 1 else x.re
+
+
+@settings(max_examples=150)
+@given(stored_cases())
+def test_equal_matrices_have_equal_storage_and_hash(M):
+    n, m = M.nrows, M.ncols
+    R, _ = M.rref()
+    builds = [Matrix(M.rows, ncols=m), Matrix([[_plain(x) for x in r] for r in M.rows], ncols=m),
+              M * Matrix.identity(m), Matrix.identity(n) * M, M.transpose().transpose(),
+              M + Matrix.zero(n, m), -(-M), M.scale(scalar(3, 1)).scale(ONE / scalar(3, 1)),
+              M.conjugate().conjugate(), Matrix.from_numerators(
+                  [[7 * a for a in r] for r in M.re], [[7 * b for b in r] for r in M.im], 7 * M.den, m)]
+    for A in builds + [R]:
+        assert_canonical(A)
+    for A in builds:
+        assert A == M and hash(A) == hash(M)
+        assert (A.den, A.re, A.im) == (M.den, M.re, M.im)
+    again, _ = R.rref()
+    assert again == R and hash(again) == hash(R)
+    zeros = [Matrix.zero(n, m), Matrix([[0] * m for _ in range(n)], ncols=m), M - M, M.scale(0),
+             M * Matrix.zero(m, m)]
+    for Z in zeros:
+        assert_canonical(Z)
+        assert Z == zeros[0] and hash(Z) == hash(zeros[0]) and Z.is_zero()
+    assert (M == zeros[0]) == M.is_zero()
+
+
+def test_shapes_are_part_of_equality():
+    assert Matrix([], ncols=2) != Matrix([], ncols=3)
+    assert Matrix([[], []], ncols=0) != Matrix([[]], ncols=0)
+    assert Matrix.zero(2, 3) != Matrix.zero(3, 2)
+
+
+# -- entrywise operations and the real-factor product shortcut ----------
+
+@settings(max_examples=100)
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_entrywise_operations_match_reference(n, m, data):
+    A, B = data.draw(matrices(n, m)), data.draw(matrices(n, m))
+    c = data.draw(_entries)
+    assert A + B == ref_entrywise(lambda x, y: x + y, A, B)
+    assert A - B == ref_entrywise(lambda x, y: x - y, A, B)
+    assert -A == ref_entrywise(lambda x: -x, A)
+    assert A.scale(c) == ref_entrywise(lambda x: c * x, A) == A * c
+    assert A.conj_transpose() == ref_conj_transpose(A)
+    u = tuple(data.draw(_entries) for _ in range(m))
+    assert A.apply(u) == ref_apply(A, u)
+    assert A.apply(tuple(map(real_part, u))) == ref_apply(A, tuple(map(real_part, u)))
+
+
+def _real(M):
+    return Matrix([[real_part(x) for x in r] for r in M.rows], ncols=M.ncols)
+
+
+def _complex(M):
+    "M with an imaginary part in its first entry, if it has one."
+    rows = [list(r) for r in M.rows]
+    if rows and rows[0]:
+        rows[0][0] = rows[0][0] + I
+    return Matrix(rows, ncols=M.ncols)
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4),
+       st.sampled_from(["real x complex", "complex x real", "real x real"]), st.data())
+def test_products_with_a_real_factor_match_reference(n, k, m, kind, data):
+    A, B = data.draw(matrices(n, k)), data.draw(matrices(k, m))
+    A = _real(A) if kind.startswith("real") else _complex(A)
+    B = _real(B) if kind.endswith("real") else _complex(B)
+    assert A.is_real() == kind.startswith("real") or A.nrows * A.ncols == 0
+    assert B.is_real() == kind.endswith("real") or B.nrows * B.ncols == 0
+    assert A * B == ref_matmul(A, B)
+

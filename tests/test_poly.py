@@ -283,8 +283,8 @@ def test_derivatives_are_clean(p):
 _H, _W = scalar(Fraction(1, 2)), scalar(Fraction(-1, 2), 3)
 
 
-# a degree-10 p and five images with 15 562 output terms: the expansion
-# below has to finish inside hypothesis's deadline
+# a degree-10 p and five images with 15 562 output terms: the largest
+# expansion this test runs
 @given(polys, st.lists(polys, min_size=F2.num_slots, max_size=F2.num_slots))
 @example(Poly(F2, {(2, 2, 2, 2, 2): 1, (2, 0, 2, 2, 0): _W, (1, 2, 0, 2, 0): 1,
                    (0, 2, 2, 2, 0): -I}),
