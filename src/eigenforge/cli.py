@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("analyze", help="complex-type and axis report")
     a.add_argument("path")
     a.add_argument("--tolerance", type=float, default=1e-9,
-                   help="residual bound for the numeric axis extension")
+                   help="residual bound for the numeric axis extension (finite, >= 0)")
     a.add_argument("--json", action="store_true")
     a.set_defaults(func=cmd_analyze)
 

@@ -41,9 +41,9 @@ from typing import NamedTuple, Optional
 from .scalars import (GaussRational, ONE, ZERO, as_scalar, common_numerators, format_scalar,
                       scalar)
 from .frames import VariableFrame
-from .poly import (PRODUCT_LIMIT, FrameMismatch, Poly, _derivative, _gauss_mul, _gauss_sum,
-                   _nonzero, _reduced, check_degree, check_products, common_frame, quadratic,
-                   slot_axes)
+from .poly import (PRODUCT_LIMIT, FrameMismatch, Poly, _degrees, _derivative, _gauss_mul,
+                   _gauss_sum, _nonzero, _reduced, _unpacker, check_degree, check_products,
+                   common_frame, quadratic, slot_axes)
 
 TWO = scalar(2)
 
@@ -313,13 +313,13 @@ def power_family(fs, d: int, data: EigenData):
 
 def is_even_degree(f: Poly) -> bool:
     "Every monomial has even total degree."
-    return all(sum(m) % 2 == 0 for m in f.terms)
+    return all(d % 2 == 0 for d in _degrees(f))
 
 
 def is_biinvariant(f: Poly) -> bool:
     "Every monomial has equal total z-degree and total conj(z)-degree."
-    n2 = 2 * f.frame.n
-    return all(sum(m[0:n2:2]) == sum(m[1:n2:2]) for m in f.terms)
+    n2, unpack = 2 * f.frame.n, _unpacker(f.frame.num_slots)
+    return all(sum(m[0:n2:2]) == sum(m[1:n2:2]) for m in map(unpack, f.nums))
 
 
 # Derivations of the right sp(1)-action on quaternionic coordinates

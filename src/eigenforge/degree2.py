@@ -182,13 +182,12 @@ def find_axis_deg2(forms):
 
 
 def is_full(fs) -> bool:
-    "No nonzero real direction annihilates the gradient span."
+    "No nonzero real direction annihilates the gradient span: its real kernel is zero."
     fs = list(fs)
     if not fs:
         return False
     from .holomorphy import gradient_span
-    W = gradient_span(fs)
-    return W.bilinear_annihilator().real_points().dim == 0
+    return gradient_span(fs).real_annihilator().dim == 0
 
 
 # ---------------------------------------------------------------------
@@ -340,12 +339,13 @@ def _maximal_axis_radical(M1, M2):
     of a full eigenpair with forms M1, M2: the radical of the bilinear
     form on the annihilator of the gradient span (exact), plus the
     anisotropic leftover dimension (0 or 1).  The gradient of x^T M x
-    is 2 M x, so the rows of M1 and M2 span the gradient span."""
+    is 2 M x, so the rows of M1 and M2 span the gradient span W.  Full
+    means W's real kernel K is 0, so that W + K is W."""
     from .holomorphy import symmetric_diagonalize
     W = ComplexSubspace._spanned(M1.nrows, zip(M1.re + M2.re, M1.im + M2.im))
-    A = W.bilinear_annihilator()
-    if A.real_points().dim != 0:
+    if W.real_annihilator().dim != 0:
         raise ValueError("not full")
+    A = W.bilinear_annihilator()
     diag = symmetric_diagonalize(list(A.basis))
     radical = [v for v, d in diag if d == ZERO]
     aniso = [(v, d) for v, d in diag if d != ZERO]

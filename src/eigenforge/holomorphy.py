@@ -6,8 +6,10 @@ type exactly when W is isotropic for the bilinear (non-Hermitian) form
 v . w; the constructive witness is a degenerate complex unit J built
 from a Hermitian-orthogonal isotropic basis.  An axis of holomorphy is
 a real subspace V with g^T P_V h = 0 over W; 2-dimensional axes come
-from isotropic vectors annihilating W, and the maximal-axis search
-assembles K (real annihilator directions) with such planes.
+from isotropic vectors annihilating W.  The maximal-axis search
+assembles K, the real kernel of W, with the planes of isotropic vectors
+in A', the annihilator of W + K (K is real, so A' is the part of W's
+annihilator Hermitian-orthogonal to K).
 
 The search is sound, not complete: certified output always passes
 is_axis exactly; isotropic vectors whose construction needs square
@@ -15,6 +17,8 @@ roots outside Q(i) are only reported numerically.
 """
 
 from __future__ import annotations
+
+from math import isfinite
 
 from .scalars import ONE, ZERO, sqrt_in_qi, triple
 from .frames import VariableFrame
@@ -315,19 +319,21 @@ def _deg2_seeds(fs):
 def maximal_axis(fs, tolerance=1e-9, W=None):
     """Search for a large uniform axis of holomorphy (W: the gradient span, if known).
 
-    Exact pipeline: K = real directions annihilating the gradient span;
-    then totally isotropic vectors in the bilinear annihilator A
-    (radical of the restricted form, quadratic-family seeds, and
-    anisotropic pairs split when the needed square root lies in Q(i)),
+    Exact pipeline: K = the real kernel of the gradient span W; then
+    totally isotropic vectors in A', the bilinear annihilator of W + K
+    (the part of W's annihilator Hermitian-orthogonal to the real K):
+    the radical of the restricted form, quadratic-family seeds, and
+    anisotropic pairs split when the needed square root lies in Q(i),
     each contributing the plane of its real and imaginary parts.
     Unsplittable pairs are paired in floating point and reported
-    separately with their residual.
+    separately with their residual when it is within tolerance (>= 0).
     """
+    if not (isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and non-negative, not {tolerance}")
     W = gradient_span(fs) if W is None else W
     m = W.ambient
-    A = W.bilinear_annihilator()
-    K = A.real_points()
-    A_prime = K.hermitian_complement_within(A)
+    K = W.real_annihilator()
+    A_prime = W.sum(K).bilinear_annihilator()
 
     diag = symmetric_diagonalize(list(A_prime.basis))
     radical = [v for v, d in diag if d == ZERO]

@@ -20,9 +20,12 @@ Vectors are plain tuples of GaussRational; a real vector is one whose
 entries have zero imaginary part, and vec_re/vec_im return such tuples.
 A subspace keeps its reduced row echelon basis as a Matrix, so two
 subspaces are equal exactly when their bases are; that is what makes
-span comparisons decidable.  A RealSubspace is a ComplexSubspace with a
-real basis (the RREF of real vectors is real); it adds the orthogonal
-projector and complement, and never equals a ComplexSubspace.
+span comparisons decidable.  A sum, the bilinear annihilator (the
+kernel of the basis) and the real annihilator (the real kernel of the
+basis's real and imaginary parts) each eliminate integer rows.  A
+RealSubspace is a ComplexSubspace with a real basis (the RREF of real
+vectors is real); it adds the orthogonal projector and complement, and
+never equals a ComplexSubspace.
 """
 
 from __future__ import annotations
@@ -565,6 +568,8 @@ class ComplexSubspace:
 
     def contains(self, u) -> bool:
         u = vec(u)
+        if len(u) != self.ambient:
+            raise ValueError(f"vector of length {len(u)} for a subspace of C^{self.ambient}")
         for b in self.basis:
             pivot = next(j for j, x in enumerate(b) if x)
             if u[pivot]:
@@ -572,45 +577,25 @@ class ComplexSubspace:
         return vec_is_zero(u)
 
     def contains_subspace(self, other) -> bool:
+        _check_ambient(self, other)
         return all(self.contains(b) for b in other.basis)
 
     def sum(self, other):
         _check_ambient(self, other)
-        return type(self)(self.ambient, self.basis + other.basis)
-
-    def intersect(self, other):
-        _check_ambient(self, other)
         U, V = self.basis_matrix, other.basis_matrix
-        # x = a U = b V: a is the first U.nrows coordinates of the kernel of [U^T | -V^T]
-        X = _sliced(_joined(U.transpose(), -V.transpose())._kernel(), 0, U.nrows) * U
-        return type(self)._spanned(self.ambient, zip(X.re, X.im))
-
-    def conj(self):
-        # conjugation keeps an RREF, whose pivots are 1
-        return _with_basis(_new(ComplexSubspace), self.basis_matrix.conjugate())
+        return type(self)._spanned(self.ambient, zip(U.re + V.re, U.im + V.im))
 
     def bilinear_annihilator(self):
         "All u with b . u = 0 (no conjugation) for every basis vector b."
         K = self.basis_matrix._kernel()
         return ComplexSubspace._spanned(self.ambient, zip(K.re, K.im))
 
-    def hermitian_complement_within(self, inside):
-        "Vectors of `inside` hermitian-orthogonal to every vector of self."
-        if self.dim == 0 or inside.dim == 0:
-            return inside
-        # coordinates c over inside's basis B with conj(b) . (c B) = 0 for self's basis b
-        B = inside.basis_matrix
-        X = (self.basis_matrix.conjugate() * B.transpose())._kernel() * B
-        return ComplexSubspace._spanned(self.ambient, zip(X.re, X.im))
-
-    def real_points(self):
-        """Real basis of the real vectors contained in self (as a RealSubspace).
-
-        Nonempty only when self meets its conjugate.
-        """
-        B = self.intersect(self.conj()).basis_matrix
-        zero = (0,) * self.ambient
-        return RealSubspace._spanned(self.ambient, [(x, zero) for x in B.re + B.im])
+    def real_annihilator(self):
+        """The real u with b . u = 0 for every basis vector b = Re b + i Im b:
+        the orthogonal complement of the real span of all Re b and Im b."""
+        B, zero = self.basis_matrix, (0,) * self.ambient
+        parts = RealSubspace._spanned(self.ambient, [(x, zero) for x in B.re + B.im])
+        return parts.orthogonal_complement()
 
 
 class RealSubspace(ComplexSubspace):
@@ -636,6 +621,11 @@ class RealSubspace(ComplexSubspace):
 
     def __repr__(self):
         return f"RealSubspace(dim {self.dim} in R^{self.ambient})"
+
+    def sum(self, other):
+        if not other.basis_matrix.is_real():  # span{(1, 0), (1, i)} = C^2 has a real RREF
+            raise ValueError("real subspace needs real entries")
+        return super().sum(other)
 
     def projector(self) -> Matrix:
         "Exact orthogonal projector onto self (normal equations, no roots)."

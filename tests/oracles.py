@@ -7,14 +7,17 @@ degree-2 matrix, the bracket, Laplacian and family verification, the
 substitution and isometry pull-back, the degree-2 builders in Poly ring
 arithmetic, a real subspace that stores its basis as Fraction tuples,
 the per-entry matrix product, entrywise operations, matrix-vector
-product, conjugate transpose, row reduction and determinant, and the
-coefficient and gradient spans built from GaussRational rows."""
+product, conjugate transpose, row reduction and determinant, the
+coefficient and gradient spans built from GaussRational rows, and the
+intersection, real points and Hermitian complement that the axis search
+once reached its subspaces through."""
 
 from fractions import Fraction
 
 from eigenforge.conformality import EigenData, FamilyReport, _family_degree, _slot_form
 from eigenforge.degree2 import default_frame, twist_x_matrix
-from eigenforge.linalg import ComplexSubspace, Matrix, vec, vec_is_zero
+from eigenforge.linalg import (ComplexSubspace, Matrix, RealSubspace, _check_ambient, _joined,
+                               _sliced, vec, vec_is_zero)
 from eigenforge.poly import (FrameMismatch, Poly, axis_slots, common_frame, mono_order_key,
                             real_gradient, slot_axes)
 from eigenforge.scalars import ONE, ZERO, GaussRational, I, as_scalar, scalar
@@ -683,3 +686,44 @@ def ref_gradient_span(fs):
                 row[axis] = row[axis] + c
         vectors.extend(tuple(row) for row in per_mono.values())
     return ComplexSubspace(m, vectors)
+
+
+# -- the subspace chain of the axis search ---------------------------------
+#
+# The maximal-axis search once reached K (the real vectors annihilating
+# the gradient span W) and A' (the part of W's annihilator A Hermitian-
+# orthogonal to K) through general subspace operations: K as the real
+# points of A, that is A meet conj(A), and A' as a complement within A.
+# ComplexSubspace.real_annihilator and W.sum(K).bilinear_annihilator
+# must give the same canonical bases.
+
+
+def ref_intersect(U, V):
+    "U meet V: x = a U = b V, with a the first U.dim coordinates of the kernel of [U^T | -V^T]."
+    _check_ambient(U, V)
+    A, B = U.basis_matrix, V.basis_matrix
+    X = _sliced(_joined(A.transpose(), -B.transpose())._kernel(), 0, A.nrows) * A
+    return type(U)._spanned(U.ambient, zip(X.re, X.im))
+
+
+def ref_conj(V):
+    "The conjugate subspace."
+    C = V.basis_matrix.conjugate()
+    return ComplexSubspace._spanned(V.ambient, zip(C.re, C.im))
+
+
+def ref_real_points(V):
+    "The real vectors of V: the real and imaginary parts of a basis of V meet conj(V)."
+    B = ref_intersect(V, ref_conj(V)).basis_matrix
+    zero = (0,) * V.ambient
+    return RealSubspace._spanned(V.ambient, [(x, zero) for x in B.re + B.im])
+
+
+def ref_hermitian_complement_within(K, inside):
+    "The vectors of inside Hermitian-orthogonal to every vector of K."
+    if K.dim == 0 or inside.dim == 0:
+        return inside
+    # coordinates c over inside's basis B with conj(k) . (c B) = 0 for K's basis k
+    B = inside.basis_matrix
+    X = (K.basis_matrix.conjugate() * B.transpose())._kernel() * B
+    return ComplexSubspace._spanned(K.ambient, zip(X.re, X.im))

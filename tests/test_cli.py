@@ -193,6 +193,20 @@ def test_failed_internal_check_exits_three(monkeypatch, tmp_path):
         assert "Traceback" not in out + err
 
 
+def test_analyze_rejects_a_tolerance_that_is_not_finite_and_non_negative(tmp_path):
+    # the annihilator's form diag(-3, 8/9) pairs only in floats, so the
+    # tolerance decides whether the numeric plane is reported
+    p = tmp_path / "planes.efam"
+    p.write_text("family planes\nframe complex ; real s1 s2 s3 s4\n"
+                 "F1 = (2*i*s1 - s2)^2\nF2 = (1/3*i*s3 - s4)^2\n")
+    code, payload = run_json(["analyze", p], "analyze")
+    assert code == 0 and payload["axis"]["numeric"]["dim"] == 2
+    for bad in ("nan", "inf", "-1"):
+        code, out, err = run(["analyze", p, f"--tolerance={bad}"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: tolerance must be finite and non-negative")
+
+
 def test_analyze_deterministic():
     a = run(["analyze", entry_path("glued-pairs-c6"), "--json"])
     b = run(["analyze", entry_path("glued-pairs-c6"), "--json"])

@@ -35,7 +35,8 @@ from eigenforge.holomorphy import (
     symmetric_diagonalize,
 )
 
-from oracles import rational_point, ref_apply_real_isometry, ref_gradient_span
+from oracles import (rational_point, ref_apply_real_isometry, ref_gradient_span,
+                     ref_hermitian_complement_within, ref_real_points)
 
 C1 = VariableFrame(("z",), ())
 C2 = VariableFrame(("z", "u"), ())
@@ -303,6 +304,24 @@ def test_maximal_axis_numeric_extension():
     assert report.theoretical_upper_bound == 2
     assert report.numeric_dim == 2
     assert report.numeric_residual is not None and report.numeric_residual < 1e-9
+
+
+def test_axis_subspaces_of_an_anticommuting_family_match_the_reference_chain():
+    # three rotated isotropic vectors span W in C^16; six real conditions leave dim K = 10
+    import test_degree2 as t2
+    from eigenforge.degree2 import Deg2Form, from_form
+
+    rng = random.Random(61)
+    frame = VariableFrame((), tuple(f"s{j}" for j in range(16)))
+    polys = [from_form(Deg2Form(frame, A)) for A in t2.anticommuting_family(rng, 16)]
+    W = gradient_span(polys)
+    A = W.bilinear_annihilator()
+    K = W.real_annihilator()
+    assert (W.dim, K.dim) == (3, 10)
+    assert K.basis_matrix == ref_real_points(A).basis_matrix
+    assert (W.sum(K).bilinear_annihilator().basis_matrix
+            == ref_hermitian_complement_within(K, A).basis_matrix)
+    assert maximal_axis(polys, W=W).certified_axis.contains_subspace(K)
 
 
 def test_maximal_axis_certified_on_quadratic_seeds():

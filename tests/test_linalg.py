@@ -28,7 +28,8 @@ from eigenforge.linalg import (
 )
 
 from oracles import (RefRealSubspace, ref_apply, ref_conj_transpose, ref_det, ref_entrywise,
-                     ref_matmul, ref_rref)
+                     ref_hermitian_complement_within, ref_intersect, ref_matmul, ref_real_points,
+                     ref_rref)
 
 
 def rand_scalar(rng):
@@ -123,7 +124,8 @@ def test_subspace_sum_intersect():
     V = ComplexSubspace(3, [e1, e2])
     W = ComplexSubspace(3, [e2, e3])
     assert V.sum(W).dim == 3
-    X = V.intersect(W)
+    assert V.sum(W) == ComplexSubspace(3, [e1, e2, e3])
+    X = ref_intersect(V, W)
     assert X.dim == 1 and X.contains(e2)
 
 
@@ -140,20 +142,25 @@ def test_bilinear_annihilator():
 def test_real_points_of_conj_stable_space():
     # span{ (1,i), (1,-i) } is conjugation stable and equals all of C^2
     V = ComplexSubspace(2, [vec([1, I]), vec([1, -I])])
-    assert V.real_points().dim == 2
+    assert ref_real_points(V).dim == 2
     # span{ (1,i) } alone meets its conjugate trivially
     W = ComplexSubspace(2, [vec([1, I])])
-    assert W.real_points().dim == 0
+    assert ref_real_points(W).dim == 0
+    # the real annihilator is the real points of the bilinear annihilator
+    for S in (V, W):
+        assert S.real_annihilator() == ref_real_points(S.bilinear_annihilator())
 
 
 def test_hermitian_complement_within():
     e1 = vec([1, 0, 0])
     inside = ComplexSubspace(3, [vec([1, 1, 0]), vec([0, 0, 1])])
     K = ComplexSubspace(3, [e1])
-    C = K.hermitian_complement_within(inside)
-    assert C.dim == 1
+    C = ref_hermitian_complement_within(K, inside)
+    assert C == ComplexSubspace(3, [vec([0, 0, 1])])
     for b in C.basis:
         assert dot_hermitian(e1, b) == ZERO
+    # K is real, so this is also the part of inside that annihilates K bilinearly
+    assert C == ref_intersect(inside, K.bilinear_annihilator())
 
 
 def test_gram_schmidt_hermitian():
@@ -218,9 +225,20 @@ def test_complex_subspace_sum_rejects_other_ambient():
         ComplexSubspace(2, [vec([1, 0])]).sum(ComplexSubspace(3))
 
 
-def test_complex_subspace_intersect_rejects_other_ambient():
-    with pytest.raises(ValueError):
-        ComplexSubspace(3).intersect(ComplexSubspace(2, [vec([1, 0])]))
+def test_complex_subspace_contains_subspace_rejects_other_ambient():
+    V = ComplexSubspace(2, [vec([1, 0])])
+    for other in (ComplexSubspace(3, [vec([1, 0, 0])]), ComplexSubspace(3), ComplexSubspace(1)):
+        with pytest.raises(ValueError):
+            V.contains_subspace(other)
+    assert V.contains_subspace(ComplexSubspace(2, [vec([3, 0])]))
+
+
+def test_complex_subspace_contains_rejects_other_lengths():
+    V = ComplexSubspace(2, [vec([1, 0])])
+    for u in (vec([1, 0, 5]), vec([1]), vec([0, 0, 0]), ()):
+        with pytest.raises(ValueError):
+            V.contains(u)
+    assert V.contains(vec([3, 0])) and not V.contains(vec([0, 1]))
 
 
 def test_real_subspace_sum_rejects_other_ambient():
@@ -313,12 +331,16 @@ def test_solve_rejects_a_right_side_of_another_length():
             A.solve(b)
 
 
-def test_intersection_of_real_subspaces_is_real():
+def test_real_annihilator_is_a_real_subspace():
     e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-    meet = RealSubspace(3, [e1, e2]).intersect(RealSubspace(3, [e2, e3]))
-    assert type(meet) is RealSubspace
-    assert meet == RealSubspace(3, [e2])
-    assert RealSubspace(3, [e1]).intersect(RealSubspace(3)) == RealSubspace(3)
+    K = ComplexSubspace(3, [vec([1, I, 0])]).real_annihilator()
+    assert type(K) is RealSubspace
+    assert K == RealSubspace(3, [e3])
+    assert RealSubspace(3, [e1, e2]).real_annihilator() == RealSubspace(3, [e3])
+    assert ComplexSubspace(3).real_annihilator() == RealSubspace(3, [e1, e2, e3])
+    assert ComplexSubspace(3, [e1, e2, e3]).real_annihilator() == RealSubspace(3)
+    joined = RealSubspace(3, [e1]).sum(RealSubspace(3, [e2]))
+    assert type(joined) is RealSubspace and joined == RealSubspace(3, [e1, e2])
 
 
 # -- integer kernels against the per-entry reference loops -------------
@@ -580,3 +602,54 @@ def test_products_with_a_real_factor_match_reference(n, k, m, kind, data):
     assert B.is_real() == kind.endswith("real") or B.nrows * B.ncols == 0
     assert A * B == ref_matmul(A, B)
 
+
+# -- the axis-search subspaces against the former subspace chain --------
+#
+# K, the real annihilator of W, and A', the bilinear annihilator of
+# W + K, must equal the real points of W's annihilator A and the part of
+# A Hermitian-orthogonal to K, as tests/oracles.py computes them through
+# intersections with conjugate subspaces.
+
+
+@st.composite
+def gradient_spans(draw):
+    """A subspace W of C^m over denominators up to 10^6: zero, full rank,
+    conjugation-closed, real or Gaussian, sometimes with a zero column."""
+    m = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["zero", "full", "conjugation-closed", "real", "gaussian"]))
+    entries = (_real_wide if kind == "real"
+               else draw(st.sampled_from([_wide, _sparse, st.one_of(st.just(ZERO), _wide)])))
+    if kind == "zero":
+        rows = [[ZERO] * m for _ in range(draw(st.integers(0, 2)))]
+    elif kind == "full":  # triangular with a nonzero diagonal
+        rows = [[ZERO] * i + [draw(_wide.filter(bool))] + [draw(entries) for _ in range(m - i - 1)]
+                for i in range(m)]
+    else:
+        rows = [[draw(entries) for _ in range(m)] for _ in range(draw(st.integers(0, m + 1)))]
+        if kind == "conjugation-closed":
+            rows += [[x.conjugate() for x in r] for r in rows]
+        if m and draw(st.booleans()):
+            j = draw(st.integers(0, m - 1))
+            for r in rows:
+                r[j] = ZERO
+    return ComplexSubspace(m, rows), kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(gradient_spans())
+def test_axis_subspaces_match_the_reference_chain(case):
+    W, kind = case
+    m = W.ambient
+    A = W.bilinear_annihilator()
+    K = W.real_annihilator()
+    assert type(K) is RealSubspace
+    assert K.basis_matrix == ref_real_points(A).basis_matrix
+    assert W.sum(K) == ComplexSubspace(m, W.basis + K.basis)
+    assert (W.sum(K).bilinear_annihilator().basis_matrix
+            == ref_hermitian_complement_within(K, A).basis_matrix)
+    if kind == "zero":
+        assert K.dim == m
+    elif kind == "full":
+        assert W.dim == m and K.dim == 0
+    elif kind == "real":
+        assert K == RealSubspace(m, W.basis).orthogonal_complement()
