@@ -139,27 +139,25 @@ def _annihilating_product(mats):
     return best
 
 
-def _annihilator_columns(mats):
-    "Nonzero columns of an annihilating product of mats (none without one)."
-    P = _annihilating_product(mats)
-    if P is None:
-        return []
-    return [c for j in range(P.ncols) if not vec_is_zero(c := P.col(j))]
-
-
 def isotropic_annihilator_seeds(fs):
     """Exact isotropic vectors annihilating the gradient span of a
-    quadratic eigenfamily (empty when the family is not one)."""
+    quadratic eigenfamily, the nonzero columns of an annihilating product
+    (empty when the family is not one, or has a nonzero member that is not
+    homogeneous of degree 2)."""
+    if any(isinstance(f, Poly) and f != 0 and not (f.is_homogeneous() and f.degree() == 2)
+           for f in fs):
+        return []
     forms = _coerce_forms(fs)
     mats = [f.A for f in forms if not f.A.is_zero()]
     if not mats or not is_eigenfamily_deg2(forms):
         return []
-    return _annihilator_columns(mats)
+    P = _annihilating_product(mats)
+    return [c for j in range(P.ncols) if not vec_is_zero(c := P.col(j))]
 
 
 def find_axis_deg2(forms):
-    """(axis, degenerate).  The axis spans Re/Im of the columns of an
-    annihilating product; its dimension is at least min(2, m) for
+    """(axis, degenerate).  The axis is the real span of Re/Im of the columns
+    of an annihilating product; its dimension is at least min(2, m) for
     nonzero eigenfamilies.  A family of zero forms is degenerate and
     returns the whole space."""
     forms = _coerce_forms(forms)
@@ -171,14 +169,11 @@ def find_axis_deg2(forms):
     mats = [f.A for f in forms if not f.A.is_zero()]
     if not mats:
         return RealSubspace(m, Matrix.identity(m).rows), True
-    cols = _annihilator_columns(mats)
-    if not cols:  # the last nonzero layer always qualifies
+    P = _annihilating_product(mats)
+    if P is None:  # the last nonzero layer always qualifies
         raise AssertionError("no annihilating product")
-    vectors = []
-    for w in gram_schmidt_hermitian(cols):
-        vectors.append(vec_re(w))
-        vectors.append(vec_im(w))
-    return RealSubspace(m, vectors), False
+    T, zero = P.transpose(), (0,) * m
+    return RealSubspace._spanned(m, [(x, zero) for x in T.re + T.im]), False
 
 
 def is_full(fs) -> bool:
@@ -339,16 +334,13 @@ def _maximal_axis_radical(M1, M2):
     of a full eigenpair with forms M1, M2: the radical of the bilinear
     form on the annihilator of the gradient span (exact), plus the
     anisotropic leftover dimension (0 or 1).  The gradient of x^T M x
-    is 2 M x, so the rows of M1 and M2 span the gradient span W.  Full
-    means W's real kernel K is 0, so that W + K is W."""
-    from .holomorphy import symmetric_diagonalize
+    is 2 M x, so the rows of M1 and M2 span the gradient span W.  The
+    parts are maximal_axis's; full means W's real kernel K is 0."""
+    from .holomorphy import _isotropic_parts
     W = ComplexSubspace._spanned(M1.nrows, zip(M1.re + M2.re, M1.im + M2.im))
-    if W.real_annihilator().dim != 0:
+    K, radical, aniso = _isotropic_parts(W)
+    if K.dim != 0:
         raise ValueError("not full")
-    A = W.bilinear_annihilator()
-    diag = symmetric_diagonalize(list(A.basis))
-    radical = [v for v, d in diag if d == ZERO]
-    aniso = [(v, d) for v, d in diag if d != ZERO]
     if len(aniso) > 1:  # delta-Lemma: at most one anisotropic direction
         raise AssertionError("more than one anisotropic direction")
     return gram_schmidt_hermitian(radical), aniso
@@ -387,8 +379,9 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
         inv = scalar(Fraction(1, 1) / norm)
         selectors.append(vec_scale(inv / 2, vec_conj(r)))
         axis_rows += [vec_scale(inv, u), vec_scale(inv, v)]
-    axis = RealSubspace(m, axis_rows)
-    Q = Matrix.identity(m) - axis.projector()
+    # the axis rows are orthonormal, so B^T B projects onto the axis
+    B = Matrix(axis_rows, ncols=m)
+    Q = Matrix.identity(m) - B.transpose() * B
     S = Matrix(selectors, ncols=m)
 
     # every conj selector must annihilate both forms (holomorphy)

@@ -9,7 +9,8 @@ a real subspace V with g^T P_V h = 0 over W; 2-dimensional axes come
 from isotropic vectors annihilating W.  The maximal-axis search
 assembles K, the real kernel of W, with the planes of isotropic vectors
 in A', the annihilator of W + K (K is real, so A' is the part of W's
-annihilator Hermitian-orthogonal to K).
+annihilator Hermitian-orthogonal to K), one elimination each; the
+degree-2 decomposition shares these steps.
 
 The search is sound, not complete: certified output always passes
 is_axis exactly; isotropic vectors whose construction needs square
@@ -307,13 +308,16 @@ def _grow_isotropic(candidates, accepted):
 
 def _deg2_seeds(fs):
     "Exact isotropic annihilator vectors for quadratic eigenfamilies."
-    nonzero = [f for f in fs if f != 0]
-    if not nonzero:
-        return []
-    if any(not f.is_homogeneous() or f.degree() != 2 for f in nonzero):
-        return []
     from .degree2 import isotropic_annihilator_seeds
-    return isotropic_annihilator_seeds(nonzero)
+    return isotropic_annihilator_seeds(fs)
+
+
+def _isotropic_parts(W):
+    """(K, radical, aniso): the real kernel K of a gradient span W, and the
+    radical and anisotropic parts of A', the annihilator of W + K."""
+    K = W.real_annihilator()
+    diag = symmetric_diagonalize(list((W.sum(K) if K.dim else W).bilinear_annihilator().basis))
+    return K, [v for v, d in diag if d == ZERO], [(v, d) for v, d in diag if d != ZERO]
 
 
 def maximal_axis(fs, tolerance=1e-9, W=None):
@@ -332,12 +336,7 @@ def maximal_axis(fs, tolerance=1e-9, W=None):
         raise ValueError(f"tolerance must be finite and non-negative, not {tolerance}")
     W = gradient_span(fs) if W is None else W
     m = W.ambient
-    K = W.real_annihilator()
-    A_prime = W.sum(K).bilinear_annihilator()
-
-    diag = symmetric_diagonalize(list(A_prime.basis))
-    radical = [v for v, d in diag if d == ZERO]
-    aniso = [(v, d) for v, d in diag if d != ZERO]
+    K, radical, aniso = _isotropic_parts(W)
     rank = len(aniso)
     bound = K.dim + 2 * (len(radical) + rank // 2)
 

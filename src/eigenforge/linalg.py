@@ -20,10 +20,13 @@ Vectors are plain tuples of GaussRational; a real vector is one whose
 entries have zero imaginary part, and vec_re/vec_im return such tuples.
 A subspace keeps its reduced row echelon basis as a Matrix, so two
 subspaces are equal exactly when their bases are; that is what makes
-span comparisons decidable.  A sum, the bilinear annihilator (the
-kernel of the basis) and the real annihilator (the real kernel of the
-basis's real and imaginary parts) each eliminate integer rows.  A
-RealSubspace is a ComplexSubspace with a real basis (the RREF of real
+span comparisons decidable.  A sum eliminates the rows of both bases.
+An annihilator (the kernel of the basis, or for the real annihilator of
+its real and imaginary parts stacked) is read off one elimination with
+the columns reversed, whose free-column kernel, reversed back, is the
+kernel's RREF (the greedy basis from the right is the complement of the
+greedy co-basis from the left); nullspace() keeps the free-column basis.
+A RealSubspace is a ComplexSubspace with a real basis (the RREF of real
 vectors is real); it adds the orthogonal projector and complement, and
 never equals a ComplexSubspace.
 """
@@ -242,6 +245,14 @@ def _joined(A, B):
     s, t = den // A.den, den // B.den
     return _matrix(*(tuple(tuple(a * s for a in x) + tuple(b * t for b in y) for x, y in zip(P, Q))
                      for P, Q in ((A.re, B.re), (A.im, B.im))), den, A.ncols + B.ncols)
+
+
+def _annihilator(M):
+    """The RREF basis of ker M as a Matrix: the free-column kernel basis of M
+    with its columns reversed, reversed back in columns and rows (each vector
+    then leads with 1 at a free column, where the others are 0)."""
+    K = _matrix(*(tuple(r[::-1] for r in P) for P in (M.re, M.im)), M.den, M.ncols)._kernel()
+    return _matrix(*(tuple(r[::-1] for r in P[::-1]) for P in (K.re, K.im)), K.den, K.ncols)
 
 
 def _sliced(M, lo, hi):
@@ -587,15 +598,14 @@ class ComplexSubspace:
 
     def bilinear_annihilator(self):
         "All u with b . u = 0 (no conjugation) for every basis vector b."
-        K = self.basis_matrix._kernel()
-        return ComplexSubspace._spanned(self.ambient, zip(K.re, K.im))
+        return _with_basis(_new(ComplexSubspace), _annihilator(self.basis_matrix))
 
     def real_annihilator(self):
         """The real u with b . u = 0 for every basis vector b = Re b + i Im b:
-        the orthogonal complement of the real span of all Re b and Im b."""
-        B, zero = self.basis_matrix, (0,) * self.ambient
-        parts = RealSubspace._spanned(self.ambient, [(x, zero) for x in B.re + B.im])
-        return parts.orthogonal_complement()
+        the kernel of the real matrix [Re B; Im B] for the basis B."""
+        B = self.basis_matrix
+        stacked = _matrix(B.re + B.im, ((0,) * self.ambient,) * (2 * B.nrows), B.den, self.ambient)
+        return _with_basis(_new(RealSubspace), _annihilator(stacked))
 
 
 class RealSubspace(ComplexSubspace):
@@ -612,13 +622,6 @@ class RealSubspace(ComplexSubspace):
             rows.append(row)
         super().__init__(ambient, rows)
 
-    @classmethod
-    def _spanned(cls, ambient, rows):
-        S = super()._spanned(ambient, rows)
-        if not S.basis_matrix.is_real():
-            raise ValueError("real subspace needs real entries")
-        return S
-
     def __repr__(self):
         return f"RealSubspace(dim {self.dim} in R^{self.ambient})"
 
@@ -633,5 +636,4 @@ class RealSubspace(ComplexSubspace):
         return B.transpose() * (B * B.transpose()).inverse() * B
 
     def orthogonal_complement(self):
-        K = self.basis_matrix._kernel()
-        return RealSubspace._spanned(self.ambient, zip(K.re, K.im))
+        return _with_basis(_new(RealSubspace), _annihilator(self.basis_matrix))

@@ -8,16 +8,19 @@ substitution and isometry pull-back, the degree-2 builders in Poly ring
 arithmetic, a real subspace that stores its basis as Fraction tuples,
 the per-entry matrix product, entrywise operations, matrix-vector
 product, conjugate transpose, row reduction and determinant, the
-coefficient and gradient spans built from GaussRational rows, and the
+coefficient and gradient spans built from GaussRational rows, the
 intersection, real points and Hermitian complement that the axis search
-once reached its subspaces through."""
+once reached its subspaces through, the annihilators as a free-column
+kernel spanned again, and the degree-2 axis through Hermitian
+Gram-Schmidt."""
 
 from fractions import Fraction
 
 from eigenforge.conformality import EigenData, FamilyReport, _family_degree, _slot_form
-from eigenforge.degree2 import default_frame, twist_x_matrix
+from eigenforge.degree2 import (_annihilating_product, _coerce_forms, default_frame,
+                               is_eigenfamily_deg2, twist_x_matrix)
 from eigenforge.linalg import (ComplexSubspace, Matrix, RealSubspace, _check_ambient, _joined,
-                               _sliced, vec, vec_is_zero)
+                               _sliced, gram_schmidt_hermitian, vec, vec_im, vec_is_zero, vec_re)
 from eigenforge.poly import (FrameMismatch, Poly, axis_slots, common_frame, mono_order_key,
                             real_gradient, slot_axes)
 from eigenforge.scalars import ONE, ZERO, GaussRational, I, as_scalar, scalar
@@ -727,3 +730,52 @@ def ref_hermitian_complement_within(K, inside):
     B = inside.basis_matrix
     X = (K.basis_matrix.conjugate() * B.transpose())._kernel() * B
     return ComplexSubspace._spanned(K.ambient, zip(X.re, X.im))
+
+
+# -- annihilators and the degree-2 axis, spanned twice ---------------------
+#
+# The annihilators once took the free-column kernel of the basis (one
+# elimination) and spanned its rows again (a second) to reach the RREF;
+# the real annihilator first spanned the real and imaginary parts of the
+# basis (a third).  find_axis_deg2 once Hermitian-orthogonalized the
+# columns of the annihilating product before taking their real and
+# imaginary parts.  The one-elimination read-off and the direct real span
+# must give the same canonical bases.
+
+
+def ref_bilinear_annihilator(V):
+    "All u with b . u = 0 for the basis vectors b: the free-column kernel of the basis, spanned."
+    K = V.basis_matrix._kernel()
+    return ComplexSubspace._spanned(V.ambient, zip(K.re, K.im))
+
+
+def ref_orthogonal_complement(V):
+    "The orthogonal complement of a real subspace: the free-column kernel of its basis, spanned."
+    K = V.basis_matrix._kernel()
+    return RealSubspace._spanned(V.ambient, zip(K.re, K.im))
+
+
+def ref_real_annihilator(V):
+    "The orthogonal complement of the real span of the real and imaginary parts of V's basis."
+    B, zero = V.basis_matrix, (0,) * V.ambient
+    return ref_orthogonal_complement(RealSubspace._spanned(V.ambient, [(x, zero) for x in B.re + B.im]))
+
+
+def ref_find_axis_deg2(forms):
+    """(axis, degenerate) as find_axis_deg2 gives them: the real span of Re w
+    and Im w over a Hermitian Gram-Schmidt basis w of the nonzero columns of
+    an annihilating product, or the whole space for a family of zero forms."""
+    forms = _coerce_forms(forms)
+    if not forms or not is_eigenfamily_deg2(forms):
+        raise ValueError("not a nonempty quadratic eigenfamily")
+    m = forms[0].A.nrows
+    mats = [f.A for f in forms if not f.A.is_zero()]
+    if not mats:
+        return RealSubspace(m, Matrix.identity(m).rows), True
+    P = _annihilating_product(mats)
+    cols = [c for j in range(P.ncols) if not vec_is_zero(c := P.col(j))]
+    vectors = []
+    for w in gram_schmidt_hermitian(cols):
+        vectors.append(vec_re(w))
+        vectors.append(vec_im(w))
+    return RealSubspace(m, vectors), False

@@ -31,7 +31,7 @@ from eigenforge.degree2 import (
     twist_x_matrix,
 )
 
-from oracles import ref_construct_eigenpair, ref_from_form, ref_to_form
+from oracles import ref_construct_eigenpair, ref_find_axis_deg2, ref_from_form, ref_to_form
 
 C1 = VariableFrame(("z",), ())
 R2 = VariableFrame((), ("x", "t"))
@@ -465,11 +465,12 @@ def test_find_axis_rejects_non_eigen():
         find_axis_deg2([])
 
 
-def anticommuting_family(rng, m, count=2):
+def anticommuting_family(rng, m, count=2, rotate=True):
     """Quadratic forms built from a common isotropic column span; all
     pairwise anticommutators vanish because every inner product of the
-    generating vectors is zero."""
-    Q = rand_cayley(rng, m)
+    generating vectors is zero.  Without the rotation the forms live on
+    the first six coordinates, so their products have zero columns."""
+    Q = rand_cayley(rng, m) if rotate else Matrix.identity(m)
     pairs = m // 2
     ws = []
     for j in range(min(pairs, 3)):
@@ -513,6 +514,18 @@ def test_find_axis_on_generated_anticommuting_families():
         done += 1
 
 
+def test_find_axis_matches_the_gram_schmidt_reference():
+    # products of rank at most 3 have dependent columns, and unrotated ones
+    # zero columns too; a family of zero forms is degenerate
+    rng = random.Random(59)
+    for m in range(4, 17):
+        frame = VariableFrame((), tuple(f"s{j}" for j in range(m)))
+        families = [[from_form(Deg2Form(frame, A)) for A in anticommuting_family(rng, m, rotate=r)]
+                    for r in (True, False)]
+        for polys in families + [[Poly.zero(frame)] * 2]:
+            assert find_axis_deg2(polys) == ref_find_axis_deg2(polys)
+
+
 def test_seeds_are_isotropic_annihilators():
     rng = random.Random(41)
     frame = VariableFrame((), tuple(f"s{j}" for j in range(4)))
@@ -537,6 +550,13 @@ def test_seeds_empty_for_non_eigen():
     frame = VariableFrame(("z",), ())
     z = Poly.variable(frame, "z")
     assert isotropic_annihilator_seeds([z * z.conjugate()]) == []
+
+
+def test_seeds_empty_for_members_not_of_degree_2():
+    z = Poly.variable(C1, "z")
+    for fs in ([z ** 3], [z * z, z ** 3], [z * z + z], [Poly.zero(C1), z ** 3 + z * z]):
+        assert isotropic_annihilator_seeds(fs) == []
+    assert isotropic_annihilator_seeds([Poly.zero(C1)]) == []
 
 
 def test_json_round_trip():

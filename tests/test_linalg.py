@@ -14,10 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eigenforge.scalars import GaussRational, I, ONE, ZERO, real_part, scalar
+from eigenforge import linalg
 from eigenforge.linalg import (
     ComplexSubspace,
     Matrix,
     RealSubspace,
+    _annihilator,
     anticommuting,
     dot_bilinear,
     dot_hermitian,
@@ -27,8 +29,9 @@ from eigenforge.linalg import (
     vec_is_zero,
 )
 
-from oracles import (RefRealSubspace, ref_apply, ref_conj_transpose, ref_det, ref_entrywise,
-                     ref_hermitian_complement_within, ref_intersect, ref_matmul, ref_real_points,
+from oracles import (RefRealSubspace, ref_apply, ref_bilinear_annihilator, ref_conj_transpose,
+                     ref_det, ref_entrywise, ref_hermitian_complement_within, ref_intersect,
+                     ref_matmul, ref_orthogonal_complement, ref_real_annihilator, ref_real_points,
                      ref_rref)
 
 
@@ -653,3 +656,66 @@ def test_axis_subspaces_match_the_reference_chain(case):
         assert W.dim == m and K.dim == 0
     elif kind == "real":
         assert K == RealSubspace(m, W.basis).orthogonal_complement()
+
+
+# -- annihilators read off one elimination -----------------------------
+#
+# The kernel's RREF basis comes from the free-column kernel of the matrix
+# with its columns reversed; it must equal the span of nullspace(), which
+# keeps the free-column basis, and the annihilators built on it must
+# equal the kernel-then-span chain of tests/oracles.py.
+
+
+@st.composite
+def kernel_cases(draw):
+    """A matrix over denominators up to 10^6 with 0 to 5 rows and columns:
+    rank 0, full rank (triangular with a nonzero diagonal, then any rows),
+    or dependent, duplicate and zero rows and a zero column."""
+    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(["zero", "full", "any"]))
+    if kind == "any":
+        return draw(matrices(n, m))
+    entries = draw(st.sampled_from([_wide, _real_wide, _sparse, st.one_of(st.just(ZERO), _wide)]))
+    if kind == "zero":
+        return Matrix([[ZERO] * m for _ in range(n)], ncols=m)
+    r = min(n, m)
+    rows = [[ZERO] * i + [draw(_wide.filter(bool))] + [draw(entries) for _ in range(m - i - 1)]
+            for i in range(r)]
+    rows += [[draw(entries) for _ in range(m)] for _ in range(n - r)]
+    return Matrix(rows, ncols=m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_cases())
+def test_annihilator_read_off_matches_the_nullspace_span(M):
+    m = M.ncols
+    want = ComplexSubspace(m, M.nullspace())
+    assert _annihilator(M) == want.basis_matrix
+    assert want.dim == m - M.rank()
+    V = ComplexSubspace(m, M.rows)
+    assert V.bilinear_annihilator() == ref_bilinear_annihilator(V) == want
+    K = V.real_annihilator()
+    assert type(K) is RealSubspace and K == ref_real_annihilator(V)
+    R = RealSubspace(m, [tuple(map(real_part, r)) for r in M.rows])
+    C = R.orthogonal_complement()
+    assert type(C) is RealSubspace and C == ref_orthogonal_complement(R)
+
+
+def test_each_annihilator_runs_one_elimination(monkeypatch):
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return eliminate(rows, ncols)
+
+    V = ComplexSubspace(4, [vec([1, I, 2, 2 * I]), vec([0, 3, 0, 6])])
+    R = RealSubspace(4, [vec([1, 2, 0, 5]), vec([0, 0, 1, Fraction(-1, 3)])])
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    for annihilator, dim in ((V.bilinear_annihilator, 2), (V.real_annihilator, 2),
+                             (R.orthogonal_complement, 2)):
+        calls.clear()
+        assert annihilator().dim == dim
+        assert len(calls) == 1
+    calls.clear()
+    assert len(V.basis_matrix.nullspace()) == 2 and len(calls) == 1
