@@ -289,19 +289,12 @@ def power_family(fs, d: int, data: EigenData):
     if not fs:
         raise ValueError("empty family has no powers")
     common_frame(fs)
-    products = []
-    seen = set()
-
-    def build(start, depth, acc):
-        if depth == d:
-            if acc != 0 and acc not in seen:
-                seen.add(acc)
-                products.append(acc)
-            return
-        for k in range(start, len(fs)):
-            build(k, depth + 1, acc * fs[k])
-
-    build(0, 0, Poly.constant(fs[0].frame, scalar(1)))
+    # layer k holds (last index, product) over the index tuples i1 <= ... <= ik
+    # in lexicographic order; extending each by every index >= ik keeps it
+    layer = [(0, Poly.constant(fs[0].frame, scalar(1)))]
+    for _ in range(d):
+        layer = [(k, acc * fs[k]) for start, acc in layer for k in range(start, len(fs))]
+    products = list(dict.fromkeys(acc for _, acc in layer if acc != 0))
     dd = scalar(d)
     new_data = EigenData(dd * (data.lam + (dd - 1) * data.mu), dd * dd * data.mu)
     return products, new_data

@@ -139,22 +139,6 @@ def _annihilating_product(mats):
     return best
 
 
-def isotropic_annihilator_seeds(fs):
-    """Exact isotropic vectors annihilating the gradient span of a
-    quadratic eigenfamily, the nonzero columns of an annihilating product
-    (empty when the family is not one, or has a nonzero member that is not
-    homogeneous of degree 2)."""
-    if any(isinstance(f, Poly) and f != 0 and not (f.is_homogeneous() and f.degree() == 2)
-           for f in fs):
-        return []
-    forms = _coerce_forms(fs)
-    mats = [f.A for f in forms if not f.A.is_zero()]
-    if not mats or not is_eigenfamily_deg2(forms):
-        return []
-    P = _annihilating_product(mats)
-    return [c for j in range(P.ncols) if not vec_is_zero(c := P.col(j))]
-
-
 def find_axis_deg2(forms):
     """(axis, degenerate).  The axis is the real span of Re/Im of the columns
     of an annihilating product; its dimension is at least min(2, m) for
@@ -304,21 +288,18 @@ def construct_eigenpair(t: SubspaceType, pd: PolynomialData, td: TwistingData,
 
 
 class Deg2Decomposition:
-    """Result of decomposing a full eigenpair: the classifying data,
+    """Result of decomposing a full eigenpair: the classifying data and
     the recorded isometry (rows = orthonormal basis adapted to the
-    maximal axis), and proof witnesses.  exact is False when a needed
-    square root left Q(i) and the tail ran in floating point; the data
-    is then a rational recovery whose reconstruction still verifies
-    exactly."""
+    maximal axis).  exact is False when a needed square root left Q(i)
+    and the tail ran in floating point; the data is then a rational
+    recovery whose reconstruction still verifies exactly."""
 
-    def __init__(self, subspace_type, poly_data, twist_data, isometry, exact,
-                 witnesses):
+    def __init__(self, subspace_type, poly_data, twist_data, isometry, exact):
         self.subspace_type = subspace_type
         self.poly_data = poly_data
         self.twist_data = twist_data
         self.isometry = isometry
         self.exact = exact
-        self.witnesses = witnesses
 
     def reconstruct(self, names=None):
         return construct_eigenpair(self.subspace_type, self.poly_data,
@@ -390,14 +371,13 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
 
     # the couplings xi_i = 2 Q M1 c_i and eta_i = 2 Q M2 c_i, the rows of Xi and Eta
     Xi, Eta = ((Q * M * S.transpose()).scale(2).transpose() for M in (M1, M2))
-    xi, eta = Xi.rows, Eta.rows
 
     # pure complement blocks must vanish (no s^T B s part)
     for M in (M1, M2):
         if not (Q * M * Q).is_zero():
             raise AssertionError("nonzero pure complement block")
 
-    h_basis = gram_schmidt_hermitian(xi)
+    h_basis = gram_schmidt_hermitian(Xi.rows)
     k = len(h_basis)
     if k % 2 != 0 or n < k:
         raise AssertionError("inconsistent subspace type")
@@ -458,8 +438,7 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
     pd = PolynomialData(P1, P2, A_mat).validate(st)
     td = TwistingData(Y, C, v).validate(st)
     isometry = Matrix(axis_rows + e_parts + ([d_vec] if delta else []), ncols=m)
-    witnesses = {"xi": xi, "eta": eta, "e_basis": e_basis, "d": d_vec, "X": X}
-    return Deg2Decomposition(st, pd, td, isometry, True, witnesses)
+    return Deg2Decomposition(st, pd, td, isometry, True)
 
 
 def _z_part(zframe, S, M):
@@ -576,8 +555,7 @@ def _decompose_float(frame, M1, M2, radical, aniso):
     isometry = numpy.array(axis_rows
                            + [r for e in e_basis for r in (e.real, e.imag)]
                            + ([d_vec] if delta else []))
-    witnesses = {"xi": xi, "eta": eta, "e_basis": e_basis, "d": d_vec, "X": X}
-    return Deg2Decomposition(st, pd, td, isometry, False, witnesses)
+    return Deg2Decomposition(st, pd, td, isometry, False)
 
 
 # ---------------------------------------------------------------------

@@ -6,11 +6,12 @@ type exactly when W is isotropic for the bilinear (non-Hermitian) form
 v . w; the constructive witness is a degenerate complex unit J built
 from a Hermitian-orthogonal isotropic basis.  An axis of holomorphy is
 a real subspace V with g^T P_V h = 0 over W; 2-dimensional axes come
-from isotropic vectors annihilating W.  The maximal-axis search
-assembles K, the real kernel of W, with the planes of isotropic vectors
-in A', the annihilator of W + K (K is real, so A' is the part of W's
-annihilator Hermitian-orthogonal to K), one elimination each; the
-degree-2 decomposition shares these steps.
+from isotropic vectors annihilating W.  The maximal-axis search works
+from W's basis B and its real rows P = [Re B; Im B] alone: K, the real
+kernel of W, is ker P, and A', the annihilator of W + K (K is real, so
+A' is the part of W's annihilator Hermitian-orthogonal to K), is
+{P^T c : B P^T c = 0}; the axis joins K with the planes of the isotropic
+vectors in A'.  The degree-2 decomposition shares these steps.
 
 The search is sound, not complete: certified output always passes
 is_axis exactly; isotropic vectors whose construction needs square
@@ -30,7 +31,6 @@ from .linalg import (
     Matrix,
     RealSubspace,
     dot_bilinear,
-    dot_hermitian,
     gram_schmidt_hermitian,
     vec,
     vec_add,
@@ -286,37 +286,13 @@ def symmetric_diagonalize(vectors):
     return out
 
 
-def _grow_isotropic(candidates, accepted):
-    "Greedy extension of a totally isotropic independent set."
-    for w in candidates:
-        if vec_is_zero(w):
-            continue
-        if dot_bilinear(w, w) != ZERO:
-            continue
-        if any(dot_bilinear(w, s) != ZERO for s in accepted):
-            continue
-        # Hermitian-reduce against accepted to keep independence visible
-        reduced = w
-        for s in accepted:
-            coeff = dot_hermitian(s, reduced) / dot_hermitian(s, s)
-            reduced = vec_sub(reduced, vec_scale(coeff, s))
-        if vec_is_zero(reduced):
-            continue
-        accepted.append(reduced)
-    return accepted
-
-
-def _deg2_seeds(fs):
-    "Exact isotropic annihilator vectors for quadratic eigenfamilies."
-    from .degree2 import isotropic_annihilator_seeds
-    return isotropic_annihilator_seeds(fs)
-
-
 def _isotropic_parts(W):
     """(K, radical, aniso): the real kernel K of a gradient span W, and the
-    radical and anisotropic parts of A', the annihilator of W + K."""
+    radical and anisotropic parts of A', the annihilator of W + K (W's own
+    annihilator when K = 0)."""
     K = W.real_annihilator()
-    diag = symmetric_diagonalize(list((W.sum(K) if K.dim else W).bilinear_annihilator().basis))
+    A = W.annihilator_in_real_span() if K.dim else W.bilinear_annihilator()
+    diag = symmetric_diagonalize(list(A.basis))
     return K, [v for v, d in diag if d == ZERO], [(v, d) for v, d in diag if d != ZERO]
 
 
@@ -325,26 +301,27 @@ def maximal_axis(fs, tolerance=1e-9, W=None):
 
     Exact pipeline: K = the real kernel of the gradient span W; then
     totally isotropic vectors in A', the bilinear annihilator of W + K
-    (the part of W's annihilator Hermitian-orthogonal to the real K):
-    the radical of the restricted form, quadratic-family seeds, and
-    anisotropic pairs split when the needed square root lies in Q(i),
-    each contributing the plane of its real and imaginary parts.
-    Unsplittable pairs are paired in floating point and reported
-    separately with their residual when it is within tolerance (>= 0).
+    (the part of W's annihilator Hermitian-orthogonal to the real K, from
+    the Gram system of W.annihilator_in_real_span when K != 0): the
+    radical of the restricted form and anisotropic pairs split when the
+    needed square root lies in Q(i), Hermitian-orthogonalized, each
+    contributing the plane of its real and imaginary parts.  (W meets its
+    annihilator inside that radical, so the isotropic columns of a
+    quadratic family's annihilating products add nothing.)  Unsplittable
+    pairs are paired in floating point and reported separately with
+    their residual when it is within tolerance (>= 0).
     """
     if not (isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and non-negative, not {tolerance}")
     W = gradient_span(fs) if W is None else W
     m = W.ambient
     K, radical, aniso = _isotropic_parts(W)
-    rank = len(aniso)
-    bound = K.dim + 2 * (len(radical) + rank // 2)
+    bound = K.dim + 2 * (len(radical) + len(aniso) // 2)
 
-    isotropics = _grow_isotropic(radical, [])
-    isotropics = _grow_isotropic(_deg2_seeds(fs), isotropics)
-
+    # radical vectors and split pairs are isotropic and pairwise bilinear-
+    # orthogonal, so their Hermitian-orthogonal basis spans a totally isotropic space
     used = [False] * len(aniso)
-    leftovers = []
+    pairs, leftovers = [], []
     for i in range(len(aniso)):
         if used[i]:
             continue
@@ -362,7 +339,8 @@ def maximal_axis(fs, tolerance=1e-9, W=None):
             continue
         j, s = mate
         used[i] = used[j] = True
-        isotropics = _grow_isotropic([vec_add(vi, vec_scale(s, aniso[j][0]))], isotropics)
+        pairs.append(vec_add(vi, vec_scale(s, aniso[j][0])))
+    isotropics = gram_schmidt_hermitian(radical + pairs)
 
     axis_vectors = list(K.basis)
     for w in isotropics:

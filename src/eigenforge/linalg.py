@@ -20,12 +20,14 @@ Vectors are plain tuples of GaussRational; a real vector is one whose
 entries have zero imaginary part, and vec_re/vec_im return such tuples.
 A subspace keeps its reduced row echelon basis as a Matrix, so two
 subspaces are equal exactly when their bases are; that is what makes
-span comparisons decidable.  A sum eliminates the rows of both bases.
-An annihilator (the kernel of the basis, or for the real annihilator of
-its real and imaginary parts stacked) is read off one elimination with
-the columns reversed, whose free-column kernel, reversed back, is the
-kernel's RREF (the greedy basis from the right is the complement of the
-greedy co-basis from the left); nullspace() keeps the free-column basis.
+span comparisons decidable.  An annihilator (the kernel of the basis,
+or for the real annihilator of its real and imaginary parts stacked) is
+read off one elimination with the columns reversed, whose free-column
+kernel, reversed back, is the kernel's RREF (the greedy basis from the
+right is the complement of the greedy co-basis from the left);
+nullspace() keeps the free-column basis.  The annihilator of a span
+plus its real annihilator lies in the complex span of those stacked
+rows, so it is the kernel of a Gram system of dim x 2 dim.
 A RealSubspace is a ComplexSubspace with a real basis (the RREF of real
 vectors is real); it adds the orthogonal projector and complement, and
 never equals a ComplexSubspace.
@@ -253,6 +255,11 @@ def _annihilator(M):
     then leads with 1 at a free column, where the others are 0)."""
     K = _matrix(*(tuple(r[::-1] for r in P) for P in (M.re, M.im)), M.den, M.ncols)._kernel()
     return _matrix(*(tuple(r[::-1] for r in P[::-1]) for P in (K.re, K.im)), K.den, K.ncols)
+
+
+def _real_rows(B):
+    "[Re B; Im B] as a real Matrix (canonical, as B is)."
+    return _matrix(B.re + B.im, ((0,) * B.ncols,) * (2 * B.nrows), B.den, B.ncols)
 
 
 def _sliced(M, lo, hi):
@@ -591,11 +598,6 @@ class ComplexSubspace:
         _check_ambient(self, other)
         return all(self.contains(b) for b in other.basis)
 
-    def sum(self, other):
-        _check_ambient(self, other)
-        U, V = self.basis_matrix, other.basis_matrix
-        return type(self)._spanned(self.ambient, zip(U.re + V.re, U.im + V.im))
-
     def bilinear_annihilator(self):
         "All u with b . u = 0 (no conjugation) for every basis vector b."
         return _with_basis(_new(ComplexSubspace), _annihilator(self.basis_matrix))
@@ -603,9 +605,15 @@ class ComplexSubspace:
     def real_annihilator(self):
         """The real u with b . u = 0 for every basis vector b = Re b + i Im b:
         the kernel of the real matrix [Re B; Im B] for the basis B."""
-        B = self.basis_matrix
-        stacked = _matrix(B.re + B.im, ((0,) * self.ambient,) * (2 * B.nrows), B.den, self.ambient)
-        return _with_basis(_new(RealSubspace), _annihilator(stacked))
+        return _with_basis(_new(RealSubspace), _annihilator(_real_rows(self.basis_matrix)))
+
+    def annihilator_in_real_span(self):
+        """The annihilator of self + K for the real annihilator K: the u = P^T c
+        with B u = 0 for the basis B and P = [Re B; Im B], since the vectors
+        annihilating K = ker P are the complex span of P's rows."""
+        P = _real_rows(self.basis_matrix)
+        X = (self.basis_matrix * P.transpose())._kernel() * P
+        return ComplexSubspace._spanned(self.ambient, zip(X.re, X.im))
 
 
 class RealSubspace(ComplexSubspace):
@@ -624,11 +632,6 @@ class RealSubspace(ComplexSubspace):
 
     def __repr__(self):
         return f"RealSubspace(dim {self.dim} in R^{self.ambient})"
-
-    def sum(self, other):
-        if not other.basis_matrix.is_real():  # span{(1, 0), (1, i)} = C^2 has a real RREF
-            raise ValueError("real subspace needs real entries")
-        return super().sum(other)
 
     def projector(self) -> Matrix:
         "Exact orthogonal projector onto self (normal equations, no roots)."

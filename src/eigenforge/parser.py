@@ -85,12 +85,18 @@ def _lex(text: str, line_no: int):
     return out
 
 
+# Subexpressions (parentheses, conj(...), unary minus) nest at most this
+# deep, so hostile input is a ParseError and not a RecursionError.
+MAX_NESTING = 100
+
+
 class _ExprParser:
     "Precedence climbing over a token list."
 
     def __init__(self, tokens, frame: VariableFrame, params):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.frame = frame
         self.params = params or {}
 
@@ -121,6 +127,9 @@ class _ExprParser:
 
     def expression(self, min_bp) -> Poly:
         tok = self.peek()
+        if self.depth > MAX_NESTING:
+            self.fail(f"expression nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
         if tok.kind == "op" and tok.value == "-":
             self.next()
             left = -self.expression(30)
@@ -153,6 +162,7 @@ class _ExprParser:
                 if not c:
                     self.fail("division by zero", tok)
                 left = left * Poly.constant(self.frame, ONE / c)
+        self.depth -= 1
         return left
 
     def atom(self) -> Poly:

@@ -11,19 +11,23 @@ product, conjugate transpose, row reduction and determinant, the
 coefficient and gradient spans built from GaussRational rows, the
 intersection, real points and Hermitian complement that the axis search
 once reached its subspaces through, the annihilators as a free-column
-kernel spanned again, and the degree-2 axis through Hermitian
-Gram-Schmidt."""
+kernel spanned again, the degree-2 axis through Hermitian
+Gram-Schmidt, the maximal-axis search through a subspace sum,
+degree-2 seeds and greedy isotropic growth, and the products of a power
+family built by recursion."""
 
 from fractions import Fraction
 
 from eigenforge.conformality import EigenData, FamilyReport, _family_degree, _slot_form
 from eigenforge.degree2 import (_annihilating_product, _coerce_forms, default_frame,
                                is_eigenfamily_deg2, twist_x_matrix)
+from eigenforge.holomorphy import AxisReport, _numeric_extension, gradient_span, symmetric_diagonalize
 from eigenforge.linalg import (ComplexSubspace, Matrix, RealSubspace, _check_ambient, _joined,
-                               _sliced, gram_schmidt_hermitian, vec, vec_im, vec_is_zero, vec_re)
+                               _sliced, dot_bilinear, dot_hermitian, gram_schmidt_hermitian, vec,
+                               vec_add, vec_im, vec_is_zero, vec_re, vec_scale, vec_sub)
 from eigenforge.poly import (FrameMismatch, Poly, axis_slots, common_frame, mono_order_key,
                             real_gradient, slot_axes)
-from eigenforge.scalars import ONE, ZERO, GaussRational, I, as_scalar, scalar
+from eigenforge.scalars import ONE, ZERO, GaussRational, I, as_scalar, scalar, sqrt_in_qi
 
 
 def axis_shift(point, frame, axis, delta):
@@ -697,8 +701,8 @@ def ref_gradient_span(fs):
 # the gradient span W) and A' (the part of W's annihilator A Hermitian-
 # orthogonal to K) through general subspace operations: K as the real
 # points of A, that is A meet conj(A), and A' as a complement within A.
-# ComplexSubspace.real_annihilator and W.sum(K).bilinear_annihilator
-# must give the same canonical bases.
+# ComplexSubspace.real_annihilator and annihilator_in_real_span must
+# give the same canonical bases.
 
 
 def ref_intersect(U, V):
@@ -779,3 +783,103 @@ def ref_find_axis_deg2(forms):
         vectors.append(vec_re(w))
         vectors.append(vec_im(w))
     return RealSubspace(m, vectors), False
+
+
+# -- the axis search before it read its axis off W alone -------------------
+#
+# maximal_axis once reached A' as the bilinear annihilator of the sum
+# W + K, added the isotropic columns of a quadratic eigenfamily's
+# annihilating product ("seeds") to the radical of A', and grew its
+# isotropic set greedily, filtering each candidate.  The Gram-system A',
+# no seeds and one Hermitian Gram-Schmidt must give the same AxisReport.
+
+
+def ref_sum(U, V):
+    "U + V: the span of the rows of both bases, a subspace of U's type."
+    _check_ambient(U, V)
+    A, B = U.basis_matrix, V.basis_matrix
+    return type(U)._spanned(U.ambient, zip(A.re + B.re, A.im + B.im))
+
+
+def ref_isotropic_annihilator_seeds(fs):
+    """The nonzero columns of an annihilating product of a quadratic
+    eigenfamily (empty when fs is not one, or has a nonzero member that is
+    not homogeneous of degree 2)."""
+    if any(isinstance(f, Poly) and f != 0 and not (f.is_homogeneous() and f.degree() == 2)
+           for f in fs):
+        return []
+    forms = _coerce_forms(fs)
+    mats = [f.A for f in forms if not f.A.is_zero()]
+    if not mats or not is_eigenfamily_deg2(forms):
+        return []
+    P = _annihilating_product(mats)
+    return [c for j in range(P.ncols) if not vec_is_zero(c := P.col(j))]
+
+
+def ref_grow_isotropic(candidates, accepted):
+    "Greedy extension of a totally isotropic independent set."
+    for w in candidates:
+        if vec_is_zero(w) or dot_bilinear(w, w) != ZERO:
+            continue
+        if any(dot_bilinear(w, s) != ZERO for s in accepted):
+            continue
+        reduced = w
+        for s in accepted:
+            reduced = vec_sub(reduced, vec_scale(dot_hermitian(s, reduced) / dot_hermitian(s, s), s))
+        if not vec_is_zero(reduced):
+            accepted.append(reduced)
+    return accepted
+
+
+def ref_isotropic_parts(W):
+    "(K, radical, aniso) with A' the bilinear annihilator of ref_sum(W, K)."
+    K = W.real_annihilator()
+    diag = symmetric_diagonalize(list((ref_sum(W, K) if K.dim else W).bilinear_annihilator().basis))
+    return K, [v for v, d in diag if d == ZERO], [(v, d) for v, d in diag if d != ZERO]
+
+
+def ref_maximal_axis(fs, tolerance=1e-9):
+    "maximal_axis through the seeds, the greedy growth and the subspace sum."
+    W = gradient_span(fs)
+    K, radical, aniso = ref_isotropic_parts(W)
+    bound = K.dim + 2 * (len(radical) + len(aniso) // 2)
+    isotropics = ref_grow_isotropic(radical, [])
+    isotropics = ref_grow_isotropic(ref_isotropic_annihilator_seeds(fs), isotropics)
+    used = [False] * len(aniso)
+    leftovers = []
+    for i, (vi, di) in enumerate(aniso):
+        if used[i]:
+            continue
+        mate = next(((j, s) for j in range(i + 1, len(aniso)) if not used[j]
+                     for s in [sqrt_in_qi(-di / aniso[j][1])] if s is not None), None)
+        if mate is None:
+            leftovers.append(aniso[i])
+            continue
+        j, s = mate
+        used[i] = used[j] = True
+        isotropics = ref_grow_isotropic([vec_add(vi, vec_scale(s, aniso[j][0]))], isotropics)
+    axis = RealSubspace(W.ambient, list(K.basis) + [p for w in isotropics
+                                                    for p in (vec_re(w), vec_im(w))])
+    numeric, residual = _numeric_extension(W, isotropics, leftovers, tolerance)
+    return AxisReport(axis, numeric, residual, bound, W)
+
+
+# -- power families, built depth first ---------------------------------------
+
+
+def ref_power_products(fs, d):
+    """The distinct nonzero degree-d products of members in the order of a
+    depth-first recursion over index tuples i1 <= ... <= id."""
+    products, seen = [], set()
+
+    def build(start, depth, acc):
+        if depth == d:
+            if acc != 0 and acc not in seen:
+                seen.add(acc)
+                products.append(acc)
+            return
+        for k in range(start, len(fs)):
+            build(k, depth + 1, acc * fs[k])
+
+    build(0, 0, Poly.constant(fs[0].frame, scalar(1)))
+    return products

@@ -2,6 +2,7 @@
 
 import os
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -48,7 +49,7 @@ def test_env_override(tmp_path, monkeypatch):
 
 
 def test_corrupted_entry_fails(tmp_path):
-    text = open(catalog.entry_path("pair-c4")).read()
+    text = Path(catalog.entry_path("pair-c4")).read_text()
     broken = text.replace("z*conj(w) - u*conj(v)", "z*conj(w) + u*conj(v)")
     assert broken != text
     (tmp_path / "broken.efam").write_text(broken)

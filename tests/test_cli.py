@@ -8,6 +8,7 @@ import os
 import random
 import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -136,6 +137,18 @@ def test_verify_parse_error_exit_two(tmp_path):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("body", ["(" * 495 + "z" + ")" * 495,
+                                  "conj(" * 330 + "z" + ")" * 330,
+                                  "-" * 990 + "z"], ids=["parentheses", "conj", "unary-minus"])
+def test_deeply_nested_member_is_a_parse_error(tmp_path, body):
+    p = tmp_path / "nested.efam"
+    p.write_text("family nested\nframe complex z\nF = " + body + "\n")
+    code, out, err = run(["verify", str(p)])
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: expression nested deeper than ")
+    assert "at line 3" in err and "Traceback" not in err
+
+
 def test_usage_error_exit_two():
     code, out, err = run(["verify"])
     assert code == 2
@@ -178,12 +191,13 @@ def test_analyze_builds_the_gradient_span_once(monkeypatch):
 
 
 def test_failed_internal_check_exits_three(monkeypatch, tmp_path):
-    # a seed that is isotropic but does not annihilate the gradient span
-    # makes the certified axis fail its own check
+    # a radical vector that is isotropic but does not annihilate the
+    # gradient span makes the certified axis fail its own check
     from eigenforge import holomorphy
     from eigenforge.linalg import vec
     from eigenforge.scalars import I, ONE
-    monkeypatch.setattr(holomorphy, "_deg2_seeds", lambda fs: [vec([ONE, I])])
+    monkeypatch.setattr(holomorphy, "_isotropic_parts",
+                        lambda W: (W.real_annihilator(), [vec([ONE, I])], []))
     p = tmp_path / "f1.efam"
     p.write_text("family f1\nframe complex z\nF1 = z*conj(z)\n")
     for extra in ([], ["--json"]):
@@ -481,6 +495,15 @@ def test_power_over_the_product_budget_exits_two(tmp_path):
     assert code == 1 and err == ""
 
 
+def test_construct_power_of_high_degree():
+    # the products are built layer by layer, so a degree-2000 power does
+    # not recurse 1000 frames deep
+    code, payload = run_json(
+        ["construct", "power", entry_path("z1z2"), "--d", "1000"], "construct")
+    assert code == 0
+    assert payload["family"]["members"] == {"F1": "z1^1000*z2^1000"}
+
+
 def test_construct_power_with_explicit_data():
     code, payload = run_json(
         ["construct", "power", entry_path("z1z2"), "--d", "2",
@@ -522,7 +545,7 @@ def test_catalog_run_verifies_each_entry_once(monkeypatch):
 def test_catalog_run_builds_each_gradient_span_once(monkeypatch, tmp_path):
     # uniformly_complex_type and certified_axis_at_least share one span
     for name in ("pair-c4", "cubic-quartet-c4"):
-        (tmp_path / f"{name}.efam").write_text(open(entry_path(name)).read())
+        (tmp_path / f"{name}.efam").write_text(Path(entry_path(name)).read_text())
     monkeypatch.setenv("EIGENFORGE_CATALOG", str(tmp_path))
     from eigenforge import holomorphy
     calls = count_calls(monkeypatch, holomorphy, "gradient_span")
@@ -540,7 +563,7 @@ def test_catalog_run_text_lines():
 
 
 def test_catalog_corrupted_entry_nonzero_exit(tmp_path, monkeypatch):
-    text = open(entry_path("pair-c4")).read()
+    text = Path(entry_path("pair-c4")).read_text()
     (tmp_path / "broken.efam").write_text(
         text.replace("z*conj(w) - u*conj(v)", "z*conj(w) + u*conj(v)"))
     monkeypatch.setenv("EIGENFORGE_CATALOG", str(tmp_path))
@@ -550,7 +573,7 @@ def test_catalog_corrupted_entry_nonzero_exit(tmp_path, monkeypatch):
 
 
 def test_catalog_env_override_list(tmp_path, monkeypatch):
-    (tmp_path / "only.efam").write_text(open(entry_path("z1z2")).read())
+    (tmp_path / "only.efam").write_text(Path(entry_path("z1z2")).read_text())
     monkeypatch.setenv("EIGENFORGE_CATALOG", str(tmp_path))
     code, payload = run_json(["catalog", "list"], "catalog-list")
     assert code == 0

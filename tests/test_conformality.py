@@ -36,7 +36,8 @@ from eigenforge.conformality import (
 )
 
 from oracles import (fd_kappa, fd_laplacian, rational_point, ref_kappa, ref_laplacian,
-                     ref_projected_kappa, ref_projected_laplacian, ref_verify_general_family)
+                     ref_power_products, ref_projected_kappa, ref_projected_laplacian,
+                     ref_verify_general_family)
 from test_poly import rand_poly, rand_point
 
 C1 = VariableFrame(("z",), ())
@@ -410,6 +411,15 @@ def test_power_family_sphere_consistency():
         direct, report = sphere_eigen_data(fam)
         assert report.verdict
         assert predicted == direct
+
+
+def test_power_family_keeps_the_depth_first_order():
+    from eigenforge import catalog
+    for name in ("cubic-quartet-c4", "glued-pairs-c6"):
+        fs = catalog.load_entry(name).polys
+        assert len(fs) == 4
+        for d in range(1, 5):
+            assert power_family(fs, d, FLAT_DATA)[0] == ref_power_products(fs, d)
 
 
 def test_power_family_errors():

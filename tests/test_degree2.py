@@ -26,7 +26,6 @@ from eigenforge.degree2 import (
     from_form,
     is_eigenfamily_deg2,
     is_full,
-    isotropic_annihilator_seeds,
     to_form,
     twist_x_matrix,
 )
@@ -524,39 +523,6 @@ def test_find_axis_matches_the_gram_schmidt_reference():
                     for r in (True, False)]
         for polys in families + [[Poly.zero(frame)] * 2]:
             assert find_axis_deg2(polys) == ref_find_axis_deg2(polys)
-
-
-def test_seeds_are_isotropic_annihilators():
-    rng = random.Random(41)
-    frame = VariableFrame((), tuple(f"s{j}" for j in range(4)))
-    done = 0
-    while done < 10:
-        mats = anticommuting_family(rng, 4)
-        polys = [from_form(Deg2Form(frame, A)) for A in mats]
-        if any(p == 0 for p in polys):
-            continue
-        seeds = isotropic_annihilator_seeds(polys)
-        assert seeds
-        from eigenforge.holomorphy import gradient_span
-        W = gradient_span(polys)
-        for w in seeds:
-            assert dot_bilinear(w, w) == ZERO
-            for g in W.basis:
-                assert dot_bilinear(g, w) == ZERO
-        done += 1
-
-
-def test_seeds_empty_for_non_eigen():
-    frame = VariableFrame(("z",), ())
-    z = Poly.variable(frame, "z")
-    assert isotropic_annihilator_seeds([z * z.conjugate()]) == []
-
-
-def test_seeds_empty_for_members_not_of_degree_2():
-    z = Poly.variable(C1, "z")
-    for fs in ([z ** 3], [z * z, z ** 3], [z * z + z], [Poly.zero(C1), z ** 3 + z * z]):
-        assert isotropic_annihilator_seeds(fs) == []
-    assert isotropic_annihilator_seeds([Poly.zero(C1)]) == []
 
 
 def test_json_round_trip():

@@ -26,6 +26,7 @@ from eigenforge.linalg import (
 from eigenforge.conformality import kappa, laplacian, verify_flat_family
 from eigenforge.holomorphy import (
     AxisReport,
+    _isotropic_parts,
     apply_real_isometry,
     gradient_span,
     is_axis,
@@ -36,7 +37,8 @@ from eigenforge.holomorphy import (
 )
 
 from oracles import (rational_point, ref_apply_real_isometry, ref_gradient_span,
-                     ref_hermitian_complement_within, ref_real_points)
+                     ref_hermitian_complement_within, ref_isotropic_annihilator_seeds,
+                     ref_maximal_axis, ref_real_points, ref_sum)
 
 C1 = VariableFrame(("z",), ())
 C2 = VariableFrame(("z", "u"), ())
@@ -192,7 +194,7 @@ def test_axis_additivity_orthogonal_sum():
     a1 = RealSubspace(4, [[ONE, ZERO, ZERO, ZERO], [ZERO, ONE, ZERO, ZERO]])
     a2 = RealSubspace(4, [[ZERO, ZERO, ONE, ZERO], [ZERO, ZERO, ZERO, ONE]])
     assert is_axis(fam, a1) and is_axis(fam, a2)
-    assert is_axis(fam, a1.sum(a2))
+    assert is_axis(fam, RealSubspace(4, a1.basis + a2.basis))
 
 
 def test_one_dim_extension_from_real_annihilator():
@@ -319,7 +321,8 @@ def test_axis_subspaces_of_an_anticommuting_family_match_the_reference_chain():
     K = W.real_annihilator()
     assert (W.dim, K.dim) == (3, 10)
     assert K.basis_matrix == ref_real_points(A).basis_matrix
-    assert (W.sum(K).bilinear_annihilator().basis_matrix
+    assert (W.annihilator_in_real_span().basis_matrix
+            == ref_sum(W, K).bilinear_annihilator().basis_matrix
             == ref_hermitian_complement_within(K, A).basis_matrix)
     assert maximal_axis(polys, W=W).certified_axis.contains_subspace(K)
 
@@ -341,6 +344,82 @@ def test_maximal_axis_certified_on_quadratic_seeds():
         report = maximal_axis(polys)
         assert report.certified_dim >= 2
         done += 1
+
+
+# -- the axis read off W alone against the seeded, greedy, summed search ---
+
+
+_SMALL_COEFFS = [GaussRational(a, b) for a, b in ((1, 0), (-1, 0), (0, 1), (0, -1), (0, 2), (2, 0))]
+
+
+def _random_real_family(rng, m):
+    """One to three linear or quadratic members on R^m with few terms and
+    unit-like coefficients, so repeated norms split pairs exactly in Q(i)."""
+    frame = VariableFrame((), tuple(f"s{j}" for j in range(m)))
+    xs = [Poly.variable(frame, name) for name in frame.real_names]
+    monos = ([(a,) for a in range(m)] if rng.random() < 0.5
+             else [(a, b) for a in range(m) for b in range(a, m)])
+    fs = []
+    for _ in range(rng.randint(1, 3)):
+        f = Poly.zero(frame)
+        for mono in rng.sample(monos, rng.randint(1, min(3, len(monos)))):
+            term = Poly.constant(frame, rng.choice(_SMALL_COEFFS))
+            for a in mono:
+                term = term * xs[a]
+            f = f + term
+        fs.append(f)
+    return fs
+
+
+def _quadratic_families(rng):
+    """Anticommuting families at m = 2..16 and a construction of every
+    subspace type (n, k, delta) with n <= 4 and k in {0, 2}."""
+    import test_degree2 as t2
+    from eigenforge.degree2 import Deg2Form, construct_eigenpair, from_form
+
+    families = []
+    for m in range(2, 17):
+        frame = VariableFrame((), tuple(f"s{j}" for j in range(m)))
+        families.append([from_form(Deg2Form(frame, A)) for A in t2.anticommuting_family(rng, m)])
+    types = set()
+    while len(types) < 10:
+        t, pd, td = t2.rand_data(rng)
+        types.add(t)
+        families.append(list(construct_eigenpair(t, pd, td)))
+    return families
+
+
+def test_maximal_axis_matches_the_seeded_reference():
+    from eigenforge import catalog
+
+    rng = random.Random(71)
+    families = [catalog.load_entry(name).polys for name in catalog.list_entries()]
+    families += _quadratic_families(rng)
+    families += [_random_real_family(rng, m) for m in range(2, 8) for _ in range(100)]
+    splits = numeric = radical = 0
+    for fs in families:
+        report = maximal_axis(fs)
+        assert report.to_json_dict() == ref_maximal_axis(fs).to_json_dict()
+        K, rad, _ = _isotropic_parts(report.W)
+        radical += bool(rad)
+        splits += report.certified_dim > K.dim + 2 * len(rad)
+        numeric += report.numeric_dim > 0
+    assert min(splits, numeric, radical) > 0, (splits, numeric, radical)
+
+
+def test_degree2_seeds_lie_in_the_radical_span():
+    from eigenforge import catalog
+
+    rng = random.Random(73)
+    families = [catalog.load_entry(name).polys for name in catalog.list_entries()]
+    seeds = 0
+    for fs in families + _quadratic_families(rng):
+        W = gradient_span(fs)
+        span = ComplexSubspace(W.ambient, _isotropic_parts(W)[1])
+        for w in ref_isotropic_annihilator_seeds(fs):
+            assert span.contains(w)
+            seeds += 1
+    assert seeds > 0
 
 
 def test_axis_report_json_shape():
@@ -497,10 +576,14 @@ def bad_j(J):
     return w
 
 
-def non_axis_seed():
+def non_axis_radical():
     # (1, i) is isotropic but does not annihilate the span of |z|^2
-    holomorphy._deg2_seeds = lambda fs: [vec([ONE, I])]
-    holomorphy.maximal_axis([z * z.conjugate()])
+    parts = holomorphy._isotropic_parts
+    holomorphy._isotropic_parts = lambda W: (W.real_annihilator(), [vec([ONE, I])], [])
+    try:
+        holomorphy.maximal_axis([z * z.conjugate()])
+    finally:
+        holomorphy._isotropic_parts = parts
 
 
 def decompose_with_extra_aniso(decompose):
@@ -520,7 +603,7 @@ cases = [
     lambda: holomorphy.ComplexTypeWitness(2, [((1, 0), (1, 0))]).check(),
     lambda: bad_j(Matrix.identity(4)).check(),
     lambda: bad_j(Matrix.zero(4, 4)).check(),
-    non_axis_seed,
+    non_axis_radical,
     lambda: decompose_with_extra_aniso(degree2._decompose_exact),
     lambda: decompose_with_extra_aniso(degree2._decompose_float),
     lambda: holomorphy.apply_real_isometry(z, Matrix([[ONE, ONE], [ZERO, ONE]]), C1),
