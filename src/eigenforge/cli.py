@@ -32,7 +32,7 @@ from .parser import (FamilySource, ParseError, format_family, format_poly,
 from .conformality import (EigenData, power_family, sphere_data, sphere_eigen_data,
                            verify_flat_family, verify_general_family)
 from .holomorphy import maximal_axis, span_complex_type
-from .reduction import reduce_along, reduction_equivalence_check
+from .reduction import reduce_family
 from .degree2 import (construct_eigenpair, data_from_json_dict,
                       data_to_json_dict, decompose_eigenpair, _matrix_json)
 from .constructions import (RealMap, augment, defect_family, glue,
@@ -196,8 +196,7 @@ def cmd_analyze(args) -> int:
 def cmd_reduce(args) -> int:
     source = load_family(args.path)
     fs = source.polys
-    before, after = reduction_equivalence_check(fs, args.coord)
-    reduced = [reduce_along(f, args.coord) for f in fs]
+    before, after, reduced = reduce_family(fs, args.coord)
     out = FamilySource(f"{source.name}-reduced", reduced[0].frame, {},
                        dict(zip(source.definitions, reduced)), {})
     if args.json:

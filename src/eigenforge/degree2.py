@@ -27,7 +27,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .scalars import GaussRational, ZERO, as_scalar, rational_sqrt, scalar, triple
+from .scalars import (GaussRational, ZERO, as_scalar, format_fraction, rational_sqrt, scalar,
+                      triple)
 from .frames import VariableFrame
 from .poly import (Poly, axis_slots, quadratic, quadratic_numerators, quadratic_pairs,
                    slot_axes)
@@ -563,7 +564,7 @@ def _decompose_float(frame, M1, M2, radical, aniso):
 
 
 def _scalar_pair(c: GaussRational):
-    return [str(c.re), str(c.im)]
+    return [format_fraction(c.re), format_fraction(c.im)]
 
 
 def _pair_scalar(pair):

@@ -20,11 +20,15 @@ roots outside Q(i) are only reported numerically.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import chain
 from math import isfinite
+from operator import or_
 
 from .scalars import ONE, ZERO, sqrt_in_qi, triple
 from .frames import VariableFrame
-from .poly import Poly, _derivative, axis_slots, common_frame, linear_form, slot_axes
+from .poly import (EXP_BITS, MAX_DEGREE, Poly, _derivative, common_frame, linear_form,
+                   slot_axes)
 from .conformality import kappa, laplacian
 from .linalg import (
     ComplexSubspace,
@@ -153,7 +157,15 @@ def apply_real_isometry(p: Poly, Q: Matrix, target: VariableFrame) -> Poly:
 
 def _pull_back(fs, Q: Matrix, target: VariableFrame) -> list:
     """apply_real_isometry on each member of a nonempty family on one frame;
-    Q keeps a passed orthogonality check, so it is checked once."""
+    Q keeps a passed orthogonality check, so it is checked once.
+
+    With Q = N / D over the integers, x_a = sum_b N[b][a] x'_b / D, so a
+    slot of frame is sum_b c_b x'_b / D with c_b = N[b][2j] + i N[b][2j+1]
+    for z_j, N[b][2j] - i N[b][2j+1] for conj(z_j) and N[b][s] for the
+    real slot s.  With x'_2k = (z'_k + conj(z'_k)) / 2,
+    x'_2k+1 = (z'_k - conj(z'_k)) / 2i and x'_t = t', its image is the
+    linear form over 2D with Gaussian-integer numerators c_2k - i c_2k+1
+    on z'_k, c_2k + i c_2k+1 on conj(z'_k) and 2 c_t on the real slot t."""
     frame = fs[0].frame
     m = frame.m
     if Q.nrows != m or Q.ncols != m or target.m != m:
@@ -163,25 +175,21 @@ def _pull_back(fs, Q: Matrix, target: VariableFrame) -> list:
     if not Q.is_orthogonal():
         raise ValueError("matrix rows are not orthonormal")
     D, N = Q.den, Q.re  # Q = N / D over the integers
-    # slot_s = sum c x_a (slot_axes), x_a = sum_b Q_ba x'_b and
-    # x'_b = sum c' slot'_t (axis_slots).  c and 2c' are Gaussian
-    # integers, so each image is Gaussian-integer numerators over 2D.
-    fwd = slot_axes(frame)
-    back = [[(t, 2 * a // d, 2 * b // d) for t, c in entries for a, b, d in [triple(c)]]
-            for entries in axis_slots(target)]
-    cols = list(zip(*N))
-    images = {}
+    used = reduce(or_, chain.from_iterable(p.nums for p in fs), 0)  # field s: slot s is used
+    zs, zt, images = 2 * frame.n, 2 * target.n, {}
     for s in range(m):
-        if not any(p.uses_slot(s) for p in fs):
+        if not used >> s * EXP_BITS & MAX_DEGREE:
             continue
-        re, im = [0] * m, [0] * m
-        for a, c in fwd[s]:
-            ca, cb, _ = triple(c)
-            for b, q in enumerate(cols[a]):
-                for t, ea, eb in back[b]:
-                    re[t] += q * (ca * ea - cb * eb)
-                    im[t] += q * (ca * eb + cb * ea)
-        images[s] = linear_form(target, zip(re, im), 2 * D)
+        if s < zs:
+            a, sign = s - s % 2, 1 - 2 * (s % 2)
+            c = [(row[a], sign * row[a + 1]) for row in N]
+        else:
+            c = [(row[s], 0) for row in N]
+        coeffs = []
+        for (x, y), (u, v) in zip(c[0:zt:2], c[1:zt:2]):
+            coeffs += [(x + v, y - u), (x - v, y + u)]
+        coeffs += [(2 * x, 2 * y) for x, y in c[zt:]]
+        images[s] = linear_form(target, coeffs, 2 * D)
     return [p.substitute(target, images) for p in fs]
 
 

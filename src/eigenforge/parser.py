@@ -18,6 +18,7 @@ a real coordinate is rejected as a likely typo.
 
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
 from .scalars import GaussRational, ONE, as_scalar, format_scalar, scalar
@@ -62,11 +63,16 @@ def _lex(text: str, line_no: int):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            try:
+                value = int(text[i:j])
+            except ValueError:  # more digits than the interpreter converts
+                raise ParseError(f"integer literal has {j - i} digits, over the limit of "
+                                 f"{sys.get_int_max_str_digits()}", line_no, col) from None
             if j < n and text[j] == "i" and (j + 1 == n or not (text[j + 1].isalnum() or text[j + 1] == "_")):
-                out.append(Token("imag", int(text[i:j]), line_no, col))
+                out.append(Token("imag", value, line_no, col))
                 i = j + 1
             else:
-                out.append(Token("int", int(text[i:j]), line_no, col))
+                out.append(Token("int", value, line_no, col))
                 i = j
             continue
         if c.isalpha() or c == "_":

@@ -7,15 +7,19 @@ monomial product is one integer addition (packed exponent vectors,
 Monagan and Pearce, CASC 2007).  The form is canonical: no zero
 numerators, gcd 1 across all numerators and the denominator, and total
 degree at most MAX_DEGREE, so no field carries into the next and equal
-polynomials have equal storage.  Ring operations, slot derivatives,
-conjugation (a swap of the z and conj(z) fields), substitution and the
-conformality bracket all run on this form; `terms` is a read-only view
-{exponent tuple: GaussRational}, built on first use.  The quadratic
-codec `quadratic` / `quadratic_pairs` maps {(s, u): c} slot pairs to
-sum c slot_s slot_u and back; `quadratic_numerators` reads the pairs
-as Gaussian-integer numerators over the polynomial's denominator.  A
-product whose degree would pass MAX_DEGREE, or whose term products
-would pass PRODUCT_LIMIT, raises ValueError before it multiplies.
+polynomials have equal storage.  The same bound gives each term's total
+degree without unpacking: 2^EXP_BITS = 1 (mod MAX_DEGREE), so a key
+sum e_s 2^(EXP_BITS s) is sum e_s modulo MAX_DEGREE, and a degree of at
+most MAX_DEGREE is that residue, read as MAX_DEGREE when it is 0 on a
+nonzero key.  Ring operations, slot derivatives, conjugation (a swap of
+the z and conj(z) fields), substitution and the conformality bracket
+all run on this form; `terms` is a read-only view {exponent tuple:
+GaussRational}, built on first use.  The quadratic codec `quadratic` /
+`quadratic_pairs` maps {(s, u): c} slot pairs to sum c slot_s slot_u
+and back; `quadratic_numerators` reads the pairs as Gaussian-integer
+numerators over the polynomial's denominator.  A product whose degree
+would pass MAX_DEGREE, or whose term products would pass
+PRODUCT_LIMIT, raises ValueError before it multiplies.
 
 Conjugate variables are ordinary slots, so p is holomorphic in z
 exactly when no term touches the conj(z) slot.  The real gradient
@@ -81,8 +85,10 @@ def _unpacker(width: int):
 
 
 def _degrees(p):
-    "The total degree of each term of p, in storage order."
-    return list(map(sum, map(_unpacker(p.frame.num_slots), p.nums)))
+    """The total degree of each term of p, in storage order: the key
+    modulo MAX_DEGREE, where a residue 0 on a nonzero key is MAX_DEGREE."""
+    top = MAX_DEGREE
+    return [k % top or (k and top) for k in p.nums]
 
 
 class FrameMismatch(ValueError):

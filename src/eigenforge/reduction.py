@@ -44,10 +44,10 @@ def homogenize(p: Poly, d: int, new_coord: str, index: int = 0) -> Poly:
     return out
 
 
-def reduction_equivalence_check(fs, coord: str):
-    """(original verdict, reduced verdict) for a family homogeneous of
-    one degree and holomorphic in coord.  The theorem says the two
-    booleans always agree."""
+def reduce_family(fs, coord: str):
+    """(original verdict, reduced verdict, reduced members) for a family
+    homogeneous of one degree and holomorphic in coord.  The theorem says
+    the two booleans always agree."""
     from .conformality import verify_flat_family
 
     fs = list(fs)
@@ -60,5 +60,10 @@ def reduction_equivalence_check(fs, coord: str):
         if not f.is_holomorphic_in(coord):
             raise ValueError(f"conj({coord}) appears; reduction needs holomorphy in {coord!r}")
     before = verify_flat_family(fs).verdict
-    after = verify_flat_family([reduce_along(f, coord) for f in fs]).verdict
-    return before, after
+    reduced = [reduce_along(f, coord) for f in fs]
+    return before, verify_flat_family(reduced).verdict, reduced
+
+
+def reduction_equivalence_check(fs, coord: str):
+    "The two verdicts of reduce_family."
+    return reduce_family(fs, coord)[:2]

@@ -14,6 +14,7 @@ as GaussRational values; no floating point enters the symbolic paths.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 _gcd = math.gcd
@@ -359,22 +360,35 @@ def is_square_in_qi(c: GaussRational) -> bool:
 # -- printing ----------------------------------------------------------
 
 
-def _format_fraction(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _decimal_digits(n: int) -> int:
+    "The number of decimal digits of n > 0, without converting it to text."
+    d = int(n.bit_length() * 0.30102999566398120) + 1  # at most one too many
+    return d - (n < 10 ** (d - 1))
+
+
+def format_fraction(q: Fraction) -> str:
+    """p or p/q, as str(q) writes it; a ValueError naming the digit count
+    when a part has more digits than the interpreter converts to text."""
+    try:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        digits = _decimal_digits(max(abs(q.numerator), q.denominator))
+        raise ValueError(f"a coefficient has {digits} digits, over the limit of "
+                         f"{sys.get_int_max_str_digits()} digits for printing an integer") from None
 
 
 def format_scalar(c: GaussRational) -> str:
     """Canonical text form: rationals as p/q, the unit as i, mixed as p/q+r/s*i."""
     re, im = c.re, c.im
     if im == 0:
-        return _format_fraction(re)
+        return format_fraction(re)
     if im == 1:
         imtxt = "i"
     elif im == -1:
         imtxt = "-i"
     else:
-        imtxt = f"{_format_fraction(im)}*i"
+        imtxt = f"{format_fraction(im)}*i"
     if re == 0:
         return imtxt
     joiner = "+" if not imtxt.startswith("-") else ""
-    return f"{_format_fraction(re)}{joiner}{imtxt}"
+    return f"{format_fraction(re)}{joiner}{imtxt}"

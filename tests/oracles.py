@@ -1,11 +1,11 @@
 """Shared oracles, independent of the code paths they check:
 finite-difference derivatives on float evaluations, a reference Q(i)
 scalar built on Fraction pairs, polynomial arithmetic on the
-{exponent tuple: GaussRational} term view, and on top of it the
-real-gradient forms of the projected bracket, projected Laplacian and
-degree-2 matrix, the bracket, Laplacian and family verification, the
-substitution and isometry pull-back, the degree-2 builders in Poly ring
-arithmetic, a real subspace that stores its basis as Fraction tuples,
+{exponent tuple: GaussRational} term view, term degrees from unpacked
+keys, and on top of it the real-gradient forms of the projected
+bracket, projected Laplacian and degree-2 matrix, the bracket,
+Laplacian and family verification, the substitution and isometry
+pull-back, the degree-2 builders in Poly ring arithmetic, a real subspace that stores its basis as Fraction tuples,
 the per-entry matrix product, entrywise operations, matrix-vector
 product, conjugate transpose, row reduction and determinant, the
 coefficient and gradient spans built from GaussRational rows, the
@@ -25,8 +25,8 @@ from eigenforge.holomorphy import AxisReport, _numeric_extension, gradient_span,
 from eigenforge.linalg import (ComplexSubspace, Matrix, RealSubspace, _check_ambient, _joined,
                                _sliced, dot_bilinear, dot_hermitian, gram_schmidt_hermitian, vec,
                                vec_add, vec_im, vec_is_zero, vec_re, vec_scale, vec_sub)
-from eigenforge.poly import (FrameMismatch, Poly, axis_slots, common_frame, mono_order_key,
-                            real_gradient, slot_axes)
+from eigenforge.poly import (FrameMismatch, Poly, _unpacker, axis_slots, common_frame,
+                            mono_order_key, real_gradient, slot_axes)
 from eigenforge.scalars import ONE, ZERO, GaussRational, I, as_scalar, scalar, sqrt_in_qi
 
 
@@ -173,7 +173,8 @@ def ref_format(c):
 # on the {exponent tuple: GaussRational} view, one scalar operation per
 # term: the ring loops Poly ran before it stored packed Gaussian-integer
 # numerators.  A scalar argument stands for a constant; results go back
-# through the Poly constructor.
+# through the Poly constructor.  Term degrees are read by unpacking each
+# packed key, as Poly did before it read them off one modulus.
 
 
 def _ref_terms(x, frame):
@@ -223,6 +224,11 @@ def ref_slot_derivative(p, slot):
         if e:
             terms[mono[:slot] + (e - 1,) + mono[slot + 1:]] = coeff * e
     return Poly(p.frame, terms)
+
+
+def ref_degrees(p):
+    "The total degree of each term of p, in storage order, by unpacking each key and summing."
+    return list(map(sum, map(_unpacker(p.frame.num_slots), p.nums)))
 
 
 def ref_conjugate(p):

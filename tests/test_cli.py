@@ -4,6 +4,7 @@ JSON agreement, file round trips."""
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -60,6 +61,42 @@ def run_json(argv, schema_name):
     if "family" in payload:
         jsonschema.validate(payload["family"], schema("family"))
     return code, payload
+
+
+# -- integers past the interpreter's digit limit -----------------------
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="no integer string limit")
+
+
+@needs_digit_limit
+def test_literal_over_the_digit_limit_is_a_parse_error(tmp_path):
+    digits = DIGIT_LIMIT + 700
+    path = tmp_path / "literal.efam"
+    path.write_text(f"family lit\nframe complex z\nF = {'7' * digits}*z\n")
+    code, out, err = run(["verify", path])
+    assert code == 2 and out == ""
+    assert err.strip() == (f"parse error: integer literal has {digits} digits, over the limit "
+                           f"of {DIGIT_LIMIT} at line 3, column 5")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_coefficient_over_the_digit_limit_exits_two(tmp_path, json_flag):
+    # 2^e, written in a few characters, has digits > DIGIT_LIMIT decimal digits
+    e = int((DIGIT_LIMIT + 200) / math.log10(2))
+    digits = math.floor(e * math.log10(2)) + 1
+    power = tmp_path / "power.efam"
+    power.write_text(f"family big\nframe complex z\nF = (2*z)^{e}\n")
+    pair = tmp_path / "pair.efam"
+    pair.write_text(f"family bigpair\nframe complex z u v w\nF1 = 2^{e}*(z*v + u*w)\n"
+                    f"F2 = 2^{e}*(z*conj(w) - u*conj(v))\n")
+    for argv in (["construct", "power", power, "--d", "1", "--lambda", "0", "--mu", "0"],
+                 ["deg2", "decompose", pair]):  # the data matrix A holds 2^e
+        code, out, err = run(argv + json_flag)
+        assert code == 2
+        assert err == (f"error: a coefficient has {digits} digits, over the limit of "
+                       f"{DIGIT_LIMIT} digits for printing an integer\n")
 
 
 # -- verify -----------------------------------------------------------
@@ -249,6 +286,18 @@ def test_reduce_json_reports_both_verdicts():
     assert code == 0
     assert payload["eigenfamily_before"] is True
     assert payload["eigenfamily_after"] is True
+
+
+def test_reduce_substitutes_each_member_once(monkeypatch):
+    from eigenforge import reduction
+    calls = count_calls(monkeypatch, reduction, "reduce_along")
+    path = entry_path("inflated-cubic-r7")
+    members = len(parse_family(Path(path).read_text()).definitions)
+    for argv in (["--json"], []):
+        calls.clear()
+        code, out, err = run(["reduce", path, "--coord", "u", *argv])
+        assert code == 0
+        assert len(calls) == members
 
 
 def test_reduce_rejects_real_coordinate():

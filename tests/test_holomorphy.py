@@ -27,6 +27,7 @@ from eigenforge.conformality import kappa, laplacian, verify_flat_family
 from eigenforge.holomorphy import (
     AxisReport,
     _isotropic_parts,
+    _pull_back,
     apply_real_isometry,
     gradient_span,
     is_axis,
@@ -472,11 +473,16 @@ iso_coeff = st.builds(lambda a, b, d, e: scalar(Fraction(a, d), Fraction(b, e)),
 
 @st.composite
 def isometry_cases(draw):
+    """(family, Q, target): the target splits the m axes into complex
+    pairs and real lines independently of the source (C^2 -> R^4,
+    R^4 -> C^2, C x R^2 -> C^2, ...), and each member touches only a
+    drawn subset of the slots, so some slots go unused."""
     names, real = draw(st.sampled_from(ISO_FRAMES))
     frame = VariableFrame(names, real)
-    target = VariableFrame(tuple(f"x{j}" for j in range(frame.n)),
-                           tuple(f"y{k}" for k in range(frame.r)))
     m = frame.m
+    tn = draw(st.integers(0, m // 2))
+    target = VariableFrame(tuple(f"x{j}" for j in range(tn)),
+                           tuple(f"y{k}" for k in range(m - 2 * tn)))
     entry = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
                              Fraction(-1, 3), Fraction(2)])
     S = [[ZERO] * m for _ in range(m)]
@@ -486,22 +492,28 @@ def isometry_cases(draw):
             S[a][b], S[b][a] = scalar(q), scalar(-q)
     Q = cayley_orthogonal(Matrix(S, ncols=m))
     # inhomogeneous, degree up to 3, mixed denominators
-    monos = st.tuples(*[st.integers(0, 2)] * frame.num_slots).filter(lambda t: sum(t) <= 3)
-    p = Poly(frame, draw(st.dictionaries(monos, iso_coeff, max_size=4)))
-    return p, Q, target
+    family = []
+    for _ in range(draw(st.integers(1, 3))):
+        live = draw(st.sets(st.integers(0, frame.num_slots - 1)))
+        monos = st.tuples(*[st.integers(0, 2) if s in live else st.just(0)
+                            for s in range(frame.num_slots)]).filter(lambda t: sum(t) <= 3)
+        family.append(Poly(frame, draw(st.dictionaries(monos, iso_coeff, max_size=4))))
+    return family, Q, target
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(isometry_cases())
 def test_apply_real_isometry_matches_poly_reference(case):
-    p, Q, target = case
-    assert apply_real_isometry(p, Q, target).terms == ref_apply_real_isometry(p, Q, target).terms
+    family, Q, target = case
+    want = [ref_apply_real_isometry(p, Q, target).terms for p in family]
+    assert [apply_real_isometry(p, Q, target).terms for p in family] == want
+    assert [p.terms for p in _pull_back(family, Q, target)] == want
 
 
 @settings(max_examples=30, deadline=None)
 @given(isometry_cases(), st.data())
 def test_apply_real_isometry_rejects_what_the_reference_rejects(case, data):
-    p, Q, target = case
+    (p, *_), Q, target = case
     m = Q.nrows
     a, b = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
     rows = [list(r) for r in Q.rows]
@@ -513,6 +525,26 @@ def test_apply_real_isometry_rejects_what_the_reference_rejects(case, data):
             ref_apply_real_isometry(p, bad, target)
     with pytest.raises(ValueError, match="not orthonormal"):
         apply_real_isometry(p, Matrix(rows, ncols=m), target)
+
+
+def test_pull_back_cases_cover_split_changes_and_unused_slots():
+    # the generator reaches frames whose complex/real split differs from the
+    # target's and members that leave some of the used slots to others
+    seen = set()
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(isometry_cases())
+    def collect(case):
+        family, Q, target = case
+        frame = family[0].frame
+        slots = [{s for s in range(frame.num_slots) if p.uses_slot(s)} for p in family]
+        used = set().union(*slots)
+        if (frame.n, frame.r) != (target.n, target.r):
+            seen.add("split")
+        if used and any(s != used for s in slots):
+            seen.add("partial")
+    collect()
+    assert seen == {"split", "partial"}
 
 
 def test_apply_real_isometry_rejects_complex_orthogonal():

@@ -16,8 +16,8 @@ from eigenforge.scalars import GaussRational, I, ONE, scalar
 from eigenforge.frames import VariableFrame
 from eigenforge.poly import MAX_DEGREE, FrameMismatch, Poly, real_gradient, rename_onto
 
-from oracles import (ref_add, ref_conjugate, ref_mul, ref_neg, ref_pow, ref_slot_derivative,
-                     ref_sub, ref_substitute)
+from oracles import (ref_add, ref_conjugate, ref_degrees, ref_mul, ref_neg, ref_pow,
+                     ref_slot_derivative, ref_sub, ref_substitute)
 
 F2 = VariableFrame(("z", "u"), ("t",))
 
@@ -380,6 +380,38 @@ def test_exponent_too_wide_raises():
     with pytest.raises(ValueError, match="substitution would have degree"):
         (zvar("u") ** (MAX_DEGREE // 2 + 1)).substitute(F2, images)
     assert (top * 1).degree() == MAX_DEGREE
+
+
+# exponents up to MAX_DEGREE // 5 on the five slots of F2, so total degrees
+# reach MAX_DEGREE itself, where the key's residue is 0
+wide_monos = st.tuples(*[st.integers(0, MAX_DEGREE // F2.num_slots)] * F2.num_slots)
+
+
+@given(st.dictionaries(st.one_of(wide_monos, st.tuples(*[st.integers(0, 3)] * F2.num_slots)),
+                       st.integers(-3, 3), max_size=6))
+@example({(MAX_DEGREE // 5,) * 5: 1, (0,) * 5: 2})
+@example({(MAX_DEGREE, 0, 0, 0, 0): 1, (0, 0, 0, 0, MAX_DEGREE): -1})
+def test_term_degrees_match_the_unpacked_sums(terms):
+    p = Poly(F2, terms)
+    degrees = poly._degrees(p)
+    assert degrees == ref_degrees(p)
+    assert p.degree() == max(degrees, default=-1)
+    assert p.is_homogeneous() == (len(set(degrees)) <= 1)
+    assert sorted(p.homogeneous_parts()) == sorted(set(degrees))
+
+
+def test_degree_at_the_limit_is_read_off_a_zero_residue():
+    z, zb = zvar("z"), zbar("z")
+    for top in (z ** MAX_DEGREE, z ** 65000 * zb ** 535, Poly(F2, {(1, 0, 2, 0, MAX_DEGREE - 3): 5})):
+        assert next(iter(top.nums)) % MAX_DEGREE == 0
+        assert top.degree() == MAX_DEGREE
+        assert top.is_homogeneous()
+        assert list(top.homogeneous_parts()) == [MAX_DEGREE]
+        assert (top + top * I).homogeneous_parts() == {MAX_DEGREE: top * (1 + I)}
+        mixed_degrees = top + zvar("u") + 1
+        assert not mixed_degrees.is_homogeneous()
+        assert mixed_degrees.homogeneous_parts() == {0: Poly.constant(F2, 1), 1: zvar("u"),
+                                                     MAX_DEGREE: top}
 
 
 def test_products_over_the_budget_raise_before_multiplying(monkeypatch):

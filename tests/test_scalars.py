@@ -17,6 +17,7 @@ from eigenforge.scalars import (
     I,
     ONE,
     ZERO,
+    _decimal_digits,
     as_scalar,
     format_scalar,
     is_square_in_qi,
@@ -115,6 +116,12 @@ def test_format_scalar():
     assert format_scalar(scalar(0, Fraction(3, 2))) == "3/2*i"
     assert format_scalar(scalar(Fraction(1, 2), Fraction(-3, 2))) == "1/2-3/2*i"
     assert format_scalar(scalar(-2, 1)) == "-2+i"
+
+
+@given(st.integers(1, 10 ** 600))
+def test_decimal_digits_without_text(n):
+    for k in (n, 10 ** (len(str(n)) - 1), 10 ** len(str(n)) - 1):
+        assert _decimal_digits(k) == len(str(k))
 
 
 # -- integer kernel vs the Fraction-pair reference -----------------------
