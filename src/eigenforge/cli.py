@@ -73,14 +73,14 @@ def _emit(payload):
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _write_family(source: FamilySource, args):
+def _write_family(source: FamilySource, args, lines):
+    "Print lines, then the family or where -o wrote it; nothing is written before all is formatted."
     text = format_family(source)
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"wrote {args.output}")
-    else:
-        sys.stdout.write(text)
+        text = f"wrote {args.output}\n"
+    sys.stdout.write("".join(f"{line}\n" for line in lines) + text)
 
 
 def _family_json(source: FamilySource):
@@ -209,9 +209,8 @@ def cmd_reduce(args) -> int:
         }
         _emit(payload)
     else:
-        print(f"eigenfamily before: {'true' if before else 'false'}, "
-              f"after: {'true' if after else 'false'}")
-        _write_family(out, args)
+        _write_family(out, args, [f"eigenfamily before: {'true' if before else 'false'}, "
+                                  f"after: {'true' if after else 'false'}"])
     return 0 if before == after else 1
 
 
@@ -235,8 +234,7 @@ def cmd_deg2_construct(args) -> int:
         }
         _emit(payload)
     else:
-        print(f"verdict: {'true' if verdict else 'false'}")
-        _write_family(out, args)
+        _write_family(out, args, [f"verdict: {'true' if verdict else 'false'}"])
     return 0 if verdict else 1
 
 
@@ -306,11 +304,8 @@ def _finish_constructed(name, frame, fam, args, extra=None) -> int:
             payload.update(extra)
         _emit(payload)
     else:
-        if extra:
-            for key, value in extra.items():
-                print(f"{key}: {_jsonable(value)}")
-        print(f"verdict: {'true' if verdict else 'false'}")
-        _write_family(out, args)
+        _write_family(out, args, [f"{key}: {_jsonable(value)}" for key, value in (extra or {}).items()]
+                      + [f"verdict: {'true' if verdict else 'false'}"])
     return 0 if verdict else 1
 
 

@@ -24,6 +24,7 @@ to antisymmetry of Y.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -117,27 +118,18 @@ def is_eigenfamily_deg2(forms) -> bool:
 
 
 def _annihilating_product(mats):
-    """A nonzero product A_{i1}...A_{il} over distinct indices killed by
-    every A_j, or None.  Products over a maximal nonzero index set
-    qualify since extending by any j gives zero (up to sign)."""
-    m = mats[0].nrows
-    layers = {frozenset(): Matrix.identity(m)}
-    best = None
-    while layers:
-        nxt = {}
-        for used, P in layers.items():
-            for j in range(len(mats)):
-                if j in used:
-                    continue
-                Q = mats[j] * P
-                if not Q.is_zero():
-                    nxt[used | {j}] = Q
+    """A nonzero product over distinct indices killed by every A_j of nonzero
+    anticommuting mats: that of the first index set of the last nonzero layer.
+    As the A_j anticommute and square to zero, a product is fixed up to sign by
+    its index set and every subset of a nonzero set is nonzero, so each set is
+    formed once, from its largest index, and layers stay in lexicographic order."""
+    layer = [((j,), A) for j, A in enumerate(mats)]
+    while True:
+        nxt = [(used + (j,), Q) for used, P in layer for j in range(used[-1] + 1, len(mats))
+               if not (Q := mats[j] * P).is_zero()]
         if not nxt:
-            break
-        # deterministic representative: smallest index set in sorted order
-        layers = dict(sorted(nxt.items(), key=lambda kv: sorted(kv[0])))
-        best = next(iter(layers.values()))
-    return best
+            return layer[0][1]
+        layer = nxt
 
 
 def find_axis_deg2(forms):
@@ -154,10 +146,7 @@ def find_axis_deg2(forms):
     mats = [f.A for f in forms if not f.A.is_zero()]
     if not mats:
         return RealSubspace(m, Matrix.identity(m).rows), True
-    P = _annihilating_product(mats)
-    if P is None:  # the last nonzero layer always qualifies
-        raise AssertionError("no annihilating product")
-    T, zero = P.transpose(), (0,) * m
+    T, zero = _annihilating_product(mats).transpose(), (0,) * m
     return RealSubspace._spanned(m, [(x, zero) for x in T.re + T.im]), False
 
 
@@ -335,9 +324,8 @@ def decompose_eigenpair(F1: Poly, F2: Poly) -> Deg2Decomposition:
     if F1.frame != F2.frame:
         from .poly import FrameMismatch
         raise FrameMismatch("pair must share a frame")
-    M1 = to_form(F1).A
-    M2 = to_form(F2).A
-    if not is_eigenfamily_deg2([Deg2Form(F1.frame, M1), Deg2Form(F1.frame, M2)]):
+    M1, M2 = to_form(F1).A, to_form(F2).A
+    if not anticommuting([M1, M2]):
         raise ValueError("not a quadratic eigenfamily")
     radical, aniso = _maximal_axis_radical(M1, M2)  # raises "not full"
     try:
@@ -347,12 +335,14 @@ def decompose_eigenpair(F1: Poly, F2: Poly) -> Deg2Decomposition:
 
 
 def _decompose_exact(frame, M1, M2, radical, aniso):
+    """The exact data, or _NeedsFloat when a square root leaves Q(i).  Q M is
+    formed once per form M, for Q the projector onto the axis complement: the
+    couplings 2 (Q M) S^T and the pure complement block (Q M) Q both read it."""
     m = frame.m
     n = len(radical)
     # holomorphic selectors c_i = (u_i/|u_i| - i v_i/|v_i|)/2 = conj(r_i)/(2|u_i|),
     # the rows of S, for r_i = u_i + i v_i
-    selectors = []
-    axis_rows = []
+    selectors, axis_rows = [], []
     for r in radical:
         u, v = vec_re(r), vec_im(r)
         norm = rational_sqrt(dot_bilinear(u, u).re)
@@ -371,12 +361,10 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
         raise AssertionError("axis coordinates are not holomorphic")
 
     # the couplings xi_i = 2 Q M1 c_i and eta_i = 2 Q M2 c_i, the rows of Xi and Eta
-    Xi, Eta = ((Q * M * S.transpose()).scale(2).transpose() for M in (M1, M2))
-
-    # pure complement blocks must vanish (no s^T B s part)
-    for M in (M1, M2):
-        if not (Q * M * Q).is_zero():
-            raise AssertionError("nonzero pure complement block")
+    QM = [Q * M for M in (M1, M2)]
+    Xi, Eta = ((P * S.transpose()).scale(2).transpose() for P in QM)
+    if not all((P * Q).is_zero() for P in QM):
+        raise AssertionError("nonzero pure complement block")
 
     h_basis = gram_schmidt_hermitian(Xi.rows)
     k = len(h_basis)
@@ -567,8 +555,17 @@ def _scalar_pair(c: GaussRational):
     return [format_fraction(c.re), format_fraction(c.im)]
 
 
-def _pair_scalar(pair):
-    return GaussRational(Fraction(pair[0]), Fraction(pair[1]))
+def _pair_scalar(pair, field):
+    "The scalar of a [re, im] pair; field names the pair in the digit-limit error."
+    try:
+        return GaussRational(Fraction(pair[0]), Fraction(pair[1]))
+    except ValueError:
+        digits = max((sum(map(str.isdecimal, s)) for x in pair if isinstance(x, str)
+                      for s in x.split("/")), default=0)
+        if not 0 < (limit := getattr(sys, "get_int_max_str_digits", int)()) < digits:
+            raise
+        raise ValueError(f"{field}: integer literal has {digits} digits, over the limit of "
+                         f"{limit}") from None
 
 
 def _matrix_json(M: Matrix):
@@ -576,9 +573,9 @@ def _matrix_json(M: Matrix):
             "entries": [_scalar_pair(M[a, b]) for a in range(M.nrows) for b in range(M.ncols)]}
 
 
-def _json_matrix(d):
+def _json_matrix(d, field):
     rows, cols = d["rows"], d["cols"]
-    entries = [_pair_scalar(p) for p in d["entries"]]
+    entries = [_pair_scalar(p, f"{field} entry {i}") for i, p in enumerate(d["entries"])]
     if len(entries) != rows * cols:
         raise ValueError("matrix entry count mismatch")
     return Matrix([entries[r * cols:(r + 1) * cols] for r in range(rows)], ncols=cols)
@@ -602,8 +599,9 @@ def data_from_json_dict(d):
     zframe = VariableFrame(tuple(f"z{i+1}" for i in range(t.n)), ())
     pd = PolynomialData(parse_poly(d["poly"]["P1"], zframe),
                         parse_poly(d["poly"]["P2"], zframe),
-                        _json_matrix(d["poly"]["A"])).validate(t)
-    td = TwistingData(_json_matrix(d["twist"]["Y"]),
-                      _json_matrix(d["twist"]["C"]),
-                      tuple(_pair_scalar(p) for p in d["twist"]["v"])).validate(t)
+                        _json_matrix(d["poly"]["A"], "poly.A")).validate(t)
+    td = TwistingData(_json_matrix(d["twist"]["Y"], "twist.Y"),
+                      _json_matrix(d["twist"]["C"], "twist.C"),
+                      tuple(_pair_scalar(p, f"twist.v entry {i}")
+                            for i, p in enumerate(d["twist"]["v"]))).validate(t)
     return t, pd, td

@@ -199,10 +199,11 @@ def is_axis(fs, V) -> bool:
 
 
 def span_is_axis(W: ComplexSubspace, V) -> bool:
-    "is_axis for a family with gradient span W."
-    P = _as_real_subspace(W.ambient, V).projector()
-    B = W.basis_matrix
-    return (B * P * B.transpose()).is_zero()
+    """is_axis for a family with gradient span W: B P_V B^T = X G^-1 X^T = 0 for W's basis
+    B, since P_V = C^T G^-1 C for V's real basis C, G = C C^T and X = B C^T = (C B^T)^T."""
+    C = _as_real_subspace(W.ambient, V).basis_matrix
+    X = W.basis_matrix * C.transpose()
+    return (X * (C * C.transpose()).inverse() * X.transpose()).is_zero()
 
 
 def separable_check(f: Poly, V) -> bool:

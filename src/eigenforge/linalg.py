@@ -14,7 +14,9 @@ previous pivot p_prev and pivot-column entry f, a division that is exact
 in Z[i] because every entry is a minor (Sylvester's identity).  Its rows
 need no shared denominator, so spans eliminate integer rows at their own
 scales.  Each pivot row is divided by its pivot once at the end, and det
-is the sign times the last pivot over den^n.
+is the sign times the last pivot over den^n.  With no imaginary part in
+any input row, every pivot, factor and tag is real and every imaginary
+part stays zero, so each update is one integer list, (p x - f y) // t.
 
 Vectors are plain tuples of GaussRational; a real vector is one whose
 entries have zero imaginary part, and vec_re/vec_im return such tuples.
@@ -155,6 +157,7 @@ def _eliminate(rows, ncols):
     but keeps the tag t of the pivot it is current for, and its next update
     divides by t; so each pivot row ends holding its own pivot."""
     rows = [(re, im, (1, 0)) for re, im in rows]
+    real = not any(any(im) for _, im, _ in rows)
     nrows, pivots, sign = len(rows), [], 1
     qa, qb = 1, 0  # the previous pivot
     for col in range(ncols):
@@ -177,6 +180,9 @@ def _eliminate(rows, ncols):
         for i, (xa, xb, (ta, tb)) in enumerate(rows):
             fa, fb = xa[col], xb[col]
             if i == lead or not (fa or fb):
+                continue
+            if real:
+                rows[i] = [(a * pa - c * fa) // ta for a, c in zip(xa, ya)], xb, (pa, 0)
                 continue
             # (p x - f y) / t = ((p conj t) x - (f conj t) y) / |t|^2, exact in Z[i]
             n = ta * ta + tb * tb

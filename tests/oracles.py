@@ -8,20 +8,23 @@ Laplacian and family verification, the substitution and isometry
 pull-back, the degree-2 builders in Poly ring arithmetic, a real subspace that stores its basis as Fraction tuples,
 the per-entry matrix product, entrywise operations, matrix-vector
 product, conjugate transpose, row reduction and determinant, the
+fraction-free elimination with Gaussian updates only, the
 coefficient and gradient spans built from GaussRational rows, the
 intersection, real points and Hermitian complement that the axis search
 once reached its subspaces through, the annihilators as a free-column
 kernel spanned again, the degree-2 axis through Hermitian
-Gram-Schmidt, the maximal-axis search through a subspace sum,
+Gram-Schmidt and an annihilating product grown from the identity over
+every ordering of its index set, the axis test through the m x m
+projector, the maximal-axis search through a subspace sum,
 degree-2 seeds and greedy isotropic growth, and the products of a power
 family built by recursion."""
 
 from fractions import Fraction
 
 from eigenforge.conformality import EigenData, FamilyReport, _family_degree, _slot_form
-from eigenforge.degree2 import (_annihilating_product, _coerce_forms, default_frame,
-                               is_eigenfamily_deg2, twist_x_matrix)
-from eigenforge.holomorphy import AxisReport, _numeric_extension, gradient_span, symmetric_diagonalize
+from eigenforge.degree2 import _coerce_forms, default_frame, is_eigenfamily_deg2, twist_x_matrix
+from eigenforge.holomorphy import (AxisReport, _as_real_subspace, _numeric_extension, gradient_span,
+                                   symmetric_diagonalize)
 from eigenforge.linalg import (ComplexSubspace, Matrix, RealSubspace, _check_ambient, _joined,
                                _sliced, dot_bilinear, dot_hermitian, gram_schmidt_hermitian, vec,
                                vec_add, vec_im, vec_is_zero, vec_re, vec_scale, vec_sub)
@@ -553,7 +556,8 @@ class RefRealSubspace:
 # eliminated on Gaussian-integer numerators: a product summed term by
 # term, Gauss-Jordan elimination that normalises each pivot row as it
 # goes, and Gaussian elimination whose determinant is the product of
-# the pivots.
+# the pivots; and the fraction-free elimination as it ran before real
+# rows took their own update.
 
 
 def ref_matmul(A, B):
@@ -621,6 +625,44 @@ def ref_rref(M):
         pivots.append(col)
         lead += 1
     return Matrix(rows, ncols=ncols), pivots
+
+
+def ref_eliminate(rows, ncols):
+    """linalg._eliminate with the Gaussian update for every row, real ones
+    included: (rows, pivots, sign), the rows as (re, im, tag)."""
+    rows = [(re, im, (1, 0)) for re, im in rows]
+    nrows, pivots, sign = len(rows), [], 1
+    qa, qb = 1, 0
+    for col in range(ncols):
+        lead = sel = len(pivots)
+        while sel < nrows and not (rows[sel][0][col] or rows[sel][1][col]):
+            sel += 1
+        if sel >= nrows:
+            continue
+        if sel != lead:
+            rows[lead], rows[sel] = rows[sel], rows[lead]
+            sign = -sign
+        ya, yb, (ta, tb) = rows[lead]
+        if ta != qa or tb != qb:
+            n = ta * ta + tb * tb
+            m1, m2 = qa * ta + qb * tb, qb * ta - qa * tb
+            ya, yb = ([(a * m1 - b * m2) // n for a, b in zip(ya, yb)],
+                      [(a * m2 + b * m1) // n for a, b in zip(ya, yb)])
+        pa, pb = ya[col], yb[col]
+        rows[lead] = ya, yb, (pa, pb)
+        for i, (xa, xb, (ta, tb)) in enumerate(rows):
+            fa, fb = xa[col], xb[col]
+            if i == lead or not (fa or fb):
+                continue
+            n = ta * ta + tb * tb
+            p1, p2 = pa * ta + pb * tb, pb * ta - pa * tb
+            f1, f2 = fa * ta + fb * tb, fb * ta - fa * tb
+            rows[i] = ([(a * p1 - b * p2 - c * f1 + d * f2) // n for a, b, c, d in zip(xa, xb, ya, yb)],
+                       [(a * p2 + b * p1 - c * f2 - d * f1) // n for a, b, c, d in zip(xa, xb, ya, yb)],
+                       (pa, pb))
+        qa, qb = pa, pb
+        pivots.append(col)
+    return rows, pivots, sign
 
 
 def ref_det(M):
@@ -749,8 +791,11 @@ def ref_hermitian_complement_within(K, inside):
 # the real annihilator first spanned the real and imaginary parts of the
 # basis (a third).  find_axis_deg2 once Hermitian-orthogonalized the
 # columns of the annihilating product before taking their real and
-# imaginary parts.  The one-elimination read-off and the direct real span
-# must give the same canonical bases.
+# imaginary parts, and grew that product from the identity over every
+# ordering of each index set; is_axis once multiplied through V's m x m
+# projector.  The one-elimination read-off, the direct real span, one
+# product per index set and the Gram-matrix axis test must give the same
+# canonical bases and verdicts.
 
 
 def ref_bilinear_annihilator(V):
@@ -771,6 +816,36 @@ def ref_real_annihilator(V):
     return ref_orthogonal_complement(RealSubspace._spanned(V.ambient, [(x, zero) for x in B.re + B.im]))
 
 
+def ref_annihilating_product(mats):
+    """An annihilating product grown breadth first from the identity: every
+    ordering of every index set, each layer sorted by index set, the first
+    set of the last nonzero layer; None for no matrices."""
+    m = mats[0].nrows if mats else 0
+    layers = {frozenset(): Matrix.identity(m)}
+    best = None
+    while layers:
+        nxt = {}
+        for used, P in layers.items():
+            for j in range(len(mats)):
+                if j in used:
+                    continue
+                Q = mats[j] * P
+                if not Q.is_zero():
+                    nxt[used | {j}] = Q
+        if not nxt:
+            break
+        layers = dict(sorted(nxt.items(), key=lambda kv: sorted(kv[0])))
+        best = next(iter(layers.values()))
+    return best
+
+
+def ref_span_is_axis(W, V):
+    "B P_V B^T = 0 for W's basis B, through V's m x m orthogonal projector."
+    P = _as_real_subspace(W.ambient, V).projector()
+    B = W.basis_matrix
+    return (B * P * B.transpose()).is_zero()
+
+
 def ref_find_axis_deg2(forms):
     """(axis, degenerate) as find_axis_deg2 gives them: the real span of Re w
     and Im w over a Hermitian Gram-Schmidt basis w of the nonzero columns of
@@ -782,7 +857,7 @@ def ref_find_axis_deg2(forms):
     mats = [f.A for f in forms if not f.A.is_zero()]
     if not mats:
         return RealSubspace(m, Matrix.identity(m).rows), True
-    P = _annihilating_product(mats)
+    P = ref_annihilating_product(mats)
     cols = [c for j in range(P.ncols) if not vec_is_zero(c := P.col(j))]
     vectors = []
     for w in gram_schmidt_hermitian(cols):
@@ -818,7 +893,7 @@ def ref_isotropic_annihilator_seeds(fs):
     mats = [f.A for f in forms if not f.A.is_zero()]
     if not mats or not is_eigenfamily_deg2(forms):
         return []
-    P = _annihilating_product(mats)
+    P = ref_annihilating_product(mats)
     return [c for j in range(P.ncols) if not vec_is_zero(c := P.col(j))]
 
 

@@ -99,6 +99,50 @@ def test_coefficient_over_the_digit_limit_exits_two(tmp_path, json_flag):
                        f"{DIGIT_LIMIT} digits for printing an integer\n")
 
 
+@needs_digit_limit
+def test_text_output_over_the_digit_limit_prints_nothing(tmp_path):
+    # each command decides its verdict before it meets the coefficient it cannot print
+    e = int((DIGIT_LIMIT + 200) / math.log10(2))
+    digits = math.floor(e * math.log10(2)) + 1
+    power = tmp_path / "power.efam"
+    power.write_text(f"family big\nframe complex z\nF = (2*z)^{e}\n")
+    product = tmp_path / "product.efam"
+    product.write_text(f"family bigproduct\nframe complex z u\nF = 2^{e}*z*u\n")
+    data = tmp_path / "data.json"
+    empty = {"rows": 0, "cols": 0, "entries": []}
+    data.write_text(json.dumps({"type": {"n": 1, "k": 0, "delta": 0},
+                                "poly": {"P1": f"2^{e}*z1^2", "P2": "z1^2",
+                                         "A": {"rows": 1, "cols": 0, "entries": []}},
+                                "twist": {"Y": empty, "C": empty, "v": []}}))
+    for argv in (["construct", "power", power, "--d", "1", "--lambda", "0", "--mu", "0"],
+                 ["reduce", product, "--coord", "u"], ["deg2", "construct", data],
+                 ["deg2", "construct", data, "-o", tmp_path / "pair.efam"]):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: a coefficient has {digits} digits, over the limit of "
+                       f"{DIGIT_LIMIT} digits for printing an integer\n")
+    assert not (tmp_path / "pair.efam").exists()
+
+
+@needs_digit_limit
+def test_deg2_data_entry_over_the_digit_limit_names_its_field(tmp_path):
+    t, pd, td = rand_data(random.Random(5), k=2)
+    raw = data_to_json_dict(t, pd, td)
+    digits = DIGIT_LIMIT + 701
+    path = tmp_path / "data.json"
+    for field, entries, index in (("poly.A entry 0", raw["poly"]["A"]["entries"], 0),
+                                  ("twist.Y entry 1", raw["twist"]["Y"]["entries"], 1),
+                                  ("twist.v entry 0", raw["twist"]["v"], 0)):
+        saved = entries[index]
+        entries[index] = ["1", "-" + "7" * digits] if index else ["7" * digits, "0"]
+        path.write_text(json.dumps(raw))
+        code, out, err = run(["deg2", "construct", path])
+        entries[index] = saved
+        assert (code, out) == (2, "")
+        assert err == (f"error: {field}: integer literal has {digits} digits, over the limit "
+                       f"of {DIGIT_LIMIT}\n")
+
+
 # -- verify -----------------------------------------------------------
 
 

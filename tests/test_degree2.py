@@ -30,7 +30,8 @@ from eigenforge.degree2 import (
     twist_x_matrix,
 )
 
-from oracles import ref_construct_eigenpair, ref_find_axis_deg2, ref_from_form, ref_to_form
+from oracles import (ref_annihilating_product, ref_construct_eigenpair, ref_find_axis_deg2,
+                     ref_from_form, ref_to_form)
 
 C1 = VariableFrame(("z",), ())
 R2 = VariableFrame((), ("x", "t"))
@@ -274,8 +275,8 @@ def rand_gauss(rng, span=2, den=3):
                          Fraction(rng.randint(-span, span), rng.randint(1, den)))
 
 
-def rand_data(rng, n_max=4):
-    k = rng.choice([0, 2])
+def rand_data(rng, n_max=4, k=None):
+    k = rng.choice([0, 2]) if k is None else k
     n = rng.randint(max(k, 1), n_max)
     delta = rng.choice([0, 1]) if k else 0
     t = SubspaceType(n, k, delta)
@@ -523,6 +524,87 @@ def test_find_axis_matches_the_gram_schmidt_reference():
                     for r in (True, False)]
         for polys in families + [[Poly.zero(frame)] * 2]:
             assert find_axis_deg2(polys) == ref_find_axis_deg2(polys)
+
+
+def test_find_axis_matches_the_reference_on_constructed_pairs():
+    # full k = 2 pairs mostly have M2 M1 != 0, so the product search goes a layer deeper
+    rng = random.Random(71)
+    nonzero = 0
+    for _ in range(30):
+        F1, F2 = construct_eigenpair(*rand_data(rng, k=2))
+        M1, M2 = to_form(F1).A, to_form(F2).A
+        nonzero += not (M2 * M1).is_zero()
+        assert find_axis_deg2([F1, F2]) == ref_find_axis_deg2([F1, F2])
+    assert nonzero >= 10
+
+
+def block_diagonal(A, B):
+    "diag(A, B) for square A and B."
+    a, b = A.nrows, B.nrows
+    return Matrix([list(r) + [ZERO] * b for r in A.rows] + [[ZERO] * a + list(r) for r in B.rows],
+                  ncols=a + b)
+
+
+def block_family(rng):
+    """(forms, pair): diag(M1, N1), diag(M2, 0) and diag(0, N2) as forms, for the
+    forms of two constructed k = 2 pairs, and the first pair.  They anticommute;
+    the last nonzero layer holds {0, 1} and {0, 2}, whose products live on
+    different blocks, so the first index set in order decides the axis."""
+    F1, F2 = construct_eigenpair(*rand_data(rng, k=2))
+    M1, M2, N1, N2 = (to_form(F).A for F in (F1, F2) + construct_eigenpair(*rand_data(rng, k=2)))
+    Z, Y = Matrix.zero(M1.nrows, M1.nrows), Matrix.zero(N1.nrows, N1.nrows)
+    frame = VariableFrame((), tuple(f"s{j}" for j in range(M1.nrows + N1.nrows)))
+    blocks = [block_diagonal(M1, N1), block_diagonal(M2, Y), block_diagonal(Z, N2)]
+    return [Deg2Form(frame, A) for A in blocks], (F1, F2)
+
+
+ORDERS = ((0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1))
+
+
+def test_find_axis_matches_the_reference_on_three_member_families():
+    # F1 + F2 and F1 - i F2 anticommute with F1 and F2 as well
+    rng = random.Random(73)
+    i = scalar(0, 1)
+    for _ in range(8):
+        blocks, (F1, F2) = block_family(rng)
+        for forms in [[blocks[j] for j in order] for order in ORDERS] + [
+                [F1, F2, F1 + F2], [F2, F1 - i * F2, F1], [F1, Poly.zero(F1.frame), F2]]:
+            assert is_eigenfamily_deg2(forms)
+            assert find_axis_deg2(forms) == ref_find_axis_deg2(forms)
+    for m in (4, 6, 8):
+        frame = VariableFrame((), tuple(f"s{j}" for j in range(m)))
+        polys = [from_form(Deg2Form(frame, A)) for A in anticommuting_family(rng, m, count=3)]
+        assert find_axis_deg2(polys) == ref_find_axis_deg2(polys)
+
+
+def test_annihilating_product_is_the_references_up_to_sign():
+    from eigenforge.degree2 import _annihilating_product
+    rng = random.Random(79)
+    for _ in range(5):
+        blocks, _ = block_family(rng)
+        for order in ORDERS:
+            mats = [blocks[j].A for j in order]
+            want = ref_annihilating_product(mats)
+            assert _annihilating_product(mats) in (want, -want)
+
+
+def test_find_axis_on_a_zero_product_multiplies_once(monkeypatch):
+    # one product per index set: A2 A1 = 0 ends the search, with no identity factors
+    rng = random.Random(83)
+    frame = VariableFrame((), tuple(f"s{j}" for j in range(6)))
+    forms = [Deg2Form(frame, A) for A in anticommuting_family(rng, 6)]
+    assert not any(f.A.is_zero() for f in forms) and (forms[1].A * forms[0].A).is_zero()
+    calls = []
+    mul = Matrix.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    axis, degenerate = find_axis_deg2(forms)
+    assert not degenerate and axis.dim >= 2
+    assert len(calls) == 1
 
 
 def test_json_round_trip():

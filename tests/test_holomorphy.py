@@ -33,13 +33,14 @@ from eigenforge.holomorphy import (
     is_axis,
     is_uniformly_complex_type,
     maximal_axis,
+    span_is_axis,
     separable_check,
     symmetric_diagonalize,
 )
 
 from oracles import (rational_point, ref_apply_real_isometry, ref_gradient_span,
                      ref_hermitian_complement_within, ref_isotropic_annihilator_seeds,
-                     ref_maximal_axis, ref_real_points, ref_sum)
+                     ref_maximal_axis, ref_real_points, ref_span_is_axis, ref_sum)
 
 C1 = VariableFrame(("z",), ())
 C2 = VariableFrame(("z", "u"), ())
@@ -169,6 +170,39 @@ def test_is_axis_examples():
     assert is_axis([F1, F2], [e(0), [Fraction(1, 2)] + e(1)[1:]])
     with pytest.raises(ValueError, match="dependent basis"):
         is_axis([F1, F2], [e(0), e(1), [2, 3] + [0] * (m - 2)])
+
+
+def test_span_is_axis_matches_the_projector_reference_in_every_dimension():
+    # real V of every dimension 0..m: random ones, and a certified axis cut
+    # down or filled up with random vectors, so both verdicts occur
+    import test_degree2 as t2
+    from eigenforge.degree2 import Deg2Form, from_form
+
+    rng = random.Random(67)
+    frame = VariableFrame((), tuple(f"s{j}" for j in range(6)))
+    z, u = Poly.variable(C2, "z"), Poly.variable(C2, "u")
+    # a rotated pair has axes whose RREF bases are not orthonormal
+    pair = list(worked_pair())
+    Q = t2.rand_cayley(rng, pair[0].frame.m)
+    families = [[z * u], [z * u.conjugate() + u * u], pair, [Poly.zero(C2)],
+                [apply_real_isometry(F, Q, F.frame) for F in pair],
+                [from_form(Deg2Form(frame, A)) for A in t2.anticommuting_family(rng, 6)]]
+    verdicts = set()
+    for fs in families:
+        W = gradient_span(fs)
+        m = W.ambient
+        axis = list(maximal_axis(fs, W=W).certified_axis.basis)
+        for d in range(m + 1):
+            for start in ([], axis[:d]):
+                vectors = list(start)
+                while RealSubspace(m, vectors).dim < d:
+                    vectors.append([scalar(rng.choice([0, 0, 1, -1, 2])) for _ in range(m)])
+                V = RealSubspace(m, vectors)
+                assert V.dim == d
+                verdict = span_is_axis(W, V)
+                assert verdict == ref_span_is_axis(W, V)
+                verdicts.add((d == m, verdict))
+    assert verdicts == {(False, True), (False, False), (True, True), (True, False)}
 
 
 def test_axis_checks_take_a_complex_subspace_with_a_real_basis():

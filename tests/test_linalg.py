@@ -30,7 +30,8 @@ from eigenforge.linalg import (
 )
 
 from oracles import (RefRealSubspace, ref_apply, ref_bilinear_annihilator, ref_conj_transpose,
-                     ref_det, ref_entrywise, ref_hermitian_complement_within, ref_intersect,
+                     ref_det, ref_eliminate, ref_entrywise, ref_hermitian_complement_within,
+                     ref_intersect,
                      ref_matmul, ref_orthogonal_complement, ref_real_annihilator, ref_real_points,
                      ref_rref, ref_sum)
 
@@ -394,6 +395,46 @@ def test_sparse_elimination_matches_reference():
         assert M.det() == ref_det(M)
 
 
+@st.composite
+def integer_rows(draw):
+    """Real integer rows of width m, as (re, im) pairs with a zero im: square
+    about half the time, with dependent and zero rows, zero columns and
+    negative entries."""
+    n = draw(st.integers(0, 6))
+    m = n if draw(st.booleans()) else draw(st.integers(0, 6))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3]) | st.integers(-40, 40)
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["free", "free", "combination", "zero"]))
+        if kind == "combination" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c, d = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            row = [c * x + d * y for x, y in zip(a, b)]
+        else:
+            row = [0 if kind == "zero" else draw(entry) for _ in range(m)]
+        rows.append(row)
+    if m and draw(st.booleans()):
+        j = draw(st.integers(0, m - 1))
+        for row in rows:
+            row[j] = 0
+    return [(tuple(r), (0,) * m) for r in rows], m
+
+
+def _elimination(out):
+    rows, pivots, sign = out
+    return [(list(a), list(b), t) for a, b, t in rows], pivots, sign
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_rows())
+def test_real_elimination_matches_the_gaussian_reference(case):
+    rows, m = case
+    assert _elimination(linalg._eliminate(rows, m)) == _elimination(ref_eliminate(rows, m))
+    if len(rows) == m:
+        M = Matrix([a for a, _ in rows], ncols=m)
+        assert M.det() == ref_det(M)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
 def test_product_matches_reference(n, k, m, data):
@@ -575,10 +616,10 @@ def _real(M):
 
 
 def _complex(M):
-    "M with an imaginary part in its first entry, if it has one."
+    "M with an imaginary part in its first entry, if it has one (x + i would make x = -i real)."
     rows = [list(r) for r in M.rows]
     if rows and rows[0]:
-        rows[0][0] = rows[0][0] + I
+        rows[0][0] = rows[0][0] + I * (1 + abs(rows[0][0].im))
     return Matrix(rows, ncols=M.ncols)
 
 
