@@ -130,12 +130,13 @@ def cmd_verify(args) -> int:
           + (f"  for lambda = {payload['lambda']}, mu = {payload['mu']}"
              if payload["lambda"] not in ("0", None) or payload["mu"] not in ("0", None)
              else ""))
-    for kind, idx, residual in report.failures():
-        if kind == "laplacian":
-            label = f"laplacian({names[idx[0]]})"
-        else:
-            label = f"kappa({names[idx[0]]}, {names[idx[1]]})"
-        print(f"  {label} = {format_poly(residual)}")
+    # the failing residuals, as the payload already formatted them
+    for i, text in enumerate(payload["harmonic_residuals"]):
+        if report.harmonic_residuals[i]:
+            print(f"  laplacian({names[i]}) = {text}")
+    for pair in payload["conformal_pairs"]:
+        if report.conformal_pairs[pair["i"], pair["j"]]:
+            print(f"  kappa({names[pair['i']]}, {names[pair['j']]}) = {pair['residual']}")
     if sphere is not None:
         print(f"restricted to S^{sphere['sphere_dim']}: "
               f"lambda = {sphere['lambda']}, mu = {sphere['mu']}")

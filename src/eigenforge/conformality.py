@@ -25,25 +25,27 @@ integer numerators over one denominator D_f, monomials packed into
 integers).  The form's coefficients C_su over the slots, lam and mu go
 to one common denominator once.  Each member f is prepared once: its
 slot derivatives d_s f and the C-weighted gradients h_s = sum_u C_su
-d_u f, taken on the numerators.  A pair's residual is then
-sum_s d_s f h_s(g) - mu f g, accumulated into one integer dict over
-D_f D_g times the common denominator and reduced once; the Laplacian
-residual is sum_s d_s h_s(f) - lam f.  kappa and laplacian are
-one-pair calls of the same kernel.  A bracket whose term products
-would exceed BRACKET_LIMIT raises ValueError before it multiplies
-anything.
+d_u f, taken on the numerators for the slots f uses.  A pair's residual
+is then sum_s d_s f h_s(g) - mu f g over the slots both sides have, in
+one integer dict over D_f D_g times the common denominator, reduced
+once; the Laplacian residual is sum_s d_s h_s(f) - lam f.  kappa and
+laplacian are one-pair calls of the same kernel.  A bracket whose term
+products would exceed BRACKET_LIMIT raises ValueError before it
+multiplies anything.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import NamedTuple, Optional
 
 from .scalars import (GaussRational, ONE, ZERO, as_scalar, common_numerators, format_scalar,
                       scalar)
 from .frames import VariableFrame
-from .poly import (PRODUCT_LIMIT, FrameMismatch, Poly, _degrees, _derivative, _gauss_mul,
-                   _gauss_sum, _nonzero, _reduced, _unpacker, check_degree, check_products,
-                   common_frame, quadratic, slot_axes)
+from .poly import (EXP_BITS, MAX_DEGREE, PRODUCT_LIMIT, FrameMismatch, Poly, _degrees,
+                   _derivative, _gauss_mul, _gauss_sum, _nonzero, _reduced, _unpacker,
+                   check_degree, check_products, common_frame, quadratic, slot_axes)
 
 TWO = scalar(2)
 
@@ -84,11 +86,17 @@ def _slot_form(frame, P):
     return form
 
 
+def _weighted(rows, d):
+    "{s: sum_u w d[u]} over the (u, w) of each row with u in d, for the rows that reach d."
+    return {s: _gauss_sum(parts) for s, row in rows.items()
+            if (parts := [(w, d[u]) for u, w in row if u in d])}
+
+
 class _Member(NamedTuple):
     """One member prepared for the kernel: its slot derivatives d[s] over
     poly.den, and the weighted gradients full[s] (pairing with another
     member) and upper[s] (pairing with itself), over poly.den times the
-    kernel's denominator; neg_mu is -mu times poly's numerators."""
+    kernel's denominator, with no entry for a zero; neg_mu is -mu f."""
     poly: Poly
     d: dict
     full: dict
@@ -102,6 +110,7 @@ class _Kernel:
 
     def __init__(self, frame, P, lam, mu, degree):
         form = _slot_form(frame, P)
+        self.zero = Poly.zero(frame)
         self.den, nums = common_numerators([*form.values(), lam, mu])
         *weights, self.lam, self.mu = nums
         # rows of the symmetric matrix C: full[s] lists (u, w) with
@@ -118,19 +127,21 @@ class _Kernel:
         check_degree(2 * degree, "bracket")
 
     def prepare(self, f: Poly) -> _Member:
-        "Everything the residuals need of f, computed once per member."
+        "Everything the residuals need of f, once per member, on the slots f uses."
         nums = f.nums
-        d = {s: _derivative(nums, s) for s in self.full}
-        full = {s: _gauss_sum((w, d[u]) for u, w in row) for s, row in self.full.items()}
-        upper = {s: _gauss_sum((w, d[u]) for u, w in row) for s, row in self.upper.items()}
+        used = reduce(or_, nums, 0)
+        d = {s: _derivative(nums, s) for s in self.full if used >> s * EXP_BITS & MAX_DEGREE}
         a, b = self.mu
-        return _Member(f, d, full, upper, _gauss_sum([((-a, -b), nums)]))
+        return _Member(f, d, _weighted(self.full, d), _weighted(self.upper, d),
+                       _gauss_sum([((-a, -b), nums)]))
 
     def bracket(self, f: _Member, g: _Member) -> Poly:
-        "kappa(f, g) - mu f g, from one integer dict."
+        "kappa(f, g) - mu f g, from one integer dict, over the slots both sides have."
         h = f.upper if f is g else g.full
-        pairs = [(p, q) for p, q in [(f.d[s], h[s]) for s in h] + [(f.poly.nums, g.neg_mu)]
-                 if p and q]
+        pairs = [(p, q) for p, q in [(f.d.get(s), q) for s, q in h.items()]
+                 + [(f.poly.nums, g.neg_mu)] if p and q]
+        if not pairs:
+            return self.zero
         check_products(sum(len(p) * len(q) for p, q in pairs), "bracket", BRACKET_LIMIT)
         acc = {}
         for p, q in pairs:
@@ -188,16 +199,14 @@ class FamilyReport:
         self.conformal_pairs = dict(conformal_pairs)
         self.degree = degree
         self.warning = warning
-        self.harmonic = all(r == 0 for r in self.harmonic_residuals)
-        self.conformal = all(r == 0 for r in self.conformal_pairs.values())
+        self.harmonic = not any(self.harmonic_residuals)
+        self.conformal = not any(self.conformal_pairs.values())
         self.verdict = self.harmonic and self.conformal
         self.data = data if self.verdict else None
 
     def failures(self):
-        out = [("laplacian", (i,), r)
-               for i, r in enumerate(self.harmonic_residuals) if r != 0]
-        out += [("kappa", ij, r)
-                for ij, r in sorted(self.conformal_pairs.items()) if r != 0]
+        out = [("laplacian", (i,), r) for i, r in enumerate(self.harmonic_residuals) if r]
+        out += [("kappa", ij, r) for ij, r in sorted(self.conformal_pairs.items()) if r]
         return out
 
     def to_json_dict(self, name=None):
@@ -222,7 +231,7 @@ class FamilyReport:
 
 
 def _family_degree(fs):
-    degs = {f.degree() for f in fs if f != 0}
+    degs = {f.degree() for f in fs if f}
     if len(degs) == 1:
         return degs.pop()
     return None

@@ -15,10 +15,12 @@ input maps for all of this.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .scalars import GaussRational, I
 from .frames import VariableFrame
-from .poly import Poly, FrameMismatch, common_frame, real_gradient, rename_onto, mono_order_key
+from .poly import (Poly, FrameMismatch, _gauss_sum, _reduced, _unpacker, common_frame,
+                   mono_order_key, real_gradient, rename_onto)
 from .conformality import kappa, laplacian, verify_flat_family
 from .linalg import Matrix, _eliminate
 from .holomorphy import _pull_back
@@ -121,18 +123,22 @@ def defect_family(F: Poly):
     linearly independent as functions of a real point, so collecting
     sum_a coeff(g_a, mono) g_a over all monomials mono appearing in the
     gradient components g_a spans the same space as the defects."""
-    g = real_gradient(F)
-    monos = sorted({mu for comp in g.components for mu in comp.terms},
-                   key=mono_order_key)
+    g = real_gradient(F).components
+    unpack = _unpacker(F.frame.num_slots)
+    keys = sorted({k for comp in g for k in comp.nums}, key=lambda k: mono_order_key(unpack(k)))
+    # coeff(g_a, mono) g_a = (x + i y) nums_a / den_a^2 = (x + i y) s^2 nums_a / D^2, s = D / den_a
+    D = lcm(*[comp.den for comp in g])
     out = []
-    for mu in monos:
-        member = Poly.zero(F.frame)
-        for comp in g.components:
-            c = comp.terms.get(mu)
-            if c:
-                member = member + c * comp
-        if member:
-            out.append(member)
+    for key in keys:
+        parts = []
+        for comp in g:
+            xy = comp.nums.get(key)
+            if xy:
+                s = (D // comp.den) ** 2
+                parts.append(((xy[0] * s, xy[1] * s), comp.nums))
+        nums = _gauss_sum(parts)
+        if nums:
+            out.append(_reduced(F.frame, nums, D * D))
     return out
 
 

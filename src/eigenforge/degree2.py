@@ -28,7 +28,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .scalars import (GaussRational, ZERO, as_scalar, format_fraction, rational_sqrt, scalar,
+from .scalars import (GaussRational, ZERO, as_scalar, format_ratio, rational_sqrt, scalar,
                       triple)
 from .frames import VariableFrame
 from .poly import (Poly, axis_slots, quadratic, quadratic_numerators, quadratic_pairs,
@@ -552,7 +552,8 @@ def _decompose_float(frame, M1, M2, radical, aniso):
 
 
 def _scalar_pair(c: GaussRational):
-    return [format_fraction(c.re), format_fraction(c.im)]
+    a, b, d = triple(c)
+    return [format_ratio(a, d), format_ratio(b, d)]
 
 
 def _pair_scalar(pair, field):

@@ -229,7 +229,7 @@ def _init(M, re, im, den, ncols, rows=None):
     _set(M, "nrows", len(re))
     _set(M, "ncols", ncols)
     _set(M, "_rows", rows)
-    _set(M, "_orthogonal", None)
+    _set(M, "_orthogonal", [None])  # one is_orthogonal decision, shared with the transposes
     return M
 
 
@@ -406,8 +406,11 @@ class Matrix:
         return tuple(from_triple(a, b, d) if a or b else ZERO for (a,), (b,) in zip(re, im))
 
     def transpose(self):
+        "M^T; it shares M's is_orthogonal, as for a square M, M M^T = I exactly when M^T M = I."
         n = self.ncols
-        return _matrix(tuple(_columns(self.re, n)), tuple(_columns(self.im, n)), self.den, self.nrows)
+        T = _matrix(tuple(_columns(self.re, n)), tuple(_columns(self.im, n)), self.den, self.nrows)
+        _set(T, "_orthogonal", self._orthogonal)
+        return T
 
     def conjugate(self):
         return _matrix(self.re, tuple(tuple(map(neg, r)) for r in self.im), self.den, self.ncols)
@@ -422,11 +425,12 @@ class Matrix:
         return self == -self.transpose()
 
     def is_orthogonal(self):
-        "Whether M M^T = I (for a real M: orthonormal rows); decided once per matrix."
-        if self._orthogonal is None:
-            _set(self, "_orthogonal", self.nrows == self.ncols
-                 and self * self.transpose() == Matrix.identity(self.nrows))
-        return self._orthogonal
+        "Whether M M^T = I (for a real M: orthonormal rows); decided once for M and its transposes."
+        decided = self._orthogonal
+        if decided[0] is None:
+            decided[0] = (self.nrows == self.ncols
+                          and self * self.transpose() == Matrix.identity(self.nrows))
+        return decided[0]
 
     # -- elimination ---------------------------------------------------
 

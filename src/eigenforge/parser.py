@@ -14,16 +14,26 @@ integer literal exponent, then unary minus, then '*' and '/', then '+'
 and '-'.  There is no implicit multiplication; '/' divides by nonzero
 constants only.  'conj(...)' conjugates a subexpression; applying it to
 a real coordinate is rejected as a likely typo.
+
+One regular expression lexes a statement.  A product of monomial factors
+(numbers, i, parameters, coordinates, conjugates, powers) evaluates to
+one packed term (a, b, d, key) = (a + b i)/d times Poly's packed monomial
+key, with Poly's degree checks; a sum goes into one numerator dict, and
+Poly arithmetic runs only where a factor is a sum.  The printer reads a
+Poly's numerators and denominator directly.
 """
 
 from __future__ import annotations
 
+import re
 import sys
-from typing import NamedTuple
+from functools import lru_cache
+from math import lcm
 
-from .scalars import GaussRational, ONE, as_scalar, format_scalar, scalar
+from .scalars import as_scalar, format_scalar, format_triple, triple
 from .frames import RESERVED, VariableFrame
-from .poly import Poly, mono_order_key
+from .poly import (EXP_BITS, MAX_DEGREE, Poly, _conjugated, _gauss_sum, _reduced, _unpacker,
+                   check_degree)
 
 
 class ParseError(ValueError):
@@ -36,59 +46,50 @@ class ParseError(ValueError):
         self.col = col
 
 
-class Token(NamedTuple):
-    kind: str   # ident | int | imag | op | end
-    value: object
-    line: int
-    col: int
+# One token per match, after blanks and tabs: an integer literal (an
+# imaginary one when an 'i' that starts no word follows), a name, an
+# operator, the end ('#' or the end of the text), or a stray character.
+_TOKEN = re.compile(r"[ \t]*(?:(?P<int>\d+)(?P<imag>i(?!\w))?|(?P<ident>[^\W\d]\w*)"
+                    r"|(?P<op>[-+*/^~()=;])|(?P<end>#|\Z)|(?P<bad>.))", re.S)
 
 
-_OPS = set("+-*/^~()=;")
+def _digit_run_error(text, i, line_no):
+    "The error for the run of str.isdigit characters at i, which int() cannot read."
+    j = i
+    while j < len(text) and text[j].isdigit():
+        j += 1
+    raise ParseError(f"integer literal has {j - i} digits, over the limit of "
+                     f"{sys.get_int_max_str_digits()}", line_no, i + 1)
 
 
 def _lex(text: str, line_no: int):
-    "Tokenize one (joined) statement line."
+    """The (kind, value, column) tokens, kind ident, int, imag, op or end, of
+    one statement line.  Outside ASCII, a run of str.isdigit characters is
+    one literal and a name starts with a letter or '_', as regex \\d and \\w
+    alone would not say."""
     out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t":
-            i += 1
-            continue
-        if c == "#":
-            break
-        col = i + 1
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
+    ascii_only = text.isascii()
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "int" or kind == "imag":
+            i = m.start("int")
+            if not ascii_only and kind == "int" and text[m.end():m.end() + 1].isdigit():
+                _digit_run_error(text, i, line_no)
             try:
-                value = int(text[i:j])
+                out.append((kind, int(m["int"]), i + 1))
             except ValueError:  # more digits than the interpreter converts
-                raise ParseError(f"integer literal has {j - i} digits, over the limit of "
-                                 f"{sys.get_int_max_str_digits()}", line_no, col) from None
-            if j < n and text[j] == "i" and (j + 1 == n or not (text[j + 1].isalnum() or text[j + 1] == "_")):
-                out.append(Token("imag", value, line_no, col))
-                i = j + 1
-            else:
-                out.append(Token("int", value, line_no, col))
-                i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(Token("ident", text[i:j], line_no, col))
-            i = j
-            continue
-        if c in _OPS:
-            out.append(Token("op", c, line_no, col))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line_no, col)
-    out.append(Token("end", None, line_no, n + 1))
-    return out
+                _digit_run_error(text, i, line_no)
+        elif kind == "end":
+            out.append(("end", None, len(text) + 1))
+            return out
+        else:
+            value, i = m[kind], m.start(kind)
+            if kind == "bad" or not (kind == "op" or ascii_only or value[0].isalpha()
+                                     or value[0] == "_"):
+                if value[0].isdigit():
+                    _digit_run_error(text, i, line_no)
+                raise ParseError(f"unexpected character {value[0]!r}", line_no, i + 1)
+            out.append((kind, value, i + 1))
 
 
 # Subexpressions (parentheses, conj(...), unary minus) nest at most this
@@ -96,113 +97,151 @@ def _lex(text: str, line_no: int):
 MAX_NESTING = 100
 
 
-class _ExprParser:
-    "Precedence climbing over a token list."
+def _degree(t) -> int:
+    "The total degree of a term, read off its key as poly does; -1 for zero."
+    a, b, _, key = t
+    return (key % MAX_DEGREE or (key and MAX_DEGREE)) if a or b else -1
 
-    def __init__(self, tokens, frame: VariableFrame, params):
+
+@lru_cache(maxsize=64)
+def _slot_keys(frame):
+    "{text of a slot (z, conj(z) or t): its packed key}, in slot order."
+    return {frame.slot_label(s): 1 << s * EXP_BITS for s in range(frame.num_slots)}
+
+
+def _as_poly(frame, value) -> Poly:
+    "A parsed value as a Poly: a term over its reduced numerators, a Poly as it is."
+    if type(value) is not tuple:
+        return value
+    return _reduced(frame, {value[3]: value[:2]}, value[2]) if any(value[:2]) else Poly.zero(frame)
+
+
+class _ExprParser:
+    """Precedence climbing over a token list, on values that are terms
+    (zero when a = b = 0) or Polys.  Only an operator token has a value
+    like '+', so the value alone tells which operator it is."""
+
+    def __init__(self, tokens, frame: VariableFrame, params, line):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
         self.frame = frame
         self.params = params or {}
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+        self.line = line
+        self.keys = _slot_keys(frame)  # a name never reads as a conj(z) label
 
     def fail(self, message, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        raise ParseError(message, self.line, (tok or self.tokens[self.pos])[2])
 
     def expect_op(self, op):
-        tok = self.next()
-        if tok.kind != "op" or tok.value != op:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        if tok[1] != op:
             self.fail(f"expected {op!r}", tok)
-        return tok
 
     def parse(self) -> Poly:
         p = self.expression(0)
-        tok = self.peek()
-        if tok.kind != "end":
-            self.fail(f"unexpected {tok.value!r}")
-        return p
+        tok = self.tokens[self.pos]
+        if tok[0] != "end":
+            self.fail(f"unexpected {tok[1]!r}")
+        return _as_poly(self.frame, p)
 
-    def expression(self, min_bp) -> Poly:
-        tok = self.peek()
+    def expression(self, min_bp):
+        tokens = self.tokens
         if self.depth > MAX_NESTING:
             self.fail(f"expression nested deeper than {MAX_NESTING} levels")
         self.depth += 1
-        if tok.kind == "op" and tok.value == "-":
-            self.next()
-            left = -self.expression(30)
+        if tokens[self.pos][1] == "-":
+            self.pos += 1
+            left = self.expression(30)
+            left = (-left[0], -left[1], *left[2:]) if type(left) is tuple else -left
         else:
             left = self.atom()
-        while True:
-            tok = self.peek()
-            if tok.kind != "op":
-                break
-            if tok.value in "+-":
-                bp = 10
-            elif tok.value in "*/":
-                bp = 20
-            else:
-                break
-            if bp < min_bp:
-                break
-            self.next()
-            right = self.expression(bp + 1)
-            if tok.value == "+":
-                left = left + right
-            elif tok.value == "-":
-                left = left - right
-            elif tok.value == "*":
-                left = left * right
-            else:
-                if not right.is_constant():
-                    self.fail("division only by constants", tok)
-                c = right.constant_value()
-                if not c:
-                    self.fail("division by zero", tok)
-                left = left * Poly.constant(self.frame, ONE / c)
+        # the right operand of '*' or '/' (binding power 20) is one factor,
+        # so every product comes before the first '+' or '-' (power 10)
+        while min_bp <= 20 and tokens[self.pos][1] in ("*", "/"):
+            tok = tokens[self.pos]
+            self.pos += 1
+            right = self.expression(21)
+            left = self.product(left, right) if tok[1] == "*" else self.quotient(left, right, tok)
+        parts = [(1, left)]
+        while min_bp <= 10 and tokens[self.pos][1] in ("+", "-"):
+            self.pos += 1
+            parts.append((1 if tokens[self.pos - 1][1] == "+" else -1, self.expression(11)))
+        if len(parts) > 1:
+            left = self.summed(parts)
         self.depth -= 1
         return left
 
-    def atom(self) -> Poly:
-        tok = self.next()
-        if tok.kind == "int":
-            p = Poly.constant(self.frame, scalar(tok.value))
-        elif tok.kind == "imag":
-            p = Poly.constant(self.frame, scalar(0, tok.value))
-        elif tok.kind == "op" and tok.value == "(":
+    def product(self, p, q):
+        if type(p) is tuple and type(q) is tuple:
+            check_degree(_degree(p) + _degree(q), "product")
+            a, b, d, k = p
+            x, y, e, l = q
+            return (a * x - b * y, a * y + b * x, d * e, k + l)
+        return _as_poly(self.frame, p) * _as_poly(self.frame, q)
+
+    def quotient(self, p, q, tok):
+        "p divided by the nonzero constant q."
+        q = _as_poly(self.frame, q)
+        if not q.is_constant():
+            self.fail("division only by constants", tok)
+        if not q:
+            self.fail("division by zero", tok)
+        a, b, d = triple(q.constant_value())
+        return self.product(p, (d * a, -d * b, a * a + b * b, 0))
+
+    def power(self, p, n):
+        if type(p) is tuple and not p[1]:  # a real coefficient: one power per integer
+            a, _, d, key = p
+            if a:
+                check_degree(_degree(p) * n, "power")
+            return (a ** n, 0, d ** n if a else 1, key * n)  # 0 ** 0 = 1; a zero's d stays
+        return _as_poly(self.frame, p) ** n
+
+    def summed(self, parts) -> Poly:
+        "sum sign * value over (sign, value) parts, as one numerator dict over one denominator."
+        parts = [(sign, v[:2], {v[3]: (1, 0)}, v[2]) if type(v) is tuple
+                 else (sign, (1, 0), v.nums, v.den) for sign, v in parts]
+        den = lcm(*[d for *_, d in parts])
+        return _reduced(self.frame, _gauss_sum([((s * a * (den // d), s * b * (den // d)), nums)
+                                                for s, (a, b), nums, d in parts]), den)
+
+    def atom(self):
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        self.pos += 1
+        kind, value, _ = tok
+        if kind == "ident":
+            p = self.named(tok)
+        elif kind == "int":
+            p = (value, 0, 1, 0)
+        elif kind == "imag":
+            p = (0, value, 1, 0)
+        elif value == "(":
             p = self.expression(0)
             self.expect_op(")")
-        elif tok.kind == "ident":
-            p = self.named(tok)
         else:
             self.fail("expected a value", tok)
         # postfix conjugation, then an optional integer power
-        while self.peek().kind == "op" and self.peek().value == "~":
-            self.next()
+        while tokens[self.pos][1] == "~":
+            self.pos += 1
             p = self.conjugated(p, tok)
-        if self.peek().kind == "op" and self.peek().value == "^":
-            self.next()
-            etok = self.next()
-            if etok.kind != "int":
+        if tokens[self.pos][1] == "^":
+            etok = tokens[self.pos + 1]
+            self.pos += 2
+            if etok[0] != "int":
                 self.fail("exponent must be a nonnegative integer literal", etok)
-            p = p ** etok.value
+            p = self.power(p, etok[1])
         return p
 
-    def named(self, tok) -> Poly:
-        name = tok.value
+    def named(self, tok):
+        name = tok[1]
         if name == "i":
-            return Poly.constant(self.frame, scalar(0, 1))
+            return (0, 1, 1, 0)
         if name == "conj":
             self.expect_op("(")
-            inner_tok = self.peek()
+            inner_tok = self.tokens[self.pos]
             p = self.expression(0)
             self.expect_op(")")
             return self.conjugated(p, inner_tok)
@@ -210,17 +249,20 @@ class _ExprParser:
             value = self.params[name]
             if value is None:
                 self.fail(f"parameter {name!r} has no value", tok)
-            return Poly.constant(self.frame, value)
+            return (*triple(value), 0)
         if name not in self.frame:
             self.fail(f"undeclared identifier {name!r}", tok)
-        return Poly.variable(self.frame, name)
+        return (1, 0, 1, self.keys[name])
 
-    def conjugated(self, p: Poly, tok) -> Poly:
-        # conjugating a bare real coordinate is a no-op, so a typo
-        for name in self.frame.real_names:
-            if p == Poly.variable(self.frame, name):
+    def conjugated(self, p, tok):
+        nums, den = ({p[3]: p[:2]}, p[2]) if type(p) is tuple else (p.nums, p.den)
+        for name in self.frame.real_names:  # conjugating one is a no-op, so a typo
+            if nums == {self.keys[name]: (den, 0)}:
                 self.fail(f"conjugation of real coordinate {name!r}", tok)
-        return p.conjugate()
+        if type(p) is not tuple:
+            return p.conjugate()
+        (key, (a, b)), = _conjugated(nums, self.frame.n).items()
+        return (a, b, den, key)
 
 
 def parse_poly(text: str, frame: VariableFrame, params=None, line_no=1) -> Poly:
@@ -232,7 +274,7 @@ def parse_poly(text: str, frame: VariableFrame, params=None, line_no=1) -> Poly:
             if s is None and v is not None:
                 raise TypeError(f"parameter {k!r} is not an exact scalar")
             bound[k] = s
-    return _ExprParser(_lex(text, line_no), frame, bound).parse()
+    return _ExprParser(_lex(text, line_no), frame, bound, line_no).parse()
 
 
 # ---------------------------------------------------------------------
@@ -345,9 +387,9 @@ def parse_family(text: str, bindings=None) -> FamilySource:
             continue
         # polynomial definition: ident = expr
         tokens = _lex(stmt, line_no)
-        if not (tokens[0].kind == "ident" and tokens[1].kind == "op" and tokens[1].value == "="):
+        if not (tokens[0][0] == "ident" and tokens[1][1] == "="):
             raise ParseError(f"cannot parse statement starting with {head!r}", line_no)
-        dname = tokens[0].value
+        dname = tokens[0][1]
         if frame is None:
             raise ParseError("missing frame declaration before definitions", line_no)
         if dname in RESERVED:
@@ -356,8 +398,7 @@ def parse_family(text: str, bindings=None) -> FamilySource:
             raise ParseError(f"duplicate definition {dname!r}", line_no)
         if dname in params or dname in frame.complex_names + frame.real_names:
             raise ParseError(f"definition {dname!r} shadows another name", line_no)
-        parser = _ExprParser(tokens[2:], frame, params)
-        definitions[dname] = parser.parse()
+        definitions[dname] = _ExprParser(tokens[2:], frame, params, line_no).parse()
     if bindings:
         stray = ", ".join(sorted(bindings))
         raise ParseError(f"bindings for undeclared parameters: {stray}")
@@ -371,57 +412,60 @@ def parse_family(text: str, bindings=None) -> FamilySource:
 def _parse_frame(stmt, line_no):
     tokens = _lex(stmt, line_no)
     pos = 1  # skip 'frame'
-    if not (tokens[pos].kind == "ident" and tokens[pos].value == "complex"):
-        raise ParseError("frame starts with 'complex'", line_no, tokens[pos].col)
+    if tokens[pos][:2] != ("ident", "complex"):
+        raise ParseError("frame starts with 'complex'", line_no, tokens[pos][2])
     pos += 1
     complex_names = []
-    while tokens[pos].kind == "ident" and tokens[pos].value not in ("real",):
-        complex_names.append(tokens[pos].value)
+    while tokens[pos][0] == "ident" and tokens[pos][1] != "real":
+        complex_names.append(tokens[pos][1])
         pos += 1
     real_names = []
-    if tokens[pos].kind == "op" and tokens[pos].value == ";":
+    if tokens[pos][1] == ";":
         pos += 1
-        if not (tokens[pos].kind == "ident" and tokens[pos].value == "real"):
-            raise ParseError("expected 'real' after ';'", line_no, tokens[pos].col)
+        if tokens[pos][:2] != ("ident", "real"):
+            raise ParseError("expected 'real' after ';'", line_no, tokens[pos][2])
         pos += 1
-        while tokens[pos].kind == "ident":
-            real_names.append(tokens[pos].value)
+        while tokens[pos][0] == "ident":
+            real_names.append(tokens[pos][1])
             pos += 1
-    if tokens[pos].kind != "end":
-        raise ParseError(f"unexpected {tokens[pos].value!r} in frame", line_no, tokens[pos].col)
+    if tokens[pos][0] != "end":
+        raise ParseError(f"unexpected {tokens[pos][1]!r} in frame", line_no, tokens[pos][2])
     try:
         return VariableFrame(tuple(complex_names), tuple(real_names))
     except ValueError as e:
         raise ParseError(str(e), line_no) from None
 
 
-def _constant_expr(tokens):
+_NO_COORDINATES = VariableFrame((), ())
+
+
+def _constant_expr(tokens, line_no):
     "A constant expression: on the empty frame every name but i is undeclared."
-    return _ExprParser(tokens, VariableFrame((), ()), {}).parse().constant_value()
+    return _ExprParser(tokens, _NO_COORDINATES, {}, line_no).parse().constant_value()
 
 
 def _parse_param(stmt, line_no, frame):
     tokens = _lex(stmt, line_no)
-    if tokens[1].kind != "ident":
+    if tokens[1][0] != "ident":
         raise ParseError("param needs a name", line_no)
-    pname = tokens[1].value
+    pname = tokens[1][1]
     if pname in RESERVED:
         raise ParseError(f"reserved name {pname!r}", line_no)
-    if tokens[2].kind == "end":
+    if tokens[2][0] == "end":
         return pname, None
-    if not (tokens[2].kind == "op" and tokens[2].value == "="):
-        raise ParseError("expected '=' in param", line_no, tokens[2].col)
-    return pname, _constant_expr(tokens[3:])
+    if tokens[2][1] != "=":
+        raise ParseError("expected '=' in param", line_no, tokens[2][2])
+    return pname, _constant_expr(tokens[3:], line_no)
 
 
 def _parse_expect(stmt, line_no):
     tokens = _lex(stmt, line_no)
-    if tokens[1].kind != "ident" or not (tokens[2].kind == "op" and tokens[2].value == "="):
+    if tokens[1][0] != "ident" or tokens[2][1] != "=":
         raise ParseError("expect syntax: expect <key> = <value>", line_no)
-    key = tokens[1].value
-    if tokens[3].kind == "ident" and tokens[3].value in ("true", "false") and tokens[4].kind == "end":
-        return key, tokens[3].value == "true"
-    return key, _constant_expr(tokens[3:])
+    key = tokens[1][1]
+    if tokens[3][0] == "ident" and tokens[3][1] in ("true", "false") and tokens[4][0] == "end":
+        return key, tokens[3][1] == "true"
+    return key, _constant_expr(tokens[3:], line_no)
 
 
 def load_family(path, bindings=None) -> FamilySource:
@@ -433,45 +477,28 @@ def load_family(path, bindings=None) -> FamilySource:
 # canonical printing
 
 
-def _format_coefficient(c: GaussRational, with_factor: bool):
-    """Render a coefficient; with_factor means a monomial follows.
-    Returns (text, needs_parens_handled) with '*' already appended."""
-    if not with_factor:
-        return format_scalar(c)
-    if c == ONE:
-        return ""
-    if c == -ONE:
-        return "-"
-    if c.re != 0 and c.im != 0:
-        return f"({format_scalar(c)})*"
-    return f"{format_scalar(c)}*"
-
-
 def format_poly(p: Poly) -> str:
-    if not p.terms:
+    """The canonical text of p, read off its numerators: terms by
+    descending degree, then descending exponent tuple."""
+    if not p.nums:
         return "0"
-    frame = p.frame
-    parts = []
-    for mono, coeff in sorted(p.terms.items(), key=lambda kv: mono_order_key(kv[0])):
-        factors = []
-        for slot, e in enumerate(mono):
-            if not e:
-                continue
-            label = frame.slot_label(slot)
-            factors.append(label if e == 1 else f"{label}^{e}")
-        body = "*".join(factors)
-        if body:
-            text = _format_coefficient(coeff, True) + body
+    den, labels = p.den, list(_slot_keys(p.frame))
+    out = []
+    for _, mono, (a, b) in sorted([(sum(mono), mono, ab) for mono, ab in
+                                   zip(map(_unpacker(p.frame.num_slots), p.nums), p.nums.values())],
+                                  reverse=True):
+        body = "*".join([labels[s] if e == 1 else f"{labels[s]}^{e}"
+                         for s, e in enumerate(mono) if e])
+        if not body:
+            text = format_triple(a, b, den)
+        elif not b and abs(a) == den:  # a unit coefficient: only its sign shows
+            text = body if a > 0 else "-" + body
+        elif a and b:
+            text = f"({format_triple(a, b, den)})*{body}"
         else:
-            text = _format_coefficient(coeff, False)
-        parts.append(text)
-    out = parts[0]
-    for text in parts[1:]:
-        if text.startswith("-"):
-            out += " - " + text[1:]
-        else:
-            out += " + " + text
-    return out
+            text = f"{format_triple(a, b, den)}*{body}"
+        out.append(" - " + text[1:] if out and text[0] == "-" else " + " + text if out else text)
+    return "".join(out)
 
 
 def _format_expect_value(v):

@@ -13,9 +13,10 @@ sum e_s 2^(EXP_BITS s) is sum e_s modulo MAX_DEGREE, and a degree of at
 most MAX_DEGREE is that residue, read as MAX_DEGREE when it is 0 on a
 nonzero key.  Ring operations, slot derivatives, conjugation (a swap of
 the z and conj(z) fields), substitution and the conformality bracket
-all run on this form; `terms` is a read-only view {exponent tuple:
-GaussRational}, built on first use.  The quadratic codec `quadratic` /
-`quadratic_pairs` maps {(s, u): c} slot pairs to sum c slot_s slot_u
+all run on this form, and so do the parser, the printer and the defect
+family; `terms`, a read-only view {exponent tuple: GaussRational} built
+on first use, is read in the package by `evaluate` alone.  The quadratic
+codec `quadratic` / `quadratic_pairs` maps {(s, u): c} slot pairs to sum c slot_s slot_u
 and back; `quadratic_numerators` reads the pairs as Gaussian-integer
 numerators over the polynomial's denominator.  A product whose degree
 would pass MAX_DEGREE, or whose term products would pass
@@ -305,12 +306,7 @@ class Poly:
         return {d: _reduced(self.frame, t, self.den) for d, t in sorted(parts.items())}
 
     def conjugate(self) -> "Poly":
-        # swap each z field with the conj(z) field above it; real slots stay
-        low = 2 * self.frame.n * EXP_BITS
-        z = sum(MAX_DEGREE << sh for sh in range(0, low, 2 * EXP_BITS))
-        nums = {(k & z) << EXP_BITS | k >> EXP_BITS & z | k >> low << low: (a, -b)
-                for k, (a, b) in self.nums.items()}
-        return _poly(self.frame, nums, self.den)
+        return _poly(self.frame, _conjugated(self.nums, self.frame.n), self.den)
 
     def is_real_valued(self) -> bool:
         return self == self.conjugate()
@@ -497,9 +493,12 @@ def quadratic_pairs(p: Poly) -> dict:
 
 
 def _gauss_sum(parts):
-    """sum w p over (w, p) pairs of Gaussian-integer weights w = (a, b)
-    and numerators p with no zero entries; entries that cancel are
-    dropped.  A leading part of weight 1 is copied, not walked."""
+    """sum w p over a list of (w, p) pairs of Gaussian-integer weights w = (a, b)
+    and numerators p with no zero entries; entries that cancel are dropped.
+    A leading part of weight 1 is copied, and a lone part is scaled in one pass."""
+    if len(parts) == 1 and parts[0][0] != (1, 0):
+        (a, b), p = parts[0]
+        return {k: (a * x - b * y, a * y + b * x) for k, (x, y) in p.items()} if a or b else {}
     out = {}
     get = out.get
     for (a, b), p in parts:
@@ -542,6 +541,14 @@ def _gauss_mul(p, q, out):
                 prev[0] += re
                 prev[1] += im
     return out
+
+
+def _conjugated(nums, n: int):
+    "Conjugate numerators on n complex coordinates: z and conj(z) fields swap, real slots stay."
+    low = 2 * n * EXP_BITS
+    z = sum(MAX_DEGREE << sh for sh in range(0, low, 2 * EXP_BITS))
+    return {(k & z) << EXP_BITS | k >> EXP_BITS & z | k >> low << low: (a, -b)
+            for k, (a, b) in nums.items()}
 
 
 def _derivative(nums, slot: int):

@@ -366,29 +366,34 @@ def _decimal_digits(n: int) -> int:
     return d - (n < 10 ** (d - 1))
 
 
-def format_fraction(q: Fraction) -> str:
-    """p or p/q, as str(q) writes it; a ValueError naming the digit count
-    when a part has more digits than the interpreter converts to text."""
+def format_ratio(n: int, d: int) -> str:
+    """n/d for d > 0 in lowest terms, as p or p/q; a ValueError naming the digit
+    count when a part has more digits than the interpreter converts to text."""
+    g = _gcd(n, d)
+    n, d = n // g, d // g
     try:
-        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+        return str(n) if d == 1 else f"{n}/{d}"
     except ValueError:
-        digits = _decimal_digits(max(abs(q.numerator), q.denominator))
+        digits = _decimal_digits(max(abs(n), d))
         raise ValueError(f"a coefficient has {digits} digits, over the limit of "
                          f"{sys.get_int_max_str_digits()} digits for printing an integer") from None
 
 
-def format_scalar(c: GaussRational) -> str:
-    """Canonical text form: rationals as p/q, the unit as i, mixed as p/q+r/s*i."""
-    re, im = c.re, c.im
-    if im == 0:
-        return format_fraction(re)
-    if im == 1:
+def format_triple(a: int, b: int, d: int) -> str:
+    "Canonical text of (a + b*i)/d, d > 0: rationals as p/q, the unit as i, mixed as p/q+r/s*i."
+    if not b:
+        return format_ratio(a, d)
+    if b == d:
         imtxt = "i"
-    elif im == -1:
+    elif b == -d:
         imtxt = "-i"
     else:
-        imtxt = f"{format_fraction(im)}*i"
-    if re == 0:
+        imtxt = format_ratio(b, d) + "*i"
+    if not a:
         return imtxt
-    joiner = "+" if not imtxt.startswith("-") else ""
-    return f"{format_fraction(re)}{joiner}{imtxt}"
+    return format_ratio(a, d) + ("" if imtxt[0] == "-" else "+") + imtxt
+
+
+def format_scalar(c: GaussRational) -> str:
+    """Canonical text form: rationals as p/q, the unit as i, mixed as p/q+r/s*i."""
+    return format_triple(c._a, c._b, c._d)

@@ -16,10 +16,14 @@ kernel spanned again, the degree-2 axis through Hermitian
 Gram-Schmidt and an annihilating product grown from the identity over
 every ordering of its index set, the axis test through the m x m
 projector, the maximal-axis search through a subspace sum,
-degree-2 seeds and greedy isotropic growth, and the products of a power
-family built by recursion."""
+degree-2 seeds and greedy isotropic growth, the products of a power
+family built by recursion, the per-character lexer and Poly-per-token
+expression parser, and the printer and defect family on the term
+view."""
 
+import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from eigenforge.conformality import EigenData, FamilyReport, _family_degree, _slot_form
 from eigenforge.degree2 import _coerce_forms, default_frame, is_eigenfamily_deg2, twist_x_matrix
@@ -30,6 +34,7 @@ from eigenforge.linalg import (ComplexSubspace, Matrix, RealSubspace, _check_amb
                                vec_add, vec_im, vec_is_zero, vec_re, vec_scale, vec_sub)
 from eigenforge.poly import (FrameMismatch, Poly, _unpacker, axis_slots, common_frame,
                             mono_order_key, real_gradient, slot_axes)
+from eigenforge.parser import MAX_NESTING, ParseError
 from eigenforge.scalars import ONE, ZERO, GaussRational, I, as_scalar, scalar, sqrt_in_qi
 
 
@@ -157,10 +162,26 @@ def ref_sum_of_products(u, v, conjugate_first=False):
     return total
 
 
+def _ref_digits(n):
+    "The decimal digits of |n|, counted with the interpreter's digit limit lifted."
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return len(str(abs(n)))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def ref_format(c):
-    "Canonical text of a scalar from its Fraction parts (p/q, i, p/q+r/s*i)."
+    """Canonical text of a scalar from its Fraction parts (p/q, i, p/q+r/s*i);
+    past the digit limit, the error names the digits of the larger part."""
     def frac(q):
-        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+        try:
+            return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+        except ValueError:
+            digits = _ref_digits(max(abs(q.numerator), q.denominator))
+            raise ValueError(f"a coefficient has {digits} digits, over the limit of "
+                             f"{sys.get_int_max_str_digits()} digits for printing an integer") from None
     re, im = Fraction(c.re), Fraction(c.im)
     if im == 0:
         return frac(re)
@@ -964,3 +985,265 @@ def ref_power_products(fs, d):
 
     build(0, 0, Poly.constant(fs[0].frame, scalar(1)))
     return products
+
+
+# -- the per-character lexer and the Poly-per-token parser ------------------
+#
+# The expression parser as it was before it lexed with one regex and
+# evaluated products of monomial factors as packed terms: a Token per
+# character run and a Poly for every literal, name and partial result.
+# Errors carry the same text, line and column as parse_poly's.
+
+
+class RefToken(NamedTuple):
+    kind: str   # ident | int | imag | op | end
+    value: object
+    line: int
+    col: int
+
+
+_REF_OPS = set("+-*/^~()=;")
+
+
+def ref_lex(text, line_no):
+    "Tokenize one statement line, character by character."
+    out = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c in " \t":
+            i += 1
+            continue
+        if c == "#":
+            break
+        col = i + 1
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            try:
+                value = int(text[i:j])
+            except ValueError:
+                raise ParseError(f"integer literal has {j - i} digits, over the limit of "
+                                 f"{sys.get_int_max_str_digits()}", line_no, col) from None
+            if j < n and text[j] == "i" and (j + 1 == n or not (text[j + 1].isalnum()
+                                                                 or text[j + 1] == "_")):
+                out.append(RefToken("imag", value, line_no, col))
+                i = j + 1
+            else:
+                out.append(RefToken("int", value, line_no, col))
+                i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            out.append(RefToken("ident", text[i:j], line_no, col))
+            i = j
+            continue
+        if c in _REF_OPS:
+            out.append(RefToken("op", c, line_no, col))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {c!r}", line_no, col)
+    out.append(RefToken("end", None, line_no, n + 1))
+    return out
+
+
+class RefExprParser:
+    "Precedence climbing over a RefToken list, in Poly arithmetic throughout."
+
+    def __init__(self, tokens, frame, params):
+        self.tokens = tokens
+        self.pos = 0
+        self.depth = 0
+        self.frame = frame
+        self.params = params or {}
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def fail(self, message, tok=None):
+        tok = tok or self.peek()
+        raise ParseError(message, tok.line, tok.col)
+
+    def expect_op(self, op):
+        tok = self.next()
+        if tok.kind != "op" or tok.value != op:
+            self.fail(f"expected {op!r}", tok)
+        return tok
+
+    def parse(self):
+        p = self.expression(0)
+        tok = self.peek()
+        if tok.kind != "end":
+            self.fail(f"unexpected {tok.value!r}")
+        return p
+
+    def expression(self, min_bp):
+        tok = self.peek()
+        if self.depth > MAX_NESTING:
+            self.fail(f"expression nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        if tok.kind == "op" and tok.value == "-":
+            self.next()
+            left = -self.expression(30)
+        else:
+            left = self.atom()
+        while True:
+            tok = self.peek()
+            if tok.kind != "op":
+                break
+            if tok.value in "+-":
+                bp = 10
+            elif tok.value in "*/":
+                bp = 20
+            else:
+                break
+            if bp < min_bp:
+                break
+            self.next()
+            right = self.expression(bp + 1)
+            if tok.value == "+":
+                left = left + right
+            elif tok.value == "-":
+                left = left - right
+            elif tok.value == "*":
+                left = left * right
+            else:
+                if not right.is_constant():
+                    self.fail("division only by constants", tok)
+                c = right.constant_value()
+                if not c:
+                    self.fail("division by zero", tok)
+                left = left * Poly.constant(self.frame, ONE / c)
+        self.depth -= 1
+        return left
+
+    def atom(self):
+        tok = self.next()
+        if tok.kind == "int":
+            p = Poly.constant(self.frame, scalar(tok.value))
+        elif tok.kind == "imag":
+            p = Poly.constant(self.frame, scalar(0, tok.value))
+        elif tok.kind == "op" and tok.value == "(":
+            p = self.expression(0)
+            self.expect_op(")")
+        elif tok.kind == "ident":
+            p = self.named(tok)
+        else:
+            self.fail("expected a value", tok)
+        while self.peek().kind == "op" and self.peek().value == "~":
+            self.next()
+            p = self.conjugated(p, tok)
+        if self.peek().kind == "op" and self.peek().value == "^":
+            self.next()
+            etok = self.next()
+            if etok.kind != "int":
+                self.fail("exponent must be a nonnegative integer literal", etok)
+            p = p ** etok.value
+        return p
+
+    def named(self, tok):
+        name = tok.value
+        if name == "i":
+            return Poly.constant(self.frame, scalar(0, 1))
+        if name == "conj":
+            self.expect_op("(")
+            inner_tok = self.peek()
+            p = self.expression(0)
+            self.expect_op(")")
+            return self.conjugated(p, inner_tok)
+        if name in self.params:
+            value = self.params[name]
+            if value is None:
+                self.fail(f"parameter {name!r} has no value", tok)
+            return Poly.constant(self.frame, value)
+        if name not in self.frame:
+            self.fail(f"undeclared identifier {name!r}", tok)
+        return Poly.variable(self.frame, name)
+
+    def conjugated(self, p, tok):
+        for name in self.frame.real_names:
+            if p == Poly.variable(self.frame, name):
+                self.fail(f"conjugation of real coordinate {name!r}", tok)
+        return p.conjugate()
+
+
+def ref_parse_poly(text, frame, params=None, line_no=1):
+    "parse_poly through ref_lex and RefExprParser."
+    bound = None
+    if params:
+        bound = {}
+        for k, v in params.items():
+            s = as_scalar(v)
+            if s is None and v is not None:
+                raise TypeError(f"parameter {k!r} is not an exact scalar")
+            bound[k] = s
+    return RefExprParser(ref_lex(text, line_no), frame, bound).parse()
+
+
+# -- printing and defects from the term view ----------------------------------
+
+
+def _ref_format_coefficient(c, with_factor):
+    if not with_factor:
+        return ref_format(c)
+    if c == ONE:
+        return ""
+    if c == -ONE:
+        return "-"
+    if c.re != 0 and c.im != 0:
+        return f"({ref_format(c)})*"
+    return f"{ref_format(c)}*"
+
+
+def ref_format_poly(p):
+    """The canonical text of p, term by term from the {exponent tuple:
+    GaussRational} view, each coefficient through ref_format."""
+    if not p.terms:
+        return "0"
+    frame = p.frame
+    parts = []
+    for mono, coeff in sorted(p.terms.items(), key=lambda kv: mono_order_key(kv[0])):
+        factors = []
+        for slot, e in enumerate(mono):
+            if not e:
+                continue
+            label = frame.slot_label(slot)
+            factors.append(label if e == 1 else f"{label}^{e}")
+        body = "*".join(factors)
+        if body:
+            text = _ref_format_coefficient(coeff, True) + body
+        else:
+            text = _ref_format_coefficient(coeff, False)
+        parts.append(text)
+    out = parts[0]
+    for text in parts[1:]:
+        if text.startswith("-"):
+            out += " - " + text[1:]
+        else:
+            out += " + " + text
+    return out
+
+
+def ref_defect_family(F):
+    "defect_family on the term view: sum_a coeff(g_a, mono) g_a in Poly arithmetic."
+    g = real_gradient(F)
+    monos = sorted({mu for comp in g.components for mu in comp.terms}, key=mono_order_key)
+    out = []
+    for mu in monos:
+        member = Poly.zero(F.frame)
+        for comp in g.components:
+            c = comp.terms.get(mu)
+            if c:
+                member = member + c * comp
+        if member:
+            out.append(member)
+    return out

@@ -2,6 +2,7 @@
 JSON agreement, file round trips."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -14,8 +15,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from eigenforge import parser
 from eigenforge.cli import main
-from eigenforge.catalog import entry_path
+from eigenforge.catalog import entry_path, list_entries
 from eigenforge.degree2 import data_to_json_dict
 from eigenforge.parser import parse_family
 
@@ -157,6 +159,26 @@ def test_verify_false_exit_one_with_residual():
     assert code == 1
     assert "eigenfamily: false" in out
     assert "kappa(F1, F2)" in out
+
+
+def test_verify_text_prints_the_residuals_the_payload_formatted(monkeypatch, tmp_path):
+    # text mode prints each failing residual from the payload's strings, so
+    # it formats every residual once, as --json does
+    path = tmp_path / "nonflat.efam"
+    path.write_text("family nonflat\nframe complex z u\nF1 = z*conj(z)\n"
+                    "F2 = z*u + conj(u)^2\n")
+    calls = count_calls(monkeypatch, parser, "format_poly")
+    code, payload = run_json(["verify", path], "verify")
+    json_calls = len(calls)
+    assert code == 1 and json_calls == 5  # 2 Laplacians and 3 brackets
+    code, out, _ = run(["verify", path])
+    assert code == 1 and len(calls) == 2 * json_calls
+    failing = [f"laplacian({['F1', 'F2'][i]}) = {r}"
+               for i, r in enumerate(payload["harmonic_residuals"]) if r != "0"]
+    failing += [f"kappa(F{p['i'] + 1}, F{p['j'] + 1}) = {p['residual']}"
+                for p in payload["conformal_pairs"] if p["residual"] != "0"]
+    assert len(failing) == 4
+    assert [line.strip() for line in out.splitlines()[2:]] == failing
 
 
 def test_verify_json_matches_text_verdict():
@@ -695,6 +717,44 @@ def test_commands_in_sequence_share_one_parser():
     assert code == 0 and "z1z2" in [e["name"] for e in payload["entries"]]
     code, out, err = run(["verify", z1z2])
     assert code == 0 and not out.lstrip().startswith("{")
+
+
+# -- text mode, byte for byte -----------------------------------------
+#
+# The bench goldens hash --json output only.  These digests of the exit
+# code and stdout of every catalog command in text mode were recorded
+# before the parser, the bracket kernel and the printer moved to packed
+# integers, and must not move.
+
+TEXT_DIGESTS = Path(__file__).with_name("cli_text_digests.json")
+
+
+def catalog_text_commands():
+    """{key: argv} for every command that applies to a catalog entry, the
+    key naming the entry where argv has its path."""
+    commands = {"catalog list": ["catalog", "list"], "catalog run": ["catalog", "run"]}
+    for name in list_entries():
+        path = entry_path(name)
+        forms = [["verify"], ["verify", "--sphere"], ["analyze"], ["deg2", "decompose"],
+                 ["construct", "pair"], ["construct", "defect"],
+                 ["construct", "power", "--d", "2"]]
+        forms += [["reduce", "--coord", c]
+                  for c in parse_family(Path(path).read_text()).frame.complex_names]
+        for form in forms:
+            commands[" ".join(form + [name])] = form + [path]
+    return commands
+
+
+def text_digests():
+    out = {}
+    for key, argv in catalog_text_commands().items():
+        code, stdout, _ = run(argv)
+        out[key] = hashlib.sha256(f"{code}\n{stdout}".encode()).hexdigest()
+    return out
+
+
+def test_text_mode_output_of_every_catalog_command_is_unchanged():
+    assert text_digests() == json.loads(TEXT_DIGESTS.read_text())
 
 
 # -- output hygiene ---------------------------------------------------

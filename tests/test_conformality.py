@@ -162,9 +162,10 @@ def test_kappa_and_laplacian_through_P_match_real_gradient_reference():
 # numerators with packed monomials; every residual must be term for term
 # what the reference arithmetic in oracles.py gives.
 
-# n = 0, r = 0, both, and mixed frames
+# n = 0, r = 0, both, and mixed frames, and a wide frame on which the
+# members leave most slots unused
 KERNEL_FRAMES = [VariableFrame((), ()), VariableFrame(("z",), ()), C2,
-                 VariableFrame((), ("s", "t")), C2T]
+                 VariableFrame((), ("s", "t")), C2T, VariableFrame(("z", "u", "v"), ("s", "t"))]
 
 # real and imaginary parts over distinct denominators
 mixed = st.builds(lambda a, b, d, e: scalar(Fraction(a, d), Fraction(b, e)),
@@ -173,9 +174,16 @@ mixed = st.builds(lambda a, b, d, e: scalar(Fraction(a, d), Fraction(b, e)),
 
 
 def kernel_polys(frame, max_size=5):
-    "Inhomogeneous, degree up to 4, zero included."
-    monos = st.tuples(*[st.integers(0, 2)] * frame.num_slots).filter(lambda t: sum(t) <= 4)
-    return st.dictionaries(monos, mixed, max_size=max_size).map(lambda t: Poly(frame, t))
+    """Inhomogeneous, degree up to 4, zero included, on a drawn set of
+    slots: members of one family use all, some, overlapping or disjoint
+    slot sets."""
+    def on_slots(used):
+        monos = st.tuples(*[st.integers(0, 2) if s in used else st.just(0)
+                            for s in range(frame.num_slots)]).filter(lambda t: sum(t) <= 4)
+        return st.dictionaries(monos, mixed, max_size=max_size).map(lambda t: Poly(frame, t))
+    every = frozenset(range(frame.num_slots))
+    return st.one_of(st.just(every), st.sets(st.sampled_from(sorted(every)) if every
+                                              else st.nothing())).flatmap(on_slots)
 
 
 @st.composite

@@ -23,7 +23,7 @@ from eigenforge.constructions import (RealMap, verify_rn_hm, pair_components,
                                       quaternion_multiplication_family,
                                       quaternion_triple_family)
 
-from oracles import axis_polynomials, ref_span_equal
+from oracles import axis_polynomials, ref_defect_family, ref_span_equal
 
 C4 = VariableFrame(("z", "u", "v", "w"))
 
@@ -177,6 +177,28 @@ def test_defect_family_spans_sampled_defects():
         y = exact_point(rng, C4)
         d = complex_defect(F, y)
         assert span_equal(fam, fam + [d])
+
+
+# rational and Gaussian coefficients over several denominators, so the
+# gradient components carry different denominators
+_defect_coeffs = st.builds(lambda a, b, d, e: scalar(Fraction(a, d), Fraction(b, e)),
+                           st.integers(-9, 9), st.integers(-9, 9),
+                           st.sampled_from([1, 2, 3, 12]), st.sampled_from([1, 5, 7]))
+
+
+@st.composite
+def defect_inputs(draw):
+    frame = draw(st.sampled_from([C4, VariableFrame(("z",), ("t",)),
+                                  VariableFrame((), ("s", "t"))]))
+    monos = st.tuples(*[st.integers(0, 3)] * frame.num_slots).filter(lambda t: sum(t) <= 4)
+    return Poly(frame, draw(st.dictionaries(monos, _defect_coeffs, max_size=5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(defect_inputs())
+def test_defect_family_matches_term_view_reference(F):
+    # the same members in the same (mono_order_key) order as the term-view build
+    assert defect_family(F) == ref_defect_family(F)
 
 
 def test_quartic_defects_span_the_cubic_quartet():
@@ -376,6 +398,37 @@ def test_congruent_under_rotation():
         assert verify_flat_family(moved).verdict
         assert congruent_under(moved, quartet, phi)
         assert congruent_under(quartet, moved, phi.transpose())
+
+
+def test_orthogonality_check_runs_once_across_transposes(monkeypatch):
+    # for a square Q, Q Q^T = I exactly when Q^T Q = I, so Q and its
+    # transposes share one check, whichever is made first, and
+    # congruent_under does not redo it on phi^T
+    quartet = quartet_family()
+    rotation = rand_rational_rotation(random.Random(3), C4.m)
+    phi = rotation.transpose()  # made before the check, as bench/workloads.py's rotated ops do
+    moved = [apply_real_isometry(g, rotation, C4) for g in quartet]
+    products = []
+    original = Matrix.__mul__
+
+    def counted(A, B):
+        products.append((A, B))
+        return original(A, B)
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    assert phi.is_orthogonal() and phi.transpose().transpose().is_orthogonal()
+    assert congruent_under(moved, quartet, phi)
+    assert congruent_under(quartet, moved, rotation)
+    assert not products
+    # a rejected matrix stays rejected, with the same message, across transposes
+    sheared = Matrix([[scalar(1) if a == b or (a, b) == (0, 1) else scalar(0)
+                       for b in range(C4.m)] for a in range(C4.m)])
+    for M in (sheared, sheared.transpose(), sheared.transpose().transpose()):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="matrix rows are not orthonormal"):
+                congruent_under(quartet, quartet, M)
+            with pytest.raises(ValueError, match="matrix rows are not orthonormal"):
+                apply_real_isometry(quartet[0], M.transpose(), C4)
+    assert not sheared.is_orthogonal() and not sheared.transpose().is_orthogonal()
 
 
 def test_congruent_under_rejects_bad_matrices():
