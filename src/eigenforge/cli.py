@@ -165,7 +165,7 @@ def cmd_analyze(args) -> int:
     if witness is not None:
         witness.check()
         payload["witness"] = {
-            "isotropic_pairs": len(witness.pairs),
+            "isotropic_pairs": witness.X.nrows,
             "plane_dim": witness.plane_span.dim,
             "kernel_dim": witness.kernel.dim,
         }
@@ -177,7 +177,7 @@ def cmd_analyze(args) -> int:
     print(f"gradient span dim: {W.dim} of {W.ambient}")
     print(f"uniformly complex type: {'true' if uniform else 'false'}")
     if witness is not None:
-        print(f"  witness: {len(witness.pairs)} isotropic pairs spanning dim "
+        print(f"  witness: {witness.X.nrows} isotropic pairs spanning dim "
               f"{witness.plane_span.dim}, kernel dim {witness.kernel.dim}")
     print(f"certified axis dim: {axis.certified_dim}")
     for b in axis.certified_axis.basis:

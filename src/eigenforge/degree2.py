@@ -26,28 +26,16 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import isqrt
 from typing import NamedTuple
 
-from .scalars import (GaussRational, ZERO, as_scalar, format_ratio, rational_sqrt, scalar,
+from .scalars import (GaussRational, I, ZERO, as_scalar, format_ratio, rational_sqrt, scalar,
                       triple)
 from .frames import VariableFrame
 from .poly import (Poly, axis_slots, quadratic, quadratic_numerators, quadratic_pairs,
                    slot_axes)
-from .linalg import (
-    ComplexSubspace,
-    Matrix,
-    RealSubspace,
-    anticommuting,
-    dot_bilinear,
-    dot_hermitian,
-    gram_schmidt_hermitian,
-    vec,
-    vec_conj,
-    vec_im,
-    vec_is_zero,
-    vec_re,
-    vec_scale,
-)
+from .linalg import (ComplexSubspace, Matrix, RealSubspace, _diagonal, _gram_orthogonal,
+                     _real_rows, _stacked, anticommuting, vec)
 
 
 class Deg2Form(NamedTuple):
@@ -218,7 +206,7 @@ class TwistingData(NamedTuple):
             raise ValueError(f"v must have length {k}")
         if k and self.Y.det() == ZERO:
             raise ValueError("Y must be invertible")
-        v_zero = vec_is_zero(vec(self.v))
+        v_zero = not any(vec(self.v))
         if v_zero != (t.delta == 0):
             raise ValueError("v = 0 exactly when delta = 0")
         return self
@@ -259,7 +247,7 @@ def construct_eigenpair(t: SubspaceType, pd: PolynomialData, td: TwistingData,
     n, k = t.n, t.k
     AX = pd.A * twist_x_matrix(td)
     AY = pd.A * td.Y
-    iAv = vec_scale(scalar(0, 1), pd.A.apply(vec(td.v)))
+    iAv = (pd.A * Matrix([td.v], ncols=k).transpose()).scale(I)
     pairs1 = quadratic_pairs(pd.P1)
     pairs2 = quadratic_pairs(pd.P2)
     for i in range(n):
@@ -269,7 +257,7 @@ def construct_eigenpair(t: SubspaceType, pd: PolynomialData, td: TwistingData,
             pairs2[2 * i, w] = AX[i, l]
             pairs2[2 * i, w + 1] = AY[i, l]
         if t.delta:
-            pairs2[2 * i, 2 * (n + k)] = iAv[i]
+            pairs2[2 * i, 2 * (n + k)] = iAv[i, 0]
     return quadratic(frame, pairs1), quadratic(frame, pairs2)
 
 
@@ -301,20 +289,21 @@ class _NeedsFloat(Exception):
 
 
 def _maximal_axis_radical(M1, M2):
-    """Hermitian-orthogonal isotropic vectors spanning the maximal axis
-    of a full eigenpair with forms M1, M2: the radical of the bilinear
-    form on the annihilator of the gradient span (exact), plus the
-    anisotropic leftover dimension (0 or 1).  The gradient of x^T M x
-    is 2 M x, so the rows of M1 and M2 span the gradient span W.  The
-    parts are maximal_axis's; full means W's real kernel K is 0."""
+    """(R, d): the Hermitian-orthogonal isotropic rows R spanning the maximal
+    axis of a full eigenpair with forms M1, M2, the radical of the bilinear
+    form on the annihilator of the gradient span (exact), and the values d
+    of its anisotropic part (at most one).  The gradient of x^T M x is
+    2 M x, so the rows of M1 and M2 span the gradient span W.  The parts
+    are maximal_axis's; full means W's real kernel K is 0."""
     from .holomorphy import _isotropic_parts
     W = ComplexSubspace._spanned(M1.nrows, zip(M1.re + M2.re, M1.im + M2.im))
-    K, radical, aniso = _isotropic_parts(W)
+    K, V, aniso = _isotropic_parts(W)
     if K.dim != 0:
         raise ValueError("not full")
     if len(aniso) > 1:  # delta-Lemma: at most one anisotropic direction
         raise AssertionError("more than one anisotropic direction")
-    return gram_schmidt_hermitian(radical), aniso
+    radical = Matrix.from_numerators(V.re[len(aniso):], V.im[len(aniso):], V.den, V.ncols)
+    return _gram_orthogonal(radical, hermitian=True)[0], aniso
 
 
 def decompose_eigenpair(F1: Poly, F2: Poly) -> Deg2Decomposition:
@@ -339,22 +328,21 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
     formed once per form M, for Q the projector onto the axis complement: the
     couplings 2 (Q M) S^T and the pure complement block (Q M) Q both read it."""
     m = frame.m
-    n = len(radical)
-    # holomorphic selectors c_i = (u_i/|u_i| - i v_i/|v_i|)/2 = conj(r_i)/(2|u_i|),
-    # the rows of S, for r_i = u_i + i v_i
-    selectors, axis_rows = [], []
-    for r in radical:
-        u, v = vec_re(r), vec_im(r)
-        norm = rational_sqrt(dot_bilinear(u, u).re)
-        if norm is None:
+    n = radical.nrows
+    # the radical rows r_i = u_i + i v_i over D have |u_i| = |v_i| = sqrt(q_i) / D for
+    # q_i = a_i . a_i and the real numerators a_i; the rows of U are r_i / |u_i|, the
+    # holomorphic selectors c_i = (u_i/|u_i| - i v_i/|v_i|)/2 the rows conj(U)/2 of S
+    scales = []
+    for a in radical.re:
+        root = isqrt(q := sum(x * x for x in a))
+        if root * root != q:
             raise _NeedsFloat
-        inv = scalar(Fraction(1, 1) / norm)
-        selectors.append(vec_scale(inv / 2, vec_conj(r)))
-        axis_rows += [vec_scale(inv, u), vec_scale(inv, v)]
-    # the axis rows are orthonormal, so B^T B projects onto the axis
-    B = Matrix(axis_rows, ncols=m)
+        scales.append(Fraction(radical.den, root))
+    U = _diagonal(scales) * radical
+    S = U.conjugate().scale(Fraction(1, 2))
+    # the axis rows Re and Im of U's rows are orthonormal, so B^T B projects onto the axis
+    B = _real_rows(U)
     Q = Matrix.identity(m) - B.transpose() * B
-    S = Matrix(selectors, ncols=m)
 
     # every conj selector must annihilate both forms (holomorphy)
     if not all((M * S.conj_transpose()).is_zero() for M in (M1, M2)):
@@ -366,39 +354,34 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
     if not all((P * Q).is_zero() for P in QM):
         raise AssertionError("nonzero pure complement block")
 
-    h_basis = gram_schmidt_hermitian(Xi.rows)
-    k = len(h_basis)
+    H, norms = _gram_orthogonal(Xi, hermitian=True)
+    k = H.nrows
     if k % 2 != 0 or n < k:
         raise AssertionError("inconsistent subspace type")
-    e_basis = []
-    for h in h_basis:
-        norm2 = dot_hermitian(h, h).re
-        root = rational_sqrt(norm2 / 2)
-        if root is None:
-            raise _NeedsFloat
-        e_basis.append(vec_scale(scalar(Fraction(1, 1) / root), h))
+    roots = [rational_sqrt(c.re / 2) for c in norms]  # e_j = h_j / root_j has |e_j|^2 = 2
+    if any(root is None for root in roots):
+        raise _NeedsFloat
+    E = _diagonal([1 / root for root in roots]) * H
 
     delta = m - 2 * n - 2 * k
     if delta != len(aniso) or delta not in (0, 1):
         raise AssertionError("dimension count disagrees with the anisotropic part")
-    e_parts = [p for e in e_basis for p in (vec_re(e), vec_im(e))]
-    d_vec = None
+    isometry = _real_rows(_stacked(U, E))  # the axis rows, then Re e_j and Im e_j
     if delta:
-        comp = RealSubspace(m, axis_rows + e_parts).orthogonal_complement()
+        comp = RealSubspace._spanned(m, zip(isometry.re, isometry.im)).orthogonal_complement()
         if comp.dim != 1:
             raise AssertionError("anisotropic complement is not a line")
-        d_raw = comp.basis[0]
-        norm = rational_sqrt(dot_bilinear(d_raw, d_raw).re)
-        if norm is None:
+        d_raw = comp.basis_matrix.re[0]
+        root = isqrt(q := sum(x * x for x in d_raw))
+        if root * root != q:
             raise _NeedsFloat
-        d_vec = vec_scale(scalar(Fraction(1, 1) / norm), d_raw)
+        d_vec = Matrix.from_numerators([d_raw], [[0] * m], root, m)
+        isometry = _stacked(isometry, d_vec)
 
-    E = Matrix(e_basis, ncols=m)
     # phi_j is e_j under the coupling map xi_i -> eta_i, read through any
     # expansion of e_j over the xi_i (the check below fails for every one
     # when the map is not well defined)
-    Phi = Matrix([Xi.transpose().solve(e) for e in e_basis], ncols=n) * Eta
-    phi = Phi.rows
+    Phi = Matrix([Xi.transpose().solve(e) for e in E.rows], ncols=n) * Eta
     half = Fraction(1, 2)
     A_mat = (Xi * E.conj_transpose()).scale(half)
     # well-definedness: eta_i must expand through phi of the e-basis
@@ -406,8 +389,7 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
         raise AssertionError("coupling map is not well defined")
     X = (Phi * E.conj_transpose()).scale(half)
     Y = (Phi * E.transpose()).scale(half)
-    v = tuple(-scalar(0, 1) * dot_bilinear(d_vec, phi[j]) if delta else ZERO
-              for j in range(k))
+    v = (Phi * d_vec.transpose()).scale(-I).col(0) if delta else (ZERO,) * k
     # phi antisymmetry in the bilinear pairing: e_a . phi_b = -(e_b . phi_a)
     if not Y.is_antisymmetric():
         raise AssertionError("coupling map is not antisymmetric")
@@ -426,7 +408,6 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
     st = SubspaceType(n, k, delta).validate()
     pd = PolynomialData(P1, P2, A_mat).validate(st)
     td = TwistingData(Y, C, v).validate(st)
-    isometry = Matrix(axis_rows + e_parts + ([d_vec] if delta else []), ncols=m)
     return Deg2Decomposition(st, pd, td, isometry, True)
 
 
@@ -440,13 +421,12 @@ def _decompose_float(frame, M1, M2, radical, aniso):
     import numpy
 
     m = frame.m
-    n = len(radical)
+    n = radical.nrows
     M1f = M1.to_float()
     M2f = M2.to_float()
     selectors = []
     axis_rows = []
-    for r in radical:
-        rf = numpy.array([complex(x) for x in r])
+    for rf in radical.to_float():
         u, v = rf.real, rf.imag
         norm = numpy.linalg.norm(u)
         selectors.append((u - 1j * v) / (2 * norm))
@@ -526,7 +506,7 @@ def _decompose_float(frame, M1, M2, radical, aniso):
     Y = rat_matrix(Y_f, k, k, antisym=True)
     A_mat = rat_matrix(A_f, n, k)
     v = tuple(rat(x) for x in v_f)
-    if delta and vec_is_zero(vec(v)):
+    if delta and not any(v):
         raise AssertionError("delta = 1 needs a nonzero twisting vector")
     X = rat_matrix(X_f, k, k)
     C = X * Y + _outer(v).scale(Fraction(1, 4))

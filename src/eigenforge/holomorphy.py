@@ -11,7 +11,10 @@ from W's basis B and its real rows P = [Re B; Im B] alone: K, the real
 kernel of W, is ker P, and A', the annihilator of W + K (K is real, so
 A' is the part of W's annihilator Hermitian-orthogonal to K), is
 {P^T c : B P^T c = 0}; the axis joins K with the planes of the isotropic
-vectors in A'.  The degree-2 decomposition shares these steps.
+vectors in A'.  The degree-2 decomposition shares these steps.  Vectors
+are the integer rows of a Matrix throughout, and one Gram routine,
+`linalg._gram_orthogonal`, both diagonalizes A' for the bilinear form
+and Hermitian-orthogonalizes the isotropic rows.
 
 The search is sound, not complete: certified output always passes
 is_axis exactly; isotropic vectors whose construction needs square
@@ -30,20 +33,7 @@ from .frames import VariableFrame
 from .poly import (EXP_BITS, MAX_DEGREE, Poly, _derivative, common_frame, linear_form,
                    slot_axes)
 from .conformality import kappa, laplacian
-from .linalg import (
-    ComplexSubspace,
-    Matrix,
-    RealSubspace,
-    dot_bilinear,
-    gram_schmidt_hermitian,
-    vec,
-    vec_add,
-    vec_im,
-    vec_is_zero,
-    vec_re,
-    vec_scale,
-    vec_sub,
-)
+from .linalg import ComplexSubspace, Matrix, RealSubspace, _diagonal, _gram_orthogonal
 
 
 def gradient_span(fs) -> ComplexSubspace:
@@ -79,29 +69,36 @@ def gradient_span(fs) -> ComplexSubspace:
 class ComplexTypeWitness:
     """Degenerate complex unit for a uniformly-complex-type family.
 
-    pairs[j] = (x_j, y_j) are real vectors with equal norms and
-    x_j . y_j = 0, from w_j = x_j + i y_j of a Hermitian-orthogonal
-    isotropic basis of the gradient span; J maps x_j to y_j and y_j to
-    -x_j and kills the orthogonal complement: J^2 = -Id + P_ker.
+    pairs (x_j, y_j), the rows of X and Y, are real vectors with equal
+    norms and x_j . y_j = 0, from w_j = x_j + i y_j of a
+    Hermitian-orthogonal isotropic basis of the gradient span (each pair
+    up to a positive scale); J maps x_j to y_j and y_j to -x_j and kills
+    the orthogonal complement: J^2 = -Id + P_ker.
     """
 
     def __init__(self, ambient, pairs):
+        pairs = list(pairs)
         self.ambient = ambient
-        self.pairs = [(vec(x), vec(y)) for x, y in pairs]
-        # J = sum (y x^T - x y^T) / |x|^2 over the pairs
-        Y = Matrix([y for _, y in self.pairs], ncols=ambient)
-        Xn = Matrix([vec_scale(ONE / dot_bilinear(x, x), x) for x, _ in self.pairs], ncols=ambient)
-        self.J = Y.transpose() * Xn - Xn.transpose() * Y
-        self.plane_span = RealSubspace(ambient, [v for pair in self.pairs for v in pair])
+        self.X, self.Y = X, Y = [Matrix([p[k] for p in pairs], ncols=ambient) for k in (0, 1)]
+        # J = sum (y x^T - x y^T) / |x|^2 over the pairs, the rows x / |x|^2 of N
+        XX = X * X.transpose()
+        N = _diagonal([ONE / XX[j, j] for j in range(X.nrows)]) * X
+        self.J = Y.transpose() * N - N.transpose() * Y
+        if not (X.is_real() and Y.is_real()):
+            raise ValueError("real subspace needs real entries")
+        zero = (0,) * ambient
+        self.plane_span = RealSubspace._spanned(ambient, [(x, zero) for x in X.re + Y.re])
         self.kernel = self.plane_span.orthogonal_complement()
 
     def check(self):
         """Exact structural invariants; raises AssertionError on violation
         (an explicit raise, so python -O keeps the check)."""
-        for xs, ys in self.pairs:
-            if dot_bilinear(xs, xs) != dot_bilinear(ys, ys):
+        X, Y = self.X, self.Y
+        XX, YY, XY = X * X.transpose(), Y * Y.transpose(), X * Y.transpose()
+        for j in range(X.nrows):
+            if XX[j, j] != YY[j, j]:
                 raise AssertionError("witness pair has unequal norms")
-            if dot_bilinear(xs, ys) != ZERO:
+            if XY[j, j] != ZERO:
                 raise AssertionError("witness pair is not orthogonal")
         if not self.J.is_antisymmetric():
             raise AssertionError("witness J is not antisymmetric")
@@ -118,15 +115,12 @@ def is_uniformly_complex_type(fs):
 
 def span_complex_type(W: ComplexSubspace):
     "is_uniformly_complex_type for a family with gradient span W."
-    basis = list(W.basis)
-    for i in range(len(basis)):
-        for j in range(i, len(basis)):
-            if dot_bilinear(basis[i], basis[j]) != ZERO:
-                return False, None
-    pairs = []
-    for w in gram_schmidt_hermitian(basis):
-        pairs.append((vec_re(w), vec_im(w)))
-    return True, ComplexTypeWitness(W.ambient, pairs)
+    B = W.basis_matrix
+    if not (B * B.transpose()).is_zero():
+        return False, None
+    V, _ = _gram_orthogonal(B, hermitian=True)
+    # the pairs of den V: a positive scale leaves J, the planes and the checks as they are
+    return True, ComplexTypeWitness(W.ambient, zip(V.re, V.im))
 
 
 # ---------------------------------------------------------------------
@@ -259,50 +253,14 @@ class AxisReport:
         }
 
 
-def symmetric_diagonalize(vectors):
-    """Orthogonalize for the bilinear form u . v (char 0); returns a
-    list of (vector, v . v) spanning the same space.  Zero diagonal
-    values mark radical directions."""
-    pending = [v for v in vectors]
-    out = []
-    while pending:
-        # prefer an anisotropic vector; build one if only cross terms exist
-        pick = None
-        for idx, v in enumerate(pending):
-            if dot_bilinear(v, v) != ZERO:
-                pick = idx
-                break
-        if pick is None:
-            cross = None
-            for a in range(len(pending)):
-                for b in range(a + 1, len(pending)):
-                    if dot_bilinear(pending[a], pending[b]) != ZERO:
-                        cross = (a, b)
-                        break
-                if cross:
-                    break
-            if cross is None:
-                out.extend((v, ZERO) for v in pending)
-                break
-            a, b = cross
-            pending[a] = vec_add(pending[a], pending[b])
-            pick = a
-        v = pending.pop(pick)
-        d = dot_bilinear(v, v)
-        out.append((v, d))
-        pending = [vec_sub(u, vec_scale(dot_bilinear(u, v) / d, v)) for u in pending]
-        pending = [u for u in pending if not vec_is_zero(u)]
-    return out
-
-
 def _isotropic_parts(W):
-    """(K, radical, aniso): the real kernel K of a gradient span W, and the
-    radical and anisotropic parts of A', the annihilator of W + K (W's own
-    annihilator when K = 0)."""
+    """(K, V, d): the real kernel K of a gradient span W, and A', the
+    annihilator of W + K (W's own annihilator when K = 0), diagonalized for
+    the bilinear form: the rows of V with the nonzero values d first, then
+    the radical."""
     K = W.real_annihilator()
     A = W.annihilator_in_real_span() if K.dim else W.bilinear_annihilator()
-    diag = symmetric_diagonalize(list(A.basis))
-    return K, [v for v, d in diag if d == ZERO], [(v, d) for v, d in diag if d != ZERO]
+    return (K, *_gram_orthogonal(A.basis_matrix))
 
 
 def maximal_axis(fs, tolerance=1e-9, W=None):
@@ -324,63 +282,55 @@ def maximal_axis(fs, tolerance=1e-9, W=None):
         raise ValueError(f"tolerance must be finite and non-negative, not {tolerance}")
     W = gradient_span(fs) if W is None else W
     m = W.ambient
-    K, radical, aniso = _isotropic_parts(W)
-    bound = K.dim + 2 * (len(radical) + len(aniso) // 2)
+    K, V, d = _isotropic_parts(W)
+    bound = K.dim + 2 * (V.nrows - len(d) + len(d) // 2)
 
-    # radical vectors and split pairs are isotropic and pairwise bilinear-
+    # radical rows and split pairs v_i + s v_j are isotropic and pairwise bilinear-
     # orthogonal, so their Hermitian-orthogonal basis spans a totally isotropic space
-    used = [False] * len(aniso)
-    pairs, leftovers = [], []
-    for i in range(len(aniso)):
-        if used[i]:
+    rows = [{r: ONE} for r in range(len(d), V.nrows)]
+    used, leftovers = set(), []
+    for i in range(len(d)):
+        if i in used:
             continue
-        vi, di = aniso[i]
-        mate = None
-        for j in range(i + 1, len(aniso)):
-            if used[j]:
-                continue
-            s = sqrt_in_qi(-di / aniso[j][1])
-            if s is not None:
-                mate = (j, s)
-                break
-        if mate is None:
-            leftovers.append(aniso[i])
-            continue
-        j, s = mate
-        used[i] = used[j] = True
-        pairs.append(vec_add(vi, vec_scale(s, aniso[j][0])))
-    isotropics = gram_schmidt_hermitian(radical + pairs)
+        j, s = next(((j, s) for j in range(i + 1, len(d)) if j not in used
+                     for s in [sqrt_in_qi(-d[i] / d[j])] if s is not None), (None, None))
+        if j is None:
+            leftovers.append((i, d[i]))
+        else:
+            used.add(j)
+            rows.append({i: ONE, j: s})
+    C = Matrix([[c.get(r, ZERO) for r in range(V.nrows)] for c in rows], ncols=V.nrows)
+    isotropics, _ = _gram_orthogonal(C * V, hermitian=True)
 
-    axis_vectors = list(K.basis)
-    for w in isotropics:
-        axis_vectors.append(vec_re(w))
-        axis_vectors.append(vec_im(w))
-    certified = RealSubspace(m, axis_vectors)
+    zero = (0,) * m
+    certified = RealSubspace._spanned(m, [(x, zero) for x in
+                                          K.basis_matrix.re + isotropics.re + isotropics.im])
     if not span_is_axis(W, certified):
         raise AssertionError("certified axis fails the axis condition")
 
-    numeric_vectors, residual = _numeric_extension(W, isotropics, leftovers, tolerance)
+    numeric_vectors, residual = _numeric_extension(W, isotropics, V, leftovers, tolerance)
     return AxisReport(certified, numeric_vectors, residual, bound, W)
 
 
-def _numeric_extension(W, isotropics, leftovers, tolerance):
-    "Float pairing of anisotropic leftovers; returns (plane vectors, residual)."
+def _numeric_extension(W, isotropics, V, leftovers, tolerance):
+    """Float pairing of anisotropic leftovers (i, d_i), the rows i of V with value d_i;
+    returns (plane vectors, residual)."""
     if len(leftovers) < 2:
         return [], None
     import numpy
 
+    Vf = V.to_float()
     planes = []
     k = 0
     while k + 1 < len(leftovers):
-        (v1, d1), (v2, d2) = leftovers[k], leftovers[k + 1]
+        (i1, d1), (i2, d2) = leftovers[k], leftovers[k + 1]
         k += 2
         s = numpy.sqrt(complex(-d1 / d2))
-        w = numpy.array([complex(x) for x in v1]) + s * numpy.array([complex(x) for x in v2])
-        planes.append(w)
+        planes.append(Vf[i1] + s * Vf[i2])
     if not planes:
         return [], None
     # orthogonalize numerically against the exact isotropics and each other
-    prior = [numpy.array([complex(x) for x in w]) for w in isotropics]
+    prior = list(isotropics.to_float())
     kept = []
     for w in planes:
         for b in prior + kept:
@@ -391,7 +341,7 @@ def _numeric_extension(W, isotropics, leftovers, tolerance):
     for w in kept:
         vectors.extend([w.real, w.imag])
     # residual of the axis condition over the whole candidate sum
-    basis_f = [numpy.array([complex(x) for x in b]) for b in W.basis]
+    basis_f = list(W.basis_matrix.to_float())
     residual = 0.0
     for w in kept:
         scale = numpy.linalg.norm(w) ** 2 or 1.0

@@ -18,8 +18,13 @@ is the sign times the last pivot over den^n.  With no imaginary part in
 any input row, every pivot, factor and tag is real and every imaginary
 part stays zero, so each update is one integer list, (p x - f y) // t.
 
-Vectors are plain tuples of GaussRational; a real vector is one whose
-entries have zero imaginary part, and vec_re/vec_im return such tuples.
+Vectors are the rows of a Matrix; `vec` coerces input to a tuple of
+GaussRational.  One Gram routine orthogonalizes rows U for the Hermitian
+and the bilinear form alike: a symmetric elimination of [G | U] for the
+small Gram matrix G = U U^* or U U^T (unnormalized Gram-Schmidt is
+L^-1 U for the LDL^* factorization of G; Golub and Van Loan, Matrix
+Computations), pivoting as a symmetric diagonalization does when G has
+a zero diagonal.
 A subspace keeps its reduced row echelon basis as a Matrix, so two
 subspaces are equal exactly when their bases are; that is what makes
 span comparisons decidable.  An annihilator (the kernel of the basis,
@@ -42,7 +47,7 @@ from math import gcd, lcm
 from operator import mul, neg
 
 from .scalars import (GaussRational, ZERO, ONE, as_exact, as_scalar, common_numerators,
-                      from_triple, imag_part, real_part, sum_of_products, triple)
+                      from_triple, triple)
 
 _new = object.__new__
 _set = object.__setattr__
@@ -59,51 +64,6 @@ def vec(entries):
             raise TypeError(f"bad vector entry {e!r}")
         out.append(s)
     return tuple(out)
-
-def vec_is_zero(u):
-    return all(not x for x in u)
-
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-def vec_scale(c, u):
-    return tuple(c * a for a in u)
-
-def vec_conj(u):
-    return tuple(a.conjugate() for a in u)
-
-def dot_bilinear(u, v):
-    "sum u_k v_k with no conjugation (the isotropy pairing)."
-    return sum_of_products(u, v)
-
-def dot_hermitian(u, v):
-    "sum conj(u_k) v_k."
-    return sum_of_products(u, v, conjugate_first=True)
-
-def vec_re(u):
-    return tuple(map(real_part, u))
-
-def vec_im(u):
-    return tuple(map(imag_part, u))
-
-
-def gram_schmidt_hermitian(vectors):
-    """Hermitian-orthogonalize without normalizing (keeps entries in Q(i)).
-
-    Returns the nonzero orthogonal vectors; spans are preserved.
-    """
-    basis = []
-    for v in vectors:
-        w = v
-        for b in basis:
-            coeff = dot_hermitian(b, w) / dot_hermitian(b, b)
-            w = vec_sub(w, vec_scale(coeff, b))
-        if not vec_is_zero(w):
-            basis.append(w)
-    return basis
 
 
 def cayley_orthogonal(S: "Matrix") -> "Matrix":
@@ -219,6 +179,61 @@ def _row_basis(rows, ncols):
     return _divided(elim, pivots, len(pivots), ncols)
 
 
+def _gram_orthogonal(U, hermitian=False):
+    """(V, d): the rows of U orthogonalized for the Hermitian form x . conj(y)
+    or the bilinear form x . y, by one symmetric elimination of the rows
+    [G | U] for the Gram matrix G = U U^* or U U^T.  Each step pivots on the
+    first pending row p with G_pp != 0 (for the bilinear form, when there is
+    none, on a <- a + b for the first pending pair a, b with G_ab != 0) and
+    takes x <- x - (G_xp / G_pp) p in every other pending row; a row update
+    keeps row x of G right on the pending columns, since x is then orthogonal
+    to p.  V holds the pivot rows in order, with their values d = G_pp, then,
+    for the bilinear form, the isotropic rows left, whose zero rows are dropped
+    once a step has run.  The Hermitian form is definite: Gram-Schmidt."""
+    k, m = U.nrows, U.ncols
+    A = _joined(U * (U.conj_transpose() if hermitian else U.transpose()), U)
+    rows = [[list(a), list(b), A.den] for a, b in zip(A.re, A.im)]  # numerators over own den
+
+    def nonzero(x, c):
+        return rows[x][0][c] or rows[x][1][c]
+
+    pending, out, d = list(range(k)), [], []
+    while pending:
+        p = next((x for x in pending if nonzero(x, x)), None)
+        if p is None:
+            pair = None if hermitian else next(((a, b) for i, a in enumerate(pending)
+                                                for b in pending[i + 1:] if nonzero(a, b)), None)
+            if pair is None:
+                break
+            p, b = pair  # p <- p + b: row p plus row b, then column p plus column b
+            (xa, xb, s), (ya, yb, t) = rows[p], rows[b]
+            rows[p] = [[x * t + y * s for x, y in zip(xa, ya)],
+                       [x * t + y * s for x, y in zip(xb, yb)], s * t]
+            for re, im, _ in (rows[x] for x in pending):
+                re[p] += re[b]
+                im[p] += im[b]
+        pending.remove(p)
+        out.append(p)
+        ya, yb, s = rows[p]
+        pa, pb = ya[p], yb[p]
+        d.append(from_triple(pa, pb, s))
+        n = pa * pa + pb * pb
+        for x in (x for x in pending if nonzero(x, p)):
+            # x over t, pivot g = p_p, f = x_p: x - (f / g) p = (|g|^2 x - f conj(g) p) / (t |g|^2)
+            xa, xb, t = rows[x]
+            fa, fb = xa[p] * pa + xb[p] * pb, xb[p] * pa - xa[p] * pb
+            re = [n * a - fa * c + fb * e for a, c, e in zip(xa, ya, yb)]
+            im = [n * b - fa * e - fb * c for b, c, e in zip(xb, ya, yb)]
+            g = gcd(t * n, *re, *im)
+            rows[x] = [[a // g for a in re], [b // g for b in im], t * n // g]
+    if out and not hermitian:
+        pending = [x for x in pending if any(rows[x][0][k:]) or any(rows[x][1][k:])]
+    keep = out + ([] if hermitian else pending)
+    den = lcm(*(rows[x][2] for x in keep))
+    re, im = ([[a * (den // rows[x][2]) for a in rows[x][j][k:]] for x in keep] for j in (0, 1))
+    return _reduced(re, im, den, m), d
+
+
 # ---------------------------------------------------------------------
 
 
@@ -264,8 +279,24 @@ def _annihilator(M):
 
 
 def _real_rows(B):
-    "[Re B; Im B] as a real Matrix (canonical, as B is)."
-    return _matrix(B.re + B.im, ((0,) * B.ncols,) * (2 * B.nrows), B.den, B.ncols)
+    """The rows of [Re B; Im B] as a real Matrix, interleaved: Re b_1, Im b_1,
+    Re b_2, ... for the rows b_j of B (canonical, as B is)."""
+    return _matrix(tuple(r for pair in zip(B.re, B.im) for r in pair),
+                   ((0,) * B.ncols,) * (2 * B.nrows), B.den, B.ncols)
+
+
+def _stacked(*mats):
+    "[A; B; ...] for matrices with one column count (canonical, as each of them is)."
+    den = lcm(*(M.den for M in mats))
+    re, im = (tuple(tuple(a * (den // M.den) for a in r) for M in mats for r in getattr(M, part))
+              for part in ("re", "im"))
+    return _matrix(re, im, den, mats[0].ncols)
+
+
+def _diagonal(values):
+    "The square diagonal Matrix of the scalars values."
+    n = len(values)
+    return Matrix([[c if i == j else ZERO for j in range(n)] for i, c in enumerate(values)], ncols=n)
 
 
 def _sliced(M, lo, hi):
@@ -595,14 +626,13 @@ class ComplexSubspace:
         return f"ComplexSubspace(dim {self.dim} in C^{self.ambient})"
 
     def contains(self, u) -> bool:
+        "Whether u is the combination of the RREF rows whose coefficients are u's pivot entries."
         u = vec(u)
         if len(u) != self.ambient:
             raise ValueError(f"vector of length {len(u)} for a subspace of C^{self.ambient}")
-        for b in self.basis:
-            pivot = next(j for j, x in enumerate(b) if x)
-            if u[pivot]:
-                u = vec_sub(u, vec_scale(u[pivot], b))
-        return vec_is_zero(u)
+        B = self.basis_matrix
+        pivots = [next(j for j, x in enumerate(zip(a, b)) if any(x)) for a, b in zip(B.re, B.im)]
+        return Matrix([[u[j] for j in pivots]], ncols=B.nrows) * B == Matrix([u], ncols=len(u))
 
     def contains_subspace(self, other) -> bool:
         _check_ambient(self, other)

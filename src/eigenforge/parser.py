@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 import sys
 from functools import lru_cache
-from math import lcm
+from math import lcm, log2
 
 from .scalars import as_scalar, format_scalar, format_triple, triple
 from .frames import RESERVED, VariableFrame
@@ -54,10 +54,14 @@ _TOKEN = re.compile(r"[ \t]*(?:(?P<int>\d+)(?P<imag>i(?!\w))?|(?P<ident>[^\W\d]\
 
 
 def _digit_run_error(text, i, line_no):
-    "The error for the run of str.isdigit characters at i, which int() cannot read."
+    """The error for the run of str.isdigit characters at i, which int() cannot read:
+    its first character that is no decimal digit, else its length past the digit limit."""
     j = i
     while j < len(text) and text[j].isdigit():
         j += 1
+    for k in range(i, j):
+        if not text[k].isdecimal():
+            raise ParseError(f"unexpected character {text[k]!r}", line_no, k + 1)
     raise ParseError(f"integer literal has {j - i} digits, over the limit of "
                      f"{sys.get_int_max_str_digits()}", line_no, i + 1)
 
@@ -95,6 +99,14 @@ def _lex(text: str, line_no: int):
 # Subexpressions (parentheses, conj(...), unary minus) nest at most this
 # deep, so hostile input is a ParseError and not a RecursionError.
 MAX_NESTING = 100
+
+# A literal power whose coefficient would need more bits than this is a
+# ParseError before it is computed.  The estimate n |log2 |c|| for the
+# coefficient c of the first or the last term (whose n-th power is the
+# coefficient of the first or last term of the power) bounds the
+# numerator or denominator of c^n from below, so units such as 1, i and
+# (3 + 4i)/5, and zero, stay exact at any n.
+MAX_POWER_BITS = 1 << 20
 
 
 def _degree(t) -> int:
@@ -191,11 +203,22 @@ class _ExprParser:
         a, b, d = triple(q.constant_value())
         return self.product(p, (d * a, -d * b, a * a + b * b, 0))
 
-    def power(self, p, n):
-        if type(p) is tuple and not p[1]:  # a real coefficient: one power per integer
-            a, _, d, key = p
-            if a:
-                check_degree(_degree(p) * n, "power")
+    def power(self, p, tok):
+        "p^n for the exponent token tok; degree and MAX_POWER_BITS are checked before it multiplies."
+        n = tok[1]
+        if type(p) is tuple:
+            a, b, d, key = p
+            ends = [(a, b)] if a or b else []
+        else:  # the n-th powers of its first and last terms are the first and last of p^n
+            ends = [p.nums[k] for k in {min(p.nums), max(p.nums)}] if p.nums else []
+            d, key = p.den, None
+        if ends:
+            check_degree((_degree(p) if key is not None else p.degree()) * n, "power")
+            bits = n * max(abs(log2(x * x + y * y) / 2 - log2(d)) for x, y in ends)
+            if bits > MAX_POWER_BITS:
+                self.fail(f"power would have a coefficient of about {round(bits)} bits, over the "
+                          f"limit of {MAX_POWER_BITS}", tok)
+        if key is not None and not b:  # a real coefficient: one power per integer
             return (a ** n, 0, d ** n if a else 1, key * n)  # 0 ** 0 = 1; a zero's d stays
         return _as_poly(self.frame, p) ** n
 
@@ -232,7 +255,7 @@ class _ExprParser:
             self.pos += 2
             if etok[0] != "int":
                 self.fail("exponent must be a nonnegative integer literal", etok)
-            p = self.power(p, etok[1])
+            p = self.power(p, etok)
         return p
 
     def named(self, tok):

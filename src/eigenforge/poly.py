@@ -13,9 +13,10 @@ sum e_s 2^(EXP_BITS s) is sum e_s modulo MAX_DEGREE, and a degree of at
 most MAX_DEGREE is that residue, read as MAX_DEGREE when it is 0 on a
 nonzero key.  Ring operations, slot derivatives, conjugation (a swap of
 the z and conj(z) fields), substitution and the conformality bracket
-all run on this form, and so do the parser, the printer and the defect
-family; `terms`, a read-only view {exponent tuple: GaussRational} built
-on first use, is read in the package by `evaluate` alone.  The quadratic
+all run on this form, and so do the parser, the printer, the defect
+family and evaluation; `terms`, a read-only view {exponent tuple:
+GaussRational} built on first use, is kept for readers outside the
+package.  The quadratic
 codec `quadratic` / `quadratic_pairs` maps {(s, u): c} slot pairs to sum c slot_s slot_u
 and back; `quadratic_numerators` reads the pairs as Gaussian-integer
 numerators over the polynomial's denominator.  A product whose degree
@@ -359,10 +360,12 @@ class Poly:
                 values.append(v)
             else:
                 raise ValueError(f"real coordinate {name!r} needs a real value")
+        unpack, den = _unpacker(frame.num_slots), self.den
         total = 0j if numeric else ZERO
-        for mono, coeff in self.terms.items():
-            term = complex(coeff) if numeric else coeff
-            for v, e in zip(values, mono):
+        for key, (a, b) in self.nums.items():
+            # int true division is correctly rounded, so this is complex() of the coefficient
+            term = complex(a / den, b / den) if numeric else from_triple(a, b, den)
+            for v, e in zip(values, unpack(key)):
                 if e:
                     term = term * v ** e
             total = total + term

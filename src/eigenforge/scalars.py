@@ -255,16 +255,6 @@ def as_exact(x) -> GaussRational:
     return _make(q.numerator, 0, q.denominator)
 
 
-def real_part(c: GaussRational) -> GaussRational:
-    "Re c as a real scalar."
-    return _reduce(c._a, 0, c._d)
-
-
-def imag_part(c: GaussRational) -> GaussRational:
-    "Im c as a real scalar."
-    return _reduce(c._b, 0, c._d)
-
-
 def scalar(x, im=0) -> GaussRational:
     s = as_scalar(x)
     if s is None:
@@ -272,44 +262,6 @@ def scalar(x, im=0) -> GaussRational:
     if im:
         s = s + GaussRational(0, im)
     return s
-
-
-# -- fused sums ----------------------------------------------------------
-#
-# A sum of products accumulates integer numerators over a running lcm of
-# the term denominators and reduces once at the end, instead of building
-# (and reducing) one scalar per product and per partial sum.
-
-
-def sum_of_products(u, v, conjugate_first=False) -> GaussRational:
-    """sum_k u_k v_k (or sum_k conj(u_k) v_k) over two sequences of
-    GaussRational; pairs beyond the shorter sequence are ignored."""
-    a = b = 0
-    d = 1
-    for x, y in zip(u, v):
-        xa, xb, ya, yb = x._a, x._b, y._a, y._b
-        if conjugate_first:
-            pa = xa * ya + xb * yb
-            pb = xa * yb - xb * ya
-        else:
-            pa = xa * ya - xb * yb
-            pb = xa * yb + xb * ya
-        if not (pa or pb):
-            continue
-        pd = x._d * y._d
-        if pd != d:
-            g = _gcd(d, pd)
-            if g != pd:  # widen the running denominator to lcm(d, pd)
-                k = pd // g
-                a *= k
-                b *= k
-                d *= k
-            k = d // pd
-            pa *= k
-            pb *= k
-        a += pa
-        b += pb
-    return _reduce(a, b, d)
 
 
 # -- exact square roots ------------------------------------------------

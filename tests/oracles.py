@@ -1,8 +1,10 @@
 """Shared oracles, independent of the code paths they check:
 finite-difference derivatives on float evaluations, a reference Q(i)
-scalar built on Fraction pairs, polynomial arithmetic on the
+scalar built on Fraction pairs, the GaussRational vector layer (entrywise
+helpers, fused dot products, Hermitian Gram-Schmidt and the bilinear
+diagonalization), polynomial arithmetic on the
 {exponent tuple: GaussRational} term view, term degrees from unpacked
-keys, and on top of it the real-gradient forms of the projected
+keys, evaluation term by term, and on top of it the real-gradient forms of the projected
 bracket, projected Laplacian and degree-2 matrix, the bracket,
 Laplacian and family verification, the substitution and isometry
 pull-back, the degree-2 builders in Poly ring arithmetic, a real subspace that stores its basis as Fraction tuples,
@@ -23,19 +25,18 @@ view."""
 
 import sys
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from eigenforge.conformality import EigenData, FamilyReport, _family_degree, _slot_form
 from eigenforge.degree2 import _coerce_forms, default_frame, is_eigenfamily_deg2, twist_x_matrix
-from eigenforge.holomorphy import (AxisReport, _as_real_subspace, _numeric_extension, gradient_span,
-                                   symmetric_diagonalize)
+from eigenforge.holomorphy import AxisReport, _as_real_subspace, _numeric_extension, gradient_span
 from eigenforge.linalg import (ComplexSubspace, Matrix, RealSubspace, _check_ambient, _joined,
-                               _sliced, dot_bilinear, dot_hermitian, gram_schmidt_hermitian, vec,
-                               vec_add, vec_im, vec_is_zero, vec_re, vec_scale, vec_sub)
+                               _sliced, vec)
 from eigenforge.poly import (FrameMismatch, Poly, _unpacker, axis_slots, common_frame,
                             mono_order_key, real_gradient, slot_axes)
 from eigenforge.parser import MAX_NESTING, ParseError
-from eigenforge.scalars import ONE, ZERO, GaussRational, I, as_scalar, scalar, sqrt_in_qi
+from eigenforge.scalars import ONE, ZERO, GaussRational, I, _reduce, as_scalar, scalar, sqrt_in_qi
 
 
 def axis_shift(point, frame, axis, delta):
@@ -162,6 +163,148 @@ def ref_sum_of_products(u, v, conjugate_first=False):
     return total
 
 
+# -- the GaussRational vector layer ---------------------------------------------
+#
+# Vectors as tuples of GaussRational, one scalar operation (and its gcd)
+# per entry: the helpers, fused dot products, Hermitian Gram-Schmidt and
+# bilinear diagonalization that linalg, scalars and holomorphy once ran
+# on (with the scalars' real and imaginary parts), before bases stayed
+# the integer rows of a Matrix.
+
+
+def sum_of_products(u, v, conjugate_first=False) -> GaussRational:
+    """sum_k u_k v_k (or sum_k conj(u_k) v_k) over two sequences of
+    GaussRational, accumulating integer numerators over a running lcm of
+    the term denominators and reducing once; pairs beyond the shorter
+    sequence are ignored."""
+    a = b = 0
+    d = 1
+    for x, y in zip(u, v):
+        xa, xb, ya, yb = x._a, x._b, y._a, y._b
+        if conjugate_first:
+            pa = xa * ya + xb * yb
+            pb = xa * yb - xb * ya
+        else:
+            pa = xa * ya - xb * yb
+            pb = xa * yb + xb * ya
+        if not (pa or pb):
+            continue
+        pd = x._d * y._d
+        if pd != d:
+            g = gcd(d, pd)
+            if g != pd:  # widen the running denominator to lcm(d, pd)
+                k = pd // g
+                a *= k
+                b *= k
+                d *= k
+            k = d // pd
+            pa *= k
+            pb *= k
+        a += pa
+        b += pb
+    return _reduce(a, b, d)
+
+
+def vec_is_zero(u):
+    return all(not x for x in u)
+
+
+def vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vec_sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def vec_scale(c, u):
+    return tuple(c * a for a in u)
+
+
+def vec_conj(u):
+    return tuple(a.conjugate() for a in u)
+
+
+def dot_bilinear(u, v):
+    "sum u_k v_k with no conjugation (the isotropy pairing)."
+    return sum_of_products(u, v)
+
+
+def dot_hermitian(u, v):
+    "sum conj(u_k) v_k."
+    return sum_of_products(u, v, conjugate_first=True)
+
+
+def real_part(c: GaussRational) -> GaussRational:
+    "Re c as a real scalar."
+    return _reduce(c._a, 0, c._d)
+
+
+def imag_part(c: GaussRational) -> GaussRational:
+    "Im c as a real scalar."
+    return _reduce(c._b, 0, c._d)
+
+
+def vec_re(u):
+    return tuple(map(real_part, u))
+
+
+def vec_im(u):
+    return tuple(map(imag_part, u))
+
+
+def ref_gram_schmidt_hermitian(vectors):
+    """Hermitian-orthogonalize without normalizing (keeps entries in Q(i)).
+
+    Returns the nonzero orthogonal vectors; spans are preserved.
+    """
+    basis = []
+    for v in vectors:
+        w = v
+        for b in basis:
+            coeff = dot_hermitian(b, w) / dot_hermitian(b, b)
+            w = vec_sub(w, vec_scale(coeff, b))
+        if not vec_is_zero(w):
+            basis.append(w)
+    return basis
+
+
+def ref_symmetric_diagonalize(vectors):
+    """Orthogonalize for the bilinear form u . v (char 0); returns a
+    list of (vector, v . v) spanning the same space.  Zero diagonal
+    values mark radical directions."""
+    pending = [v for v in vectors]
+    out = []
+    while pending:
+        # prefer an anisotropic vector; build one if only cross terms exist
+        pick = None
+        for idx, v in enumerate(pending):
+            if dot_bilinear(v, v) != ZERO:
+                pick = idx
+                break
+        if pick is None:
+            cross = None
+            for a in range(len(pending)):
+                for b in range(a + 1, len(pending)):
+                    if dot_bilinear(pending[a], pending[b]) != ZERO:
+                        cross = (a, b)
+                        break
+                if cross:
+                    break
+            if cross is None:
+                out.extend((v, ZERO) for v in pending)
+                break
+            a, b = cross
+            pending[a] = vec_add(pending[a], pending[b])
+            pick = a
+        v = pending.pop(pick)
+        d = dot_bilinear(v, v)
+        out.append((v, d))
+        pending = [vec_sub(u, vec_scale(dot_bilinear(u, v) / d, v)) for u in pending]
+        pending = [u for u in pending if not vec_is_zero(u)]
+    return out
+
+
 def _ref_digits(n):
     "The decimal digits of |n|, counted with the interpreter's digit limit lifted."
     limit = sys.get_int_max_str_digits()
@@ -253,6 +396,32 @@ def ref_slot_derivative(p, slot):
 def ref_degrees(p):
     "The total degree of each term of p, in storage order, by unpacking each key and summing."
     return list(map(sum, map(_unpacker(p.frame.num_slots), p.nums)))
+
+
+def ref_evaluate(p, point, numeric):
+    "evaluate (evaluate_float when numeric) on the term view: one term at a time, in term order."
+    frame = p.frame
+    values = []
+    for name in frame.complex_names + frame.real_names:
+        if name not in point:
+            raise KeyError(f"no value for coordinate {name!r}")
+        v = complex(point[name]) if numeric else as_scalar(point[name])
+        if v is None:
+            raise TypeError(f"value for {name!r} is not exact")
+        if frame.kind_of(name)[0] == "c":
+            values += [v, v.conjugate()]
+        elif numeric or v.is_real():
+            values.append(v)
+        else:
+            raise ValueError(f"real coordinate {name!r} needs a real value")
+    total = 0j if numeric else ZERO
+    for mono, coeff in p.terms.items():
+        term = complex(coeff) if numeric else coeff
+        for v, e in zip(values, mono):
+            if e:
+                term = term * v ** e
+        total = total + term
+    return total
 
 
 def ref_conjugate(p):
@@ -881,7 +1050,7 @@ def ref_find_axis_deg2(forms):
     P = ref_annihilating_product(mats)
     cols = [c for j in range(P.ncols) if not vec_is_zero(c := P.col(j))]
     vectors = []
-    for w in gram_schmidt_hermitian(cols):
+    for w in ref_gram_schmidt_hermitian(cols):
         vectors.append(vec_re(w))
         vectors.append(vec_im(w))
     return RealSubspace(m, vectors), False
@@ -936,7 +1105,7 @@ def ref_grow_isotropic(candidates, accepted):
 def ref_isotropic_parts(W):
     "(K, radical, aniso) with A' the bilinear annihilator of ref_sum(W, K)."
     K = W.real_annihilator()
-    diag = symmetric_diagonalize(list((ref_sum(W, K) if K.dim else W).bilinear_annihilator().basis))
+    diag = ref_symmetric_diagonalize(list((ref_sum(W, K) if K.dim else W).bilinear_annihilator().basis))
     return K, [v for v, d in diag if d == ZERO], [(v, d) for v, d in diag if d != ZERO]
 
 
@@ -962,7 +1131,10 @@ def ref_maximal_axis(fs, tolerance=1e-9):
         isotropics = ref_grow_isotropic([vec_add(vi, vec_scale(s, aniso[j][0]))], isotropics)
     axis = RealSubspace(W.ambient, list(K.basis) + [p for w in isotropics
                                                     for p in (vec_re(w), vec_im(w))])
-    numeric, residual = _numeric_extension(W, isotropics, leftovers, tolerance)
+    m = W.ambient
+    numeric, residual = _numeric_extension(W, Matrix(isotropics, ncols=m),
+                                           Matrix([v for v, _ in leftovers], ncols=m),
+                                           [(i, d) for i, (_, d) in enumerate(leftovers)], tolerance)
     return AxisReport(axis, numeric, residual, bound, W)
 
 
@@ -1025,6 +1197,10 @@ def ref_lex(text, line_no):
             try:
                 value = int(text[i:j])
             except ValueError:
+                bad = next((k for k in range(i, j) if not text[k].isdecimal()), None)
+                if bad is not None:
+                    raise ParseError(f"unexpected character {text[bad]!r}", line_no,
+                                     bad + 1) from None
                 raise ParseError(f"integer literal has {j - i} digits, over the limit of "
                                  f"{sys.get_int_max_str_digits()}", line_no, col) from None
             if j < n and text[j] == "i" and (j + 1 == n or not (text[j + 1].isalnum()

@@ -297,10 +297,10 @@ def test_failed_internal_check_exits_three(monkeypatch, tmp_path):
     # a radical vector that is isotropic but does not annihilate the
     # gradient span makes the certified axis fail its own check
     from eigenforge import holomorphy
-    from eigenforge.linalg import vec
+    from eigenforge.linalg import Matrix
     from eigenforge.scalars import I, ONE
     monkeypatch.setattr(holomorphy, "_isotropic_parts",
-                        lambda W: (W.real_annihilator(), [vec([ONE, I])], []))
+                        lambda W: (W.real_annihilator(), Matrix([[ONE, I]]), []))
     p = tmp_path / "f1.efam"
     p.write_text("family f1\nframe complex z\nF1 = z*conj(z)\n")
     for extra in ([], ["--json"]):
@@ -784,3 +784,14 @@ def test_written_families_round_trip(tmp_path):
         source = load_entry(name)
         again = parse_family(format_family(source))
         assert again == source, name
+
+
+def test_a_literal_power_past_the_bit_limit_exits_two(tmp_path):
+    p = tmp_path / "big.efam"
+    p.write_text("family big\nframe complex z\nF1 = 17^300000*z\n")
+    for extra in ([], ["--json"]):
+        code, out, err = run(["verify", p] + extra)
+        assert code == 2 and out == ""
+        assert ("power would have a coefficient of about 1226239 bits, over the limit of "
+                "1048576") in err
+        assert "Traceback" not in err

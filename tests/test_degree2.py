@@ -9,7 +9,7 @@ import pytest
 from eigenforge.frames import VariableFrame
 from eigenforge.poly import Poly
 from eigenforge.scalars import GaussRational, ZERO, ONE, scalar
-from eigenforge.linalg import Matrix, cayley_orthogonal, vec, vec_is_zero, dot_bilinear
+from eigenforge.linalg import Matrix, cayley_orthogonal, vec
 from eigenforge.conformality import verify_flat_family, kappa
 from eigenforge.holomorphy import apply_real_isometry, is_uniformly_complex_type
 from eigenforge.degree2 import (
@@ -30,8 +30,8 @@ from eigenforge.degree2 import (
     twist_x_matrix,
 )
 
-from oracles import (ref_annihilating_product, ref_construct_eigenpair, ref_find_axis_deg2,
-                     ref_from_form, ref_to_form)
+from oracles import (dot_bilinear, ref_annihilating_product, ref_construct_eigenpair,
+                     ref_find_axis_deg2, ref_from_form, ref_to_form, vec_is_zero)
 
 C1 = VariableFrame(("z",), ())
 R2 = VariableFrame((), ("x", "t"))

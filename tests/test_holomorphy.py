@@ -19,8 +19,8 @@ from eigenforge.linalg import (
     ComplexSubspace,
     Matrix,
     RealSubspace,
+    _gram_orthogonal,
     cayley_orthogonal,
-    dot_bilinear,
     vec,
 )
 from eigenforge.conformality import kappa, laplacian, verify_flat_family
@@ -35,10 +35,9 @@ from eigenforge.holomorphy import (
     maximal_axis,
     span_is_axis,
     separable_check,
-    symmetric_diagonalize,
 )
 
-from oracles import (rational_point, ref_apply_real_isometry, ref_gradient_span,
+from oracles import (dot_bilinear, rational_point, ref_apply_real_isometry, ref_gradient_span,
                      ref_hermitian_complement_within, ref_isotropic_annihilator_seeds,
                      ref_maximal_axis, ref_real_points, ref_span_is_axis, ref_sum)
 
@@ -261,6 +260,12 @@ def test_projected_operators_match_full_ones():
     assert laplacian(f, eye) == laplacian(f)
 
 
+def diagonalized(vectors, m):
+    "The bilinear diagonalization of vectors in C^m as (row, value) pairs, 0 on the radical."
+    V, d = _gram_orthogonal(Matrix(vectors, ncols=m))
+    return list(zip(V.rows, d + [ZERO] * (V.nrows - len(d))))
+
+
 def test_symmetric_diagonalize_properties():
     rng = random.Random(23)
     for _ in range(30):
@@ -271,7 +276,7 @@ def test_symmetric_diagonalize_properties():
             vectors.append(vec([GaussRational(Fraction(rng.randint(-2, 2)),
                                               Fraction(rng.randint(-2, 2)))
                                 for _ in range(m)]))
-        out = symmetric_diagonalize(vectors)
+        out = diagonalized(vectors, m)
         for a in range(len(out)):
             va, da = out[a]
             assert dot_bilinear(va, va) == da
@@ -286,7 +291,7 @@ def test_symmetric_diagonalize_cross_only():
     # both self-products vanish, only the cross term is nonzero
     v1 = vec([gr(1), gr(0, 1), gr(0)])
     v2 = vec([gr(1), gr(0, -1), gr(0)])
-    out = symmetric_diagonalize([v1, v2])
+    out = diagonalized([v1, v2], 3)
     assert sum(1 for _, d in out if d != ZERO) == 2
 
 
@@ -435,9 +440,10 @@ def test_maximal_axis_matches_the_seeded_reference():
     for fs in families:
         report = maximal_axis(fs)
         assert report.to_json_dict() == ref_maximal_axis(fs).to_json_dict()
-        K, rad, _ = _isotropic_parts(report.W)
+        K, V, d = _isotropic_parts(report.W)
+        rad = V.nrows - len(d)
         radical += bool(rad)
-        splits += report.certified_dim > K.dim + 2 * len(rad)
+        splits += report.certified_dim > K.dim + 2 * rad
         numeric += report.numeric_dim > 0
     assert min(splits, numeric, radical) > 0, (splits, numeric, radical)
 
@@ -450,7 +456,8 @@ def test_degree2_seeds_lie_in_the_radical_span():
     seeds = 0
     for fs in families + _quadratic_families(rng):
         W = gradient_span(fs)
-        span = ComplexSubspace(W.ambient, _isotropic_parts(W)[1])
+        _, V, d = _isotropic_parts(W)
+        span = ComplexSubspace(W.ambient, V.rows[len(d):])
         for w in ref_isotropic_annihilator_seeds(fs):
             assert span.contains(w)
             seeds += 1
@@ -623,7 +630,7 @@ import sys
 from fractions import Fraction
 from eigenforge import catalog, degree2, holomorphy
 from eigenforge.frames import VariableFrame
-from eigenforge.linalg import Matrix, vec
+from eigenforge.linalg import Matrix
 from eigenforge.poly import Poly
 from eigenforge.scalars import I, ONE, ZERO, scalar
 
@@ -645,7 +652,7 @@ def bad_j(J):
 def non_axis_radical():
     # (1, i) is isotropic but does not annihilate the span of |z|^2
     parts = holomorphy._isotropic_parts
-    holomorphy._isotropic_parts = lambda W: (W.real_annihilator(), [vec([ONE, I])], [])
+    holomorphy._isotropic_parts = lambda W: (W.real_annihilator(), Matrix([[ONE, I]]), [])
     try:
         holomorphy.maximal_axis([z * z.conjugate()])
     finally:
@@ -682,6 +689,18 @@ for case in cases:
     except (AssertionError, ValueError) as exc:
         print(f"fired {type(exc).__name__}:", exc)
 """
+
+
+def test_no_assert_statement_in_the_package():
+    # result guards are explicit raises, which python -O keeps
+    import ast
+    import pathlib
+    package = pathlib.Path(eigenforge.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert len(list(package.rglob("*.py"))) > 10
+    assert found == []
 
 
 def test_result_checks_fire_under_python_O():

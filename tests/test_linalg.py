@@ -13,27 +13,25 @@ import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eigenforge.scalars import GaussRational, I, ONE, ZERO, real_part, scalar
+from eigenforge.scalars import GaussRational, I, ONE, ZERO, scalar
 from eigenforge import linalg
 from eigenforge.linalg import (
     ComplexSubspace,
     Matrix,
     RealSubspace,
     _annihilator,
+    _gram_orthogonal,
     anticommuting,
-    dot_bilinear,
-    dot_hermitian,
-    gram_schmidt_hermitian,
     matrix_from_cols,
     vec,
-    vec_is_zero,
 )
 
-from oracles import (RefRealSubspace, ref_apply, ref_bilinear_annihilator, ref_conj_transpose,
-                     ref_det, ref_eliminate, ref_entrywise, ref_hermitian_complement_within,
-                     ref_intersect,
-                     ref_matmul, ref_orthogonal_complement, ref_real_annihilator, ref_real_points,
-                     ref_rref, ref_sum)
+from oracles import (RefRealSubspace, dot_bilinear, dot_hermitian, ref_apply,
+                     ref_bilinear_annihilator, ref_conj_transpose, ref_det, ref_eliminate,
+                     ref_entrywise, ref_hermitian_complement_within, ref_intersect, ref_matmul,
+                     ref_orthogonal_complement, ref_real_annihilator, ref_real_points, real_part,
+                     ref_gram_schmidt_hermitian, ref_rref, ref_sum, ref_symmetric_diagonalize,
+                     vec_is_zero)
 
 
 def rand_scalar(rng):
@@ -169,7 +167,7 @@ def test_hermitian_complement_within():
 
 def test_gram_schmidt_hermitian():
     vs = [vec([1, 1, 0]), vec([1, 0, 1]), vec([2, 1, 1])]
-    basis = gram_schmidt_hermitian(vs)
+    basis = list(_gram_orthogonal(Matrix(vs), hermitian=True)[0].rows)
     assert len(basis) == 2  # third is dependent
     for a in range(len(basis)):
         for b in range(a + 1, len(basis)):
@@ -751,3 +749,68 @@ def test_each_annihilator_runs_one_elimination(monkeypatch):
         assert len(calls) == 1
     calls.clear()
     assert len(V.basis_matrix.nullspace()) == 2 and len(calls) == 1
+
+
+# -- the Gram routine against the GaussRational references ------------------
+#
+# Rows in C^m (or Q^m) with zero, dependent, isotropic and conjugate rows:
+# an isotropic row w and its conjugate pair only through the cross term
+# w . conj(w) = |w|^2, so a set of such rows forces the bilinear merge.
+
+@st.composite
+def gram_cases(draw):
+    m = draw(st.integers(0, 5))
+    real = draw(st.booleans())
+    entries = st.one_of(st.just(ZERO), st.builds(GaussRational, _small),
+                        *([] if real else [st.builds(GaussRational, _small, _small), _sparse]))
+    kinds = ["free", "zero", "dependent"] + ([] if real else ["isotropic", "conjugate"] * 2)
+    if not real and draw(st.booleans()):
+        kinds = ["isotropic", "conjugate", "zero"]  # isotropic rows and cross terms only
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "dependent" and rows:
+            a, b, c = draw(st.sampled_from(rows)), draw(st.sampled_from(rows)), draw(entries)
+            row = [x + c * y for x, y in zip(a, b)]
+        elif kind == "conjugate" and rows:
+            row = [x.conjugate() for x in draw(st.sampled_from(rows))]
+        elif kind == "isotropic":  # sum c_j (e_2j + i e_2j+1): (c, i c) pairs
+            row = [ZERO] * m
+            for j in range(m // 2):
+                c = draw(entries)
+                row[2 * j], row[2 * j + 1] = c, c * I
+        elif kind == "zero":
+            row = [ZERO] * m
+        else:
+            row = [draw(entries) for _ in range(m)]
+        rows.append(row)
+    return m, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(gram_cases())
+def test_gram_routine_matches_gram_schmidt_and_diagonalization_references(case):
+    m, rows = case
+    U = Matrix(rows, ncols=m)
+    vectors = [vec(r) for r in rows]
+    V, d = _gram_orthogonal(U, hermitian=True)
+    want = ref_gram_schmidt_hermitian(vectors)
+    assert list(V.rows) == want
+    assert d == [dot_hermitian(w, w) for w in want]
+    V, d = _gram_orthogonal(U)
+    want = ref_symmetric_diagonalize(vectors)
+    assert list(V.rows) == [v for v, _ in want]
+    assert d + [ZERO] * (V.nrows - len(d)) == [x for _, x in want]
+    assert all(d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_contains_agrees_with_the_rank_of_the_span_it_would_grow(M, data):
+    m, V = M.ncols, ComplexSubspace(M.ncols, M.rows)
+    sums = [[x + c * y for x, y in zip(a, b)] for a in V.basis for b in M.rows
+            for c in [data.draw(_entries)]]
+    probes = list(M.rows) + sums + data.draw(st.lists(st.lists(_entries, min_size=m, max_size=m),
+                                                      max_size=3))
+    for u in probes:
+        assert V.contains(u) == (ComplexSubspace(m, list(M.rows) + [u]).dim == V.dim)

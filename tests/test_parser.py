@@ -394,3 +394,32 @@ F = (z*u
     fs = parse_family(text)
     z, u = var(fs.frame, "z"), var(fs.frame, "u")
     assert fs.definitions["F"] == z * u + z * z
+
+
+def test_a_digit_that_is_not_decimal_is_an_unexpected_character():
+    with pytest.raises(ParseError) as got:
+        parse_poly("z + ²", MIXED)
+    assert str(got.value) == "unexpected character '²' at line 1, column 5"
+    with pytest.raises(ParseError) as got:
+        parse_poly("z^2 + 1²", MIXED)
+    assert str(got.value) == "unexpected character '²' at line 1, column 8"
+    # a run of decimal digits, of any script, past the limit keeps the digit-limit wording
+    for digit in ("7", "١"):
+        with pytest.raises(ParseError, match="^integer literal has 4301 digits, over the limit of "
+                                             r"4300 at line 1, column 5$"):
+            parse_poly("z + " + digit * 4301, MIXED)
+
+
+def test_literal_powers_are_bounded_before_they_are_computed():
+    for text in ("17^300000*z", "(17*i)^300000*z", "z/17^300000", "(1/17)^300000*z",
+                 "(17 + z - z)^300000", "(17*z^0 + 0*u)^300000", "2^1048577",
+                 "(z + 17^5000)^300", "(17^5000*z^2 + u)^300"):
+        with pytest.raises(ParseError, match="power would have a coefficient of about "
+                                             r"\d+ bits, over the limit of 1048576"):
+            parse_poly(text, MIXED)
+    # the estimate is a lower bound: 2^n needs n + 1 bits, and units and zero stay exact
+    assert parse_poly("2^1048576", MIXED) == Poly.constant(MIXED, 2 ** 1048576)
+    unit = scalar(Fraction(3, 5), Fraction(4, 5))
+    assert parse_poly("((3 + 4i)/5)^40*z", MIXED) == unit ** 40 * var(MIXED, "z")
+    for text in ("1^" + "9" * 40, "i^4000", "(0*z)^" + "9" * 40, "(-1)^" + "9" * 12):
+        assert_parsers_agree(text)

@@ -16,7 +16,7 @@ from eigenforge.scalars import GaussRational, I, ONE, scalar
 from eigenforge.frames import VariableFrame
 from eigenforge.poly import MAX_DEGREE, FrameMismatch, Poly, real_gradient, rename_onto
 
-from oracles import (ref_add, ref_conjugate, ref_degrees, ref_mul, ref_neg, ref_pow,
+from oracles import (ref_add, ref_conjugate, ref_degrees, ref_evaluate, ref_mul, ref_neg, ref_pow,
                      ref_slot_derivative, ref_sub, ref_substitute)
 
 F2 = VariableFrame(("z", "u"), ("t",))
@@ -558,3 +558,23 @@ def test_quadratic_matches_ring_sum_and_reads_back(pairs):
     back = poly.quadratic_pairs(q)
     assert all(s <= u and c for (s, u), c in back.items())
     assert storage(poly.quadratic(F2, back)) == storage(q)
+
+
+# wide coefficients, whose float parts are rounded from long integers
+wide = st.builds(lambda a, b, d: scalar(Fraction(a, d), Fraction(b, d)),
+                 st.integers(-2 ** 80, 2 ** 80), st.integers(-2 ** 80, 2 ** 80),
+                 st.integers(1, 3 ** 50))
+exact_values = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=7), fractional)
+float_values = st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
+
+
+@given(st.dictionaries(monos, st.one_of(coeffs, fractional, wide), max_size=6).map(
+           lambda t: Poly(F2, t)),
+       st.tuples(exact_values, exact_values, st.fractions(-3, 3, max_denominator=7)),
+       st.tuples(float_values, float_values, st.floats(-4, 4)))
+def test_evaluation_from_numerators_matches_the_term_view(p, exact, numeric):
+    point = dict(zip(("z", "u", "t"), exact))
+    assert p.evaluate(point) == ref_evaluate(p, point, False)
+    point = dict(zip(("z", "u", "t"), numeric))
+    got, want = p.evaluate_float(point), ref_evaluate(p, point, True)
+    assert repr(got) == repr(want)  # the same floats, signed zeros included

@@ -11,7 +11,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from eigenforge.linalg import dot_bilinear, dot_hermitian
 from eigenforge.scalars import (
     GaussRational,
     I,
@@ -25,7 +24,7 @@ from eigenforge.scalars import (
     scalar,
     sqrt_in_qi,
 )
-from oracles import RefGauss, ref_format, ref_sum_of_products
+from oracles import RefGauss, dot_bilinear, dot_hermitian, ref_format, ref_sum_of_products
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 scalars = st.builds(GaussRational, rationals, rationals)
