@@ -45,7 +45,8 @@ from .scalars import (GaussRational, ONE, ZERO, as_scalar, common_numerators, fo
 from .frames import VariableFrame
 from .poly import (EXP_BITS, MAX_DEGREE, PRODUCT_LIMIT, FrameMismatch, Poly, _degrees,
                    _derivative, _gauss_mul, _gauss_sum, _nonzero, _reduced, _unpacker,
-                   check_degree, check_products, common_frame, quadratic, slot_axes)
+                   check_degree, check_products, common_frame, quadratic_from_numerators,
+                   slot_axes)
 
 TWO = scalar(2)
 
@@ -175,9 +176,9 @@ def laplacian(f: Poly, P=None) -> Poly:
 
 def norm_squared(frame: VariableFrame) -> Poly:
     "|x|^2 = sum z_j conj(z_j) + sum t_k^2, the frame's radius squared."
-    pairs = {(2 * j, 2 * j + 1): ONE for j in range(frame.n)}
-    pairs.update({(s, s): ONE for s in range(2 * frame.n, frame.m)})
-    return quadratic(frame, pairs)
+    pairs = {(2 * j, 2 * j + 1): (1, 0) for j in range(frame.n)}
+    pairs.update({(s, s): (1, 0) for s in range(2 * frame.n, frame.m)})
+    return quadratic_from_numerators(frame, 1, pairs)
 
 
 # ---------------------------------------------------------------------

@@ -14,28 +14,27 @@ Full eigenpairs {F1, F2} are classified by data
     F2 = P2(z) + z^T A (X w + Y conj(w) + i v t)
 
 with X = (C - vv^T/4) Y^{-1}: the z_i w_l, z_i conj(w_l) and z_i t
-coefficients of F2 are row i of A X, A Y and i A v, built as matrix
-entries by the slot-pair codec poly.quadratic.  With that scaling (note
-the factor i on the t coupling) the construction verifies exactly on
-the standard metric and reproduces the known worked examples;
-kappa(F2, F2) = 0 is equivalent to XY = C - vv^T/4, kappa(F1, F2) = 0
-to antisymmetry of Y.
+coefficients of F2 are row i of A X, A Y and i A v, laid on their slot
+pairs as Gaussian-integer numerators over one denominator (the codec
+poly.quadratic_from_numerators / quadratic_numerators, which also joins
+forms and polynomials).  With that scaling (note the factor i on the t
+coupling) the construction verifies exactly on the standard metric and
+reproduces the known worked examples; kappa(F2, F2) = 0 is equivalent to
+XY = C - vv^T/4, kappa(F1, F2) = 0 to antisymmetry of Y.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import NamedTuple
 
-from .scalars import (GaussRational, I, ZERO, as_scalar, format_ratio, rational_sqrt, scalar,
-                      triple)
+from .scalars import GaussRational, I, ZERO, as_scalar, format_ratio, rational_sqrt, triple
 from .frames import VariableFrame
-from .poly import (Poly, axis_slots, quadratic, quadratic_numerators, quadratic_pairs,
-                   slot_axes)
-from .linalg import (ComplexSubspace, Matrix, RealSubspace, _diagonal, _gram_orthogonal,
-                     _real_rows, _stacked, anticommuting, vec)
+from .poly import Poly, quadratic_from_numerators, quadratic_numerators, slot_axes
+from .linalg import (ComplexSubspace, Matrix, RealSubspace, _annihilator, _gram_orthogonal,
+                     _joined, _real_rows, _row_scaled, _stacked, anticommuting, vec)
 
 
 class Deg2Form(NamedTuple):
@@ -67,17 +66,20 @@ def to_form(p: Poly) -> Deg2Form:
 
 
 def from_form(f: Deg2Form) -> Poly:
-    """x^T A x in the slots: entry A_ab adds c_s c_u A_ab to the pair
-    (s, u) for x_a = sum c_s slot_s and x_b = sum c_u slot_u."""
-    table = axis_slots(f.frame)
-    pairs = {}
-    for a, row in enumerate(f.A.rows):
-        for b, c in enumerate(row):
-            if c:
-                for s, cs in table[a]:
-                    for u, cu in table[b]:
-                        pairs[s, u] = pairs.get((s, u), ZERO) + c * cs * cu
-    return quadratic(f.frame, pairs)
+    """x^T A x in the slots: the pair (s, u) takes entry (s, u) of T^T A T for
+    x = T slot, the inverse of slot_axes: 2 Re z = z + conj(z) and
+    2 Im z = -i z + i conj(z)."""
+    frame, m = f.frame, f.frame.m
+    re, im = [[0] * m for _ in range(m)], [[0] * m for _ in range(m)]
+    for j in range(0, 2 * frame.n, 2):
+        re[j][j] = re[j][j + 1] = 1
+        im[j + 1][j], im[j + 1][j + 1] = -1, 1
+    for t in range(2 * frame.n, m):
+        re[t][t] = 2
+    T = Matrix.from_numerators(re, im, 2, m)
+    P = T.transpose() * f.A * T
+    return quadratic_from_numerators(frame, P.den, {(s, u): (P.re[s][u], P.im[s][u])
+                                                    for s in range(m) for u in range(m)})
 
 
 def _coerce_forms(forms):
@@ -245,20 +247,25 @@ def construct_eigenpair(t: SubspaceType, pd: PolynomialData, td: TwistingData,
     td.validate(t)
     frame = default_frame(t, names)
     n, k = t.n, t.k
-    AX = pd.A * twist_x_matrix(td)
-    AY = pd.A * td.Y
-    iAv = (pd.A * Matrix([td.v], ncols=k).transpose()).scale(I)
-    pairs1 = quadratic_pairs(pd.P1)
-    pairs2 = quadratic_pairs(pd.P2)
-    for i in range(n):
-        for l in range(k):
-            w = 2 * (n + l)  # slot of w_l; conj(w_l) is the next one
-            pairs1[2 * i, w] = pd.A[i, l]
-            pairs2[2 * i, w] = AX[i, l]
-            pairs2[2 * i, w + 1] = AY[i, l]
-        if t.delta:
-            pairs2[2 * i, 2 * (n + k)] = iAv[i, 0]
-    return quadratic(frame, pairs1), quadratic(frame, pairs2)
+    w = 2 * n  # slot of w_1; conj(w_l) follows w_l, and t follows conj(w_k)
+    couplings = [(pd.A * twist_x_matrix(td), w), (pd.A * td.Y, w + 1)]
+    if t.delta:
+        couplings.append(((pd.A * Matrix([td.v], ncols=k).transpose()).scale(I), w + 2 * k))
+    return _coupled(frame, pd.P1, [(pd.A, w)]), _coupled(frame, pd.P2, couplings)
+
+
+def _coupled(frame, P, couplings):
+    """P plus sum_il M_il z_i slot_(s + 2l) over the pairs (M, s) of
+    couplings, all as numerators over one lcm of denominators."""
+    den, pairs = quadratic_numerators(P)
+    L = lcm(den, *(M.den for M, _ in couplings))
+    pairs = {su: (a * (L // den), b * (L // den)) for su, (a, b) in pairs.items()}
+    for M, s in couplings:
+        c = L // M.den
+        for i, (ra, rb) in enumerate(zip(M.re, M.im)):
+            for l, (a, b) in enumerate(zip(ra, rb)):
+                pairs[2 * i, s + 2 * l] = a * c, b * c
+    return quadratic_from_numerators(frame, L, pairs)
 
 
 # ---------------------------------------------------------------------
@@ -285,7 +292,7 @@ class Deg2Decomposition:
 
 
 class _NeedsFloat(Exception):
-    pass
+    "A square root left Q(i); the argument names the step."
 
 
 def _maximal_axis_radical(M1, M2):
@@ -324,34 +331,36 @@ def decompose_eigenpair(F1: Poly, F2: Poly) -> Deg2Decomposition:
 
 
 def _decompose_exact(frame, M1, M2, radical, aniso):
-    """The exact data, or _NeedsFloat when a square root leaves Q(i).  Q M is
-    formed once per form M, for Q the projector onto the axis complement: the
-    couplings 2 (Q M) S^T and the pure complement block (Q M) Q both read it."""
+    """The exact data, or _NeedsFloat(step) when a square root leaves Q(i).
+    For the projector Q = I - B^T B onto the complement of the axis rows B,
+    the couplings 2 Q M S^T are read off n x m factors (see coupling), and
+    the pure complement block (Q M) Q vanishes exactly when Comp M Comp^T
+    does, for the rows Comp of B's annihilator, which span that complement."""
     m = frame.m
     n = radical.nrows
     # the radical rows r_i = u_i + i v_i over D have |u_i| = |v_i| = sqrt(q_i) / D for
     # q_i = a_i . a_i and the real numerators a_i; the rows of U are r_i / |u_i|, the
     # holomorphic selectors c_i = (u_i/|u_i| - i v_i/|v_i|)/2 the rows conj(U)/2 of S
-    scales = []
-    for a in radical.re:
-        root = isqrt(q := sum(x * x for x in a))
-        if root * root != q:
-            raise _NeedsFloat
-        scales.append(Fraction(radical.den, root))
-    U = _diagonal(scales) * radical
-    S = U.conjugate().scale(Fraction(1, 2))
-    # the axis rows Re and Im of U's rows are orthonormal, so B^T B projects onto the axis
-    B = _real_rows(U)
-    Q = Matrix.identity(m) - B.transpose() * B
+    squares = [sum(x * x for x in a) for a in radical.re]
+    if any(isqrt(q) ** 2 != q for q in squares):
+        raise _NeedsFloat("axis norm")
+    U = _row_scaled(radical, [(radical.den, isqrt(q)) for q in squares])
+    Ub, Uh = U.conjugate(), U.scale(Fraction(1, 2))
 
-    # every conj selector must annihilate both forms (holomorphy)
-    if not all((M * S.conj_transpose()).is_zero() for M in (M1, M2)):
+    # every conj selector must annihilate both forms (holomorphy): M conj(S)^T = M U^T / 2
+    if not all((M * U.transpose()).is_zero() for M in (M1, M2)):
         raise AssertionError("axis coordinates are not holomorphic")
 
-    # the couplings xi_i = 2 Q M1 c_i and eta_i = 2 Q M2 c_i, the rows of Xi and Eta
-    QM = [Q * M for M in (M1, M2)]
-    Xi, Eta = ((P * S.transpose()).scale(2).transpose() for P in QM)
-    if not all((P * Q).is_zero() for P in QM):
+    def coupling(M):
+        """(Xi, G): the rows xi_i = 2 Q M c_i, and G = conj(U) M conj(U)^T = 4 S M S^T.
+        As B^T B = (conj(U)^T U + U^T conj(U)) / 2 and M U^T = 0, the rows of Xi
+        are those of conj(U) M Q = W - G U / 2 for W = conj(U) M."""
+        W = Ub * M
+        G = W * Ub.transpose()
+        return W - G * Uh, G
+
+    (Xi, G1), Comp = coupling(M1), _annihilator(_real_rows(U))
+    if not all((Comp * M * Comp.transpose()).is_zero() for M in (M1, M2)):
         raise AssertionError("nonzero pure complement block")
 
     H, norms = _gram_orthogonal(Xi, hermitian=True)
@@ -360,8 +369,8 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
         raise AssertionError("inconsistent subspace type")
     roots = [rational_sqrt(c.re / 2) for c in norms]  # e_j = h_j / root_j has |e_j|^2 = 2
     if any(root is None for root in roots):
-        raise _NeedsFloat
-    E = _diagonal([1 / root for root in roots]) * H
+        raise _NeedsFloat("coupling norm")
+    E = _row_scaled(H, [(root.denominator, root.numerator) for root in roots])
 
     delta = m - 2 * n - 2 * k
     if delta != len(aniso) or delta not in (0, 1):
@@ -374,14 +383,21 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
         d_raw = comp.basis_matrix.re[0]
         root = isqrt(q := sum(x * x for x in d_raw))
         if root * root != q:
-            raise _NeedsFloat
+            raise _NeedsFloat("anisotropic norm")
         d_vec = Matrix.from_numerators([d_raw], [[0] * m], root, m)
         isometry = _stacked(isometry, d_vec)
 
     # phi_j is e_j under the coupling map xi_i -> eta_i, read through any
     # expansion of e_j over the xi_i (the check below fails for every one
-    # when the map is not well defined)
-    Phi = Matrix([Xi.transpose().solve(e) for e in E.rows], ncols=n) * Eta
+    # when the map is not well defined): in the RREF R of [Xi^T | E^T],
+    # row i right of Xi^T holds the weights of xi_p for its pivot column p
+    Eta, G2 = coupling(M2)
+    R, pivots = _joined(Xi.transpose(), E.transpose()).rref()
+    r = len(pivots)
+    weights = Matrix.from_numerators([x[n:] for x in R.re[:r]], [x[n:] for x in R.im[:r]],
+                                     R.den, k)
+    Phi = weights.transpose() * Matrix.from_numerators([Eta.re[p] for p in pivots],
+                                                       [Eta.im[p] for p in pivots], Eta.den, m)
     half = Fraction(1, 2)
     A_mat = (Xi * E.conj_transpose()).scale(half)
     # well-definedness: eta_i must expand through phi of the e-basis
@@ -402,19 +418,31 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
         raise AssertionError("twisting matrix C is not antisymmetric")
 
     zframe = VariableFrame(tuple(f"z{i+1}" for i in range(n)), ())
-    P1 = _z_part(zframe, S, M1)
-    P2 = _z_part(zframe, S, M2)
-
     st = SubspaceType(n, k, delta).validate()
-    pd = PolynomialData(P1, P2, A_mat).validate(st)
+    pd = PolynomialData(_z_part(zframe, G1, 4), _z_part(zframe, G2, 4), A_mat).validate(st)
     td = TwistingData(Y, C, v).validate(st)
     return Deg2Decomposition(st, pd, td, isometry, True)
 
 
-def _z_part(zframe, S, M):
-    "sum_ij (s_j^T M s_i) z_i z_j over the holomorphic selectors s, the rows of S."
-    Z = S * M * S.transpose()
-    return quadratic(zframe, {(2 * i, 2 * j): Z[j, i] for i in range(S.nrows) for j in range(S.nrows)})
+def _z_part(zframe, Z, scale=1):
+    """sum_ij Z_ij z_i z_j / scale for Z = scale S M S^T, whose entries are
+    s_i^T M s_j over the holomorphic selectors s, the rows of S."""
+    n = Z.nrows
+    return quadratic_from_numerators(zframe, scale * Z.den, {
+        (2 * i, 2 * j): (Z.re[i][j], Z.im[i][j]) for i in range(n) for j in range(n)})
+
+
+def _rational_matrix(Mf, antisym=False):
+    """The exact Matrix of the complex float array Mf, each float its integer
+    ratio over one power of two, or its antisymmetric part (M - M^T)/2."""
+    nrows, ncols = Mf.shape
+    ratios = [(float(x.real).as_integer_ratio(), float(x.imag).as_integer_ratio())
+              for x in Mf.flat]
+    den = max((q for pair in ratios for _, q in pair), default=1)
+    nums = [(a * (den // p), b * (den // q)) for (a, p), (b, q) in ratios]
+    M = Matrix.from_numerators(*([[nums[a * ncols + b][part] for b in range(ncols)]
+                                  for a in range(nrows)] for part in (0, 1)), den, ncols)
+    return (M - M.transpose()).scale(Fraction(1, 2)) if antisym else M
 
 
 def _decompose_float(frame, M1, M2, radical, aniso):
@@ -422,24 +450,20 @@ def _decompose_float(frame, M1, M2, radical, aniso):
 
     m = frame.m
     n = radical.nrows
-    M1f = M1.to_float()
-    M2f = M2.to_float()
-    selectors = []
-    axis_rows = []
+    M1f, M2f = M1.to_float(), M2.to_float()
+    selectors, axis_rows = [], []
     for rf in radical.to_float():
         u, v = rf.real, rf.imag
         norm = numpy.linalg.norm(u)
         selectors.append((u - 1j * v) / (2 * norm))
         axis_rows.append(u / norm)
         axis_rows.append(v / norm)
-    P_axis = sum(numpy.outer(row, row) for row in axis_rows)
-    Qp = numpy.eye(m) - P_axis
+    Qp = numpy.eye(m) - sum(numpy.outer(row, row) for row in axis_rows)
 
     xi = [Qp @ (2 * M1f @ c) for c in selectors]
     eta = [Qp @ (2 * M2f @ c) for c in selectors]
 
-    basis = []
-    coeffs = []
+    basis, coeffs = [], []
     for idx, w in enumerate(xi):
         c = numpy.zeros(n, dtype=complex)
         c[idx] = 1.0
@@ -453,8 +477,7 @@ def _decompose_float(frame, M1, M2, radical, aniso):
     k = len(basis)
     if k % 2 != 0 or n < k:
         raise AssertionError("inconsistent subspace type")
-    e_basis = []
-    e_coeffs = []
+    e_basis, e_coeffs = [], []
     for h, c in zip(basis, coeffs):
         inv = numpy.sqrt(2.0) / numpy.linalg.norm(h)
         e_basis.append(h * inv)
@@ -465,12 +488,10 @@ def _decompose_float(frame, M1, M2, radical, aniso):
         raise AssertionError("dimension count disagrees with the anisotropic part")
     d_vec = None
     if delta:
-        used = axis_rows + [e.real for e in e_basis] + [e.imag for e in e_basis]
-        U = numpy.array(used)
         # any unit vector orthogonal to all rows
-        _, _, vh = numpy.linalg.svd(U)
-        d_vec = vh[-1].real
-        d_vec = d_vec / numpy.linalg.norm(d_vec)
+        _, _, vh = numpy.linalg.svd(numpy.array(
+            axis_rows + [e.real for e in e_basis] + [e.imag for e in e_basis]))
+        d_vec = vh[-1].real / numpy.linalg.norm(vh[-1].real)
 
     phi = [sum(c * h for c, h in zip(e_coeffs[j], eta)) for j in range(k)]
     A_f = numpy.array([[numpy.vdot(e_basis[j], xi[i]) / 2 for j in range(k)]
@@ -481,45 +502,23 @@ def _decompose_float(frame, M1, M2, radical, aniso):
                        for j in range(k)]) if k else numpy.zeros((0, 0))
     v_f = numpy.array([-1j * (d_vec @ phi[j]) for j in range(k)]) if delta else numpy.zeros(k, dtype=complex)
 
-    def z_part_f(Mf):
-        P = numpy.zeros((n, n), dtype=complex)
-        for i in range(n):
-            Mi = Mf @ selectors[i]
-            for j in range(n):
-                P[i, j] = selectors[j] @ Mi
-        return P
-
-    P1_f = z_part_f(M1f)
-    P2_f = z_part_f(M2f)
-
-    # rational recovery; Fraction(float) is exact, antisymmetry restored exactly
-    def rat(x):
-        return GaussRational(Fraction(float(numpy.real(x))), Fraction(float(numpy.imag(x))))
-
-    def rat_matrix(Mf, nrows, ncols, antisym=False):
-        rows = [[rat(Mf[a, b]) for b in range(ncols)] for a in range(nrows)]
-        M = Matrix(rows, ncols=ncols)
-        if antisym:
-            M = (M - M.transpose()).scale(scalar(Fraction(1, 2)))
-        return M
-
-    Y = rat_matrix(Y_f, k, k, antisym=True)
-    A_mat = rat_matrix(A_f, n, k)
-    v = tuple(rat(x) for x in v_f)
+    # rational recovery: every float is exactly its integer ratio, antisymmetry restored exactly
+    Y = _rational_matrix(Y_f, antisym=True)
+    A_mat = _rational_matrix(A_f)
+    v = _rational_matrix(v_f.reshape(1, k)).rows[0]
     if delta and not any(v):
         raise AssertionError("delta = 1 needs a nonzero twisting vector")
-    X = rat_matrix(X_f, k, k)
+    X = _rational_matrix(X_f)
     C = X * Y + _outer(v).scale(Fraction(1, 4))
     C = (C - C.transpose()).scale(Fraction(1, 2))
 
     zframe = VariableFrame(tuple(f"z{i+1}" for i in range(n)), ())
-
-    def z_poly(Pf):
-        return quadratic(zframe, {(2 * i, 2 * j): rat(Pf[i, j])
-                                  for i in range(n) for j in range(n)})
+    P1, P2 = (_z_part(zframe, _rational_matrix(numpy.array(
+        [[selectors[j] @ (Mf @ selectors[i]) for j in range(n)] for i in range(n)])))
+        for Mf in (M1f, M2f))
 
     st = SubspaceType(n, k, delta).validate()
-    pd = PolynomialData(z_poly(P1_f), z_poly(P2_f), A_mat).validate(st)
+    pd = PolynomialData(P1, P2, A_mat).validate(st)
     td = TwistingData(Y, C, v).validate(st)
     isometry = numpy.array(axis_rows
                            + [r for e in e_basis for r in (e.real, e.imag)]

@@ -33,7 +33,7 @@ from .frames import VariableFrame
 from .poly import (EXP_BITS, MAX_DEGREE, Poly, _derivative, common_frame, linear_form,
                    slot_axes)
 from .conformality import kappa, laplacian
-from .linalg import ComplexSubspace, Matrix, RealSubspace, _diagonal, _gram_orthogonal
+from .linalg import ComplexSubspace, Matrix, RealSubspace, _gram_orthogonal, _row_scaled
 
 
 def gradient_span(fs) -> ComplexSubspace:
@@ -80,12 +80,12 @@ class ComplexTypeWitness:
         pairs = list(pairs)
         self.ambient = ambient
         self.X, self.Y = X, Y = [Matrix([p[k] for p in pairs], ncols=ambient) for k in (0, 1)]
-        # J = sum (y x^T - x y^T) / |x|^2 over the pairs, the rows x / |x|^2 of N
-        XX = X * X.transpose()
-        N = _diagonal([ONE / XX[j, j] for j in range(X.nrows)]) * X
-        self.J = Y.transpose() * N - N.transpose() * Y
         if not (X.is_real() and Y.is_real()):
             raise ValueError("real subspace needs real entries")
+        # J = sum (y x^T - x y^T) / |x|^2 over the pairs, the rows x / |x|^2 of N
+        XX = X * X.transpose()
+        N = _row_scaled(X, [(XX.den, XX.re[j][j]) for j in range(X.nrows)])
+        self.J = Y.transpose() * N - N.transpose() * Y
         zero = (0,) * ambient
         self.plane_span = RealSubspace._spanned(ambient, [(x, zero) for x in X.re + Y.re])
         self.kernel = self.plane_span.orthogonal_complement()

@@ -293,10 +293,11 @@ def _stacked(*mats):
     return _matrix(re, im, den, mats[0].ncols)
 
 
-def _diagonal(values):
-    "The square diagonal Matrix of the scalars values."
-    n = len(values)
-    return Matrix([[c if i == j else ZERO for j in range(n)] for i, c in enumerate(values)], ncols=n)
+def _row_scaled(M, scales):
+    "Row i of M times p_i / q_i, for the integer pairs (p_i, q_i) of scales, over one lcm."
+    L = lcm(*(q for _, q in scales))
+    re, im = ([[a * p * (L // q) for a in r] for r, (p, q) in zip(P, scales)] for P in (M.re, M.im))
+    return _reduced(re, im, M.den * L, M.ncols)
 
 
 def _sliced(M, lo, hi):

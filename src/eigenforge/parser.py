@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 import sys
 from functools import lru_cache
-from math import lcm, log2
+from math import comb, lcm, log2, prod
 
 from .scalars import as_scalar, format_scalar, format_triple, triple
 from .frames import RESERVED, VariableFrame
@@ -100,13 +100,18 @@ def _lex(text: str, line_no: int):
 # deep, so hostile input is a ParseError and not a RecursionError.
 MAX_NESTING = 100
 
-# A literal power whose coefficient would need more bits than this is a
-# ParseError before it is computed.  The estimate n |log2 |c|| for the
-# coefficient c of the first or the last term (whose n-th power is the
-# coefficient of the first or last term of the power) bounds the
+# A literal power p^n is a ParseError before it is computed when one of
+# its coefficients would need more than MAX_POWER_BITS bits, or all of
+# them more than MAX_POWER_TOTAL_BITS.  The first estimate, n |log2 |c||
+# for the coefficient c of the first or the last term (whose n-th power
+# is the coefficient of the first or last term of p^n), bounds the
 # numerator or denominator of c^n from below, so units such as 1, i and
-# (3 + 4i)/5, and zero, stay exact at any n.
+# (3 + 4i)/5, and zero, stay exact at any n.  The second is the number of
+# terms of p^n (at most C(n + T - 1, T - 1) for T terms of p, and at most
+# the product of n e + 1 over the largest exponent e of each slot) times
+# n log2 of p's largest numerator part or denominator.
 MAX_POWER_BITS = 1 << 20
+MAX_POWER_TOTAL_BITS = 1 << 23
 
 
 def _degree(t) -> int:
@@ -204,20 +209,29 @@ class _ExprParser:
         return self.product(p, (d * a, -d * b, a * a + b * b, 0))
 
     def power(self, p, tok):
-        "p^n for the exponent token tok; degree and MAX_POWER_BITS are checked before it multiplies."
+        "p^n for the exponent token tok; degree and both bit bounds are checked before it multiplies."
         n = tok[1]
         if type(p) is tuple:
             a, b, d, key = p
-            ends = [(a, b)] if a or b else []
-        else:  # the n-th powers of its first and last terms are the first and last of p^n
-            ends = [p.nums[k] for k in {min(p.nums), max(p.nums)}] if p.nums else []
-            d, key = p.den, None
-        if ends:
+            nums = {key: (a, b)} if a or b else {}
+        else:
+            nums, d, key = p.nums, p.den, None
+        if nums:  # the n-th powers of the first and last terms are the first and last of p^n
             check_degree((_degree(p) if key is not None else p.degree()) * n, "power")
-            bits = n * max(abs(log2(x * x + y * y) / 2 - log2(d)) for x, y in ends)
+            ends = [nums[k] for k in {min(nums), max(nums)}]
+            big = min(n, 1 << 900)  # past any bound, and a float: units stay exact at any n
+            bits = big * max(abs(log2(x * x + y * y) / 2 - log2(d)) for x, y in ends)
             if bits > MAX_POWER_BITS:
                 self.fail(f"power would have a coefficient of about {round(bits)} bits, over the "
                           f"limit of {MAX_POWER_BITS}", tok)
+            tops = map(max, zip(*map(_unpacker(self.frame.num_slots), nums)))
+            # past the limit, the bits of a size of 2 or more are at least the terms
+            terms = min(comb(n + len(nums) - 1, len(nums) - 1), prod(n * e + 1 for e in tops),
+                        MAX_POWER_TOTAL_BITS + 1)
+            bits = terms * big * log2(max(d, *(max(abs(x), abs(y)) for x, y in nums.values())))
+            if bits > MAX_POWER_TOTAL_BITS:
+                self.fail(f"power would have coefficients of about {round(bits)} bits in all, over "
+                          f"the limit of {MAX_POWER_TOTAL_BITS}", tok)
         if key is not None and not b:  # a real coefficient: one power per integer
             return (a ** n, 0, d ** n if a else 1, key * n)  # 0 ** 0 = 1; a zero's d stays
         return _as_poly(self.frame, p) ** n

@@ -16,12 +16,13 @@ the z and conj(z) fields), substitution and the conformality bracket
 all run on this form, and so do the parser, the printer, the defect
 family and evaluation; `terms`, a read-only view {exponent tuple:
 GaussRational} built on first use, is kept for readers outside the
-package.  The quadratic
-codec `quadratic` / `quadratic_pairs` maps {(s, u): c} slot pairs to sum c slot_s slot_u
-and back; `quadratic_numerators` reads the pairs as Gaussian-integer
-numerators over the polynomial's denominator.  A product whose degree
-would pass MAX_DEGREE, or whose term products would pass
-PRODUCT_LIMIT, raises ValueError before it multiplies.
+package.  The quadratic codec maps slot pairs {(s, u): (a, b)} of
+Gaussian-integer numerators over a denominator to sum (a + b i)
+slot_s slot_u and back (`quadratic_from_numerators` /
+`quadratic_numerators`), reading each pair off its key's top bits with
+no unpacking.  A product whose degree would pass MAX_DEGREE, or whose
+term products would pass PRODUCT_LIMIT, raises ValueError before it
+multiplies.
 
 Conjugate variables are ordinary slots, so p is holomorphic in z
 exactly when no term touches the conj(z) slot.  The real gradient
@@ -32,7 +33,6 @@ No normalization or floating point happens here.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm, prod
@@ -41,7 +41,7 @@ from types import MappingProxyType
 
 from .frames import VariableFrame
 from .scalars import (GaussRational, ZERO, ONE, I, as_scalar, common_numerators, from_triple,
-                      scalar, triple)
+                      triple)
 
 # Bits per slot exponent (one unsigned short, so that struct converts
 # packed monomials to exponent tuples), and the largest total degree.
@@ -461,14 +461,13 @@ def linear_form(frame, coeffs, den) -> Poly:
     return _reduced(frame, _nonzero({1 << s * EXP_BITS: ab for s, ab in enumerate(coeffs)}), den)
 
 
-def quadratic(frame, pairs) -> Poly:
-    """sum c slot_s slot_u over a {(s, u): c} dict of scalars, built in one
-    pass over a common denominator: (s, u) and (u, s) add up, and pairs
-    that cancel drop out."""
-    width = frame.num_slots
-    den, nums = common_numerators(map(scalar, pairs.values()))
-    acc = {}
-    for (s, u), (a, b) in zip(pairs, nums):
+def quadratic_from_numerators(frame, den, pairs) -> Poly:
+    """sum (a + b i) slot_s slot_u / den over a {(s, u): (a, b)} dict of
+    Gaussian-integer numerators and an integer den > 0, the inverse of
+    quadratic_numerators: (s, u) and (u, s) add up, and pairs that cancel
+    drop out."""
+    width, acc = frame.num_slots, {}
+    for (s, u), (a, b) in pairs.items():
         if not (0 <= s < width and 0 <= u < width):
             raise ValueError(f"slot pair {(s, u)} is outside a frame of {width} slots")
         ab = acc.setdefault((1 << s * EXP_BITS) + (1 << u * EXP_BITS), [0, 0])
@@ -479,20 +478,16 @@ def quadratic(frame, pairs) -> Poly:
 
 def quadratic_numerators(p: Poly):
     """(den, {(s, u): (a, b)}), s <= u, of a homogeneous quadratic
-    p = sum (a + b i) slot_s slot_u / den."""
-    unpack, out = _unpacker(p.frame.num_slots), {}
+    p = sum (a + b i) slot_s slot_u / den.  A key of total degree 2 (its
+    residue modulo MAX_DEGREE) is 2^(EXP_BITS s) + 2^(EXP_BITS u), so its
+    top bit names u and the top bit of the rest names s."""
+    out = {}
     for key, ab in p.nums.items():
-        pair = tuple(s for s, e in enumerate(unpack(key)) for _ in range(e))
-        if len(pair) != 2:
+        if key % MAX_DEGREE != 2:
             raise ValueError("quadratic form needs a homogeneous degree-2 polynomial")
-        out[pair] = ab
+        u = (key.bit_length() - 1) // EXP_BITS
+        out[((key - (1 << u * EXP_BITS)).bit_length() - 1) // EXP_BITS, u] = ab
     return p.den, out
-
-
-def quadratic_pairs(p: Poly) -> dict:
-    "The {(s, u): c} dict, s <= u, of a homogeneous quadratic p = sum c slot_s slot_u."
-    den, nums = quadratic_numerators(p)
-    return {pair: from_triple(a, b, den) for pair, (a, b) in nums.items()}
 
 
 def _gauss_sum(parts):
@@ -629,23 +624,6 @@ def slot_axes(frame: VariableFrame) -> list:
     for j in range(frame.n):
         out.append(((2 * j, ONE), (2 * j + 1, I)))
         out.append(((2 * j, ONE), (2 * j + 1, -I)))
-    for k in range(frame.r):
-        out.append(((2 * frame.n + k, ONE),))
-    return out
-
-
-_HALF = GaussRational(Fraction(1, 2))
-_HALF_I = GaussRational(0, Fraction(1, 2))
-
-
-def axis_slots(frame: VariableFrame) -> list:
-    """The inverse of slot_axes: entry a lists the pairs (s, c) with
-    x_a = sum c slot_s, from Re z = (z + conj(z))/2 and
-    Im z = (z - conj(z))/(2i)."""
-    out = []
-    for j in range(frame.n):
-        out.append(((2 * j, _HALF), (2 * j + 1, _HALF)))
-        out.append(((2 * j, -_HALF_I), (2 * j + 1, _HALF_I)))
     for k in range(frame.r):
         out.append(((2 * frame.n + k, ONE),))
     return out

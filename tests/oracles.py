@@ -7,7 +7,10 @@ diagonalization), polynomial arithmetic on the
 keys, evaluation term by term, and on top of it the real-gradient forms of the projected
 bracket, projected Laplacian and degree-2 matrix, the bracket,
 Laplacian and family verification, the substitution and isometry
-pull-back, the degree-2 builders in Poly ring arithmetic, a real subspace that stores its basis as Fraction tuples,
+pull-back, the degree-2 builders in Poly ring arithmetic (with the
+scalar slot-pair codec and the axis table they read), the exact degree-2
+decomposition through the m x m axis projector, a real subspace that
+stores its basis as Fraction tuples,
 the per-entry matrix product, entrywise operations, matrix-vector
 product, conjugate transpose, row reduction and determinant, the
 fraction-free elimination with Gaussian updates only, the
@@ -25,18 +28,23 @@ view."""
 
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from eigenforge.conformality import EigenData, FamilyReport, _family_degree, _slot_form
-from eigenforge.degree2 import _coerce_forms, default_frame, is_eigenfamily_deg2, twist_x_matrix
+from eigenforge.degree2 import (Deg2Decomposition, PolynomialData, SubspaceType, TwistingData,
+                               _NeedsFloat, _coerce_forms, _outer, default_frame,
+                               is_eigenfamily_deg2, twist_x_matrix)
+from eigenforge.frames import VariableFrame
 from eigenforge.holomorphy import AxisReport, _as_real_subspace, _numeric_extension, gradient_span
-from eigenforge.linalg import (ComplexSubspace, Matrix, RealSubspace, _check_ambient, _joined,
-                               _sliced, vec)
-from eigenforge.poly import (FrameMismatch, Poly, _unpacker, axis_slots, common_frame,
-                            mono_order_key, real_gradient, slot_axes)
+from eigenforge.linalg import (ComplexSubspace, Matrix, RealSubspace, _check_ambient,
+                               _gram_orthogonal, _joined, _real_rows, _sliced, _stacked, vec)
+from eigenforge.poly import (FrameMismatch, Poly, _unpacker, common_frame, mono_order_key,
+                            quadratic_from_numerators, quadratic_numerators, real_gradient,
+                            slot_axes)
 from eigenforge.parser import MAX_NESTING, ParseError
-from eigenforge.scalars import ONE, ZERO, GaussRational, I, _reduce, as_scalar, scalar, sqrt_in_qi
+from eigenforge.scalars import (ONE, ZERO, GaussRational, I, _reduce, as_scalar,
+                               common_numerators, rational_sqrt, scalar, sqrt_in_qi)
 
 
 def axis_shift(point, frame, axis, delta):
@@ -489,7 +497,38 @@ def ref_to_form(p):
 #
 # from_form and construct_eigenpair as sums and products of Poly, one
 # per matrix entry and a substitution per lifted member: the loops the
-# slot-pair codec poly.quadratic replaced.
+# slot-pair codec replaced.  The codec on scalars (quadratic and
+# quadratic_pairs) and the axis table of scalars (axis_slots) are what
+# the package ran before the degree-2 paths kept integer numerators.
+
+
+_HALF = GaussRational(Fraction(1, 2))
+_HALF_I = GaussRational(0, Fraction(1, 2))
+
+
+def axis_slots(frame):
+    """The inverse of poly.slot_axes: entry a lists the pairs (s, c) with
+    x_a = sum c slot_s, from Re z = (z + conj(z))/2 and
+    Im z = (z - conj(z))/(2i)."""
+    out = []
+    for j in range(frame.n):
+        out.append(((2 * j, _HALF), (2 * j + 1, _HALF)))
+        out.append(((2 * j, -_HALF_I), (2 * j + 1, _HALF_I)))
+    for k in range(frame.r):
+        out.append(((2 * frame.n + k, ONE),))
+    return out
+
+
+def quadratic(frame, pairs):
+    "sum c slot_s slot_u over a {(s, u): c} dict of scalars, as numerators over their lcm."
+    den, nums = common_numerators(map(scalar, pairs.values()))
+    return quadratic_from_numerators(frame, den, dict(zip(pairs, nums)))
+
+
+def quadratic_pairs(p):
+    "The {(s, u): c} dict, s <= u, of a homogeneous quadratic p = sum c slot_s slot_u."
+    den, nums = quadratic_numerators(p)
+    return {pair: GaussRational(Fraction(a, den), Fraction(b, den)) for pair, (a, b) in nums.items()}
 
 
 def axis_polynomials(frame):
@@ -545,6 +584,91 @@ def ref_construct_eigenpair(t, pd, td, names=None):
             twist = twist + I * td.v[j] * t_poly
             F2 = F2 + a * z[i] * twist
     return F1, F2
+
+
+# -- the exact degree-2 tail through the axis projector ------------------------
+#
+# _decompose_exact as it ran before it read the couplings off thin
+# factors: the m x m projector Q = I - B^T B onto the axis complement,
+# the couplings 2 (Q M) S^T, the pure complement block (Q M) Q, diagonal
+# scalings as matrix products, and one solve per e-row for Phi.  It must
+# return the same data, or raise _NeedsFloat at the same step.
+
+
+def _ref_diagonal(values):
+    n = len(values)
+    return Matrix([[c if i == j else ZERO for j in range(n)] for i, c in enumerate(values)], ncols=n)
+
+
+def ref_decompose_exact(frame, M1, M2, radical, aniso):
+    "The exact data of a full eigenpair with forms M1, M2, through the m x m projector."
+    m = frame.m
+    n = radical.nrows
+    scales = []
+    for a in radical.re:
+        root = isqrt(q := sum(x * x for x in a))
+        if root * root != q:
+            raise _NeedsFloat("axis norm")
+        scales.append(Fraction(radical.den, root))
+    U = _ref_diagonal(scales) * radical
+    S = U.conjugate().scale(Fraction(1, 2))
+    B = _real_rows(U)
+    Q = Matrix.identity(m) - B.transpose() * B
+    if not all((M * S.conj_transpose()).is_zero() for M in (M1, M2)):
+        raise AssertionError("axis coordinates are not holomorphic")
+    QM = [Q * M for M in (M1, M2)]
+    Xi, Eta = ((P * S.transpose()).scale(2).transpose() for P in QM)
+    if not all((P * Q).is_zero() for P in QM):
+        raise AssertionError("nonzero pure complement block")
+    H, norms = _gram_orthogonal(Xi, hermitian=True)
+    k = H.nrows
+    if k % 2 != 0 or n < k:
+        raise AssertionError("inconsistent subspace type")
+    roots = [rational_sqrt(c.re / 2) for c in norms]
+    if any(root is None for root in roots):
+        raise _NeedsFloat("coupling norm")
+    E = _ref_diagonal([1 / root for root in roots]) * H
+    delta = m - 2 * n - 2 * k
+    if delta != len(aniso) or delta not in (0, 1):
+        raise AssertionError("dimension count disagrees with the anisotropic part")
+    isometry = _real_rows(_stacked(U, E))
+    if delta:
+        comp = RealSubspace._spanned(m, zip(isometry.re, isometry.im)).orthogonal_complement()
+        if comp.dim != 1:
+            raise AssertionError("anisotropic complement is not a line")
+        d_raw = comp.basis_matrix.re[0]
+        root = isqrt(q := sum(x * x for x in d_raw))
+        if root * root != q:
+            raise _NeedsFloat("anisotropic norm")
+        d_vec = Matrix.from_numerators([d_raw], [[0] * m], root, m)
+        isometry = _stacked(isometry, d_vec)
+    Phi = Matrix([Xi.transpose().solve(e) for e in E.rows], ncols=n) * Eta
+    half = Fraction(1, 2)
+    A_mat = (Xi * E.conj_transpose()).scale(half)
+    if A_mat * Phi != Eta:
+        raise AssertionError("coupling map is not well defined")
+    X = (Phi * E.conj_transpose()).scale(half)
+    Y = (Phi * E.transpose()).scale(half)
+    v = (Phi * d_vec.transpose()).scale(-I).col(0) if delta else (ZERO,) * k
+    if not Y.is_antisymmetric():
+        raise AssertionError("coupling map is not antisymmetric")
+    if k and Y.is_zero():
+        raise AssertionError("twisting matrix is zero")
+    if k and Y.det() == ZERO:
+        raise AssertionError("twisting matrix is singular")
+    C = X * Y + _outer(v).scale(Fraction(1, 4))
+    if not C.is_antisymmetric():
+        raise AssertionError("twisting matrix C is not antisymmetric")
+    zframe = VariableFrame(tuple(f"z{i+1}" for i in range(n)), ())
+
+    def z_part(M):
+        Z = S * M * S.transpose()
+        return quadratic(zframe, {(2 * i, 2 * j): Z[j, i] for i in range(n) for j in range(n)})
+
+    st = SubspaceType(n, k, delta).validate()
+    pd = PolynomialData(z_part(M1), z_part(M2), A_mat).validate(st)
+    td = TwistingData(Y, C, v).validate(st)
+    return Deg2Decomposition(st, pd, td, isometry, True)
 
 
 # -- term-by-term bracket and Laplacian ---------------------------------------

@@ -795,3 +795,17 @@ def test_a_literal_power_past_the_bit_limit_exits_two(tmp_path):
         assert ("power would have a coefficient of about 1226239 bits, over the limit of "
                 "1048576") in err
         assert "Traceback" not in err
+
+
+def test_a_literal_power_past_the_total_bit_limit_exits_two(tmp_path):
+    p = tmp_path / "big.efam"
+    p.write_text("family big\nframe complex z\nF1 = (z + 17^1000)^100\n")
+    for extra in ([], ["--json"]):
+        start = time.perf_counter()
+        code, out, err = run(["verify", p] + extra)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert ("power would have coefficients of about 41283375 bits in all, over the limit "
+                "of 8388608") in err
+        assert "Traceback" not in err
+

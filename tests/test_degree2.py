@@ -1,17 +1,21 @@
 """Quadratic families: form extraction, the anticommutation criterion,
 axis search, and the construct/decompose correspondence."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eigenforge.frames import VariableFrame
 from eigenforge.poly import Poly
 from eigenforge.scalars import GaussRational, ZERO, ONE, scalar
-from eigenforge.linalg import Matrix, cayley_orthogonal, vec
+from eigenforge.linalg import Matrix, _annihilator, _real_rows, cayley_orthogonal, vec
 from eigenforge.conformality import verify_flat_family, kappa
 from eigenforge.holomorphy import apply_real_isometry, is_uniformly_complex_type
+from eigenforge import degree2
 from eigenforge.degree2 import (
     Deg2Form,
     PolynomialData,
@@ -31,7 +35,8 @@ from eigenforge.degree2 import (
 )
 
 from oracles import (dot_bilinear, ref_annihilating_product, ref_construct_eigenpair,
-                     ref_find_axis_deg2, ref_from_form, ref_to_form, vec_is_zero)
+                     ref_decompose_exact, ref_find_axis_deg2, ref_from_form, ref_to_form,
+                     vec_is_zero)
 
 C1 = VariableFrame(("z",), ())
 R2 = VariableFrame((), ("x", "t"))
@@ -275,10 +280,10 @@ def rand_gauss(rng, span=2, den=3):
                          Fraction(rng.randint(-span, span), rng.randint(1, den)))
 
 
-def rand_data(rng, n_max=4, k=None):
+def rand_data(rng, n_max=4, k=None, n=None, delta=None):
     k = rng.choice([0, 2]) if k is None else k
-    n = rng.randint(max(k, 1), n_max)
-    delta = rng.choice([0, 1]) if k else 0
+    n = rng.randint(max(k, 1), n_max) if n is None else n
+    delta = (rng.choice([0, 1]) if k else 0) if delta is None else delta
     t = SubspaceType(n, k, delta)
     zf = VariableFrame(tuple(f"z{i+1}" for i in range(n)), ())
     zs = [Poly.variable(zf, name) for name in zf.complex_names]
@@ -409,6 +414,114 @@ def test_decompose_round_trip_rotated():
                               T.T @ to_form(R2).A.to_float() @ T])
         assert numpy.linalg.norm(orig - rec) < 1e-8
         done += 1
+
+
+# SHA-256 over the printed data, the tail taken and the isometry of 96
+# seeded decompositions (every third pair under a Cayley rotation), and
+# the messages of the pairs it refuses on the way; any change to what
+# decompose_eigenpair returns changes it
+DECOMPOSITION_DIGEST = "e55f4c1fc33453ad65eef3af3047a74ed3cd3bc885f8e355bbae32eeaead1019"
+
+
+def decomposition_digest(count=96):
+    rng = random.Random(96)
+    h, tails = hashlib.sha256(), []
+    while len(tails) < count:
+        F1, F2 = construct_eigenpair(*rand_data(rng))
+        if len(tails) % 3 == 2:
+            F1, F2 = rotated(F1, F2, rng)[:2]
+        try:
+            dec = decompose_eigenpair(F1, F2)
+        except ValueError as e:  # a zero member, or a pair that is not full
+            h.update(str(e).encode())
+            continue
+        data = data_to_json_dict(dec.subspace_type, dec.poly_data, dec.twist_data)
+        h.update(json.dumps(data, sort_keys=True).encode())
+        h.update(b"exact" if dec.exact else b"float")
+        iso = dec.isometry
+        h.update(repr((iso.den, iso.re, iso.im) if dec.exact else iso.shape).encode())
+        if not dec.exact:
+            h.update(iso.tobytes())
+        tails.append(dec.exact)
+    return h.hexdigest(), tails
+
+
+def test_decompositions_are_byte_identical_to_the_recorded_digest():
+    digest, tails = decomposition_digest()
+    assert True in tails and False in tails
+    assert digest == DECOMPOSITION_DIGEST
+
+
+# every subspace type (n, k, delta) with n <= 4 and k in {0, 2}
+TYPES = [(n, k, delta) for n in range(1, 5) for k in (0, 2) if k <= n
+         for delta in ((0, 1) if k else (0,))]
+
+
+def exact_tail_inputs(t, seed, rotate):
+    """(frame, M1, M2, radical, aniso) of a constructed pair of type t, or
+    None when the pair is not full (a zero member, say)."""
+    rng = random.Random(seed)
+    F1, F2 = construct_eigenpair(*rand_data(rng, k=t[1], n=t[0], delta=t[2]))
+    if rotate:
+        F1, F2 = rotated(F1, F2, rng)[:2]
+    if F1 == 0 or F2 == 0:
+        return None
+    M1, M2 = to_form(F1).A, to_form(F2).A
+    try:
+        radical, aniso = degree2._maximal_axis_radical(M1, M2)
+    except ValueError:
+        return None
+    return F1.frame, M1, M2, radical, aniso
+
+
+def tail_outcome(tail, *args):
+    "The data a tail returns, or the type and message of what it raises."
+    try:
+        dec = tail(*args)
+    except (degree2._NeedsFloat, AssertionError) as exc:
+        return type(exc).__name__, exc.args
+    return (dec.subspace_type, dec.poly_data, dec.twist_data, dec.isometry, dec.exact)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(TYPES), st.integers(0, 2 ** 32), st.booleans())
+def test_exact_tail_matches_the_projector_reference(t, seed, rotate):
+    args = exact_tail_inputs(t, seed, rotate)
+    if args is None:
+        return
+    got = tail_outcome(degree2._decompose_exact, *args)
+    assert got == tail_outcome(ref_decompose_exact, *args)
+    if got[0] != "_NeedsFloat":  # no guard fires on a constructed pair
+        assert got[0] == SubspaceType(*t) and got[4] is True
+
+
+def test_both_exact_tails_reject_a_planted_pure_complement_block():
+    # N = C^T Z C, for rows C spanning the axis complement, keeps M1 + N
+    # holomorphic in the axis coordinates (C U^T = 0) and is its own pure
+    # complement block
+    rng, rejected = random.Random(97), 0
+    for _ in range(40):
+        t = rng.choice([t for t in TYPES if t[1] or t[2]])
+        args = exact_tail_inputs(t, rng.randrange(2 ** 32), False)
+        if args is None:
+            continue
+        frame, M1, M2, radical, aniso = args
+        if tail_outcome(degree2._decompose_exact, *args) == ("_NeedsFloat", ("axis norm",)):
+            continue  # the check comes after the axis norms
+        C = _annihilator(_real_rows(radical))  # the axis rows are Re and Im of radical's, scaled
+        c = C.nrows
+        Z = Matrix([[rand_gauss(rng) if a <= b else ZERO for b in range(c)] for a in range(c)],
+                   ncols=c)
+        Z = Z + Z.transpose()
+        if Z.is_zero():
+            continue
+        N = C.transpose() * Z * C
+        for M1x, M2x in ((M1 + N, M2), (M1, M2 + N)):
+            for tail in (degree2._decompose_exact, ref_decompose_exact):
+                assert tail_outcome(tail, frame, M1x, M2x, radical, aniso) == \
+                    ("AssertionError", ("nonzero pure complement block",))
+        rejected += 1
+    assert rejected >= 10
 
 
 def test_decompose_rejects_bad_input():

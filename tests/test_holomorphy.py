@@ -112,6 +112,15 @@ def test_complex_type_mixed_false():
     assert witness is None
 
 
+def test_complex_type_witness_from_fractional_pairs():
+    # J x = y for x = (1/2, 0), y = (0, 1/2): rows x / |x|^2 read the Gram denominator
+    from eigenforge.holomorphy import ComplexTypeWitness
+    half = Fraction(1, 2)
+    w = ComplexTypeWitness(2, [((half, 0), (0, half))])
+    assert w.J == Matrix([[ZERO, -ONE], [ONE, ZERO]])
+    assert w.check()
+
+
 def test_complex_type_witness_rotates_differentials():
     # dF(Jv) = i dF(v) for every direction v, checked at random points
     rng = random.Random(17)

@@ -1,6 +1,7 @@
 """Lexer, expression grammar, family files, canonical round trips."""
 
 import random
+import time
 import re
 from fractions import Fraction
 
@@ -423,3 +424,25 @@ def test_literal_powers_are_bounded_before_they_are_computed():
     assert parse_poly("((3 + 4i)/5)^40*z", MIXED) == unit ** 40 * var(MIXED, "z")
     for text in ("1^" + "9" * 40, "i^4000", "(0*z)^" + "9" * 40, "(-1)^" + "9" * 12):
         assert_parsers_agree(text)
+
+
+def test_literal_powers_are_bounded_in_total_size():
+    # each coefficient of (z + 17^1000)^100 is under MAX_POWER_BITS, but the
+    # 101 of them would take about 4 * 10^7 bits: refused before it multiplies
+    for text in ("(z + 17^1000)^100", "(17^1000*z + u)^100", "(z + u/17^1000)^60",
+                 "(z + u + 17^300)^100"):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=r"power would have coefficients of about \d+ bits in "
+                                             r"all, over the limit of 8388608"):
+            parse_poly(text, MIXED)
+        assert time.perf_counter() - start < 0.5
+    # small coefficients stay cheap however many terms the power has
+    for text in ("(z + 17^1000)^20", "(z + 2*conj(z))^300", "(z + u + t)^40", "(3*z + i/5)^500"):
+        assert_parsers_agree(text)
+    # exponents past the float range: units stay exact, anything else is refused
+    for text in ("1^" + "9" * 400, "i^" + "9" * 400, "(-1)^" + "9" * 400 + "*z"):
+        assert_parsers_agree(text)
+    for text in ("2^" + "9" * 400, "(2 + z - z)^" + "9" * 400):
+        with pytest.raises(ParseError, match="power would have a coefficient of about"):
+            parse_poly(text, MIXED)
+

@@ -16,8 +16,8 @@ from eigenforge.scalars import GaussRational, I, ONE, scalar
 from eigenforge.frames import VariableFrame
 from eigenforge.poly import MAX_DEGREE, FrameMismatch, Poly, real_gradient, rename_onto
 
-from oracles import (ref_add, ref_conjugate, ref_degrees, ref_evaluate, ref_mul, ref_neg, ref_pow,
-                     ref_slot_derivative, ref_sub, ref_substitute)
+from oracles import (quadratic, quadratic_pairs, ref_add, ref_conjugate, ref_degrees, ref_evaluate,
+                     ref_mul, ref_neg, ref_pow, ref_slot_derivative, ref_sub, ref_substitute)
 
 F2 = VariableFrame(("z", "u"), ("t",))
 
@@ -481,9 +481,11 @@ def test_substitute_rejects_image_on_another_frame():
 
 # -- the slot-pair codec for quadratic forms ---------------------------------
 #
-# quadratic builds sum c slot_s slot_u straight into packed storage; it must
-# store exactly what the ring operations store for the same sum, and
-# quadratic_pairs must read the pairs back.
+# quadratic_from_numerators (through the scalar quadratic oracle) builds
+# sum c slot_s slot_u straight into packed storage; it must store exactly
+# what the ring operations store for the same sum, and
+# quadratic_numerators (through the quadratic_pairs oracle) must read the
+# pairs back.
 
 def slot_polys(frame):
     "Slot s of the frame as a polynomial, in slot order."
@@ -508,42 +510,42 @@ def storage(p):
 def test_quadratic_diagonal_merged_and_real_slots():
     z, zb, u, ub, t = slot_polys(F2)
     c = scalar(Fraction(2, 3), -1)
-    assert storage(poly.quadratic(F2, {(0, 0): c})) == storage(c * z * z)
+    assert storage(quadratic(F2, {(0, 0): c})) == storage(c * z * z)
     # (s, u) and (u, s) add up
-    q = poly.quadratic(F2, {(0, 2): Fraction(1, 2), (2, 0): I, (1, 1): 3})
+    q = quadratic(F2, {(0, 2): Fraction(1, 2), (2, 0): I, (1, 1): 3})
     assert storage(q) == storage((Fraction(1, 2) + I) * z * u + 3 * zb * zb)
     # real slots, on their own and paired with complex ones
-    q = poly.quadratic(F2, {(4, 4): Fraction(1, 4), (3, 4): -I, (4, 0): 2})
+    q = quadratic(F2, {(4, 4): Fraction(1, 4), (3, 4): -I, (4, 0): 2})
     assert storage(q) == storage(Fraction(1, 4) * t * t - I * ub * t + 2 * z * t)
     real = VariableFrame((), ("x", "y"))
     x, y = slot_polys(real)
-    assert storage(poly.quadratic(real, {(0, 1): 6, (1, 0): -4, (1, 1): 1})) == \
+    assert storage(quadratic(real, {(0, 1): 6, (1, 0): -4, (1, 1): 1})) == \
         storage(2 * x * y + y * y)
-    assert poly.quadratic_pairs(2 * x * y + y * y) == {(0, 1): scalar(2), (1, 1): ONE}
+    assert quadratic_pairs(2 * x * y + y * y) == {(0, 1): scalar(2), (1, 1): ONE}
 
 
 def test_quadratic_cancellation_and_empty():
     zero = storage(Poly.zero(F2))
-    assert storage(poly.quadratic(F2, {})) == zero
-    assert storage(poly.quadratic(F2, {(0, 1): Fraction(1, 3), (1, 0): Fraction(-1, 3)})) == zero
-    assert storage(poly.quadratic(F2, {(2, 2): 0})) == zero
+    assert storage(quadratic(F2, {})) == zero
+    assert storage(quadratic(F2, {(0, 1): Fraction(1, 3), (1, 0): Fraction(-1, 3)})) == zero
+    assert storage(quadratic(F2, {(2, 2): 0})) == zero
     # a partial cancellation leaves the content divided out
-    q = poly.quadratic(F2, {(0, 1): Fraction(1, 6), (1, 0): Fraction(1, 3), (2, 3): Fraction(1, 2),
+    q = quadratic(F2, {(0, 1): Fraction(1, 6), (1, 0): Fraction(1, 3), (2, 3): Fraction(1, 2),
                             (3, 2): Fraction(-1, 2)})
     assert storage(q) == storage(Fraction(1, 2) * zvar("z") * zbar("z"))
-    assert poly.quadratic_pairs(Poly.zero(F2)) == {}
+    assert quadratic_pairs(Poly.zero(F2)) == {}
 
 
 def test_quadratic_rejects_bad_input():
     with pytest.raises(ValueError):
-        poly.quadratic(F2, {(0, F2.num_slots): 1})
+        quadratic(F2, {(0, F2.num_slots): 1})
     with pytest.raises(ValueError):
-        poly.quadratic(F2, {(-1, 0): 1})
+        quadratic(F2, {(-1, 0): 1})
     with pytest.raises(TypeError):
-        poly.quadratic(F2, {(0, 0): 0.5})
+        quadratic(F2, {(0, 0): 0.5})
     for p in (zvar("z"), zvar("z") ** 3, zvar("z") ** 2 + 1, Poly.constant(F2, 2)):
         with pytest.raises(ValueError):
-            poly.quadratic_pairs(p)
+            quadratic_pairs(p)
 
 
 pair_dicts = st.dictionaries(st.tuples(st.integers(0, F2.num_slots - 1),
@@ -553,11 +555,12 @@ pair_dicts = st.dictionaries(st.tuples(st.integers(0, F2.num_slots - 1),
 
 @given(pair_dicts)
 def test_quadratic_matches_ring_sum_and_reads_back(pairs):
-    q = poly.quadratic(F2, pairs)
+    q = quadratic(F2, pairs)
     assert storage(q) == storage(ring_quadratic(F2, pairs))
-    back = poly.quadratic_pairs(q)
+    back = quadratic_pairs(q)
     assert all(s <= u and c for (s, u), c in back.items())
-    assert storage(poly.quadratic(F2, back)) == storage(q)
+    assert storage(quadratic(F2, back)) == storage(q)
+    assert storage(poly.quadratic_from_numerators(F2, *poly.quadratic_numerators(q))) == storage(q)
 
 
 # wide coefficients, whose float parts are rounded from long integers
