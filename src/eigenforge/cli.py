@@ -35,8 +35,8 @@ from .holomorphy import maximal_axis, span_complex_type
 from .reduction import reduce_family
 from .degree2 import (construct_eigenpair, data_from_json_dict,
                       data_to_json_dict, decompose_eigenpair, _matrix_json)
-from .constructions import (RealMap, augment, defect_family, glue,
-                            pair_components, verify_rn_hm)
+from .constructions import (NotHarmonicMorphism, RealMap, augment, defect_family, glue,
+                            pair_components)
 from . import catalog as catalog_mod
 
 _CONSTANT_FRAME = VariableFrame(())
@@ -312,12 +312,12 @@ def _finish_constructed(name, frame, fam, args, extra=None) -> int:
 
 def cmd_construct_pair(args) -> int:
     source = load_family(args.path)
-    P = RealMap(source.frame, source.polys)
-    if not verify_rn_hm(P):
+    try:
+        fam = pair_components(RealMap(source.frame, source.polys))
+    except NotHarmonicMorphism:
         print("not a harmonic morphism: some component pair fails "
               "conformality or harmonicity", file=sys.stderr)
         return 1
-    fam = pair_components(P)
     return _finish_constructed(f"paired-{source.name}", source.frame, fam, args)
 
 

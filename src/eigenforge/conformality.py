@@ -11,7 +11,8 @@ the complex-bilinear pairing of real gradients, and
 
 Given a real symmetric m x m matrix P, kappa(f, g, P) is the pairing
 sum_ab P_ab d_a f d_b g over the real axes and laplacian(f, P) is
-trace(P Hess f); P = identity gives the plain operators.
+trace(P Hess f); P = identity gives the plain operators.  All read one
+form on the slots, D P D^T for the table D of z = x + iy in frames.
 
 A family is a (lam, mu)-eigenfamily when laplacian(f) = lam f and
 kappa(f, g) = mu f g for all members f, g.  On flat space polynomial
@@ -36,19 +37,18 @@ multiplies anything.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import or_
 from typing import NamedTuple, Optional
 
-from .scalars import (GaussRational, ONE, ZERO, as_scalar, common_numerators, format_scalar,
+from .scalars import (GaussRational, I, ONE, ZERO, as_scalar, common_numerators, format_scalar,
                       scalar)
 from .frames import VariableFrame
 from .poly import (EXP_BITS, MAX_DEGREE, PRODUCT_LIMIT, FrameMismatch, Poly, _degrees,
                    _derivative, _gauss_mul, _gauss_sum, _nonzero, _reduced, _unpacker,
-                   check_degree, check_products, common_frame, quadratic_from_numerators,
-                   slot_axes)
-
-TWO = scalar(2)
+                   check_degree, check_products, common_frame, quadratic_from_numerators)
+from .linalg import Matrix
+from .parser import format_poly
 
 # Term products one bracket may take: the ring's budget, over all the
 # products of one residual.
@@ -67,24 +67,23 @@ class EigenData(NamedTuple):
 FLAT_DATA = EigenData(ZERO, ZERO)
 
 
-def _slot_form(frame, P):
-    """{(s, u): c} over slot pairs s <= u: the form sum_su c d_s . d_u,
-    read as symmetric, behind kappa and laplacian.  The Wirtinger form
-    when P is None; D^T P D for the slot <-> axis table D of slot_axes."""
-    if P is None:
-        form = {(2 * j, 2 * j + 1): TWO for j in range(frame.n)}
-        form.update({(s, s): ONE for s in range(2 * frame.n, frame.m)})
-        return form
-    if P.nrows != frame.m or P.ncols != frame.m:
-        raise ValueError(f"P must be {frame.m}x{frame.m} for this frame")
-    table = slot_axes(frame)
-    form = {}
-    for s in range(frame.m):
-        for u in range(s, frame.m):
-            c = sum((ca * P[a, b] * cb for a, ca in table[s] for b, cb in table[u]), ZERO)
-            if c:
-                form[s, u] = c
-    return form
+@lru_cache(maxsize=64)
+def _slot_form(frame, P=None):
+    """{(s, u): c != 0} over slot pairs s <= u: the symmetric form sum c d_s . d_u
+    behind kappa and laplacian, C = D P D^T for the table D of frame.slot_axes
+    (as d/dx_a = sum_s D_sa d/dslot_s).  P = identity, the default, gives the
+    Wirtinger form 2 d_z . d_conj(z) + d_t . d_t."""
+    m = frame.m
+    P = Matrix.identity(m) if P is None else P
+    if P.nrows != m or P.ncols != m:
+        raise ValueError(f"P must be {m}x{m} for this frame")
+    re, im = [[0] * m for _ in range(m)], [[0] * m for _ in range(m)]
+    for s, entries in enumerate(frame.slot_axes()):
+        for a, p, q in entries:
+            re[s][a], im[s][a] = p, q
+    D = Matrix.from_numerators(re, im, 1, m)
+    C = D * P * D.transpose()
+    return {(s, u): C[s, u] for s in range(m) for u in range(s, m) if C[s, u]}
 
 
 def _weighted(rows, d):
@@ -211,7 +210,6 @@ class FamilyReport:
         return out
 
     def to_json_dict(self, name=None):
-        from .parser import format_poly
         d = {
             "name": name,
             "m": self.frame.m,
@@ -327,22 +325,14 @@ def is_biinvariant(f: Poly) -> bool:
 
 # Derivations of the right sp(1)-action on quaternionic coordinates
 # q_j = z_{2j} + z_{2j+1} j (0-indexed pairs), from q -> q u for the
-# unit quaternions u = i, j, k.  Each entry is (coefficient, source
-# variable, differentiated variable) over one pair; labels 0/1 pick the
-# first or second complex coordinate of the pair and "b" marks a
-# conjugate.  Derived from (a, b)(c, d) = (ac - b conj(d), ad + b conj(c)).
+# unit quaternions u = i, j, k.  An entry (c, s, t) adds c x_s d/dx_t f
+# for the slots x_0..x_3 = z_2j, conj(z_2j), z_2j+1, conj(z_2j+1) of
+# each pair.  Derived from (a, b)(c, d) = (ac - b conj(d), ad + b conj(c)).
 SU2_DERIVATION_TABLE = {
-    "i": (("i", "0", "0"), ("-i", "0b", "0b"), ("-i", "1", "1"), ("i", "1b", "1b")),
-    "j": (("-1", "1", "0"), ("-1", "1b", "0b"), ("1", "0", "1"), ("1", "0b", "1b")),
-    "k": (("i", "1", "0"), ("-i", "1b", "0b"), ("i", "0", "1"), ("-i", "0b", "1b")),
+    "i": ((I, 0, 0), (-I, 1, 1), (-I, 2, 2), (I, 3, 3)),
+    "j": ((-ONE, 2, 0), (-ONE, 3, 1), (ONE, 0, 2), (ONE, 1, 3)),
+    "k": ((I, 2, 0), (-I, 3, 1), (I, 0, 2), (-I, 1, 3)),
 }
-
-_TABLE_COEFF = {"1": scalar(1), "-1": scalar(-1), "i": scalar(0, 1), "-i": scalar(0, -1)}
-
-
-def _pair_variable(frame, pair, label):
-    "(name, conjugated) of the variable a table label names in one pair."
-    return frame.complex_names[2 * pair + int(label[0])], label.endswith("b")
 
 
 def su2_derivative(f: Poly, which: str) -> Poly:
@@ -353,12 +343,11 @@ def su2_derivative(f: Poly, which: str) -> Poly:
     if frame.r != 0:
         raise ValueError("quaternionic structure admits no real coordinates")
     out = Poly.zero(frame)
-    for pair in range(frame.n // 2):
-        for coeff, src, tgt in SU2_DERIVATION_TABLE[which]:
-            name, conj = _pair_variable(frame, pair, src)
-            x = Poly.conj_variable(frame, name) if conj else Poly.variable(frame, name)
-            dx = f.wirtinger(*_pair_variable(frame, pair, tgt))
-            out = out + _TABLE_COEFF[coeff] * x * dx
+    for pair in range(0, 2 * frame.n, 4):
+        for c, s, t in SU2_DERIVATION_TABLE[which]:
+            s, t = pair + s, pair + t
+            x = (Poly.conj_variable if s % 2 else Poly.variable)(frame, frame.complex_names[s // 2])
+            out = out + c * x * f.wirtinger(frame.complex_names[t // 2], t % 2)
     return out
 
 
@@ -371,15 +360,9 @@ def invariance_predicates(f: Poly) -> dict:
     """The three descent conditions.  su2_invariant is None when the
     frame has no quaternionic structure; is_su2_invariant raises there
     instead."""
-    out = {
-        "even_degree": is_even_degree(f),
-        "biinvariant": is_biinvariant(f),
-    }
-    if f.frame.n % 2 == 0 and f.frame.n > 0 and f.frame.r == 0:
-        out["su2_invariant"] = is_su2_invariant(f)
-    else:
-        out["su2_invariant"] = None
-    return out
+    quaternionic = f.frame.n % 2 == 0 and f.frame.n > 0 and f.frame.r == 0
+    return {"even_degree": is_even_degree(f), "biinvariant": is_biinvariant(f),
+            "su2_invariant": is_su2_invariant(f) if quaternionic else None}
 
 
 def cross_lambda_mu(space: str, m: int, d: int) -> EigenData:

@@ -15,14 +15,13 @@ input maps for all of this.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .scalars import GaussRational, I
 from .frames import VariableFrame
-from .poly import (Poly, FrameMismatch, _gauss_sum, _reduced, _unpacker, common_frame,
+from .poly import (Poly, FrameMismatch, _reduced, _unpacker, common_frame, gradient_rows,
                    mono_order_key, real_gradient, rename_onto)
 from .conformality import kappa, laplacian, verify_flat_family
-from .linalg import Matrix, _eliminate
+from .linalg import Matrix, _dots, _eliminate
 from .holomorphy import _pull_back
 
 HALF = GaussRational(Fraction(1, 2))
@@ -90,15 +89,17 @@ def verify_rn_hm(P: RealMap) -> bool:
     return True
 
 
+class NotHarmonicMorphism(ValueError):
+    "The map handed to pair_components fails verify_rn_hm."
+
+
 def pair_components(P: RealMap):
     """The family {P_1 + i P_2, P_3 + i P_4, ...}; an odd trailing
-    component is dropped.  Always a flat eigenfamily."""
+    component is dropped.  Always a flat eigenfamily; NotHarmonicMorphism
+    when verify_rn_hm fails."""
     if not verify_rn_hm(P):
-        raise ValueError("not a harmonic morphism")
-    out = []
-    for k in range(P.n // 2):
-        out.append(P.components[2 * k] + I * P.components[2 * k + 1])
-    return out
+        raise NotHarmonicMorphism("not a harmonic morphism")
+    return [P.components[2 * k] + I * P.components[2 * k + 1] for k in range(P.n // 2)]
 
 
 # -- complex defects --------------------------------------------------
@@ -107,9 +108,8 @@ def pair_components(P: RealMap):
 def complex_defect(F: Poly, y) -> Poly:
     """The defect of F at the exact point y: the polynomial
     x -> grad F(x) . grad F(y), taken over the real gradient."""
-    g = real_gradient(F)
     out = Poly.zero(F.frame)
-    for comp in g.components:
+    for comp in real_gradient(F).components:
         c = comp.evaluate(y)
         if c:
             out = out + c * comp
@@ -122,23 +122,17 @@ def defect_family(F: Poly):
     grad F(y) depends polynomially on y and distinct monomials are
     linearly independent as functions of a real point, so collecting
     sum_a coeff(g_a, mono) g_a over all monomials mono appearing in the
-    gradient components g_a spans the same space as the defects."""
-    g = real_gradient(F).components
+    gradient components g_a spans the same space as the defects: row mono
+    of R R^T over den^2, for the rows R of poly.gradient_rows."""
+    rows = gradient_rows(F)
     unpack = _unpacker(F.frame.num_slots)
-    keys = sorted({k for comp in g for k in comp.nums}, key=lambda k: mono_order_key(unpack(k)))
-    # coeff(g_a, mono) g_a = (x + i y) nums_a / den_a^2 = (x + i y) s^2 nums_a / D^2, s = D / den_a
-    D = lcm(*[comp.den for comp in g])
+    keys = sorted(rows, key=lambda k: mono_order_key(unpack(k)))
+    re, im = ([tuple(rows[k][part]) for k in keys] for part in (0, 1))
     out = []
-    for key in keys:
-        parts = []
-        for comp in g:
-            xy = comp.nums.get(key)
-            if xy:
-                s = (D // comp.den) ** 2
-                parts.append(((xy[0] * s, xy[1] * s), comp.nums))
-        nums = _gauss_sum(parts)
+    for x, y in zip(*_dots(re, im, re, im)):
+        nums = {k: (a, b) for k, a, b in zip(keys, x, y) if a or b}
         if nums:
-            out.append(_reduced(F.frame, nums, D * D))
+            out.append(_reduced(F.frame, nums, F.den * F.den))
     return out
 
 

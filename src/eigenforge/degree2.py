@@ -25,6 +25,7 @@ XY = C - vv^T/4, kappa(F1, F2) = 0 to antisymmetry of Y.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from math import isqrt, lcm
@@ -32,7 +33,10 @@ from typing import NamedTuple
 
 from .scalars import GaussRational, I, ZERO, as_scalar, format_ratio, rational_sqrt, triple
 from .frames import VariableFrame
-from .poly import Poly, quadratic_from_numerators, quadratic_numerators, slot_axes
+from .poly import (FrameMismatch, Poly, common_frame, quadratic_from_numerators,
+                   quadratic_numerators)
+from .parser import format_poly, parse_poly
+from .holomorphy import _isotropic_parts, gradient_span
 from .linalg import (ComplexSubspace, Matrix, RealSubspace, _annihilator, _gram_orthogonal,
                      _joined, _real_rows, _row_scaled, _stacked, anticommuting, vec)
 
@@ -43,43 +47,42 @@ class Deg2Form(NamedTuple):
     A: Matrix
 
 
+def _through(pairs, table, m):
+    """(re, im), the m x m integer tables of M + M^T for the sum M of c t_k t_l
+    over the {(i, j): c} of pairs and the entries (k, t_k) of table[i] and
+    (l, t_l) of table[j], for Gaussian-integer numerators c and units t."""
+    re, im = [[0] * m for _ in range(m)], [[0] * m for _ in range(m)]
+    for (i, j), (ca, cb) in pairs.items():
+        for k, xa, xb in table[i]:
+            for l, ya, yb in table[j]:
+                ua, ub = xa * ya - xb * yb, xa * yb + xb * ya
+                x, y = ca * ua - cb * ub, ca * ub + cb * ua
+                re[k][l] += x
+                im[k][l] += y
+                re[l][k] += x
+                im[l][k] += y
+    return re, im
+
+
 def to_form(p: Poly) -> Deg2Form:
     """Half the constant Hessian; p must be homogeneous of degree 2 (or 0).
     A term c slot_s slot_u adds the symmetric part of c D_s D_u^T, for
-    the slot <-> axis table D of poly.slot_axes."""
-    m = p.frame.m
-    # the table's coefficients are units 1, i, -i: Gaussian integers
-    table = [[(a, *triple(c)[:2]) for a, c in entries] for entries in slot_axes(p.frame)]
+    the rows D_s of the frame's table slot_axes."""
     den, pairs = quadratic_numerators(p)
-    re = [[0] * m for _ in range(m)]
-    im = [[0] * m for _ in range(m)]
-    for (s, u), (ca, cb) in pairs.items():
-        for a, xa, xb in table[s]:
-            for b, ya, yb in table[u]:
-                ua, ub = xa * ya - xb * yb, xa * yb + xb * ya
-                x, y = ca * ua - cb * ub, ca * ub + cb * ua
-                re[a][b] += x
-                im[a][b] += y
-                re[b][a] += x
-                im[b][a] += y
-    return Deg2Form(p.frame, Matrix.from_numerators(re, im, 2 * den, m))
+    m = p.frame.m
+    return Deg2Form(p.frame, Matrix.from_numerators(*_through(pairs, p.frame.slot_axes(), m),
+                                                    2 * den, m))
 
 
 def from_form(f: Deg2Form) -> Poly:
     """x^T A x in the slots: the pair (s, u) takes entry (s, u) of T^T A T for
-    x = T slot, the inverse of slot_axes: 2 Re z = z + conj(z) and
-    2 Im z = -i z + i conj(z)."""
-    frame, m = f.frame, f.frame.m
-    re, im = [[0] * m for _ in range(m)], [[0] * m for _ in range(m)]
-    for j in range(0, 2 * frame.n, 2):
-        re[j][j] = re[j][j + 1] = 1
-        im[j + 1][j], im[j + 1][j + 1] = -1, 1
-    for t in range(2 * frame.n, m):
-        re[t][t] = 2
-    T = Matrix.from_numerators(re, im, 2, m)
-    P = T.transpose() * f.A * T
-    return quadratic_from_numerators(frame, P.den, {(s, u): (P.re[s][u], P.im[s][u])
-                                                    for s in range(m) for u in range(m)})
+    x = T slot, the inverse table axis_slots over 2; symmetrized, over 8 den A."""
+    A, m = f.A, f.frame.m
+    cells = {(a, b): (x, y) for a, row in enumerate(zip(A.re, A.im))
+             for b, (x, y) in enumerate(zip(*row)) if x or y}
+    re, im = _through(cells, f.frame.axis_slots(), m)
+    return quadratic_from_numerators(f.frame, 8 * A.den, {(s, u): (re[s][u], im[s][u])
+                                                           for s in range(m) for u in range(m)})
 
 
 def _coerce_forms(forms):
@@ -91,10 +94,8 @@ def _coerce_forms(forms):
             out.append(to_form(f))
         else:
             raise TypeError(f"expected Poly or Deg2Form, got {type(f).__name__}")
-    frames = {f.frame for f in out}
-    if len(frames) > 1:
-        from .poly import FrameMismatch
-        raise FrameMismatch("forms live on different frames")
+    if out:
+        common_frame(out, "form")
     return out
 
 
@@ -143,10 +144,7 @@ def find_axis_deg2(forms):
 def is_full(fs) -> bool:
     "No nonzero real direction annihilates the gradient span: its real kernel is zero."
     fs = list(fs)
-    if not fs:
-        return False
-    from .holomorphy import gradient_span
-    return gradient_span(fs).real_annihilator().dim == 0
+    return bool(fs) and gradient_span(fs).real_annihilator().dim == 0
 
 
 # ---------------------------------------------------------------------
@@ -220,8 +218,7 @@ def default_frame(t: SubspaceType, names=None) -> VariableFrame:
     names = tuple(names)
     if len(names) != t.n + t.k:
         raise ValueError(f"need {t.n + t.k} coordinate names")
-    real = ("t",) if t.delta else ()
-    return VariableFrame(names, real)
+    return VariableFrame(names, ("t",) if t.delta else ())
 
 
 def twist_x_matrix(td: TwistingData) -> Matrix:
@@ -302,7 +299,6 @@ def _maximal_axis_radical(M1, M2):
     of its anisotropic part (at most one).  The gradient of x^T M x is
     2 M x, so the rows of M1 and M2 span the gradient span W.  The parts
     are maximal_axis's; full means W's real kernel K is 0."""
-    from .holomorphy import _isotropic_parts
     W = ComplexSubspace._spanned(M1.nrows, zip(M1.re + M2.re, M1.im + M2.im))
     K, V, aniso = _isotropic_parts(W)
     if K.dim != 0:
@@ -318,7 +314,6 @@ def decompose_eigenpair(F1: Poly, F2: Poly) -> Deg2Decomposition:
         if F == 0 or not F.is_homogeneous() or F.degree() != 2:
             raise ValueError("decomposition needs nonzero homogeneous degree-2 polynomials")
     if F1.frame != F2.frame:
-        from .poly import FrameMismatch
         raise FrameMismatch("pair must share a frame")
     M1, M2 = to_form(F1).A, to_form(F2).A
     if not anticommuting([M1, M2]):
@@ -535,17 +530,38 @@ def _scalar_pair(c: GaussRational):
     return [format_ratio(a, d), format_ratio(b, d)]
 
 
+_RATIO = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")  # p or p/q, q != 0
+
+
+def _expect(ok, field, what):
+    "The checks of docs/schemas/deg2-data.json: a ValueError naming field unless ok."
+    if not ok:
+        raise ValueError(f"{field}: expected {what}")
+
+
+def _fields(d, field, keys):
+    "The values at keys of d, a JSON object with exactly those fields."
+    _expect(isinstance(d, dict) and d.keys() == set(keys), field,
+            "an object with the fields " + ", ".join(keys))
+    return [d[k] for k in keys]
+
+
+def _count(x, field):
+    _expect(type(x) is int and x >= 0, field, "a nonnegative integer")  # no bool, no float
+    return x
+
+
 def _pair_scalar(pair, field):
-    "The scalar of a [re, im] pair; field names the pair in the digit-limit error."
+    "The scalar of a [re, im] pair of strings p or p/q; field names the pair in the errors."
+    _expect(isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(x, str) and _RATIO.fullmatch(x) for x in pair),
+            field, "a [re, im] pair of strings p or p/q")
     try:
         return GaussRational(Fraction(pair[0]), Fraction(pair[1]))
-    except ValueError:
-        digits = max((sum(map(str.isdecimal, s)) for x in pair if isinstance(x, str)
-                      for s in x.split("/")), default=0)
-        if not 0 < (limit := getattr(sys, "get_int_max_str_digits", int)()) < digits:
-            raise
+    except ValueError:  # as the pattern held, only the interpreter's digit limit is left
+        digits = max(sum(map(str.isdecimal, s)) for x in pair for s in x.split("/"))
         raise ValueError(f"{field}: integer literal has {digits} digits, over the limit of "
-                         f"{limit}") from None
+                         f"{sys.get_int_max_str_digits()}") from None
 
 
 def _matrix_json(M: Matrix):
@@ -554,15 +570,16 @@ def _matrix_json(M: Matrix):
 
 
 def _json_matrix(d, field):
-    rows, cols = d["rows"], d["cols"]
-    entries = [_pair_scalar(p, f"{field} entry {i}") for i, p in enumerate(d["entries"])]
+    rows, cols, entries = _fields(d, field, ("rows", "cols", "entries"))
+    rows, cols = _count(rows, f"{field}.rows"), _count(cols, f"{field}.cols")
+    _expect(isinstance(entries, list), f"{field}.entries", "a list")
+    entries = [_pair_scalar(p, f"{field} entry {i}") for i, p in enumerate(entries)]
     if len(entries) != rows * cols:
-        raise ValueError("matrix entry count mismatch")
+        raise ValueError(f"{field}: matrix entry count mismatch")
     return Matrix([entries[r * cols:(r + 1) * cols] for r in range(rows)], ncols=cols)
 
 
 def data_to_json_dict(t: SubspaceType, pd: PolynomialData, td: TwistingData):
-    from .parser import format_poly
     return {
         "type": {"n": t.n, "k": t.k, "delta": t.delta},
         "poly": {"P1": format_poly(pd.P1), "P2": format_poly(pd.P2),
@@ -573,15 +590,21 @@ def data_to_json_dict(t: SubspaceType, pd: PolynomialData, td: TwistingData):
 
 
 def data_from_json_dict(d):
-    from .parser import parse_poly
-    t = SubspaceType(int(d["type"]["n"]), int(d["type"]["k"]),
-                     int(d["type"]["delta"])).validate()
+    """The data of a JSON object laid out as docs/schemas/deg2-data.json;
+    a ValueError names the first field outside it."""
+    ty, poly, twist = _fields(d, "deg2 data", ("type", "poly", "twist"))
+    keys = ("n", "k", "delta")
+    t = SubspaceType(*(_count(x, f"type.{key}") for key, x in
+                       zip(keys, _fields(ty, "type", keys)))).validate()
     zframe = VariableFrame(tuple(f"z{i+1}" for i in range(t.n)), ())
-    pd = PolynomialData(parse_poly(d["poly"]["P1"], zframe),
-                        parse_poly(d["poly"]["P2"], zframe),
-                        _json_matrix(d["poly"]["A"], "poly.A")).validate(t)
-    td = TwistingData(_json_matrix(d["twist"]["Y"], "twist.Y"),
-                      _json_matrix(d["twist"]["C"], "twist.C"),
+    P1, P2, A = _fields(poly, "poly", ("P1", "P2", "A"))
+    for text, key in ((P1, "P1"), (P2, "P2")):
+        _expect(isinstance(text, str) and text, f"poly.{key}", "a nonempty string")
+    pd = PolynomialData(parse_poly(P1, zframe), parse_poly(P2, zframe),
+                        _json_matrix(A, "poly.A")).validate(t)
+    Y, C, v = _fields(twist, "twist", ("Y", "C", "v"))
+    _expect(isinstance(v, list), "twist.v", "a list")
+    td = TwistingData(_json_matrix(Y, "twist.Y"), _json_matrix(C, "twist.C"),
                       tuple(_pair_scalar(p, f"twist.v entry {i}")
-                            for i, p in enumerate(d["twist"]["v"]))).validate(t)
+                            for i, p in enumerate(v))).validate(t)
     return t, pd, td

@@ -9,9 +9,12 @@ A frame C^n (+) R^r carries two indexings used throughout:
              space, (Re z_j, Im z_j) pairs first, real coordinates last.
 
 Both ranges happen to have size 2n + r; they mean different things.
+`slot_axes` maps one to the other (z = x + iy), `axis_slots` back.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 RESERVED = {"i", "conj", "frame", "family", "complex", "real", "param", "expect", "true", "false"}
 
@@ -59,12 +62,10 @@ class VariableFrame:
 
     @property
     def m(self) -> int:
-        "Real dimension of the underlying flat space."
+        "Real dimension of the underlying flat space, and the number of slots."
         return 2 * self.n + self.r
 
-    @property
-    def num_slots(self) -> int:
-        return 2 * self.n + self.r
+    num_slots = m
 
     # -- protocol ------------------------------------------------------
 
@@ -129,6 +130,26 @@ class VariableFrame:
 
     def axis_labels(self):
         return [self.axis_label(a) for a in range(self.m)]
+
+    # -- the change of basis z = x + iy --------------------------------
+
+    @lru_cache(maxsize=256)
+    def slot_axes(self) -> tuple:
+        """Entry s lists the (a, p, q) with slot_s = sum (p + q i) x_a, for units
+        p + q i: z_j = x_2j + i x_2j+1, conj(z_j) = x_2j - i x_2j+1, t_k = x_2n+k.
+        Read by axis, it is the chain rule d/dx_a = sum (p + q i) d/dslot_s."""
+        n = self.n
+        return tuple([((2 * j, 1, 0), (2 * j + 1, 0, q)) for j in range(n) for q in (1, -1)]
+                     + [((2 * n + k, 1, 0),) for k in range(self.r)])
+
+    @lru_cache(maxsize=256)
+    def axis_slots(self) -> tuple:
+        """The inverse over 2: entry a lists the (s, p, q) with x_a = sum
+        (p + q i) slot_s / 2.  The table's columns are orthogonal, so: conjugate
+        the entries naming a and divide by their count (2 for Re z, Im z)."""
+        naming = [[(s, p, -q) for s, e in enumerate(self.slot_axes()) for b, p, q in e if b == a]
+                  for a in range(self.m)]
+        return tuple(tuple((s, 2 * p // len(e), 2 * q // len(e)) for s, p, q in e) for e in naming)
 
     # -- derived frames ------------------------------------------------
 

@@ -28,10 +28,9 @@ from itertools import chain
 from math import isfinite
 from operator import or_
 
-from .scalars import ONE, ZERO, sqrt_in_qi, triple
+from .scalars import ONE, ZERO, sqrt_in_qi
 from .frames import VariableFrame
-from .poly import (EXP_BITS, MAX_DEGREE, Poly, _derivative, common_frame, linear_form,
-                   slot_axes)
+from .poly import EXP_BITS, MAX_DEGREE, Poly, common_frame, gradient_rows, linear_form
 from .conformality import kappa, laplacian
 from .linalg import ComplexSubspace, Matrix, RealSubspace, _gram_orthogonal, _row_scaled
 
@@ -40,26 +39,14 @@ def gradient_span(fs) -> ComplexSubspace:
     """span_C of all gradients of all members, over all points.
 
     Each monomial of a real gradient contributes one coefficient vector
-    in C^m; their span equals the span of the pointwise gradients.  Rows
-    are read in Gaussian integers from the packed slot derivatives."""
+    in C^m; their span equals the span of the pointwise gradients.  The
+    vectors are the Gaussian-integer rows of poly.gradient_rows, each
+    at its own scale."""
     fs = list(fs)
     if not fs:
         raise ValueError("empty family has no gradient span")
-    frame = common_frame(fs)
-    m = frame.m
-    # d/dx_a = sum c d/dslot_s over the entries (a, c) of slot s
-    units = [[(a, *triple(c)[:2]) for a, c in entries] for entries in slot_axes(frame)]
-    rows = []
-    for f in fs:
-        per_mono = {}
-        for s, entries in enumerate(units):
-            for key, (x, y) in _derivative(f.nums, s).items():
-                re, im = per_mono.setdefault(key, ([0] * m, [0] * m))
-                for a, ca, cb in entries:
-                    re[a] += ca * x - cb * y
-                    im[a] += ca * y + cb * x
-        rows.extend(per_mono.values())
-    return ComplexSubspace._spanned(m, rows)
+    return ComplexSubspace._spanned(common_frame(fs).m,
+                                    [row for f in fs for row in gradient_rows(f).values()])
 
 
 # ---------------------------------------------------------------------

@@ -46,8 +46,8 @@ from itertools import chain
 from math import gcd, lcm
 from operator import mul, neg
 
-from .scalars import (GaussRational, ZERO, ONE, as_exact, as_scalar, common_numerators,
-                      from_triple, triple)
+from .scalars import (GaussRational, ZERO, ONE, as_scalar, common_numerators, from_triple,
+                      triple)
 
 _new = object.__new__
 _set = object.__setattr__
@@ -663,12 +663,9 @@ class RealSubspace(ComplexSubspace):
     __slots__ = ()
 
     def __init__(self, ambient: int, vectors=()):
-        rows = []
-        for v in vectors:
-            row = tuple(map(as_exact, v))
-            if not all(x.is_real() for x in row):
-                raise ValueError("real subspace needs real entries")
-            rows.append(row)
+        rows = [vec(v) for v in vectors]
+        if not all(x.is_real() for row in rows for x in row):
+            raise ValueError("real subspace needs real entries")
         super().__init__(ambient, rows)
 
     def __repr__(self):

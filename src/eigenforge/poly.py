@@ -26,8 +26,9 @@ multiplies.
 
 Conjugate variables are ordinary slots, so p is holomorphic in z
 exactly when no term touches the conj(z) slot.  The real gradient
-follows z = x + iy, so d/dx = d/dz + d/dconj(z) and
-d/dy = i (d/dz - d/dconj(z)); its components are polynomials again.
+follows z = x + iy through the frame's table slot_axes, so
+d/dx = d/dz + d/dconj(z) and d/dy = i (d/dz - d/dconj(z));
+`gradient_rows` reads it per monomial as integer rows.
 No normalization or floating point happens here.
 """
 
@@ -40,8 +41,7 @@ from struct import Struct, error as StructError
 from types import MappingProxyType
 
 from .frames import VariableFrame
-from .scalars import (GaussRational, ZERO, ONE, I, as_scalar, common_numerators, from_triple,
-                      triple)
+from .scalars import GaussRational, ZERO, as_scalar, common_numerators, from_triple, triple
 
 # Bits per slot exponent (one unsigned short, so that struct converts
 # packed monomials to exponent tuples), and the largest total degree.
@@ -616,30 +616,28 @@ class PolyVector:
         return total
 
 
-def slot_axes(frame: VariableFrame) -> list:
-    """The slot <-> axis table of z = x + iy: entry s lists the pairs
-    (a, c) with slot_s = sum c x_a.  Read the other way it is the chain
-    rule d/dx_a = sum c d/dslot_s over the entries naming axis a."""
-    out = []
-    for j in range(frame.n):
-        out.append(((2 * j, ONE), (2 * j + 1, I)))
-        out.append(((2 * j, ONE), (2 * j + 1, -I)))
-    for k in range(frame.r):
-        out.append(((2 * frame.n + k, ONE),))
-    return out
+def gradient_rows(p: Poly) -> dict:
+    """The real gradient by monomial, {key: (re, im)} for integer rows of
+    length m: component a is sum (re[a] + im[a] i) mono_key / p.den.  The
+    slot derivatives go through the chain rule of frame.slot_axes, an
+    invertible table, so no row is zero."""
+    m, rows = p.frame.m, {}
+    for s, entries in enumerate(p.frame.slot_axes()):
+        for key, (x, y) in _derivative(p.nums, s).items():
+            re, im = rows.setdefault(key, ([0] * m, [0] * m))
+            for a, u, v in entries:
+                re[a] += u * x - v * y
+                im[a] += u * y + v * x
+    return rows
 
 
 def real_gradient(p: Poly) -> PolyVector:
     """Gradient with respect to the m real coordinates, as polynomials.
 
     Component order matches the frame's real axes: (Re z_j, Im z_j)
-    pairs first, then the real coordinates.
+    pairs first, then the real coordinates: entry a of gradient_rows.
     """
-    frame = p.frame
-    comps = [Poly.zero(frame)] * frame.m
-    for s, entries in enumerate(slot_axes(frame)):
-        d = p._slot_derivative(s)
-        for a, c in entries:
-            comps[a] = comps[a] + (d if c == ONE else c * d)
-    return PolyVector(frame, comps)
-
+    frame, rows = p.frame, gradient_rows(p)
+    return PolyVector(frame, [_reduced(frame, {k: (re[a], im[a]) for k, (re, im) in rows.items()
+                                               if re[a] or im[a]}, p.den)
+                              for a in range(frame.m)])

@@ -11,6 +11,7 @@ time.
 from __future__ import annotations
 
 from .poly import Poly, rename_onto, same_name_images
+from .conformality import verify_flat_family
 
 
 def reduce_along(f: Poly, coord: str) -> Poly:
@@ -48,8 +49,6 @@ def reduce_family(fs, coord: str):
     """(original verdict, reduced verdict, reduced members) for a family
     homogeneous of one degree and holomorphic in coord.  The theorem says
     the two booleans always agree."""
-    from .conformality import verify_flat_family
-
     fs = list(fs)
     degrees = {f.degree() for f in fs if f != 0}
     if len(degrees) > 1:

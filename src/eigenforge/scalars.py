@@ -246,15 +246,6 @@ def as_scalar(x):
     return None
 
 
-def as_exact(x) -> GaussRational:
-    """x as a scalar: a GaussRational passes through, anything else goes
-    through Fraction, so ints, Fractions, strings and floats are exact."""
-    if isinstance(x, GaussRational):
-        return x
-    q = Fraction(x)
-    return _make(q.numerator, 0, q.denominator)
-
-
 def scalar(x, im=0) -> GaussRational:
     s = as_scalar(x)
     if s is None:

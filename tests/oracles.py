@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from eigenforge.conformality import EigenData, FamilyReport, _family_degree, _slot_form
+from eigenforge.conformality import EigenData, FamilyReport, _family_degree
 from eigenforge.degree2 import (Deg2Decomposition, PolynomialData, SubspaceType, TwistingData,
                                _NeedsFloat, _coerce_forms, _outer, default_frame,
                                is_eigenfamily_deg2, twist_x_matrix)
@@ -40,8 +40,7 @@ from eigenforge.holomorphy import AxisReport, _as_real_subspace, _numeric_extens
 from eigenforge.linalg import (ComplexSubspace, Matrix, RealSubspace, _check_ambient,
                                _gram_orthogonal, _joined, _real_rows, _sliced, _stacked, vec)
 from eigenforge.poly import (FrameMismatch, Poly, _unpacker, common_frame, mono_order_key,
-                            quadratic_from_numerators, quadratic_numerators, real_gradient,
-                            slot_axes)
+                            quadratic_from_numerators, quadratic_numerators, real_gradient)
 from eigenforge.parser import MAX_NESTING, ParseError
 from eigenforge.scalars import (ONE, ZERO, GaussRational, I, _reduce, as_scalar,
                                common_numerators, rational_sqrt, scalar, sqrt_in_qi)
@@ -447,6 +446,21 @@ def ref_conjugate(p):
 # The formulas the slot-form kappa(f, g, P), laplacian(f, P) and
 # degree2.to_form replaced: explicit real gradients from the Wirtinger
 # derivatives, d/dx = d/dz + d/dconj(z), d/dy = i (d/dz - d/dconj(z)).
+# slot_axes is the change of basis on scalars, as the package kept it
+# before frames held it as Gaussian-integer units.
+
+
+def slot_axes(frame):
+    """The slot <-> axis table of z = x + iy: entry s lists the pairs
+    (a, c) with slot_s = sum c x_a.  Read the other way it is the chain
+    rule d/dx_a = sum c d/dslot_s over the entries naming axis a."""
+    out = []
+    for j in range(frame.n):
+        out.append(((2 * j, ONE), (2 * j + 1, I)))
+        out.append(((2 * j, ONE), (2 * j + 1, -I)))
+    for k in range(frame.r):
+        out.append(((2 * frame.n + k, ONE),))
+    return out
 
 
 def ref_real_gradient(p):
@@ -507,7 +521,7 @@ _HALF_I = GaussRational(0, Fraction(1, 2))
 
 
 def axis_slots(frame):
-    """The inverse of poly.slot_axes: entry a lists the pairs (s, c) with
+    """The inverse of slot_axes: entry a lists the pairs (s, c) with
     x_a = sum c slot_s, from Re z = (z + conj(z))/2 and
     Im z = (z - conj(z))/(2i)."""
     out = []
@@ -681,6 +695,26 @@ def ref_decompose_exact(frame, M1, M2, radical, aniso):
 _TWO = scalar(2)
 
 
+def ref_slot_form(frame, P=None):
+    """{(s, u): c} over slot pairs s <= u: the form sum_su c d_s . d_u, read
+    as symmetric, on scalars: the Wirtinger form when P is None, else
+    sum_ab c_s,a P_ab c_u,b over the entries of slot_axes."""
+    if P is None:
+        form = {(2 * j, 2 * j + 1): _TWO for j in range(frame.n)}
+        form.update({(s, s): ONE for s in range(2 * frame.n, frame.m)})
+        return form
+    if P.nrows != frame.m or P.ncols != frame.m:
+        raise ValueError(f"P must be {frame.m}x{frame.m} for this frame")
+    table = slot_axes(frame)
+    form = {}
+    for s in range(frame.m):
+        for u in range(s, frame.m):
+            c = sum((ca * P[a, b] * cb for a, ca in table[s] for b, cb in table[u]), ZERO)
+            if c:
+                form[s, u] = c
+    return form
+
+
 def ref_weighted_sum(frame, terms):
     "sum c p over the (c, p) terms, scaling once per distinct c."
     sums = {}
@@ -696,7 +730,7 @@ def ref_kappa(f, g, P=None):
     "The bracket, or the gradient pairing through P, in reference arithmetic."
     if f.frame != g.frame:
         raise FrameMismatch("kappa needs a shared frame")
-    form = _slot_form(f.frame, P)
+    form = ref_slot_form(f.frame, P)
     slots = {s for pair in form for s in pair}
     df = {s: ref_slot_derivative(f, s) for s in slots}
     dg = df if g is f else {s: ref_slot_derivative(g, s) for s in slots}
@@ -714,7 +748,7 @@ def ref_kappa(f, g, P=None):
 
 def ref_laplacian(f, P=None):
     "The Laplacian, or trace(P Hess f), in reference arithmetic."
-    form = _slot_form(f.frame, P)
+    form = ref_slot_form(f.frame, P)
     first = {s: ref_slot_derivative(f, s) for s, _ in form}
     return ref_weighted_sum(f.frame, ((c if s == u else _TWO * c,
                                        ref_slot_derivative(first[s], u))

@@ -467,6 +467,38 @@ def test_deg2_construct_malformed_json_says_bad_json(tmp_path):
     assert err.startswith("error: bad JSON input: ")
 
 
+def test_deg2_construct_data_outside_the_schema_exit_two_naming_the_field(tmp_path):
+    # valid JSON of the wrong shape or with values outside
+    # docs/schemas/deg2-data.json: no traceback, no silent int() or Fraction()
+    t, pd, td = rand_data(random.Random(5), k=2)
+
+    def entry(value):
+        return lambda d: d["poly"]["A"]["entries"].__setitem__(0, value)
+    cases = [
+        (lambda d: [d], "deg2 data: expected an object"),
+        (lambda d: d["poly"].update(P1=5), "poly.P1: expected a nonempty string"),
+        (lambda d: d["type"].update(n=d["type"]["n"] + 0.9), "type.n: expected a nonnegative"),
+        (lambda d: d["type"].update(delta=bool(d["type"]["delta"])),
+         "type.delta: expected a nonnegative"),
+        (lambda d: d["poly"]["A"].update(rows=-1), "poly.A.rows: expected a nonnegative"),
+        (entry([0.1, "0"]), "poly.A entry 0: expected a [re, im] pair"),
+        (entry(["1e1", "0"]), "poly.A entry 0: expected a [re, im] pair"),
+        (entry(["1", "0", "0"]), "poly.A entry 0: expected a [re, im] pair"),
+        (entry(["1/0", "0"]), "poly.A entry 0: expected a [re, im] pair"),
+        (lambda d: d["twist"].update(v="0"), "twist.v: expected a list"),
+        (lambda d: d["type"].update(extra=1), "type: expected an object with the fields n, k, "),
+        (lambda d: d.pop("twist") and None, "deg2 data: expected an object with the fields"),
+    ]
+    path = tmp_path / "data.json"
+    for change, message in cases:
+        raw = data_to_json_dict(t, pd, td)
+        replaced = change(raw)
+        path.write_text(json.dumps(raw if replaced is None else replaced))
+        code, out, err = run(["deg2", "construct", path])
+        assert (code, out) == (2, ""), message
+        assert err.startswith(f"error: {message}"), err
+
+
 # -- construct --------------------------------------------------------
 
 
@@ -489,6 +521,28 @@ def test_construct_pair_rejects_non_morphism(tmp_path):
     code, out, err = run(["construct", "pair", str(p)])
     assert code == 1
     assert "not a harmonic morphism" in err
+
+
+def test_construct_pair_checks_the_harmonic_morphism_once(tmp_path, monkeypatch):
+    from eigenforge import cli, constructions
+    calls = []
+
+    def counted(P, check=constructions.verify_rn_hm):
+        calls.append(P)
+        return check(P)
+    for module in (constructions, cli):
+        monkeypatch.setattr(module, "verify_rn_hm", counted, raising=False)
+    p = tmp_path / "map.efam"
+    for body, code, message in (
+            ("frame complex z u\nP1 = z*conj(z) - u*conj(u)\nP2 = z*conj(u) + conj(z)*u\n", 0, ""),
+            ("frame complex z ; real s\nP1 = z*conj(z)\nP2 = s\n", 1,
+             "not a harmonic morphism: some component pair fails conformality or harmonicity\n"),
+            ("frame complex z\nP1 = z + conj(z)\n", 2,
+             "error: need at least two components\n")):
+        p.write_text("family map\n" + body)
+        calls.clear()
+        assert run(["construct", "pair", p])[::2] == (code, message)
+        assert len(calls) == 1
 
 
 def test_construct_defect_spans_quartet(tmp_path):

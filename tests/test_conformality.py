@@ -242,6 +242,15 @@ def test_kernel_rejects_a_wrong_shape_P(case, extra):
                 call()
 
 
+def test_slot_form_of_the_identity_is_the_flat_form():
+    # D D^T for the table D of z = x + iy: 2 on (z, conj(z)), 1 on (t, t)
+    for frame in KERNEL_FRAMES:
+        flat = {(2 * j, 2 * j + 1): scalar(2) for j in range(frame.n)}
+        flat.update({(s, s): scalar(1) for s in range(2 * frame.n, frame.m)})
+        assert conformality._slot_form(frame, Matrix.identity(frame.m)) == flat
+        assert conformality._slot_form(frame) == flat
+
+
 gaussian = st.one_of(st.just(ZERO), mixed)
 
 

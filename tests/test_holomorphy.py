@@ -178,6 +178,11 @@ def test_is_axis_examples():
     assert is_axis([F1, F2], [e(0), [Fraction(1, 2)] + e(1)[1:]])
     with pytest.raises(ValueError, match="dependent basis"):
         is_axis([F1, F2], [e(0), e(1), [2, 3] + [0] * (m - 2)])
+    # floats and strings never reach an exact verdict
+    for inexact in ([(0.5, 0.5)], [("1/2", "1/2")]):
+        for check in (is_axis, lambda fs, V: separable_check(fs[0], V)):
+            with pytest.raises(TypeError, match="bad vector entry"):
+                check([z], inexact)
 
 
 def test_span_is_axis_matches_the_projector_reference_in_every_dimension():
@@ -701,15 +706,41 @@ for case in cases:
 
 
 def test_no_assert_statement_in_the_package():
-    # result guards are explicit raises, which python -O keeps
+    # result guards are explicit raises, which python -O keeps; and, as no
+    # linter runs offline, every name a module imports is used or exported
     import ast
     import pathlib
     package = pathlib.Path(eigenforge.__file__).parent
-    found = [f"{path.name}:{node.lineno}" for path in sorted(package.rglob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.Assert)]
+    found, unused = [], []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {c.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"]
+                 for c in node.value.elts}
+        unused += [f"{path.name}:{node.lineno} {name}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for alias in node.names
+                   if (name := (alias.asname or alias.name).split(".")[0]) not in used]
     assert len(list(package.rglob("*.py"))) > 10
     assert found == []
+    assert unused == []
+
+
+def test_each_package_module_imports_alone():
+    # a fresh interpreter per module: no import order hides a cycle
+    import pathlib
+    package = pathlib.Path(eigenforge.__file__).parent
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    for path in sorted(package.rglob("*.py")):
+        parts = path.relative_to(package.parent).with_suffix("").parts
+        name = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        proc = subprocess.run([sys.executable, "-c", f"import {name}"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (name, proc.stderr)
 
 
 def test_result_checks_fire_under_python_O():

@@ -15,9 +15,11 @@ from eigenforge import poly
 from eigenforge.scalars import GaussRational, I, ONE, scalar
 from eigenforge.frames import VariableFrame
 from eigenforge.poly import MAX_DEGREE, FrameMismatch, Poly, real_gradient, rename_onto
+from eigenforge.linalg import Matrix
 
 from oracles import (quadratic, quadratic_pairs, ref_add, ref_conjugate, ref_degrees, ref_evaluate,
-                     ref_mul, ref_neg, ref_pow, ref_slot_derivative, ref_sub, ref_substitute)
+                     ref_mul, ref_neg, ref_pow, ref_real_gradient, ref_slot_derivative, ref_sub,
+                     ref_substitute)
 
 F2 = VariableFrame(("z", "u"), ("t",))
 
@@ -205,6 +207,25 @@ def test_real_gradient_matches_finite_differences():
             assert abs(exact - approx) < 1e-6 * max(1.0, abs(exact))
 
 
+def test_slot_axis_table_read_forward_then_inverse_is_the_identity():
+    # slot = D x and x = T slot for the tables slot_axes and axis_slots (over 2)
+    for n in range(4):
+        for r in range(3):
+            frame = VariableFrame(tuple(f"z{j}" for j in range(n)),
+                                  tuple(f"t{k}" for k in range(r)))
+            m = frame.m
+            tables = []
+            for table, den in ((frame.slot_axes(), 1), (frame.axis_slots(), 2)):
+                re, im = [[0] * m for _ in range(m)], [[0] * m for _ in range(m)]
+                for i, entries in enumerate(table):
+                    for j, p, q in entries:
+                        re[i][j], im[i][j] = p, q
+                tables.append(Matrix.from_numerators(re, im, den, m))
+            D, T = tables
+            assert all(p * p + q * q == 1 for e in frame.slot_axes() for _, p, q in e)
+            assert T * D == D * T == Matrix.identity(m)
+
+
 def test_evaluate_exact():
     z, u = zvar("z"), zvar("u")
     p = z * zbar("z") + u
@@ -352,6 +373,11 @@ def test_ring_operations_match_reference(p, q, k, c):
         assert p._slot_derivative(slot).terms == ref_slot_derivative(p, slot).terms
     if c:
         assert (p / c).terms == ref_mul(p, ONE / c).terms
+
+
+@given(dense)
+def test_real_gradient_matches_reference(p):
+    assert list(real_gradient(p).components) == ref_real_gradient(p)
 
 
 @given(dense, dense)
