@@ -27,21 +27,20 @@ def catalog_dir() -> str:
     return os.path.dirname(__file__)
 
 
-def list_entries(directory=None):
-    directory = directory or catalog_dir()
-    return sorted(fn[:-5] for fn in os.listdir(directory) if fn.endswith(".efam"))
+def list_entries():
+    return sorted(fn[:-5] for fn in os.listdir(catalog_dir()) if fn.endswith(".efam"))
 
 
-def entry_path(name: str, directory=None) -> str:
-    directory = directory or catalog_dir()
+def entry_path(name: str) -> str:
+    directory = catalog_dir()
     path = os.path.join(directory, name + ".efam")
     if not os.path.isfile(path):
         raise FileNotFoundError(f"no catalog entry {name!r} in {directory}")
     return path
 
 
-def load_entry(name: str, directory=None, bindings=None) -> FamilySource:
-    return load_family(entry_path(name, directory), bindings=bindings)
+def load_entry(name: str) -> FamilySource:
+    return load_family(entry_path(name))
 
 
 class ExpectationOutcome(NamedTuple):
@@ -127,9 +126,6 @@ def run_entry(source: FamilySource):
     return out
 
 
-def run_all(directory=None):
-    "name -> outcomes for every entry in the directory, sorted by name."
-    results = {}
-    for name in list_entries(directory):
-        results[name] = run_entry(load_entry(name, directory))
-    return results
+def run_all():
+    "name -> outcomes for every entry in the catalog directory, sorted by name."
+    return {name: run_entry(load_entry(name)) for name in list_entries()}

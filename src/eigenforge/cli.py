@@ -29,8 +29,8 @@ from .scalars import GaussRational
 from .frames import VariableFrame
 from .parser import (FamilySource, ParseError, format_family, format_poly,
                      format_scalar, load_family, parse_poly)
-from .conformality import (EigenData, power_family, sphere_data, sphere_eigen_data,
-                           verify_flat_family, verify_general_family)
+from .conformality import (FLAT_DATA, EigenData, power_family, sphere_data,
+                           sphere_eigen_data, verify_flat_family, verify_general_family)
 from .holomorphy import maximal_axis, span_complex_type
 from .reduction import reduce_family
 from .degree2 import (construct_eigenpair, data_from_json_dict,
@@ -362,6 +362,14 @@ def cmd_construct_power(args) -> int:
     else:
         data = EigenData(_parse_constant(args.lam if args.lam is not None else "0"),
                          _parse_constant(args.mu if args.mu is not None else "0"))
+        # the printed verdict, the flat test, speaks for flat or sphere data only
+        try:
+            sphere = sphere_data(fs)
+            also = f" or the base's sphere data {sphere}"
+        except ValueError:
+            sphere, also = None, " (the base has no sphere data)"
+        if data not in (FLAT_DATA, sphere):
+            raise ValueError(f"--lambda/--mu {data} must be the flat data {FLAT_DATA}{also}")
     products, new_data = power_family(fs, args.d, data)
     extra = {"lambda": format_scalar(new_data.lam), "mu": format_scalar(new_data.mu)}
     if derived:

@@ -32,7 +32,7 @@ one integer dict over D_f D_g times the common denominator, reduced
 once; the Laplacian residual is sum_s d_s h_s(f) - lam f.  kappa and
 laplacian are one-pair calls of the same kernel.  A bracket whose term
 products would exceed BRACKET_LIMIT raises ValueError before it
-multiplies anything.
+multiplies anything (in quadratic_verdict, only past degree 2).
 """
 
 from __future__ import annotations
@@ -108,8 +108,9 @@ class _Kernel:
     """The residuals kappa(f, g) - mu f g and laplacian(f) - lam f of one
     form on one frame, for members of degree at most `degree`."""
 
-    def __init__(self, frame, P, lam, mu, degree):
+    def __init__(self, frame, P, lam, mu, degree, bounded=True):
         form = _slot_form(frame, P)
+        self.bounded = bounded
         self.zero = Poly.zero(frame)
         self.den, nums = common_numerators([*form.values(), lam, mu])
         *weights, self.lam, self.mu = nums
@@ -142,7 +143,8 @@ class _Kernel:
                  + [(f.poly.nums, g.neg_mu)] if p and q]
         if not pairs:
             return self.zero
-        check_products(sum(len(p) * len(q) for p, q in pairs), "bracket", BRACKET_LIMIT)
+        if self.bounded:
+            check_products(sum(len(p) * len(q) for p, q in pairs), "bracket", BRACKET_LIMIT)
         acc = {}
         for p, q in pairs:
             _gauss_mul(p, q, acc)
@@ -258,6 +260,20 @@ def verify_general_family(fs, data: EigenData) -> FamilyReport:
 def verify_flat_family(fs) -> FamilyReport:
     "Eigenfamily test on flat space, where (lam, mu) = (0, 0) is forced."
     return verify_general_family(fs, FLAT_DATA)
+
+
+def quadratic_verdict(fs) -> bool:
+    """verify_flat_family(fs).verdict, to the first nonzero residual; members
+    of degree at most 2 skip BRACKET_LIMIT, as kappa(f, g) is then a quadratic
+    of at most m(m+1)/2 terms, however many (~m^3) term products it takes."""
+    fs = list(fs)
+    if not fs:
+        return True
+    degree = max(f.degree() for f in fs)
+    kernel = _Kernel(common_frame(fs), None, ZERO, ZERO, degree, bounded=degree > 2)
+    members = [kernel.prepare(f) for f in fs]
+    return not (any(map(kernel.harmonic, members))
+                or any(kernel.bracket(a, b) for i, a in enumerate(members) for b in members[i:]))
 
 
 def sphere_data(fs) -> EigenData:

@@ -20,7 +20,7 @@ from .scalars import GaussRational, I
 from .frames import VariableFrame
 from .poly import (Poly, FrameMismatch, _reduced, _unpacker, common_frame, gradient_rows,
                    mono_order_key, real_gradient, rename_onto)
-from .conformality import kappa, laplacian, verify_flat_family
+from .conformality import laplacian, verify_flat_family
 from .linalg import Matrix, _dots, _eliminate
 from .holomorphy import _pull_back
 
@@ -74,19 +74,18 @@ class RealMap:
 
 
 def verify_rn_hm(P: RealMap) -> bool:
-    """True when the map is a harmonic morphism, checked pairwise: every
-    P_j + i P_k must be harmonic with self-conformality zero."""
+    """True when the map is a harmonic morphism: every P_j + i P_k is
+    harmonic with self-conformality zero.  As the components are real
+    valued, kappa(P_j + i P_k, P_j + i P_k) = kappa(P_j, P_j) - kappa(P_k, P_k)
+    + 2i kappa(P_j, P_k) vanishes exactly when kappa(P_j, P_k) = 0 and
+    kappa(P_j, P_j) = kappa(P_k, P_k): one flat report, once all are harmonic."""
     if P.n < 2:
         raise ValueError("need at least two components")
-    for p in P.components:
-        if laplacian(p) != 0:
-            return False
-    for j in range(P.n):
-        for k in range(j + 1, P.n):
-            f = P.components[j] + I * P.components[k]
-            if kappa(f, f) != 0:
-                return False
-    return True
+    if any(laplacian(p) for p in P.components):
+        return False
+    brackets = verify_flat_family(P.components).conformal_pairs
+    return (len({brackets[j, j] for j in range(P.n)}) == 1
+            and not any(r for (j, k), r in brackets.items() if j != k))
 
 
 class NotHarmonicMorphism(ValueError):

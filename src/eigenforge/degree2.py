@@ -2,10 +2,14 @@
 and the construct/decompose correspondence for full eigenpairs.
 
 A homogeneous degree-2 polynomial is x^T A x for a complex symmetric
-matrix A in the real coordinates of its frame.  A family is an
-eigenfamily exactly when all anticommutators A_i A_j + A_j A_i vanish
-(including i = j).  Products of distinct members then have totally
-isotropic range inside every kernel, which yields axes of holomorphy.
+matrix A in the real coordinates of its frame.  The verdict of a family
+is conformality.quadratic_verdict of its polynomials, so that of a
+Deg2Form reads its symmetric part.  As kappa(x^T A x, x^T B x) =
+4 x^T A B x and laplacian(x^T A x) = 2 tr A, where A^2 = 0 forces
+tr A = 0, a family is an eigenfamily exactly when all anticommutators
+A_i A_j + A_j A_i vanish (including i = j).  Products of distinct members
+then have totally isotropic range inside every kernel, which yields
+axes of holomorphy.
 
 Full eigenpairs {F1, F2} are classified by data
 ((n, k, delta), (P1, P2, A), (Y, C, v)): on C^n + C^k + R^delta,
@@ -36,13 +40,15 @@ from .frames import VariableFrame
 from .poly import (FrameMismatch, Poly, common_frame, quadratic_from_numerators,
                    quadratic_numerators)
 from .parser import ParseError, format_poly, parse_poly
+from .conformality import quadratic_verdict
 from .holomorphy import _isotropic_parts, gradient_span
 from .linalg import (ComplexSubspace, Matrix, RealSubspace, _annihilator, _gram_orthogonal,
-                     _joined, _real_rows, _row_scaled, _stacked, anticommuting, vec)
+                     _joined, _real_rows, _row_scaled, _stacked, vec)
 
 
 class Deg2Form(NamedTuple):
-    "A quadratic form x^T A x on a frame's real coordinates."
+    """A quadratic form x^T A x on a frame's real coordinates, m x m A;
+    its verdicts read the symmetric part (A + A^T)/2, the matrix of x^T A x."""
     frame: VariableFrame
     A: Matrix
 
@@ -78,6 +84,8 @@ def from_form(f: Deg2Form) -> Poly:
     """x^T A x in the slots: the pair (s, u) takes entry (s, u) of T^T A T for
     x = T slot, the inverse table axis_slots over 2; symmetrized, over 8 den A."""
     A, m = f.A, f.frame.m
+    if A.nrows != m or A.ncols != m:
+        raise ValueError(f"form matrix is {A.nrows}x{A.ncols}, not {m}x{m} for its frame")
     cells = {(a, b): (x, y) for a, row in enumerate(zip(A.re, A.im))
              for b, (x, y) in enumerate(zip(*row)) if x or y}
     re, im = _through(cells, f.frame.axis_slots(), m)
@@ -86,22 +94,24 @@ def from_form(f: Deg2Form) -> Poly:
 
 
 def _coerce_forms(forms):
-    out = []
+    "(polys, forms): each member as a Poly (a Deg2Form's polynomial) and its symmetric to_form."
+    polys, out = [], []
     for f in forms:
         if isinstance(f, Deg2Form):
-            out.append(f)
-        elif isinstance(f, Poly):
-            out.append(to_form(f))
-        else:
+            f = from_form(f)
+        elif not isinstance(f, Poly):
             raise TypeError(f"expected Poly or Deg2Form, got {type(f).__name__}")
+        polys.append(f)
+        out.append(to_form(f))
     if out:
         common_frame(out, "form")
-    return out
+    return polys, out
 
 
 def is_eigenfamily_deg2(forms) -> bool:
-    "All anticommutators A_i A_j + A_j A_i vanish, including i = j."
-    return anticommuting([f.A for f in _coerce_forms(forms)])
+    """The flat verdict of the members' polynomials: all anticommutators
+    A_i A_j + A_j A_i of their symmetric forms vanish, including i = j."""
+    return quadratic_verdict(_coerce_forms(forms)[0])
 
 
 # ---------------------------------------------------------------------
@@ -128,10 +138,10 @@ def find_axis_deg2(forms):
     of an annihilating product; its dimension is at least min(2, m) for
     nonzero eigenfamilies.  A family of zero forms is degenerate and
     returns the whole space."""
-    forms = _coerce_forms(forms)
+    polys, forms = _coerce_forms(forms)
     if not forms:
         raise ValueError("empty family")
-    if not is_eigenfamily_deg2(forms):
+    if not quadratic_verdict(polys):
         raise ValueError("not a quadratic eigenfamily")
     m = forms[0].A.nrows
     mats = [f.A for f in forms if not f.A.is_zero()]
@@ -316,7 +326,7 @@ def decompose_eigenpair(F1: Poly, F2: Poly) -> Deg2Decomposition:
     if F1.frame != F2.frame:
         raise FrameMismatch("pair must share a frame")
     M1, M2 = to_form(F1).A, to_form(F2).A
-    if not anticommuting([M1, M2]):
+    if not quadratic_verdict([F1, F2]):
         raise ValueError("not a quadratic eigenfamily")
     radical, aniso = _maximal_axis_radical(M1, M2)  # raises "not full"
     try:
@@ -360,16 +370,12 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
 
     H, norms = _gram_orthogonal(Xi, hermitian=True)
     k = H.nrows
-    if k % 2 != 0 or n < k:
-        raise AssertionError("inconsistent subspace type")
+    delta = _dimensions(m, n, k, aniso)
     roots = [rational_sqrt(c.re / 2) for c in norms]  # e_j = h_j / root_j has |e_j|^2 = 2
     if any(root is None for root in roots):
         raise _NeedsFloat("coupling norm")
     E = _row_scaled(H, [(root.denominator, root.numerator) for root in roots])
 
-    delta = m - 2 * n - 2 * k
-    if delta != len(aniso) or delta not in (0, 1):
-        raise AssertionError("dimension count disagrees with the anisotropic part")
     isometry = _real_rows(_stacked(U, E))  # the axis rows, then Re e_j and Im e_j
     if delta:
         comp = RealSubspace._spanned(m, zip(isometry.re, isometry.im)).orthogonal_complement()
@@ -412,19 +418,31 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
     if not C.is_antisymmetric():
         raise AssertionError("twisting matrix C is not antisymmetric")
 
+    return _decomposition(delta, G1.scale(Fraction(1, 4)), G2.scale(Fraction(1, 4)), A_mat,
+                          TwistingData(Y, C, v), isometry, True)
+
+
+def _dimensions(m, n, k, aniso):
+    "delta = m - 2n - 2k, once n >= k, k is even and delta is len(aniso), 0 or 1."
+    if k % 2 != 0 or n < k:
+        raise AssertionError("inconsistent subspace type")
+    delta = m - 2 * n - 2 * k
+    if delta != len(aniso) or delta not in (0, 1):
+        raise AssertionError("dimension count disagrees with the anisotropic part")
+    return delta
+
+
+def _decomposition(delta, Z1, Z2, A, td, isometry, exact):
+    """The end of both tails: the validated data, with P1 and P2 the z-parts
+    sum_ij Z_ij z_i z_j of Z = S M S^T, whose entries are s_i^T M s_j over
+    the holomorphic selectors s, the rows of S."""
+    st = SubspaceType(n := A.nrows, A.ncols, delta).validate()
     zframe = VariableFrame(tuple(f"z{i+1}" for i in range(n)), ())
-    st = SubspaceType(n, k, delta).validate()
-    pd = PolynomialData(_z_part(zframe, G1, 4), _z_part(zframe, G2, 4), A_mat).validate(st)
-    td = TwistingData(Y, C, v).validate(st)
-    return Deg2Decomposition(st, pd, td, isometry, True)
-
-
-def _z_part(zframe, Z, scale=1):
-    """sum_ij Z_ij z_i z_j / scale for Z = scale S M S^T, whose entries are
-    s_i^T M s_j over the holomorphic selectors s, the rows of S."""
-    n = Z.nrows
-    return quadratic_from_numerators(zframe, scale * Z.den, {
+    P1, P2 = (quadratic_from_numerators(zframe, Z.den, {
         (2 * i, 2 * j): (Z.re[i][j], Z.im[i][j]) for i in range(n) for j in range(n)})
+        for Z in (Z1, Z2))
+    return Deg2Decomposition(st, PolynomialData(P1, P2, A).validate(st), td.validate(st),
+                             isometry, exact)
 
 
 def _rational_matrix(Mf, antisym=False):
@@ -470,17 +488,13 @@ def _decompose_float(frame, M1, M2, radical, aniso):
             basis.append(w)
             coeffs.append(c)
     k = len(basis)
-    if k % 2 != 0 or n < k:
-        raise AssertionError("inconsistent subspace type")
+    delta = _dimensions(m, n, k, aniso)
     e_basis, e_coeffs = [], []
     for h, c in zip(basis, coeffs):
         inv = numpy.sqrt(2.0) / numpy.linalg.norm(h)
         e_basis.append(h * inv)
         e_coeffs.append(c * inv)
 
-    delta = m - 2 * n - 2 * k
-    if delta != len(aniso) or delta not in (0, 1):
-        raise AssertionError("dimension count disagrees with the anisotropic part")
     d_vec = None
     if delta:
         # any unit vector orthogonal to all rows
@@ -507,18 +521,13 @@ def _decompose_float(frame, M1, M2, radical, aniso):
     C = X * Y + _outer(v).scale(Fraction(1, 4))
     C = (C - C.transpose()).scale(Fraction(1, 2))
 
-    zframe = VariableFrame(tuple(f"z{i+1}" for i in range(n)), ())
-    P1, P2 = (_z_part(zframe, _rational_matrix(numpy.array(
-        [[selectors[j] @ (Mf @ selectors[i]) for j in range(n)] for i in range(n)])))
+    Z1, Z2 = (_rational_matrix(numpy.array(
+        [[selectors[j] @ (Mf @ selectors[i]) for j in range(n)] for i in range(n)]))
         for Mf in (M1f, M2f))
-
-    st = SubspaceType(n, k, delta).validate()
-    pd = PolynomialData(P1, P2, A_mat).validate(st)
-    td = TwistingData(Y, C, v).validate(st)
     isometry = numpy.array(axis_rows
                            + [r for e in e_basis for r in (e.real, e.imag)]
                            + ([d_vec] if delta else []))
-    return Deg2Decomposition(st, pd, td, isometry, False)
+    return _decomposition(delta, Z1, Z2, A_mat, TwistingData(Y, C, v), isometry, False)
 
 
 # ---------------------------------------------------------------------

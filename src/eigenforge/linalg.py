@@ -450,9 +450,6 @@ class Matrix:
     def conj_transpose(self):
         return self.transpose().conjugate()
 
-    def is_symmetric(self):
-        return self == self.transpose()
-
     def is_antisymmetric(self):
         return self == -self.transpose()
 
@@ -539,32 +536,6 @@ def matrix_from_cols(cols, nrows=None):
     if not cols and nrows is None:
         raise ValueError("no columns: pass nrows for the empty matrix")
     return Matrix(cols, ncols=len(cols[0]) if cols else nrows).transpose()
-
-
-def anticommuting(mats) -> bool:
-    """Whether A B + B A = 0 for all A, B in mats, A = B included; mats are
-    square of one size.  Runs on the stored numerators and stops at the
-    first nonzero entry; A A + A A = 0 is tested as A A = 0, and when all
-    of mats are symmetric, so is each A B + B A: only its upper triangle
-    is tested."""
-    if any(not A.nrows == A.ncols == mats[0].nrows for A in mats):
-        raise ValueError("anticommuting needs square matrices of one size")
-    symmetric = all(map(Matrix.is_symmetric, mats))
-    # row a + i b times column c + i d: the row a + b against the columns c - d and d + c
-    factors = [(list(map(tuple.__add__, A.re, A.im)),
-                [(c + tuple(map(neg, d)), d + c)
-                 for c, d in zip(_columns(A.re, A.ncols), _columns(A.im, A.ncols))]) for A in mats]
-    for i, (rows_a, cols_a) in enumerate(factors):
-        for j, (rows_b, cols_b) in enumerate(factors[i:]):
-            rows, cols = rows_a, cols_a
-            if j:  # entry (r, c) is row_r(A) col_c(B) + row_r(B) col_c(A), over D_A D_B
-                rows = map(tuple.__add__, rows_a, rows_b)
-                cols = [(b1 + a1, b2 + a2) for (b1, b2), (a1, a2) in zip(cols_b, cols_a)]
-            for k, r in enumerate(rows):
-                if any(sum(map(mul, r, c1)) or sum(map(mul, r, c2))
-                       for c1, c2 in (cols[k:] if symmetric else cols)):
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------

@@ -6,8 +6,8 @@ diagonalization), polynomial arithmetic on the
 {exponent tuple: GaussRational} term view, term degrees from unpacked
 keys, evaluation term by term, and on top of it the real-gradient forms of the projected
 bracket, projected Laplacian and degree-2 matrix, the bracket,
-Laplacian and family verification, the substitution and isometry
-pull-back, the degree-2 builders in Poly ring arithmetic (with the
+Laplacian, family verification and pairwise harmonic-morphism test, the
+substitution and isometry pull-back, the degree-2 builders in Poly ring arithmetic (with the
 scalar slot-pair codec and the axis table they read), the exact degree-2
 decomposition through the m x m axis projector, a real subspace that
 stores its basis as Fraction tuples,
@@ -773,6 +773,21 @@ def ref_verify_general_family(fs, data):
     return FamilyReport(frame, harm, pairs, EigenData(lam, mu), _family_degree(fs))
 
 
+def ref_verify_rn_hm(P):
+    "The harmonic-morphism test pair by pair: each P_j harmonic, each P_j + i P_k of bracket zero."
+    if P.n < 2:
+        raise ValueError("need at least two components")
+    if any(ref_laplacian(p) for p in P.components):
+        return False
+    comps = P.components
+    for j in range(P.n):
+        for k in range(j + 1, P.n):
+            f = ref_add(comps[j], ref_mul(I, comps[k]))
+            if ref_kappa(f, f):
+                return False
+    return True
+
+
 # -- term-by-term substitution -----------------------------------------------
 #
 # Substitution and the isometry pull-back as reference sums and products
@@ -1198,7 +1213,7 @@ def ref_find_axis_deg2(forms):
     """(axis, degenerate) as find_axis_deg2 gives them: the real span of Re w
     and Im w over a Hermitian Gram-Schmidt basis w of the nonzero columns of
     an annihilating product, or the whole space for a family of zero forms."""
-    forms = _coerce_forms(forms)
+    forms = _coerce_forms(forms)[1]
     if not forms or not is_eigenfamily_deg2(forms):
         raise ValueError("not a nonempty quadratic eigenfamily")
     m = forms[0].A.nrows
@@ -1237,7 +1252,7 @@ def ref_isotropic_annihilator_seeds(fs):
     if any(isinstance(f, Poly) and f != 0 and not (f.is_homogeneous() and f.degree() == 2)
            for f in fs):
         return []
-    forms = _coerce_forms(fs)
+    forms = _coerce_forms(fs)[1]
     mats = [f.A for f in forms if not f.A.is_zero()]
     if not mats or not is_eigenfamily_deg2(forms):
         return []

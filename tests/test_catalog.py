@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from eigenforge import catalog
+from eigenforge.parser import load_family
 from eigenforge.scalars import scalar
 
 
@@ -48,31 +49,33 @@ def test_env_override(tmp_path, monkeypatch):
     assert all(o.ok for o in outcomes)
 
 
-def test_corrupted_entry_fails(tmp_path):
+def test_corrupted_entry_fails(tmp_path, monkeypatch):
     text = Path(catalog.entry_path("pair-c4")).read_text()
     broken = text.replace("z*conj(w) - u*conj(v)", "z*conj(w) + u*conj(v)")
     assert broken != text
     (tmp_path / "broken.efam").write_text(broken)
-    outcomes = catalog.run_entry(catalog.load_entry("broken", directory=str(tmp_path)))
+    monkeypatch.setenv("EIGENFORGE_CATALOG", str(tmp_path))
+    outcomes = catalog.run_entry(catalog.load_entry("broken"))
     bad = {o.key for o in outcomes if not o.ok}
     assert "eigenfamily" in bad
 
 
-def test_unknown_expectation_key_fails(tmp_path):
+def test_unknown_expectation_key_fails(tmp_path, monkeypatch):
     (tmp_path / "odd.efam").write_text(
         "family odd\n"
         "frame complex z\n"
         "F = z^2\n"
         "expect eigenfamily = true\n"
         "expect shiny = true\n")
-    outcomes = catalog.run_entry(catalog.load_entry("odd", directory=str(tmp_path)))
+    monkeypatch.setenv("EIGENFORGE_CATALOG", str(tmp_path))
+    outcomes = catalog.run_entry(catalog.load_entry("odd"))
     by_key = {o.key: o for o in outcomes}
     assert by_key["eigenfamily"].ok
     assert not by_key["shiny"].ok
     assert by_key["shiny"].actual == "unknown expectation"
 
 
-def test_check_error_is_reported_not_raised(tmp_path):
+def test_check_error_is_reported_not_raised(tmp_path, monkeypatch):
     # sphere data needs homogeneous members; the mixed family must fail
     # its sphere expectation without taking down the whole run
     (tmp_path / "mixed.efam").write_text(
@@ -81,14 +84,15 @@ def test_check_error_is_reported_not_raised(tmp_path):
         "F1 = z^2\n"
         "F2 = z*u^2\n"
         "expect sphere_lambda = -8\n")
-    outcomes = catalog.run_entry(catalog.load_entry("mixed", directory=str(tmp_path)))
+    monkeypatch.setenv("EIGENFORGE_CATALOG", str(tmp_path))
+    outcomes = catalog.run_entry(catalog.load_entry("mixed"))
     (o,) = outcomes
     assert not o.ok
     assert str(o.actual).startswith("error:")
 
 
 def test_bindings_reach_parameters(tmp_path):
-    source = catalog.load_entry("abb-r5", bindings={"g": scalar(2)})
+    source = load_family(catalog.entry_path("abb-r5"), bindings={"g": scalar(2)})
     assert source.params["g"] == scalar(2)
     outcomes = catalog.run_entry(source)
     assert all(o.ok for o in outcomes)

@@ -775,6 +775,24 @@ def test_construct_power_with_explicit_data():
     assert "sphere_data_consistent" not in payload
 
 
+def test_construct_power_rejects_other_explicit_data(tmp_path):
+    # only the flat data and the base's sphere data have a transform the verdict speaks for
+    z1z2 = entry_path("z1z2")
+    for data, json_flag in itertools.product((["--lambda", "5", "--mu", "7"], ["--mu", "-4"]),
+                                             ([], ["--json"])):
+        code, out, err = run(["construct", "power", z1z2, "--d", "2"] + data + json_flag)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --lambda/--mu (lambda=")
+        assert err.endswith(" must be the flat data (lambda=0, mu=0) or the base's sphere "
+                            "data (lambda=-8, mu=-4)\n")
+    mixed = tmp_path / "mixed.efam"
+    mixed.write_text("family mixed\nframe complex z u\nF1 = z\nF2 = z*u\n")
+    assert run(["construct", "power", mixed, "--d", "2", "--lambda", "1"]) == (
+        2, "", "error: --lambda/--mu (lambda=1, mu=0) must be the flat data (lambda=0, mu=0) "
+               "(the base has no sphere data)\n")
+    assert run(["construct", "power", mixed, "--d", "2", "--lambda", "0"])[0] == 0
+
+
 # -- catalog ----------------------------------------------------------
 
 

@@ -314,6 +314,16 @@ def test_bracket_over_the_limit_raises_before_multiplying(monkeypatch):
         verify_flat_family([f1, f2])
 
 
+def test_quadratic_verdict_skips_the_limit_in_degree_two_only(monkeypatch):
+    f1, f2 = degree2_pair()
+    monkeypatch.setattr(conformality, "BRACKET_LIMIT", 1)
+    assert conformality.quadratic_verdict([f1, f2])
+    # a nonzero Laplacian ends the verdict before any bracket
+    assert not conformality.quadratic_verdict([f1, f1 * f1.conjugate()])
+    with pytest.raises(ValueError, match="over the limit of 1"):
+        conformality.quadratic_verdict([f1 * f1, f2 * f2])
+
+
 # ---------------------------------------------------------------------
 # family verification
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eigenforge import conformality
 from eigenforge.scalars import GaussRational, ZERO, scalar
 from eigenforge.frames import VariableFrame
 from eigenforge.poly import Poly, FrameMismatch, real_gradient
@@ -23,7 +24,7 @@ from eigenforge.constructions import (RealMap, verify_rn_hm, pair_components,
                                       quaternion_multiplication_family,
                                       quaternion_triple_family)
 
-from oracles import axis_polynomials, ref_defect_family, ref_span_equal
+from oracles import axis_polynomials, ref_defect_family, ref_span_equal, ref_verify_rn_hm
 
 C4 = VariableFrame(("z", "u", "v", "w"))
 
@@ -131,6 +132,47 @@ def test_eigenfamily_need_not_come_from_a_real_morphism():
     fs = quartet_family()
     assert verify_flat_family(fs).verdict
     assert not verify_rn_hm(RealMap.from_complex(fs))
+
+
+def random_real_map(rng, kind):
+    """A RealMap and whether it is a harmonic morphism: Re and Im of a random
+    holomorphic f on C^2, or the four components of quaternion multiplication
+    mixed by a rational rotation of R^4, both harmonic morphisms.  For the first
+    two coordinates z and u, kind "mixed" adds z conj(u) + conj(z) u to one
+    component (harmonic, not conformal), "nonharmonic" adds z conj(z) and
+    "skew" doubles it."""
+    if rng.random() < 0.5:
+        fr = VariableFrame(("z", "u"))
+        f = sum((scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 2)), rng.randint(-3, 3))
+                 * parse_poly(rng.choice(["z", "u", "z^2", "z*u", "u^3", "z^2*u"]), fr)
+                 for _ in range(rng.randint(1, 4))), Poly.zero(fr))
+        f = f + parse_poly("z*u", fr)  # never constant
+        comps = list(RealMap.from_complex([f]).components)
+    else:
+        base = RealMap.from_complex(quaternion_multiplication_family()).components
+        fr, O = base[0].frame, rand_rational_rotation(rng, 4)
+        comps = [sum((O[a, b] * base[b] for b in range(4)), Poly.zero(fr)) for a in range(4)]
+    j = rng.randrange(len(comps))
+    z, u = fr.complex_names[:2]
+    extra = {"mixed": f"{z}*conj({u}) + conj({z})*{u}", "nonharmonic": f"{z}*conj({z})"}.get(kind)
+    if extra:
+        comps[j] = comps[j] + parse_poly(extra, fr)
+    elif kind == "skew":
+        comps[j] = scalar(2) * comps[j]
+    return RealMap(fr, comps), kind == "morphism"
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_harmonic_morphism_test_matches_the_pairwise_reference(seed):
+    kind = ("morphism", "mixed", "morphism", "nonharmonic", "morphism", "skew")[seed % 6]
+    P, morphism = random_real_map(random.Random(seed), kind)
+    assert verify_rn_hm(P) == ref_verify_rn_hm(P) == morphism
+
+
+def test_nonharmonic_map_fails_before_any_bracket(monkeypatch):
+    P, _ = random_real_map(random.Random(3), "nonharmonic")
+    monkeypatch.setattr(conformality, "BRACKET_LIMIT", 0)  # any bracket would raise
+    assert not verify_rn_hm(P)
 
 
 # -- complex defects --------------------------------------------------

@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from eigenforge.frames import VariableFrame
 from eigenforge.poly import Poly
-from eigenforge.scalars import GaussRational, ZERO, ONE, scalar
+from eigenforge.scalars import GaussRational, I, ZERO, ONE, scalar
 from eigenforge.linalg import Matrix, _annihilator, _real_rows, cayley_orthogonal, vec
 from eigenforge.conformality import verify_flat_family, kappa
-from eigenforge.holomorphy import apply_real_isometry, is_uniformly_complex_type
+from eigenforge.holomorphy import apply_real_isometry, is_axis, is_uniformly_complex_type
 from eigenforge import degree2
 from eigenforge.degree2 import (
     Deg2Form,
@@ -35,8 +35,9 @@ from eigenforge.degree2 import (
 )
 
 from oracles import (dot_bilinear, ref_annihilating_product, ref_construct_eigenpair,
-                     ref_decompose_exact, ref_find_axis_deg2, ref_from_form, ref_to_form,
-                     vec_is_zero)
+                     ref_decompose_exact, ref_find_axis_deg2, ref_from_form, ref_matmul,
+                     ref_to_form, vec_is_zero)
+from test_linalg import _entries, matrices
 
 C1 = VariableFrame(("z",), ())
 R2 = VariableFrame((), ("x", "t"))
@@ -163,6 +164,64 @@ def test_anticommutation_matches_verification():
         assert by_matrix == by_kappa
         agree += 1
     assert agree > 400
+
+
+def test_non_symmetric_form_gets_the_verdict_of_its_polynomial():
+    # x^T A x = x t for A = [[0, 1], [0, 0]], although A A = 0
+    form = Deg2Form(R2, Matrix([[0, 1], [0, 0]]))
+    assert from_form(form) == Poly.variable(R2, "x") * Poly.variable(R2, "t")
+    assert not verify_flat_family([from_form(form)]).verdict
+    assert not is_eigenfamily_deg2([form])
+    with pytest.raises(ValueError, match="not a quadratic eigenfamily"):
+        find_axis_deg2([form])
+
+
+def test_form_matrix_must_match_its_frame():
+    form = Deg2Form(R2, Matrix.identity(3))
+    for call in (from_form, lambda f: is_eigenfamily_deg2([f]), lambda f: find_axis_deg2([f])):
+        with pytest.raises(ValueError, match="form matrix is 3x3, not 2x2"):
+            call(form)
+
+
+@st.composite
+def anticommuting_cases(draw):
+    "Square matrices of one size, some built from isotropic vectors so that they anticommute."
+    n = draw(st.integers(0, 4))
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        if n == 4 and draw(st.booleans()):
+            # (a, ia, b, ib) . (c, ic, d, id) = 0: u u^T, v v^T and u v^T + v u^T anticommute
+            a, b, c, d = (draw(_entries) for _ in range(4))
+            u, v = vec([a, I * a, b, I * b]), vec([c, I * c, d, I * d])
+            U, V = Matrix([u], ncols=4), Matrix([v], ncols=4)
+            mats.append(draw(st.sampled_from([U.transpose() * U, V.transpose() * V,
+                                              U.transpose() * V + V.transpose() * U])))
+        elif n >= 2 and draw(st.booleans()):
+            # one entry above the diagonal: A A = 0, but its symmetric part squares to nonzero
+            i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                        unique=True)))
+            rows = [[ZERO] * n for _ in range(n)]
+            rows[i][j] = scalar(draw(st.integers(1, 3)))
+            mats.append(Matrix(rows, ncols=n))
+        elif draw(st.booleans()):
+            M = draw(matrices(n, n))
+            mats.append(M + M.transpose())
+        else:
+            mats.append(draw(matrices(n, n)))
+    return mats
+
+
+@settings(max_examples=100, deadline=None)
+@given(anticommuting_cases())
+def test_eigenfamily_verdict_is_the_flat_verdict_of_the_polynomials(mats):
+    # and, for the symmetric parts S of the matrices, all S_i S_j + S_j S_i vanish
+    frame = VariableFrame((), tuple(f"s{j}" for j in range(mats[0].nrows)))
+    forms = [Deg2Form(frame, A) for A in mats]
+    sym = [(A + A.transpose()).scale(Fraction(1, 2)) for A in mats]
+    want = all((ref_matmul(A, B) + ref_matmul(B, A)).is_zero()
+               for i, A in enumerate(sym) for B in sym[i:])
+    assert is_eigenfamily_deg2(forms) == verify_flat_family([from_form(f) for f in forms]).verdict
+    assert is_eigenfamily_deg2(forms) == want
 
 
 def test_nilpotency_matches_complex_type_for_singletons():
@@ -578,12 +637,15 @@ def test_find_axis_rejects_non_eigen():
         find_axis_deg2([])
 
 
-def anticommuting_family(rng, m, count=2, rotate=True):
+def anticommuting_family(rng, m, count=2, rotate=True, Q=None):
     """Quadratic forms built from a common isotropic column span; all
     pairwise anticommutators vanish because every inner product of the
     generating vectors is zero.  Without the rotation the forms live on
-    the first six coordinates, so their products have zero columns."""
-    Q = rand_cayley(rng, m) if rotate else Matrix.identity(m)
+    the first six coordinates, so their products have zero columns.  Q,
+    if given, replaces the rotation: its first six columns need only be
+    orthogonal and of one norm."""
+    if Q is None:
+        Q = rand_cayley(rng, m) if rotate else Matrix.identity(m)
     pairs = m // 2
     ws = []
     for j in range(min(pairs, 3)):
@@ -707,6 +769,7 @@ def test_find_axis_on_a_zero_product_multiplies_once(monkeypatch):
     frame = VariableFrame((), tuple(f"s{j}" for j in range(6)))
     forms = [Deg2Form(frame, A) for A in anticommuting_family(rng, 6)]
     assert not any(f.A.is_zero() for f in forms) and (forms[1].A * forms[0].A).is_zero()
+    assert is_eigenfamily_deg2(forms)  # caches the bracket's slot table, a product of its own
     calls = []
     mul = Matrix.__mul__
 
@@ -718,6 +781,23 @@ def test_find_axis_on_a_zero_product_multiplies_once(monkeypatch):
     axis, degenerate = find_axis_deg2(forms)
     assert not degenerate and axis.dim >= 2
     assert len(calls) == 1
+
+
+def test_find_axis_on_dense_forms_past_the_bracket_limit():
+    # Walsh columns (-1)^popcount(a & k) are orthogonal, of one norm and dense, so
+    # each form is dense with small entries, and one bracket of a pair takes
+    # ~m^3 term products, past BRACKET_LIMIT; the degree-2 verdict has no limit
+    m = 104
+    walsh = Matrix([[(-1) ** bin(a & k).count("1") if k < 6 else 0 for k in range(m)]
+                    for a in range(m)])
+    frame = VariableFrame((), tuple(f"s{j}" for j in range(m)))
+    forms = [Deg2Form(frame, A) for A in anticommuting_family(random.Random(5), m, Q=walsh)]
+    polys = [from_form(f) for f in forms]
+    with pytest.raises(ValueError, match="over the limit of 1000000"):
+        verify_flat_family(polys)
+    assert is_eigenfamily_deg2(forms)
+    axis, degenerate = find_axis_deg2(forms)
+    assert not degenerate and axis.dim >= 2 and is_axis(polys, axis)
 
 
 def test_json_round_trip():

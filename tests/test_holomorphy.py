@@ -731,16 +731,19 @@ def test_no_assert_statement_in_the_package():
 
 
 def test_each_package_module_imports_alone():
-    # a fresh interpreter per module: no import order hides a cycle
+    # a fresh interpreter per module: no import order hides a cycle, and
+    # numpy, which only the numeric fallbacks use, is not imported at startup
     import pathlib
     package = pathlib.Path(eigenforge.__file__).parent
     env = dict(os.environ, PYTHONPATH=str(package.parent))
     for path in sorted(package.rglob("*.py")):
         parts = path.relative_to(package.parent).with_suffix("").parts
         name = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
-        proc = subprocess.run([sys.executable, "-c", f"import {name}"], env=env,
+        code = f"import sys, {name}; print('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, (name, proc.stderr)
+        assert proc.stdout == "False\n", f"importing {name} imports numpy"
 
 
 def test_result_checks_fire_under_python_O():

@@ -21,7 +21,6 @@ from eigenforge.linalg import (
     RealSubspace,
     _annihilator,
     _gram_orthogonal,
-    anticommuting,
     matrix_from_cols,
     vec,
 )
@@ -180,7 +179,7 @@ def test_real_subspace_projector():
     V = RealSubspace(3, [(1, 1, 0), (0, 0, 1)])
     P = V.projector()
     assert P * P == P
-    assert P.is_symmetric()
+    assert P == P.transpose()
     # projects onto V: members fixed, orthogonal complement killed
     assert P.apply(vec([1, 1, 0])) == vec([1, 1, 0])
     assert P.apply(vec([1, -1, 0])) == vec([0, 0, 0])
@@ -498,42 +497,6 @@ def test_solve_matches_reference(M, data):
         assert x is None
     else:
         assert ref_matmul(M, Matrix([[v] for v in x], ncols=1)).col(0) == b
-
-
-@st.composite
-def anticommuting_cases(draw):
-    "Square matrices of one size, some built from isotropic vectors so that they anticommute."
-    n = draw(st.integers(0, 4))
-    mats = []
-    for _ in range(draw(st.integers(1, 3))):
-        if n == 4 and draw(st.booleans()):
-            # (a, ia, b, ib) . (c, ic, d, id) = 0: u u^T, v v^T and u v^T + v u^T anticommute
-            a, b, c, d = (draw(_entries) for _ in range(4))
-            u, v = vec([a, I * a, b, I * b]), vec([c, I * c, d, I * d])
-            U, V = Matrix([u], ncols=4), Matrix([v], ncols=4)
-            mats.append(draw(st.sampled_from([U.transpose() * U, V.transpose() * V,
-                                              U.transpose() * V + V.transpose() * U])))
-        elif draw(st.booleans()):  # symmetric, so only upper triangles are tested
-            M = draw(matrices(n, n))
-            mats.append(M + M.transpose())
-        else:
-            mats.append(draw(matrices(n, n)))
-    return mats
-
-
-@settings(max_examples=100, deadline=None)
-@given(anticommuting_cases())
-def test_anticommuting_matches_reference(mats):
-    want = all((ref_matmul(A, B) + ref_matmul(B, A)).is_zero()
-               for i, A in enumerate(mats) for B in mats[i:])
-    assert anticommuting(mats) == want
-
-
-def test_anticommuting_needs_square_matrices_of_one_size():
-    with pytest.raises(ValueError):
-        anticommuting([Matrix([[1, 0]])])
-    with pytest.raises(ValueError):
-        anticommuting([Matrix.identity(2), Matrix.identity(3)])
 
 
 # -- the stored form: canonical storage and the hash/eq contract -------
