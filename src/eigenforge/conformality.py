@@ -9,7 +9,7 @@ the complex-bilinear pairing of real gradients, and
 
     laplacian(f) = 4 sum_j dz_j dzbar_j f + sum_k dt_k^2 f.
 
-Given a real symmetric m x m matrix P, kappa(f, g, P) is the pairing
+Given a symmetric m x m matrix P, kappa(f, g, P) is the pairing
 sum_ab P_ab d_a f d_b g over the real axes and laplacian(f, P) is
 trace(P Hess f); P = identity gives the plain operators.  All read one
 form on the slots, D P D^T for the table D of z = x + iy in frames.
@@ -23,15 +23,18 @@ lam = -d(d+m-1), mu = -d^2.
 One integer kernel computes both residuals, kappa(f, g) - mu f g and
 laplacian(f) - lam f, on the packed form that Poly stores (Gaussian-
 integer numerators over one denominator D_f, monomials packed into
-integers).  The form's coefficients C_su over the slots, lam and mu go
-to one common denominator once.  Each member f is prepared once: its
-slot derivatives d_s f and the C-weighted gradients h_s = sum_u C_su
-d_u f, taken on the numerators for the slots f uses.  A pair's residual
-is then sum_s d_s f h_s(g) - mu f g over the slots both sides have, in
-one integer dict over D_f D_g times the common denominator, reduced
-once; the Laplacian residual is sum_s d_s h_s(f) - lam f.  kappa and
-laplacian are one-pair calls of the same kernel.  A bracket whose term
-products would exceed BRACKET_LIMIT raises ValueError before it
+integers).  The form's rows, its coefficients C_su over the slots as
+integer weights over one denominator, are built once per (frame, P); a
+kernel rescales them only when lam or mu brings a new denominator.
+Each member f is prepared once, as its bare slot derivatives d_s f on
+the numerators, for the slots f uses, and -mu f.  A pair's residual
+sum_su C_su d_s f d_u g - mu f g is one integer dict over D_f D_g times
+the common denominator, reduced once: the products d_s f d_u g are added
+up by weight and each sum is scaled once, and in kappa(f, f) a diagonal
+pair d_s f d_s f is a square, which takes each pair of terms once.  The
+Laplacian residual is the same weights on d_s d_u f, less lam f.  kappa
+and laplacian are one-pair calls of the same kernel.  A bracket whose
+term products would exceed BRACKET_LIMIT raises ValueError before it
 multiplies anything (in quadratic_verdict, only past degree 2).
 """
 
@@ -42,7 +45,7 @@ from operator import or_
 from typing import NamedTuple, Optional
 
 from .scalars import (GaussRational, I, ONE, ZERO, as_scalar, common_numerators, format_scalar,
-                      scalar)
+                      from_triple, scalar)
 from .frames import VariableFrame
 from .poly import (EXP_BITS, MAX_DEGREE, PRODUCT_LIMIT, FrameMismatch, Poly, _degrees,
                    _derivative, _gauss_mul, _gauss_sum, _nonzero, _reduced, _unpacker,
@@ -67,7 +70,6 @@ class EigenData(NamedTuple):
 FLAT_DATA = EigenData(ZERO, ZERO)
 
 
-@lru_cache(maxsize=64)
 def _slot_form(frame, P=None):
     """{(s, u): c != 0} over slot pairs s <= u: the symmetric form sum c d_s . d_u
     behind kappa and laplacian, C = D P D^T for the table D of frame.slot_axes
@@ -77,6 +79,8 @@ def _slot_form(frame, P=None):
     P = Matrix.identity(m) if P is None else P
     if P.nrows != m or P.ncols != m:
         raise ValueError(f"P must be {m}x{m} for this frame")
+    if P != P.transpose():
+        raise ValueError("P must be symmetric")
     re, im = [[0] * m for _ in range(m)], [[0] * m for _ in range(m)]
     for s, entries in enumerate(frame.slot_axes()):
         for a, p, q in entries:
@@ -86,44 +90,47 @@ def _slot_form(frame, P=None):
     return {(s, u): C[s, u] for s in range(m) for u in range(s, m) if C[s, u]}
 
 
-def _weighted(rows, d):
-    "{s: sum_u w d[u]} over the (u, w) of each row with u in d, for the rows that reach d."
-    return {s: _gauss_sum(parts) for s, row in rows.items()
-            if (parts := [(w, d[u]) for u, w in row if u in d])}
+@lru_cache(maxsize=64)
+def _slot_rows(frame, P=None):
+    """(den, full, upper): the rows of _slot_form as Gaussian-integer weights
+    w over den.  full[s] lists (u, w) with w = C_su; upper[s] keeps u >= s
+    with off-diagonal weights doubled, so that kappa(f, f) is the sum of
+    w d_s f d_u f over upper.  Cached per (frame, P), so shared: read only."""
+    form = _slot_form(frame, P)
+    den, weights = common_numerators(form.values())
+    full, upper = {}, {}
+    for (s, u), (a, b) in zip(form, weights):
+        full.setdefault(s, []).append((u, (a, b)))
+        if s != u:
+            full.setdefault(u, []).append((s, (a, b)))
+            a, b = 2 * a, 2 * b
+        upper.setdefault(s, []).append((u, (a, b)))
+    return den, full, upper
 
 
 class _Member(NamedTuple):
-    """One member prepared for the kernel: its slot derivatives d[s] over
-    poly.den, and the weighted gradients full[s] (pairing with another
-    member) and upper[s] (pairing with itself), over poly.den times the
-    kernel's denominator, with no entry for a zero; neg_mu is -mu f."""
+    """One member prepared for the kernel: its bare slot derivatives d[s]
+    over poly.den, for the slots it uses, and neg_mu = -mu f over poly.den
+    times the kernel's denominator."""
     poly: Poly
     d: dict
-    full: dict
-    upper: dict
     neg_mu: dict
 
 
 class _Kernel:
     """The residuals kappa(f, g) - mu f g and laplacian(f) - lam f of one
-    form on one frame, for members of degree at most `degree`."""
+    form on one frame, for members of degree at most `degree`: the cached
+    rows of the form, with lam and mu, over one denominator."""
 
     def __init__(self, frame, P, lam, mu, degree, bounded=True):
-        form = _slot_form(frame, P)
+        den, self.full, self.upper = _slot_rows(frame, P)
         self.bounded = bounded
         self.zero = Poly.zero(frame)
-        self.den, nums = common_numerators([*form.values(), lam, mu])
-        *weights, self.lam, self.mu = nums
-        # rows of the symmetric matrix C: full[s] lists (u, w) with
-        # w = C_su; upper[s] keeps u >= s with off-diagonal weights
-        # doubled, so that sum_s d_s f upper[s](f) = kappa(f, f)
-        self.full, self.upper = {}, {}
-        for ((s, u), _), (a, b) in zip(form.items(), weights):
-            self.full.setdefault(s, []).append((u, (a, b)))
-            if s != u:
-                self.full.setdefault(u, []).append((s, (a, b)))
-                a, b = 2 * a, 2 * b
-            self.upper.setdefault(s, []).append((u, (a, b)))
+        # k = self.den / den is 1 unless lam or mu brings a new denominator
+        self.den, (self.lam, self.mu, (k, _)) = common_numerators([lam, mu, from_triple(1, 0, den)])
+        if k != 1:
+            self.full, self.upper = ({s: [(u, (k * a, k * b)) for u, (a, b) in row]
+                                      for s, row in rows.items()} for rows in (self.full, self.upper))
         # mu f g has twice the members' degree
         check_degree(2 * degree, "bracket")
 
@@ -133,33 +140,47 @@ class _Kernel:
         used = reduce(or_, nums, 0)
         d = {s: _derivative(nums, s) for s in self.full if used >> s * EXP_BITS & MAX_DEGREE}
         a, b = self.mu
-        return _Member(f, d, _weighted(self.full, d), _weighted(self.upper, d),
-                       _gauss_sum([((-a, -b), nums)]))
+        return _Member(f, d, _gauss_sum([((-a, -b), nums)]))
 
     def bracket(self, f: _Member, g: _Member) -> Poly:
-        "kappa(f, g) - mu f g, from one integer dict, over the slots both sides have."
-        h = f.upper if f is g else g.full
-        pairs = [(p, q) for p, q in [(f.d.get(s), q) for s, q in h.items()]
-                 + [(f.poly.nums, g.neg_mu)] if p and q]
+        """kappa(f, g) - mu f g, from one integer dict, over the slots both sides
+        have: the products d_s f d_u g are added up by weight, and each sum
+        scaled once.  A row of several entries pairs d_s f with its weighted
+        sum over g, as one product of weight 1."""
+        rows, dg = (self.upper, f.d) if f is g else (self.full, g.d)
+        pairs = [((1, 0), f.poly.nums, g.neg_mu)]
+        for s, p in f.d.items():
+            row = rows.get(s, ())
+            if len(row) == 1:
+                (u, w), = row
+                pairs.append((w, p, dg.get(u)))
+            elif row:
+                pairs.append(((1, 0), p, _gauss_sum([(w, dg[u]) for u, w in row if u in dg])))
+        pairs = [(w, p, q) for w, p, q in pairs if p and q]
         if not pairs:
             return self.zero
         if self.bounded:
-            check_products(sum(len(p) * len(q) for p, q in pairs), "bracket", BRACKET_LIMIT)
-        acc = {}
-        for p, q in pairs:
-            _gauss_mul(p, q, acc)
+            check_products(sum(len(p) * len(q) for _, p, q in pairs), "bracket", BRACKET_LIMIT)
+        sums = {}
+        for w, p, q in pairs:
+            _gauss_mul(p, q, sums.setdefault(w, {}))
+        acc = sums.pop((1, 0), {})
+        for w, part in sums.items():
+            _gauss_mul(part, {0: w}, acc)
         return _reduced(f.poly.frame, _nonzero(acc), f.poly.den * g.poly.den * self.den)
 
     def harmonic(self, f: _Member) -> Poly:
-        "laplacian(f) - lam f."
+        "laplacian(f) - lam f, as the sum of w d_s d_u f over the upper rows."
         a, b = self.lam
-        parts = [((1, 0), _derivative(h, s)) for s, h in f.upper.items()]
+        d = f.d
+        parts = [(w, _derivative(d[u], s)) for s, row in self.upper.items() if s in d
+                 for u, w in row if u in d]
         return _reduced(f.poly.frame, _gauss_sum(parts + [((-a, -b), f.poly.nums)]),
                         f.poly.den * self.den)
 
 
 def kappa(f: Poly, g: Poly, P=None) -> Poly:
-    """The bracket; with a real symmetric m x m matrix P, the gradient
+    """The bracket; with a symmetric m x m matrix P, the gradient
     pairing sum_ab P_ab d_a f d_b g over the real axes instead."""
     if f.frame != g.frame:
         raise FrameMismatch("kappa needs a shared frame")
@@ -169,7 +190,7 @@ def kappa(f: Poly, g: Poly, P=None) -> Poly:
 
 
 def laplacian(f: Poly, P=None) -> Poly:
-    """The Laplacian; with a real symmetric m x m matrix P, the trace
+    """The Laplacian; with a symmetric m x m matrix P, the trace
     of P times the real Hessian instead."""
     kernel = _Kernel(f.frame, P, ZERO, ZERO, f.degree())
     return kernel.harmonic(kernel.prepare(f))
@@ -285,6 +306,8 @@ def sphere_data(fs) -> EigenData:
         raise ValueError("empty family has no sphere data")
     frame = common_frame(fs)
     degs = {f.degree() for f in fs if f != 0}
+    if not degs:
+        raise ValueError("a family of zero polynomials has no sphere data")
     if len(degs) != 1:
         raise ValueError(f"mixed degrees {sorted(degs)} have no single eigen data")
     d = degs.pop()

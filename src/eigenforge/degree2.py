@@ -249,9 +249,11 @@ def construct_eigenpair(t: SubspaceType, pd: PolynomialData, td: TwistingData,
     frames), F1 adds A_il on (z_i, w_l), and F2 adds row i of A X on
     (z_i, w_l), of A Y on (z_i, conj(w_l)) and of i A v on (z_i, t).  The
     output always passes verify_flat_family."""
-    t.validate()
-    pd.validate(t)
-    td.validate(t)
+    return _eigenpair(t.validate(), pd.validate(t), td.validate(t), names)
+
+
+def _eigenpair(t, pd, td, names):
+    "construct_eigenpair on data already validated."
     frame = default_frame(t, names)
     n, k = t.n, t.k
     w = 2 * n  # slot of w_1; conj(w_l) follows w_l, and t follows conj(w_k)
@@ -284,18 +286,18 @@ class Deg2Decomposition:
     the recorded isometry (rows = orthonormal basis adapted to the
     maximal axis).  exact is False when a needed square root left Q(i)
     and the tail ran in floating point; the data is then a rational
-    recovery whose reconstruction still verifies exactly."""
+    recovery whose reconstruction still verifies exactly.  The data is
+    validated here, once, so reconstruct builds the pair directly."""
 
     def __init__(self, subspace_type, poly_data, twist_data, isometry, exact):
-        self.subspace_type = subspace_type
-        self.poly_data = poly_data
-        self.twist_data = twist_data
+        self.subspace_type = subspace_type.validate()
+        self.poly_data = poly_data.validate(subspace_type)
+        self.twist_data = twist_data.validate(subspace_type)
         self.isometry = isometry
         self.exact = exact
 
     def reconstruct(self, names=None):
-        return construct_eigenpair(self.subspace_type, self.poly_data,
-                                   self.twist_data, names=names)
+        return _eigenpair(self.subspace_type, self.poly_data, self.twist_data, names)
 
 
 class _NeedsFloat(Exception):
@@ -436,12 +438,12 @@ def _decomposition(delta, Z1, Z2, A, td, isometry, exact):
     """The end of both tails: the validated data, with P1 and P2 the z-parts
     sum_ij Z_ij z_i z_j of Z = S M S^T, whose entries are s_i^T M s_j over
     the holomorphic selectors s, the rows of S."""
-    st = SubspaceType(n := A.nrows, A.ncols, delta).validate()
+    n = A.nrows
     zframe = VariableFrame(tuple(f"z{i+1}" for i in range(n)), ())
     P1, P2 = (quadratic_from_numerators(zframe, Z.den, {
         (2 * i, 2 * j): (Z.re[i][j], Z.im[i][j]) for i in range(n) for j in range(n)})
         for Z in (Z1, Z2))
-    return Deg2Decomposition(st, PolynomialData(P1, P2, A).validate(st), td.validate(st),
+    return Deg2Decomposition(SubspaceType(n, A.ncols, delta), PolynomialData(P1, P2, A), td,
                              isometry, exact)
 
 

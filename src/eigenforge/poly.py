@@ -22,7 +22,9 @@ slot_s slot_u and back (`quadratic_from_numerators` /
 `quadratic_numerators`), reading each pair off its key's top bits with
 no unpacking.  A product whose degree would pass MAX_DEGREE, or whose
 term products would pass PRODUCT_LIMIT, raises ValueError before it
-multiplies.
+multiplies.  A square, one numerator dict on both sides (p * p, each
+step of a power, the bracket's d_s f d_s f), takes each unordered pair
+of terms once; its term products still count as the full product's.
 
 Conjugate variables are ordinary slots, so p is holomorphic in z
 exactly when no term touches the conj(z) slot.  The real gradient
@@ -524,11 +526,20 @@ def _gauss_sum(parts):
 
 def _gauss_mul(p, q, out):
     """Add the product of two numerator dicts into out, an accumulator
-    of [re, im] lists, and return out."""
+    of [re, im] lists, and return out.  A square (p is q) takes each
+    unordered pair of terms once: a term times itself, then, doubled,
+    times each later term."""
     right = list(q.items())
     get = out.get
-    for k1, (a1, b1) in p.items():
-        for k2, (a2, b2) in right:
+    square = p is q
+    for i, (k1, (a1, b1)) in enumerate(right if square else p.items()):
+        rest = right
+        if square:
+            prev = out.setdefault(k1 + k1, [0, 0])
+            prev[0] += a1 * a1 - b1 * b1
+            prev[1] += 2 * a1 * b1
+            a1, b1, rest = 2 * a1, 2 * b1, right[i + 1:]
+        for k2, (a2, b2) in rest:
             re = a1 * a2 - b1 * b2
             im = a1 * b2 + b1 * a2
             k = k1 + k2

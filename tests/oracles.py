@@ -705,6 +705,8 @@ def ref_slot_form(frame, P=None):
         return form
     if P.nrows != frame.m or P.ncols != frame.m:
         raise ValueError(f"P must be {frame.m}x{frame.m} for this frame")
+    if any(P[a, b] != P[b, a] for a in range(frame.m) for b in range(a)):
+        raise ValueError("P must be symmetric")
     table = slot_axes(frame)
     form = {}
     for s in range(frame.m):

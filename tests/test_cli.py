@@ -229,6 +229,15 @@ def test_verify_sphere_with_explicit_data(entry, data, code):
     assert "restricted to S^7: lambda = -16, mu = -4" in out
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_verify_sphere_on_a_zero_family_exits_two(tmp_path, json_flag):
+    p = tmp_path / "zero.efam"
+    p.write_text("family zero\nframe complex z\nF = 0\n")
+    code, out, err = run(["verify", str(p), "--sphere"] + json_flag)
+    assert code == 2 and out == ""
+    assert err == "error: a family of zero polynomials has no sphere data\n"
+
+
 def test_verify_missing_file_exit_two():
     code, out, err = run(["verify", "/no/such/file.efam"])
     assert code == 2

@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eigenforge import conformality
 from eigenforge.scalars import I, ZERO, scalar
@@ -188,8 +188,9 @@ def kernel_polys(frame, max_size=5):
 
 @st.composite
 def symmetric_forms(draw, m):
-    "None, identity, zero, a projector, or a symmetric rational matrix with non-unit denominators."
-    kind = draw(st.sampled_from(["none", "identity", "zero", "projector", "symmetric"]))
+    """None, identity, zero, a projector, or a symmetric rational or Gaussian-rational
+    matrix with non-unit denominators."""
+    kind = draw(st.sampled_from(["none", "identity", "zero", "projector", "symmetric", "complex"]))
     if kind == "none":
         return None
     if kind == "identity":
@@ -206,7 +207,8 @@ def symmetric_forms(draw, m):
     rows = [[ZERO] * m for _ in range(m)]
     for a in range(m):
         for b in range(a, m):
-            q = scalar(Fraction(draw(st.integers(-5, 5)), draw(st.sampled_from([1, 2, 3, 6]))))
+            q = scalar(Fraction(draw(st.integers(-5, 5)), draw(st.sampled_from([1, 2, 3, 6]))),
+                       draw(st.integers(-2, 2)) if kind == "complex" else 0)
             rows[a][b] = rows[b][a] = q
     return Matrix(rows, ncols=m)
 
@@ -218,8 +220,14 @@ def bracket_cases(draw):
             draw(symmetric_forms(frame.m)))
 
 
+RS = VariableFrame((), ("s", "t"))
+
+
 @settings(max_examples=150, deadline=None)
 @given(bracket_cases())
+# a diagonal P over a denominator: self-pairs squared, products grouped by weight
+@example((Poly(RS, {(2, 1): scalar(1, 3), (1, 0): 2, (0, 2): I}), Poly(RS, {(1, 1): -1}),
+          Matrix([[scalar(Fraction(1, 2)), ZERO], [ZERO, scalar(3)]], ncols=2)))
 def test_kernel_matches_poly_reference(case):
     f, g, P = case
     assert kappa(f, g, P).terms == ref_kappa(f, g, P).terms
@@ -235,7 +243,12 @@ def test_kernel_matches_poly_reference(case):
 def test_kernel_rejects_a_wrong_shape_P(case, extra):
     f, g, _ = case
     m = f.frame.m
-    for bad in (Matrix.identity(m + extra), Matrix.zero(m, m + extra)):
+    bads = [Matrix.identity(m + extra), Matrix.zero(m, m + extra)]
+    if m >= 2:
+        # one entry in the top right corner, none in the bottom left
+        bads.append(Matrix([[scalar(int(a == 0 and b == m - 1)) for b in range(m)]
+                            for a in range(m)], ncols=m))
+    for bad in bads:
         for call in (lambda: kappa(f, g, bad), lambda: laplacian(f, bad),
                      lambda: ref_kappa(f, g, bad), lambda: ref_laplacian(f, bad)):
             with pytest.raises(ValueError):
@@ -265,6 +278,10 @@ def family_cases(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(family_cases())
+# real slots (self-pairs squared) and data whose denominators rescale the form
+@example(([Poly(RS, {(2, 0): scalar(1, 3), (1, 1): 2, (0, 1): I}),
+           Poly(RS, {(1, 1): scalar(Fraction(1, 2)), (0, 2): -1})],
+          EigenData(scalar(Fraction(3, 2)), scalar(Fraction(-1, 3), Fraction(2, 7)))))
 def test_verify_general_family_matches_poly_reference(case):
     fs, data = case
     got, want = verify_general_family(fs, data), ref_verify_general_family(fs, data)
@@ -402,6 +419,8 @@ def test_sphere_eigen_data_errors():
         sphere_eigen_data([z + z * u])  # inhomogeneous
     with pytest.raises(ValueError):
         sphere_eigen_data([])
+    with pytest.raises(ValueError, match="^a family of zero polynomials has no sphere data$"):
+        sphere_data([Poly.zero(C2), Poly.zero(C2)])
 
 
 def test_norm_squared():

@@ -427,6 +427,31 @@ def test_decompose_recovers_aligned_data():
     assert verify_flat_family([R1, R2]).verdict
 
 
+def test_round_trip_validates_the_data_twice(monkeypatch):
+    # construct_eigenpair validates its input and the decomposition its
+    # recovered data; reconstruct builds from that data with no third check
+    calls = []
+    for cls in (PolynomialData, TwistingData):
+        def counting(data, t, original=cls.validate):
+            calls.append(type(data).__name__)
+            return original(data, t)
+        monkeypatch.setattr(cls, "validate", counting)
+    F1, F2 = construct_eigenpair(*rand_data(random.Random(5), k=2))
+    R1, R2 = decompose_eigenpair(F1, F2).reconstruct()
+    assert sorted(calls) == ["PolynomialData"] * 2 + ["TwistingData"] * 2
+    assert verify_flat_family([R1, R2]).verdict
+
+
+def test_decomposition_of_invalid_data_raises_at_construction():
+    t, pd, td = rand_data(random.Random(5), k=2)
+    cases = [(SubspaceType(t.n, 1, t.delta), pd, td, "k must be even"),
+             (t, PolynomialData(pd.P1, pd.P2, Matrix.identity(t.n + 1)), td, "A must be"),
+             (t, pd, TwistingData(td.Y, td.C, td.v[:1]), "v must have length")]
+    for st_, pd_, td_, message in cases:
+        with pytest.raises(ValueError, match=message):
+            degree2.Deg2Decomposition(st_, pd_, td_, Matrix.identity(2 * (t.n + t.k)), True)
+
+
 def rand_cayley(rng, m, span=1, den=2):
     S = [[ZERO] * m for _ in range(m)]
     for a in range(m):

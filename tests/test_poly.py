@@ -365,6 +365,7 @@ def test_ring_operations_match_reference(p, q, k, c):
     assert (p - q).terms == ref_sub(p, q).terms
     assert (-p).terms == ref_neg(p).terms
     assert (p * q).terms == ref_mul(p, q).terms
+    assert (p * p).terms == ref_mul(p, p).terms  # one object on both sides: a square
     assert (c * p).terms == (p * c).terms == ref_mul(c, p).terms
     assert (p + c).terms == ref_add(p, c).terms
     assert (p ** k).terms == ref_pow(p, k).terms
@@ -373,6 +374,22 @@ def test_ring_operations_match_reference(p, q, k, c):
         assert p._slot_derivative(slot).terms == ref_slot_derivative(p, slot).terms
     if c:
         assert (p / c).terms == ref_mul(p, ONE / c).terms
+
+
+gauss_nums = st.dictionaries(st.integers(0, 40), st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+                             .filter(any), max_size=8)
+
+
+# (1 + (1 + i) x - i x^2)^2: the x^2 terms 2 (-i) + (1 + i)^2 cancel
+@given(gauss_nums, gauss_nums)
+@example({0: (1, 0), 1: (1, 1), 2: (0, -1)}, {})
+@example({0: (1, 0), 1: (1, 1), 2: (0, -1)}, {2: (5, 0)})
+def test_square_matches_the_product_with_a_copy(nums, start):
+    # _gauss_mul(p, p, out) walks the upper triangle; the product with a
+    # copy of p walks every ordered pair; both add into a started out
+    square = poly._gauss_mul(nums, nums, {k: list(ab) for k, ab in start.items()})
+    full = poly._gauss_mul(nums, dict(nums), {k: list(ab) for k, ab in start.items()})
+    assert square == full
 
 
 @given(dense)
