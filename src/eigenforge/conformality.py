@@ -283,15 +283,16 @@ def verify_flat_family(fs) -> FamilyReport:
     return verify_general_family(fs, FLAT_DATA)
 
 
-def quadratic_verdict(fs) -> bool:
-    """verify_flat_family(fs).verdict, to the first nonzero residual; members
-    of degree at most 2 skip BRACKET_LIMIT, as kappa(f, g) is then a quadratic
-    of at most m(m+1)/2 terms, however many (~m^3) term products it takes."""
+def quadratic_verdict(fs, P=None) -> bool:
+    """verify_flat_family(fs).verdict, to the first nonzero residual, or with a
+    symmetric P, whether every kappa(f, g, P) and laplacian(f, P) vanishes;
+    members of degree at most 2 skip BRACKET_LIMIT, as kappa(f, g) is then a
+    quadratic of at most m(m+1)/2 terms, however many (~m^3) products it takes."""
     fs = list(fs)
     if not fs:
         return True
     degree = max(f.degree() for f in fs)
-    kernel = _Kernel(common_frame(fs), None, ZERO, ZERO, degree, bounded=degree > 2)
+    kernel = _Kernel(common_frame(fs), P, ZERO, ZERO, degree, bounded=degree > 2)
     members = [kernel.prepare(f) for f in fs]
     return not (any(map(kernel.harmonic, members))
                 or any(kernel.bracket(a, b) for i, a in enumerate(members) for b in members[i:]))

@@ -9,7 +9,10 @@ Deg2Form reads its symmetric part.  As kappa(x^T A x, x^T B x) =
 tr A = 0, a family is an eigenfamily exactly when all anticommutators
 A_i A_j + A_j A_i vanish (including i = j).  Products of distinct members
 then have totally isotropic range inside every kernel, which yields
-axes of holomorphy.
+axes of holomorphy.  The axis search runs on the r x r blocks C of the
+forms A = B^T C B at the pivots of the RREF basis B (r x m) of all their
+rows: with G = B B^T, a product of forms is B^T S B for the product S of
+their C with G between factors, zero exactly when S is.
 
 Full eigenpairs {F1, F2} are classified by data
 ((n, k, delta), (P1, P2, A), (Y, C, v)): on C^n + C^k + R^delta,
@@ -42,8 +45,8 @@ from .poly import (FrameMismatch, Poly, common_frame, quadratic_from_numerators,
 from .parser import ParseError, format_poly, parse_poly
 from .conformality import quadratic_verdict
 from .holomorphy import _isotropic_parts, gradient_span
-from .linalg import (ComplexSubspace, Matrix, RealSubspace, _annihilator, _gram_orthogonal,
-                     _joined, _real_rows, _row_scaled, _stacked, vec)
+from .linalg import (ComplexSubspace, Matrix, RealSubspace, _annihilator, _divided, _eliminate,
+                     _gram_orthogonal, _joined, _real_rows, _row_scaled, _stacked, vec)
 
 
 class Deg2Form(NamedTuple):
@@ -118,16 +121,19 @@ def is_eigenfamily_deg2(forms) -> bool:
 # axis search via annihilating products
 
 
-def _annihilating_product(mats):
-    """A nonzero product over distinct indices killed by every A_j of nonzero
-    anticommuting mats: that of the first index set of the last nonzero layer.
-    As the A_j anticommute and square to zero, a product is fixed up to sign by
-    its index set and every subset of a nonzero set is nonzero, so each set is
-    formed once, from its largest index, and layers stay in lexicographic order."""
-    layer = [((j,), A) for j, A in enumerate(mats)]
+def _annihilating_product(mats, G):
+    """The middle S = C_jk G ... G C_j1 of a nonzero product A_jk ... A_j1 =
+    B^T S B over distinct indices killed by every A_j, for the nonzero middles
+    mats of anticommuting A_j: that of the first index set of the last nonzero
+    layer.  As the A_j anticommute and square to zero, a product is fixed up to
+    sign by its index set and every subset of a nonzero set is nonzero, so each
+    set is formed once, from its largest index j by the step C_j G, formed once
+    per member, and layers stay in lexicographic order."""
+    steps = [C * G for C in mats]
+    layer = [((j,), C) for j, C in enumerate(mats)]
     while True:
-        nxt = [(used + (j,), Q) for used, P in layer for j in range(used[-1] + 1, len(mats))
-               if not (Q := mats[j] * P).is_zero()]
+        nxt = [(used + (j,), Q) for used, S in layer for j in range(used[-1] + 1, len(mats))
+               if not (Q := steps[j] * S).is_zero()]
         if not nxt:
             return layer[0][1]
         layer = nxt
@@ -135,20 +141,30 @@ def _annihilating_product(mats):
 
 def find_axis_deg2(forms):
     """(axis, degenerate).  The axis is the real span of Re/Im of the columns
-    of an annihilating product; its dimension is at least min(2, m) for
-    nonzero eigenfamilies.  A family of zero forms is degenerate and
-    returns the whole space."""
-    polys, forms = _coerce_forms(forms)
+    of an annihilating product B^T S B, those of the rows of S^T B; its
+    dimension is at least min(2, m) for nonzero eigenfamilies.  A family of
+    zero forms is degenerate and returns the whole space.  The verdict is the
+    bracket's on the y^T C y over R^r with P = G, the forms' flat verdict, as
+    kappa_G(y^T C y, y^T D y) = 4 y^T C G D y and laplacian_G(y^T C y) =
+    2 tr(G C) = 2 tr A.  At r = m the span gains nothing and costs its time,
+    but an m x m route kept for that case measured no faster: one path."""
+    forms = _coerce_forms(forms)[1]
     if not forms:
         raise ValueError("empty family")
-    if not quadratic_verdict(polys):
-        raise ValueError("not a quadratic eigenfamily")
     m = forms[0].A.nrows
-    mats = [f.A for f in forms if not f.A.is_zero()]
+    rows, pivots, _ = _eliminate([row for f in forms for row in zip(f.A.re, f.A.im)], m)
+    r = len(pivots)
+    B = _divided(rows, pivots, r, m)
+    G, frame = B * B.transpose(), VariableFrame((), tuple(f"y{k}" for k in range(r)))
+    mats = [Matrix.from_numerators(*([[X[p][q] for q in pivots] for p in pivots]
+                                     for X in (f.A.re, f.A.im)), f.A.den, r) for f in forms]
+    if not quadratic_verdict([from_form(Deg2Form(frame, C)) for C in mats], G):
+        raise ValueError("not a quadratic eigenfamily")
+    mats = [C for C in mats if not C.is_zero()]
     if not mats:
         return RealSubspace(m, Matrix.identity(m).rows), True
-    T, zero = _annihilating_product(mats).transpose(), (0,) * m
-    return RealSubspace._spanned(m, [(x, zero) for x in T.re + T.im]), False
+    X, zero = _annihilating_product(mats, G).transpose() * B, (0,) * m
+    return RealSubspace._spanned(m, [(x, zero) for x in X.re + X.im]), False
 
 
 def is_full(fs) -> bool:

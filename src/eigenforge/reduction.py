@@ -50,6 +50,9 @@ def reduce_family(fs, coord: str):
     homogeneous of one degree and holomorphic in coord.  The theorem says
     the two booleans always agree."""
     fs = list(fs)
+    for f in fs:  # first: is_holomorphic_in raises KeyError on a name not in the frame
+        if coord not in f.frame.complex_names:
+            raise ValueError(f"no complex coordinate {coord!r} to reduce along")
     degrees = {f.degree() for f in fs if f != 0}
     if len(degrees) > 1:
         raise ValueError("family members must share one degree")

@@ -382,6 +382,11 @@ def test_reduce_rejects_real_coordinate():
     assert code == 2
 
 
+def test_reduce_rejects_unknown_coordinate_by_name():
+    code, out, err = run(["reduce", entry_path("z1z2"), "--coord", "q"])
+    assert (code, out, err) == (2, "", "error: no complex coordinate 'q' to reduce along\n")
+
+
 def test_reduce_rejects_nonholomorphic_coordinate():
     code, out, err = run(["reduce", entry_path("inflated-cubic-r7"), "--coord", "w"])
     assert code == 2

@@ -341,6 +341,27 @@ def test_quadratic_verdict_skips_the_limit_in_degree_two_only(monkeypatch):
         conformality.quadratic_verdict([f1 * f1, f2 * f2])
 
 
+@st.composite
+def projected_quadratic_cases(draw):
+    "(family, P): one to three members of degree at most 2 on a kernel frame, and a P."
+    frame = draw(st.sampled_from(KERNEL_FRAMES))
+    monos = st.tuples(*[st.integers(0, 2)] * frame.num_slots).filter(lambda t: sum(t) <= 2)
+    member = st.dictionaries(monos, mixed, max_size=4).map(lambda t: Poly(frame, t))
+    return draw(st.lists(member, min_size=1, max_size=3)), draw(symmetric_forms(frame.m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(projected_quadratic_cases())
+# (s + i t)^2 has its gradient on the isotropic w = (1, i), and P = w w^T
+@example(([Poly(RS, {(2, 0): 1, (1, 1): 2 * I, (0, 2): -1})], Matrix([[1, I], [I, -1]], ncols=2)))
+@example(([Poly(RS, {(0, 2): 1}), Poly(RS, {(0, 1): 3})], Matrix([[1, 0], [0, 0]], ncols=2)))
+def test_quadratic_verdict_through_p_matches_the_references(case):
+    fs, P = case
+    want = (not any(ref_laplacian(f, P) for f in fs)
+            and not any(ref_kappa(f, g, P) for i, f in enumerate(fs) for g in fs[i:]))
+    assert conformality.quadratic_verdict(fs, P) == want
+
+
 # ---------------------------------------------------------------------
 # family verification
 

@@ -726,6 +726,64 @@ def test_find_axis_matches_the_gram_schmidt_reference():
             assert find_axis_deg2(polys) == ref_find_axis_deg2(polys)
 
 
+def frames_of_dimension(m):
+    "R^m, and C^n x R^(m - 2n) for the largest n and, for even m, one less."
+    n = m // 2
+    return [VariableFrame((), tuple(f"s{j}" for j in range(m)))] + [
+        VariableFrame(tuple(f"z{j}" for j in range(k)), tuple(f"t{j}" for j in range(m - 2 * k)))
+        for k in sorted({n, (m - 1) // 2}, reverse=True)]
+
+
+def low_rank_forms(rng, m, count=2):
+    """count forms W C W^T for the columns of W: up to two isotropic w (as in
+    anticommuting_family) and one or two random Gaussian columns v, which are not
+    isotropic.  Each C is either supported on the w block, so that the forms
+    anticommute, or a random symmetric matrix on all of W, so that they
+    usually do not."""
+    Q = rand_cayley(rng, m)
+    ws = [Q.apply(vec([ONE if x == 2 * j else I if x == 2 * j + 1 else ZERO for x in range(m)]))
+          for j in range(rng.randint(1, 2))]
+    W = Matrix(ws + [[rand_gauss(rng, span=1, den=2) for _ in range(m)]
+                     for _ in range(rng.randint(1, 2))], ncols=m).transpose()
+    k, block = W.ncols, rng.random() < 0.5
+    mats = []
+    for _ in range(count):
+        C = [[ZERO] * k for _ in range(k)]
+        for a in range(k):
+            for b in range(a, k):
+                if not block or b < len(ws):
+                    C[a][b] = C[b][a] = rand_gauss(rng, span=1, den=2)
+        mats.append(W * Matrix(C, ncols=k) * W.transpose())
+    return mats
+
+
+def test_find_axis_rejects_exactly_the_non_eigenfamilies_of_low_rank():
+    # compressed coordinates have r = rank W < m; the verdict on them is the flat one
+    rng = random.Random(89)
+    verdicts = set()
+    for m in range(4, 13):
+        for frame in frames_of_dimension(m):
+            polys = [from_form(Deg2Form(frame, A)) for A in low_rank_forms(rng, m)]
+            verdict = verify_flat_family(polys).verdict
+            verdicts.add(verdict)
+            if not verdict:
+                with pytest.raises(ValueError, match="not a quadratic eigenfamily"):
+                    find_axis_deg2(polys)
+                continue
+            axis, degenerate = find_axis_deg2(polys)
+            assert (axis, degenerate) == ref_find_axis_deg2(polys)
+            assert degenerate or is_axis(polys, axis)
+    assert verdicts == {True, False}
+
+
+def test_find_axis_matches_the_reference_on_complex_frames():
+    rng = random.Random(97)
+    for m in range(4, 13):
+        for frame in frames_of_dimension(m)[1:]:
+            polys = [from_form(Deg2Form(frame, A)) for A in anticommuting_family(rng, m)]
+            assert find_axis_deg2(polys) == ref_find_axis_deg2(polys)
+
+
 def test_find_axis_matches_the_reference_on_constructed_pairs():
     # full k = 2 pairs mostly have M2 M1 != 0, so the product search goes a layer deeper
     rng = random.Random(71)
@@ -785,27 +843,48 @@ def test_annihilating_product_is_the_references_up_to_sign():
         for order in ORDERS:
             mats = [blocks[j].A for j in order]
             want = ref_annihilating_product(mats)
-            assert _annihilating_product(mats) in (want, -want)
+            m = mats[0].nrows
+            assert _annihilating_product(mats, Matrix.identity(m)) in (want, -want)
+            # in compressed coordinates: A_j = B^T C_j B for the RREF basis B of their rows
+            R, pivots = Matrix([row for A in mats for row in A.rows], ncols=m).rref()
+            B = Matrix(R.rows[:len(pivots)], ncols=m)
+            middles = [Matrix([[A[p, q] for q in pivots] for p in pivots], ncols=len(pivots))
+                       for A in mats]
+            assert all(B.transpose() * C * B == A for C, A in zip(middles, mats))
+            S = _annihilating_product(middles, B * B.transpose())
+            assert B.transpose() * S * B in (want, -want)
 
 
 def test_find_axis_on_a_zero_product_multiplies_once(monkeypatch):
-    # one product per index set: A2 A1 = 0 ends the search, with no identity factors
+    # one r x r step product per index set: C2 G C1 = 0 ends the search, with no
+    # identity factors; besides it, G = B B^T, one step matrix C_j G per member
+    # and the axis rows S^T B are formed once each
+    from eigenforge import degree2
     rng = random.Random(83)
     frame = VariableFrame((), tuple(f"s{j}" for j in range(6)))
     forms = [Deg2Form(frame, A) for A in anticommuting_family(rng, 6)]
     assert not any(f.A.is_zero() for f in forms) and (forms[1].A * forms[0].A).is_zero()
-    assert is_eigenfamily_deg2(forms)  # caches the bracket's slot table, a product of its own
-    calls = []
-    mul = Matrix.__mul__
+    find_axis_deg2(forms)  # caches the bracket's slot table for this family's G
+    calls, searches = [], []
+    mul, search = Matrix.__mul__, degree2._annihilating_product
 
     def counted(self, other):
         calls.append(other)
         return mul(self, other)
 
+    def recorded(mats, G):
+        searches.append((mats, G))
+        return search(mats, G)
+
     monkeypatch.setattr(Matrix, "__mul__", counted)
+    monkeypatch.setattr(degree2, "_annihilating_product", recorded)
     axis, degenerate = find_axis_deg2(forms)
     assert not degenerate and axis.dim >= 2
-    assert len(calls) == 1
+    (mats, G), = searches
+    r = G.nrows
+    assert r < 6 and len(mats) == 2 and len(calls) == 5
+    assert sum(other is G for other in calls) == len(mats)
+    assert len([o for o in calls if o is not G and o.nrows == o.ncols == r]) == 1
 
 
 def test_find_axis_on_dense_forms_past_the_bracket_limit():

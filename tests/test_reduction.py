@@ -130,6 +130,8 @@ def test_equivalence_check_rejects_bad_input():
         reduction_equivalence_check([z * v, z.conjugate() * v], "z")
     with pytest.raises(ValueError):
         reduction_equivalence_check([z, z * v], "z")  # mixed degrees
+    with pytest.raises(ValueError, match="no complex coordinate 'q' to reduce along"):
+        reduction_equivalence_check([z * v, z.conjugate() * v], "q")  # the name comes first
 
 
 def test_equivalence_check_zero_family():
