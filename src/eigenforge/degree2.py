@@ -45,8 +45,8 @@ from .poly import (FrameMismatch, Poly, common_frame, quadratic_from_numerators,
 from .parser import ParseError, format_poly, parse_poly
 from .conformality import quadratic_verdict
 from .holomorphy import _isotropic_parts, gradient_span
-from .linalg import (ComplexSubspace, Matrix, RealSubspace, _annihilator, _divided, _eliminate,
-                     _gram_orthogonal, _joined, _real_rows, _row_scaled, _stacked, vec)
+from .linalg import (ComplexSubspace, Matrix, RealSubspace, _annihilator, _gram_orthogonal,
+                     _joined, _pivots, _real_rows, _row_basis, _row_scaled, _stacked, vec)
 
 
 class Deg2Form(NamedTuple):
@@ -146,15 +146,16 @@ def find_axis_deg2(forms):
     zero forms is degenerate and returns the whole space.  The verdict is the
     bracket's on the y^T C y over R^r with P = G, the forms' flat verdict, as
     kappa_G(y^T C y, y^T D y) = 4 y^T C G D y and laplacian_G(y^T C y) =
-    2 tr(G C) = 2 tr A.  At r = m the span gains nothing and costs its time,
-    but an m x m route kept for that case measured no faster: one path."""
+    2 tr(G C) = 2 tr A.  B is the _row_basis of the forms' rows (dense and of
+    small rank, so only r of them enter its elimination), with the pivots read
+    off B.  At r = m the span gains nothing and costs its time, but an m x m
+    route kept for that case measured no faster: one path."""
     forms = _coerce_forms(forms)[1]
     if not forms:
         raise ValueError("empty family")
     m = forms[0].A.nrows
-    rows, pivots, _ = _eliminate([row for f in forms for row in zip(f.A.re, f.A.im)], m)
-    r = len(pivots)
-    B = _divided(rows, pivots, r, m)
+    B = _row_basis([row for f in forms for row in zip(f.A.re, f.A.im)], m)
+    r, pivots = B.nrows, _pivots(B)
     G, frame = B * B.transpose(), VariableFrame((), tuple(f"y{k}" for k in range(r)))
     mats = [Matrix.from_numerators(*([[X[p][q] for q in pivots] for p in pivots]
                                      for X in (f.A.re, f.A.im)), f.A.den, r) for f in forms]

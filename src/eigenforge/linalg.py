@@ -17,6 +17,9 @@ scales.  Each pivot row is divided by its pivot once at the end, and det
 is the sign times the last pivot over den^n.  With no imaginary part in
 any input row, every pivot, factor and tag is real and every imaginary
 part stays zero, so each update is one integer list, (p x - f y) // t.
+A span of dense rows (the 2m rows of small rank of degree-2 forms) runs
+the same division left-looking (_row_basis): a row enters only when one
+dot per free column shows it outside the span found so far.
 
 Vectors are the rows of a Matrix; `vec` coerces input to a tuple of
 GaussRational.  One Gram routine orthogonalizes rows U for the Hermitian
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 from itertools import chain
 from math import gcd, lcm
-from operator import mul, neg
+from operator import mul, neg, or_
 
 from .scalars import (GaussRational, ZERO, ONE, as_scalar, common_numerators, from_triple,
                       triple)
@@ -174,9 +177,57 @@ def _divided(rows, pivots, nrows, ncols):
 
 
 def _row_basis(rows, ncols):
-    "The RREF basis, as a Matrix, of the span of Gaussian-integer (re, im) rows of width ncols."
-    elim, pivots, _ = _eliminate(rows, ncols)
-    return _divided(elim, pivots, len(pivots), ncols)
+    """The RREF basis, as a Matrix, of the span of Gaussian-integer (re, im) rows of width ncols.
+
+    Rows with more nonzero than zero entries in all take a left-looking
+    fraction-free Gauss-Jordan.  It keeps the RREF of the rows taken so far as
+    integer rows N_j over one pivot value D (D at their pivot p_j, 0 at the
+    others) and tests each row x with one dot per free column c: y = D x -
+    sum_j x[p_j] N_j is 0 at the pivots, and x is in the span, and never enters,
+    exactly when y is 0.  Otherwise y's first nonzero column c leads a vector
+    of the span, so it is a pivot of the RREF; with v = y[c], each N_j <-
+    (v N_j - N_j[c] y) / D clears column c, y joins and D <- v.  Every entry is
+    a minor of the rows taken, so the division is Bareiss's, exact in Z[i]
+    (Sylvester's identity), and the rows over the last D, sorted by pivot, are
+    the unique RREF.  Sparser rows take _eliminate, whose skip of rows that are
+    zero in the pivot column wins there.  On the spans of one seed-1 bench
+    cycle (CPython 3.11, 2 vCPUs) the left-looking route ran the 44 cli spans
+    (8-50% nonzero) at 0.45-0.49x of _eliminate's speed and the 100 deg2 spans
+    (62-100% nonzero) at 1.5x, in total time."""
+    rows = list(rows)
+    if 2 * sum(sum(map(bool, map(or_, re, im))) for re, im in rows) <= len(rows) * ncols:
+        elim, pivots, _ = _eliminate(rows, ncols)
+        return _divided(elim, pivots, len(pivots), ncols)
+    real = not any(any(xb) for _, xb in rows)  # then D, every N_j and y stay real
+    (da, db), pivots, N, free, views = (1, 0), [], [], list(range(ncols)), [((), ())] * ncols
+    for xa, xb in rows:
+        u, w = [xa[p] for p in pivots], [] if real else [xb[p] for p in pivots]
+        ua, ub = u + [-b for b in w], u + w  # x_P . N = ua . (Na; Nb) + i ub . (Nb; Na)
+        ya, yb = [0] * ncols, [0] * ncols
+        for c, (ca, cb) in zip(free, views):
+            ya[c] = da * xa[c] - db * xb[c] - sum(map(mul, ua, ca))
+            if not real:
+                yb[c] = da * xb[c] + db * xa[c] - sum(map(mul, ub, cb))
+        c = next((c for c in free if ya[c] or yb[c]), None)
+        if c is None:
+            continue
+        va, vb = ya[c], yb[c]
+        if real:
+            N = [([(a * va - e * na[c]) // da for a, e in zip(na, ya)], nb) for na, nb in N]
+        else:  # (v N - f y) / D = ((v conj D) N - (f conj D) y) / |D|^2
+            n, p1, p2 = da * da + db * db, va * da + vb * db, vb * da - va * db
+            for j, (na, nb) in enumerate(N):
+                f1, f2 = na[c] * da + nb[c] * db, nb[c] * da - na[c] * db
+                N[j] = ([(a * p1 - b * p2 - e * f1 + g * f2) // n for a, b, e, g in zip(na, nb, ya, yb)],
+                        [(a * p2 + b * p1 - e * f2 - g * f1) // n for a, b, e, g in zip(na, nb, ya, yb)])
+        N.append((ya, yb))
+        pivots.append(c)
+        free.remove(c)
+        da, db = va, vb
+        cre, cim = list(zip(*(na for na, _ in N))), () if real else list(zip(*(nb for _, nb in N)))
+        views = [(cre[c], ()) if real else (cre[c] + cim[c], cim[c] + cre[c]) for c in free]
+    order = sorted(range(len(N)), key=pivots.__getitem__)  # each row holds D at its pivot
+    return _divided([(*N[j], None) for j in order], sorted(pivots), len(N), ncols)
 
 
 def _gram_orthogonal(U, hermitian=False):
@@ -276,6 +327,11 @@ def _annihilator(M):
     then leads with 1 at a free column, where the others are 0)."""
     K = _matrix(*(tuple(r[::-1] for r in P) for P in (M.re, M.im)), M.den, M.ncols)._kernel()
     return _matrix(*(tuple(r[::-1] for r in P[::-1]) for P in (K.re, K.im)), K.den, K.ncols)
+
+
+def _pivots(B):
+    "The pivot columns of an RREF Matrix B: each row's first nonzero column."
+    return [next(j for j, x in enumerate(map(or_, a, b)) if x) for a, b in zip(B.re, B.im)]
 
 
 def _real_rows(B):
@@ -605,8 +661,7 @@ class ComplexSubspace:
         if len(u) != self.ambient:
             raise ValueError(f"vector of length {len(u)} for a subspace of C^{self.ambient}")
         B = self.basis_matrix
-        pivots = [next(j for j, x in enumerate(zip(a, b)) if any(x)) for a, b in zip(B.re, B.im)]
-        return Matrix([[u[j] for j in pivots]], ncols=B.nrows) * B == Matrix([u], ncols=len(u))
+        return Matrix([[u[j] for j in _pivots(B)]], ncols=B.nrows) * B == Matrix([u], ncols=len(u))
 
     def contains_subspace(self, other) -> bool:
         _check_ambient(self, other)

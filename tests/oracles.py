@@ -13,10 +13,11 @@ decomposition through the m x m axis projector, a real subspace that
 stores its basis as Fraction tuples,
 the per-entry matrix product, entrywise operations, matrix-vector
 product, conjugate transpose, row reduction and determinant, the
-fraction-free elimination with Gaussian updates only, the
-coefficient and gradient spans built from GaussRational rows, the
-intersection, real points and Hermitian complement that the axis search
-once reached its subspaces through, the annihilators as a free-column
+fraction-free elimination with Gaussian updates only and the span
+basis it gives for every density, the coefficient and gradient spans
+built from GaussRational rows, the intersection, real points and
+Hermitian complement that the axis search once reached its subspaces
+through, the annihilators as a free-column
 kernel spanned again, the degree-2 axis through Hermitian
 Gram-Schmidt and an annihilating product grown from the identity over
 every ordering of its index set, the axis test through the m x m
@@ -37,7 +38,7 @@ from eigenforge.degree2 import (Deg2Decomposition, PolynomialData, SubspaceType,
                                is_eigenfamily_deg2, twist_x_matrix)
 from eigenforge.frames import VariableFrame
 from eigenforge.holomorphy import AxisReport, _as_real_subspace, _numeric_extension, gradient_span
-from eigenforge.linalg import (ComplexSubspace, Matrix, RealSubspace, _check_ambient,
+from eigenforge.linalg import (ComplexSubspace, Matrix, RealSubspace, _check_ambient, _divided,
                                _gram_orthogonal, _joined, _real_rows, _sliced, _stacked, vec)
 from eigenforge.poly import (FrameMismatch, Poly, _unpacker, common_frame, mono_order_key,
                             quadratic_from_numerators, quadratic_numerators, real_gradient)
@@ -1028,6 +1029,13 @@ def ref_eliminate(rows, ncols):
         qa, qb = pa, pb
         pivots.append(col)
     return rows, pivots, sign
+
+
+def ref_row_basis(rows, ncols):
+    """linalg._row_basis through the Bareiss elimination of every row, whatever
+    the rows' density: each pivot row over its pivot, the RREF basis as a Matrix."""
+    elim, pivots, _ = ref_eliminate(rows, ncols)
+    return _divided(elim, pivots, len(pivots), ncols)
 
 
 def ref_det(M):

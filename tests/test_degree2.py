@@ -36,7 +36,7 @@ from eigenforge.degree2 import (
 
 from oracles import (dot_bilinear, ref_annihilating_product, ref_construct_eigenpair,
                      ref_decompose_exact, ref_find_axis_deg2, ref_from_form, ref_matmul,
-                     ref_to_form, vec_is_zero)
+                     ref_row_basis, ref_to_form, vec_is_zero)
 from test_linalg import _entries, matrices
 
 C1 = VariableFrame(("z",), ())
@@ -885,6 +885,34 @@ def test_find_axis_on_a_zero_product_multiplies_once(monkeypatch):
     assert r < 6 and len(mats) == 2 and len(calls) == 5
     assert sum(other is G for other in calls) == len(mats)
     assert len([o for o in calls if o is not G and o.nrows == o.ncols == r]) == 1
+
+
+def test_each_span_route_runs(monkeypatch):
+    # a catalog gradient span (25% nonzero) takes the Bareiss elimination; the
+    # dense rows of an anticommuting family's forms, and of its gradient span,
+    # take the left-looking route, which never calls _eliminate
+    from eigenforge import catalog, linalg
+    from eigenforge.holomorphy import gradient_span
+    from eigenforge.poly import gradient_rows
+    sparse = catalog.load_entry("cubic-quartet-c4").polys
+    forms = anticommuting_family(random.Random(1), 12)
+    dense = [from_form(Deg2Form(VariableFrame((), tuple(f"s{j}" for j in range(12))), A))
+             for A in forms]
+    rows = [row for A in forms for row in zip(A.re, A.im)]
+    want = [ref_row_basis([row for f in fs for row in gradient_rows(f).values()], fs[0].frame.m)
+            for fs in (sparse, dense)] + [ref_row_basis(rows, 12)]
+    calls, eliminate = [], linalg._eliminate
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return eliminate(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    assert gradient_span(sparse).basis_matrix == want[0] and calls == [8]
+    calls.clear()
+    assert gradient_span(dense).basis_matrix == want[1] and calls == []
+    B = linalg._row_basis(rows, 12)
+    assert B == want[2] and 0 < B.nrows < 12 and calls == []
 
 
 def test_find_axis_on_dense_forms_past_the_bracket_limit():

@@ -11,7 +11,7 @@ from math import gcd
 
 import numpy
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eigenforge.scalars import GaussRational, I, ONE, ZERO, scalar
 from eigenforge import linalg
@@ -29,8 +29,8 @@ from oracles import (RefRealSubspace, dot_bilinear, dot_hermitian, ref_apply,
                      ref_bilinear_annihilator, ref_conj_transpose, ref_det, ref_eliminate,
                      ref_entrywise, ref_hermitian_complement_within, ref_intersect, ref_matmul,
                      ref_orthogonal_complement, ref_real_annihilator, ref_real_points, real_part,
-                     ref_gram_schmidt_hermitian, ref_rref, ref_sum, ref_symmetric_diagonalize,
-                     vec_is_zero)
+                     ref_gram_schmidt_hermitian, ref_row_basis, ref_rref, ref_sum,
+                     ref_symmetric_diagonalize, vec_is_zero)
 
 
 def rand_scalar(rng):
@@ -441,6 +441,56 @@ def test_real_elimination_matches_the_gaussian_reference(case):
     if len(rows) == m:
         M = Matrix([a for a, _ in rows], ncols=m)
         assert M.det() == ref_det(M)
+
+
+@st.composite
+def span_rows(draw):
+    """Gaussian-integer (re, im) rows of width m for _row_basis: real or
+    Gaussian; tall, square or wide, empty and zero-width included; sparse or
+    dense, so both routes run; with zero, repeated, Gaussian-multiple and
+    combination rows, and rows zero up to a late column, whose pivots arrive
+    out of column order."""
+    n, m = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    real = draw(st.booleans())
+    part = draw(st.sampled_from([st.integers(-9, 9), st.sampled_from([0, 0, 0, 1, -2, 5])]))
+    gauss = st.tuples(part, st.just(0) if real else part)
+
+    def times(c, x):
+        return [(c[0] * a - c[1] * b, c[0] * b + c[1] * a) for a, b in x]
+
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["free", "free", "late", "zero", "repeat", "multiple",
+                                     "combination"] if rows else ["free", "late", "zero"]))
+        if kind in ("repeat", "multiple", "combination"):
+            row = draw(st.sampled_from(rows))
+            if kind != "repeat":
+                row = times(draw(gauss), row)
+            if kind == "combination":
+                row = [(a + c, b + d) for (a, b), (c, d) in
+                       zip(row, times(draw(gauss), draw(st.sampled_from(rows))))]
+        else:
+            row = [(0, 0) if kind == "zero" else draw(gauss) for _ in range(m)]
+            if kind == "late" and m:
+                j = draw(st.integers(1, m - 1)) if m > 1 else 0
+                row[:j] = [(0, 0)] * j
+        rows.append(row)
+    return [(tuple(a for a, _ in r), tuple(b for _, b in r)) for r in rows], m
+
+
+@settings(max_examples=400, deadline=None)
+@given(span_rows())
+# dense rows on the left-looking route, with pivots arriving 1, 0 and 2, 1, 0
+# (the last row is the sum of the others)
+@example(([((0, 1, 2), (0, 0, 0)), ((1, 1, 1), (0, 0, 0))], 3))
+@example(([((0, 0, 3, 1), (0, 0, 0, 0)), ((0, 2, 1, 5), (0, 0, 0, 0)), ((4, 1, 1, 2), (0, 0, 0, 0)),
+           ((4, 3, 5, 8), (0, 0, 0, 0))], 4))
+# complex pivots: 1 + 2i, then a Gaussian 2 x 2 minor
+@example(([((1, 3, -2), (2, 0, 1)), ((2, 0, 1), (-1, 4, 3)), ((3, 3, -1), (1, 4, 4))], 3))
+def test_row_basis_matches_the_bareiss_reference(case):
+    rows, m = case
+    B, want = linalg._row_basis(rows, m), ref_row_basis(rows, m)
+    assert (B.re, B.im, B.den, B.ncols) == (want.re, want.im, want.den, want.ncols)
 
 
 @settings(max_examples=100, deadline=None)
