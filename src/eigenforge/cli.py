@@ -164,10 +164,11 @@ def cmd_analyze(args) -> int:
     }
     if witness is not None:
         witness.check()
+        plane_dim = witness.plane_span.dim
         payload["witness"] = {
             "isotropic_pairs": witness.X.nrows,
-            "plane_dim": witness.plane_span.dim,
-            "kernel_dim": witness.kernel.dim,
+            "plane_dim": plane_dim,
+            "kernel_dim": witness.ambient - plane_dim,
         }
     if args.json:
         _emit(payload)
@@ -178,7 +179,7 @@ def cmd_analyze(args) -> int:
     print(f"uniformly complex type: {'true' if uniform else 'false'}")
     if witness is not None:
         print(f"  witness: {witness.X.nrows} isotropic pairs spanning dim "
-              f"{witness.plane_span.dim}, kernel dim {witness.kernel.dim}")
+              f"{plane_dim}, kernel dim {witness.ambient - plane_dim}")
     print(f"certified axis dim: {axis.certified_dim}")
     for b in axis.certified_axis.basis:
         print("  [" + ", ".join(str(q) for q in b) + "]")

@@ -46,10 +46,9 @@ from typing import NamedTuple, Optional
 
 from .scalars import (GaussRational, I, ONE, ZERO, as_scalar, common_numerators, format_scalar,
                       from_triple, scalar)
-from .frames import VariableFrame
 from .poly import (EXP_BITS, MAX_DEGREE, PRODUCT_LIMIT, FrameMismatch, Poly, _degrees,
                    _derivative, _gauss_mul, _gauss_sum, _nonzero, _reduced, _unpacker,
-                   check_degree, check_products, common_frame, quadratic_from_numerators)
+                   check_degree, check_products, common_frame)
 from .linalg import Matrix
 from .parser import format_poly
 
@@ -194,13 +193,6 @@ def laplacian(f: Poly, P=None) -> Poly:
     of P times the real Hessian instead."""
     kernel = _Kernel(f.frame, P, ZERO, ZERO, f.degree())
     return kernel.harmonic(kernel.prepare(f))
-
-
-def norm_squared(frame: VariableFrame) -> Poly:
-    "|x|^2 = sum z_j conj(z_j) + sum t_k^2, the frame's radius squared."
-    pairs = {(2 * j, 2 * j + 1): (1, 0) for j in range(frame.n)}
-    pairs.update({(s, s): (1, 0) for s in range(2 * frame.n, frame.m)})
-    return quadratic_from_numerators(frame, 1, pairs)
 
 
 # ---------------------------------------------------------------------

@@ -265,12 +265,6 @@ def quaternion_product(p, q):
     return (a * c - b * d.conjugate(), a * d + b * c.conjugate())
 
 
-def quaternion_norm2(p):
-    "Squared norm |a|^2 + |b|^2 of an exact quaternion (a, b)."
-    a, b = p
-    return a.norm2() + b.norm2()
-
-
 def _pair_variables(frame, n1, n2):
     return (Poly.variable(frame, n1), Poly.variable(frame, n2))
 

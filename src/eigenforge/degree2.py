@@ -44,7 +44,7 @@ from .poly import (FrameMismatch, Poly, common_frame, quadratic_from_numerators,
                    quadratic_numerators)
 from .parser import ParseError, format_poly, parse_poly
 from .conformality import quadratic_verdict
-from .holomorphy import _isotropic_parts, gradient_span
+from .holomorphy import _isotropic_parts
 from .linalg import (ComplexSubspace, Matrix, RealSubspace, _annihilator, _gram_orthogonal,
                      _joined, _pivots, _real_rows, _row_basis, _row_scaled, _stacked, vec)
 
@@ -166,12 +166,6 @@ def find_axis_deg2(forms):
         return RealSubspace(m, Matrix.identity(m).rows), True
     X, zero = _annihilating_product(mats, G).transpose() * B, (0,) * m
     return RealSubspace._spanned(m, [(x, zero) for x in X.re + X.im]), False
-
-
-def is_full(fs) -> bool:
-    "No nonzero real direction annihilates the gradient span: its real kernel is zero."
-    fs = list(fs)
-    return bool(fs) and gradient_span(fs).real_annihilator().dim == 0
 
 
 # ---------------------------------------------------------------------

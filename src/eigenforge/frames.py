@@ -120,17 +120,6 @@ class VariableFrame:
             return name if slot % 2 == 0 else f"conj({name})"
         return self.real_names[slot - 2 * self.n]
 
-    # -- real axes -----------------------------------------------------
-
-    def axis_label(self, axis: int) -> str:
-        if axis < 2 * self.n:
-            name = self.complex_names[axis // 2]
-            return f"Re({name})" if axis % 2 == 0 else f"Im({name})"
-        return self.real_names[axis - 2 * self.n]
-
-    def axis_labels(self):
-        return [self.axis_label(a) for a in range(self.m)]
-
     # -- the change of basis z = x + iy --------------------------------
 
     @lru_cache(maxsize=256)

@@ -60,7 +60,8 @@ class ComplexTypeWitness:
     norms and x_j . y_j = 0, from w_j = x_j + i y_j of a
     Hermitian-orthogonal isotropic basis of the gradient span (each pair
     up to a positive scale); J maps x_j to y_j and y_j to -x_j and kills
-    the orthogonal complement: J^2 = -Id + P_ker.
+    the orthogonal complement ker of their plane span: J^2 = -P_plane,
+    which is -Id + P_ker.
     """
 
     def __init__(self, ambient, pairs):
@@ -75,11 +76,11 @@ class ComplexTypeWitness:
         self.J = Y.transpose() * N - N.transpose() * Y
         zero = (0,) * ambient
         self.plane_span = RealSubspace._spanned(ambient, [(x, zero) for x in X.re + Y.re])
-        self.kernel = self.plane_span.orthogonal_complement()
 
     def check(self):
-        """Exact structural invariants; raises AssertionError on violation
-        (an explicit raise, so python -O keeps the check)."""
+        """Exact structural invariants, J^2 = -P_plane (= -Id + P_ker) among
+        them; raises AssertionError on violation (an explicit raise, so
+        python -O keeps the check)."""
         X, Y = self.X, self.Y
         XX, YY, XY = X * X.transpose(), Y * Y.transpose(), X * Y.transpose()
         for j in range(X.nrows):
@@ -89,7 +90,7 @@ class ComplexTypeWitness:
                 raise AssertionError("witness pair is not orthogonal")
         if not self.J.is_antisymmetric():
             raise AssertionError("witness J is not antisymmetric")
-        if self.J * self.J != self.kernel.projector() - Matrix.identity(self.ambient):
+        if self.J * self.J != -self.plane_span.projector():
             raise AssertionError("witness J^2 is not -Id + P_ker")
         return True
 

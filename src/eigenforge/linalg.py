@@ -588,12 +588,6 @@ class Matrix:
                             for ra, rb in zip(self.re, self.im)], dtype=complex)
 
 
-def matrix_from_cols(cols, nrows=None):
-    if not cols and nrows is None:
-        raise ValueError("no columns: pass nrows for the empty matrix")
-    return Matrix(cols, ncols=len(cols[0]) if cols else nrows).transpose()
-
-
 # ---------------------------------------------------------------------
 
 

@@ -296,10 +296,6 @@ def sqrt_in_qi(c: GaussRational):
     return GaussRational(p, y / (2 * p))
 
 
-def is_square_in_qi(c: GaussRational) -> bool:
-    return sqrt_in_qi(c) is not None
-
-
 # -- printing ----------------------------------------------------------
 
 

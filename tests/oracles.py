@@ -1,5 +1,6 @@
 """Shared oracles, independent of the code paths they check:
-finite-difference derivatives on float evaluations, a reference Q(i)
+finite-difference derivatives on float evaluations along labelled real
+axes, a reference Q(i)
 scalar built on Fraction pairs, the GaussRational vector layer (entrywise
 helpers, fused dot products, Hermitian Gram-Schmidt and the bilinear
 diagonalization), polynomial arithmetic on the
@@ -17,7 +18,8 @@ fraction-free elimination with Gaussian updates only and the span
 basis it gives for every density, the coefficient and gradient spans
 built from GaussRational rows, the intersection, real points and
 Hermitian complement that the axis search once reached its subspaces
-through, the annihilators as a free-column
+through, the complex-type witness's J^2 through its kernel projector,
+the annihilators as a free-column
 kernel spanned again, the degree-2 axis through Hermitian
 Gram-Schmidt and an annihilating product grown from the identity over
 every ordering of its index set, the axis test through the m x m
@@ -47,10 +49,16 @@ from eigenforge.scalars import (ONE, ZERO, GaussRational, I, _reduce, as_scalar,
                                common_numerators, rational_sqrt, scalar, sqrt_in_qi)
 
 
+def axis_labels(frame):
+    "Text form of each real axis x_a of the frame: Re(z), Im(z) or t."
+    return ([f"{part}({name})" for name in frame.complex_names for part in ("Re", "Im")]
+            + list(frame.real_names))
+
+
 def axis_shift(point, frame, axis, delta):
     "Shift one real axis of an evaluation point by delta."
     q = dict(point)
-    label = frame.axis_labels()[axis]
+    label = axis_labels(frame)[axis]
     if label.startswith("Re("):
         q[label[3:-1]] = q[label[3:-1]] + delta
     elif label.startswith("Im("):
@@ -1155,6 +1163,20 @@ def ref_hermitian_complement_within(K, inside):
     B = inside.basis_matrix
     X = (K.basis_matrix.conjugate() * B.transpose())._kernel() * B
     return ComplexSubspace._spanned(K.ambient, zip(X.re, X.im))
+
+
+# -- the complex-type witness through its kernel ------------------------------
+#
+# ComplexTypeWitness.check once built the kernel, the orthogonal
+# complement of the plane span, and tested J^2 = -Id + P_ker through the
+# inverse of the kernel's Gram matrix.  It now tests J^2 = -P_plane, the
+# same matrix, from the plane span alone.
+
+
+def ref_witness_j_squared(witness):
+    "-Id + P_ker for the kernel ker, the orthogonal complement of the witness's plane span."
+    kernel = witness.plane_span.orthogonal_complement()
+    return kernel.projector() - Matrix.identity(witness.ambient)
 
 
 # -- annihilators and the degree-2 axis, spanned twice ---------------------

@@ -26,7 +26,6 @@ from eigenforge.conformality import (
     is_su2_invariant,
     kappa,
     laplacian,
-    norm_squared,
     power_family,
     sphere_data,
     sphere_eigen_data,
@@ -442,17 +441,6 @@ def test_sphere_eigen_data_errors():
         sphere_eigen_data([])
     with pytest.raises(ValueError, match="^a family of zero polynomials has no sphere data$"):
         sphere_data([Poly.zero(C2), Poly.zero(C2)])
-
-
-def test_norm_squared():
-    p = norm_squared(C2T)
-    pt = {"z": scalar(1, 2), "u": scalar(0, 1), "t": 2}
-    assert p.evaluate(pt) == scalar(5 + 1 + 4)
-    ring = Poly.zero(C2T)
-    for name in C2T.complex_names:
-        ring = ring + Poly.variable(C2T, name) * Poly.conj_variable(C2T, name)
-    ring = ring + Poly.variable(C2T, "t") ** 2
-    assert (p.den, p.nums) == (ring.den, ring.nums)
 
 
 # ---------------------------------------------------------------------

@@ -29,7 +29,6 @@ from eigenforge.degree2 import (
     find_axis_deg2,
     from_form,
     is_eigenfamily_deg2,
-    is_full,
     to_form,
     twist_x_matrix,
 )
@@ -622,19 +621,6 @@ def test_decompose_rejects_bad_input():
     uw = Poly.variable(wide, "u")
     with pytest.raises(ValueError):
         decompose_eigenpair(zw * zw, zw * uw)
-
-
-def test_is_full_examples():
-    F1, F2 = worked_pair()
-    assert is_full([F1, F2])
-    assert not is_full([])
-    frame = VariableFrame(("z1", "z2"), ())
-    z1 = Poly.variable(frame, "z1")
-    assert not is_full([z1 * z1])  # z2 plane is annihilated
-    small = VariableFrame(("z",), ())
-    z = Poly.variable(small, "z")
-    assert is_full([z * z])
-    assert is_full([z * z.conjugate()])
 
 
 def test_find_axis_on_known_pair():

@@ -39,7 +39,8 @@ from eigenforge.holomorphy import (
 
 from oracles import (dot_bilinear, rational_point, ref_apply_real_isometry, ref_gradient_span,
                      ref_hermitian_complement_within, ref_isotropic_annihilator_seeds,
-                     ref_maximal_axis, ref_real_points, ref_span_is_axis, ref_sum)
+                     ref_maximal_axis, ref_real_points, ref_span_is_axis, ref_sum,
+                     ref_witness_j_squared)
 
 C1 = VariableFrame(("z",), ())
 C2 = VariableFrame(("z", "u"), ())
@@ -140,6 +141,33 @@ def test_complex_type_witness_rotates_differentials():
             lhs = sum(g * x for g, x in zip(grad, jv))
             rhs = 1j * sum(g * x for g, x in zip(grad, v))
             assert abs(lhs - rhs) < 1e-9
+
+
+def test_complex_type_witness_squares_to_minus_the_plane_projector():
+    # check() tests J^2 = -P_plane; it must equal -Id + P_ker, with kernel
+    # dim (analyze's kernel_dim) m - plane_dim, from an empty plane span to
+    # an empty kernel
+    import test_degree2 as t2
+    from eigenforge import catalog
+    from eigenforge.degree2 import Deg2Form, from_form
+
+    C2T = VariableFrame(("z", "u"), ("t",))
+    R16 = VariableFrame((), tuple(f"s{j}" for j in range(16)))
+    z = Poly.variable(C2T, "z")
+    families = [fs for fs in (catalog.load_entry(name).polys for name in catalog.list_entries())
+                if is_uniformly_complex_type(fs)[0]]
+    assert len(families) == 1  # z1z2
+    families += [[Poly.constant(C2, 3)], [z, 2 * z],
+                 [from_form(Deg2Form(R16, A)) for A in t2.anticommuting_family(random.Random(5), 16)]]
+    dims = []
+    for fs in families:
+        flag, witness = is_uniformly_complex_type(fs)
+        assert flag and witness.check()
+        assert witness.J * witness.J == ref_witness_j_squared(witness)
+        kernel_dim = witness.plane_span.orthogonal_complement().dim
+        assert witness.ambient - witness.plane_span.dim == kernel_dim
+        dims.append((witness.plane_span.dim, kernel_dim))
+    assert dims == [(4, 0), (0, 4), (2, 3), (6, 10)]
 
 
 def worked_pair():

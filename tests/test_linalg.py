@@ -21,7 +21,6 @@ from eigenforge.linalg import (
     RealSubspace,
     _annihilator,
     _gram_orthogonal,
-    matrix_from_cols,
     vec,
 )
 
@@ -102,11 +101,6 @@ def test_solve():
     # inconsistent system
     B = Matrix([[1, 1], [1, 1]])
     assert B.solve(vec([0, 1])) is None
-
-
-def test_matrix_from_cols():
-    M = matrix_from_cols([vec([1, 2]), vec([3, 4])])
-    assert M == Matrix([[1, 3], [2, 4]])
 
 
 def test_subspace_membership_and_equality():
@@ -214,11 +208,6 @@ def test_shape_errors_raise_value_error():
 # One test per shape check that used to be an assert: each raises
 # ValueError, so it also fires under python -O.  An empty subspace of
 # another ambient dimension is the case no later check would catch.
-
-
-def test_matrix_from_cols_needs_nrows_without_columns():
-    with pytest.raises(ValueError):
-        matrix_from_cols([])
 
 
 def test_complex_subspace_contains_subspace_rejects_other_ambient():

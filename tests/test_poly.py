@@ -17,9 +17,9 @@ from eigenforge.frames import VariableFrame
 from eigenforge.poly import MAX_DEGREE, FrameMismatch, Poly, real_gradient, rename_onto
 from eigenforge.linalg import Matrix
 
-from oracles import (quadratic, quadratic_pairs, ref_add, ref_conjugate, ref_degrees, ref_evaluate,
-                     ref_mul, ref_neg, ref_pow, ref_real_gradient, ref_slot_derivative, ref_sub,
-                     ref_substitute)
+from oracles import (axis_labels, quadratic, quadratic_pairs, ref_add, ref_conjugate, ref_degrees,
+                     ref_evaluate, ref_mul, ref_neg, ref_pow, ref_real_gradient, ref_slot_derivative,
+                     ref_sub, ref_substitute)
 
 F2 = VariableFrame(("z", "u"), ("t",))
 
@@ -193,7 +193,7 @@ def test_real_gradient_matches_finite_differences():
         grad = real_gradient(p)
         assert len(grad.components) == F2.m
         # axis order: Re z, Im z, Re u, Im u, t
-        labels = F2.axis_labels()
+        labels = axis_labels(F2)
         for slot, label in enumerate(labels):
             exact = grad.components[slot].evaluate_float(pt)
             if label.startswith("Re("):

@@ -19,7 +19,6 @@ from eigenforge.scalars import (
     _decimal_digits,
     as_scalar,
     format_scalar,
-    is_square_in_qi,
     rational_sqrt,
     scalar,
     sqrt_in_qi,
@@ -95,8 +94,8 @@ def test_sqrt_in_qi_exact_cases():
 def test_sqrt_in_qi_negative_cases():
     assert sqrt_in_qi(scalar(2)) is None
     assert sqrt_in_qi(scalar(1, 1)) is None  # |1+i| irrational
-    assert not is_square_in_qi(scalar(-2))
-    assert is_square_in_qi(scalar(0))
+    assert sqrt_in_qi(scalar(-2)) is None
+    assert sqrt_in_qi(scalar(0)) is not None
 
 
 @given(scalars)
