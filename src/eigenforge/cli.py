@@ -73,24 +73,24 @@ def _emit(payload):
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _write_family(source: FamilySource, args, lines):
-    "Print lines, then the family or where -o wrote it; nothing is written before all is formatted."
+def _write_family(source: FamilySource, args, payload, lines):
+    """With --json, print the JSON object payload() with the family under "family";
+    else print lines, then the family or where -o wrote it, nothing written
+    before all is formatted."""
+    if args.json:
+        _emit({**payload(), "family": {
+            "name": source.name,
+            "frame": {"complex": list(source.frame.complex_names),
+                      "real": list(source.frame.real_names)},
+            "members": {name: format_poly(p) for name, p in source.definitions.items()},
+        }})
+        return
     text = format_family(source)
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
         text = f"wrote {args.output}\n"
     sys.stdout.write("".join(f"{line}\n" for line in lines) + text)
-
-
-def _family_json(source: FamilySource):
-    return {
-        "name": source.name,
-        "frame": {"complex": list(source.frame.complex_names),
-                  "real": list(source.frame.real_names)},
-        "members": {name: format_poly(p)
-                    for name, p in source.definitions.items()},
-    }
 
 
 # -- verify -----------------------------------------------------------
@@ -201,18 +201,10 @@ def cmd_reduce(args) -> int:
     before, after, reduced = reduce_family(fs, args.coord)
     out = FamilySource(f"{source.name}-reduced", reduced[0].frame, {},
                        dict(zip(source.definitions, reduced)), {})
-    if args.json:
-        payload = {
-            "command": "reduce",
-            "coordinate": args.coord,
-            "eigenfamily_before": before,
-            "eigenfamily_after": after,
-            "family": _family_json(out),
-        }
-        _emit(payload)
-    else:
-        _write_family(out, args, [f"eigenfamily before: {'true' if before else 'false'}, "
-                                  f"after: {'true' if after else 'false'}"])
+    _write_family(out, args, lambda: {"command": "reduce", "coordinate": args.coord,
+                                      "eigenfamily_before": before, "eigenfamily_after": after},
+                  [f"eigenfamily before: {'true' if before else 'false'}, "
+                   f"after: {'true' if after else 'false'}"])
     return 0 if before == after else 1
 
 
@@ -227,16 +219,9 @@ def cmd_deg2_construct(args) -> int:
     verdict = verify_flat_family([F1, F2]).verdict
     out = FamilySource(f"deg2-n{t.n}k{t.k}d{t.delta}", F1.frame, {},
                        {"F1": F1, "F2": F2}, {})
-    if args.json:
-        payload = {
-            "command": "deg2-construct",
-            "data": data_to_json_dict(t, pd, td),
-            "family": _family_json(out),
-            "verdict": verdict,
-        }
-        _emit(payload)
-    else:
-        _write_family(out, args, [f"verdict: {'true' if verdict else 'false'}"])
+    _write_family(out, args, lambda: {"command": "deg2-construct",
+                                      "data": data_to_json_dict(t, pd, td), "verdict": verdict},
+                  [f"verdict: {'true' if verdict else 'false'}"])
     return 0 if verdict else 1
 
 
@@ -295,19 +280,11 @@ def _finish_constructed(name, frame, fam, args, extra=None, certified=False) -> 
     defs = {f"F{i+1}": f for i, f in enumerate(fam)}
     out = FamilySource(name, frame, {}, defs, {})
     verdict = certified or verify_flat_family(fam).verdict
-    if args.json:
-        payload = {
-            "command": "construct",
-            "subcommand": args.sub,
-            "family": _family_json(out),
-            "verdict": verdict,
-        }
-        if extra:
-            payload.update(extra)
-        _emit(payload)
-    else:
-        _write_family(out, args, [f"{key}: {_jsonable(value)}" for key, value in (extra or {}).items()]
-                      + [f"verdict: {'true' if verdict else 'false'}"])
+    extra = extra or {}
+    _write_family(out, args, lambda: {"command": "construct", "subcommand": args.sub,
+                                      "verdict": verdict, **extra},
+                  [f"{key}: {_jsonable(value)}" for key, value in extra.items()]
+                  + [f"verdict: {'true' if verdict else 'false'}"])
     return 0 if verdict else 1
 
 

@@ -97,24 +97,26 @@ def from_form(f: Deg2Form) -> Poly:
 
 
 def _coerce_forms(forms):
-    "(polys, forms): each member as a Poly (a Deg2Form's polynomial) and its symmetric to_form."
-    polys, out = [], []
+    """Each member as a Poly, a Deg2Form's by from_form; a TypeError or ValueError
+    names the first bad member, then a FrameMismatch names mixed frames."""
+    polys = []
     for f in forms:
         if isinstance(f, Deg2Form):
             f = from_form(f)
         elif not isinstance(f, Poly):
             raise TypeError(f"expected Poly or Deg2Form, got {type(f).__name__}")
+        else:
+            quadratic_numerators(f)  # raises unless f is a quadratic form
         polys.append(f)
-        out.append(to_form(f))
-    if out:
-        common_frame(out, "form")
-    return polys, out
+    if polys:
+        common_frame(polys, "form")
+    return polys
 
 
 def is_eigenfamily_deg2(forms) -> bool:
     """The flat verdict of the members' polynomials: all anticommutators
     A_i A_j + A_j A_i of their symmetric forms vanish, including i = j."""
-    return quadratic_verdict(_coerce_forms(forms)[0])
+    return quadratic_verdict(_coerce_forms(forms))
 
 
 # ---------------------------------------------------------------------
@@ -150,7 +152,7 @@ def find_axis_deg2(forms):
     small rank, so only r of them enter its elimination), with the pivots read
     off B.  At r = m the span gains nothing and costs its time, but an m x m
     route kept for that case measured no faster: one path."""
-    forms = _coerce_forms(forms)[1]
+    forms = [to_form(p) for p in _coerce_forms(forms)]
     if not forms:
         raise ValueError("empty family")
     m = forms[0].A.nrows
@@ -315,24 +317,17 @@ class _NeedsFloat(Exception):
     "A square root left Q(i); the argument names the step."
 
 
-def _maximal_axis_radical(M1, M2):
-    """(R, d): the Hermitian-orthogonal isotropic rows R spanning the maximal
-    axis of a full eigenpair with forms M1, M2, the radical of the bilinear
-    form on the annihilator of the gradient span (exact), and the values d
-    of its anisotropic part (at most one).  The gradient of x^T M x is
-    2 M x, so the rows of M1 and M2 span the gradient span W.  The parts
-    are maximal_axis's; full means W's real kernel K is 0."""
-    W = ComplexSubspace._spanned(M1.nrows, zip(M1.re + M2.re, M1.im + M2.im))
-    K, V, aniso = _isotropic_parts(W)
-    if K.dim != 0:
-        raise ValueError("not full")
-    if len(aniso) > 1:  # delta-Lemma: at most one anisotropic direction
-        raise AssertionError("more than one anisotropic direction")
-    radical = Matrix.from_numerators(V.re[len(aniso):], V.im[len(aniso):], V.den, V.ncols)
-    return _gram_orthogonal(radical, hermitian=True)[0], aniso
-
-
 def decompose_eigenpair(F1: Poly, F2: Poly) -> Deg2Decomposition:
+    """The classifying data of a full eigenpair {F1, F2}, with the isometry
+    adapted to its maximal axis.  The gradient of x^T M x is 2 M x, so the rows
+    of the forms M1, M2 span the gradient span W; the axis is spanned by the
+    isotropic rows of holomorphy._isotropic_parts(W), the radical of A'.
+    Raises, in order: ValueError when a member is zero or not homogeneous of
+    degree 2; FrameMismatch when the frames differ; ValueError "not a quadratic
+    eigenfamily"; ValueError "not full" when W has a real kernel; and
+    AssertionError "more than one anisotropic direction" (the delta-Lemma
+    allows one), or another AssertionError when a computed result fails the
+    check that guards it."""
     for F in (F1, F2):
         if F == 0 or not F.is_homogeneous() or F.degree() != 2:
             raise ValueError("decomposition needs nonzero homogeneous degree-2 polynomials")
@@ -341,7 +336,12 @@ def decompose_eigenpair(F1: Poly, F2: Poly) -> Deg2Decomposition:
     M1, M2 = to_form(F1).A, to_form(F2).A
     if not quadratic_verdict([F1, F2]):
         raise ValueError("not a quadratic eigenfamily")
-    radical, aniso = _maximal_axis_radical(M1, M2)  # raises "not full"
+    W = ComplexSubspace._spanned(M1.nrows, zip(M1.re + M2.re, M1.im + M2.im))
+    K, radical, _, aniso, _ = _isotropic_parts(W)
+    if K.dim != 0:
+        raise ValueError("not full")
+    if len(aniso) > 1:
+        raise AssertionError("more than one anisotropic direction")
     try:
         return _decompose_exact(F1.frame, M1, M2, radical, aniso)
     except _NeedsFloat:
@@ -391,10 +391,10 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
 
     isometry = _real_rows(_stacked(U, E))  # the axis rows, then Re e_j and Im e_j
     if delta:
-        comp = RealSubspace._spanned(m, zip(isometry.re, isometry.im)).orthogonal_complement()
-        if comp.dim != 1:
+        comp = _annihilator(isometry)
+        if comp.nrows != 1:
             raise AssertionError("anisotropic complement is not a line")
-        d_raw = comp.basis_matrix.re[0]
+        d_raw = comp.re[0]
         root = isqrt(q := sum(x * x for x in d_raw))
         if root * root != q:
             raise _NeedsFloat("anisotropic norm")

@@ -11,8 +11,9 @@ from W's basis B and its real rows P = [Re B; Im B] alone: K, the real
 kernel of W, is ker P, and A', the annihilator of W + K (K is real, so
 A' is the part of W's annihilator Hermitian-orthogonal to K), is
 {P^T c : B P^T c = 0}; the axis joins K with the planes of the isotropic
-vectors in A'.  The degree-2 decomposition shares these steps.  Vectors
-are the integer rows of a Matrix throughout, and one Gram routine,
+vectors in A'.  One function, `_isotropic_parts`, finds K, A' and those
+isotropic vectors for both this search and the degree-2 decomposition.
+Vectors are the integer rows of a Matrix throughout, and one Gram routine,
 `linalg._gram_orthogonal`, both diagonalizes A' for the bilinear form
 and Hermitian-orthogonalizes the isotropic rows.
 
@@ -32,7 +33,8 @@ from .scalars import ONE, ZERO, sqrt_in_qi
 from .frames import VariableFrame
 from .poly import EXP_BITS, MAX_DEGREE, Poly, common_frame, gradient_rows, linear_form
 from .conformality import kappa, laplacian
-from .linalg import ComplexSubspace, Matrix, RealSubspace, _gram_orthogonal, _row_scaled
+from .linalg import (ComplexSubspace, Matrix, RealSubspace, _gram_orthogonal, _row_scaled,
+                     _stacked)
 
 
 def gradient_span(fs) -> ComplexSubspace:
@@ -242,13 +244,36 @@ class AxisReport:
 
 
 def _isotropic_parts(W):
-    """(K, V, d): the real kernel K of a gradient span W, and A', the
-    annihilator of W + K (W's own annihilator when K = 0), diagonalized for
-    the bilinear form: the rows of V with the nonzero values d first, then
-    the radical."""
+    """(K, isotropics, V, d, leftovers), the one isotropic step of the
+    maximal-axis search and the degree-2 decomposition: the real kernel K of
+    a gradient span W; A', the annihilator of W + K (W's own annihilator when
+    K = 0), diagonalized for the bilinear form as the rows of V with the
+    nonzero values d first, then the radical; the Hermitian-orthogonal rows
+    isotropics of the radical followed by the anisotropic pairs v_i + s v_j
+    split when s = sqrt(-d_i / d_j) lies in Q(i); and the leftovers (i, d_i),
+    the unpaired rows i of V with value d_i.  A decomposition has at most one
+    anisotropic value, so it splits no pair and forms no pair product."""
     K = W.real_annihilator()
     A = W.annihilator_in_real_span() if K.dim else W.bilinear_annihilator()
-    return (K, *_gram_orthogonal(A.basis_matrix))
+    V, d = _gram_orthogonal(A.basis_matrix)
+    # radical rows and split pairs v_i + s v_j are isotropic and pairwise bilinear-
+    # orthogonal, so their Hermitian-orthogonal basis spans a totally isotropic space
+    pairs, used, leftovers = [], set(), []
+    for i in range(len(d)):
+        if i in used:
+            continue
+        j, s = next(((j, s) for j in range(i + 1, len(d)) if j not in used
+                     for s in [sqrt_in_qi(-d[i] / d[j])] if s is not None), (None, None))
+        if j is None:
+            leftovers.append((i, d[i]))
+        else:
+            used.add(j)
+            pairs.append({i: ONE, j: s})
+    rows = Matrix.from_numerators(V.re[len(d):], V.im[len(d):], V.den, V.ncols)
+    if pairs:
+        C = Matrix([[c.get(r, ZERO) for r in range(V.nrows)] for c in pairs], ncols=V.nrows)
+        rows = _stacked(rows, C * V)
+    return K, _gram_orthogonal(rows, hermitian=True)[0], V, d, leftovers
 
 
 def maximal_axis(fs, tolerance=1e-9, W=None):
@@ -270,26 +295,8 @@ def maximal_axis(fs, tolerance=1e-9, W=None):
         raise ValueError(f"tolerance must be finite and non-negative, not {tolerance}")
     W = gradient_span(fs) if W is None else W
     m = W.ambient
-    K, V, d = _isotropic_parts(W)
+    K, isotropics, V, d, leftovers = _isotropic_parts(W)
     bound = K.dim + 2 * (V.nrows - len(d) + len(d) // 2)
-
-    # radical rows and split pairs v_i + s v_j are isotropic and pairwise bilinear-
-    # orthogonal, so their Hermitian-orthogonal basis spans a totally isotropic space
-    rows = [{r: ONE} for r in range(len(d), V.nrows)]
-    used, leftovers = set(), []
-    for i in range(len(d)):
-        if i in used:
-            continue
-        j, s = next(((j, s) for j in range(i + 1, len(d)) if j not in used
-                     for s in [sqrt_in_qi(-d[i] / d[j])] if s is not None), (None, None))
-        if j is None:
-            leftovers.append((i, d[i]))
-        else:
-            used.add(j)
-            rows.append({i: ONE, j: s})
-    C = Matrix([[c.get(r, ZERO) for r in range(V.nrows)] for c in rows], ncols=V.nrows)
-    isotropics, _ = _gram_orthogonal(C * V, hermitian=True)
-
     zero = (0,) * m
     certified = RealSubspace._spanned(m, [(x, zero) for x in
                                           K.basis_matrix.re + isotropics.re + isotropics.im])

@@ -37,7 +37,7 @@ from typing import NamedTuple
 from eigenforge.conformality import EigenData, FamilyReport, _family_degree
 from eigenforge.degree2 import (Deg2Decomposition, PolynomialData, SubspaceType, TwistingData,
                                _NeedsFloat, _coerce_forms, _outer, default_frame,
-                               is_eigenfamily_deg2, twist_x_matrix)
+                               is_eigenfamily_deg2, to_form, twist_x_matrix)
 from eigenforge.frames import VariableFrame
 from eigenforge.holomorphy import AxisReport, _as_real_subspace, _numeric_extension, gradient_span
 from eigenforge.linalg import (ComplexSubspace, Matrix, RealSubspace, _check_ambient, _divided,
@@ -607,6 +607,30 @@ def ref_construct_eigenpair(t, pd, td, names=None):
             twist = twist + I * td.v[j] * t_poly
             F2 = F2 + a * z[i] * twist
     return F1, F2
+
+
+# -- the degree-2 axis radical on its own ---------------------------------------
+#
+# The decomposition once ran the radical half of the maximal-axis step
+# itself, with its own slice of V and its own Hermitian Gram-Schmidt.  The
+# isotropic rows of holomorphy._isotropic_parts must be the same rows.
+
+
+def ref_maximal_axis_radical(M1, M2):
+    """(R, d): the Hermitian-orthogonal isotropic rows R spanning the maximal
+    axis of a full eigenpair with forms M1, M2, the radical of the bilinear
+    form on the annihilator of the gradient span, and the values d of its
+    anisotropic part (at most one)."""
+    W = ComplexSubspace._spanned(M1.nrows, zip(M1.re + M2.re, M1.im + M2.im))
+    K = W.real_annihilator()
+    A = W.annihilator_in_real_span() if K.dim else W.bilinear_annihilator()
+    V, aniso = _gram_orthogonal(A.basis_matrix)
+    if K.dim != 0:
+        raise ValueError("not full")
+    if len(aniso) > 1:
+        raise AssertionError("more than one anisotropic direction")
+    radical = Matrix.from_numerators(V.re[len(aniso):], V.im[len(aniso):], V.den, V.ncols)
+    return _gram_orthogonal(radical, hermitian=True)[0], aniso
 
 
 # -- the exact degree-2 tail through the axis projector ------------------------
@@ -1245,7 +1269,7 @@ def ref_find_axis_deg2(forms):
     """(axis, degenerate) as find_axis_deg2 gives them: the real span of Re w
     and Im w over a Hermitian Gram-Schmidt basis w of the nonzero columns of
     an annihilating product, or the whole space for a family of zero forms."""
-    forms = _coerce_forms(forms)[1]
+    forms = [to_form(p) for p in _coerce_forms(forms)]
     if not forms or not is_eigenfamily_deg2(forms):
         raise ValueError("not a nonempty quadratic eigenfamily")
     m = forms[0].A.nrows
@@ -1284,7 +1308,7 @@ def ref_isotropic_annihilator_seeds(fs):
     if any(isinstance(f, Poly) and f != 0 and not (f.is_homogeneous() and f.degree() == 2)
            for f in fs):
         return []
-    forms = _coerce_forms(fs)[1]
+    forms = [to_form(p) for p in _coerce_forms(fs)]
     mats = [f.A for f in forms if not f.A.is_zero()]
     if not mats or not is_eigenfamily_deg2(forms):
         return []

@@ -310,8 +310,9 @@ def test_failed_internal_check_exits_three(monkeypatch, tmp_path):
     from eigenforge import holomorphy
     from eigenforge.linalg import Matrix
     from eigenforge.scalars import I, ONE
+    row = Matrix([[ONE, I]])
     monkeypatch.setattr(holomorphy, "_isotropic_parts",
-                        lambda W: (W.real_annihilator(), Matrix([[ONE, I]]), []))
+                        lambda W: (W.real_annihilator(), row, row, [], []))
     p = tmp_path / "f1.efam"
     p.write_text("family f1\nframe complex z\nF1 = z*conj(z)\n")
     for extra in ([], ["--json"]):
@@ -319,6 +320,24 @@ def test_failed_internal_check_exits_three(monkeypatch, tmp_path):
         assert code == 3
         assert err == "internal check failed: certified axis fails the axis condition\n"
         assert "Traceback" not in out + err
+
+
+def test_second_anisotropic_direction_exits_three(monkeypatch):
+    # the delta-Lemma allows a full eigenpair one anisotropic direction, so
+    # two planted values make the decomposition fail its own check
+    from eigenforge import degree2
+    from eigenforge.scalars import ONE
+    parts = degree2._isotropic_parts
+
+    def planted(W):
+        K, isotropics, V, d, leftovers = parts(W)
+        return K, isotropics, V, d + [ONE, ONE], leftovers
+    monkeypatch.setattr(degree2, "_isotropic_parts", planted)
+    for extra in ([], ["--json"]):
+        code, out, err = run(["deg2", "decompose", entry_path("pair-c4")] + extra)
+        assert code == 3
+        assert err == "internal check failed: more than one anisotropic direction\n"
+        assert out == ""
 
 
 def test_analyze_rejects_a_tolerance_that_is_not_finite_and_non_negative(tmp_path):

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eigenforge.frames import VariableFrame
-from eigenforge.poly import Poly
+from eigenforge.poly import FrameMismatch, Poly
 from eigenforge.scalars import GaussRational, I, ZERO, ONE, scalar
 from eigenforge.linalg import Matrix, _annihilator, _real_rows, cayley_orthogonal, vec
 from eigenforge.conformality import verify_flat_family, kappa
-from eigenforge.holomorphy import apply_real_isometry, is_axis, is_uniformly_complex_type
+from eigenforge.holomorphy import (apply_real_isometry, gradient_span, is_axis,
+                                  is_uniformly_complex_type)
 from eigenforge import degree2
 from eigenforge.degree2 import (
     Deg2Form,
@@ -35,7 +36,7 @@ from eigenforge.degree2 import (
 
 from oracles import (dot_bilinear, ref_annihilating_product, ref_construct_eigenpair,
                      ref_decompose_exact, ref_find_axis_deg2, ref_from_form, ref_matmul,
-                     ref_row_basis, ref_to_form, vec_is_zero)
+                     ref_maximal_axis_radical, ref_row_basis, ref_to_form, vec_is_zero)
 from test_linalg import _entries, matrices
 
 C1 = VariableFrame(("z",), ())
@@ -180,6 +181,18 @@ def test_form_matrix_must_match_its_frame():
     for call in (from_form, lambda f: is_eigenfamily_deg2([f]), lambda f: find_axis_deg2([f])):
         with pytest.raises(ValueError, match="form matrix is 3x3, not 2x2"):
             call(form)
+
+
+def test_members_are_checked_in_order_then_their_frames():
+    # a bad member raises before any later member and before the frames are compared
+    x, z = Poly.variable(R2, "x"), Poly.variable(C1, "z")
+    for call in (is_eigenfamily_deg2, find_axis_deg2):
+        with pytest.raises(TypeError, match="got str"):
+            call([z * z, "x", x ** 3])
+        with pytest.raises(ValueError, match="quadratic form needs"):
+            call([z * z, x ** 3, "x"])
+        with pytest.raises(FrameMismatch, match="form members"):
+            call([z * z, x * x])
 
 
 @st.composite
@@ -542,7 +555,8 @@ TYPES = [(n, k, delta) for n in range(1, 5) for k in (0, 2) if k <= n
 
 def exact_tail_inputs(t, seed, rotate):
     """(frame, M1, M2, radical, aniso) of a constructed pair of type t, or
-    None when the pair is not full (a zero member, say)."""
+    None when the pair is not full (a zero member, say); the shared isotropic
+    step gives the decomposition the same radical and aniso as the reference."""
     rng = random.Random(seed)
     F1, F2 = construct_eigenpair(*rand_data(rng, k=t[1], n=t[0], delta=t[2]))
     if rotate:
@@ -551,9 +565,11 @@ def exact_tail_inputs(t, seed, rotate):
         return None
     M1, M2 = to_form(F1).A, to_form(F2).A
     try:
-        radical, aniso = degree2._maximal_axis_radical(M1, M2)
+        radical, aniso = ref_maximal_axis_radical(M1, M2)
     except ValueError:
         return None
+    _, isotropics, _, d, _ = degree2._isotropic_parts(gradient_span([F1, F2]))
+    assert (isotropics, d) == (radical, aniso)
     return F1.frame, M1, M2, radical, aniso
 
 

@@ -482,7 +482,7 @@ def test_maximal_axis_matches_the_seeded_reference():
     for fs in families:
         report = maximal_axis(fs)
         assert report.to_json_dict() == ref_maximal_axis(fs).to_json_dict()
-        K, V, d = _isotropic_parts(report.W)
+        K, _, V, d, _ = _isotropic_parts(report.W)
         rad = V.nrows - len(d)
         radical += bool(rad)
         splits += report.certified_dim > K.dim + 2 * rad
@@ -498,7 +498,7 @@ def test_degree2_seeds_lie_in_the_radical_span():
     seeds = 0
     for fs in families + _quadratic_families(rng):
         W = gradient_span(fs)
-        _, V, d = _isotropic_parts(W)
+        _, _, V, d, _ = _isotropic_parts(W)
         span = ComplexSubspace(W.ambient, V.rows[len(d):])
         for w in ref_isotropic_annihilator_seeds(fs):
             assert span.contains(w)
@@ -694,7 +694,8 @@ def bad_j(J):
 def non_axis_radical():
     # (1, i) is isotropic but does not annihilate the span of |z|^2
     parts = holomorphy._isotropic_parts
-    holomorphy._isotropic_parts = lambda W: (W.real_annihilator(), Matrix([[ONE, I]]), [])
+    row = Matrix([[ONE, I]])
+    holomorphy._isotropic_parts = lambda W: (W.real_annihilator(), row, row, [], [])
     try:
         holomorphy.maximal_axis([z * z.conjugate()])
     finally:
@@ -705,7 +706,7 @@ def decompose_with_extra_aniso(decompose):
     # one anisotropic direction too many for the dimension count
     F1, F2 = catalog.load_entry("pair-c4").polys
     M1, M2 = degree2.to_form(F1).A, degree2.to_form(F2).A
-    radical, aniso = degree2._maximal_axis_radical(M1, M2)
+    _, radical, _, aniso, _ = holomorphy._isotropic_parts(holomorphy.gradient_span([F1, F2]))
     decompose(F1.frame, M1, M2, radical, aniso + [None])
 
 
