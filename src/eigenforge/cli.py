@@ -12,7 +12,8 @@ Exit codes: 0 success (and verdict true where there is one), 1 a
 verification or decomposition came back negative, 2 usage, parse or
 input errors (and a degree over poly.MAX_DEGREE or a product over
 poly.PRODUCT_LIMIT term products), 3 an internal check on a computed
-result failed (a bug, reported as "internal check failed: ..." with no
+result failed, such as decomposed degree-2 data that its validators
+reject (a bug, reported as "internal check failed: ..." with no
 traceback).  Exact values print as rationals p/q + r/s*i; floating
 point numbers appear only in sections labelled numeric.
 """
@@ -42,11 +43,10 @@ from . import catalog as catalog_mod
 _CONSTANT_FRAME = VariableFrame(())
 
 
-def _parse_constant(text: str) -> GaussRational:
-    p = parse_poly(text, _CONSTANT_FRAME)
-    if not p.is_constant():
-        raise ParseError(f"{text!r} is not a constant")
-    return p.constant_value()
+def _eigen_data(args) -> EigenData:
+    "The --lambda/--mu pair, 0 where absent; a frame with no slots parses only constants."
+    return EigenData(*(parse_poly("0" if x is None else x, _CONSTANT_FRAME).constant_value()
+                       for x in (args.lam, args.mu)))
 
 
 def _frame_label(frame) -> str:
@@ -55,6 +55,13 @@ def _frame_label(frame) -> str:
     if frame.n:
         return f"C^{frame.n}"
     return f"R^{frame.r}"
+
+
+def _header(source, detail="") -> str:
+    "The first line of verify and analyze: the family, its frame and its member count."
+    n = len(source.definitions)
+    return (f"family {source.name} on {_frame_label(source.frame)} "
+            f"({n} member{'s' if n != 1 else ''}{detail})")
 
 
 def _jsonable(v):
@@ -75,22 +82,23 @@ def _emit(payload):
 
 def _write_family(source: FamilySource, args, payload, lines):
     """With --json, print the JSON object payload() with the family under "family";
-    else print lines, then the family or where -o wrote it, nothing written
-    before all is formatted."""
-    if args.json:
-        _emit({**payload(), "family": {
-            "name": source.name,
-            "frame": {"complex": list(source.frame.complex_names),
-                      "real": list(source.frame.real_names)},
-            "members": {name: format_poly(p) for name, p in source.definitions.items()},
-        }})
-        return
-    text = format_family(source)
-    if getattr(args, "output", None):
+    else print lines, then the family or where -o wrote it.  -o writes the family
+    in both modes, and nothing is written before all is formatted."""
+    data = {**payload(), "family": {
+        "name": source.name,
+        "frame": {"complex": list(source.frame.complex_names),
+                  "real": list(source.frame.real_names)},
+        "members": {name: format_poly(p) for name, p in source.definitions.items()},
+    }} if args.json else None
+    text = format_family(source) if args.output or not args.json else ""
+    if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
         text = f"wrote {args.output}\n"
-    sys.stdout.write("".join(f"{line}\n" for line in lines) + text)
+    if args.json:
+        _emit(data)
+    else:
+        sys.stdout.write("".join(f"{line}\n" for line in lines) + text)
 
 
 # -- verify -----------------------------------------------------------
@@ -101,9 +109,7 @@ def cmd_verify(args) -> int:
     fs = source.polys
     names = list(source.definitions)
     if args.lam is not None or args.mu is not None:
-        data = EigenData(_parse_constant(args.lam if args.lam is not None else "0"),
-                         _parse_constant(args.mu if args.mu is not None else "0"))
-        report = verify_general_family(fs, data)
+        report = verify_general_family(fs, _eigen_data(args))
     else:
         report = verify_flat_family(fs)
     payload = report.to_json_dict(name=source.name)
@@ -122,10 +128,7 @@ def cmd_verify(args) -> int:
     if args.json:
         _emit(payload)
         return 0 if report.verdict else 1
-    degree = report.degree if report.degree is not None else "mixed"
-    plural = "s" if len(fs) != 1 else ""
-    print(f"family {source.name} on {_frame_label(source.frame)} "
-          f"({len(fs)} member{plural}, degree {degree})")
+    print(_header(source, f", degree {'mixed' if report.degree is None else report.degree}"))
     print(f"eigenfamily: {'true' if report.verdict else 'false'}"
           + (f"  for lambda = {payload['lambda']}, mu = {payload['mu']}"
              if payload["lambda"] not in ("0", None) or payload["mu"] not in ("0", None)
@@ -173,8 +176,7 @@ def cmd_analyze(args) -> int:
     if args.json:
         _emit(payload)
         return 0
-    plural = "s" if len(fs) != 1 else ""
-    print(f"family {source.name} on {_frame_label(source.frame)} ({len(fs)} member{plural})")
+    print(_header(source))
     print(f"gradient span dim: {W.dim} of {W.ambient}")
     print(f"uniformly complex type: {'true' if uniform else 'false'}")
     if witness is not None:
@@ -338,8 +340,7 @@ def cmd_construct_power(args) -> int:
                   file=sys.stderr)
             return 1
     else:
-        data = EigenData(_parse_constant(args.lam if args.lam is not None else "0"),
-                         _parse_constant(args.mu if args.mu is not None else "0"))
+        data = _eigen_data(args)
         # the printed verdict, the flat test, speaks for flat or sphere data only
         try:
             sphere = sphere_data(fs)

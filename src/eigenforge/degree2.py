@@ -326,8 +326,9 @@ def decompose_eigenpair(F1: Poly, F2: Poly) -> Deg2Decomposition:
     degree 2; FrameMismatch when the frames differ; ValueError "not a quadratic
     eigenfamily"; ValueError "not full" when W has a real kernel; and
     AssertionError "more than one anisotropic direction" (the delta-Lemma
-    allows one), or another AssertionError when a computed result fails the
-    check that guards it."""
+    allows one), AssertionError "decomposed data is invalid: ..." when the
+    recovered data fails its validators, or another AssertionError when a
+    computed result fails the check that guards it."""
     for F in (F1, F2):
         if F == 0 or not F.is_homogeneous() or F.degree() != 2:
             raise ValueError("decomposition needs nonzero homogeneous degree-2 polynomials")
@@ -420,42 +421,33 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
     X = (Phi * E.conj_transpose()).scale(half)
     Y = (Phi * E.transpose()).scale(half)
     v = (Phi * d_vec.transpose()).scale(-I).col(0) if delta else (ZERO,) * k
-    # phi antisymmetry in the bilinear pairing: e_a . phi_b = -(e_b . phi_a)
-    if not Y.is_antisymmetric():
-        raise AssertionError("coupling map is not antisymmetric")
-    if k and Y.is_zero():
-        raise AssertionError("twisting matrix is zero")
-    if k and Y.det() == ZERO:
-        raise AssertionError("twisting matrix is singular")
     C = X * Y + _outer(v).scale(Fraction(1, 4))
-    if not C.is_antisymmetric():
-        raise AssertionError("twisting matrix C is not antisymmetric")
-
     return _decomposition(delta, G1.scale(Fraction(1, 4)), G2.scale(Fraction(1, 4)), A_mat,
                           TwistingData(Y, C, v), isometry, True)
 
 
 def _dimensions(m, n, k, aniso):
-    "delta = m - 2n - 2k, once n >= k, k is even and delta is len(aniso), 0 or 1."
-    if k % 2 != 0 or n < k:
-        raise AssertionError("inconsistent subspace type")
-    delta = m - 2 * n - 2 * k
-    if delta != len(aniso) or delta not in (0, 1):
+    "delta = m - 2n - 2k, which must be len(aniso); SubspaceType.validate checks the rest."
+    if m - 2 * n - 2 * k != len(aniso):
         raise AssertionError("dimension count disagrees with the anisotropic part")
-    return delta
+    return len(aniso)
 
 
 def _decomposition(delta, Z1, Z2, A, td, isometry, exact):
     """The end of both tails: the validated data, with P1 and P2 the z-parts
     sum_ij Z_ij z_i z_j of Z = S M S^T, whose entries are s_i^T M s_j over
-    the holomorphic selectors s, the rows of S."""
+    the holomorphic selectors s, the rows of S.  The data was computed, not
+    given, so a validator's ValueError is an AssertionError here."""
     n = A.nrows
     zframe = VariableFrame(tuple(f"z{i+1}" for i in range(n)), ())
     P1, P2 = (quadratic_from_numerators(zframe, Z.den, {
         (2 * i, 2 * j): (Z.re[i][j], Z.im[i][j]) for i in range(n) for j in range(n)})
         for Z in (Z1, Z2))
-    return Deg2Decomposition(SubspaceType(n, A.ncols, delta), PolynomialData(P1, P2, A), td,
-                             isometry, exact)
+    try:
+        return Deg2Decomposition(SubspaceType(n, A.ncols, delta), PolynomialData(P1, P2, A),
+                                 td, isometry, exact)
+    except ValueError as exc:
+        raise AssertionError(f"decomposed data is invalid: {exc}") from exc
 
 
 def _rational_matrix(Mf, antisym=False):
@@ -528,8 +520,6 @@ def _decompose_float(frame, M1, M2, radical, aniso):
     Y = _rational_matrix(Y_f, antisym=True)
     A_mat = _rational_matrix(A_f)
     v = _rational_matrix(v_f.reshape(1, k)).rows[0]
-    if delta and not any(v):
-        raise AssertionError("delta = 1 needs a nonzero twisting vector")
     X = _rational_matrix(X_f)
     C = X * Y + _outer(v).scale(Fraction(1, 4))
     C = (C - C.transpose()).scale(Fraction(1, 2))

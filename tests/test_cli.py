@@ -340,6 +340,26 @@ def test_second_anisotropic_direction_exits_three(monkeypatch):
         assert out == ""
 
 
+def test_invalid_decomposed_data_exits_three(monkeypatch, tmp_path):
+    # the float tail recovers Y through _rational_matrix(..., antisym=True); a
+    # zero Y fails TwistingData.validate, a check on computed data, not a verdict
+    from eigenforge import degree2
+    from eigenforge.linalg import Matrix
+    F1, F2 = degree2.construct_eigenpair(*rand_data(random.Random(0), n_max=3, k=2))
+    assert not degree2.decompose_eigenpair(F1, F2).exact
+    p = tmp_path / "pair.efam"
+    p.write_text(parser.format_family(
+        parser.FamilySource("pair", F1.frame, {}, {"F1": F1, "F2": F2}, {})))
+    recover = degree2._rational_matrix
+    monkeypatch.setattr(degree2, "_rational_matrix", lambda Mf, antisym=False: (
+        Matrix.zero(*Mf.shape) if antisym else recover(Mf)))
+    for extra in ([], ["--json"]):
+        code, out, err = run(["deg2", "decompose", p] + extra)
+        assert code == 3
+        assert err == "internal check failed: decomposed data is invalid: Y must be invertible\n"
+        assert out == ""
+
+
 def test_analyze_rejects_a_tolerance_that_is_not_finite_and_non_negative(tmp_path):
     # the annihilator's form diag(-3, 8/9) pairs only in floats, so the
     # tolerance decides whether the numeric plane is reported
@@ -374,6 +394,22 @@ def test_reduce_writes_loadable_family(tmp_path):
     assert source.frame.real_names == ("t",)
     code2, out2, err2 = run(["verify", str(out_path)])
     assert code2 == 0
+
+
+def test_output_file_is_written_with_or_without_json(tmp_path):
+    # -o writes the same .efam bytes in both modes; --json prints the same
+    # JSON with -o as without it, with no "wrote" line
+    data = write_data(tmp_path, 8)
+    for argv in (["reduce", entry_path("pair-c4"), "--coord", "u"],
+                 ["deg2", "construct", data],
+                 ["construct", "power", entry_path("z1z2"), "--d", "2"]):
+        text, json_out = tmp_path / "text.efam", tmp_path / "json.efam"
+        code, out, _ = run(argv + ["-o", text])
+        assert code == 0 and out.endswith(f"\nwrote {text}\n")
+        assert run(argv + ["--json", "-o", json_out]) == run(argv + ["--json"])
+        assert json_out.read_bytes() == text.read_bytes() != b""
+        text.unlink()
+        json_out.unlink()
 
 
 def test_reduce_json_reports_both_verdicts():

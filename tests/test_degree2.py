@@ -464,6 +464,29 @@ def test_decomposition_of_invalid_data_raises_at_construction():
             degree2.Deg2Decomposition(st_, pd_, td_, Matrix.identity(2 * (t.n + t.k)), True)
 
 
+def test_invalid_decomposed_data_is_an_internal_error():
+    # the tails leave every rule of the data to its validators; data that a
+    # tail computed and that fails one is a failed check, not a bad input
+    t, pd, td = rand_data(random.Random(5), n=3, k=2, delta=1)
+    one = Matrix.identity(1)
+
+    def decompose(delta, A, td):
+        Z = Matrix.zero(A.nrows, A.nrows)
+        return degree2._decomposition(delta, Z, Z, A, td, Matrix.identity(11), True)
+    assert decompose(1, pd.A, td).subspace_type == t
+    cases = [(1, Matrix.zero(3, 2), td, "A must have full column rank"),
+             (1, pd.A, td._replace(Y=Matrix.zero(2, 2)), "Y must be invertible"),
+             (1, pd.A, td._replace(Y=Matrix.identity(2)), "Y must be antisymmetric"),
+             (1, pd.A, td._replace(C=Matrix.identity(2)), "C must be antisymmetric"),
+             (1, pd.A, td._replace(v=(ZERO, ZERO)), "v = 0 exactly when delta = 0"),
+             (2, pd.A, td, "delta must be 0 or 1"),
+             (0, Matrix([[ONE]] * 3, ncols=1), TwistingData(one, one, (ZERO,)), "k must be even"),
+             (0, Matrix([[ONE, ZERO]], ncols=2), td._replace(v=(ZERO, ZERO)), "need n >= k")]
+    for delta, A, td_, message in cases:
+        with pytest.raises(AssertionError, match=f"^decomposed data is invalid: {message}"):
+            decompose(delta, A, td_)
+
+
 def rand_cayley(rng, m, span=1, den=2):
     S = [[ZERO] * m for _ in range(m)]
     for a in range(m):

@@ -702,12 +702,23 @@ def non_axis_radical():
         holomorphy._isotropic_parts = parts
 
 
-def decompose_with_extra_aniso(decompose):
-    # one anisotropic direction too many for the dimension count
+def decompose_pair_c4(decompose, extra_aniso=()):
+    # extra_aniso: anisotropic directions too many for the dimension count
     F1, F2 = catalog.load_entry("pair-c4").polys
     M1, M2 = degree2.to_form(F1).A, degree2.to_form(F2).A
     _, radical, _, aniso, _ = holomorphy._isotropic_parts(holomorphy.gradient_span([F1, F2]))
-    decompose(F1.frame, M1, M2, radical, aniso + [None])
+    decompose(F1.frame, M1, M2, radical, aniso + list(extra_aniso))
+
+
+def float_tail_with_zero_y():
+    # the float tail recovers Y through _rational_matrix(..., antisym=True)
+    recover = degree2._rational_matrix
+    degree2._rational_matrix = lambda Mf, antisym=False: (
+        Matrix.zero(*Mf.shape) if antisym else recover(Mf))
+    try:
+        decompose_pair_c4(degree2._decompose_float)
+    finally:
+        degree2._rational_matrix = recover
 
 
 # Q Q^T = I in the bilinear sense, but the entries are not real
@@ -720,8 +731,9 @@ cases = [
     lambda: bad_j(Matrix.identity(4)).check(),
     lambda: bad_j(Matrix.zero(4, 4)).check(),
     non_axis_radical,
-    lambda: decompose_with_extra_aniso(degree2._decompose_exact),
-    lambda: decompose_with_extra_aniso(degree2._decompose_float),
+    lambda: decompose_pair_c4(degree2._decompose_exact, [None]),
+    lambda: decompose_pair_c4(degree2._decompose_float, [None]),
+    float_tail_with_zero_y,
     lambda: holomorphy.apply_real_isometry(z, Matrix([[ONE, ONE], [ZERO, ONE]]), C1),
     lambda: holomorphy.apply_real_isometry(z, complex_orthogonal, C1),
 ]
@@ -790,6 +802,7 @@ def test_result_checks_fire_under_python_O():
         "fired AssertionError: certified axis fails the axis condition",
         "fired AssertionError: dimension count disagrees with the anisotropic part",
         "fired AssertionError: dimension count disagrees with the anisotropic part",
+        "fired AssertionError: decomposed data is invalid: Y must be invertible",
         "fired ValueError: matrix rows are not orthonormal",
         "fired ValueError: isometry entries must be real",
     ]
