@@ -9,8 +9,8 @@ such families with exact rational arithmetic.
 
 from .scalars import GaussRational, scalar
 from .frames import VariableFrame
-from .poly import Poly, PolyVector
+from .poly import Poly
 
 __version__ = "0.1.0"
 
-__all__ = ["GaussRational", "scalar", "VariableFrame", "Poly", "PolyVector", "__version__"]
+__all__ = ["GaussRational", "scalar", "VariableFrame", "Poly", "__version__"]

@@ -10,12 +10,13 @@ Subcommands:
 
 Exit codes: 0 success (and verdict true where there is one), 1 a
 verification or decomposition came back negative, 2 usage, parse or
-input errors (and a degree over poly.MAX_DEGREE or a product over
-poly.PRODUCT_LIMIT term products), 3 an internal check on a computed
-result failed, such as decomposed degree-2 data that its validators
-reject (a bug, reported as "internal check failed: ..." with no
-traceback).  Exact values print as rationals p/q + r/s*i; floating
-point numbers appear only in sections labelled numeric.
+input errors (and a degree over poly.MAX_DEGREE, or a product or a
+power family over poly.PRODUCT_LIMIT term products), 3 an internal
+check on a computed result failed, such as decomposed degree-2 data
+that its validators reject (a bug, reported as "internal check
+failed: ..." with no traceback).  Exact values print as rationals
+p/q + r/s*i; floating point numbers appear only in sections labelled
+numeric.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from .scalars import GaussRational
 from .frames import VariableFrame
@@ -69,8 +69,6 @@ def _jsonable(v):
         return v
     if isinstance(v, GaussRational):
         return format_scalar(v)
-    if isinstance(v, Fraction):
-        return str(v)
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
     return str(v)

@@ -324,7 +324,9 @@ def power_family(fs, d: int, data: EigenData):
     """Spanning set of all degree-d products of members, with the
     transformed eigen data (d(lam+(d-1)mu), d^2 mu), unverified.  As kappa
     is a derivation in each argument (the Leibniz rule), the products of a
-    flat family are flat with no bracket taken on them."""
+    flat family are flat with no bracket taken on them.  The whole family
+    spends one PRODUCT_LIMIT budget of term products, counted before each
+    layer multiplies, and raises ValueError past it."""
     if d < 1:
         raise ValueError("power needs d >= 1")
     fs = list(fs)
@@ -333,8 +335,10 @@ def power_family(fs, d: int, data: EigenData):
     common_frame(fs)
     # layer k holds (last index, product) over the index tuples i1 <= ... <= ik
     # in lexicographic order; extending each by every index >= ik keeps it
-    layer = [(0, Poly.constant(fs[0].frame, scalar(1)))]
+    layer, spent = [(0, Poly.constant(fs[0].frame, scalar(1)))], 0
     for _ in range(d):
+        spent += sum(len(acc.nums) * len(f.nums) for start, acc in layer for f in fs[start:])
+        check_products(spent, "power family")
         layer = [(k, acc * fs[k]) for start, acc in layer for k in range(start, len(fs))]
     products = list(dict.fromkeys(acc for _, acc in layer if acc != 0))
     dd = scalar(d)

@@ -108,7 +108,7 @@ def complex_defect(F: Poly, y) -> Poly:
     """The defect of F at the exact point y: the polynomial
     x -> grad F(x) . grad F(y), taken over the real gradient."""
     out = Poly.zero(F.frame)
-    for comp in real_gradient(F).components:
+    for comp in real_gradient(F):
         c = comp.evaluate(y)
         if c:
             out = out + c * comp

@@ -525,8 +525,7 @@ class Matrix:
         return _divided(rows, pivots, self.nrows, self.ncols), pivots
 
     def rank(self):
-        _, pivots = self.rref()
-        return len(pivots)
+        return len(_eliminate(zip(self.re, self.im), self.ncols)[1])
 
     def _kernel(self):
         """The rows of nullspace as a Matrix: for each free column f of the

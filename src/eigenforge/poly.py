@@ -50,8 +50,9 @@ from .scalars import GaussRational, ZERO, as_scalar, common_numerators, from_tri
 EXP_BITS = 16
 MAX_DEGREE = (1 << EXP_BITS) - 1
 
-# Term products one `*` (so one step of a power), one substitution or one
-# conformality bracket may take: seconds and hundreds of MB at the limit.
+# Term products one `*` (so one step of a power), one substitution, one
+# power family or one conformality bracket may take: seconds and hundreds
+# of MB at the limit.
 PRODUCT_LIMIT = 1_000_000
 
 
@@ -599,34 +600,6 @@ def rename_onto(p: Poly, target: VariableFrame) -> Poly:
     return p.substitute(target, same_name_images(p.frame, target))
 
 
-class PolyVector:
-    """A length-m vector of polynomials, indexed by the frame's real axes."""
-
-    __slots__ = ("frame", "components")
-
-    def __init__(self, frame: VariableFrame, components):
-        components = tuple(components)
-        if len(components) != frame.m:
-            raise ValueError(f"expected {frame.m} components, got {len(components)}")
-        for c in components:
-            if c.frame != frame:
-                raise FrameMismatch("component frame mismatch")
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "components", components)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyVector is immutable")
-
-    def dot(self, other: "PolyVector") -> Poly:
-        "Bilinear product sum_k a_k b_k, no conjugation."
-        if not isinstance(other, PolyVector) or other.frame != self.frame:
-            raise FrameMismatch("dot needs two vectors on one frame")
-        total = Poly.zero(self.frame)
-        for a, b in zip(self.components, other.components):
-            total = total + a * b
-        return total
-
-
 def gradient_rows(p: Poly) -> dict:
     """The real gradient by monomial, {key: (re, im)} for integer rows of
     length m: component a is sum (re[a] + im[a] i) mono_key / p.den.  The
@@ -642,13 +615,14 @@ def gradient_rows(p: Poly) -> dict:
     return rows
 
 
-def real_gradient(p: Poly) -> PolyVector:
-    """Gradient with respect to the m real coordinates, as polynomials.
+def real_gradient(p: Poly) -> tuple:
+    """Gradient with respect to the m real coordinates, as a tuple of m
+    polynomials on p's frame.
 
     Component order matches the frame's real axes: (Re z_j, Im z_j)
     pairs first, then the real coordinates: entry a of gradient_rows.
     """
     frame, rows = p.frame, gradient_rows(p)
-    return PolyVector(frame, [_reduced(frame, {k: (re[a], im[a]) for k, (re, im) in rows.items()
-                                               if re[a] or im[a]}, p.den)
-                              for a in range(frame.m)])
+    return tuple(_reduced(frame, {k: (re[a], im[a]) for k, (re, im) in rows.items()
+                                  if re[a] or im[a]}, p.den)
+                 for a in range(frame.m))

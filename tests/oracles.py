@@ -1140,7 +1140,7 @@ def ref_gradient_span(fs):
     vectors = []
     for f in fs:
         per_mono = {}
-        for axis, comp in enumerate(real_gradient(f).components):
+        for axis, comp in enumerate(real_gradient(f)):
             for mono, c in comp.terms.items():
                 row = per_mono.setdefault(mono, [ZERO] * m)
                 row[axis] = row[axis] + c
@@ -1641,11 +1641,11 @@ def ref_format_poly(p):
 def ref_defect_family(F):
     "defect_family on the term view: sum_a coeff(g_a, mono) g_a in Poly arithmetic."
     g = real_gradient(F)
-    monos = sorted({mu for comp in g.components for mu in comp.terms}, key=mono_order_key)
+    monos = sorted({mu for comp in g for mu in comp.terms}, key=mono_order_key)
     out = []
     for mu in monos:
         member = Poly.zero(F.frame)
-        for comp in g.components:
+        for comp in g:
             c = comp.terms.get(mu)
             if c:
                 member = member + c * comp

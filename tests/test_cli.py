@@ -834,6 +834,18 @@ def test_construct_power_of_high_degree():
     assert payload["family"]["members"] == {"F1": "z1^20000*z2^20000"}
 
 
+def test_construct_power_over_the_family_budget_exits_two():
+    # each product stays under poly.PRODUCT_LIMIT, but the family's
+    # C(d + 3, 3) products together pass it
+    for name, d in (("augmented-quartet-c4", 16), ("cubic-quartet-c4", 40)):
+        start = time.perf_counter()
+        code, out, err = run(["construct", "power", entry_path(name), "--d", d, "--json"])
+        assert time.perf_counter() - start < 10.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: power family needs ")
+        assert err.endswith("term products, over the limit of 1000000\n")
+
+
 def test_construct_power_with_explicit_data():
     code, payload = run_json(
         ["construct", "power", entry_path("z1z2"), "--d", "2",

@@ -1,7 +1,7 @@
 """Bracket, Laplacian, eigen verification, sphere data, invariance.
 
-Independent checks back the bracket: the real-gradient dot product
-code path, a finite-difference oracle, and the term-by-term
+Independent checks back the bracket: the real gradients' dot product
+summed in Poly arithmetic, a finite-difference oracle, and the term-by-term
 references that the packed integer kernel replaced.
 """
 
@@ -95,7 +95,10 @@ def test_kappa_equals_gradient_dot():
     for _ in range(10):
         f = rand_poly(rng, C2T)
         g = rand_poly(rng, C2T)
-        assert kappa(f, g) == real_gradient(f).dot(real_gradient(g))
+        dot = Poly.zero(C2T)
+        for a, b in zip(real_gradient(f), real_gradient(g)):
+            dot = dot + a * b
+        assert kappa(f, g) == dot
 
 
 def test_kappa_power_identity():
@@ -482,6 +485,18 @@ def test_power_family_errors():
         power_family([var(C1, "z")], 0, FLAT_DATA)
     with pytest.raises(ValueError):
         power_family([], 2, FLAT_DATA)
+
+
+def test_power_family_spends_one_budget_over_the_family(monkeypatch):
+    # on {z, u} every product has one term, and each extends by the members
+    # from its last index on: layers of 1 + 1, 2 + 1 and 2 + 1 + 1 products,
+    # 9 in all by degree 3, while no single product passes the limit
+    from eigenforge import poly
+    fs = [var(C2, "z"), var(C2, "u")]
+    monkeypatch.setattr(poly, "PRODUCT_LIMIT", 8)
+    assert len(power_family(fs, 2, FLAT_DATA)[0]) == 3
+    with pytest.raises(ValueError, match="^power family needs 9 term products, over the limit of 8$"):
+        power_family(fs, 3, FLAT_DATA)
 
 
 # ---------------------------------------------------------------------

@@ -134,7 +134,7 @@ def test_complex_type_witness_rotates_differentials():
     m = C2.m
     for _ in range(20):
         point = rational_point(rng, C2)
-        grad = [c.evaluate_float(point) for c in real_gradient(F).components]
+        grad = [c.evaluate_float(point) for c in real_gradient(F)]
         for _ in range(3):
             v = [rng.uniform(-1, 1) for _ in range(m)]
             jv = Jf.real @ v
