@@ -34,8 +34,8 @@ from .conformality import (FLAT_DATA, EigenData, power_family, sphere_data,
                            sphere_eigen_data, verify_flat_family, verify_general_family)
 from .holomorphy import maximal_axis, span_complex_type
 from .reduction import reduce_family
-from .degree2 import (construct_eigenpair, data_from_json_dict,
-                      data_to_json_dict, decompose_eigenpair, _matrix_json)
+from .degree2 import (data_from_json_dict, data_to_json_dict, decompose_eigenpair,
+                      _eigenpair, _matrix_json)
 from .constructions import (NotHarmonicMorphism, RealMap, augment, defect_family, glue,
                             pair_components)
 from . import catalog as catalog_mod
@@ -214,8 +214,8 @@ def cmd_reduce(args) -> int:
 def cmd_deg2_construct(args) -> int:
     with open(args.path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    t, pd, td = data_from_json_dict(raw)
-    F1, F2 = construct_eigenpair(t, pd, td)
+    t, pd, td = data_from_json_dict(raw)  # validated as it is read
+    F1, F2 = _eigenpair(t, pd, td, None)
     verdict = verify_flat_family([F1, F2]).verdict
     out = FamilySource(f"deg2-n{t.n}k{t.k}d{t.delta}", F1.frame, {},
                        {"F1": F1, "F2": F2}, {})

@@ -322,8 +322,6 @@ def _numeric_extension(W, isotropics, V, leftovers, tolerance):
         k += 2
         s = numpy.sqrt(complex(-d1 / d2))
         planes.append(Vf[i1] + s * Vf[i2])
-    if not planes:
-        return [], None
     # orthogonalize numerically against the exact isotropics and each other
     prior = list(isotropics.to_float())
     kept = []

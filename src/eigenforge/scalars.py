@@ -2,17 +2,21 @@
 
 A scalar is stored as (a + b*i)/d with integers a, b, d, where d > 0 and
 gcd(a, b, d) = 1.  That form is canonical, so two scalars are equal
-exactly when their triples are equal, and each operation costs a few
-integer multiplications and at most one gcd.  The real and imaginary
-parts are exposed as Fractions for code that reads them.
+exactly when their triples are equal.  Each operator is the plain
+formula on the triples, and each result costs one gcd to bring it to
+that form.  The real and imaginary parts are exposed as Fractions for
+code that reads them.
 
-Polynomials and matrices store Gaussian-integer numerators over one
-denominator in the same canonical way, and read their coefficients out
-as GaussRational values; no floating point enters the symbolic paths.
+Scalar arithmetic serves constants, eigen data and the read-only
+coefficient views of polynomials and matrices.  Their kernels run on
+Gaussian-integer numerators over one denominator, canonical in the same
+way, and meet scalars only at their edges; no floating point enters the
+symbolic paths.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -30,6 +34,15 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
 
 
+def _coerced(op):
+    "The binary operator op with its second operand coerced to a scalar, or NotImplemented."
+    @functools.wraps(op)
+    def binary(self, other):
+        other = as_scalar(other)
+        return NotImplemented if other is None else op(self, other)
+    return binary
+
+
 class GaussRational:
     """A number a + b*i with a, b exact rationals.
 
@@ -40,9 +53,6 @@ class GaussRational:
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        if type(re) is int and type(im) is int:
-            self._a, self._b, self._d = re, im, 1
-            return
         re, im = _frac(re), _frac(im)
         rd, id_ = re.denominator, im.denominator
         # over the lcm of two reduced denominators the triple is already canonical
@@ -73,11 +83,8 @@ class GaussRational:
         # a real scalar hashes like the equal int / Fraction
         return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
 
+    @_coerced
     def __eq__(self, other):
-        if type(other) is not GaussRational:
-            other = as_scalar(other)
-            if other is None:
-                return NotImplemented
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __bool__(self):
@@ -85,65 +92,33 @@ class GaussRational:
 
     # -- arithmetic ----------------------------------------------------
 
+    @_coerced
     def __add__(self, other):
-        if type(other) is not GaussRational:
-            other = as_scalar(other)
-            if other is None:
-                return NotImplemented
         d1, d2 = self._d, other._d
-        if d1 == d2:
-            if d1 == 1:
-                return _make(self._a + other._a, self._b + other._b, 1)
-            return _reduce(self._a + other._a, self._b + other._b, d1)
-        g = _gcd(d1, d2)
-        if g == 1:
-            # coprime denominators: the sum is canonical as it stands
-            return _make(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
-        # only primes of g can divide the sum's content (as in Fraction.__add__)
-        s, t = d1 // g, d2 // g
-        a = self._a * t + other._a * s
-        b = self._b * t + other._b * s
-        g = _gcd(g, a, b)
-        if g == 1:
-            return _make(a, b, s * d2)
-        return _make(a // g, b // g, s * (d2 // g))
+        return _reduce(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(-self._a, -self._b, self._d)
+        return _reduce(-self._a, -self._b, self._d)
 
+    @_coerced
     def __sub__(self, other):
-        if type(other) is not GaussRational:
-            other = as_scalar(other)
-            if other is None:
-                return NotImplemented
-        return self + _make(-other._a, -other._b, other._d)
+        return self + -other
 
+    @_coerced
     def __rsub__(self, other):
-        other = as_scalar(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        return other + -self
 
+    @_coerced
     def __mul__(self, other):
-        if type(other) is not GaussRational:
-            other = as_scalar(other)
-            if other is None:
-                return NotImplemented
         a1, b1, a2, b2 = self._a, self._b, other._a, other._b
-        d = self._d * other._d
-        if d == 1:
-            return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, 1)
-        return _reduce(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d)
+        return _reduce(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     __rmul__ = __mul__
 
+    @_coerced
     def __truediv__(self, other):
-        if type(other) is not GaussRational:
-            other = as_scalar(other)
-            if other is None:
-                return NotImplemented
         a1, b1, a2, b2 = self._a, self._b, other._a, other._b
         n = a2 * a2 + b2 * b2
         if n == 0:
@@ -152,10 +127,8 @@ class GaussRational:
         k = other._d
         return _reduce((a1 * a2 + b1 * b2) * k, (b1 * a2 - a1 * b2) * k, self._d * n)
 
+    @_coerced
     def __rtruediv__(self, other):
-        other = as_scalar(other)
-        if other is None:
-            return NotImplemented
         return other / self
 
     def __pow__(self, n: int):
@@ -174,7 +147,7 @@ class GaussRational:
     # -- structure -----------------------------------------------------
 
     def conjugate(self) -> "GaussRational":
-        return _make(self._a, -self._b, self._d)
+        return _reduce(self._a, -self._b, self._d)
 
     def norm2(self) -> Fraction:
         "Squared modulus, an exact nonnegative rational."
@@ -188,13 +161,6 @@ class GaussRational:
 
 
 _new = object.__new__
-
-
-def _make(a: int, b: int, d: int) -> GaussRational:
-    "A scalar from a triple that is already canonical (d > 0, gcd(a, b, d) = 1)."
-    r = _new(GaussRational)
-    r._a, r._b, r._d = a, b, d
-    return r
 
 
 def _reduce(a: int, b: int, d: int) -> GaussRational:
@@ -240,9 +206,9 @@ def as_scalar(x):
     if isinstance(x, GaussRational):
         return x
     if isinstance(x, int):
-        return _make(int(x), 0, 1)
+        return _reduce(int(x), 0, 1)
     if isinstance(x, Fraction):
-        return _make(x.numerator, 0, x.denominator)
+        return _reduce(x.numerator, 0, x.denominator)
     return None
 
 

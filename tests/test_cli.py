@@ -20,7 +20,7 @@ from eigenforge import parser
 from eigenforge.cli import main
 from eigenforge.catalog import entry_path, list_entries
 from eigenforge.conformality import FLAT_DATA, power_family, verify_flat_family
-from eigenforge.degree2 import data_to_json_dict
+from eigenforge.degree2 import PolynomialData, SubspaceType, TwistingData, data_to_json_dict
 from eigenforge.parser import load_family, parse_family
 
 from test_degree2 import rand_data
@@ -474,12 +474,20 @@ def test_deg2_construct_and_decompose_files(tmp_path):
         assert "isometry_numeric" in payload
 
 
-def test_deg2_construct_json(tmp_path):
+def test_deg2_construct_json(tmp_path, monkeypatch):
     data_path = write_data(tmp_path, 3)
+    # the data is validated as it is read, and the pair is built with no second check
+    calls = []
+    for cls in (SubspaceType, PolynomialData, TwistingData):
+        def counting(data, *args, original=cls.validate):
+            calls.append(type(data).__name__)
+            return original(data, *args)
+        monkeypatch.setattr(cls, "validate", counting)
     code, payload = run_json(["deg2", "construct", str(data_path)], "deg2-construct")
     assert code == 0
     assert payload["verdict"] is True
     assert set(payload["family"]["members"]) == {"F1", "F2"}
+    assert sorted(calls) == ["PolynomialData", "SubspaceType", "TwistingData"]
 
 
 def test_deg2_reconstructed_data_constructs_again(tmp_path):

@@ -15,7 +15,7 @@ from eigenforge import conformality
 from eigenforge.scalars import I, ZERO, scalar
 from eigenforge.frames import VariableFrame
 from eigenforge.linalg import Matrix, RealSubspace
-from eigenforge.poly import Poly, real_gradient
+from eigenforge.poly import FrameMismatch, Poly, real_gradient
 from eigenforge.conformality import (
     EigenData,
     FLAT_DATA,
@@ -63,6 +63,8 @@ def test_kappa_base_cases():
     assert kappa(z, cvar(C1, "z")) == 2
     t = var(C2T, "t")
     assert kappa(t, t) == 1
+    with pytest.raises(FrameMismatch, match="shared frame"):
+        kappa(z, t)
     assert laplacian(var(C1, "z") * cvar(C1, "z")) == 4
     assert laplacian(t * t) == 2
     zz = var(C2, "z")

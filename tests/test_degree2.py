@@ -176,6 +176,12 @@ def test_non_symmetric_form_gets_the_verdict_of_its_polynomial():
         find_axis_deg2([form])
 
 
+def test_empty_family_verifies_vacuously_but_has_no_axis():
+    assert is_eigenfamily_deg2([]) and verify_flat_family([]).verdict
+    with pytest.raises(ValueError, match="empty family"):
+        find_axis_deg2([])
+
+
 def test_form_matrix_must_match_its_frame():
     form = Deg2Form(R2, Matrix.identity(3))
     for call in (from_form, lambda f: is_eigenfamily_deg2([f]), lambda f: find_axis_deg2([f])):

@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from eigenforge.scalars import (
     GaussRational,
@@ -22,6 +22,7 @@ from eigenforge.scalars import (
     rational_sqrt,
     scalar,
     sqrt_in_qi,
+    triple,
 )
 from oracles import RefGauss, dot_bilinear, dot_hermitian, ref_format, ref_sum_of_products
 
@@ -69,6 +70,8 @@ def test_conjugation_is_multiplicative(a, b):
 def test_as_scalar_coercion():
     assert as_scalar(2) == scalar(2)
     assert as_scalar(Fraction(1, 3)) == scalar(Fraction(1, 3))
+    assert triple(as_scalar(-6)) == (-6, 0, 1)
+    assert triple(as_scalar(Fraction(6, -4))) == (-3, 0, 2)
     assert as_scalar("nope") is None
     assert as_scalar(1.5) is None  # floats stay out of the exact layer
 
@@ -150,6 +153,12 @@ def agrees(x, ref):
 
 
 @given(pairs, pairs)
+@example((3, -2), (5, 7))  # integer operands
+@example((Fraction(1, 4), 0), (Fraction(3, 4), 0))  # equal denominators, the sum reduces
+@example((Fraction(1, 2), 0), (Fraction(1, 3), 0))  # coprime denominators
+@example((Fraction(1, 6), 0), (Fraction(1, 10), 0))  # a shared factor: 4/15
+@example((Fraction(1, 2), 0), (2, 0))  # the product reduces
+@example((1, 2), (3, -4))  # a Gaussian quotient: (-1 + 2i)/5
 def test_kernel_matches_reference(p, q):
     (x, rx), (y, ry) = both(p), both(q)
     agrees(x, rx)
@@ -165,6 +174,8 @@ def test_kernel_matches_reference(p, q):
 
 
 @given(pairs, st.one_of(st.integers(-BIG, BIG), wide_rationals))
+@example((Fraction(1, 2), Fraction(1, 2)), 2)  # int on both sides of - and /
+@example((Fraction(3, 4), Fraction(1, 4)), Fraction(1, 4))  # Fraction on both sides
 def test_kernel_mixed_operands_match_reference(p, c):
     x, rx = both(p)
     agrees(x + c, rx + c)
