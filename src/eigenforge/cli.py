@@ -26,7 +26,7 @@ import functools
 import json
 import sys
 
-from .scalars import GaussRational
+from .scalars import GaussRational, ZERO
 from .frames import VariableFrame
 from .parser import (FamilySource, ParseError, format_family, format_poly,
                      format_scalar, load_family, parse_poly)
@@ -45,7 +45,7 @@ _CONSTANT_FRAME = VariableFrame(())
 
 def _eigen_data(args) -> EigenData:
     "The --lambda/--mu pair, 0 where absent; a frame with no slots parses only constants."
-    return EigenData(*(parse_poly("0" if x is None else x, _CONSTANT_FRAME).constant_value()
+    return EigenData(*(ZERO if x is None else parse_poly(x, _CONSTANT_FRAME).constant_value()
                        for x in (args.lam, args.mu)))
 
 
@@ -106,10 +106,7 @@ def cmd_verify(args) -> int:
     source = load_family(args.path)
     fs = source.polys
     names = list(source.definitions)
-    if args.lam is not None or args.mu is not None:
-        report = verify_general_family(fs, _eigen_data(args))
-    else:
-        report = verify_flat_family(fs)
+    report = verify_general_family(fs, _eigen_data(args))
     payload = report.to_json_dict(name=source.name)
     payload["command"] = "verify"
     sphere = None

@@ -46,7 +46,7 @@ from .parser import ParseError, format_poly, parse_poly
 from .conformality import quadratic_verdict
 from .holomorphy import _isotropic_parts
 from .linalg import (ComplexSubspace, Matrix, RealSubspace, _annihilator, _gram_orthogonal,
-                     _joined, _pivots, _real_rows, _row_basis, _row_scaled, _stacked, vec)
+                     _pivots, _real_rows, _row_basis, _row_scaled, _stacked, vec)
 
 
 class Deg2Form(NamedTuple):
@@ -321,7 +321,9 @@ def decompose_eigenpair(F1: Poly, F2: Poly) -> Deg2Decomposition:
     """The classifying data of a full eigenpair {F1, F2}, with the isometry
     adapted to its maximal axis.  The gradient of x^T M x is 2 M x, so the rows
     of the forms M1, M2 span the gradient span W; the axis is spanned by the
-    isotropic rows of holomorphy._isotropic_parts(W), the radical of A'.
+    isotropic rows of holomorphy._isotropic_parts(W), the radical of A'.  The
+    exact tail checks the radical rows, takes square roots, then solves for the
+    data; a root outside Q(i) sends the checked pair to the float tail.
     Raises, in order: ValueError when a member is zero or not homogeneous of
     degree 2; FrameMismatch when the frames differ; ValueError "not a quadratic
     eigenfamily"; ValueError "not full" when W has a real kernel; and
@@ -350,13 +352,22 @@ def decompose_eigenpair(F1: Poly, F2: Poly) -> Deg2Decomposition:
 
 
 def _decompose_exact(frame, M1, M2, radical, aniso):
-    """The exact data, or _NeedsFloat(step) when a square root leaves Q(i).
-    For the projector Q = I - B^T B onto the complement of the axis rows B,
-    the couplings 2 Q M S^T are read off n x m factors (see coupling), and
-    the pure complement block (Q M) Q vanishes exactly when Comp M Comp^T
-    does, for the rows Comp of B's annihilator, which span that complement."""
+    """The exact data, or _NeedsFloat(step) when a square root leaves Q(i):
+    checks on the radical rows R, then roots, then data.  The axis rows U are
+    R's rows scaled by positive rationals, so M U^T = 0 exactly when M R^T = 0,
+    and the rows Comp of the annihilator of R's real rows span the complement
+    of the axis, where the pure complement block (Q M) Q, for the projector
+    Q = I - B^T B onto it, vanishes exactly when Comp M Comp^T does.  The
+    couplings 2 Q M S^T are read off n x m factors (see coupling)."""
     m = frame.m
     n = radical.nrows
+    # every conj selector must annihilate both forms (holomorphy): M conj(S)^T = M U^T / 2
+    if not all((M * radical.transpose()).is_zero() for M in (M1, M2)):
+        raise AssertionError("axis coordinates are not holomorphic")
+    Comp = _annihilator(_real_rows(radical))
+    if not all((Comp * M * Comp.transpose()).is_zero() for M in (M1, M2)):
+        raise AssertionError("nonzero pure complement block")
+
     # the radical rows r_i = u_i + i v_i over D have |u_i| = |v_i| = sqrt(q_i) / D for
     # q_i = a_i . a_i and the real numerators a_i; the rows of U are r_i / |u_i|, the
     # holomorphic selectors c_i = (u_i/|u_i| - i v_i/|v_i|)/2 the rows conj(U)/2 of S
@@ -366,10 +377,6 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
     U = _row_scaled(radical, [(radical.den, isqrt(q)) for q in squares])
     Ub, Uh = U.conjugate(), U.scale(Fraction(1, 2))
 
-    # every conj selector must annihilate both forms (holomorphy): M conj(S)^T = M U^T / 2
-    if not all((M * U.transpose()).is_zero() for M in (M1, M2)):
-        raise AssertionError("axis coordinates are not holomorphic")
-
     def coupling(M):
         """(Xi, G): the rows xi_i = 2 Q M c_i, and G = conj(U) M conj(U)^T = 4 S M S^T.
         As B^T B = (conj(U)^T U + U^T conj(U)) / 2 and M U^T = 0, the rows of Xi
@@ -378,10 +385,7 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
         G = W * Ub.transpose()
         return W - G * Uh, G
 
-    (Xi, G1), Comp = coupling(M1), _annihilator(_real_rows(U))
-    if not all((Comp * M * Comp.transpose()).is_zero() for M in (M1, M2)):
-        raise AssertionError("nonzero pure complement block")
-
+    Xi, G1 = coupling(M1)
     H, norms = _gram_orthogonal(Xi, hermitian=True)
     k = H.nrows
     delta = _dimensions(m, n, k, aniso)
@@ -402,20 +406,15 @@ def _decompose_exact(frame, M1, M2, radical, aniso):
         d_vec = Matrix.from_numerators([d_raw], [[0] * m], root, m)
         isometry = _stacked(isometry, d_vec)
 
-    # phi_j is e_j under the coupling map xi_i -> eta_i, read through any
-    # expansion of e_j over the xi_i (the check below fails for every one
-    # when the map is not well defined): in the RREF R of [Xi^T | E^T],
-    # row i right of Xi^T holds the weights of xi_p for its pivot column p
+    # the rows e_j span those of Xi and E E^* = 2I, so Xi = A E for A = Xi E^* / 2,
+    # of full column rank k; phi_j, e_j under the coupling map xi_i -> eta_i, is row j
+    # of the one solution Phi of A Phi = Eta, which exists exactly when the map is
+    # well defined (eta_i must expand through phi of the e-basis)
     Eta, G2 = coupling(M2)
-    R, pivots = _joined(Xi.transpose(), E.transpose()).rref()
-    r = len(pivots)
-    weights = Matrix.from_numerators([x[n:] for x in R.re[:r]], [x[n:] for x in R.im[:r]],
-                                     R.den, k)
-    Phi = weights.transpose() * Matrix.from_numerators([Eta.re[p] for p in pivots],
-                                                       [Eta.im[p] for p in pivots], Eta.den, m)
     half = Fraction(1, 2)
     A_mat = (Xi * E.conj_transpose()).scale(half)
-    # well-definedness: eta_i must expand through phi of the e-basis
+    A_h = A_mat.conj_transpose()
+    Phi = (A_h * A_mat).inverse() * (A_h * Eta)
     if A_mat * Phi != Eta:
         raise AssertionError("coupling map is not well defined")
     X = (Phi * E.conj_transpose()).scale(half)

@@ -14,13 +14,15 @@ import time
 from pathlib import Path
 
 import jsonschema
+import numpy
 import pytest
 
 from eigenforge import parser
 from eigenforge.cli import main
 from eigenforge.catalog import entry_path, list_entries
 from eigenforge.conformality import FLAT_DATA, power_family, verify_flat_family
-from eigenforge.degree2 import PolynomialData, SubspaceType, TwistingData, data_to_json_dict
+from eigenforge.degree2 import (PolynomialData, SubspaceType, TwistingData, construct_eigenpair,
+                                data_to_json_dict)
 from eigenforge.parser import load_family, parse_family
 
 from test_degree2 import rand_data
@@ -340,16 +342,25 @@ def test_second_anisotropic_direction_exits_three(monkeypatch):
         assert out == ""
 
 
+def write_pair(tmp_path, data):
+    "The pair constructed from data, written as a family file."
+    F1, F2 = construct_eigenpair(*data)
+    p = tmp_path / "pair.efam"
+    p.write_text(parser.format_family(
+        parser.FamilySource("pair", F1.frame, {}, {"F1": F1, "F2": F2}, {})))
+    return p
+
+
+# this pair's coupling norms have no square root in Q(i): decomposing it takes the float tail
+FLOAT_TAIL_DATA = rand_data(random.Random(0), n_max=3, k=2)
+
+
 def test_invalid_decomposed_data_exits_three(monkeypatch, tmp_path):
     # the float tail recovers Y through _rational_matrix(..., antisym=True); a
     # zero Y fails TwistingData.validate, a check on computed data, not a verdict
     from eigenforge import degree2
     from eigenforge.linalg import Matrix
-    F1, F2 = degree2.construct_eigenpair(*rand_data(random.Random(0), n_max=3, k=2))
-    assert not degree2.decompose_eigenpair(F1, F2).exact
-    p = tmp_path / "pair.efam"
-    p.write_text(parser.format_family(
-        parser.FamilySource("pair", F1.frame, {}, {"F1": F1, "F2": F2}, {})))
+    p = write_pair(tmp_path, FLOAT_TAIL_DATA)
     recover = degree2._rational_matrix
     monkeypatch.setattr(degree2, "_rational_matrix", lambda Mf, antisym=False: (
         Matrix.zero(*Mf.shape) if antisym else recover(Mf)))
@@ -360,12 +371,27 @@ def test_invalid_decomposed_data_exits_three(monkeypatch, tmp_path):
         assert out == ""
 
 
-def test_analyze_rejects_a_tolerance_that_is_not_finite_and_non_negative(tmp_path):
-    # the annihilator's form diag(-3, 8/9) pairs only in floats, so the
-    # tolerance decides whether the numeric plane is reported
+# the annihilator's form diag(-3, 8/9) pairs only in floats, so the
+# tolerance decides whether the numeric plane is reported
+PLANES = ("family planes\nframe complex ; real s1 s2 s3 s4\n"
+          "F1 = (2*i*s1 - s2)^2\nF2 = (1/3*i*s3 - s4)^2\n")
+
+
+def test_analyze_text_reports_the_numeric_extension(tmp_path):
     p = tmp_path / "planes.efam"
-    p.write_text("family planes\nframe complex ; real s1 s2 s3 s4\n"
-                 "F1 = (2*i*s1 - s2)^2\nF2 = (1/3*i*s3 - s4)^2\n")
+    p.write_text(PLANES)
+    code, out, err = run(["analyze", p])
+    assert code == 0 and err == ""
+    line, = (x for x in out.splitlines() if x.startswith("numeric extension [float]: "))
+    assert line.startswith("numeric extension [float]: 2 vectors, residual ")
+    assert float(line.rsplit(" ", 1)[1]) < 1e-9
+    code, out, err = run(["analyze", p, "--tolerance=0"])
+    assert code == 0 and "\nnumeric extension [float]: none\n" in out
+
+
+def test_analyze_rejects_a_tolerance_that_is_not_finite_and_non_negative(tmp_path):
+    p = tmp_path / "planes.efam"
+    p.write_text(PLANES)
     code, payload = run_json(["analyze", p], "analyze")
     assert code == 0 and payload["axis"]["numeric"]["dim"] == 2
     for bad in ("nan", "inf", "-1"):
@@ -500,6 +526,39 @@ def test_deg2_reconstructed_data_constructs_again(tmp_path):
     second.write_text(json.dumps(payload["data"]))
     code2, payload2 = run_json(["deg2", "construct", str(second)], "deg2-construct")
     assert code2 == 0 and payload2["verdict"] is True
+
+
+def test_deg2_decompose_float_tail_output(tmp_path):
+    p = write_pair(tmp_path, FLOAT_TAIL_DATA)
+    m = 11  # 2n + 2k + delta for the type (3, 2, 1)
+    code, out, err = run(["deg2", "decompose", p])
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[:2] == ["subspace type: n = 3, k = 2, delta = 1",
+                         "exact: false (numeric tail, data re-rationalized)"]
+    rows = lines[lines.index("isometry [float]:") + 1:]
+    assert len(rows) == m
+    assert all(r.startswith("  [") and r.endswith("]") and len(r.split(", ")) == m for r in rows)
+    code, payload = run_json(["deg2", "decompose", p], "deg2-decompose")
+    assert code == 0 and payload["exact"] is False
+    assert f"P1 = {payload['data']['poly']['P1']}" in lines
+    numeric = payload["isometry_numeric"]
+    assert (numeric["rows"], numeric["cols"]) == (m, m)
+    iso = numpy.array(numeric["entries"])
+    assert numpy.allclose(iso @ iso.T, numpy.eye(m))
+    data_path = tmp_path / "data.json"
+    data_path.write_text(json.dumps(payload["data"]))
+    assert run(["deg2", "construct", data_path])[0] == 0
+
+
+def test_deg2_decompose_text_without_coupling(tmp_path):
+    # k = 0: the pair is P1(z), P2(z), and A, Y, C and v are empty
+    p = write_pair(tmp_path, rand_data(random.Random(0), n_max=3, k=0))
+    code, out, err = run(["deg2", "decompose", p])
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[:2] == ["subspace type: n = 2, k = 0, delta = 0", "exact: true"]
+    assert lines[4:] == ["A = []", "Y = []", "C = []", "v = ()"]
 
 
 def test_deg2_decompose_not_full_exit_one(tmp_path):

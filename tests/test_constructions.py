@@ -315,6 +315,32 @@ def test_glue_rejects_non_eigenfamily():
         glue([parse_poly("z*conj(z)", fr)], [parse_poly("z*q", other)])
 
 
+# each refusal, from the call to its exact message
+NOT_FLAT = parse_poly("u*conj(u)", VariableFrame(("u",)))
+FLAT = parse_poly("w^2", VariableFrame(("w",)))
+REFUSALS = [
+    (lambda: glue([], [FLAT]), "glue needs two nonempty families"),
+    (lambda: glue([FLAT], []), "glue needs two nonempty families"),
+    (lambda: glue([parse_poly("q", VariableFrame(("q",)))],
+                  [parse_poly("q", VariableFrame((), ("q",)))]),
+     "'q' is complex on one side and real on the other"),
+    (lambda: glue([NOT_FLAT], [FLAT]), "left family is not a flat eigenfamily"),
+    (lambda: glue([FLAT], [NOT_FLAT]), "right family is not a flat eigenfamily"),
+    (lambda: augment([], [FLAT]), "need a nonempty base family"),
+    (lambda: augment([NOT_FLAT], []), "base family is not a flat eigenfamily"),
+    (lambda: congruent_under([], [FLAT], Matrix.identity(2)),
+     "congruence needs two nonempty families"),
+    (lambda: RealMap.from_complex([]), "need at least one complex component"),
+]
+
+
+@pytest.mark.parametrize("call, message", REFUSALS)
+def test_construction_refusals(call, message):
+    with pytest.raises(ValueError) as got:
+        call()
+    assert str(got.value) == message
+
+
 def test_glue_with_holomorphic_only_side_matches_augment():
     quartet = quartet_family()
     small = VariableFrame(("z", "u"))

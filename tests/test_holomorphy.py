@@ -388,6 +388,9 @@ def test_maximal_axis_numeric_extension():
     assert report.theoretical_upper_bound == 2
     assert report.numeric_dim == 2
     assert report.numeric_residual is not None and report.numeric_residual < 1e-9
+    # the pairing holds only up to rounding, which a zero tolerance refuses
+    strict = maximal_axis([f1, f2], tolerance=0)
+    assert strict.numeric_dim == 0 and strict.numeric_residual == report.numeric_residual > 0
 
 
 def test_axis_subspaces_of_an_anticommuting_family_match_the_reference_chain():
@@ -710,6 +713,24 @@ def decompose_pair_c4(decompose, extra_aniso=()):
     decompose(F1.frame, M1, M2, radical, aniso + list(extra_aniso))
 
 
+def planted_exact_tail(polys, rows):
+    # the exact tail on planted radical rows, with no anisotropic direction
+    M1, M2 = (degree2.to_form(F).A for F in polys)
+    degree2._decompose_exact(polys[0].frame, M1, M2, Matrix(rows), [])
+
+
+# rows of pair-c4's frame: z + v is not holomorphic for z*v; z + u is, but
+# leaves z - u in the complement, where z*v + u*w has a block; both have a
+# non-square norm, so the checks must come before the tail needs floats
+PAIR = catalog.load_entry("pair-c4").polys
+Z_PLUS_V, Z_PLUS_U = [ONE, I, ZERO, ZERO, ONE, I, ZERO, ZERO], [ONE, I, ONE, I] + [ZERO] * 4
+# on C^3 with the rows z, u: z*v and u*v couple z and u to v alike, but the
+# coupling of u through z*v is zero while that through u*v is not
+C3 = VariableFrame(("z", "u", "v"), ())
+ZV_UV = [Poly.variable(C3, a) * Poly.variable(C3, "v") for a in "zu"]
+ROWS_ZU = [[ONE, I, ZERO, ZERO, ZERO, ZERO], [ZERO, ZERO, ONE, I, ZERO, ZERO]]
+
+
 def float_tail_with_zero_y():
     # the float tail recovers Y through _rational_matrix(..., antisym=True)
     recover = degree2._rational_matrix
@@ -733,6 +754,9 @@ cases = [
     non_axis_radical,
     lambda: decompose_pair_c4(degree2._decompose_exact, [None]),
     lambda: decompose_pair_c4(degree2._decompose_float, [None]),
+    lambda: planted_exact_tail(PAIR, [Z_PLUS_V]),
+    lambda: planted_exact_tail(PAIR, [Z_PLUS_U]),
+    lambda: planted_exact_tail(ZV_UV, ROWS_ZU),
     float_tail_with_zero_y,
     lambda: holomorphy.apply_real_isometry(z, Matrix([[ONE, ONE], [ZERO, ONE]]), C1),
     lambda: holomorphy.apply_real_isometry(z, complex_orthogonal, C1),
@@ -802,6 +826,9 @@ def test_result_checks_fire_under_python_O():
         "fired AssertionError: certified axis fails the axis condition",
         "fired AssertionError: dimension count disagrees with the anisotropic part",
         "fired AssertionError: dimension count disagrees with the anisotropic part",
+        "fired AssertionError: axis coordinates are not holomorphic",
+        "fired AssertionError: nonzero pure complement block",
+        "fired AssertionError: coupling map is not well defined",
         "fired AssertionError: decomposed data is invalid: Y must be invertible",
         "fired ValueError: matrix rows are not orthonormal",
         "fired ValueError: isometry entries must be real",

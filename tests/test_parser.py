@@ -446,3 +446,55 @@ def test_literal_powers_are_bounded_in_total_size():
         with pytest.raises(ParseError, match="power would have a coefficient of about"):
             parse_poly(text, MIXED)
 
+
+
+# Input errors, each from the statement that raises it to its exact message,
+# which names the line and column where the error carries them.
+HEAD = "family f\nframe complex z ; real t\n"
+ZT = VariableFrame(("z",), ("t",))
+INPUT_ERRORS = [
+    (HEAD + "F = z)\n", ParseError, "unbalanced ')' at line 3"),
+    (HEAD + "F = (z\n", ParseError, "unclosed '(' at end of file at line 3"),
+    ("# a comment\n\n", ParseError, "empty family file"),
+    ("family f\nfamily g\n", ParseError, "duplicate family header at line 2"),
+    ("family f g\n", ParseError,
+     "family needs a name of letters, digits, '_', '-', '.' at line 1"),
+    (HEAD + "param g = 1\nparam g = 2\n", ParseError, "duplicate parameter 'g' at line 4"),
+    (HEAD + "param z = 1\n", ParseError, "parameter 'z' shadows a coordinate at line 3"),
+    (HEAD + "expect degree = 2\nexpect degree = 3\n", ParseError,
+     "duplicate expectation 'degree' at line 4"),
+    (HEAD + "3 = z\n", ParseError, "cannot parse statement starting with '3' at line 3"),
+    (HEAD + "conj = z\n", ParseError, "reserved name 'conj' at line 3"),
+    ("family f\nexpect degree = 2\n", ParseError, "missing frame declaration"),
+    ("family f\nframe real t\n", ParseError, "frame starts with 'complex' at line 2, column 7"),
+    ("family f\nframe complex z ; t\n", ParseError,
+     "expected 'real' after ';' at line 2, column 19"),
+    ("family f\nframe complex z = u\n", ParseError,
+     "unexpected '=' in frame at line 2, column 17"),
+    ("family f\nframe complex z ; real z\n", ParseError,
+     "duplicate coordinate name 'z' at line 2"),
+    ("family f\nframe complex param\n", ParseError,
+     "coordinate name 'param' is reserved at line 2"),
+    (HEAD + "param = 1\n", ParseError, "param needs a name at line 3"),
+    (HEAD + "param g 1\n", ParseError, "expected '=' in param at line 3, column 9"),
+    (HEAD + "expect degree 2\n", ParseError, "expect syntax: expect <key> = <value> at line 3"),
+    (lambda: parse_family(HEAD + "param g\nF = g*z\n", {"g": "1/2"}), TypeError,
+     "binding for 'g' is not an exact scalar"),
+    (lambda: parse_poly("g*z", ZT, {"g": 0.5}), TypeError,
+     "parameter 'g' is not an exact scalar"),
+    (lambda: VariableFrame(("1z",)), ValueError, "bad coordinate name '1z'"),
+    (lambda: VariableFrame(("i",)), ValueError, "coordinate name 'i' is reserved"),
+    (lambda: VariableFrame(("z",), ("z",)), ValueError, "duplicate coordinate name 'z'"),
+    (lambda: ZT.kind_of("u"), KeyError, "no coordinate 'u' in VariableFrame(complex z; real t)"),
+    (lambda: ZT.z_slot("t"), ValueError, "'t' is not a complex coordinate"),
+    (lambda: ZT.real_slot("z"), ValueError, "'z' is not a real coordinate"),
+    (lambda: ZT.insert_complex("u", 2), ValueError, "insertion index 2 out of range"),
+]
+
+
+@pytest.mark.parametrize("statement, error, message", INPUT_ERRORS)
+def test_input_error_messages(statement, error, message):
+    with pytest.raises(error) as got:
+        statement() if callable(statement) else parse_family(statement)
+    assert type(got.value) is error
+    assert got.value.args == (message,)  # str() of a KeyError would quote it
