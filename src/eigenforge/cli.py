@@ -45,8 +45,13 @@ _CONSTANT_FRAME = VariableFrame(())
 
 def _eigen_data(args) -> EigenData:
     "The --lambda/--mu pair, 0 where absent; a frame with no slots parses only constants."
-    return EigenData(*(ZERO if x is None else parse_poly(x, _CONSTANT_FRAME).constant_value()
-                       for x in (args.lam, args.mu)))
+    values = []
+    for option, x in (("--lambda", args.lam), ("--mu", args.mu)):
+        try:
+            values.append(ZERO if x is None else parse_poly(x, _CONSTANT_FRAME).constant_value())
+        except ParseError as exc:  # the value is no line of a file: name the option instead
+            raise ParseError(f"{option} {x!r}: {exc.message}", col=exc.col) from None
+    return EigenData(*values)
 
 
 def _frame_label(frame) -> str:

@@ -24,14 +24,15 @@ One integer kernel computes both residuals, kappa(f, g) - mu f g and
 laplacian(f) - lam f, on the packed form that Poly stores (Gaussian-
 integer numerators over one denominator D_f, monomials packed into
 integers).  The form's rows, its coefficients C_su over the slots as
-integer weights over one denominator, are built once per (frame, P); a
-kernel rescales them only when lam or mu brings a new denominator.
-Each member f is prepared once, as its bare slot derivatives d_s f on
-the numerators, for the slots f uses, and -mu f.  A pair's residual
-sum_su C_su d_s f d_u g - mu f g is one integer dict over D_f D_g times
-the common denominator, reduced once: the products d_s f d_u g are added
-up by weight and each sum is scaled once, and in kappa(f, f) a diagonal
-pair d_s f d_s f is a square, which takes each pair of terms once.  The
+integer weights over one denominator, are read off the integer rows of
+C once per (frame, P); a kernel rescales them only when lam or mu brings
+a new denominator.  Each member f is prepared once, as its bare slot
+derivatives d_s f on the numerators, for the slots f uses, and -mu f.
+A pair's residual sum_s d_s f (sum_u C_su d_u g) - mu f g is one integer
+dict over D_f D_g times the common denominator, reduced once: each d_s f
+is multiplied once, by g's weighted row sum, and in kappa(f, f) a row
+that is one entry of weight 1 (a real slot of the plain form) makes
+that product a square, which takes each pair of terms once.  The
 Laplacian residual is the same weights on d_s d_u f, less lam f.  kappa
 and laplacian are one-pair calls of the same kernel.  A bracket whose
 term products would exceed BRACKET_LIMIT raises ValueError before it
@@ -69,11 +70,16 @@ class EigenData(NamedTuple):
 FLAT_DATA = EigenData(ZERO, ZERO)
 
 
-def _slot_form(frame, P=None):
-    """{(s, u): c != 0} over slot pairs s <= u: the symmetric form sum c d_s . d_u
-    behind kappa and laplacian, C = D P D^T for the table D of frame.slot_axes
-    (as d/dx_a = sum_s D_sa d/dslot_s).  P = identity, the default, gives the
-    Wirtinger form 2 d_z . d_conj(z) + d_t . d_t."""
+@lru_cache(maxsize=64)
+def _slot_rows(frame, P=None):
+    """(den, full, upper): the symmetric form sum C_su d_s . d_u behind kappa
+    and laplacian, C = D P D^T for the table D of frame.slot_axes (as
+    d/dx_a = sum_s D_sa d/dslot_s), as rows of Gaussian-integer weights w over
+    den = C.den, read off C's integer rows.  full[s] lists (u, w) with
+    w = C_su != 0; upper[s] keeps u >= s with off-diagonal weights doubled, so
+    that kappa(f, f) is the sum of w d_s f d_u f over upper.  P = identity,
+    the default, gives the Wirtinger form 2 d_z . d_conj(z) + d_t . d_t.
+    Cached per (frame, P), so shared: read only."""
     m = frame.m
     P = Matrix.identity(m) if P is None else P
     if P.nrows != m or P.ncols != m:
@@ -86,25 +92,18 @@ def _slot_form(frame, P=None):
             re[s][a], im[s][a] = p, q
     D = Matrix.from_numerators(re, im, 1, m)
     C = D * P * D.transpose()
-    return {(s, u): C[s, u] for s in range(m) for u in range(s, m) if C[s, u]}
-
-
-@lru_cache(maxsize=64)
-def _slot_rows(frame, P=None):
-    """(den, full, upper): the rows of _slot_form as Gaussian-integer weights
-    w over den.  full[s] lists (u, w) with w = C_su; upper[s] keeps u >= s
-    with off-diagonal weights doubled, so that kappa(f, f) is the sum of
-    w d_s f d_u f over upper.  Cached per (frame, P), so shared: read only."""
-    form = _slot_form(frame, P)
-    den, weights = common_numerators(form.values())
     full, upper = {}, {}
-    for (s, u), (a, b) in zip(form, weights):
-        full.setdefault(s, []).append((u, (a, b)))
-        if s != u:
-            full.setdefault(u, []).append((s, (a, b)))
-            a, b = 2 * a, 2 * b
-        upper.setdefault(s, []).append((u, (a, b)))
-    return den, full, upper
+    for s in range(m):
+        for u in range(s, m):
+            a, b = C.re[s][u], C.im[s][u]
+            if not (a or b):
+                continue
+            full.setdefault(s, []).append((u, (a, b)))
+            if s != u:
+                full.setdefault(u, []).append((s, (a, b)))
+                a, b = 2 * a, 2 * b
+            upper.setdefault(s, []).append((u, (a, b)))
+    return C.den, full, upper
 
 
 class _Member(NamedTuple):
@@ -143,29 +142,21 @@ class _Kernel:
 
     def bracket(self, f: _Member, g: _Member) -> Poly:
         """kappa(f, g) - mu f g, from one integer dict, over the slots both sides
-        have: the products d_s f d_u g are added up by weight, and each sum
-        scaled once.  A row of several entries pairs d_s f with its weighted
-        sum over g, as one product of weight 1."""
+        have: each d_s f times the weighted sum of g's d_u over row s, plus
+        f times -mu g.  A row that is one entry of weight 1 is d_u g itself,
+        so in kappa(f, f) that product is a square."""
         rows, dg = (self.upper, f.d) if f is g else (self.full, g.d)
-        pairs = [((1, 0), f.poly.nums, g.neg_mu)]
-        for s, p in f.d.items():
-            row = rows.get(s, ())
-            if len(row) == 1:
-                (u, w), = row
-                pairs.append((w, p, dg.get(u)))
-            elif row:
-                pairs.append(((1, 0), p, _gauss_sum([(w, dg[u]) for u, w in row if u in dg])))
-        pairs = [(w, p, q) for w, p, q in pairs if p and q]
+        pairs = [(f.poly.nums, g.neg_mu)]
+        pairs += [(p, _gauss_sum([(w, dg[u]) for u, w in rows.get(s, ()) if u in dg]))
+                  for s, p in f.d.items()]
+        pairs = [(p, q) for p, q in pairs if p and q]
         if not pairs:
             return self.zero
         if self.bounded:
-            check_products(sum(len(p) * len(q) for _, p, q in pairs), "bracket", BRACKET_LIMIT)
-        sums = {}
-        for w, p, q in pairs:
-            _gauss_mul(p, q, sums.setdefault(w, {}))
-        acc = sums.pop((1, 0), {})
-        for w, part in sums.items():
-            _gauss_mul(part, {0: w}, acc)
+            check_products(sum(len(p) * len(q) for p, q in pairs), "bracket", BRACKET_LIMIT)
+        acc = {}
+        for p, q in pairs:
+            _gauss_mul(p, q, acc)
         return _reduced(f.poly.frame, _nonzero(acc), f.poly.den * g.poly.den * self.den)
 
     def harmonic(self, f: _Member) -> Poly:
@@ -227,7 +218,7 @@ class FamilyReport:
     def to_json_dict(self, name=None):
         d = {
             "name": name,
-            "m": self.frame.m,
+            "m": self.frame.m if self.frame is not None else None,  # an empty family has no frame
             "degree": self.degree,
             "verdict": self.verdict,
             "harmonic": self.harmonic,

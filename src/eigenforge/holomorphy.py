@@ -32,7 +32,7 @@ from operator import or_
 from .scalars import ONE, ZERO, sqrt_in_qi
 from .frames import VariableFrame
 from .poly import EXP_BITS, MAX_DEGREE, Poly, common_frame, gradient_rows, linear_form
-from .conformality import kappa, laplacian
+from .conformality import quadratic_verdict
 from .linalg import (ComplexSubspace, Matrix, RealSubspace, _gram_orthogonal, _row_scaled,
                      _stacked)
 
@@ -193,13 +193,10 @@ def span_is_axis(W: ComplexSubspace, V) -> bool:
 def separable_check(f: Poly, V) -> bool:
     """Both partial maps along V and its orthogonal complement satisfy
     kappa = 0 and the Laplacian = 0 identically (complementary block
-    held as parameters): kappa and laplacian through the projectors."""
+    held as parameters): one quadratic_verdict through each projector."""
     m = f.frame.m
     P = _as_real_subspace(m, V).projector()
-    for proj in (P, Matrix.identity(m) - P):
-        if kappa(f, f, proj) != 0 or laplacian(f, proj) != 0:
-            return False
-    return True
+    return all(quadratic_verdict([f], proj) for proj in (P, Matrix.identity(m) - P))
 
 
 # ---------------------------------------------------------------------

@@ -37,11 +37,11 @@ from .poly import (EXP_BITS, MAX_DEGREE, Poly, _conjugated, _gauss_sum, _reduced
 
 
 class ParseError(ValueError):
+    "message, then ' at line L, column C', each of the two left out when None."
     def __init__(self, message, line=None, col=None):
-        where = ""
-        if line is not None:
-            where = f" at line {line}" + (f", column {col}" if col is not None else "")
-        super().__init__(message + where)
+        where = ", ".join(f"{k} {v}" for k, v in (("line", line), ("column", col)) if v is not None)
+        super().__init__(message + (f" at {where}" if where else ""))
+        self.message = message
         self.line = line
         self.col = col
 

@@ -495,10 +495,13 @@ def quadratic_numerators(p: Poly):
 
 def _gauss_sum(parts):
     """sum w p over a list of (w, p) pairs of Gaussian-integer weights w = (a, b)
-    and numerators p with no zero entries; entries that cancel are dropped.
-    A leading part of weight 1 is copied, and a lone part is scaled in one pass."""
-    if len(parts) == 1 and parts[0][0] != (1, 0):
+    and numerators p with no zero entries; entries that cancel are dropped.  A lone
+    part of weight 1 is p itself, so the sum is read only, as every numerator dict
+    is; another lone part is scaled in one pass, and a leading part of weight 1 is copied."""
+    if len(parts) == 1:
         (a, b), p = parts[0]
+        if a == 1 and not b:
+            return p
         return {k: (a * x - b * y, a * y + b * x) for k, (x, y) in p.items()} if a or b else {}
     out = {}
     get = out.get

@@ -231,6 +231,20 @@ def test_verify_sphere_with_explicit_data(entry, data, code):
     assert "restricted to S^7: lambda = -16, mu = -4" in out
 
 
+@pytest.mark.parametrize("command, extra", [(["verify"], []), (["construct", "power"], ["--d", "2"])])
+@pytest.mark.parametrize("option", ["--lambda", "--mu"])
+@pytest.mark.parametrize("value, error", [
+    ("x", "undeclared identifier 'x' at column 1"),
+    ("1/0", "division by zero at column 2"),
+    ("1+", "expected a value at column 3"),
+])
+def test_bad_eigen_value_names_its_option(command, extra, option, value, error):
+    # the value is no line of a file: the message names the option, not a line
+    code, out, err = run(command + [entry_path("z1z2")] + extra + [option, value])
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {option} {value!r}: {error}\n"
+
+
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
 def test_verify_sphere_on_a_zero_family_exits_two(tmp_path, json_flag):
     p = tmp_path / "zero.efam"

@@ -15,7 +15,7 @@ from eigenforge import conformality
 from eigenforge.scalars import I, ZERO, scalar
 from eigenforge.frames import VariableFrame
 from eigenforge.linalg import Matrix, RealSubspace
-from eigenforge.poly import FrameMismatch, Poly, real_gradient
+from eigenforge.poly import FrameMismatch, Poly, _derivative, real_gradient
 from eigenforge.conformality import (
     EigenData,
     FLAT_DATA,
@@ -264,8 +264,28 @@ def test_slot_form_of_the_identity_is_the_flat_form():
     for frame in KERNEL_FRAMES:
         flat = {(2 * j, 2 * j + 1): scalar(2) for j in range(frame.n)}
         flat.update({(s, s): scalar(1) for s in range(2 * frame.n, frame.m)})
-        assert conformality._slot_form(frame, Matrix.identity(frame.m)) == flat
-        assert conformality._slot_form(frame) == flat
+        for den, full, _ in (conformality._slot_rows(frame, Matrix.identity(frame.m)),
+                             conformality._slot_rows(frame)):
+            form = {(s, u): scalar(Fraction(a, den), Fraction(b, den))
+                    for s, row in full.items() for u, (a, b) in row if s <= u}
+            assert form == flat
+
+
+def test_kappa_of_f_with_itself_squares_the_real_slot_row(monkeypatch):
+    # the real slot t has the upper row [(t, 1)], whose weighted sum over f is
+    # d_t f itself: _gauss_mul gets one dict on both sides, a square
+    frame = VariableFrame(("z",), ("t",))
+    f = var(frame, "z") * var(frame, "t") + var(frame, "t") ** 2 + cvar(frame, "z") * 3
+    calls = []
+    mul = conformality._gauss_mul
+
+    def spy(p, q, out):
+        calls.append((p, q))
+        return mul(p, q, out)
+
+    monkeypatch.setattr(conformality, "_gauss_mul", spy)
+    assert kappa(f, f) == ref_kappa(f, f)
+    assert [p for p, q in calls if p is q] == [_derivative(f.nums, frame.real_slot("t"))]
 
 
 gaussian = st.one_of(st.just(ZERO), mixed)
