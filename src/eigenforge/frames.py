@@ -20,7 +20,8 @@ RESERVED = {"i", "conj", "frame", "family", "complex", "real", "param", "expect"
 
 
 def _check_name(name: str):
-    if not name.isidentifier():
+    "A name of the .efam grammar, [A-Za-z_][A-Za-z0-9_]*, and not a reserved word."
+    if not (name.isascii() and name.isidentifier()):
         raise ValueError(f"bad coordinate name {name!r}")
     if name in RESERVED:
         raise ValueError(f"coordinate name {name!r} is reserved")

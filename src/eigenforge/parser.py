@@ -15,7 +15,9 @@ and '-'.  There is no implicit multiplication; '/' divides by nonzero
 constants only.  'conj(...)' conjugates a subexpression; applying it to
 a real coordinate is rejected as a likely typo.
 
-One regular expression lexes a statement.  A product of monomial factors
+The alphabet is ASCII: letters, digits 0-9, '_', the operators, blank
+and tab; any other character outside a comment is unexpected.  One
+regular expression lexes a statement.  A product of monomial factors
 (numbers, i, parameters, coordinates, conjugates, powers) evaluates to
 one packed term (a, b, d, key) = (a + b i)/d times Poly's packed monomial
 key, with Poly's degree checks; a sum goes into one numerator dict, and
@@ -47,53 +49,33 @@ class ParseError(ValueError):
 
 
 # One token per match, after blanks and tabs: an integer literal (an
-# imaginary one when an 'i' that starts no word follows), a name, an
-# operator, the end ('#' or the end of the text), or a stray character.
+# imaginary one when an 'i' that starts no word follows), a name, an operator,
+# the end ('#' or the end of the text), or a stray character; \d is [0-9], \w [A-Za-z0-9_].
 _TOKEN = re.compile(r"[ \t]*(?:(?P<int>\d+)(?P<imag>i(?!\w))?|(?P<ident>[^\W\d]\w*)"
-                    r"|(?P<op>[-+*/^~()=;])|(?P<end>#|\Z)|(?P<bad>.))", re.S)
-
-
-def _digit_run_error(text, i, line_no):
-    """The error for the run of str.isdigit characters at i, which int() cannot read:
-    its first character that is no decimal digit, else its length past the digit limit."""
-    j = i
-    while j < len(text) and text[j].isdigit():
-        j += 1
-    for k in range(i, j):
-        if not text[k].isdecimal():
-            raise ParseError(f"unexpected character {text[k]!r}", line_no, k + 1)
-    raise ParseError(f"integer literal has {j - i} digits, over the limit of "
-                     f"{sys.get_int_max_str_digits()}", line_no, i + 1)
+                    r"|(?P<op>[-+*/^~()=;])|(?P<end>#|\Z)|(?P<bad>.))", re.S | re.ASCII)
 
 
 def _lex(text: str, line_no: int):
     """The (kind, value, column) tokens, kind ident, int, imag, op or end, of
-    one statement line.  Outside ASCII, a run of str.isdigit characters is
-    one literal and a name starts with a letter or '_', as regex \\d and \\w
-    alone would not say."""
+    one statement line; any character outside the grammar's alphabet is an
+    unexpected character."""
     out = []
-    ascii_only = text.isascii()
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         if kind == "int" or kind == "imag":
-            i = m.start("int")
-            if not ascii_only and kind == "int" and text[m.end():m.end() + 1].isdigit():
-                _digit_run_error(text, i, line_no)
+            digits, i = m["int"], m.start("int")
             try:
-                out.append((kind, int(m["int"]), i + 1))
+                out.append((kind, int(digits), i + 1))
             except ValueError:  # more digits than the interpreter converts
-                _digit_run_error(text, i, line_no)
+                raise ParseError(f"integer literal has {len(digits)} digits, over the limit of "
+                                 f"{sys.get_int_max_str_digits()}", line_no, i + 1) from None
         elif kind == "end":
             out.append(("end", None, len(text) + 1))
             return out
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", line_no, m.start(kind) + 1)
         else:
-            value, i = m[kind], m.start(kind)
-            if kind == "bad" or not (kind == "op" or ascii_only or value[0].isalpha()
-                                     or value[0] == "_"):
-                if value[0].isdigit():
-                    _digit_run_error(text, i, line_no)
-                raise ParseError(f"unexpected character {value[0]!r}", line_no, i + 1)
-            out.append((kind, value, i + 1))
+            out.append((kind, m[kind], m.start(kind) + 1))
 
 
 # Subexpressions (parentheses, conj(...), unary minus) nest at most this
@@ -346,17 +328,20 @@ class FamilySource:
 
 
 _NAME_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.-")
+_BLANKS = " \t"
+_LINE_END = re.compile(r"\r\n?|\n")
+_BLANK_RUN = re.compile(r"[ \t]+")
 
 
 def _joined_statements(text: str):
-    "Physical lines joined while parentheses stay open."
+    "Physical lines, ending at \\n, \\r\\n or \\r, joined while parentheses stay open."
     out = []
     buf = ""
     start = None
     depth = 0
-    for no, raw in enumerate(text.splitlines(), start=1):
+    for no, raw in enumerate(_LINE_END.split(text), start=1):
         line = raw.split("#", 1)[0]
-        if not line.strip() and depth == 0:
+        if not line.strip(_BLANKS) and depth == 0:
             continue
         if start is None:
             start = no
@@ -364,9 +349,8 @@ def _joined_statements(text: str):
         depth += line.count("(") - line.count(")")
         if depth < 0:
             raise ParseError("unbalanced ')'", no)
-        if depth == 0:
-            if buf.strip():
-                out.append((start, buf))
+        if depth == 0:  # buf starts with a line that is not blank
+            out.append((start, buf))
             buf = ""
             start = None
     if depth != 0:
@@ -387,11 +371,11 @@ def parse_family(text: str, bindings=None) -> FamilySource:
     definitions = {}
     expects = {}
     for line_no, stmt in statements:
-        head = stmt.split(None, 1)[0]
+        head, *rest = _BLANK_RUN.split(stmt.strip(_BLANKS), 1)
         if head == "family":
             if name is not None:
                 raise ParseError("duplicate family header", line_no)
-            value = stmt.split(None, 1)[1].strip() if len(stmt.split(None, 1)) > 1 else ""
+            value = "".join(rest)
             if not value or not set(value) <= _NAME_OK:
                 raise ParseError("family needs a name of letters, digits, '_', '-', '.'", line_no)
             name = value

@@ -1404,6 +1404,9 @@ class RefToken(NamedTuple):
 
 
 _REF_OPS = set("+-*/^~()=;")
+_REF_DIGITS = set("0123456789")
+_REF_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_REF_NAME_CHARS = _REF_NAME_START | _REF_DIGITS
 
 
 def ref_lex(text, line_no):
@@ -1419,30 +1422,25 @@ def ref_lex(text, line_no):
         if c == "#":
             break
         col = i + 1
-        if c.isdigit():
+        if c in _REF_DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _REF_DIGITS:
                 j += 1
             try:
                 value = int(text[i:j])
             except ValueError:
-                bad = next((k for k in range(i, j) if not text[k].isdecimal()), None)
-                if bad is not None:
-                    raise ParseError(f"unexpected character {text[bad]!r}", line_no,
-                                     bad + 1) from None
                 raise ParseError(f"integer literal has {j - i} digits, over the limit of "
                                  f"{sys.get_int_max_str_digits()}", line_no, col) from None
-            if j < n and text[j] == "i" and (j + 1 == n or not (text[j + 1].isalnum()
-                                                                 or text[j + 1] == "_")):
+            if j < n and text[j] == "i" and (j + 1 == n or text[j + 1] not in _REF_NAME_CHARS):
                 out.append(RefToken("imag", value, line_no, col))
                 i = j + 1
             else:
                 out.append(RefToken("int", value, line_no, col))
                 i = j
             continue
-        if c.isalpha() or c == "_":
+        if c in _REF_NAME_START:
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _REF_NAME_CHARS:
                 j += 1
             out.append(RefToken("ident", text[i:j], line_no, col))
             i = j

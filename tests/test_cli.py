@@ -22,7 +22,7 @@ from eigenforge.cli import main
 from eigenforge.catalog import entry_path, list_entries
 from eigenforge.conformality import FLAT_DATA, power_family, verify_flat_family
 from eigenforge.degree2 import (PolynomialData, SubspaceType, TwistingData, construct_eigenpair,
-                                data_to_json_dict)
+                                data_from_json_dict, data_to_json_dict)
 from eigenforge.parser import load_family, parse_family
 
 from test_degree2 import rand_data
@@ -265,6 +265,15 @@ def test_verify_parse_error_exit_two(tmp_path):
     code, out, err = run(["verify", str(p)])
     assert code == 2
     assert "parse error" in err
+
+
+def test_a_name_outside_ascii_is_a_parse_error(tmp_path):
+    # the name would print into a family object that fails docs/schemas/family.json
+    p = tmp_path / "zeta.efam"
+    p.write_text("family zeta\nframe complex ζ w\nF = ζ*conj(ζ)*w\n", encoding="utf-8")
+    code, out, err = run(["construct", "defect", str(p), "--json"])
+    assert (code, out) == (2, "")
+    assert err == "parse error: unexpected character 'ζ' at line 2, column 15\n"
 
 
 @pytest.mark.parametrize("body", ["(" * 495 + "z" + ")" * 495,
@@ -512,6 +521,33 @@ def test_deg2_construct_and_decompose_files(tmp_path):
         assert "isometry" in payload
     else:
         assert "isometry_numeric" in payload
+
+
+# [re, im] strings p or p/q that docs/schemas/deg2-data.json and the reader both
+# accept (True) or both refuse (False): a zero denominator is refused however written
+FRACTIONS = [("0", True), ("-3", True), ("07", True), ("-0/1", True), ("1/007", True),
+             ("12/34", True), ("1/0", False), ("3/00", False), ("-0/0", False), ("1/-2", False),
+             ("1/", False), ("/2", False), ("+1", False), ("1.5", False), ("1e3", False),
+             ("", False), ("--1", False), ("1/2/3", False), (" 1", False), ("١", False)]
+
+
+def test_schema_and_reader_agree_on_fractions():
+    # each copy of the fraction pattern is the reader's
+    pattern = schema("deg2-data")["$defs"]["fraction"]
+    for name in ("deg2-construct", "deg2-decompose", "analyze"):
+        assert schema(name)["$defs"]["fraction"] == pattern, name
+    validator = jsonschema.Draft202012Validator(schema("deg2-data"))
+    t, pd, td = rand_data(random.Random(5), k=2, delta=1)
+    for text, ok in FRACTIONS:
+        raw = data_to_json_dict(t, pd, td)
+        raw["twist"]["v"] = [[text, "1"], ["0", "0"]]  # nonzero whatever text reads as
+        try:
+            data_from_json_dict(raw)
+            read = True
+        except ValueError as exc:
+            assert str(exc) == "twist.v entry 0: expected a [re, im] pair of strings p or p/q"
+            read = False
+        assert (read, validator.is_valid(raw)) == (ok, ok), text
 
 
 def test_deg2_construct_json(tmp_path, monkeypatch):

@@ -666,6 +666,8 @@ def test_decompose_rejects_bad_input():
     uw = Poly.variable(wide, "u")
     with pytest.raises(ValueError):
         decompose_eigenpair(zw * zw, zw * uw)
+    with pytest.raises(FrameMismatch, match="^pair must share a frame$"):
+        decompose_eigenpair(z * u, zw * uw)
 
 
 def test_find_axis_on_known_pair():

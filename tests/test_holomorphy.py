@@ -24,6 +24,7 @@ from eigenforge.linalg import (
     vec,
 )
 from eigenforge.conformality import kappa, laplacian, verify_flat_family
+from eigenforge.parser import parse_poly
 from eigenforge.holomorphy import (
     AxisReport,
     _isotropic_parts,
@@ -391,6 +392,21 @@ def test_maximal_axis_numeric_extension():
     # the pairing holds only up to rounding, which a zero tolerance refuses
     strict = maximal_axis([f1, f2], tolerance=0)
     assert strict.numeric_dim == 0 and strict.numeric_residual == report.numeric_residual > 0
+
+
+def test_maximal_axis_numeric_plane_beside_an_exact_one():
+    # W is spanned by (1, i, 0, 0, 0, 0), (0, 0, 2, i, 0, 0) and (0, 0, 0, 0, 3, i);
+    # its annihilator holds the first, isotropic and exact, and the plane of
+    # (0, 0, 1, 2i, 0, 0) and (0, 0, 0, 0, 1, 3i) with the form diag(-3, -8): 3/8 has
+    # no square root in Q(i), so that plane is paired in floats and orthogonalized
+    # against the exact isotropic vector
+    frame = VariableFrame(("z",), ("s", "t", "u", "v"))
+    fs = [parse_poly(text, frame) for text in ("z^2", "(2*s + i*t)^2", "(3*u + i*v)^2")]
+    report = maximal_axis(fs)
+    assert (report.certified_dim, report.numeric_dim, report.theoretical_upper_bound) == (2, 2, 4)
+    assert report.numeric_residual is not None and report.numeric_residual < 1e-9
+    certified = report.certified_axis.basis_matrix.to_float()
+    assert max(abs(b @ v) for b in certified for v in report.numeric_vectors) < 1e-12
 
 
 def test_axis_subspaces_of_an_anticommuting_family_match_the_reference_chain():

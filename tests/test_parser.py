@@ -392,9 +392,10 @@ frame complex z u
 F = (z*u
      + z^2)
 """
-    fs = parse_family(text)
-    z, u = var(fs.frame, "z"), var(fs.frame, "u")
-    assert fs.definitions["F"] == z * u + z * z
+    for end in ("\n", "\r\n", "\r"):  # the line ends of the grammar
+        fs = parse_family(text.replace("\n", end))
+        z, u = var(fs.frame, "z"), var(fs.frame, "u")
+        assert fs.definitions["F"] == z * u + z * z
 
 
 def test_a_digit_that_is_not_decimal_is_an_unexpected_character():
@@ -404,11 +405,45 @@ def test_a_digit_that_is_not_decimal_is_an_unexpected_character():
     with pytest.raises(ParseError) as got:
         parse_poly("z^2 + 1²", MIXED)
     assert str(got.value) == "unexpected character '²' at line 1, column 8"
-    # a run of decimal digits, of any script, past the limit keeps the digit-limit wording
-    for digit in ("7", "١"):
-        with pytest.raises(ParseError, match="^integer literal has 4301 digits, over the limit of "
-                                             r"4300 at line 1, column 5$"):
-            parse_poly("z + " + digit * 4301, MIXED)
+    # a run of digits 0-9 past the limit keeps the digit-limit wording; a decimal
+    # digit of another script is no digit of the grammar
+    with pytest.raises(ParseError, match="^integer literal has 4301 digits, over the limit of "
+                                         r"4300 at line 1, column 5$"):
+        parse_poly("z + " + "7" * 4301, MIXED)
+    with pytest.raises(ParseError) as got:
+        parse_poly("z + " + "١" * 4301, MIXED)
+    assert str(got.value) == "unexpected character '١' at line 1, column 5"
+
+
+# The grammar's alphabet is ASCII: any other character of a statement is an
+# unexpected character, alone, inside a name, after a literal or after an
+# imaginary literal; a run of digits 0-9 past the interpreter's limit keeps
+# the digit-limit wording.
+OUTSIDE_ASCII = ["é", "ζ", "²", "½", "١", "\u00a0"]
+ALPHABET_ERRORS = [
+    *[(text, f"unexpected character {c!r} at line 1, column {col}")
+      for c in OUTSIDE_ASCII
+      for text, col in ((c, 1), (f"z{c}u", 2), (f"3{c}", 2), (f"3i{c}", 3))],
+    ("١٢*z", "unexpected character '١' at line 1, column 1"),
+    ("1" * 4301, "integer literal has 4301 digits, over the limit of 4300 at line 1, column 1"),
+    ("2*" + "9" * 5000 + "i",
+     "integer literal has 5000 digits, over the limit of 4300 at line 1, column 3"),
+    ("1" * 4301 + "²",
+     "integer literal has 4301 digits, over the limit of 4300 at line 1, column 1"),
+]
+
+
+@pytest.mark.parametrize("text, message", ALPHABET_ERRORS)
+def test_a_character_outside_the_alphabet_is_unexpected(text, message):
+    with pytest.raises(ParseError) as got:
+        parse_poly(text, MIXED)
+    assert str(got.value) == message
+
+
+def test_a_comment_may_hold_any_character():
+    assert parse_poly("z # " + "".join(OUTSIDE_ASCII), MIXED) == var(MIXED, "z")
+    fs = parse_family("family f # ζ\nframe complex z # é\n# ١٢\nF = z # ²\n")
+    assert fs.name == "f" and fs.definitions["F"] == var(fs.frame, "z")
 
 
 def test_literal_powers_are_bounded_before_they_are_computed():
@@ -476,6 +511,16 @@ INPUT_ERRORS = [
     ("family f\nframe complex param\n", ParseError,
      "coordinate name 'param' is reserved at line 2"),
     (HEAD + "param = 1\n", ParseError, "param needs a name at line 3"),
+    # names are ASCII, blanks are spaces and tabs, and lines end at \n, \r\n or \r only
+    ("family f\nframe complex ζ w\n", ParseError,
+     "unexpected character 'ζ' at line 2, column 15"),
+    (HEAD + "\u00a0\nF = z\n", ParseError, "unexpected character '\\xa0' at line 3, column 1"),
+    (HEAD + "\u3000\nF = z\n", ParseError, "unexpected character '\\u3000' at line 3, column 1"),
+    (HEAD + "F = z\u2028+ t\n", ParseError, "unexpected character '\\u2028' at line 3, column 6"),
+    (HEAD + "\f\nF = z\n", ParseError, "unexpected character '\\x0c' at line 3, column 1"),
+    ("family\u00a0f\n", ParseError, "file must start with a 'family' header at line 1"),
+    ("family f\u3000\n", ParseError,
+     "family needs a name of letters, digits, '_', '-', '.' at line 1"),
     (HEAD + "param g 1\n", ParseError, "expected '=' in param at line 3, column 9"),
     (HEAD + "expect degree 2\n", ParseError, "expect syntax: expect <key> = <value> at line 3"),
     (lambda: parse_family(HEAD + "param g\nF = g*z\n", {"g": "1/2"}), TypeError,
@@ -483,6 +528,7 @@ INPUT_ERRORS = [
     (lambda: parse_poly("g*z", ZT, {"g": 0.5}), TypeError,
      "parameter 'g' is not an exact scalar"),
     (lambda: VariableFrame(("1z",)), ValueError, "bad coordinate name '1z'"),
+    (lambda: VariableFrame(("ζ",)), ValueError, "bad coordinate name 'ζ'"),
     (lambda: VariableFrame(("i",)), ValueError, "coordinate name 'i' is reserved"),
     (lambda: VariableFrame(("z",), ("z",)), ValueError, "duplicate coordinate name 'z'"),
     (lambda: ZT.kind_of("u"), KeyError, "no coordinate 'u' in VariableFrame(complex z; real t)"),
