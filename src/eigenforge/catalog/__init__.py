@@ -76,7 +76,7 @@ def _check_uniform_type(fs, expected, flat, span):
 
 
 def _check_degree(fs, expected, flat, span):
-    degs = sorted({f.degree() for f in fs if f != 0})
+    degs = sorted({f.degree() for f in fs if f})
     if len(degs) != 1:
         return degs, False
     return degs[0], scalar(degs[0]) == expected

@@ -118,17 +118,15 @@ class _Member(NamedTuple):
 class _Kernel:
     """The residuals kappa(f, g) - mu f g and laplacian(f) - lam f of one
     form on one frame, for members of degree at most `degree`: the cached
-    rows of the form, with lam and mu, over one denominator."""
+    rows of the form over its own denominator, and lam and mu over one
+    denominator k times that."""
 
     def __init__(self, frame, P, lam, mu, degree, bounded=True):
         den, self.full, self.upper = _slot_rows(frame, P)
         self.bounded = bounded
-        self.zero = Poly.zero(frame)
-        # k = self.den / den is 1 unless lam or mu brings a new denominator
-        self.den, (self.lam, self.mu, (k, _)) = common_numerators([lam, mu, from_triple(1, 0, den)])
-        if k != 1:
-            self.full, self.upper = ({s: [(u, (k * a, k * b)) for u, (a, b) in row]
-                                      for s, row in rows.items()} for rows in (self.full, self.upper))
+        # the rows stay over den; k = self.den / den is 1 unless lam or mu brings a new denominator
+        self.den, (self.lam, self.mu, (self.k, _)) = common_numerators([lam, mu,
+                                                                         from_triple(1, 0, den)])
         # mu f g has twice the members' degree
         check_degree(2 * degree, "bracket")
 
@@ -142,31 +140,33 @@ class _Kernel:
 
     def bracket(self, f: _Member, g: _Member) -> Poly:
         """kappa(f, g) - mu f g, from one integer dict, over the slots both sides
-        have: each d_s f times the weighted sum of g's d_u over row s, plus
-        f times -mu g.  A row that is one entry of weight 1 is d_u g itself,
-        so in kappa(f, f) that product is a square."""
+        have: each d_s f times the weighted sum of g's d_u over row s, that
+        sum times k, plus f times -mu g.  A row that is one entry of weight 1
+        is d_u g itself, so in kappa(f, f) that product is a square."""
         rows, dg = (self.upper, f.d) if f is g else (self.full, g.d)
-        pairs = [(f.poly.nums, g.neg_mu)]
-        pairs += [(p, _gauss_sum([(w, dg[u]) for u, w in rows.get(s, ()) if u in dg]))
-                  for s, p in f.d.items()]
+        pairs = [(p, _gauss_sum([(w, dg[u]) for u, w in rows.get(s, ()) if u in dg]))
+                 for s, p in f.d.items()]
         pairs = [(p, q) for p, q in pairs if p and q]
-        if not pairs:
-            return self.zero
         if self.bounded:
-            check_products(sum(len(p) * len(q) for p, q in pairs), "bracket", BRACKET_LIMIT)
+            check_products(len(f.poly.nums) * len(g.neg_mu)
+                           + sum(len(p) * len(q) for p, q in pairs), "bracket", BRACKET_LIMIT)
         acc = {}
         for p, q in pairs:
             _gauss_mul(p, q, acc)
+        if self.k != 1:
+            acc = {key: [self.k * x, self.k * y] for key, (x, y) in acc.items()}
+        if g.neg_mu:  # mu is not 0
+            _gauss_mul(f.poly.nums, g.neg_mu, acc)
         return _reduced(f.poly.frame, _nonzero(acc), f.poly.den * g.poly.den * self.den)
 
     def harmonic(self, f: _Member) -> Poly:
-        "laplacian(f) - lam f, as the sum of w d_s d_u f over the upper rows."
+        "laplacian(f) - lam f, as k times the sum of w d_s d_u f over the upper rows, minus lam f."
         a, b = self.lam
         d = f.d
         parts = [(w, _derivative(d[u], s)) for s, row in self.upper.items() if s in d
                  for u, w in row if u in d]
-        return _reduced(f.poly.frame, _gauss_sum(parts + [((-a, -b), f.poly.nums)]),
-                        f.poly.den * self.den)
+        return _reduced(f.poly.frame, _gauss_sum([((self.k, 0), _gauss_sum(parts)),
+                                                  ((-a, -b), f.poly.nums)]), f.poly.den * self.den)
 
 
 def kappa(f: Poly, g: Poly, P=None) -> Poly:
@@ -289,7 +289,7 @@ def sphere_data(fs) -> EigenData:
     if not fs:
         raise ValueError("empty family has no sphere data")
     frame = common_frame(fs)
-    degs = {f.degree() for f in fs if f != 0}
+    degs = {f.degree() for f in fs if f}
     if not degs:
         raise ValueError("a family of zero polynomials has no sphere data")
     if len(degs) != 1:
@@ -331,7 +331,7 @@ def power_family(fs, d: int, data: EigenData):
         spent += sum(len(acc.nums) * len(f.nums) for start, acc in layer for f in fs[start:])
         check_products(spent, "power family")
         layer = [(k, acc * fs[k]) for start, acc in layer for k in range(start, len(fs))]
-    products = list(dict.fromkeys(acc for _, acc in layer if acc != 0))
+    products = list(dict.fromkeys(acc for _, acc in layer if acc))
     dd = scalar(d)
     new_data = EigenData(dd * (data.lam + (dd - 1) * data.mu), dd * dd * data.mu)
     return products, new_data
@@ -382,7 +382,7 @@ def su2_derivative(f: Poly, which: str) -> Poly:
 
 def is_su2_invariant(f: Poly) -> bool:
     "All three sp(1) derivations annihilate f.  Raises when the frame is not quaternionic."
-    return all(su2_derivative(f, u) == 0 for u in ("i", "j", "k"))
+    return not any(su2_derivative(f, u) for u in ("i", "j", "k"))
 
 
 def invariance_predicates(f: Poly) -> dict:

@@ -201,7 +201,7 @@ class PolynomialData(NamedTuple):
         if frame.n != t.n or frame.r != 0:
             raise ValueError(f"P1, P2 must live on C^{t.n}")
         for p in (self.P1, self.P2):
-            if p != 0 and (not p.is_homogeneous() or p.degree() != 2):
+            if p and (not p.is_homogeneous() or p.degree() != 2):
                 raise ValueError("P1, P2 must be homogeneous of degree 2")
             for name in frame.complex_names:
                 if not p.is_holomorphic_in(name):
@@ -332,7 +332,7 @@ def decompose_eigenpair(F1: Poly, F2: Poly) -> Deg2Decomposition:
     recovered data fails its validators, or another AssertionError when a
     computed result fails the check that guards it."""
     for F in (F1, F2):
-        if F == 0 or not F.is_homogeneous() or F.degree() != 2:
+        if not F or not F.is_homogeneous() or F.degree() != 2:
             raise ValueError("decomposition needs nonzero homogeneous degree-2 polynomials")
     if F1.frame != F2.frame:
         raise FrameMismatch("pair must share a frame")

@@ -17,12 +17,13 @@ a real coordinate is rejected as a likely typo.
 
 The alphabet is ASCII: letters, digits 0-9, '_', the operators, blank
 and tab; any other character outside a comment is unexpected.  One
-regular expression lexes a statement.  A product of monomial factors
-(numbers, i, parameters, coordinates, conjugates, powers) evaluates to
-one packed term (a, b, d, key) = (a + b i)/d times Poly's packed monomial
-key, with Poly's degree checks; a sum goes into one numerator dict, and
-Poly arithmetic runs only where a factor is a sum.  The printer reads a
-Poly's numerators and denominator directly.
+regular expression call lexes a statement into token strings; a column
+is found again only for a message.  A value stays one packed term
+(a, b, d, key) = (a + b i)/d times Poly's packed monomial key, with Poly's
+degree checks: a product of monomial factors, a sum of constants (or of
+terms on one monomial) and a literal power of one term.  Poly arithmetic
+runs only for the other sums, in one numerator dict, and for what they
+enter.  The printer reads a Poly's numerators and denominator directly.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ import sys
 from functools import lru_cache
 from math import comb, lcm, log2, prod
 
-from .scalars import as_scalar, format_scalar, format_triple, triple
+from .scalars import as_scalar, format_scalar, format_triple, from_triple, triple
 from .frames import RESERVED, VariableFrame
-from .poly import (EXP_BITS, MAX_DEGREE, Poly, _conjugated, _gauss_sum, _reduced, _unpacker,
-                   check_degree)
+from .poly import (EXP_BITS, MAX_DEGREE, Poly, _conjugated, _gauss_sum, _nonzero, _reduced,
+                   _unpacker, check_degree)
 
 
 class ParseError(ValueError):
@@ -48,39 +49,45 @@ class ParseError(ValueError):
         self.col = col
 
 
-# One token per match, after blanks and tabs: an integer literal (an
-# imaginary one when an 'i' that starts no word follows), a name, an operator,
-# the end ('#' or the end of the text), or a stray character; \d is [0-9], \w [A-Za-z0-9_].
-_TOKEN = re.compile(r"[ \t]*(?:(?P<int>\d+)(?P<imag>i(?!\w))?|(?P<ident>[^\W\d]\w*)"
-                    r"|(?P<op>[-+*/^~()=;])|(?P<end>#|\Z)|(?P<bad>.))", re.S | re.ASCII)
+# One token per match, after blanks and tabs: digits (an imaginary literal when an 'i' that
+# starts no word follows), a name, an operator, or "" for the end; \d is [0-9], \w [A-Za-z0-9_].
+# A statement is lexed up to its comment, all _ALPHABET's characters, so the matches cover it.
+_TOKEN = re.compile(r"[ \t]*(\d+(?:i(?!\w))?|[^\W\d]\w*|[-+*/^~()=;]|\Z)", re.ASCII)
+_ALPHABET = re.compile(r"[\w \t+*/^~()=;-]*", re.ASCII)
 
 
 def _lex(text: str, line_no: int):
-    """The (kind, value, column) tokens, kind ident, int, imag, op or end, of
-    one statement line; any character outside the grammar's alphabet is an
-    unexpected character."""
-    out = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "int" or kind == "imag":
-            digits, i = m["int"], m.start("int")
-            try:
-                out.append((kind, int(digits), i + 1))
-            except ValueError:  # more digits than the interpreter converts
-                raise ParseError(f"integer literal has {len(digits)} digits, over the limit of "
-                                 f"{sys.get_int_max_str_digits()}", line_no, i + 1) from None
-        elif kind == "end":
-            out.append(("end", None, len(text) + 1))
-            return out
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {m[kind]!r}", line_no, m.start(kind) + 1)
-        else:
-            out.append((kind, m[kind], m.start(kind) + 1))
+    """The tokens of one statement line as strings, then "" for the end ('#'
+    or the end of the text); a character outside the grammar's alphabet, or a
+    literal past the interpreter's digit limit, is refused where it comes first."""
+    end = _ALPHABET.match(text).end()
+    tokens = _TOKEN.findall(text[:end])
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: the interpreter has none
+    if limit and end > limit and max(map(len, tokens)) > limit:
+        for k, tok in enumerate(tokens):
+            if "0" <= tok < ":" and len(tok.rstrip("i")) > limit:  # digits, then perhaps an 'i'
+                raise ParseError(f"integer literal has {len(tok.rstrip('i'))} digits, over the "
+                                 f"limit of {limit}", line_no, _column(text, k))
+    if end < len(text) and text[end] != "#":
+        raise ParseError(f"unexpected character {text[end]!r}", line_no, end + 1)
+    return tokens
+
+
+def _column(text: str, k: int) -> int:
+    "The column of token k of _lex(text), found again for a message; the end is one past the text."
+    m = [*_TOKEN.finditer(text[:_ALPHABET.match(text).end()])][k]
+    return m.start(1) + 1 if m[1] else len(text) + 1
+
+
+def _shown(tok: str) -> str:
+    "A token as messages show it: an integer literal by its value, without its 'i'."
+    return repr(int(tok.rstrip("i")) if "0" <= tok < ":" else tok)
 
 
 # Subexpressions (parentheses, conj(...), unary minus) nest at most this
 # deep, so hostile input is a ParseError and not a RecursionError.
 MAX_NESTING = 100
+_TOO_DEEP = f"expression nested deeper than {MAX_NESTING} levels"
 
 # A literal power p^n is a ParseError before it is computed when one of
 # its coefficients would need more than MAX_POWER_BITS bits, or all of
@@ -94,12 +101,6 @@ MAX_NESTING = 100
 # n log2 of p's largest numerator part or denominator.
 MAX_POWER_BITS = 1 << 20
 MAX_POWER_TOTAL_BITS = 1 << 23
-
-
-def _degree(t) -> int:
-    "The total degree of a term, read off its key as poly does; -1 for zero."
-    a, b, _, key = t
-    return (key % MAX_DEGREE or (key and MAX_DEGREE)) if a or b else -1
 
 
 @lru_cache(maxsize=64)
@@ -116,184 +117,205 @@ def _as_poly(frame, value) -> Poly:
 
 
 class _ExprParser:
-    """Precedence climbing over a token list, on values that are terms
-    (zero when a = b = 0) or Polys.  Only an operator token has a value
-    like '+', so the value alone tells which operator it is."""
+    """Recursive descent over the tokens of one statement, on values that are
+    terms (zero when a = b = 0; a, b and d need not be coprime) or Polys.
+    A Poly value is zero or has two terms or more: a sum with one monomial
+    left is a term, p^0 is the term 1, and a product or power of Polys keeps
+    their first and last terms.  One parser reads every statement of a
+    family: params is the family's dict, so a statement sees the parameters
+    declared before it."""
 
-    def __init__(self, tokens, frame: VariableFrame, params, line):
-        self.tokens = tokens
-        self.pos = 0
-        self.depth = 0
+    def __init__(self, frame: VariableFrame, params):
         self.frame = frame
-        self.params = params or {}
-        self.line = line
-        self.keys = _slot_keys(frame)  # a name never reads as a conj(z) label
+        self.params = params
+        keys = _slot_keys(frame)  # a name never reads as a conj(z) label
+        self.names = {"i": (0, 1, 1, 0), **{name: (1, 0, 1, keys[name]) for name in
+                                            frame.complex_names + frame.real_names}}
+        self.reals = {keys[name]: name for name in frame.real_names}
 
-    def fail(self, message, tok=None):
-        raise ParseError(message, self.line, (tok or self.tokens[self.pos])[2])
-
-    def expect_op(self, op):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        if tok[1] != op:
-            self.fail(f"expected {op!r}", tok)
-
-    def parse(self) -> Poly:
-        p = self.expression(0)
-        tok = self.tokens[self.pos]
-        if tok[0] != "end":
-            self.fail(f"unexpected {tok[1]!r}")
-        return _as_poly(self.frame, p)
-
-    def expression(self, min_bp):
-        tokens = self.tokens
-        if self.depth > MAX_NESTING:
-            self.fail(f"expression nested deeper than {MAX_NESTING} levels")
-        self.depth += 1
-        if tokens[self.pos][1] == "-":
-            self.pos += 1
-            left = self.expression(30)
-            left = (-left[0], -left[1], *left[2:]) if type(left) is tuple else -left
-        else:
-            left = self.atom()
-        # the right operand of '*' or '/' (binding power 20) is one factor,
-        # so every product comes before the first '+' or '-' (power 10)
-        while min_bp <= 20 and tokens[self.pos][1] in ("*", "/"):
-            tok = tokens[self.pos]
-            self.pos += 1
-            right = self.expression(21)
-            left = self.product(left, right) if tok[1] == "*" else self.quotient(left, right, tok)
-        parts = [(1, left)]
-        while min_bp <= 10 and tokens[self.pos][1] in ("+", "-"):
-            self.pos += 1
-            parts.append((1 if tokens[self.pos - 1][1] == "+" else -1, self.expression(11)))
-        if len(parts) > 1:
-            left = self.summed(parts)
-        self.depth -= 1
-        return left
-
-    def product(self, p, q):
-        if type(p) is tuple and type(q) is tuple:
-            check_degree(_degree(p) + _degree(q), "product")
-            a, b, d, k = p
-            x, y, e, l = q
-            return (a * x - b * y, a * y + b * x, d * e, k + l)
-        return _as_poly(self.frame, p) * _as_poly(self.frame, q)
-
-    def quotient(self, p, q, tok):
-        "p divided by the nonzero constant q."
-        q = _as_poly(self.frame, q)
-        if not q.is_constant():
-            self.fail("division only by constants", tok)
-        if not q:
-            self.fail("division by zero", tok)
-        a, b, d = triple(q.constant_value())
-        return self.product(p, (d * a, -d * b, a * a + b * b, 0))
-
-    def power(self, p, tok):
-        "p^n for the exponent token tok; degree and both bit bounds are checked before it multiplies."
-        n = tok[1]
-        if type(p) is tuple:
-            a, b, d, key = p
-            nums = {key: (a, b)} if a or b else {}
-        else:
-            nums, d, key = p.nums, p.den, None
-        if nums:  # the n-th powers of the first and last terms are the first and last of p^n
-            check_degree((_degree(p) if key is not None else p.degree()) * n, "power")
-            ends = [nums[k] for k in {min(nums), max(nums)}]
-            big = min(n, 1 << 900)  # past any bound, and a float: units stay exact at any n
-            bits = big * max(abs(log2(x * x + y * y) / 2 - log2(d)) for x, y in ends)
-            if bits > MAX_POWER_BITS:
-                self.fail(f"power would have a coefficient of about {round(bits)} bits, over the "
-                          f"limit of {MAX_POWER_BITS}", tok)
-            tops = map(max, zip(*map(_unpacker(self.frame.num_slots), nums)))
-            # past the limit, the bits of a size of 2 or more are at least the terms
-            terms = min(comb(n + len(nums) - 1, len(nums) - 1), prod(n * e + 1 for e in tops),
-                        MAX_POWER_TOTAL_BITS + 1)
-            bits = terms * big * log2(max(d, *(max(abs(x), abs(y)) for x, y in nums.values())))
-            if bits > MAX_POWER_TOTAL_BITS:
-                self.fail(f"power would have coefficients of about {round(bits)} bits in all, over "
-                          f"the limit of {MAX_POWER_TOTAL_BITS}", tok)
-        if key is not None and not b:  # a real coefficient: one power per integer
-            return (a ** n, 0, d ** n if a else 1, key * n)  # 0 ** 0 = 1; a zero's d stays
-        return _as_poly(self.frame, p) ** n
-
-    def summed(self, parts) -> Poly:
-        "sum sign * value over (sign, value) parts, as one numerator dict over one denominator."
-        parts = [(sign, v[:2], {v[3]: (1, 0)}, v[2]) if type(v) is tuple
-                 else (sign, (1, 0), v.nums, v.den) for sign, v in parts]
-        den = lcm(*[d for *_, d in parts])
-        return _reduced(self.frame, _gauss_sum([((s * a * (den // d), s * b * (den // d)), nums)
-                                                for s, (a, b), nums, d in parts]), den)
-
-    def atom(self):
-        tokens = self.tokens
-        tok = tokens[self.pos]
-        self.pos += 1
-        kind, value, _ = tok
-        if kind == "ident":
-            p = self.named(tok)
-        elif kind == "int":
-            p = (value, 0, 1, 0)
-        elif kind == "imag":
-            p = (0, value, 1, 0)
-        elif value == "(":
-            p = self.expression(0)
-            self.expect_op(")")
-        else:
-            self.fail("expected a value", tok)
-        # postfix conjugation, then an optional integer power
-        while tokens[self.pos][1] == "~":
-            self.pos += 1
-            p = self.conjugated(p, tok)
-        if tokens[self.pos][1] == "^":
-            etok = tokens[self.pos + 1]
-            self.pos += 2
-            if etok[0] != "int":
-                self.fail("exponent must be a nonnegative integer literal", etok)
-            p = self.power(p, etok)
+    def parse(self, text, tokens, start, line):
+        "The value of tokens[start:], of the statement text on its line: a term or a Poly."
+        self.text, self.tokens, self.pos, self.depth, self.line = text, tokens, start, 0, line
+        p = self.expression()
+        if tokens[self.pos]:
+            self.fail(f"unexpected {_shown(tokens[self.pos])}")
         return p
 
-    def named(self, tok):
-        name = tok[1]
-        if name == "i":
-            return (0, 1, 1, 0)
-        if name == "conj":
-            self.expect_op("(")
-            inner_tok = self.tokens[self.pos]
-            p = self.expression(0)
-            self.expect_op(")")
-            return self.conjugated(p, inner_tok)
-        if name in self.params:
-            value = self.params[name]
-            if value is None:
-                self.fail(f"parameter {name!r} has no value", tok)
-            return (*triple(value), 0)
-        if name not in self.frame:
-            self.fail(f"undeclared identifier {name!r}", tok)
-        return (1, 0, 1, self.keys[name])
+    def fail(self, message, at=None):
+        "A ParseError at token `at`, by default the current one."
+        raise ParseError(message, self.line, _column(self.text, self.pos if at is None else at))
 
-    def conjugated(self, p, tok):
-        nums, den = ({p[3]: p[:2]}, p[2]) if type(p) is tuple else (p.nums, p.den)
-        for name in self.frame.real_names:  # conjugating one is a no-op, so a typo
-            if nums == {self.keys[name]: (den, 0)}:
-                self.fail(f"conjugation of real coordinate {name!r}", tok)
+    def expect_op(self, op):
+        self.pos += 1
+        if self.tokens[self.pos - 1] != op:
+            self.fail(f"expected {op!r}", self.pos - 1)
+
+    def expression(self):
+        "A sum of products; the operands of its '+' and '-' are one level deeper still."
+        depth = self.depth
+        if depth > MAX_NESTING:
+            self.fail(_TOO_DEEP)
+        self.depth = depth + 1
+        parts = [(1, self.product())]
+        while (op := self.tokens[self.pos]) == "+" or op == "-":
+            self.pos += 1
+            if depth + 1 > MAX_NESTING:
+                self.fail(_TOO_DEEP)
+            self.depth = depth + 2
+            parts.append((1 if op == "+" else -1, self.product()))
+        self.depth = depth
+        return self.summed(parts) if len(parts) > 1 else parts[0][1]
+
+    def product(self):
+        "A product of factors; two terms multiply inline, with Poly's degree check."
+        tokens = self.tokens
+        left = self.factor(False)
+        while (op := tokens[self.pos]) == "*" or op == "/":
+            at = self.pos
+            self.pos = at + 1
+            right = self.factor(True)
+            if op == "/":
+                right = self.inverse(right, at)
+            if type(left) is tuple and type(right) is tuple:
+                a, b, d, k = left
+                x, y, e, l = right
+                if k and l:  # two nonconstant terms; a zero one has degree -1
+                    deg = (k % MAX_DEGREE or MAX_DEGREE) + (l % MAX_DEGREE or MAX_DEGREE)
+                    if deg > MAX_DEGREE and (a or b) and (x or y):
+                        check_degree(deg, "product")
+                left = (a * x - b * y, a * y + b * x, d * e, k + l)
+            else:
+                left = _as_poly(self.frame, left) * _as_poly(self.frame, right)
+        return left
+
+    def factor(self, nested):
+        """A unary minus and the factor after it, one level deeper, or an atom with its
+        postfix '~'s and power; a nested factor (of '*' or '/') is one level deeper."""
+        tokens, outer = self.tokens, self.depth
+        if nested:
+            if outer > MAX_NESTING:
+                self.fail(_TOO_DEEP)
+            self.depth = outer + 1
+        at = self.pos
+        tok = tokens[at]
+        self.pos = at + 1
+        p = self.names.get(tok)  # i or a coordinate, unless a parameter takes the name
+        if p is None or tok in self.params and tok != "i":
+            if "0" <= tok < ":":  # digits first: an integer literal, or an imaginary one
+                p = (0, int(tok[:-1]), 1, 0) if tok[-1] == "i" else (int(tok), 0, 1, 0)
+            elif tok == "-":
+                p = self.factor(True)
+                self.depth = outer
+                return (-p[0], -p[1], p[2], p[3]) if type(p) is tuple else -p
+            elif tok == "(":
+                p = self.expression()
+                self.expect_op(")")
+            elif not tok.isidentifier():
+                self.fail("expected a value", at)
+            elif tok == "conj":
+                self.expect_op("(")
+                inner, p = self.pos, self.expression()
+                self.expect_op(")")
+                p = self.conjugated(p, inner)
+            elif tok not in self.params:
+                self.fail(f"undeclared identifier {tok!r}", at)
+            elif self.params[tok] is None:
+                self.fail(f"parameter {tok!r} has no value", at)
+            else:
+                p = (*triple(self.params[tok]), 0)
+        while tokens[self.pos] == "~":
+            self.pos += 1
+            p = self.conjugated(p, at)
+        if tokens[self.pos] == "^":
+            self.pos += 2
+            if not tokens[self.pos - 1].isdigit():
+                self.fail("exponent must be a nonnegative integer literal", self.pos - 1)
+            p = self.power(p, int(tokens[self.pos - 1]), self.pos - 1)
+        self.depth = outer
+        return p
+
+    def inverse(self, q, at):
+        "1/q = d (a - b i) / (a^2 + b^2) for the nonzero constant q = (a + b i)/d after '/' `at`."
+        if type(q) is not tuple:  # zero, or two terms or more
+            self.fail("division only by constants" if q else "division by zero", at)
+        a, b, d, key = q
+        if not (a or b):
+            self.fail("division by zero", at)
+        if key:
+            self.fail("division only by constants", at)
+        return (d * a, -d * b, a * a + b * b, 0) if b else (d if a > 0 else -d, 0, abs(a), 0)
+
+    def power(self, p, n, at):
+        "p^n for the exponent n at token `at`, degree and bit bounds checked before it multiplies."
         if type(p) is not tuple:
-            return p.conjugate()
-        (key, (a, b)), = _conjugated(nums, self.frame.n).items()
+            if p.nums:
+                check_degree(p.degree() * n, "power")
+                self.check_power_bits(p.nums, p.den, n, at)
+            return p ** n if n else (1, 0, 1, 0)
+        if not (p[0] or p[1]):
+            return (0, 0, 1, p[3] * n) if n else (1, 0, 1, 0)
+        c, key = from_triple(*p[:3]), p[3]  # the bounds read c in lowest terms, as a Poly's
+        a, b, d = triple(c)
+        check_degree((key % MAX_DEGREE or (key and MAX_DEGREE)) * n, "power")
+        # both estimates stay under n (L + 1/2) for the largest bit length L of a, b and d
+        if n * (max(a.bit_length(), b.bit_length(), d.bit_length()) + 1) > MAX_POWER_BITS:
+            self.check_power_bits({key: (a, b)}, d, n, at)
+        return (*triple(c ** n), key * n) if b else (a ** n, 0, d ** n, key * n)
+
+    def check_power_bits(self, nums, d, n, at):
+        "A ParseError when (nums / d)^n passes MAX_POWER_BITS or MAX_POWER_TOTAL_BITS."
+        # the n-th powers of the first and last terms are the first and last of the power
+        ends = [nums[k] for k in {min(nums), max(nums)}]
+        big = min(n, 1 << 900)  # past any bound, and a float: units stay exact at any n
+        bits = big * max(abs(log2(x * x + y * y) / 2 - log2(d)) for x, y in ends)
+        if bits > MAX_POWER_BITS:
+            self.fail(f"power would have a coefficient of about {round(bits)} bits, over the "
+                      f"limit of {MAX_POWER_BITS}", at)
+        tops = map(max, zip(*map(_unpacker(self.frame.num_slots), nums)))
+        # past the limit, the bits of a size of 2 or more are at least the terms
+        terms = min(comb(n + len(nums) - 1, len(nums) - 1), prod(n * e + 1 for e in tops),
+                    MAX_POWER_TOTAL_BITS + 1)
+        bits = terms * big * log2(max(d, *(max(abs(x), abs(y)) for x, y in nums.values())))
+        if bits > MAX_POWER_TOTAL_BITS:
+            self.fail(f"power would have coefficients of about {round(bits)} bits in all, over "
+                      f"the limit of {MAX_POWER_TOTAL_BITS}", at)
+
+    def summed(self, parts):
+        "sum sign * value over (sign, value) parts: a term when at most one monomial is left."
+        den = lcm(*[v[2] if type(v) is tuple else v.den for _, v in parts])
+        acc, polys = {}, []
+        for sign, v in parts:
+            if type(v) is tuple:
+                w, (a, b) = sign * (den // v[2]), acc.get(v[3], (0, 0))
+                acc[v[3]] = (a + w * v[0], b + w * v[1])
+            else:
+                polys.append(((sign * (den // v.den), 0), v.nums))
+        nums = _gauss_sum([((1, 0), _nonzero(acc)), *polys])
+        if len(nums) > 1:
+            return _reduced(self.frame, nums, den)
+        key, (a, b) = next(iter(nums.items()), (0, (0, 0)))
         return (a, b, den, key)
+
+    def conjugated(self, p, at):
+        "The conjugate of p, whose text starts at token `at`."
+        if type(p) is not tuple:  # no Poly is one term, so none is a bare coordinate
+            return p.conjugate()
+        a, b, d, key = p
+        if a == d and not b and key in self.reals:  # conjugating one is a no-op, so a typo
+            self.fail(f"conjugation of real coordinate {self.reals[key]!r}", at)
+        (key, (a, b)), = _conjugated({key: (a, b)}, self.frame.n).items()
+        return (a, b, d, key)
 
 
 def parse_poly(text: str, frame: VariableFrame, params=None, line_no=1) -> Poly:
-    bound = None
-    if params:
-        bound = {}
-        for k, v in params.items():
-            s = as_scalar(v)
-            if s is None and v is not None:
-                raise TypeError(f"parameter {k!r} is not an exact scalar")
-            bound[k] = s
-    return _ExprParser(_lex(text, line_no), frame, bound, line_no).parse()
+    bound = {}
+    for k, v in (params or {}).items():
+        s = as_scalar(v)
+        if s is None and v is not None:
+            raise TypeError(f"parameter {k!r} is not an exact scalar")
+        bound[k] = s
+    tokens = _lex(text, line_no)
+    return _as_poly(frame, _ExprParser(frame, bound).parse(text, tokens, 0, line_no))
 
 
 # ---------------------------------------------------------------------
@@ -329,7 +351,6 @@ class FamilySource:
 
 _NAME_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.-")
 _BLANKS = " \t"
-_LINE_END = re.compile(r"\r\n?|\n")
 _BLANK_RUN = re.compile(r"[ \t]+")
 
 
@@ -339,7 +360,7 @@ def _joined_statements(text: str):
     buf = ""
     start = None
     depth = 0
-    for no, raw in enumerate(_LINE_END.split(text), start=1):
+    for no, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip(_BLANKS) and depth == 0:
             continue
@@ -370,6 +391,7 @@ def parse_family(text: str, bindings=None) -> FamilySource:
     params = {}
     definitions = {}
     expects = {}
+    parser = None
     for line_no, stmt in statements:
         head, *rest = _BLANK_RUN.split(stmt.strip(_BLANKS), 1)
         if head == "family":
@@ -388,10 +410,10 @@ def parse_family(text: str, bindings=None) -> FamilySource:
             frame = _parse_frame(stmt, line_no)
             continue
         if head == "param":
-            pname, value = _parse_param(stmt, line_no, frame)
+            pname, value = _parse_param(stmt, line_no)
             if pname in params:
                 raise ParseError(f"duplicate parameter {pname!r}", line_no)
-            if frame is not None and pname in frame.complex_names + frame.real_names:
+            if frame is not None and pname in frame:
                 raise ParseError(f"parameter {pname!r} shadows a coordinate", line_no)
             if pname in bindings:
                 bound = as_scalar(bindings.pop(pname))
@@ -408,18 +430,19 @@ def parse_family(text: str, bindings=None) -> FamilySource:
             continue
         # polynomial definition: ident = expr
         tokens = _lex(stmt, line_no)
-        if not (tokens[0][0] == "ident" and tokens[1][1] == "="):
+        if not (tokens[0].isidentifier() and tokens[1] == "="):
             raise ParseError(f"cannot parse statement starting with {head!r}", line_no)
-        dname = tokens[0][1]
+        dname = tokens[0]
         if frame is None:
             raise ParseError("missing frame declaration before definitions", line_no)
         if dname in RESERVED:
             raise ParseError(f"reserved name {dname!r}", line_no)
         if dname in definitions:
             raise ParseError(f"duplicate definition {dname!r}", line_no)
-        if dname in params or dname in frame.complex_names + frame.real_names:
+        if dname in params or dname in frame:
             raise ParseError(f"definition {dname!r} shadows another name", line_no)
-        definitions[dname] = _ExprParser(tokens[2:], frame, params, line_no).parse()
+        parser = parser or _ExprParser(frame, params)
+        definitions[dname] = _as_poly(frame, parser.parse(stmt, tokens, 2, line_no))
     if bindings:
         stray = ", ".join(sorted(bindings))
         raise ParseError(f"bindings for undeclared parameters: {stray}")
@@ -432,25 +455,21 @@ def parse_family(text: str, bindings=None) -> FamilySource:
 
 def _parse_frame(stmt, line_no):
     tokens = _lex(stmt, line_no)
-    pos = 1  # skip 'frame'
-    if tokens[pos][:2] != ("ident", "complex"):
-        raise ParseError("frame starts with 'complex'", line_no, tokens[pos][2])
-    pos += 1
-    complex_names = []
-    while tokens[pos][0] == "ident" and tokens[pos][1] != "real":
-        complex_names.append(tokens[pos][1])
+    if tokens[1] != "complex":  # after 'frame'
+        raise ParseError("frame starts with 'complex'", line_no, _column(stmt, 1))
+    pos = 2
+    while tokens[pos].isidentifier() and tokens[pos] != "real":
         pos += 1
-    real_names = []
-    if tokens[pos][1] == ";":
-        pos += 1
-        if tokens[pos][:2] != ("ident", "real"):
-            raise ParseError("expected 'real' after ';'", line_no, tokens[pos][2])
-        pos += 1
-        while tokens[pos][0] == "ident":
-            real_names.append(tokens[pos][1])
+    complex_names, real_names = tokens[2:pos], []
+    if tokens[pos] == ";":
+        if tokens[pos + 1] != "real":
+            raise ParseError("expected 'real' after ';'", line_no, _column(stmt, pos + 1))
+        start = pos = pos + 2
+        while tokens[pos].isidentifier():
             pos += 1
-    if tokens[pos][0] != "end":
-        raise ParseError(f"unexpected {tokens[pos][1]!r} in frame", line_no, tokens[pos][2])
+        real_names = tokens[start:pos]
+    if tokens[pos]:
+        raise ParseError(f"unexpected {_shown(tokens[pos])} in frame", line_no, _column(stmt, pos))
     try:
         return VariableFrame(tuple(complex_names), tuple(real_names))
     except ValueError as e:
@@ -460,33 +479,33 @@ def _parse_frame(stmt, line_no):
 _NO_COORDINATES = VariableFrame((), ())
 
 
-def _constant_expr(tokens, line_no):
-    "A constant expression: on the empty frame every name but i is undeclared."
-    return _ExprParser(tokens, _NO_COORDINATES, {}, line_no).parse().constant_value()
+def _constant_expr(stmt, tokens, start, line_no):
+    "tokens[start:] of stmt on the empty frame, where every value is a constant term."
+    return from_triple(*_ExprParser(_NO_COORDINATES, {}).parse(stmt, tokens, start, line_no)[:3])
 
 
-def _parse_param(stmt, line_no, frame):
+def _parse_param(stmt, line_no):
     tokens = _lex(stmt, line_no)
-    if tokens[1][0] != "ident":
+    if not tokens[1].isidentifier():
         raise ParseError("param needs a name", line_no)
-    pname = tokens[1][1]
+    pname = tokens[1]
     if pname in RESERVED:
         raise ParseError(f"reserved name {pname!r}", line_no)
-    if tokens[2][0] == "end":
+    if not tokens[2]:
         return pname, None
-    if tokens[2][1] != "=":
-        raise ParseError("expected '=' in param", line_no, tokens[2][2])
-    return pname, _constant_expr(tokens[3:], line_no)
+    if tokens[2] != "=":
+        raise ParseError("expected '=' in param", line_no, _column(stmt, 2))
+    return pname, _constant_expr(stmt, tokens, 3, line_no)
 
 
 def _parse_expect(stmt, line_no):
     tokens = _lex(stmt, line_no)
-    if tokens[1][0] != "ident" or tokens[2][1] != "=":
+    if not tokens[1].isidentifier() or tokens[2] != "=":
         raise ParseError("expect syntax: expect <key> = <value>", line_no)
-    key = tokens[1][1]
-    if tokens[3][0] == "ident" and tokens[3][1] in ("true", "false") and tokens[4][0] == "end":
-        return key, tokens[3][1] == "true"
-    return key, _constant_expr(tokens[3:], line_no)
+    key = tokens[1]
+    if tokens[3] in ("true", "false") and not tokens[4]:
+        return key, tokens[3] == "true"
+    return key, _constant_expr(stmt, tokens, 3, line_no)
 
 
 def load_family(path, bindings=None) -> FamilySource:

@@ -559,7 +559,7 @@ def _gauss_mul(p, q, out):
 def _conjugated(nums, n: int):
     "Conjugate numerators on n complex coordinates: z and conj(z) fields swap, real slots stay."
     low = 2 * n * EXP_BITS
-    z = sum(MAX_DEGREE << sh for sh in range(0, low, 2 * EXP_BITS))
+    z = MAX_DEGREE * ((1 << low) - 1) // ((1 << 2 * EXP_BITS) - 1)  # fields 0, 2, ..., 2n - 2
     return {(k & z) << EXP_BITS | k >> EXP_BITS & z | k >> low << low: (a, -b)
             for k, (a, b) in nums.items()}
 

@@ -34,7 +34,7 @@ def homogenize(p: Poly, d: int, new_coord: str, index: int = 0) -> Poly:
     """Multiply each degree-k part by z_new^(d-k) on the frame with
     new_coord inserted among the complex names at the given position.
     reduce_along(homogenize(p, d, c), c) = p whenever deg p <= d."""
-    if p != 0 and p.degree() > d:
+    if p and p.degree() > d:
         raise ValueError(f"degree {p.degree()} exceeds target degree {d}")
     target = p.frame.insert_complex(new_coord, index)
     z_new = Poly.variable(target, new_coord)
@@ -53,7 +53,7 @@ def reduce_family(fs, coord: str):
     for f in fs:  # first: is_holomorphic_in raises KeyError on a name not in the frame
         if coord not in f.frame.complex_names:
             raise ValueError(f"no complex coordinate {coord!r} to reduce along")
-    degrees = {f.degree() for f in fs if f != 0}
+    degrees = {f.degree() for f in fs if f}
     if len(degrees) > 1:
         raise ValueError("family members must share one degree")
     for f in fs:

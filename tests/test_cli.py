@@ -528,7 +528,8 @@ def test_deg2_construct_and_decompose_files(tmp_path):
 FRACTIONS = [("0", True), ("-3", True), ("07", True), ("-0/1", True), ("1/007", True),
              ("12/34", True), ("1/0", False), ("3/00", False), ("-0/0", False), ("1/-2", False),
              ("1/", False), ("/2", False), ("+1", False), ("1.5", False), ("1e3", False),
-             ("", False), ("--1", False), ("1/2/3", False), (" 1", False), ("١", False)]
+             ("", False), ("--1", False), ("1/2/3", False), (" 1", False), ("١", False),
+             ("1\n", False)]
 
 
 def test_schema_and_reader_agree_on_fractions():
@@ -548,6 +549,36 @@ def test_schema_and_reader_agree_on_fractions():
             assert str(exc) == "twist.v entry 0: expected a [re, im] pair of strings p or p/q"
             read = False
         assert (read, validator.is_valid(raw)) == (ok, ok), text
+
+
+# every pattern of docs/schemas, with strings it accepts
+SCHEMA_PATTERNS = {
+    r"^-?[0-9]+(/0*[1-9][0-9]*)?(?!\n)$": ["0", "-3", "12/34"],
+    r"^[A-Za-z0-9_.-]+(?!\n)$": ["pair-c4", "a.b_1"],
+    r"^[A-Za-z_][A-Za-z0-9_]*(?!\n)$": ["z", "F_1"],
+    r"^-?(i|[0-9]+(/[0-9]+)?(\*i)?|[0-9]+(/[0-9]+)?[+-]([0-9]+(/[0-9]+)?\*)?i)(?!\n)$":
+        ["i", "-7", "-3/4*i", "1/2+3/2*i", "2-i"],
+}
+
+
+def schema_patterns(node):
+    "Every 'pattern' string in a schema."
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from [value] if key == "pattern" else schema_patterns(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from schema_patterns(value)
+
+
+def test_schema_patterns_refuse_a_trailing_newline():
+    # the validator applies re.search, where a bare '$' also matches before a final "\n"
+    found = {p for name in os.listdir(SCHEMA_DIR) for p in schema_patterns(schema(name[:-5]))}
+    assert found == set(SCHEMA_PATTERNS)
+    for pattern, samples in SCHEMA_PATTERNS.items():
+        validator = jsonschema.Draft202012Validator({"type": "string", "pattern": pattern})
+        for text in samples:
+            assert validator.is_valid(text) and not validator.is_valid(text + "\n"), (pattern, text)
 
 
 def test_deg2_construct_json(tmp_path, monkeypatch):

@@ -288,6 +288,41 @@ def test_kappa_of_f_with_itself_squares_the_real_slot_row(monkeypatch):
     assert [p for p, q in calls if p is q] == [_derivative(f.nums, frame.real_slot("t"))]
 
 
+def test_fractional_eigen_data_keeps_the_real_slot_square(monkeypatch):
+    # mu = 1/2 puts the residuals over twice the form's denominator; the rows
+    # keep their weights, so the t row still pairs d_t f with itself
+    frame = VariableFrame(("z",), ("t",))
+    f = var(frame, "z") * var(frame, "t") + var(frame, "t") ** 2
+    data = EigenData(ZERO, scalar(Fraction(1, 2)))
+    calls = []
+    mul = conformality._gauss_mul
+
+    def spy(p, q, out):
+        calls.append((p, q))
+        return mul(p, q, out)
+
+    monkeypatch.setattr(conformality, "_gauss_mul", spy)
+    got = verify_general_family([f], data)
+    assert [p for p, q in calls if p is q] == [_derivative(f.nums, frame.real_slot("t"))]
+    want = ref_verify_general_family([f], data)
+    assert (got.harmonic_residuals, got.conformal_pairs) == (want.harmonic_residuals,
+                                                             want.conformal_pairs)
+
+
+def test_fractional_eigen_data_matches_poly_reference():
+    rng = random.Random(34)
+    for frame in KERNEL_FRAMES[1:]:
+        for _ in range(4):
+            fs = [rand_poly(rng, frame) for _ in range(rng.randint(1, 3))]
+            lam, mu = (scalar(Fraction(rng.randint(-9, 9), rng.choice([2, 3, 10])),
+                              Fraction(rng.randint(-9, 9), rng.choice([1, 7])))
+                       for _ in range(2))
+            data = EigenData(lam, mu)
+            got, want = verify_general_family(fs, data), ref_verify_general_family(fs, data)
+            assert got.harmonic_residuals == want.harmonic_residuals
+            assert got.conformal_pairs == want.conformal_pairs
+
+
 gaussian = st.one_of(st.just(ZERO), mixed)
 
 

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from eigenforge.scalars import I, ONE, scalar
+from eigenforge.degree2 import Deg2Form, from_form
 from eigenforge.frames import VariableFrame
+from eigenforge.linalg import Matrix
 from eigenforge.poly import Poly
 from eigenforge.parser import (
     FamilySource,
@@ -136,8 +138,11 @@ def assert_parsers_agree(text, frame=MIXED, params=PARAMS):
     return got
 
 
+# the last rows are the shapes that stay one term: constant sums times
+# monomials, powers of a coefficient times a monomial, conj of a constant sum
 ATOMS = ["z", "u", "t", "s", "i", "0", "1", "2", "3i", "0i", "17", "g", "h", "k0", "p2", "q",
-         "conj", "1/2", "t~", "z~", "z^0", "4294967296"]
+         "conj", "1/2", "t~", "z~", "z^0", "4294967296",
+         "(1/2 + 3/4*i)*z*u", "(2 - i)*t^2", "(2*z)^3", "(3/2*t)^2", "(-1)^5", "conj(1/2 + 3i)"]
 
 
 def _binary(parts):
@@ -148,7 +153,7 @@ def _binary(parts):
 expression_text = st.recursive(
     st.sampled_from(ATOMS),
     lambda inner: st.one_of(
-        st.tuples(inner, st.sampled_from([" + ", "-", "*", " / ", "+-", "*-", "/", " - "]),
+        st.tuples(inner, st.sampled_from([" + ", "-", "*", " / ", "+-", "*-", "/-", "/", " - "]),
                   inner).map(_binary),
         inner.map(lambda e: f"({e})"),
         inner.map(lambda e: f"conj({e})"),
@@ -200,9 +205,14 @@ DEEP = 101  # one past parser.MAX_NESTING
     + " + ".join(f"u^{k}" for k in range(1001)) + ")",
     # digits past the interpreter's limit, also as an imaginary literal
     "1" * 4301, "2*" + "9" * 5000 + "i", "z + 3*" + "7" * 4301 + "u",
-    # nesting
+    # powers of one term read in lowest terms, as a Poly's
+    "(2/2)^9999999", "(1/2 + 1/2)^9999999", "(4*i/2)^300000", "(z + z - z)^65536",
+    # nesting, also of factors after '*' or '/' and of the operands of '+' and '-'
     "(" * DEEP + "z" + ")" * DEEP, "-" * DEEP + "z", "conj(" * 60 + "z" + ")" * 60,
-    "-" * 50 + "z", "(" * 40 + "-" * 40 + "z" + ")" * 40,
+    "-" * 50 + "z", "(" * 40 + "-" * 40 + "z" + ")" * 40, "z*" + "-" * DEEP + "u",
+    "z/" + "-" * 99 + "2", "z*" + "-" * 98 + "u", "z*(" * 60 + "u" + ")" * 60,
+    "(" * 99 + "z*-u" + ")" * 99, "(" * 99 + "z+-u" + ")" * 99, "(" * 98 + "z+-u" + ")" * 98,
+    "(" * 99 + "z*u" + ")" * 99, "(" * 100 + "z+u" + ")" * 100, "(" * 100 + "z" + ")" * 100,
     # conjugation of a real coordinate, bare or in disguise
     "t~", "conj(t)", "(t + 0)~", "(2*t/2)~", "conj(1*t)", "(t + z - z)~", "(-t)~",
     "(t*s)~", "(2*t)~", "t^1~", "conj(t)^2",
@@ -315,6 +325,26 @@ F2 = z*conj(w) - u*conj(v)
 expect eigenfamily = true
 expect complex_type = false
 """
+
+
+def test_family_round_trip_on_dense_forms():
+    # dense degree-2 members with Gaussian-rational coefficients over many
+    # denominators: each prints as (p/q + r/s*i)*x*y, a constant sum times a monomial
+    rng = random.Random(34)
+    frames = [VariableFrame(("z", "u"), ("s", "t", "r", "q")), VariableFrame(tuple("abcdef")),
+              VariableFrame((), tuple(f"s{j}" for j in range(16)))]
+    for frame in frames:
+        m = frame.m
+        members = {}
+        for k in range(3):
+            A = [[None] * m for _ in range(m)]
+            for a in range(m):
+                for b in range(a, m):
+                    A[a][b] = A[b][a] = scalar(Fraction(rng.randint(-99, 99), rng.randint(1, 60)),
+                                               Fraction(rng.randint(-99, 99), rng.randint(1, 60)))
+            members[f"F{k}"] = from_form(Deg2Form(frame, Matrix(A, ncols=m)))
+        fs = FamilySource(f"dense-{m}", frame, {}, members, {})
+        assert parse_family(format_family(fs)) == fs
 
 
 def test_parse_family():
