@@ -276,15 +276,14 @@ class Poly:
             raise ValueError("exponent must be a nonnegative integer")
         if self.nums:
             check_degree(self.degree() * n, "power")
-        out = Poly.constant(self.frame, 1)
-        base = self
+        out, base = None, self  # out starts at the power for the lowest set bit
         while n:
             if n & 1:
-                out = out * base
+                out = base if out is None else out * base
             n >>= 1
             if n:
                 base = base * base
-        return out
+        return Poly.constant(self.frame, 1) if out is None else out
 
     # -- structure -----------------------------------------------------
 

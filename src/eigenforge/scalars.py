@@ -134,14 +134,13 @@ class GaussRational:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        # left to right over n's bits, so no square follows the last one
         a, b = 1, 0
         base_a, base_b = self._a, self._b
-        k = n
-        while k:
-            if k & 1:
+        for bit in bin(n)[2:]:
+            a, b = a * a - b * b, 2 * a * b
+            if bit == "1":
                 a, b = a * base_a - b * base_b, a * base_b + b * base_a
-            base_a, base_b = base_a * base_a - base_b * base_b, 2 * base_a * base_b
-            k >>= 1
         return _reduce(a, b, self._d ** n)
 
     # -- structure -----------------------------------------------------

@@ -13,9 +13,9 @@ import sys
 import time
 from pathlib import Path
 
-import jsonschema
 import numpy
 import pytest
+from jsonschema import Draft202012Validator
 
 from eigenforge import parser
 from eigenforge.cli import main
@@ -25,9 +25,8 @@ from eigenforge.degree2 import (PolynomialData, SubspaceType, TwistingData, cons
                                 data_from_json_dict, data_to_json_dict)
 from eigenforge.parser import load_family, parse_family
 
+from schemas import load, validator
 from test_degree2 import rand_data
-
-SCHEMA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "schemas")
 
 
 def run(argv):
@@ -38,11 +37,6 @@ def run(argv):
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
     return code, out.getvalue(), err.getvalue()
-
-
-def schema(name):
-    with open(os.path.join(SCHEMA_DIR, name + ".json")) as fh:
-        return json.load(fh)
 
 
 def count_calls(monkeypatch, module, name):
@@ -63,9 +57,7 @@ def count_calls(monkeypatch, module, name):
 def run_json(argv, schema_name):
     code, out, err = run(list(argv) + ["--json"])
     payload = json.loads(out)
-    jsonschema.validate(payload, schema(schema_name))
-    if "family" in payload:
-        jsonschema.validate(payload["family"], schema("family"))
+    validator(schema_name).validate(payload)
     return code, payload
 
 
@@ -509,14 +501,14 @@ def write_data(tmp_path, seed, n_max=3):
 
 def test_deg2_construct_and_decompose_files(tmp_path):
     data_path = write_data(tmp_path, 8)
-    jsonschema.validate(json.loads(data_path.read_text()), schema("deg2-data"))
+    validator("deg2-data").validate(json.loads(data_path.read_text()))
     pair_path = tmp_path / "pair.efam"
     code, out, err = run(["deg2", "construct", str(data_path), "-o", str(pair_path)])
     assert code == 0
     assert run(["verify", str(pair_path)])[0] == 0
     code, payload = run_json(["deg2", "decompose", str(pair_path)], "deg2-decompose")
     assert code == 0
-    jsonschema.validate(payload["data"], schema("deg2-data"))
+    validator("deg2-data").validate(payload["data"])
     if payload["exact"]:
         assert "isometry" in payload
     else:
@@ -533,11 +525,6 @@ FRACTIONS = [("0", True), ("-3", True), ("07", True), ("-0/1", True), ("1/007", 
 
 
 def test_schema_and_reader_agree_on_fractions():
-    # each copy of the fraction pattern is the reader's
-    pattern = schema("deg2-data")["$defs"]["fraction"]
-    for name in ("deg2-construct", "deg2-decompose", "analyze"):
-        assert schema(name)["$defs"]["fraction"] == pattern, name
-    validator = jsonschema.Draft202012Validator(schema("deg2-data"))
     t, pd, td = rand_data(random.Random(5), k=2, delta=1)
     for text, ok in FRACTIONS:
         raw = data_to_json_dict(t, pd, td)
@@ -548,37 +535,76 @@ def test_schema_and_reader_agree_on_fractions():
         except ValueError as exc:
             assert str(exc) == "twist.v entry 0: expected a [re, im] pair of strings p or p/q"
             read = False
-        assert (read, validator.is_valid(raw)) == (ok, ok), text
+        assert (read, validator("deg2-data").is_valid(raw)) == (ok, ok), text
 
 
-# every pattern of docs/schemas, with strings it accepts
+# every pattern of docs/schemas, with strings it accepts and strings it refuses
 SCHEMA_PATTERNS = {
-    r"^-?[0-9]+(/0*[1-9][0-9]*)?(?!\n)$": ["0", "-3", "12/34"],
-    r"^[A-Za-z0-9_.-]+(?!\n)$": ["pair-c4", "a.b_1"],
-    r"^[A-Za-z_][A-Za-z0-9_]*(?!\n)$": ["z", "F_1"],
-    r"^-?(i|[0-9]+(/[0-9]+)?(\*i)?|[0-9]+(/[0-9]+)?[+-]([0-9]+(/[0-9]+)?\*)?i)(?!\n)$":
-        ["i", "-7", "-3/4*i", "1/2+3/2*i", "2-i"],
+    r"^-?[0-9]+(/0*[1-9][0-9]*)?(?!\n)$": (["0", "-3", "12/34"], ["1/0", "3/00"]),
+    r"^[A-Za-z0-9_.-]+(?!\n)$": (["pair-c4", "a.b_1"], []),
+    r"^[A-Za-z_][A-Za-z0-9_]*(?!\n)$": (["z", "F_1"], []),
+    # a printed scalar's denominators follow the fraction's rule: never zero
+    r"^-?(i|[0-9]+(/0*[1-9][0-9]*)?(\*i)?|[0-9]+(/0*[1-9][0-9]*)?[+-]"
+    r"([0-9]+(/0*[1-9][0-9]*)?\*)?i)(?!\n)$":
+        (["i", "-7", "-3/4*i", "1/2+3/2*i", "2-i", "1/007+5/01*i"],
+         ["1/0", "3/00*i", "1/0+i", "1/2-3/0*i"]),
 }
 
 
-def schema_patterns(node):
-    "Every 'pattern' string in a schema."
+def keyword_values(node, keyword):
+    "Every value of keyword in a schema."
     if isinstance(node, dict):
         for key, value in node.items():
-            yield from [value] if key == "pattern" else schema_patterns(value)
+            yield from [value] if key == keyword else keyword_values(value, keyword)
     elif isinstance(node, list):
         for value in node:
-            yield from schema_patterns(value)
+            yield from keyword_values(value, keyword)
 
 
 def test_schema_patterns_refuse_a_trailing_newline():
     # the validator applies re.search, where a bare '$' also matches before a final "\n"
-    found = {p for name in os.listdir(SCHEMA_DIR) for p in schema_patterns(schema(name[:-5]))}
+    found = {p for s in load()[0].values() for p in keyword_values(s, "pattern")}
     assert found == set(SCHEMA_PATTERNS)
-    for pattern, samples in SCHEMA_PATTERNS.items():
-        validator = jsonschema.Draft202012Validator({"type": "string", "pattern": pattern})
-        for text in samples:
-            assert validator.is_valid(text) and not validator.is_valid(text + "\n"), (pattern, text)
+    for pattern, (accepted, refused) in SCHEMA_PATTERNS.items():
+        check = Draft202012Validator({"type": "string", "pattern": pattern})
+        for text in accepted:
+            assert check.is_valid(text) and not check.is_valid(text + "\n"), (pattern, text)
+        for text in refused:
+            assert not check.is_valid(text), (pattern, text)
+
+
+def subschemas(node):
+    "Every object in a schema, the schema itself included."
+    if isinstance(node, dict):
+        yield node
+        node = list(node.values())
+    if isinstance(node, list):
+        for value in node:
+            yield from subschemas(value)
+
+
+def definitions(schema):
+    "A file's root, less its annotations and $defs, and each entry of its $defs."
+    root = {k: v for k, v in schema.items()
+            if k not in ("$schema", "$id", "title", "description", "$defs")}
+    return [root, *schema.get("$defs", {}).values()]
+
+
+def test_schema_files_are_one_registry_with_one_definition_per_type():
+    all_schemas, registry = load()
+    for name, s in all_schemas.items():
+        Draft202012Validator.check_schema(s)
+        assert s["$id"] == f"eigenforge/{name}.json"
+        resolver = registry.resolver(base_uri=s["$id"])
+        for ref in keyword_values(s, "$ref"):
+            assert isinstance(resolver.lookup(ref).contents, dict), (name, ref)
+    # a type shared by several outputs is defined in one file and reached by
+    # $ref from the others, never copied into them
+    for name, s in all_schemas.items():
+        elsewhere = {json.dumps(node, sort_keys=True) for other, t in all_schemas.items()
+                     if other != name for node in [*subschemas(t), *definitions(t)]}
+        for node in definitions(s):
+            assert json.dumps(node, sort_keys=True) not in elsewhere, (name, node)
 
 
 def test_deg2_construct_json(tmp_path, monkeypatch):

@@ -376,6 +376,26 @@ def test_ring_operations_match_reference(p, q, k, c):
         assert (p / c).terms == ref_mul(p, ONE / c).terms
 
 
+def test_power_starts_from_the_base(monkeypatch):
+    # p ** n starts at the power for its lowest set bit: no product with the
+    # constant 1, and a square passes one numerator dict twice
+    calls = []
+    original = poly._gauss_mul
+
+    def spy(p, q, out):
+        calls.append(p is q)
+        return original(p, q, out)
+    monkeypatch.setattr(poly, "_gauss_mul", spy)
+    rng = random.Random(7)
+    for _ in range(5):
+        p = rand_poly(rng, F2)
+        for n in range(7):
+            calls.clear()
+            power = p ** n
+            assert n > 3 or calls == [[], [], [True], [True, False]][n], (p, n)
+            assert power.terms == ref_pow(p, n).terms, (p, n)  # the n-fold product
+
+
 gauss_nums = st.dictionaries(st.integers(0, 40), st.tuples(st.integers(-3, 3), st.integers(-3, 3))
                              .filter(any), max_size=8)
 

@@ -191,10 +191,13 @@ def test_kernel_mixed_operands_match_reference(p, c):
     assert (x == c) == (rx == c)
 
 
-@given(pairs, st.integers(0, 6))
+@given(pairs, st.sampled_from([0, 1, 2, 3, 4, 5, 6, 8, 63, 64, 65]))
 def test_kernel_power_matches_reference(p, n):
     x, rx = both(p)
-    agrees(x ** n, rx ** n)
+    y, ry = x ** n, rx ** n
+    assert y._d > 0 and math.gcd(y._a, y._b, y._d) == 1 and (y.re, y.im) == (ry.re, ry.im)
+    if n <= 6:  # larger powers can leave the float range that agrees() also checks
+        agrees(y, ry)
 
 
 @given(pairs)
