@@ -231,7 +231,7 @@ def cmd_deg2_decompose(args) -> int:
     source = load_family(args.path)
     fs = source.polys
     if len(fs) != 2:
-        raise ParseError("decomposition needs a family with exactly two members")
+        raise ValueError("decomposition needs a family with exactly two members")
     try:
         dec = decompose_eigenpair(fs[0], fs[1])
     except ValueError as exc:
@@ -305,7 +305,7 @@ def cmd_construct_defect(args) -> int:
     source = load_family(args.path)
     fs = source.polys
     if not 0 <= args.member < len(fs):
-        raise ParseError(f"--member must be in 0..{len(fs) - 1}")
+        raise ValueError(f"--member must be in 0..{len(fs) - 1}")
     fam = defect_family(fs[args.member])
     if not fam:
         print("every defect vanishes (the polynomial is of complex type); "

@@ -35,27 +35,21 @@ that is one entry of weight 1 (a real slot of the plain form) makes
 that product a square, which takes each pair of terms once.  The
 Laplacian residual is the same weights on d_s d_u f, less lam f.  kappa
 and laplacian are one-pair calls of the same kernel.  A bracket whose
-term products would exceed BRACKET_LIMIT raises ValueError before it
+term products would exceed poly.PRODUCT_LIMIT raises ValueError before it
 multiplies anything (in quadratic_verdict, only past degree 2).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-from operator import or_
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .scalars import (GaussRational, I, ONE, ZERO, as_scalar, common_numerators, format_scalar,
                       from_triple, scalar)
-from .poly import (EXP_BITS, MAX_DEGREE, PRODUCT_LIMIT, FrameMismatch, Poly, _degrees,
-                   _derivative, _gauss_mul, _gauss_sum, _nonzero, _reduced, _unpacker,
-                   check_degree, check_products, common_frame)
+from .poly import (FrameMismatch, Poly, _degrees, _derivative, _gauss_mul, _gauss_sum, _nonzero,
+                   _reduced, _used_slots, check_degree, check_products, common_frame)
 from .linalg import Matrix
 from .parser import format_poly
-
-# Term products one bracket may take: the ring's budget, over all the
-# products of one residual.
-BRACKET_LIMIT = PRODUCT_LIMIT
 
 
 class EigenData(NamedTuple):
@@ -132,9 +126,8 @@ class _Kernel:
 
     def prepare(self, f: Poly) -> _Member:
         "Everything the residuals need of f, once per member, on the slots f uses."
-        nums = f.nums
-        used = reduce(or_, nums, 0)
-        d = {s: _derivative(nums, s) for s in self.full if used >> s * EXP_BITS & MAX_DEGREE}
+        nums, used = f.nums, _used_slots([f.nums])
+        d = {s: _derivative(nums, s) for s in self.full if s in used}
         a, b = self.mu
         return _Member(f, d, _gauss_sum([((-a, -b), nums)]))
 
@@ -149,7 +142,7 @@ class _Kernel:
         pairs = [(p, q) for p, q in pairs if p and q]
         if self.bounded:
             check_products(len(f.poly.nums) * len(g.neg_mu)
-                           + sum(len(p) * len(q) for p, q in pairs), "bracket", BRACKET_LIMIT)
+                           + sum(len(p) * len(q) for p, q in pairs), "bracket")
         acc = {}
         for p, q in pairs:
             _gauss_mul(p, q, acc)
@@ -269,7 +262,7 @@ def verify_flat_family(fs) -> FamilyReport:
 def quadratic_verdict(fs, P=None) -> bool:
     """verify_flat_family(fs).verdict, to the first nonzero residual, or with a
     symmetric P, whether every kappa(f, g, P) and laplacian(f, P) vanishes;
-    members of degree at most 2 skip BRACKET_LIMIT, as kappa(f, g) is then a
+    members of degree at most 2 skip poly.PRODUCT_LIMIT, as kappa(f, g) is then a
     quadratic of at most m(m+1)/2 terms, however many (~m^3) products it takes."""
     fs = list(fs)
     if not fs:
@@ -321,8 +314,8 @@ def power_family(fs, d: int, data: EigenData):
     if d < 1:
         raise ValueError("power needs d >= 1")
     fs = list(fs)
-    if not fs:
-        raise ValueError("empty family has no powers")
+    if not any(fs):
+        raise ValueError(f"{'a family of zero polynomials' if fs else 'empty family'} has no powers")
     common_frame(fs)
     # layer k holds (last index, product) over the index tuples i1 <= ... <= ik
     # in lexicographic order; extending each by every index >= ik keeps it
@@ -348,8 +341,8 @@ def is_even_degree(f: Poly) -> bool:
 
 def is_biinvariant(f: Poly) -> bool:
     "Every monomial has equal total z-degree and total conj(z)-degree."
-    n2, unpack = 2 * f.frame.n, _unpacker(f.frame.num_slots)
-    return all(sum(m[0:n2:2]) == sum(m[1:n2:2]) for m in map(unpack, f.nums))
+    n2 = 2 * f.frame.n
+    return all(sum(m[0:n2:2]) == sum(m[1:n2:2]) for m in f.terms)
 
 
 # Derivations of the right sp(1)-action on quaternionic coordinates

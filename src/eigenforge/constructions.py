@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from .scalars import GaussRational, I
 from .frames import VariableFrame
-from .poly import (Poly, FrameMismatch, _reduced, _unpacker, common_frame, gradient_rows,
-                   mono_order_key, real_gradient, rename_onto)
+from .poly import (Poly, FrameMismatch, _graded, _reduced, common_frame, gradient_rows,
+                   real_gradient, rename_onto)
 from .conformality import laplacian, verify_flat_family
 from .linalg import Matrix, _dots, _eliminate
 from .holomorphy import _pull_back
@@ -124,8 +124,7 @@ def defect_family(F: Poly):
     gradient components g_a spans the same space as the defects: row mono
     of R R^T over den^2, for the rows R of poly.gradient_rows."""
     rows = gradient_rows(F)
-    unpack = _unpacker(F.frame.num_slots)
-    keys = sorted(rows, key=lambda k: mono_order_key(unpack(k)))
+    keys = _graded(rows, F.frame.num_slots)
     re, im = ([tuple(rows[k][part]) for k in keys] for part in (0, 1))
     out = []
     for x, y in zip(*_dots(re, im, re, im)):

@@ -24,14 +24,11 @@ roots outside Q(i) are only reported numerically.
 
 from __future__ import annotations
 
-from functools import reduce
-from itertools import chain
 from math import isfinite
-from operator import or_
 
 from .scalars import ONE, ZERO, sqrt_in_qi
 from .frames import VariableFrame
-from .poly import EXP_BITS, MAX_DEGREE, Poly, common_frame, gradient_rows, linear_form
+from .poly import Poly, _used_slots, common_frame, gradient_rows, linear_form
 from .conformality import quadratic_verdict
 from .linalg import (ComplexSubspace, Matrix, RealSubspace, _gram_orthogonal, _row_scaled,
                      _stacked)
@@ -159,11 +156,8 @@ def _pull_back(fs, Q: Matrix, target: VariableFrame) -> list:
     if not Q.is_orthogonal():
         raise ValueError("matrix rows are not orthonormal")
     D, N = Q.den, Q.re  # Q = N / D over the integers
-    used = reduce(or_, chain.from_iterable(p.nums for p in fs), 0)  # field s: slot s is used
     zs, zt, images = 2 * frame.n, 2 * target.n, {}
-    for s in range(m):
-        if not used >> s * EXP_BITS & MAX_DEGREE:
-            continue
+    for s in _used_slots(p.nums for p in fs):
         if s < zs:
             a, sign = s - s % 2, 1 - 2 * (s % 2)
             c = [(row[a], sign * row[a + 1]) for row in N]

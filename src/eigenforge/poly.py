@@ -36,9 +36,10 @@ No normalization or floating point happens here.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
 from math import gcd, lcm, prod
+from operator import or_
 from struct import Struct, error as StructError
 from types import MappingProxyType
 
@@ -61,10 +62,9 @@ def check_degree(degree: int, what: str):
         raise ValueError(f"{what} would have degree {degree}, over the limit of {MAX_DEGREE}")
 
 
-def check_products(count: int, what: str, limit=None):
-    limit = PRODUCT_LIMIT if limit is None else limit
-    if count > limit:
-        raise ValueError(f"{what} needs {count} term products, over the limit of {limit}")
+def check_products(count: int, what: str):
+    if count > PRODUCT_LIMIT:
+        raise ValueError(f"{what} needs {count} term products, over the limit of {PRODUCT_LIMIT}")
 
 
 # ---------------------------------------------------------------------
@@ -87,6 +87,12 @@ def _unpacker(width: int):
     "The function from a packed monomial to its exponent tuple."
     unpack, size = _fields(width).unpack, 2 * width
     return lambda key: unpack(key.to_bytes(size, "little"))
+
+
+def _graded(keys, width: int) -> list:
+    "Packed monomials of `width` slots in mono_order_key order: higher degree first."
+    unpack = _unpacker(width)
+    return sorted(keys, key=lambda k: mono_order_key(unpack(k)))
 
 
 def _degrees(p):
@@ -315,8 +321,7 @@ class Poly:
         return self == self.conjugate()
 
     def uses_slot(self, slot: int) -> bool:
-        shift = slot * EXP_BITS
-        return any(k >> shift & MAX_DEGREE for k in self.nums)
+        return slot in _used_slots([self.nums])
 
     def is_holomorphic_in(self, name: str) -> bool:
         "No conj(name) slot appears; name must be a complex coordinate."
@@ -561,6 +566,12 @@ def _conjugated(nums, n: int):
     z = MAX_DEGREE * ((1 << low) - 1) // ((1 << 2 * EXP_BITS) - 1)  # fields 0, 2, ..., 2n - 2
     return {(k & z) << EXP_BITS | k >> EXP_BITS & z | k >> low << low: (a, -b)
             for k, (a, b) in nums.items()}
+
+
+def _used_slots(numerators) -> set:
+    "The slots some key of the numerator dicts uses: field s of the keys' bitwise or is nonzero."
+    used = reduce(or_, chain.from_iterable(numerators), 0)
+    return {s for s in range(-(-used.bit_length() // EXP_BITS)) if used >> s * EXP_BITS & MAX_DEGREE}
 
 
 def _derivative(nums, slot: int):

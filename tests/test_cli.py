@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, JSON schema conformance, text and
 JSON agreement, file round trips."""
 
+import collections
 import contextlib
 import hashlib
 import io
@@ -598,13 +599,17 @@ def test_schema_files_are_one_registry_with_one_definition_per_type():
         resolver = registry.resolver(base_uri=s["$id"])
         for ref in keyword_values(s, "$ref"):
             assert isinstance(resolver.lookup(ref).contents, dict), (name, ref)
-    # a type shared by several outputs is defined in one file and reached by
-    # $ref from the others, never copied into them
+    # a type shared by several outputs is defined once and reached by $ref:
+    # no $defs entry or file root reappears inline, in its own file or in
+    # another, and a type with a pattern is always a $defs entry
+    seen = collections.Counter(json.dumps(node, sort_keys=True) for s in all_schemas.values()
+                               for node in [*subschemas(s), definitions(s)[0]])
     for name, s in all_schemas.items():
-        elsewhere = {json.dumps(node, sort_keys=True) for other, t in all_schemas.items()
-                     if other != name for node in [*subschemas(t), *definitions(t)]}
         for node in definitions(s):
-            assert json.dumps(node, sort_keys=True) not in elsewhere, (name, node)
+            assert seen[json.dumps(node, sort_keys=True)] == 1, (name, node)
+        defined = [id(node) for node in s.get("$defs", {}).values()]
+        for node in subschemas(s):
+            assert "pattern" not in node or id(node) in defined, (name, node)
 
 
 def test_deg2_construct_json(tmp_path, monkeypatch):
@@ -681,6 +686,13 @@ def test_deg2_decompose_needs_two_members(tmp_path):
     p.write_text("family one\nframe complex z\nF = z^2\n")
     code, out, err = run(["deg2", "decompose", str(p)])
     assert code == 2
+
+
+def test_deg2_decompose_of_one_member_is_a_usage_error():
+    # the file parses; the family is the wrong size
+    code, out, err = run(["deg2", "decompose", entry_path("abb-r5")])
+    assert code == 2 and out == ""
+    assert err == "error: decomposition needs a family with exactly two members\n"
 
 
 def test_deg2_construct_invalid_data_exit_two(tmp_path):
@@ -808,6 +820,12 @@ def test_construct_defect_member_out_of_range():
     code, out, err = run(["construct", "defect", entry_path("quartic-defect-c4"),
                           "--member", "5"])
     assert code == 2
+
+
+def test_construct_defect_member_out_of_range_is_a_usage_error():
+    code, out, err = run(["construct", "defect", entry_path("abb-r5"), "--member", "3"])
+    assert code == 2 and out == ""
+    assert err == "error: --member must be in 0..0\n"
 
 
 def test_construct_defect_of_holomorphic_poly_exit_one(tmp_path):
@@ -966,10 +984,11 @@ def test_construct_power_certificate_on_random_bases(monkeypatch, tmp_path, seed
 
 
 def test_verify_over_the_bracket_limit_exits_two(monkeypatch):
-    from eigenforge import conformality
-    monkeypatch.setattr(conformality, "BRACKET_LIMIT", 3)
+    from eigenforge import poly
+    monkeypatch.setattr(poly, "PRODUCT_LIMIT", 3)
     start = time.perf_counter()
-    # the first pair, (G1, G1): mu G1 G1 takes 2 x 2 products
+    # no product before the brackets takes more than 3 term products; the
+    # first pair, (G1, G1), does: mu G1 G1 takes 2 x 2 products
     code, out, err = run(["verify", "--lambda", "-27", "--mu", "-9",
                           entry_path("cubic-quartet-c4")])
     assert time.perf_counter() - start < 1.0

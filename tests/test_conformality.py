@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eigenforge import conformality
+from eigenforge import conformality, poly
 from eigenforge.scalars import I, ZERO, scalar
 from eigenforge.frames import VariableFrame
 from eigenforge.linalg import Matrix, RealSubspace
@@ -381,7 +381,7 @@ def test_verify_prepares_each_member_once(monkeypatch):
 def test_bracket_over_the_limit_raises_before_multiplying(monkeypatch):
     f1, f2 = degree2_pair()
     monkeypatch.setattr(conformality, "_gauss_mul", None)  # any product would fail
-    monkeypatch.setattr(conformality, "BRACKET_LIMIT", 1)
+    monkeypatch.setattr(poly, "PRODUCT_LIMIT", 1)
     # kappa(f1, f2) pairs d_v f1 = z with 2 d_vbar f2 = -2u and d_w f1 = u
     # with 2 d_wbar f2 = 2z; every other slot pairing has an empty side
     with pytest.raises(ValueError, match="bracket needs 2 term products, over the limit of 1"):
@@ -392,12 +392,14 @@ def test_bracket_over_the_limit_raises_before_multiplying(monkeypatch):
 
 def test_quadratic_verdict_skips_the_limit_in_degree_two_only(monkeypatch):
     f1, f2 = degree2_pair()
-    monkeypatch.setattr(conformality, "BRACKET_LIMIT", 1)
+    # the products are formed under the real limit, so only the brackets meet the patched one
+    quartics, mixed = [f1 * f1, f2 * f2], [f1, f1 * f1.conjugate()]
+    monkeypatch.setattr(poly, "PRODUCT_LIMIT", 1)
     assert conformality.quadratic_verdict([f1, f2])
     # a nonzero Laplacian ends the verdict before any bracket
-    assert not conformality.quadratic_verdict([f1, f1 * f1.conjugate()])
-    with pytest.raises(ValueError, match="over the limit of 1"):
-        conformality.quadratic_verdict([f1 * f1, f2 * f2])
+    assert not conformality.quadratic_verdict(mixed)
+    with pytest.raises(ValueError, match="bracket needs .* over the limit of 1"):
+        conformality.quadratic_verdict(quartics)
 
 
 @st.composite
@@ -548,7 +550,6 @@ def test_power_family_spends_one_budget_over_the_family(monkeypatch):
     # on {z, u} every product has one term, and each extends by the members
     # from its last index on: layers of 1 + 1, 2 + 1 and 2 + 1 + 1 products,
     # 9 in all by degree 3, while no single product passes the limit
-    from eigenforge import poly
     fs = [var(C2, "z"), var(C2, "u")]
     monkeypatch.setattr(poly, "PRODUCT_LIMIT", 8)
     assert len(power_family(fs, 2, FLAT_DATA)[0]) == 3

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eigenforge import conformality
+from eigenforge import poly
 from eigenforge.scalars import GaussRational, ZERO, scalar
 from eigenforge.frames import VariableFrame
 from eigenforge.poly import Poly, FrameMismatch, real_gradient
@@ -171,7 +171,7 @@ def test_harmonic_morphism_test_matches_the_pairwise_reference(seed):
 
 def test_nonharmonic_map_fails_before_any_bracket(monkeypatch):
     P, _ = random_real_map(random.Random(3), "nonharmonic")
-    monkeypatch.setattr(conformality, "BRACKET_LIMIT", 0)  # any bracket would raise
+    monkeypatch.setattr(poly, "PRODUCT_LIMIT", 0)  # any bracket would raise
     assert not verify_rn_hm(P)
 
 

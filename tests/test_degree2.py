@@ -951,7 +951,7 @@ def test_each_span_route_runs(monkeypatch):
 def test_find_axis_on_dense_forms_past_the_bracket_limit():
     # Walsh columns (-1)^popcount(a & k) are orthogonal, of one norm and dense, so
     # each form is dense with small entries, and one bracket of a pair takes
-    # ~m^3 term products, past BRACKET_LIMIT; the degree-2 verdict has no limit
+    # ~m^3 term products, past poly.PRODUCT_LIMIT; the degree-2 verdict has no limit
     m = 104
     walsh = Matrix([[(-1) ** bin(a & k).count("1") if k < 6 else 0 for k in range(m)]
                     for a in range(m)])

@@ -787,16 +787,25 @@ for case in cases:
 
 
 def test_no_assert_statement_in_the_package():
-    # result guards are explicit raises, which python -O keeps; and, as no
-    # linter runs offline, every name a module imports is used or exported
+    # result guards are explicit raises, which python -O keeps; as no linter
+    # runs offline, every name a module imports is used or exported; and poly
+    # owns the term-product budget and, with the parser, the packed monomial
+    # layout, so no other module reads key fields or keeps a limit of its own
     import ast
+    import inspect
     import pathlib
+    from eigenforge import poly
     package = pathlib.Path(eigenforge.__file__).parent
-    found, unused = [], []
+    found, unused, layout = [], [], []
     for path in sorted(package.rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
+        if path.name not in ("poly.py", "parser.py"):
+            layout += [f"{path.name}:{node.lineno} {alias.name}" for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) for alias in node.names
+                       if alias.name in ("EXP_BITS", "MAX_DEGREE", "PRODUCT_LIMIT", "_unpacker",
+                                         "mono_order_key")]
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         used |= {c.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
                  and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"]
@@ -809,6 +818,8 @@ def test_no_assert_statement_in_the_package():
     assert len(list(package.rglob("*.py"))) > 10
     assert found == []
     assert unused == []
+    assert layout == []
+    assert list(inspect.signature(poly.check_products).parameters) == ["count", "what"]
 
 
 def test_each_package_module_imports_alone():
